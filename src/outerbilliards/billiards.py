@@ -143,12 +143,6 @@ class Partition:
         self.tiles = tiles
         self.by_label: Dict[Tuple[int, int], Tile] = {t.label: t for t in tiles}
 
-    def tile(self, label: Tuple[int, int]) -> Tile:
-        return self.by_label[label]
-
-    def relabel(self, tiles: Tuple[Tile, ...]) -> "Partition":
-        return Partition(self.polygon, self.chirality, tiles)
-
     def classify(self, p: Point) -> Tile:
         """Tile containing p, from the dynamic tangent computation; the label
         and the region agree or the partition is inconsistent."""

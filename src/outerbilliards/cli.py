@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .dynamics import orbit, section
-from .errors import MapUndefinedError, ParseError, PolygonError
+from .errors import AnnulusNotFoundError, MapUndefinedError, ParseError, PolygonError
 from .generate import random_nice_polygon
 from .geometry import Point
 from .model import BilliardModel
@@ -171,7 +171,12 @@ def cmd_orbit(args) -> int:
     p = _parse_point(args.point)
     selector = {"psi": "psi", "psistar": "psi_star", "exit": "exit",
                 "return": "first_return", "stripreturn": "strip_return"}[args.map]
-    escape = Fraction(args.escape) if args.escape else None
+    if args.steps < 0:
+        return _fail(f"--steps must be >= 0, got {args.steps}")
+    try:
+        escape = Fraction(args.escape) if args.escape else None
+    except (ValueError, ZeroDivisionError) as exc:
+        return _fail(f"bad --escape {args.escape!r}: {exc}")
     try:
         if selector in ("psi_star", "strip_return"):
             start = section(model, p)
@@ -206,7 +211,10 @@ def cmd_verify(args) -> int:
             count, nsides = int(spec["count"]), int(spec["n"])
         except (ValueError, KeyError):
             return _fail(f"bad --random spec {args.random!r}; want 'n=K count=M'")
-        polys = [random_nice_polygon(nsides, args.seed + i) for i in range(count)]
+        try:
+            polys = [random_nice_polygon(nsides, args.seed + i) for i in range(count)]
+        except ValueError as exc:
+            return _fail(f"bad --random spec {args.random!r}: {exc}")
     else:
         if not args.polygon:
             return _fail("verify needs a polygon file or --random")
@@ -237,6 +245,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_quasi(args) -> int:
+    if args.m < 1:
+        return _fail(f"--m must be >= 1, got {args.m}")
     poly = _load_polygon(args.polygon)
     model = BilliardModel(poly)
     quasi = quasi_analyze(model.system)
@@ -260,7 +270,7 @@ def cmd_quasi(args) -> int:
                     model.system, quasi, p, args.m)
                 doc["certificate"] = {"bounded": bounded,
                                       "radius_l1": scalar_to_json(radius)}
-            except Exception as exc:
+            except AnnulusNotFoundError as exc:
                 doc["certificate"] = {"error": str(exc)}
                 status = EXIT_UNDEFINED
     _emit(doc)

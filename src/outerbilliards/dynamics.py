@@ -50,12 +50,6 @@ def section(model: BilliardModel, p: Point) -> IndexedPoint:
     return IndexedPoint(p, (a - 1) % model.n)
 
 
-def landing_state(model: BilliardModel, q: Point) -> IndexedPoint:
-    """The indexed state (q, c-1) the pinwheel orbit must reach when the
-    square map lands at q inside the tile of the path c -> d."""
-    return section(model, q)
-
-
 def pinwheel_theorem_step(model: BilliardModel, p: Point,
                           budget_factor: int = 3) -> Tuple[Point, int]:
     """Follow the pinwheel orbit of iota(p) until it reaches (psi(p), c-1).
@@ -67,7 +61,7 @@ def pinwheel_theorem_step(model: BilliardModel, p: Point,
     n = model.n
     q, _ = square_map(model.polygon, p)
     state = section(model, p)
-    target = landing_state(model, q)
+    target = section(model, q)  # (q, c-1): q lies in the tile of a path c -> d
     budget = budget_factor * n
     for used in range(1, budget + 1):
         state = pinwheel_step(model.system, state)
@@ -177,67 +171,45 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
         raise ValueError(f"unknown selector {selector!r}")
     rec = OrbitRecord(selector=selector)
     esc_sq = None if escape_radius is None else escape_radius * escape_radius
+    indexed = selector in ("psi_star", "strip_return")
+    x = start.reduce(model.n) if indexed else start
 
-    def log(step, point, index=None, label=None, tag="translated"):
+    def log(step, label=None, tag="translated"):
+        point, index = (x.point, x.index) if indexed else (x, None)
         rec.events.append(OrbitEvent(step, point, index, label, tag))
 
-    if selector in ("psi_star", "strip_return"):
-        state: IndexedPoint = start.reduce(model.n)
-        log(0, state.point, state.index,
-            tag="budget-exhausted" if budget == 0 else "start")
-        steps = 0
-        while steps < budget:
-            try:
-                if selector == "psi_star":
-                    nxt = pinwheel_step(model.system, state)
-                    steps += 1
-                    tag = "index-shifted" if nxt.index != state.index else "translated"
-                    log(steps, nxt.point, nxt.index, tag=tag)
-                else:
-                    nxt, used = strip_system_return(model.system, state,
-                                                    budget=max(budget - steps, 1))
-                    steps += used
-                    log(steps, nxt.point, nxt.index, tag="returned")
-            except (OnStripBoundaryError, BudgetExceededError) as exc:
-                tag = ("undefined" if isinstance(exc, OnStripBoundaryError)
-                       else "budget-exhausted")
-                log(steps + 1, state.point, state.index, tag=tag)
-                return rec
-            state = nxt
-            if esc_sq is not None and norm2_sq(state.point) > esc_sq:
-                log(steps, state.point, state.index, tag="escaped")
-                return rec
-        if rec.final.tag not in ("budget-exhausted",):
-            log(steps, state.point, state.index, tag="budget-exhausted")
-        return rec
+    def advance(remaining):
+        """(next state, steps used, label, tag) of one application."""
+        if selector == "psi":
+            q, label = square_map(model.polygon, x)
+            return q, 1, label, "translated"
+        if selector == "psi_star":
+            nxt = pinwheel_step(model.system, x)
+            return nxt, 1, None, ("index-shifted" if nxt.index != x.index
+                                  else "translated")
+        if selector == "strip_return":
+            nxt, used = strip_system_return(model.system, x, budget=remaining)
+        elif selector == "exit":
+            nxt, used = exit_map(model, x, budget=remaining)
+        else:
+            nxt, used = first_return_psi(model, x, budget=remaining)
+        return nxt, used, None, "returned"
 
-    p: Point = start
-    log(0, p, tag="budget-exhausted" if budget == 0 else "start")
+    log(0, tag="budget-exhausted" if budget == 0 else "start")
     steps = 0
     while steps < budget:
         try:
-            if selector == "psi":
-                q, label = square_map(model.polygon, p)
-                steps += 1
-                log(steps, q, label=label, tag="translated")
-            elif selector == "exit":
-                q, used = exit_map(model, p, budget=max(budget - steps, 1))
-                steps += used
-                log(steps, q, tag="returned")
-            else:
-                q, used = first_return_psi(model, p, budget=max(budget - steps, 1))
-                steps += used
-                log(steps, q, tag="returned")
-        except BudgetExceededError:
-            log(steps + 1, p, tag="budget-exhausted")
+            x, used, label, tag = advance(budget - steps)
+        except (BudgetExceededError, MapUndefinedError) as exc:
+            log(steps + 1, tag=("budget-exhausted"
+                                if isinstance(exc, BudgetExceededError)
+                                else "undefined"))
             return rec
-        except MapUndefinedError:
-            log(steps + 1, p, tag="undefined")
-            return rec
-        p = q
-        if esc_sq is not None and norm2_sq(p) > esc_sq:
-            log(steps, p, tag="escaped")
+        steps += used
+        log(steps, label, tag)
+        if esc_sq is not None and norm2_sq(x.point if indexed else x) > esc_sq:
+            log(steps, tag="escaped")
             return rec
     if rec.final.tag != "budget-exhausted":
-        log(steps, p, tag="budget-exhausted")
+        log(steps, tag="budget-exhausted")
     return rec

@@ -3,7 +3,9 @@
 Everything here works over an ordered field (Fraction or QuadExt coordinates)
 with exact sign tests.  Convex regions are stored as canonicalized half-plane
 intersections; emptiness, redundancy and boundedness are decided exactly with
-a small Fourier-Motzkin elimination, never with floating point.
+a small Fourier-Motzkin elimination, never with floating point.  A region's
+recession direction (`ConvexRegion.recession_direction`) is the one answer to
+both "is it bounded" and "which way does it run off to infinity".
 
 Frame convention: y axis up, polygon vertex lists clockwise, "right of a ray"
 means the negative cross-product side.
@@ -83,10 +85,6 @@ def pt(x: ScalarLike, y: ScalarLike) -> Point:
 
 def vec(x: ScalarLike, y: ScalarLike) -> Vec:
     return Vec(as_scalar(x), as_scalar(y))
-
-
-def norm1(p: Point) -> Scalar:
-    return abs(p.x) + abs(p.y)
 
 
 def norm2_sq(p: Point) -> Scalar:
@@ -205,9 +203,6 @@ class Sense(enum.Enum):
         return {Sense.GE: Sense.LE, Sense.GT: Sense.LT,
                 Sense.LE: Sense.GE, Sense.LT: Sense.GT}[self]
 
-    def relaxed(self) -> "Sense":
-        return {Sense.GT: Sense.GE, Sense.LT: Sense.LE}.get(self, self)
-
     def strictened(self) -> "Sense":
         return {Sense.GE: Sense.GT, Sense.LE: Sense.LT}.get(self, self)
 
@@ -243,9 +238,6 @@ class HalfPlane:
 
     def strictened(self) -> "HalfPlane":
         return HalfPlane(self.line, self.sense.strictened())
-
-    def relaxed(self) -> "HalfPlane":
-        return HalfPlane(self.line, self.sense.relaxed())
 
     def complement(self) -> "HalfPlane":
         comp = {Sense.GE: Sense.LT, Sense.GT: Sense.LE,
@@ -463,9 +455,6 @@ class ConvexRegion:
                 saw_zero = True
         return Location.BOUNDARY if saw_zero else Location.INTERIOR
 
-    def is_nonempty(self) -> bool:
-        return not self.is_empty
-
     def has_interior(self) -> bool:
         if self.is_empty:
             return False
@@ -479,23 +468,29 @@ class ConvexRegion:
             raise EmptyRegionError("region has empty interior")
         return p
 
-    def is_bounded(self) -> bool:
-        """Exact recession-cone test."""
+    def recession_direction(self) -> Optional[Vec]:
+        """A rational direction along which the region recedes to infinity,
+        strictly interior to the recession cone when that cone has interior;
+        None exactly when the region is bounded (or empty).
+
+        Every nonzero direction is a positive multiple of (+-1, t) or (0, +-1),
+        and d recedes when a*d.x + b*d.y >= 0 on every constraint.
+        """
         if self.is_empty:
-            return True
-        norms = self._norms
-        if len(norms) < 3:
-            return False
-        # direction (0, +-1)
-        if all(sign(b) >= 0 for (_, b, _, _) in norms):
-            return False
-        if all(sign(b) <= 0 for (_, b, _, _) in norms):
-            return False
-        # directions (+-1, t): a*dx + b*t >= 0 feasible over t?
-        for dx in (1, -1):
-            if _one_dim_feasible([(b, -a * dx, False) for (a, b, _, _) in norms]):
-                return False
-        return True
+            return None
+        for strict in (True, False):
+            for dx in (1, -1):
+                bounds = [(b, -a * dx, strict) for (a, b, _, _) in self._norms]
+                if _one_dim_feasible(bounds):
+                    t = _pick_in_interval(*_one_dim_interval(bounds))
+                    return Vec(Fraction(dx), t)
+        for dy in (1, -1):
+            if all(sign(b * dy) >= 0 for (_, b, _, _) in self._norms):
+                return Vec(Fraction(0), Fraction(dy))
+        return None
+
+    def is_bounded(self) -> bool:
+        return self.recession_direction() is None
 
     def vertices(self) -> Tuple[Point, ...]:
         """Vertices of the closure, in clockwise order starting from the
@@ -570,11 +565,6 @@ class ConvexRegion:
             out.append(HalfPlane(Line(a, b, 2 * (a * center.x + b * center.y) - c),
                                  h.sense.flipped()))
         return ConvexRegion.from_halfplanes(out)
-
-    def closure(self) -> "ConvexRegion":
-        if self.is_empty:
-            return self
-        return ConvexRegion.from_halfplanes(h.relaxed() for h in self.constraints)
 
     # -- sampling -----------------------------------------------------------
 

@@ -72,11 +72,7 @@ class AdmissiblePath:
 
     def displacement(self) -> Vec:
         """Sum of twice the step vectors; telescopes to 2*(w - v)."""
-        total = None
-        for i in range(self.start, self.end_lifted + 1):
-            term = self.steps[i] * 2
-            total = term if total is None else total + term
-        return total
+        return self.prefix_sum(self.end_lifted)
 
     def prefix_sum(self, k: int) -> Vec:
         """Sum of twice the step vectors for indices start..k."""
@@ -188,11 +184,7 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
 def link_partition(partition: Partition, family: PathFamily) -> Partition:
     """Attach path ids to tiles; exact one-to-one label matching required."""
     tile_labels = set(partition.by_label)
-    path_labels = set()
-    for p in family.paths:
-        path_labels.add(p.endpoint_pair())
-        if p.length == 1:
-            path_labels.add((p.last_vertex_index, p.first_vertex_index))
+    path_labels = set(family.by_endpoints)
     if tile_labels != path_labels:
         missing = sorted(path_labels - tile_labels)
         extra = sorted(tile_labels - path_labels)
@@ -201,7 +193,7 @@ def link_partition(partition: Partition, family: PathFamily) -> Partition:
             f"tiles-without-paths={extra}")
     linked = tuple(t.with_path(family.by_endpoints[t.label].path_id)
                    for t in partition.tiles)
-    return partition.relabel(linked)
+    return Partition(partition.polygon, partition.chirality, linked)
 
 
 def path_tile(partition: Partition, path: AdmissiblePath) -> Tile:

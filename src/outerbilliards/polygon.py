@@ -75,13 +75,6 @@ class NicePolygon:
                 on_boundary = True
         return Location.BOUNDARY if on_boundary else Location.INTERIOR
 
-    def diameter_sq_bound(self):
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        dx = max(xs) - min(xs)
-        dy = max(ys) - min(ys)
-        return dx * dx + dy * dy
-
     def to_document(self) -> dict:
         field = "rational" if self.quad_d is None else {"quad": self.quad_d}
         return {

@@ -11,6 +11,11 @@ j to strip j+1 multiplies the shift exponent by +-A_j/A_{j+1}, and the product
 of the signs around the full cycle is -1 (the ring crosses each strip twice,
 on opposite sides of the polygon, and one full turn lands on the other side).
 The invariance checks therefore work with the two-sided ring |exponent| = m*D.
+
+Every ring copy is P itself moved rigidly (translated, or rotated 180 degrees
+about a strip's centre vertex and translated), so "is p inside this copy" is
+answered by pulling p back to P and asking the polygon; no copy's region is
+built except where the copy is sampled.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from math import gcd
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import ConvexRegion, Point, Vec, polygon_region
+from .geometry import ConvexRegion, Line, Location, Point, Vec, polygon_region
+from .polygon import NicePolygon
 from .scalars import Scalar, sign
 from .strips import PinwheelSystem
 
@@ -87,18 +93,26 @@ class NecklaceSpec:
     center: Point                  # the vertex of P on the centerline of strip j
     p_vertices: Tuple[Point, ...]  # P + m*shift
     q_vertices: Tuple[Point, ...]  # (180-degree rotation of P about center) + m*shift
+    polygon: NicePolygon           # P
 
-    def p_region(self, open_region: bool = True) -> ConvexRegion:
-        return polygon_region(self.p_vertices, open_region=open_region)
+    def p_region(self) -> ConvexRegion:
+        return polygon_region(self.p_vertices, open_region=True)
 
-    def q_region(self, open_region: bool = True) -> ConvexRegion:
-        return polygon_region(self.q_vertices, open_region=open_region)
+    def q_region(self) -> ConvexRegion:
+        return polygon_region(self.q_vertices, open_region=True)
+
+    def in_p(self, p: Point) -> bool:
+        """p is interior to the copy P + m*shift."""
+        back = p - self.shift * self.m
+        return self.polygon.point_location(back) is Location.INTERIOR
+
+    def in_q(self, p: Point) -> bool:
+        """p is interior to the rotated copy Q + m*shift."""
+        back = (p - self.shift * self.m).reflect_through(self.center)
+        return self.polygon.point_location(back) is Location.INTERIOR
 
     def contains(self, p: Point) -> bool:
-        from .geometry import Location
-
-        return (self.p_region().contains(p) is Location.INTERIOR
-                or self.q_region().contains(p) is Location.INTERIOR)
+        return self.in_p(p) or self.in_q(p)
 
 
 def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
@@ -134,7 +148,8 @@ def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     q_vertices = tuple(v.reflect_through(center) + offset
                        for v in system.polygon.vertices)
     return NecklaceSpec(j=j, m=m, shift=shift, center=center,
-                        p_vertices=p_vertices, q_vertices=q_vertices)
+                        p_vertices=p_vertices, q_vertices=q_vertices,
+                        polygon=system.polygon)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +192,6 @@ def in_trapped_extent(system: PinwheelSystem, j: int, m_exponent: int,
     """Loose membership: inside the strip, within the closed axis extent of
     the two outer rings, and not interior to either outer ring copy.  The
     image of any between-point lands here; points here can never escape."""
-    from .geometry import Location
-
     if system.pair(j).location(p) != 1:
         return False
     s = _axis_coord(system, j, p)
@@ -220,17 +233,15 @@ def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
         pair = system.pair(j)
         lo, _ = _ring_axis_range(system, j, -m * quasi.D_int[j])
         _, hi = _ring_axis_range(system, j, m * quasi.D_int[j])
-        d = necklace_shift(system, j)
         for s_val in (lo, hi):
             for off in (Fraction(0), pair.width):
-                corner = _solve_frame(pair.line.a, pair.line.b,
-                                      pair.line.c + off, d.x, d.y, s_val)
+                corner = frame_point(system, j, s_val, off)
                 radius = max(radius, abs(corner.x) + abs(corner.y))
     return True, radius
 
 
-def _solve_frame(a1, b1, c1, a2, b2, c2) -> Point:
-    det = a1 * b2 - a2 * b1
-    x = (c1 * b2 - c2 * b1) / det
-    y = (a1 * c2 - a2 * c1) / det
-    return Point(x, y)
+def frame_point(system: PinwheelSystem, j: int, s: Scalar, off: Scalar) -> Point:
+    """The point of strip j's frame with axis coordinate s (along the
+    necklace shift) and strip offset off (0 on the strip's edge line)."""
+    d = necklace_shift(system, j)
+    return system.pair(j).line.parallel_offset(off).intersection(Line(d.x, d.y, s))

@@ -46,7 +46,6 @@ class CheckReport:
         self.valid += 1
 
     def fail(self, input_repr: str, expected: str, actual: str, index: int = -1):
-        self.attempted += 0
         self.violations.append(Violation(index, input_repr, expected, actual))
 
     def wall_skip_rate(self) -> float:

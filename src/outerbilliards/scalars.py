@@ -226,10 +226,6 @@ def as_scalar(x: ScalarLike) -> Scalar:
     return Fraction(x)
 
 
-def is_rational(x: ScalarLike) -> bool:
-    return not isinstance(x, QuadExt)
-
-
 def to_float(x: ScalarLike) -> float:
     """One-way float conversion, for rendering and reporting only."""
     return float(x)

@@ -70,9 +70,6 @@ class PinwheelPair:
             HalfPlane(self.line_far, Sense.LE),
         ])
 
-    def centerline(self) -> Line:
-        return self.line.parallel_offset(self.width / 2)
-
 
 @dataclass(frozen=True)
 class Spoke:
@@ -116,9 +113,6 @@ class PinwheelSystem:
 
     def strip(self, j: int) -> ConvexRegion:
         return self._strip_regions[j % self.n]
-
-    def mu(self, j: int, p: Point) -> Point:
-        return strip_map(self.pair(j), p)
 
     def max_width(self) -> Scalar:
         return max(p.width for p in self.pairs)
@@ -282,7 +276,7 @@ def compose_strip_maps(system: PinwheelSystem, a: int, b: int, p: Point) -> Poin
     q = p
     for i in range(a, b_lifted + 1):
         try:
-            q = system.mu(i % n, q)
+            q = strip_map(system.pair(i), q)
         except OnStripBoundaryError as exc:
             raise OnStripBoundaryError(exc.point, stage=i % n) from None
     return q

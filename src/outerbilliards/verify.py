@@ -24,22 +24,13 @@ from .dynamics import (
 )
 from .errors import BudgetExceededError, MapUndefinedError
 from .generate import random_nice_polygon
-from .geometry import (
-    ConvexRegion,
-    HalfPlane,
-    Line,
-    Location,
-    Point,
-    Vec,
-    _one_dim_feasible,
-    _one_dim_interval,
-    _pick_in_interval,
-)
+from .geometry import ConvexRegion, HalfPlane, Line, Point
 from .model import BilliardModel
 from .paths import apex_sequence
 from .polygon import NicePolygon
 from .quasirational import (
     annulus_windows,
+    frame_point,
     in_annulus,
     in_trapped_extent,
     necklace,
@@ -47,7 +38,6 @@ from .quasirational import (
 )
 from .report import CheckReport
 from .rng import Rng
-from .scalars import sign
 from .strips import strip_map
 
 __all__ = [
@@ -69,27 +59,6 @@ __all__ = [
 # sample generation over tiles
 
 
-def _recession_direction(region: ConvexRegion) -> Vec:
-    """A rational direction along which the region recedes to infinity,
-    strictly interior to the recession cone when one exists."""
-    norms = [h.normalized() for h in region.constraints]
-    for strict in (True, False):
-        for dx in (1, -1):
-            bounds = [(b, -a * dx, strict) for (a, b, _c, _s) in norms]
-            if _one_dim_feasible(bounds):
-                lo, up = _one_dim_interval(bounds)
-                t = _pick_in_interval(lo, up)
-                cand = Vec(Fraction(dx), t)
-                if all(sign(a * cand.x + b * cand.y) >= 0
-                       for (a, b, _c, _s) in norms):
-                    return cand
-    for dy in (1, -1):
-        cand = Vec(Fraction(0), Fraction(dy))
-        if all(sign(b * dy) >= 0 for (_a, b, _c, _s) in norms):
-            return cand
-    raise AssertionError("no recession direction for an unbounded region")
-
-
 def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
                  radii_scale=None) -> List[Point]:
     """Interior samples of a tile: barycentric for bounded tiles, points at
@@ -97,7 +66,7 @@ def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
     if not tile.unbounded:
         seed = rng.u64(hash(tile.label) & 0xFFFF)
         return list(tile.region.sample_points(count, seed=seed))
-    direction = _recession_direction(tile.region)
+    direction = tile.region.recession_direction()
     scale = radii_scale if radii_scale is not None else Fraction(64)
     out = []
     for i in range(count):
@@ -416,11 +385,7 @@ def check_structure1(model: BilliardModel) -> CheckReport:
     rep = CheckReport("structure1", _polygon_doc(model), 0)
     t0 = time.monotonic()
     tile_labels = set(model.partition.by_label)
-    path_labels = set()
-    for p in model.paths.paths:
-        path_labels.add(p.endpoint_pair())
-        if p.length == 1:
-            path_labels.add((p.last_vertex_index, p.first_vertex_index))
+    path_labels = set(model.paths.by_endpoints)
     rep.sample()
     if tile_labels == path_labels:
         rep.ok()
@@ -577,8 +542,7 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                     rep.skip()
                     continue
                 hit = [t for t in targets
-                       if (t.p_region() if kind == "P" else t.q_region())
-                       .contains(land.point) is Location.INTERIOR]
+                       if (t.in_p if kind == "P" else t.in_q)(land.point)]
                 if not hit:
                     rep.fail(repr(p), f"lands in ring copy |{Mj1}| of strip "
                                       f"{(j + 1) % n}", f"{land.point}", j)
@@ -612,7 +576,7 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                     continue
                 s_val = rng.split(7, j).between(t_i, lo, hi)
                 off = pair.width * rng.split(8, j).unit(t_i)
-                p = _frame_point(system, j, s_val, off)
+                p = frame_point(system, j, s_val, off)
                 if not in_annulus(system, j, m * quasi.D_int[j], p):
                     continue
                 produced += 1
@@ -630,15 +594,6 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                              f"{land.point}", j)
     rep.runtime = time.monotonic() - t0
     return rep
-
-
-def _frame_point(system, j, s_val, off) -> Point:
-    from .quasirational import _solve_frame, necklace_shift
-
-    pair = system.pair(j)
-    d = necklace_shift(system, j)
-    return _solve_frame(pair.line.a, pair.line.b, pair.line.c + off,
-                        d.x, d.y, s_val)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
     annulus_windows,
     boundedness_certificate,
+    frame_point,
     in_annulus,
-    necklace_shift,
     overlap_area_determinant,
     quasi_analyze,
-    _solve_frame,
 )
 from outerbilliards.strips import build_pinwheel_system, sigma_range, strip_map
 from outerbilliards.svg import default_viewport, partition_scene, render_scene
@@ -168,10 +167,7 @@ def test_criterion_07_quasirational_boundedness():
     model = BilliardModel(TRIANGLE)
     quasi = quasi_analyze(model.system)
     (a1, b1), _ = annulus_windows(model.system, 0, quasi.D_int[0])
-    pair = model.system.pair(0)
-    d = necklace_shift(model.system, 0)
-    start = _solve_frame(pair.line.a, pair.line.b, pair.line.c + Fraction(7, 3),
-                         d.x, d.y, (a1 + b1) / 2)
+    start = frame_point(model.system, 0, (a1 + b1) / 2, Fraction(7, 3))
     assert in_annulus(model.system, 0, quasi.D_int[0], start)
     bounded, radius = boundedness_certificate(model.system, quasi, start, m=1)
     assert bounded

@@ -19,8 +19,10 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.geometry import Location, pt, vec
+from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
+from outerbilliards.scalars import sign
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -179,3 +181,67 @@ def test_backward_partition_mirror_counts():
     fwd = build_partition(PENTAGON)
     assert len(back.tiles) == len(fwd.tiles)
     assert sum(t.unbounded for t in back.tiles) == 2 * PENTAGON.n
+
+
+# Recession directions of the unbounded tiles, recorded as literals; every
+# other tile is bounded.  Keyed by (polygon, partition side), then tile label.
+RECESSION = {
+    ("triangle", "forward"): {  # 0 bounded tiles
+        (0, 1): ('1', '-1/2'), (0, 2): ('1', '-2'), (1, 0): ('-1', '1/2'),
+        (1, 2): ('-1', '-3/2'), (2, 0): ('1', '4'), (2, 1): ('1', '3/2'),
+    },
+    ("triangle", "backward"): {  # 0 bounded tiles
+        (0, 1): ('-1', '1/2'), (0, 2): ('1', '4'), (1, 0): ('1', '-1/2'),
+        (1, 2): ('1', '3/2'), (2, 0): ('1', '-2'), (2, 1): ('-1', '-3/2'),
+    },
+    ("n7", "forward"): {  # 14 bounded tiles
+        (0, 4): ('1', '-119/192'), (1, 4): ('1', '-1855/1216'),
+        (1, 5): ('1', '-129/38'), (2, 5): ('-1', '-196/15'), (3, 5): ('-1', '-77/30'),
+        (3, 6): ('-1', '-175/177'), (4, 0): ('-1', '119/192'),
+        (4, 1): ('-1', '1855/1216'), (4, 6): ('-1', '665/1416'), (5, 1): ('1', '73/3'),
+        (5, 2): ('1', '196/15'), (5, 3): ('1', '77/30'), (6, 3): ('1', '175/177'),
+        (6, 4): ('1', '-665/1416'),
+    },
+    ("n7", "backward"): {  # 14 bounded tiles
+        (0, 4): ('-1', '119/192'), (1, 4): ('-1', '1855/1216'), (1, 5): ('1', '73/3'),
+        (2, 5): ('1', '196/15'), (3, 5): ('1', '77/30'), (3, 6): ('1', '175/177'),
+        (4, 0): ('1', '-119/192'), (4, 1): ('1', '-1855/1216'),
+        (4, 6): ('1', '-665/1416'), (5, 1): ('1', '-129/38'),
+        (5, 2): ('-1', '-196/15'), (5, 3): ('-1', '-77/30'),
+        (6, 3): ('-1', '-175/177'), (6, 4): ('-1', '665/1416'),
+    },
+    ("sqrt5_kite", "forward"): {  # 2 bounded tiles
+        (0, 2): ('1', '-2'), (1, 2): ('-1', '(-1/2 + -1/10*sqrt(5))'),
+        (1, 3): ('-1', '0'), (2, 0): ('1', '2'), (2, 1): ('1', '(1/2 + 1/10*sqrt(5))'),
+        (2, 3): ('-1', '(1/2 + 1/10*sqrt(5))'), (3, 1): ('1', '0'),
+        (3, 2): ('1', '(-1/2 + -1/10*sqrt(5))'),
+    },
+    ("sqrt5_kite", "backward"): {  # 2 bounded tiles
+        (0, 2): ('1', '2'), (1, 2): ('1', '(1/2 + 1/10*sqrt(5))'), (1, 3): ('1', '0'),
+        (2, 0): ('1', '-2'), (2, 1): ('-1', '(-1/2 + -1/10*sqrt(5))'),
+        (2, 3): ('1', '(-1/2 + -1/10*sqrt(5))'), (3, 1): ('-1', '0'),
+        (3, 2): ('-1', '(1/2 + 1/10*sqrt(5))'),
+    },
+}
+
+
+@pytest.mark.parametrize("poly_key", ["triangle", "n7", "sqrt5_kite"])
+def test_recession_direction_of_every_tile(poly_key):
+    from test_quasirational import sqrt5_kite
+
+    poly = {"triangle": TRIANGLE, "n7": random_nice_polygon(7, 3),
+            "sqrt5_kite": sqrt5_kite()}[poly_key]
+    m = BilliardModel(poly)
+    for side, part in (("forward", m.partition), ("backward", m.backward_partition)):
+        want = RECESSION[(poly_key, side)]
+        for t in part.tiles:
+            d = t.region.recession_direction()
+            if t.label not in want:
+                assert d is None and t.region.is_bounded() and not t.unbounded
+                continue
+            assert (str(d.x), str(d.y)) == want[t.label], (side, t.label)
+            assert t.unbounded and not t.region.is_bounded()
+            for h in t.region.constraints:
+                a, b, _, _ = h.normalized()
+                assert sign(a * d.x + b * d.y) >= 0
+        assert len(want) == 2 * poly.n

@@ -143,3 +143,15 @@ def test_quasi_certify(tri_file, capsys):
         assert cert["bounded"] is True
     else:
         assert code == 3 and "error" in cert
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--random", "n=15 count=1"),
+    ("orbit", "TRI", "--point", "8,-2", "--escape", "abc"),
+    ("orbit", "TRI", "--point", "8,-2", "--steps", "-5"),
+    ("quasi", "TRI", "--m", "0"),
+])
+def test_bad_argument_is_json_input_error(argv, tri_file, capsys):
+    code, out = run(capsys, *[tri_file if a == "TRI" else a for a in argv])
+    assert code == 2
+    assert json.loads(out)["error"]

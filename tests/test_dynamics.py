@@ -336,3 +336,143 @@ def test_far_radius_scales_with_polygon():
     small = BilliardModel(TRIANGLE)
     big = BilliardModel(random_nice_polygon(7, 3, bound=40))
     assert far_radius(big) > far_radius(small)
+
+
+# Event logs of `orbit` recorded as literals, one case per selector and end
+# tag: (step, x, y, index, label, tag), coordinates as `str` of the scalar.
+_A = (Fraction(41, 3), Fraction(2, 7))
+_ON_STRIP_1 = IndexedPoint(pt(-2, -6), 0)  # on the boundary line of strip 1
+
+ORBIT_GOLDEN = {
+    "psi": ("triangle", pt(8, -2), "psi", 6, None, [
+        (0, "8", "-2", None, None, "start"),
+        (1, "10", "4", None, (0, 1), "translated"),
+        (2, "4", "10", None, (2, 1), "translated"),
+        (3, "-4", "10", None, (2, 0), "translated"),
+        (4, "-12", "10", None, (2, 0), "translated"),
+        (5, "-14", "4", None, (1, 0), "translated"),
+        (6, "-8", "-2", None, (1, 2), "translated"),
+        (6, "-8", "-2", None, None, "budget-exhausted")]),
+    "psi-undefined": ("triangle", pt(6, 0), "psi", 5, None, [
+        (0, "6", "0", None, None, "start"),
+        (1, "6", "0", None, None, "undefined")]),
+    "psi-escaped": ("triangle", pt(8, -2), "psi", 20, 12, [
+        (0, "8", "-2", None, None, "start"),
+        (1, "10", "4", None, (0, 1), "translated"),
+        (2, "4", "10", None, (2, 1), "translated"),
+        (3, "-4", "10", None, (2, 0), "translated"),
+        (4, "-12", "10", None, (2, 0), "translated"),
+        (4, "-12", "10", None, None, "escaped")]),
+    "psi-budget-zero": ("triangle", pt(8, -2), "psi", 0, None, [
+        (0, "8", "-2", None, None, "budget-exhausted")]),
+    "psi_star": ("triangle", "section", "psi_star", 12, None, [
+        (0, "8", "-2", 2, None, "start"),
+        (1, "10", "4", 2, None, "translated"),
+        (2, "10", "4", 0, None, "index-shifted"),
+        (3, "4", "10", 0, None, "translated"),
+        (4, "4", "10", 1, None, "index-shifted"),
+        (5, "-4", "10", 1, None, "translated"),
+        (6, "-12", "10", 1, None, "translated"),
+        (7, "-12", "10", 2, None, "index-shifted"),
+        (8, "-14", "4", 2, None, "translated"),
+        (9, "-14", "4", 0, None, "index-shifted"),
+        (10, "-8", "-2", 0, None, "translated"),
+        (11, "-2", "-8", 0, None, "translated"),
+        (12, "-2", "-8", 1, None, "index-shifted"),
+        (12, "-2", "-8", 1, None, "budget-exhausted")]),
+    "psi_star-escaped": ("triangle", "section", "psi_star", 40, 12, [
+        (0, "8", "-2", 2, None, "start"),
+        (1, "10", "4", 2, None, "translated"),
+        (2, "10", "4", 0, None, "index-shifted"),
+        (3, "4", "10", 0, None, "translated"),
+        (4, "4", "10", 1, None, "index-shifted"),
+        (5, "-4", "10", 1, None, "translated"),
+        (6, "-12", "10", 1, None, "translated"),
+        (6, "-12", "10", 1, None, "escaped")]),
+    "psi_star-undefined": ("triangle", _ON_STRIP_1, "psi_star", 5, None, [
+        (0, "-2", "-6", 0, None, "start"),
+        (1, "-2", "-6", 0, None, "undefined")]),
+    "strip_return": ("triangle", "section-a", "strip_return", 7, None, [
+        (0, "41/3", "2/7", 0, None, "start"),
+        (2, "23/3", "44/7", 1, None, "returned"),
+        (5, "-25/3", "44/7", 2, None, "returned"),
+        (7, "-31/3", "2/7", 0, None, "returned"),
+        (7, "-31/3", "2/7", 0, None, "budget-exhausted")]),
+    "strip_return-over-budget": ("triangle", "section-a", "strip_return", 8, None, [
+        (0, "41/3", "2/7", 0, None, "start"),
+        (2, "23/3", "44/7", 1, None, "returned"),
+        (5, "-25/3", "44/7", 2, None, "returned"),
+        (7, "-31/3", "2/7", 0, None, "returned"),
+        (8, "-31/3", "2/7", 0, None, "budget-exhausted")]),
+    "strip_return-escaped": ("triangle", "section-a", "strip_return", 30, 10, [
+        (0, "41/3", "2/7", 0, None, "start"),
+        (2, "23/3", "44/7", 1, None, "returned"),
+        (5, "-25/3", "44/7", 2, None, "returned"),
+        (5, "-25/3", "44/7", 2, None, "escaped")]),
+    "strip_return-undefined": ("triangle", _ON_STRIP_1, "strip_return", 5, None, [
+        (0, "-2", "-6", 0, None, "start"),
+        (1, "-2", "-6", 0, None, "undefined")]),
+    "exit": ("triangle", pt(*_A), "exit", 12, None, [
+        (0, "41/3", "2/7", None, None, "start"),
+        (1, "23/3", "44/7", None, None, "returned"),
+        (3, "-25/3", "44/7", None, None, "returned"),
+        (4, "-31/3", "2/7", None, None, "returned"),
+        (6, "5/3", "-82/7", None, None, "returned"),
+        (7, "29/3", "-82/7", None, None, "returned"),
+        (9, "41/3", "2/7", None, None, "returned"),
+        (10, "23/3", "44/7", None, None, "returned"),
+        (12, "-25/3", "44/7", None, None, "returned"),
+        (12, "-25/3", "44/7", None, None, "budget-exhausted")]),
+    "exit-over-budget": ("triangle", pt(10000, Fraction(1, 3)), "exit", 5, None, [
+        (0, "10000", "1/3", None, None, "start"),
+        (1, "10000", "1/3", None, None, "budget-exhausted")]),
+    "exit-undefined": ("triangle", pt(6, 0), "exit", 5, None, [
+        (0, "6", "0", None, None, "start"),
+        (1, "6", "0", None, None, "undefined")]),
+    "first_return": ("triangle", pt(*_A), "first_return", 10, None, [
+        (0, "41/3", "2/7", None, None, "start"),
+        (4, "-31/3", "2/7", None, None, "returned"),
+        (9, "41/3", "2/7", None, None, "returned"),
+        (10, "41/3", "2/7", None, None, "budget-exhausted")]),
+    "first_return-escaped": ("triangle", pt(*_A), "first_return", 30, 10, [
+        (0, "41/3", "2/7", None, None, "start"),
+        (4, "-31/3", "2/7", None, None, "returned"),
+        (4, "-31/3", "2/7", None, None, "escaped")]),
+    "first_return-undefined": ("triangle", pt(6, 0), "first_return", 5, None, [
+        (0, "6", "0", None, None, "start"),
+        (1, "6", "0", None, None, "undefined")]),
+    "psi-sqrt5-kite": ("sqrt5_kite", pt(Fraction(7, 2), Fraction(1, 3)), "psi", 6, None, [
+        (0, "7/2", "1/3", None, None, "start"),
+        (1, "7/2", "13/3", None, (3, 1), "translated"),
+        (2, "(3/2 + -2*sqrt(5))", "13/3", None, (2, 0), "translated"),
+        (3, "(3/2 + -4*sqrt(5))", "7/3", None, (2, 3), "translated"),
+        (4, "(3/2 + -4*sqrt(5))", "-5/3", None, (1, 3), "translated"),
+        (5, "(3/2 + -2*sqrt(5))", "-11/3", None, (1, 2), "translated"),
+        (6, "7/2", "-11/3", None, (0, 2), "translated"),
+        (6, "7/2", "-11/3", None, None, "budget-exhausted")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_GOLDEN))
+def test_orbit_golden_event_log(case):
+    from test_quasirational import sqrt5_kite
+
+    poly, start, selector, budget, escape, want = ORBIT_GOLDEN[case]
+    m = BilliardModel(TRIANGLE if poly == "triangle" else sqrt5_kite())
+    if start == "section":
+        start = section(m, pt(8, -2))
+    elif start == "section-a":
+        start = section(m, pt(*_A))
+    rec = orbit(m, start, selector, budget,
+                None if escape is None else Fraction(escape))
+    got = [(e.step, str(e.point.x), str(e.point.y), e.index, e.label, e.tag)
+           for e in rec.events]
+    assert got == want
+
+
+def test_orbit_golden_covers_every_selector_and_end_tag():
+    selectors = {c[2] for c in ORBIT_GOLDEN.values()}
+    tags = {e[-1] for c in ORBIT_GOLDEN.values() for e in c[-1]}
+    assert selectors == {"psi", "psi_star", "exit", "first_return", "strip_return"}
+    assert tags == {"start", "translated", "index-shifted", "returned",
+                    "undefined", "budget-exhausted", "escaped"}

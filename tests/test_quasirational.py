@@ -7,12 +7,13 @@ import pytest
 from outerbilliards.dynamics import IndexedPoint, orbit, strip_system_return
 from outerbilliards.errors import AnnulusNotFoundError, NotQuasirationalError
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Location, Point, norm2_sq, pt
+from outerbilliards.geometry import Location, Point, norm2_sq, polygon_region, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
     annulus_windows,
     boundedness_certificate,
+    frame_point,
     in_annulus,
     necklace,
     necklace_shift,
@@ -165,12 +166,7 @@ def test_boundedness_certificate_triangle():
     q = quasi_analyze(m.system)
     # hunt a certified point inside strip 0's m=1 annulus
     (a1, b1), _ = annulus_windows(m.system, 0, q.D_int[0])
-    from outerbilliards.quasirational import _solve_frame
-
-    pair = m.system.pair(0)
-    d = necklace_shift(m.system, 0)
-    p = _solve_frame(pair.line.a, pair.line.b, pair.line.c + Fraction(7, 3),
-                     d.x, d.y, (a1 + b1) / 2)
+    p = frame_point(m.system, 0, (a1 + b1) / 2, Fraction(7, 3))
     assert in_annulus(m.system, 0, q.D_int[0], p)
     bounded, radius = boundedness_certificate(m.system, q, p, m=1)
     assert bounded
@@ -186,12 +182,7 @@ def test_certificate_radius_monotone_in_m():
     m = BilliardModel(TRIANGLE)
     q = quasi_analyze(m.system)
     (a1, b1), _ = annulus_windows(m.system, 0, q.D_int[0])
-    from outerbilliards.quasirational import _solve_frame
-
-    pair = m.system.pair(0)
-    d = necklace_shift(m.system, 0)
-    p = _solve_frame(pair.line.a, pair.line.b, pair.line.c + Fraction(7, 3),
-                     d.x, d.y, (a1 + b1) / 2)
+    p = frame_point(m.system, 0, (a1 + b1) / 2, Fraction(7, 3))
     _, r1 = boundedness_certificate(m.system, q, p, m=1)
     _, r2 = boundedness_certificate(m.system, q, p, m=2)
     _, r3 = boundedness_certificate(m.system, q, p, m=3)
@@ -221,3 +212,35 @@ def test_strip_system_maps_polygon_copy_to_itself():
         assert land.point == inner
         assert steps == 1
         assert land.index == (j + 1) % m.n
+
+
+@pytest.mark.parametrize("poly_key", ["pentagon", "sqrt5_kite"])
+def test_necklace_membership_matches_region_route(poly_key):
+    """Ring-copy membership pulled back to P agrees with building each copy's
+    open region and classifying against it (the reference route here)."""
+    poly = random_nice_polygon(5, seed=21) if poly_key == "pentagon" else sqrt5_kite()
+    system = BilliardModel(poly).system
+    checked = inside = 0
+    for j in range(system.n):
+        for mm in range(-3, 4):
+            spec = necklace(system, j, mm)
+            p_ref = polygon_region(spec.p_vertices, open_region=True)
+            q_ref = polygon_region(spec.q_vertices, open_region=True)
+            pts = []
+            for verts, ref in ((spec.p_vertices, p_ref), (spec.q_vertices, q_ref)):
+                k = len(verts)
+                pts.extend(verts)
+                pts.extend(Point((verts[i].x + verts[(i + 1) % k].x) / 2,
+                                 (verts[i].y + verts[(i + 1) % k].y) / 2)
+                           for i in range(k))
+                pts.extend(ref.sample_points(4, seed=100 + 7 * j + mm))
+            pts += [p + spec.shift * Fraction(1, 3) for p in pts]
+            for p in pts:
+                in_p = p_ref.contains(p) is Location.INTERIOR
+                in_q = q_ref.contains(p) is Location.INTERIOR
+                assert (spec.in_p(p), spec.in_q(p)) == (in_p, in_q), (j, mm, p)
+                assert spec.contains(p) == (in_p or in_q)
+                checked += 1
+                inside += in_p or in_q
+    assert checked == system.n * 7 * 2 * (4 * system.n + 8)
+    assert 0 < inside < checked
