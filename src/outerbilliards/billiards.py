@@ -2,9 +2,11 @@
 
 The square map is a piecewise translation: away from a measure-zero wall set,
 p moves by 2*(w - v) where v and w are the tangent vertices of the two
-reflection steps.  The regions of constancy are convex tiles, computed here
-exactly as cone(v) intersected with the point reflection of cone(w) through
-v; each tile is open and carries its translation vector.
+reflection steps.  An outside point sees one contiguous chain of edges, and
+its tangent vertex, the end of that chain on the map's side, is read off the
+signs of its n edge-line offsets.  The regions of constancy are convex tiles,
+computed here exactly as cone(v) intersected with the point reflection of
+cone(w) through v; each tile is open and carries its translation vector.
 """
 
 from __future__ import annotations
@@ -37,32 +39,19 @@ class Chirality(enum.Enum):
 
 def tangent_vertex(polygon: NicePolygon, p: Point,
                    chirality: Chirality = Chirality.RIGHT) -> int:
-    """The unique vertex v with every other vertex strictly on the chirality
-    side of the ray p -> v; OnPrimaryWallError when a collinear vertex makes
-    the choice ambiguous, InsidePolygonError when p is not strictly outside."""
-    if polygon.point_location(p) is not Location.OUTSIDE:
+    """The vertex v with every other vertex strictly on the chirality side of
+    the ray p -> v: for RIGHT the vertex i with p seeing edge i-1 (negative
+    offset) and not edge i (positive offset), the reverse for LEFT.
+    OnPrimaryWallError when p is on the line of the edge at that end;
+    InsidePolygonError when p is not strictly outside."""
+    signs = [sign(e.line.signed_offset(p)) for e in polygon.edges]
+    if min(signs) >= 0:
         raise InsidePolygonError(p)
-    want = chirality.value
-    wall_candidate = False
-    for i, v in enumerate(polygon.vertices):
-        ray = v - p
-        ok, grazing = True, False
-        for j, u in enumerate(polygon.vertices):
-            if j == i:
-                continue
-            s = sign(ray.cross(u - v))
-            if s == 0:
-                grazing = True
-            elif s != want:
-                ok = False
-                break
-        if ok and not grazing:
+    want = (chirality.value, -chirality.value)
+    for i in range(polygon.n):
+        if (signs[i - 1], signs[i]) == want:
             return i
-        if ok and grazing:
-            wall_candidate = True
-    if wall_candidate:
-        raise OnPrimaryWallError(p)
-    raise AssertionError(f"no tangent vertex for exterior point {p}")
+    raise OnPrimaryWallError(p)
 
 
 def outer_step(polygon: NicePolygon, p: Point,
@@ -99,17 +88,13 @@ def _double_step(polygon, p, chirality):
 def primary_cone(polygon: NicePolygon, v_index: int,
                  chirality: Chirality = Chirality.RIGHT) -> ConvexRegion:
     """Open cone of points whose tangent vertex is v; its boundary rays are
-    the outward extensions of the two edges incident to v (the other
-    vertex-line constraints are redundant and get removed)."""
+    the outward extensions of the two edges incident to v, i.e. the lines
+    from v to its neighbours (every other vertex line is redundant)."""
     v = polygon.vertices[v_index]
     sense = Sense.GT if chirality is Chirality.RIGHT else Sense.LT
-    hps = []
-    for j, u in enumerate(polygon.vertices):
-        if j == v_index:
-            continue
-        d = u - v
-        hps.append(HalfPlane(Line(d.y, -d.x, d.y * v.x - d.x * v.y), sense))
-    return region(hps)
+    ds = (polygon.vertex(v_index - 1) - v, polygon.vertex(v_index + 1) - v)
+    return region(HalfPlane(Line(d.y, -d.x, d.y * v.x - d.x * v.y), sense)
+                  for d in ds)
 
 
 @dataclass(frozen=True)
@@ -146,10 +131,7 @@ class Partition:
     def classify(self, p: Point) -> Tile:
         """Tile containing p, from the dynamic tangent computation; the label
         and the region agree or the partition is inconsistent."""
-        if self.chirality is Chirality.RIGHT:
-            _, label = square_map(self.polygon, p)
-        else:
-            _, label = inverse_square_map(self.polygon, p)
+        _, label = _double_step(self.polygon, p, self.chirality)
         tile = self.by_label[label]
         loc = tile.region.contains(p)
         if loc is not Location.INTERIOR:

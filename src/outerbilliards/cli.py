@@ -177,6 +177,8 @@ def cmd_orbit(args) -> int:
         escape = Fraction(args.escape) if args.escape else None
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(f"bad --escape {args.escape!r}: {exc}")
+    if escape is not None and escape < 0:
+        return _fail(f"--escape must be >= 0, got {args.escape}")
     try:
         if selector in ("psi_star", "strip_return"):
             start = section(model, p)
@@ -211,6 +213,8 @@ def cmd_verify(args) -> int:
             count, nsides = int(spec["count"]), int(spec["n"])
         except (ValueError, KeyError):
             return _fail(f"bad --random spec {args.random!r}; want 'n=K count=M'")
+        if count < 1:
+            return _fail(f"bad --random spec {args.random!r}: count must be >= 1")
         try:
             polys = [random_nice_polygon(nsides, args.seed + i) for i in range(count)]
         except ValueError as exc:

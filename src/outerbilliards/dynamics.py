@@ -17,6 +17,7 @@ from .billiards import square_map
 from .errors import BudgetExceededError, MapUndefinedError, OnStripBoundaryError
 from .geometry import Point, norm2_sq
 from .model import BilliardModel
+from .scalars import Scalar
 from .strips import PinwheelSystem, strip_jump, strip_map
 
 
@@ -59,8 +60,9 @@ def pinwheel_theorem_step(model: BilliardModel, p: Point,
     reported distinctly as OnStripBoundaryError.
     """
     n = model.n
-    q, _ = square_map(model.polygon, p)
-    state = section(model, p)
+    tile = model.partition.classify(p)
+    q = p + tile.translation
+    state = IndexedPoint(p, (model.path_of_tile(tile).start - 1) % n)
     target = section(model, q)  # (q, c-1): q lies in the tile of a path c -> d
     budget = budget_factor * n
     for used in range(1, budget + 1):
@@ -70,21 +72,15 @@ def pinwheel_theorem_step(model: BilliardModel, p: Point,
     raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
 
 
-def point_label(model: BilliardModel, p: Point) -> Tuple[int, int]:
-    """Tangent-pair label of the tile containing p (dynamic computation)."""
-    _, label = square_map(model.polygon, p)
-    return label
-
-
 def exit_map(model: BilliardModel, p: Point, budget: int = 1000) -> Tuple[Point, int]:
     """Iterate the square map until the tile label changes; returns the
     landing point and the number of square-map steps taken."""
-    start_label = point_label(model, p)
-    q = p
+    q, start_label = square_map(model.polygon, p)
     for k in range(1, budget + 1):
-        q, _ = square_map(model.polygon, q)
-        if point_label(model, q) != start_label:
+        nxt, label = square_map(model.polygon, q)
+        if label != start_label:
             return q, k
+        q = nxt
     raise BudgetExceededError(budget, f"no tile exit within {budget} steps of {p}")
 
 
@@ -120,9 +116,9 @@ def strip_system_return(system: PinwheelSystem, x: IndexedPoint,
     return IndexedPoint(q, j), steps
 
 
-def far_radius(model: BilliardModel, factor: int = 8) -> Fraction:
+def far_radius(model: BilliardModel, factor: int = 8) -> Scalar:
     """Radius beyond which the far-field statements are exercised: a crude
-    c * n * (diameter + max strip width) bound, exact and rational-valued."""
+    c * n * (diameter + max strip width) bound, exact in the polygon's field."""
     poly = model.polygon
     xs = [v.x for v in poly.vertices]
     ys = [v.y for v in poly.vertices]

@@ -16,8 +16,9 @@ matching the paths one-to-one with the nonempty partition tiles happens in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .billiards import Partition, Tile
 from .errors import IndexOutOfRangeError, NotAdmissiblePairError
@@ -74,15 +75,22 @@ class AdmissiblePath:
         """Sum of twice the step vectors; telescopes to 2*(w - v)."""
         return self.prefix_sum(self.end_lifted)
 
+    @cached_property
+    def prefix_sums(self) -> Tuple[Vec, ...]:
+        """Entry i is twice the step-vector sum over lifted indices
+        start..start+i, from one telescoping pass."""
+        sums: List[Vec] = []
+        for i in range(self.start, self.end_lifted + 1):
+            term = self.steps[i] * 2
+            sums.append(sums[-1] + term if sums else term)
+        return tuple(sums)
+
     def prefix_sum(self, k: int) -> Vec:
         """Sum of twice the step vectors for indices start..k."""
         if not (self.start <= k <= self.end_lifted):
             raise IndexOutOfRangeError(
                 f"index {k} outside [{self.start}, {self.end_lifted}]")
-        total = self.steps[self.start] * 2
-        for i in range(self.start + 1, k + 1):
-            total = total + self.steps[i] * 2
-        return total
+        return self.prefix_sums[k - self.start]
 
 
 class PathFamily:
@@ -210,10 +218,5 @@ def tile_translate(partition: Partition, path: AdmissiblePath, k: int) -> Convex
 def apex_sequence(path: AdmissiblePath) -> Tuple[Point, ...]:
     """Points v, v + 2*W_a, v + 2*(W_a + W_{a+1}), ...; entry i >= 1 is the
     prefix through lifted index start + i - 1."""
-    pts = [path.first_vertex]
-    acc: Optional[Vec] = None
-    for i in range(path.start, path.end_lifted + 1):
-        term = path.steps[i] * 2
-        acc = term if acc is None else acc + term
-        pts.append(path.first_vertex + acc)
-    return tuple(pts)
+    v = path.first_vertex
+    return (v,) + tuple(v + shift for shift in path.prefix_sums)

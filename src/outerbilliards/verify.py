@@ -154,11 +154,8 @@ def _structure2_realization(model: BilliardModel, tile, p: Point, q: Point):
     state = IndexedPoint(p, (path.start - 1) % n)
     target_index = (path.end_lifted - 1) % n
     expected = [p]
-    acc = None
-    for i in range(path.start, path.end_lifted + 1):
-        step = path.steps[i] * 2
-        acc = step if acc is None else acc + step
-        nxt = p + acc
+    for shift in path.prefix_sums:
+        nxt = p + shift
         if nxt != expected[-1]:
             expected.append(nxt)
     trace = [p]
@@ -194,12 +191,11 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0,
         if ux == 0 and uy == 0:
             continue
         s = abs(ux) + abs(uy)
-        p = Point(Fraction(2 * R * ux, s), Fraction(2 * R * uy, s))
+        p = Point(2 * R * Fraction(ux, s), 2 * R * Fraction(uy, s))
         rep.sample()
         try:
-            q, _ = square_map(model.polygon, p)
             a = model.path_start(p)
-            qq, k = pinwheel_theorem_step(model, p)
+            q, k = pinwheel_theorem_step(model, p)
         except MapUndefinedError:
             rep.skip()
             continue

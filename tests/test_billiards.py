@@ -1,6 +1,7 @@
 """Outer billiards map, square map, cones and the tangent-pair partition."""
 
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -46,6 +47,67 @@ def test_tangent_vertex_inside_rejected():
         tangent_vertex(TRIANGLE, pt(1, 1))
     with pytest.raises(InsidePolygonError):
         tangent_vertex(TRIANGLE, pt(2, 0))  # boundary is not outside
+
+
+def _tangent_vertex_oracle(polygon, p, chirality):
+    """The vertex-pair rule: v is tangent when every other vertex u is
+    strictly on the chirality side of the ray p -> v.  O(n^2) per point; kept
+    here only as the reference for `tangent_vertex`.  Returns the vertex
+    index, "wall" or "inside"."""
+    if polygon.point_location(p) is not Location.OUTSIDE:
+        return "inside"
+    wall = False
+    for i, v in enumerate(polygon.vertices):
+        signs = {sign((v - p).cross(u - v))
+                 for j, u in enumerate(polygon.vertices) if j != i}
+        if signs == {chirality.value}:
+            return i
+        if signs == {chirality.value, 0}:
+            wall = True
+    assert wall, f"no tangent vertex for exterior point {p}"
+    return "wall"
+
+
+def _tangent_outcome(polygon, p, chirality):
+    try:
+        return tangent_vertex(polygon, p, chirality)
+    except OnPrimaryWallError:
+        return "wall"
+    except InsidePolygonError:
+        return "inside"
+
+
+def _oracle_points(poly):
+    coords = [c for v in poly.vertices for c in (v.x, v.y)]
+    r = next(k for k in count() if all(abs(c) <= k for c in coords)) + 3
+    step = max(1, r // 7)
+    grid = [pt(x, y) for x in range(-r, r + 1, step) for y in range(-r, r + 1, step)]
+    ts = [Fraction(t) for t in (-3, Fraction(-1, 2), 0, Fraction(1, 3), 1,
+                                Fraction(3, 2), 4, 40)]
+    on_edge_lines = [v + (poly.vertex(i + 1) - v) * t
+                     for i, v in enumerate(poly.vertices) for t in ts]
+    return grid + on_edge_lines
+
+
+@pytest.mark.parametrize("poly_key", ["triangle"] + [f"n{n}" for n in range(3, 13)]
+                         + ["sqrt5_kite", "penrose_kite"])
+def test_tangent_vertex_matches_vertex_pair_oracle(poly_key):
+    from test_quasirational import sqrt5_kite
+    from test_verify import penrose_kite
+
+    if poly_key == "triangle":
+        poly = TRIANGLE
+    elif poly_key.startswith("n"):
+        poly = random_nice_polygon(int(poly_key[1:]), seed=7)
+    else:
+        poly = {"sqrt5_kite": sqrt5_kite, "penrose_kite": penrose_kite}[poly_key]()
+    seen = set()
+    for p in _oracle_points(poly):
+        for chirality in Chirality:
+            want = _tangent_vertex_oracle(poly, p, chirality)
+            assert _tangent_outcome(poly, p, chirality) == want, (p, chirality)
+            seen.add(want if isinstance(want, str) else "tangent")
+    assert seen == {"tangent", "wall", "inside"}
 
 
 def test_outer_step_reflects_through_vertex():

@@ -1,10 +1,13 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
 
 from outerbilliards.cli import main
+from outerbilliards.generate import random_nice_polygon
+from outerbilliards.polygon import polygon_to_text
 
 TRIANGLE_DOC = '{"field": "rational", "vertices": [["0","0"],["1","3"],["4","0"]]}'
 SQUARE_DOC = '{"field": "rational", "vertices": [["0","0"],["0","1"],["1","1"],["1","0"]]}'
@@ -81,6 +84,26 @@ def test_partition_json_and_svg(tri_file, tmp_path, capsys):
     assert len(json.loads(out)["tiles"]) == 12
 
 
+# sha256 of `partition --backward` stdout, recorded with the O(n^2)
+# vertex-pair tangent rule and all-vertex cones; pins tiles, constraints, paths
+PARTITION_BACKWARD_SHA256 = {
+    "triangle": "e52bf7c19472966ac8445a6d04fd39b542a31903b22e0d5fb5c11a8ab055ab2e",
+    "pentagon": "8ea021979b81b58de92c17797c9d7c2d007cdd1439e55dc201265942f978929d",
+}
+
+
+@pytest.mark.parametrize("poly_key", sorted(PARTITION_BACKWARD_SHA256))
+def test_partition_backward_json_golden(poly_key, tri_file, tmp_path, capsys):
+    f = tri_file
+    if poly_key == "pentagon":
+        f = tmp_path / "pentagon.json"
+        f.write_text(polygon_to_text(random_nice_polygon(5, seed=21)))
+    code, out = run(capsys, "partition", str(f), "--backward")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PARTITION_BACKWARD_SHA256[poly_key]
+
+
 def test_orbit_psi_events(tri_file, capsys):
     code, out = run(capsys, "orbit", tri_file, "--point", "8,-2",
                     "--map", "psi", "--steps", "3")
@@ -147,6 +170,9 @@ def test_quasi_certify(tri_file, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--random", "n=15 count=1"),
+    ("verify", "--random", "n=4 count=0"),
+    ("verify", "--random", "n=4 count=-2"),
+    ("orbit", "TRI", "--point", "8,-2", "--escape", "-11"),
     ("orbit", "TRI", "--point", "8,-2", "--escape", "abc"),
     ("orbit", "TRI", "--point", "8,-2", "--steps", "-5"),
     ("quasi", "TRI", "--m", "0"),

@@ -1,12 +1,15 @@
 """The verification harness itself: determinism, sensitivity, generation."""
 
+from fractions import Fraction
+
 import pytest
 
 from outerbilliards.errors import GenerationFailedError
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import pt
+from outerbilliards.geometry import Point, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon, parse_polygon, polygon_to_text
+from outerbilliards.scalars import quadext
 from outerbilliards.verify import (
     check_apex,
     check_exit_reversal_conjugate,
@@ -20,6 +23,14 @@ from outerbilliards.verify import (
 )
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
+
+
+def penrose_kite():
+    # the Penrose kite K(sqrt 5 - 2) of Schwartz, a nice polygon over Q(sqrt 5)
+    return NicePolygon.from_points(
+        [Point(Fraction(-1), Fraction(0)), Point(Fraction(0), Fraction(1)),
+         Point(quadext(-2, 1, 5), Fraction(0)), Point(Fraction(0), Fraction(-1))],
+        quad_d=5)
 
 
 def test_random_polygon_is_valid_and_deterministic():
@@ -108,3 +119,19 @@ def test_violations_carry_replay_information():
     v = rep.violations[0]
     assert v.input and v.expected and v.actual
     assert rep.seed == 5
+
+
+@pytest.mark.parametrize("kite_key", ["sqrt5_kite", "penrose_kite"])
+def test_quadratic_kites_pass_suite_and_trip_controls(kite_key):
+    from test_quasirational import sqrt5_kite
+
+    kite = {"sqrt5_kite": sqrt5_kite, "penrose_kite": penrose_kite}[kite_key]()
+    reports = {rep.check: rep for rep in run_all(kite, "quick", seed=0)}
+    for rep in reports.values():
+        assert rep.passed, (rep.check, rep.violations[:2])
+    assert reports["far-field-dichotomy"].valid > 0
+    controls = {rep.check: rep for rep in negative_controls(kite, seed=0)}
+    assert not controls["negative-control-halved-strip"].passed
+    assert not controls["negative-control-flipped-terminal"].passed
+    necklace = controls["negative-control-necklace-exponent"]
+    assert necklace.attempted == 0  # not quasirational: nothing to corrupt
