@@ -27,7 +27,6 @@ from .geometry import (
     region,
 )
 from .polygon import NicePolygon
-from .scalars import sign
 
 
 class Chirality(enum.Enum):
@@ -44,7 +43,7 @@ def tangent_vertex(polygon: NicePolygon, p: Point,
     offset) and not edge i (positive offset), the reverse for LEFT.
     OnPrimaryWallError when p is on the line of the edge at that end;
     InsidePolygonError when p is not strictly outside."""
-    signs = [sign(e.line.signed_offset(p)) for e in polygon.edges]
+    signs = polygon.edge_signs(p)
     if min(signs) >= 0:
         raise InsidePolygonError(p)
     want = (chirality.value, -chirality.value)

@@ -52,23 +52,25 @@ def section(model: BilliardModel, p: Point) -> IndexedPoint:
 
 
 def pinwheel_theorem_step(model: BilliardModel, p: Point,
-                          budget_factor: int = 3) -> Tuple[Point, int]:
+                          budget_factor: int = 3) -> Tuple[Point, int, int]:
     """Follow the pinwheel orbit of iota(p) until it reaches (psi(p), c-1).
 
-    Returns (psi(p), steps used).  BudgetExceededError after 3n steps signals
-    a violation of the theorem; a strip-boundary hit during the iteration is
-    reported distinctly as OnStripBoundaryError.
+    Returns (psi(p), steps used, a), a the start spoke of the path a -> b
+    owning p's tile.  BudgetExceededError after 3n steps signals a violation
+    of the theorem; a strip-boundary hit during the iteration is reported
+    distinctly as OnStripBoundaryError.
     """
     n = model.n
     tile = model.partition.classify(p)
     q = p + tile.translation
-    state = IndexedPoint(p, (model.path_of_tile(tile).start - 1) % n)
+    a = model.path_of_tile(tile).start
+    state = IndexedPoint(p, (a - 1) % n)
     target = section(model, q)  # (q, c-1): q lies in the tile of a path c -> d
     budget = budget_factor * n
     for used in range(1, budget + 1):
         state = pinwheel_step(model.system, state)
         if state.point == target.point and state.index == target.index:
-            return q, used
+            return q, used, a
     raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
 
 

@@ -14,6 +14,7 @@ means the negative cross-product side.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -21,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EmptyRegionError, UnboundedRegionError
 from .rng import Rng
-from .scalars import Scalar, ScalarLike, as_scalar, sign
+from .scalars import QuadExt, Scalar, ScalarLike, as_scalar, quad_sign, sign
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +125,12 @@ class Line:
 
     Coefficients are stored exactly as given (so signed offsets keep the
     caller's scale); equality and hashing use a canonical rescaling, making
-    wall-coincidence tests structural.
+    wall-coincidence tests structural.  Construction also keeps an integer
+    form, (a, b, c) times the positive lcm of their denominators, from which
+    `side` decides every point-versus-line predicate.
     """
 
-    __slots__ = ("a", "b", "c", "_key")
+    __slots__ = ("a", "b", "c", "_key", "_num", "_rad", "_d")
 
     def __init__(self, a: ScalarLike, b: ScalarLike, c: ScalarLike):
         a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
@@ -138,6 +141,10 @@ class Line:
         object.__setattr__(self, "c", c)
         lead = a if a != 0 else b
         object.__setattr__(self, "_key", (a / lead, b / lead, c / lead))
+        num, rad, d = _integer_form((a, b, c))
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_rad", rad)
+        object.__setattr__(self, "_d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
@@ -153,6 +160,32 @@ class Line:
     def signed_offset(self, p: Point) -> Scalar:
         """a*p.x + b*p.y - c; zero exactly when p lies on the line."""
         return self.a * p.x + self.b * p.y - self.c
+
+    def side(self, p: Point) -> int:
+        """The exact sign of `signed_offset(p)`: -1, 0 or +1.
+
+        p is taken to homogeneous integer coordinates (X, Y, Q), Q > 0, with
+        (x, y) = (X/Q, Y/Q), and the sign of a*X + b*Y - c*Q is read on the
+        integer coefficients; over Q(sqrt d) each integer is a (rational
+        part, sqrt(d) part) pair and `quad_sign` decides the sign.
+        """
+        x, y = p.x, p.y
+        if self._d is None and not isinstance(x, QuadExt) and not isinstance(y, QuadExt):
+            a, b, c = self._num
+            xn, xq = x.as_integer_ratio()
+            yn, yq = y.as_integer_ratio()
+            t = a * xn * yq + b * yn * xq - c * xq * yq
+            return (t > 0) - (t < 0)
+        xr, xs, xq, dx = _integer_parts(x)
+        yr, ys, yq, dy = _integer_parts(y)
+        d = _common_radicand((self._d, dx, dy))
+        ar, br, cr = self._num
+        as_, bs, cs = self._rad or (0, 0, 0)
+        q = xq * yq
+        # (u + v sqrt d)(r + s sqrt d) = (u r + v s d) + (u s + v r) sqrt d
+        rat = (ar * xr + as_ * xs * d) * yq + (br * yr + bs * ys * d) * xq - cr * q
+        rad = (ar * xs + as_ * xr) * yq + (br * ys + bs * yr) * xq - cs * q
+        return quad_sign(rat, rad, d)
 
     def normal(self) -> Vec:
         return Vec(self.a, self.b)
@@ -185,6 +218,36 @@ class Line:
         return f"Line({self.a}, {self.b}, {self.c})"
 
 
+def _integer_form(coeffs):
+    """Coefficients times the positive lcm of all their denominators: the
+    int rational parts, the int sqrt(d) parts (None over Q), and d."""
+    parts = [_integer_parts(x) for x in coeffs]
+    d = _common_radicand(d for _, _, _, d in parts)
+    scale = math.lcm(*(q for _, _, q, _ in parts))
+    num = tuple(r * (scale // q) for r, _, q, _ in parts)
+    if d is None:
+        return num, None, None
+    return num, tuple(s * (scale // q) for _, s, q, _ in parts), d
+
+
+def _common_radicand(ds):
+    """The one d among ds, None entries aside (None when all are None);
+    two different values are a ValueError, as in QuadExt arithmetic."""
+    fields = set(ds) - {None}
+    if len(fields) > 1:
+        raise ValueError("cannot mix " + " with ".join(f"sqrt({d})" for d in sorted(fields)))
+    return fields.pop() if fields else None
+
+
+def _integer_parts(x):
+    """x as (r, s, q, d) with x = (r + s*sqrt(d)) / q, q > 0; d None over Q."""
+    if isinstance(x, QuadExt):
+        (an, aq), (bn, bq) = x.a.as_integer_ratio(), x.b.as_integer_ratio()
+        return an * bq, bn * aq, aq * bq, x.d
+    n, q = x.as_integer_ratio()
+    return n, 0, q, None
+
+
 class Sense(enum.Enum):
     GE = ">="
     GT = ">"
@@ -215,7 +278,7 @@ class HalfPlane:
     sense: Sense
 
     def contains(self, p: Point) -> bool:
-        s = sign(self.line.signed_offset(p))
+        s = self.line.side(p)
         if self.sense is Sense.GE:
             return s >= 0
         if self.sense is Sense.GT:
@@ -391,12 +454,15 @@ class ConvexRegion:
     structural.
     """
 
-    __slots__ = ("constraints", "is_empty", "_norms")
+    __slots__ = ("constraints", "is_empty", "_norms", "_sides")
 
     def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "is_empty", is_empty)
         object.__setattr__(self, "_norms", tuple(h.normalized() for h in constraints))
+        # (line, orientation): the constraint holds where orientation * side >= 0
+        object.__setattr__(self, "_sides", tuple((h.line, -1 if h.sense.upper else 1)
+                                                 for h in constraints))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexRegion is immutable")
@@ -447,8 +513,8 @@ class ConvexRegion:
         if self.is_empty:
             return Location.OUTSIDE
         saw_zero = False
-        for (a, b, c, _strict) in self._norms:
-            s = sign(a * p.x + b * p.y - c)
+        for line, orientation in self._sides:
+            s = orientation * line.side(p)
             if s < 0:
                 return Location.OUTSIDE
             if s == 0:
@@ -507,7 +573,7 @@ class ConvexRegion:
                 p = uniq[i].intersection(uniq[j])
                 if p is None:
                     continue
-                if all(sign(a * p.x + b * p.y - c) >= 0 for (a, b, c, _) in self._norms):
+                if all(o * line.side(p) >= 0 for line, o in self._sides):
                     if p not in cands:
                         cands.append(p)
         if len(cands) <= 2:

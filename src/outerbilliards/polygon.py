@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateVerticesError,
@@ -64,16 +64,18 @@ class NicePolygon:
     def vertex(self, i: int) -> Point:
         return self.vertices[i % self.n]
 
+    def edge_signs(self, p: Point) -> List[int]:
+        """`Line.side` of p against every edge line, in edge order: +1 on the
+        polygon's side, -1 where p sees the edge, 0 on the edge's line."""
+        return [e.line.side(p) for e in self.edges]
+
     def point_location(self, p: Point) -> Location:
         """Exact inside / boundary / outside classification."""
-        on_boundary = False
-        for e in self.edges:
-            s = sign(e.line.signed_offset(p))
-            if s < 0:
-                return Location.OUTSIDE
-            if s == 0:
-                on_boundary = True
-        return Location.BOUNDARY if on_boundary else Location.INTERIOR
+        signs = self.edge_signs(p)
+        low = min(signs)
+        if low < 0:
+            return Location.OUTSIDE
+        return Location.BOUNDARY if low == 0 else Location.INTERIOR
 
     def to_document(self) -> dict:
         field = "rational" if self.quad_d is None else {"quad": self.quad_d}
@@ -145,7 +147,7 @@ def _build_edges(verts: Tuple[Point, ...]) -> Tuple[Edge, ...]:
         line = Line.through(tail, head)
         # orient the normal so the polygon sits on the positive side
         other = verts[(i + 2) % n]
-        if sign(line.signed_offset(other)) < 0:
+        if line.side(other) < 0:
             line = Line(-line.a, -line.b, -line.c)
         edges.append(Edge(i, (i + 1) % n, line))
     return tuple(edges)

@@ -162,10 +162,16 @@ def _axis_coord(system: PinwheelSystem, j: int, p: Point) -> Scalar:
 
 
 def _ring_axis_range(system: PinwheelSystem, j: int, m: int):
-    spec = necklace(system, j, m)
-    vals = [_axis_coord(system, j, v) for v in spec.p_vertices]
-    vals += [_axis_coord(system, j, v) for v in spec.q_vertices]
-    return min(vals), max(vals)
+    """The axis-coordinate range (along d = necklace_shift(j)) of the ring
+    copies P + m*d and Q + m*d: the range of P and its reflection Q about the
+    centre vertex, shifted by m*(d.d)."""
+    d = necklace_shift(system, j)
+    vals = [d.x * v.x + d.y * v.y for v in system.polygon.vertices]
+    lo, hi = min(vals), max(vals)
+    c = system.pair(j).w
+    twice_center = 2 * (d.x * c.x + d.y * c.y)
+    shift = m * d.dot(d)
+    return min(lo, twice_center - hi) + shift, max(hi, twice_center - lo) + shift
 
 
 def annulus_windows(system: PinwheelSystem, j: int, m_exponent: int):

@@ -35,8 +35,9 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
-def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d), via sign analysis of a, b and a^2 - b^2 d."""
+def quad_sign(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for rational (or integer) a and b, via sign
+    analysis of a, b and a^2 - b^2 d."""
     if b == 0:
         return _sign_rational(a)
     if a == 0:
@@ -155,13 +156,13 @@ class QuadExt:
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
-        return _quad_sign(self.a, self.b, self.d)
+        return quad_sign(self.a, self.b, self.d)
 
     def _cmp(self, other) -> int:
         parts = self._coerce(other)
         if parts is None:
             return NotImplemented
-        return _quad_sign(self.a - parts[0], self.b - parts[1], self.d)
+        return quad_sign(self.a - parts[0], self.b - parts[1], self.d)
 
     def __eq__(self, other):
         c = self._cmp(other)

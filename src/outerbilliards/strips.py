@@ -27,7 +27,7 @@ from .geometry import (
     slope_angle_cmp,
 )
 from .polygon import NicePolygon
-from .scalars import Scalar, sign
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,10 @@ class PinwheelPair:
 
     def location(self, p: Point) -> int:
         """-1 outside, 0 on the boundary, +1 strictly inside the strip."""
-        t = self.offset(p)
-        if t == 0 or t == self.width:
+        near, far = self.line.side(p), self.line_far.side(p)
+        if near == 0 or far == 0:
             return 0
-        return 1 if 0 < t < self.width else -1
+        return 1 if near > 0 > far else -1
 
     def strip_region(self) -> ConvexRegion:
         return region([
@@ -127,7 +127,7 @@ class PinwheelSystem:
 def _canonical_positive_line(raw: Line, inner: Point) -> Line:
     lead = raw.a if raw.a != 0 else raw.b
     line = Line(raw.a / lead, raw.b / lead, raw.c / lead)
-    if sign(line.signed_offset(inner)) < 0:
+    if line.side(inner) < 0:
         line = Line(-line.a, -line.b, -line.c)
     return line
 
@@ -204,22 +204,16 @@ def _assert_chain(system: PinwheelSystem):
 
 def strip_map(pair: PinwheelPair, p: Point) -> Point:
     """One application of the strip map: identity strictly inside the slab,
-    otherwise the translate by +-V that is strictly closer to the slab.  The
-    result may still be outside; each application moves the offset by exactly
-    one width toward the slab.  Undefined on the slab boundary."""
-    t = pair.offset(p)
-    if t == 0 or t == pair.width:
+    otherwise the translate by +-V that is strictly closer to the slab.  V
+    moves the offset by exactly one width, so that translate is +V below the
+    slab and -V above it; the result may still be outside.  Undefined on the
+    slab boundary."""
+    loc = pair.location(p)
+    if loc == 0:
         raise OnStripBoundaryError(p, stage=pair.index)
-    if 0 < t < pair.width:
+    if loc > 0:
         return p
-    plus = p + pair.V
-    minus = p - pair.V
-    d_plus = pair.slab_distance(plus)
-    d_minus = pair.slab_distance(minus)
-    # ties are impossible off the boundary: equal distances would put p on
-    # the centerline, which is inside the slab
-    assert d_plus != d_minus
-    return plus if d_plus < d_minus else minus
+    return p + pair.V if pair.line.side(p) < 0 else p - pair.V
 
 
 def strip_jump(pair: PinwheelPair, p: Point) -> Tuple[Point, int]:

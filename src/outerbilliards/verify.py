@@ -126,7 +126,7 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
         idx += 1
         rep.sample()
         try:
-            q, used = pinwheel_theorem_step(model, p, budget_factor)
+            q, used, _ = pinwheel_theorem_step(model, p, budget_factor)
         except BudgetExceededError:
             rep.fail(repr(p), f"k <= {budget_factor * n}", "budget exceeded", idx)
             continue
@@ -194,8 +194,7 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0,
         p = Point(2 * R * Fraction(ux, s), 2 * R * Fraction(uy, s))
         rep.sample()
         try:
-            a = model.path_start(p)
-            q, k = pinwheel_theorem_step(model, p)
+            q, k, a = pinwheel_theorem_step(model, p)
         except MapUndefinedError:
             rep.skip()
             continue
@@ -240,8 +239,7 @@ def check_structure3(model: BilliardModel, samples: int = 40,
             bad = None
             for d in range(span):
                 pair = model.system.pair(b + d)
-                t = pair.offset(q)
-                if not (0 <= t <= pair.width):
+                if pair.location(q) < 0:
                     bad = f"q outside closed strip {(b + d) % n}"
                     break
             if bad is None:
@@ -305,8 +303,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
             shift = path.prefix_sum(k)
             pair = model.system.pair(k)
             for v in verts:
-                t = pair.offset(v + shift)
-                if not (0 <= t <= pair.width):
+                if pair.location(v + shift) < 0:
                     bad = f"vertex {v} + prefix({k}) outside strip {k % n}"
                     break
             if bad:
@@ -363,8 +360,7 @@ def check_apex(model: BilliardModel) -> CheckReport:
         bad = None
         for i, q in enumerate(pts[1:]):
             pair = model.system.pair(path.start + i)
-            t = pair.offset(q)
-            if not (0 <= t <= pair.width):
+            if pair.location(q) < 0:
                 bad = (f"apex point {i} of {path.display()} outside "
                        f"closed strip {(path.start + i) % n}")
                 break

@@ -79,7 +79,7 @@ def test_theorem_step_worked_far_field_cases():
         s = abs(ux) + abs(uy)
         p = Point(Fraction(2 * R * ux, s), Fraction(2 * R * uy, s))
         try:
-            q, k = pinwheel_theorem_step(m, p)
+            q, k, _ = pinwheel_theorem_step(m, p)
         except MapUndefinedError:
             continue
         assert k in (1, 2)
@@ -96,7 +96,7 @@ def test_theorem_step_bounded_tiles_within_3n():
             continue
         for p in tile.region.sample_points(5, seed=9):
             try:
-                q, k = pinwheel_theorem_step(m, p)
+                q, k, _ = pinwheel_theorem_step(m, p)
             except MapUndefinedError:
                 continue
             assert k <= 3 * m.n

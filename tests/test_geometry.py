@@ -3,13 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from outerbilliards import geometry
 from outerbilliards.errors import EmptyRegionError, UnboundedRegionError
 from outerbilliards.geometry import (
     ConvexRegion,
     HalfPlane,
     Line,
     Location,
+    Point,
     Sense,
     Vec,
     box_region,
@@ -21,6 +25,7 @@ from outerbilliards.geometry import (
     vec,
 )
 from outerbilliards.rng import Rng
+from outerbilliards.scalars import QuadExt, quad_sign, quadext, sign
 
 
 def slab(a, b, lo, hi):
@@ -43,6 +48,62 @@ def test_line_equality_is_canonical():
     assert Line(3, -1, 0) == Line(1, Fraction(-1, 3), 0) == Line(-6, 2, 0)
     assert Line(3, -1, 0) != Line(3, -1, 1)
     assert hash(Line(2, 4, 6)) == hash(Line(1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Line.side against the Fraction/QuadExt oracle sign(signed_offset)
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+SQRT5 = st.builds(lambda a, b: quadext(a, b, 5), RATIONALS, RATIONALS)
+COEFFS = st.one_of(RATIONALS, SQRT5)
+COORDS = st.one_of(RATIONALS, st.integers(-50, 50), SQRT5)
+
+
+@st.composite
+def lines_and_points(draw):
+    """A line over Q or Q(sqrt 5) and a point over Q, Z or Q(sqrt 5); the
+    offset is drawn too, so points exactly on the line come up often."""
+    a, b = draw(COEFFS), draw(COEFFS)
+    if a == 0 and b == 0:
+        a = Fraction(1)
+    p = Point(draw(COORDS), draw(COORDS))
+    offset = draw(st.one_of(st.just(0), COEFFS))
+    return Line(a, b, a * p.x + b * p.y - offset), p
+
+
+R5 = QuadExt(0, 1, 5)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(lines_and_points())
+@example((Line(1, 0, 0), Point(2 - R5, Fraction(0))))  # -0.236: rational part +2
+@example((Line(R5, 1, 0), Point(Fraction(-1), Fraction(2))))  # -sqrt5 + 2 < 0
+@example((Line(R5, -2, 1), Point(3, -4)))  # int coordinates, quad line
+@example((Line(1, 1, 3 + R5), Point(1 + R5, Fraction(2))))  # exactly on the line
+@example((Line(Fraction(2, 3), Fraction(-5, 7), Fraction(1, 11)),
+          Point(Fraction(3, 4), Fraction(-1, 6))))
+def test_side_matches_offset_sign(line_and_point):
+    line, p = line_and_point
+    assert line.side(p) == sign(line.signed_offset(p))
+
+
+def test_side_oracle_catches_dropped_radical_part(monkeypatch):
+    """Negative control: a side that keeps only the rational part of its
+    Q(sqrt d) integer sum must fail the oracle property."""
+    monkeypatch.setattr(geometry, "quad_sign", lambda r, s, d: quad_sign(r, 0, d))
+    with pytest.raises(AssertionError):
+        test_side_matches_offset_sign()
+
+
+def test_side_rejects_mixed_radicals_like_signed_offset():
+    line = Line(QuadExt(0, 1, 5), 1, 0)
+    p = Point(QuadExt(1, 1, 2), Fraction(0))
+    with pytest.raises(ValueError):
+        line.signed_offset(p)
+    with pytest.raises(ValueError):
+        line.side(p)
+    with pytest.raises(ValueError):
+        Line(QuadExt(0, 1, 5), QuadExt(0, 1, 2), 0)
 
 
 def test_line_through_points():
