@@ -59,11 +59,18 @@ def _parse_point(text: str) -> Point:
         raise SystemExit(_fail(f"bad point {text!r}: {exc}"))
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot write {path}: {exc}"))
+
+
 def _emit(doc, path=None):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -140,8 +147,7 @@ def cmd_partition(args) -> int:
         _emit(doc, args.json)
     if args.svg:
         scene = partition_scene(model)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_scene(scene, viewport=default_viewport(model)))
+        _write(args.svg, render_scene(scene, viewport=default_viewport(model)))
     return EXIT_OK
 
 
@@ -196,17 +202,18 @@ def cmd_orbit(args) -> int:
         if e.label is not None:
             entry["label"] = [e.label[0] + 1, e.label[1] + 1]
         events.append(entry)
-    _emit({"schema": "orbit/1", "map": args.map, "events": events}, args.json)
-    if args.svg:
+    if args.svg:  # before the events, so a bad path leaves one JSON document on stdout
         pts = rec.points()
         scene = [draw_polygon(model.polygon.vertices),
                  draw_polyline(pts), draw_points([pts[0], pts[-1]])]
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_scene(scene))
+        _write(args.svg, render_scene(scene))
+    _emit({"schema": "orbit/1", "map": args.map, "events": events}, args.json)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        return _fail(f"--samples must be >= 1, got {args.samples}")
     if args.random:
         try:
             spec = dict(kv.split("=") for kv in args.random.split())
@@ -223,6 +230,8 @@ def cmd_verify(args) -> int:
         if not args.polygon:
             return _fail("verify needs a polygon file or --random")
         polys = [_load_polygon(args.polygon)]
+    if args.json:
+        _write(args.json, "")  # an unwritable report path fails before the checks run
     all_reports = []
     status = EXIT_OK
     for i, poly in enumerate(polys):

@@ -2,10 +2,13 @@
 
 Everything here works over an ordered field (Fraction or QuadExt coordinates)
 with exact sign tests.  Convex regions are stored as canonicalized half-plane
-intersections; emptiness, redundancy and boundedness are decided exactly with
-a small Fourier-Motzkin elimination, never with floating point.  A region's
-recession direction (`ConvexRegion.recession_direction`) is the one answer to
-both "is it bounded" and "which way does it run off to infinity".
+intersections.  One kernel pass, run once per region, clips each constraint's
+line by all the other constraints (a one-dimensional interval, exact, no
+floating point); from these edge intervals it reads emptiness, the
+non-redundant constraints and the clockwise vertex cycle.  Translations and
+point reflections move a canonical region without running it again.  A
+region's recession direction (`ConvexRegion.recession_direction`) is the one
+answer to both "is it bounded" and "which way does it run off to infinity".
 
 Frame convention: y axis up, polygon vertex lists clockwise, "right of a ray"
 means the negative cross-product side.
@@ -17,7 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EmptyRegionError, UnboundedRegionError
@@ -197,9 +199,6 @@ class Line:
         """The parallel line whose signed offsets are shifted down by delta."""
         return Line(self.a, self.b, self.c + delta)
 
-    def is_parallel(self, other: "Line") -> bool:
-        return self.a * other.b - self.b * other.a == 0
-
     def intersection(self, other: "Line") -> Optional[Point]:
         det = self.a * other.b - other.a * self.b
         if det == 0:
@@ -302,53 +301,20 @@ class HalfPlane:
     def strictened(self) -> "HalfPlane":
         return HalfPlane(self.line, self.sense.strictened())
 
-    def complement(self) -> "HalfPlane":
-        comp = {Sense.GE: Sense.LT, Sense.GT: Sense.LE,
-                Sense.LE: Sense.GT, Sense.LT: Sense.GE}[self.sense]
-        return HalfPlane(self.line, comp)
-
 
 def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> HalfPlane:
     return HalfPlane(Line(a, b, c), sense)
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin feasibility over (a*x + b*y >= c | > c) systems
-
-_Norm = Tuple[Scalar, Scalar, Scalar, bool]
-
-
-def _combine_bounds(lows, ups):
-    """Pair every lower bound p+q*y <= x with every upper bound; yield the
-    induced y-constraints as (coef, const, strict) meaning coef*y >= const."""
-    for (p1, q1, s1) in lows:
-        for (p2, q2, s2) in ups:
-            # p1 + q1*y  <=  p2 + q2*y   (strict if either side is strict)
-            yield (q2 - q1, p1 - p2, s1 or s2)
+# one-dimensional bounds: (coef, const, strict) means coef*t >= const (> const)
 
 
 def _one_dim_feasible(bounds) -> bool:
-    """bounds: iterable of (coef, const, strict) meaning coef*t >= const."""
-    lo = up = None  # (value, strict)
-    for coef, const, strict in bounds:
-        if coef == 0:
-            if const > 0 or (const == 0 and strict):
-                return False
-            continue
-        val = const / coef
-        if sign(coef) > 0:
-            if lo is None or val > lo[0] or (val == lo[0] and strict):
-                lo = (val, strict)
-        else:
-            if up is None or val < up[0] or (val == up[0] and strict):
-                up = (val, strict)
-    if lo is None or up is None:
-        return True
-    if lo[0] < up[0]:
-        return True
-    if lo[0] == up[0] and not lo[1] and not up[1]:
-        return True
-    return False
+    if any(coef == 0 and (const > 0 or (const == 0 and strict))
+           for coef, const, strict in bounds):
+        return False
+    return _open_nonempty(*_one_dim_interval(bounds))
 
 
 def _one_dim_interval(bounds):
@@ -368,28 +334,14 @@ def _one_dim_interval(bounds):
     return lo, up
 
 
-def _eliminate_x(norms: Sequence[_Norm]):
-    """Project the system onto the y-axis; returns y-bounds plus the x-bound
-    builders (functions of y) for point recovery."""
-    lows, ups, pure = [], [], []
-    for (a, b, c, strict) in norms:
-        if a == 0:
-            pure.append((b, c, strict))  # b*y >= c
-        else:
-            # a*x >= c - b*y; divide by a
-            p, q = c / a, -b / a
-            if sign(a) > 0:
-                lows.append((p, q, strict))  # x >= p + q*y
-            else:
-                ups.append((p, q, strict))  # x <= p + q*y
-    ybounds = list(pure)
-    ybounds.extend(_combine_bounds(lows, ups))
-    return ybounds, lows, ups
+def _has_length(lo, up) -> bool:
+    return lo is None or up is None or lo[0] < up[0]
 
 
-def _feasible(norms: Sequence[_Norm]) -> bool:
-    ybounds, _, _ = _eliminate_x(norms)
-    return _one_dim_feasible(ybounds)
+def _open_nonempty(lo, up) -> bool:
+    """The interval between two `_one_dim_interval` bounds has a point."""
+    return (lo is None or up is None or lo[0] < up[0]
+            or (lo[0] == up[0] and not (lo[1] or up[1])))
 
 
 def _pick_in_interval(lo, up, rng: Optional[Rng] = None, counter: int = 0):
@@ -406,19 +358,93 @@ def _pick_in_interval(lo, up, rng: Optional[Rng] = None, counter: int = 0):
     return Fraction(0) if rng is None else rng.unit(counter)
 
 
-def _find_point(norms: Sequence[_Norm], rng: Optional[Rng] = None,
-                counter: int = 0) -> Optional[Point]:
-    """A point of the system, or None; deterministic, exact."""
-    ybounds, lows, ups = _eliminate_x(norms)
-    if not _one_dim_feasible(ybounds):
+# ---------------------------------------------------------------------------
+# the region kernel: one clip of each constraint's line by all the others
+
+
+def _line_clip(norms, i):
+    """Where on line i (`_on_line(norms[i], t)`) all the other constraints
+    hold: constraint j reads (a*b_j - b*a_j)*t >= c_j*(a^2 + b^2) -
+    c*(a*a_j + b*b_j), with no division.  None when that closed interval is
+    empty, else (lo, up, opposite): the bounds of `_one_dim_interval` (strict
+    flags kept) and the strict flag of the oppositely oriented constraint on
+    the same line, None when there is none."""
+    a, b, c, _ = norms[i]
+    nn = a * a + b * b
+    bounds = []
+    opposite = None
+    for j, (aj, bj, cj, sj) in enumerate(norms):
+        if j == i:
+            continue
+        coef = a * bj - b * aj
+        const = cj * nn - c * (a * aj + b * bj)
+        if coef != 0:
+            bounds.append((coef, const, sj))
+        elif sign(const) > 0:
+            return None
+        elif const == 0:  # merged duplicates leave only the opposite orientation
+            opposite = sj
+    lo, up = _one_dim_interval(bounds)
+    if lo is not None and up is not None and lo[0] > up[0]:
         return None
-    ylo, yup = _one_dim_interval(ybounds)
-    y = _pick_in_interval(ylo, yup, rng, 2 * counter)
-    xbounds = [(Fraction(1), p + q * y, s) for (p, q, s) in lows]
-    xbounds.extend((Fraction(-1), -(p + q * y), s) for (p, q, s) in ups)
-    xlo, xup = _one_dim_interval(xbounds)
-    x = _pick_in_interval(xlo, xup, rng, 2 * counter + 1)
-    return Point(as_scalar(x), as_scalar(y))
+    return lo, up, opposite
+
+
+def _on_line(norm, t) -> Point:
+    a, b, c, _ = norm
+    nn = a * a + b * b
+    return Point((a * c - b * t) / nn, (b * c + a * t) / nn)
+
+
+def _point_key(p: Point):
+    return (_scalar_sort_key(p.x), _scalar_sort_key(p.y))
+
+
+def _from_min(cycle) -> Tuple[Point, ...]:
+    """The cycle rotated to start at its lexicographically smallest point."""
+    k = min(range(len(cycle)), key=lambda i: _point_key(cycle[i]), default=0)
+    return tuple(cycle[k:] + cycle[:k])
+
+
+def _canonical(hps) -> "ConvexRegion":
+    """Canonical region of merged half-planes in `_hp_sort_key` order.
+
+    A closure with interior keeps the constraints whose line clip has
+    positive length (its edges; increasing t walks them clockwise) and, at a
+    vertex no edge constraint excludes, the last strict constraint touching
+    only that vertex.  A closure inside a line keeps every constraint tight
+    somewhere on it.
+    """
+    norms = [h.normalized() for h in hps]
+    spans = [_line_clip(norms, i) for i in range(len(norms))]
+    tight = [i for i, s in enumerate(spans) if s is not None]
+    edges = [i for i in tight if _has_length(*spans[i][:2])]
+    if not edges or any(spans[i][2] is not None for i in tight):
+        # the closure is empty, a point, or in the line of an opposite pair;
+        # nonempty when on some non-strict tight line the others hold strictly
+        if not any(not hps[i].sense.strict and spans[i][2] is not True
+                   and _open_nonempty(*spans[i][:2]) for i in tight):
+            return EMPTY_REGION
+        ends = {_on_line(norms[i], t[0]) for i in tight for t in spans[i][:2] if t}
+        return ConvexRegion(tuple(hps[i] for i in tight), False,
+                            tuple(sorted(ends, key=_point_key)), False)
+    e, starts = edges[0], {}  # walk from the edge that comes in from infinity, if any
+    for i in edges:
+        if spans[i][0] is None:
+            e = i
+        else:
+            starts[_on_line(norms[i], spans[i][0][0])] = i
+    cycle = []
+    for _ in edges:
+        up = spans[e][1]
+        if up is None:
+            break
+        cycle.append(_on_line(norms[e], up[0]))
+        e = starts[cycle[-1]]
+    touching = {_on_line(norms[i], spans[i][0][0]): i for i in tight
+                if i not in edges and hps[i].sense.strict}
+    kept = edges + [i for p, i in touching.items() if all(hps[e].contains(p) for e in edges)]
+    return ConvexRegion(tuple(hps[i] for i in sorted(kept)), False, _from_min(cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +464,6 @@ def _hp_sort_key(h: HalfPlane):
 
 def _scalar_sort_key(x: Scalar):
     # (rational part, radical part) sorts Fractions and QuadExts consistently
-    from .scalars import QuadExt
-
     if isinstance(x, QuadExt):
         return (x.a, x.b)
     return (x, Fraction(0))
@@ -449,20 +473,24 @@ class ConvexRegion:
     """Intersection of finitely many half-planes, kept in canonical form.
 
     Canonical form: exact duplicates merged, infeasible systems collapsed to
-    the canonical empty region, redundant constraints removed in a fixed
-    order.  Equality of full-dimensional (or empty) regions is then
-    structural.
+    the canonical empty region, redundant constraints removed (see
+    `_canonical`), constraints in a fixed order.  Equality of
+    full-dimensional (or empty) regions is then structural.  The vertices of
+    the closure are found once, by the same pass, and stored.
     """
 
-    __slots__ = ("constraints", "is_empty", "_norms", "_sides")
+    __slots__ = ("constraints", "is_empty", "_norms", "_sides", "_vertices", "_interior")
 
-    def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool):
+    def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool,
+                 vertices: Tuple[Point, ...] = (), interior: bool = True):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "is_empty", is_empty)
         object.__setattr__(self, "_norms", tuple(h.normalized() for h in constraints))
         # (line, orientation): the constraint holds where orientation * side >= 0
         object.__setattr__(self, "_sides", tuple((h.line, -1 if h.sense.upper else 1)
                                                  for h in constraints))
+        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_interior", interior and not is_empty)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexRegion is immutable")
@@ -471,31 +499,16 @@ class ConvexRegion:
 
     @staticmethod
     def from_halfplanes(halfplanes: Iterable[HalfPlane]) -> "ConvexRegion":
-        hps = list(halfplanes)
         # merge duplicates: for identical oriented lines keep the strict one
         by_line = {}
-        for h in hps:
-            a, b, c, strict = h.canonical_key()
-            key = (_scalar_sort_key(a), _scalar_sort_key(b), _scalar_sort_key(c))
-            prev = by_line.get(key)
-            if prev is None or (strict and not prev.canonical_key()[3]):
-                by_line[key] = h
-        hps = sorted(by_line.values(), key=_hp_sort_key)
-        norms = [h.normalized() for h in hps]
-        if not _feasible(norms):
-            return EMPTY_REGION
-        # drop redundant constraints, in deterministic order
-        keep = list(hps)
-        i = 0
-        while i < len(keep):
-            h = keep[i]
-            others = keep[:i] + keep[i + 1:]
-            test = [o.normalized() for o in others] + [h.complement().normalized()]
-            if not _feasible(test):
-                keep.pop(i)
-            else:
-                i += 1
-        return ConvexRegion(tuple(keep), False)
+        for h in halfplanes:
+            key = _hp_sort_key(h)
+            prev = by_line.get(key[:3])
+            if prev is None or (key[3] and not prev[0][3]):
+                by_line[key[:3]] = (key, h)
+        if not by_line:
+            return ConvexRegion.whole_plane()
+        return _canonical([h for _, h in sorted(by_line.values(), key=lambda kh: kh[0])])
 
     @staticmethod
     def whole_plane() -> "ConvexRegion":
@@ -522,17 +535,30 @@ class ConvexRegion:
         return Location.BOUNDARY if saw_zero else Location.INTERIOR
 
     def has_interior(self) -> bool:
-        if self.is_empty:
-            return False
-        return _feasible([(a, b, c, True) for (a, b, c, _) in self._norms])
+        return self._interior
 
     def interior_point(self, rng: Optional[Rng] = None, counter: int = 0) -> Point:
+        """A point strictly inside: y drawn strictly inside the closure's
+        y-range, then x strictly inside the region's slice at that y."""
         if self.is_empty:
             raise EmptyRegionError("empty region has no interior point")
-        p = _find_point([(a, b, c, True) for (a, b, c, _) in self._norms], rng, counter)
-        if p is None:
+        if not self._interior:
             raise EmptyRegionError("region has empty interior")
-        return p
+        y = _pick_in_interval(self._y_bound(1), self._y_bound(-1), rng, 2 * counter)
+        xlo, xup = _one_dim_interval((a, c - b * y, True) for (a, b, c, _) in self._norms)
+        x = _pick_in_interval(xlo, xup, rng, 2 * counter + 1)
+        return Point(as_scalar(x), as_scalar(y))
+
+    def _y_bound(self, s: int):
+        """The lowest (s = 1) or highest (s = -1) y of the closure as a bound
+        for `_pick_in_interval`; None when the region runs off that way."""
+        # (t, -s) recedes when a*t >= s*b on every constraint
+        if _one_dim_feasible([(a, s * b, False) for (a, b, _, _) in self._norms]):
+            return None
+        # else the extreme y is at a vertex, or on a horizontal edge line
+        ys = [p.y for p in self._vertices]
+        ys += [c / b for (a, b, c, _) in self._norms if a == 0 and sign(b) == s]
+        return (min(ys) if s > 0 else max(ys), False)
 
     def recession_direction(self) -> Optional[Vec]:
         """A rational direction along which the region recedes to infinity,
@@ -560,36 +586,9 @@ class ConvexRegion:
 
     def vertices(self) -> Tuple[Point, ...]:
         """Vertices of the closure, in clockwise order starting from the
-        lexicographically smallest; empty tuple when there are none."""
-        if self.is_empty:
-            return ()
-        uniq = []
-        for h in self.constraints:
-            if h.line not in uniq:
-                uniq.append(h.line)
-        cands = []
-        for i in range(len(uniq)):
-            for j in range(i + 1, len(uniq)):
-                p = uniq[i].intersection(uniq[j])
-                if p is None:
-                    continue
-                if all(o * line.side(p) >= 0 for line, o in self._sides):
-                    if p not in cands:
-                        cands.append(p)
-        if len(cands) <= 2:
-            return tuple(sorted(cands, key=lambda q: (_scalar_sort_key(q.x), _scalar_sort_key(q.y))))
-        cx = sum((q.x for q in cands), start=Fraction(0)) / len(cands)
-        cy = sum((q.y for q in cands), start=Fraction(0)) / len(cands)
-        center = Point(cx, cy)
-
-        def ccw_cmp(u: Point, v: Point) -> int:
-            return direction_ccw_cmp(u - center, v - center)
-
-        ordered = sorted(cands, key=cmp_to_key(ccw_cmp))
-        ordered.reverse()  # clockwise under the y-up frame
-        start = min(range(len(ordered)),
-                    key=lambda i: (_scalar_sort_key(ordered[i].x), _scalar_sort_key(ordered[i].y)))
-        return tuple(ordered[start:] + ordered[:start])
+        lexicographically smallest (sorted when the closure has no
+        interior); empty tuple when there are none."""
+        return self._vertices
 
     def area(self) -> Scalar:
         """Exact area of the closure; zero for the empty region."""
@@ -613,14 +612,18 @@ class ConvexRegion:
             return EMPTY_REGION
         return ConvexRegion.from_halfplanes(self.constraints + other.constraints)
 
+    # A rigid motion of a canonical region is canonical: the moved constraints
+    # and vertices are built directly, and the kernel does not run again.
+
     def translate(self, v: Vec) -> "ConvexRegion":
         if self.is_empty:
             return self
-        shifted = [HalfPlane(Line(h.line.a, h.line.b,
-                                  h.line.c + h.line.a * v.x + h.line.b * v.y),
-                             h.sense)
-                   for h in self.constraints]
-        return ConvexRegion.from_halfplanes(shifted)
+        shifted = tuple(HalfPlane(Line(h.line.a, h.line.b,
+                                       h.line.c + h.line.a * v.x + h.line.b * v.y),
+                                  h.sense)
+                        for h in self.constraints)
+        return ConvexRegion(shifted, False, tuple(p + v for p in self._vertices),
+                            self._interior)
 
     def point_reflect(self, center: Point) -> "ConvexRegion":
         if self.is_empty:
@@ -630,7 +633,10 @@ class ConvexRegion:
             a, b, c = h.line.a, h.line.b, h.line.c
             out.append(HalfPlane(Line(a, b, 2 * (a * center.x + b * center.y) - c),
                                  h.sense.flipped()))
-        return ConvexRegion.from_halfplanes(out)
+        out.sort(key=_hp_sort_key)
+        # a half turn keeps the clockwise order; only the start moves
+        verts = _from_min([p.reflect_through(center) for p in self._vertices])
+        return ConvexRegion(tuple(out), False, verts, self._interior)
 
     # -- sampling -----------------------------------------------------------
 
@@ -653,24 +659,17 @@ class ConvexRegion:
                 raise EmptyRegionError("clip box misses the region")
         if not target.has_interior():
             raise EmptyRegionError("region has no interior to sample")
+        # a bounded region with interior is a polygon: barycentric weights
         verts = target.vertices()
         rng = Rng(seed).split(0x5A17)
         out = []
-        if len(verts) >= 3:
-            k = len(verts)
-            for i in range(count):
-                ws = [rng.unit(i * k + j) for j in range(k)]
-                total = sum(ws)
-                x = sum((w * v.x for w, v in zip(ws, verts)), start=Fraction(0)) / total
-                y = sum((w * v.y for w, v in zip(ws, verts)), start=Fraction(0)) / total
-                out.append(Point(as_scalar(x), as_scalar(y)))
-        else:
-            strict = [(a, b, c, True) for (a, b, c, _) in target._norms]
-            for i in range(count):
-                p = _find_point(strict, rng, i)
-                if p is None:
-                    raise EmptyRegionError("region has no interior to sample")
-                out.append(p)
+        k = len(verts)
+        for i in range(count):
+            ws = [rng.unit(i * k + j) for j in range(k)]
+            total = sum(ws)
+            x = sum((w * v.x for w, v in zip(ws, verts)), start=Fraction(0)) / total
+            y = sum((w * v.y for w, v in zip(ws, verts)), start=Fraction(0)) / total
+            out.append(Point(as_scalar(x), as_scalar(y)))
         for p in out:
             assert self.contains(p) is Location.INTERIOR
         return tuple(out)
@@ -727,23 +726,3 @@ def polygon_region(vertices: Sequence[Point], open_region: bool = False) -> Conv
         # interior of a clockwise polygon is the cross(d, p - t) < 0 side
         hps.append(HalfPlane(Line(-d.y, d.x, d.x * t.y - d.y * t.x), sense))
     return region(hps)
-
-
-def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Exact closed-segment intersection test."""
-
-    def orient(a: Point, b: Point, c: Point) -> int:
-        return sign((b - a).cross(c - a))
-
-    def on_seg(a: Point, b: Point, c: Point) -> bool:
-        if orient(a, b, c) != 0:
-            return False
-        return (min(a.x, b.x) <= c.x <= max(a.x, b.x)
-                and min(a.y, b.y) <= c.y <= max(a.y, b.y))
-
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return True
-    return (on_seg(p1, p2, q1) or on_seg(p1, p2, q2)
-            or on_seg(q1, q2, p1) or on_seg(q1, q2, p2))

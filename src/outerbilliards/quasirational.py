@@ -26,7 +26,7 @@ from math import gcd
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import ConvexRegion, Line, Location, Point, Vec, polygon_region
+from .geometry import Line, Location, Point, Vec
 from .polygon import NicePolygon
 from .scalars import Scalar, sign
 from .strips import PinwheelSystem
@@ -94,12 +94,6 @@ class NecklaceSpec:
     p_vertices: Tuple[Point, ...]  # P + m*shift
     q_vertices: Tuple[Point, ...]  # (180-degree rotation of P about center) + m*shift
     polygon: NicePolygon           # P
-
-    def p_region(self) -> ConvexRegion:
-        return polygon_region(self.p_vertices, open_region=True)
-
-    def q_region(self) -> ConvexRegion:
-        return polygon_region(self.q_vertices, open_region=True)
 
     def in_p(self, p: Point) -> bool:
         """p is interior to the copy P + m*shift."""

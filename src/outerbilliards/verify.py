@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .errors import BudgetExceededError, MapUndefinedError
 from .generate import random_nice_polygon
-from .geometry import ConvexRegion, HalfPlane, Line, Point
+from .geometry import ConvexRegion, HalfPlane, Line, Point, polygon_region
 from .model import BilliardModel
 from .paths import apex_sequence
 from .polygon import NicePolygon
@@ -517,13 +517,16 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
     n = model.n
     rng = Rng(seed).split(0x9E, m)
     per_piece = max(2, samples // (2 * n))
+    # every ring copy is P moved rigidly: build P's region once and move it
+    base = polygon_region(system.polygon.vertices, open_region=True)
     for j in range(n):
         Mj = m * quasi.D_int[j] + exponent_offset
         Mj1 = m * quasi.D_int[(j + 1) % n]
         targets = [necklace(system, j + 1, Mj1), necklace(system, j + 1, -Mj1)]
         for kind in ("P", "Q"):
             spec = necklace(system, j, Mj)
-            region = spec.p_region() if kind == "P" else spec.q_region()
+            copy = base if kind == "P" else base.point_reflect(spec.center)
+            region = copy.translate(spec.shift * spec.m)
             pts = region.sample_points(per_piece, seed=rng.u64(4 * j) & 0xFFFF)
             landings = []
             for p in pts:

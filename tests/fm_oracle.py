@@ -1,0 +1,146 @@
+"""Fourier-Motzkin reference for `ConvexRegion`: the region kernel the
+package used before the edge-interval pass, kept only as a test oracle.
+
+Regions are handled as tuples of half-planes.  `fm_canonical` merges
+duplicates, sorts, decides feasibility by eliminating x, and drops redundant
+constraints one at a time in sorted order (a constraint goes when the others
+plus its complement are infeasible).  `fm_vertices`, `fm_interior_point` and
+`fm_sample_points` are the matching queries on the kept constraints.
+"""
+
+from fractions import Fraction
+from functools import cmp_to_key
+
+from outerbilliards.geometry import (
+    HalfPlane,
+    Point,
+    Sense,
+    _hp_sort_key,
+    _one_dim_feasible,
+    _one_dim_interval,
+    _pick_in_interval,
+    _scalar_sort_key,
+    direction_ccw_cmp,
+)
+from outerbilliards.rng import Rng
+from outerbilliards.scalars import as_scalar, sign
+
+
+COMPLEMENT = {Sense.GE: Sense.LT, Sense.GT: Sense.LE, Sense.LE: Sense.GT, Sense.LT: Sense.GE}
+
+
+def _eliminate_x(norms):
+    """y-bounds (coef, const, strict) of the projection onto the y-axis, plus
+    the x lower and upper bounds as (p, q, strict) meaning x vs p + q*y."""
+    lows, ups, ybounds = [], [], []
+    for (a, b, c, strict) in norms:
+        if a == 0:
+            ybounds.append((b, c, strict))
+        elif sign(a) > 0:
+            lows.append((c / a, -b / a, strict))
+        else:
+            ups.append((c / a, -b / a, strict))
+    for (p1, q1, s1) in lows:
+        for (p2, q2, s2) in ups:
+            ybounds.append((q2 - q1, p1 - p2, s1 or s2))
+    return ybounds, lows, ups
+
+
+def _feasible(norms):
+    return _one_dim_feasible(_eliminate_x(norms)[0])
+
+
+def _find_point(norms, rng=None, counter=0):
+    ybounds, lows, ups = _eliminate_x(norms)
+    if not _one_dim_feasible(ybounds):
+        return None
+    y = _pick_in_interval(*_one_dim_interval(ybounds), rng, 2 * counter)
+    xbounds = [(Fraction(1), p + q * y, s) for (p, q, s) in lows]
+    xbounds.extend((Fraction(-1), -(p + q * y), s) for (p, q, s) in ups)
+    x = _pick_in_interval(*_one_dim_interval(xbounds), rng, 2 * counter + 1)
+    return Point(as_scalar(x), as_scalar(y))
+
+
+def fm_canonical(halfplanes):
+    """(is_empty, kept constraints in order)."""
+    by_line = {}
+    for h in halfplanes:
+        a, b, c, strict = h.canonical_key()
+        key = (_scalar_sort_key(a), _scalar_sort_key(b), _scalar_sort_key(c))
+        prev = by_line.get(key)
+        if prev is None or (strict and not prev.canonical_key()[3]):
+            by_line[key] = h
+    hps = sorted(by_line.values(), key=_hp_sort_key)
+    if not _feasible([h.normalized() for h in hps]):
+        return True, ()
+    keep = list(hps)
+    i = 0
+    while i < len(keep):
+        others = keep[:i] + keep[i + 1:]
+        h = keep[i]
+        test = [o.normalized() for o in others + [HalfPlane(h.line, COMPLEMENT[h.sense])]]
+        if _feasible(test):
+            i += 1
+        else:
+            keep.pop(i)
+    return False, tuple(keep)
+
+
+def _strict(constraints):
+    return [(a, b, c, True) for (a, b, c, _) in (h.normalized() for h in constraints)]
+
+
+def fm_has_interior(constraints):
+    return _feasible(_strict(constraints))
+
+
+def fm_interior_point(constraints, rng=None, counter=0):
+    """A point strictly inside, or None when the closure has no interior."""
+    return _find_point(_strict(constraints), rng, counter)
+
+
+def _point_key(p):
+    return (_scalar_sort_key(p.x), _scalar_sort_key(p.y))
+
+
+def fm_vertices(constraints):
+    """Pairwise line intersections inside the closure, clockwise from the
+    lexicographically smallest (sorted when there are at most two)."""
+    uniq = []
+    for h in constraints:
+        if h.line not in uniq:
+            uniq.append(h.line)
+    cands = []
+    for i in range(len(uniq)):
+        for j in range(i + 1, len(uniq)):
+            p = uniq[i].intersection(uniq[j])
+            if p is None or p in cands:
+                continue
+            if all(sign(a * p.x + b * p.y - c) >= 0
+                   for (a, b, c, _) in (h.normalized() for h in constraints)):
+                cands.append(p)
+    if len(cands) <= 2:
+        return tuple(sorted(cands, key=_point_key))
+    center = Point(sum((q.x for q in cands), start=Fraction(0)) / len(cands),
+                   sum((q.y for q in cands), start=Fraction(0)) / len(cands))
+    ordered = sorted(cands, key=cmp_to_key(
+        lambda u, v: direction_ccw_cmp(u - center, v - center)))
+    ordered.reverse()
+    start = min(range(len(ordered)), key=lambda i: _point_key(ordered[i]))
+    return tuple(ordered[start:] + ordered[:start])
+
+
+def fm_sample_points(constraints, count, seed):
+    """Barycentric samples over the vertices of a bounded region with
+    interior, as `ConvexRegion.sample_points` draws them."""
+    verts = fm_vertices(constraints)
+    rng = Rng(seed).split(0x5A17)
+    out = []
+    k = len(verts)
+    for i in range(count):
+        ws = [rng.unit(i * k + j) for j in range(k)]
+        total = sum(ws)
+        x = sum((w * v.x for w, v in zip(ws, verts)), start=Fraction(0)) / total
+        y = sum((w * v.y for w, v in zip(ws, verts)), start=Fraction(0)) / total
+        out.append(Point(as_scalar(x), as_scalar(y)))
+    return tuple(out)

@@ -85,19 +85,28 @@ def test_partition_json_and_svg(tri_file, tmp_path, capsys):
 
 
 # sha256 of `partition --backward` stdout, recorded with the O(n^2)
-# vertex-pair tangent rule and all-vertex cones; pins tiles, constraints, paths
+# vertex-pair tangent rule and all-vertex cones; pins tiles, constraints, paths.
+# The n=12 and Penrose kite digests were recorded with the Fourier-Motzkin
+# region kernel: each tile lists its stored constraints in stored order.
 PARTITION_BACKWARD_SHA256 = {
     "triangle": "e52bf7c19472966ac8445a6d04fd39b542a31903b22e0d5fb5c11a8ab055ab2e",
     "pentagon": "8ea021979b81b58de92c17797c9d7c2d007cdd1439e55dc201265942f978929d",
+    "n12": "a84bfd6dc44705353eb361bde19efb0fe03047ca931b23505e0e302eb6c00008",
+    "penrose_kite": "c46dd7c1c1bd15701af11cc579bee1f2773252b7f45b5c8260650fe2782988e2",
 }
 
 
 @pytest.mark.parametrize("poly_key", sorted(PARTITION_BACKWARD_SHA256))
 def test_partition_backward_json_golden(poly_key, tri_file, tmp_path, capsys):
+    from test_verify import penrose_kite
+
+    polys = {"pentagon": lambda: random_nice_polygon(5, seed=21),
+             "n12": lambda: random_nice_polygon(12, seed=21),
+             "penrose_kite": penrose_kite}
     f = tri_file
-    if poly_key == "pentagon":
-        f = tmp_path / "pentagon.json"
-        f.write_text(polygon_to_text(random_nice_polygon(5, seed=21)))
+    if poly_key in polys:
+        f = tmp_path / f"{poly_key}.json"
+        f.write_text(polygon_to_text(polys[poly_key]()))
     code, out = run(capsys, "partition", str(f), "--backward")
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -176,6 +185,13 @@ def test_quasi_certify(tri_file, capsys):
     ("orbit", "TRI", "--point", "8,-2", "--escape", "abc"),
     ("orbit", "TRI", "--point", "8,-2", "--steps", "-5"),
     ("quasi", "TRI", "--m", "0"),
+    ("verify", "TRI", "--samples", "0"),
+    ("verify", "TRI", "--samples", "-3"),
+    ("partition", "TRI", "--svg", "/nonexistent/x.svg"),
+    ("partition", "TRI", "--json", "/nonexistent/x.json"),
+    ("orbit", "TRI", "--point", "8,-2", "--steps", "3", "--json", "/nonexistent/x.json"),
+    ("orbit", "TRI", "--point", "8,-2", "--steps", "3", "--svg", "/nonexistent/x.svg"),
+    ("verify", "TRI", "--json", "/nonexistent/x.json"),
 ])
 def test_bad_argument_is_json_input_error(argv, tri_file, capsys):
     code, out = run(capsys, *[tri_file if a == "TRI" else a for a in argv])

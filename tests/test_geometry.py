@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fm_oracle import fm_canonical, fm_has_interior, fm_interior_point, fm_sample_points, fm_vertices
 from outerbilliards import geometry
 from outerbilliards.errors import EmptyRegionError, UnboundedRegionError
 from outerbilliards.geometry import (
@@ -21,7 +22,6 @@ from outerbilliards.geometry import (
     polygon_region,
     pt,
     region,
-    segments_intersect,
     vec,
 )
 from outerbilliards.rng import Rng
@@ -244,14 +244,6 @@ def test_polygon_region_open_vs_closed():
     assert closed.area() == opened.area() == 6
 
 
-def test_segments_intersect():
-    assert segments_intersect(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
-    assert segments_intersect(pt(0, 0), pt(2, 2), pt(1, 1), pt(5, 5))
-    assert segments_intersect(pt(0, 0), pt(1, 1), pt(1, 1), pt(2, 0))
-    assert not segments_intersect(pt(0, 0), pt(1, 1), pt(2, 2), pt(3, 3))
-    assert not segments_intersect(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1))
-
-
 def test_random_region_properties():
     rng = Rng(31).split(5)
     for i in range(40):
@@ -266,3 +258,147 @@ def test_random_region_properties():
         if not diag.is_empty:
             assert diag.is_bounded()
             assert diag.area() <= b.area()
+
+
+# ---------------------------------------------------------------------------
+# the edge-interval kernel against the Fourier-Motzkin oracle
+
+SMALL = st.integers(-3, 3)
+KERNEL_COEFFS = st.one_of(SMALL.map(Fraction),
+                          st.builds(lambda p, q: quadext(p, q, 5), SMALL, st.integers(1, 2)))
+KINDS = ["fresh"] * 4 + ["duplicate"] * 2 + ["opposite"] + ["parallel"] * 2 + ["vertex"] * 3
+TOGGLE_STRICT = {Sense.GE: Sense.GT, Sense.GT: Sense.GE,
+                 Sense.LE: Sense.LT, Sense.LT: Sense.LE}
+
+
+@st.composite
+def halfplane_sets(draw):
+    """1-12 half-planes over Z or Q(sqrt 5): fresh lines, duplicates (rescaled,
+    possibly flipped or with the other strictness), opposite and parallel
+    copies, and lines through the crossing of two earlier lines.  Fresh,
+    parallel and crossing lines mostly keep the origin on their closed side,
+    so that bounded regions come up often."""
+    hps = []
+    origin = pt(0, 0)
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(KINDS)) if hps else "fresh"
+        base = draw(st.sampled_from(hps)) if hps else None
+        if kind == "duplicate":
+            k = draw(st.sampled_from([1, 2, Fraction(1, 3), -1, -2]))
+            line = Line(base.line.a * k, base.line.b * k, base.line.c * k)
+            sense = base.sense if k > 0 else base.sense.flipped()
+            if draw(st.booleans()):
+                sense = TOGGLE_STRICT[sense]
+            hps.append(HalfPlane(line, sense))
+            continue
+        if kind == "opposite":
+            sense = base.sense.flipped()
+            if draw(st.booleans()):
+                sense = TOGGLE_STRICT[sense]
+            hps.append(HalfPlane(base.line, sense))
+            continue
+        a, b = draw(KERNEL_COEFFS), draw(KERNEL_COEFFS)
+        a = a if a != 0 or b != 0 else Fraction(1)
+        if kind == "fresh":
+            line = Line(a, b, draw(KERNEL_COEFFS))
+        elif kind == "parallel":
+            line = Line(base.line.a, base.line.b, base.line.c + draw(SMALL))
+        else:
+            p = base.line.intersection(draw(st.sampled_from(hps)).line) or origin
+            line = Line(a, b, a * p.x + b * p.y)
+        keep_origin = line.side(origin) >= 0
+        if draw(st.sampled_from([False] * 5 + [True])):
+            keep_origin = not keep_origin
+        sense = Sense.GE if keep_origin else Sense.LE
+        hps.append(HalfPlane(line, sense.strictened() if draw(st.booleans()) else sense))
+    return hps
+
+
+def _in_set(constraints, p):
+    return all(h.contains(p) for h in constraints)
+
+
+def _probe_points(verts):
+    """A grid plus the vertices and the midpoints of vertex pairs."""
+    pts = [pt(Fraction(i, 2), Fraction(j, 2)) for i in range(-8, 9) for j in range(-8, 9)]
+    return pts + [Point((u.x + v.x) / 2, (u.y + v.y) / 2) for u in verts for v in verts]
+
+
+B = half_plane  # short name for the examples below
+BOX = [B(1, 0, 0, Sense.GE), B(1, 0, 2, Sense.LE), B(0, 1, 0, Sense.GE), B(0, 1, 2, Sense.LE)]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          report_multiple_bugs=False)
+@given(halfplane_sets())
+@example(BOX + [B(1, 1, 0, Sense.GE)])  # non-strict line through a vertex
+@example(BOX + [B(1, 1, 0, Sense.GT)])  # strict: removes the vertex, kept
+@example(BOX + [B(1, 2, 0, Sense.GT), B(1, 1, 0, Sense.GT)])  # two at one vertex
+@example(BOX[1:] + [B(1, 0, 0, Sense.GT), B(1, 1, 0, Sense.GT)])  # edge already strict
+@example([B(0, 1, 0, Sense.GE), B(0, 1, 0, Sense.LE), B(1, 0, 0, Sense.GE),
+          B(1, 0, 1, Sense.LT)])  # a half-open segment
+@example([B(1, 0, 0, Sense.GE), B(0, 1, 0, Sense.GE), B(1, 1, 0, Sense.LE),
+          B(1, 0, 0, Sense.LE)])  # a point, one constraint redundant
+@example([B(1, 0, 0, Sense.GT), B(0, 1, 0, Sense.GT), B(1, 1, 0, Sense.LT)])  # empty
+@example([B(0, 1, 0, Sense.GE), B(0, 1, 0, Sense.LT)])  # opposite strict: empty
+@example([B(0, 1, 0, Sense.GE), B(0, -2, 0, Sense.GE)])  # a whole line
+@example([B(1, 0, 0, Sense.GE), B(1, 0, 3, Sense.LE), B(1, -1, 0, Sense.LE)])  # unbounded
+def test_kernel_matches_fm_oracle(hps):
+    r = region(hps)
+    fm_empty, fm_kept = fm_canonical(hps)
+    assert r.is_empty == fm_empty
+    assert r.has_interior() == (not fm_empty and fm_has_interior(fm_kept))
+    if fm_empty or r.has_interior():
+        assert [id(h) for h in r.constraints] == [id(h) for h in fm_kept]
+    else:  # no interior: the same point set, however it is written
+        for p in _probe_points(r.vertices()):
+            assert r.contains(p) is ConvexRegion(fm_kept, False).contains(p)
+            assert _in_set(r.constraints, p) == _in_set(fm_kept, p)
+    assert r.vertices() == fm_vertices(fm_kept)
+    if not r.has_interior():
+        if not r.is_empty:
+            with pytest.raises(EmptyRegionError):
+                r.interior_point()
+        return
+    rng = Rng(5).split(1)
+    for i in range(3):
+        assert r.interior_point(rng, i) == fm_interior_point(fm_kept, rng, i)
+    assert r.interior_point() == fm_interior_point(fm_kept)
+    clip = box_region(-6, -6, 6, 6)
+    if r.is_bounded():
+        assert r.sample_points(3, seed=4) == fm_sample_points(fm_kept, 3, seed=4)
+        return
+    clip_empty, clipped = fm_canonical(fm_kept + clip.constraints)
+    if clip_empty or not fm_has_interior(clipped):
+        with pytest.raises(EmptyRegionError):
+            r.sample_points(3, seed=4, clip=clip)
+    else:
+        assert r.sample_points(3, seed=4, clip=clip) == fm_sample_points(clipped, 3, seed=4)
+
+
+def test_kernel_oracle_catches_kept_zero_length_edges(monkeypatch):
+    """Negative control: a kernel that keeps constraints whose clip is a
+    single point must fail the oracle property."""
+    monkeypatch.setattr(geometry, "_has_length", lambda lo, up: True)
+    with pytest.raises(AssertionError):
+        test_kernel_matches_fm_oracle()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_build_partition_runs_kernel_once_per_region(n, monkeypatch):
+    from outerbilliards.billiards import build_partition
+    from outerbilliards.generate import random_nice_polygon
+
+    poly = random_nice_polygon(n, seed=2)
+    calls = []
+    build = ConvexRegion.from_halfplanes
+
+    def counted(halfplanes):
+        calls.append(1)
+        return build(halfplanes)
+
+    monkeypatch.setattr(ConvexRegion, "from_halfplanes", staticmethod(counted))
+    build_partition(poly)
+    # n primary cones and n(n-1) tile intersections; the reflected cones
+    # are rigid motions and do not run the kernel
+    assert len(calls) == n + n * (n - 1)

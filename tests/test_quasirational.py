@@ -146,6 +146,48 @@ def test_necklace_invariance_sampled_and_exact():
             assert rep.passed, rep.violations[:2]
 
 
+@pytest.mark.parametrize("poly_key", ["pentagon", "sqrt5_kite"])
+def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
+    """P's open region translated (and point-reflected for Q) is the ring
+    copy's own canonical region: same vertices in the same order, hence the
+    same samples."""
+    poly = random_nice_polygon(5, seed=21) if poly_key == "pentagon" else sqrt5_kite()
+    system = BilliardModel(poly).system
+    base = polygon_region(poly.vertices, open_region=True)
+    for j in range(system.n):
+        for mm in (-2, 1, 3):
+            spec = necklace(system, j, mm)
+            offset = spec.shift * spec.m
+            for moved, verts in ((base.translate(offset), spec.p_vertices),
+                                 (base.point_reflect(spec.center).translate(offset),
+                                  spec.q_vertices)):
+                ref = polygon_region(verts, open_region=True)
+                assert moved == ref
+                assert moved.vertices() == ref.vertices()
+                assert moved.sample_points(3, seed=j) == ref.sample_points(3, seed=j)
+
+
+def test_necklace_check_builds_one_polygon_region(monkeypatch):
+    import outerbilliards
+
+    model = BilliardModel(random_nice_polygon(5, seed=5))
+    model.system  # built outside the count
+    calls = []
+    original = polygon_region
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name in ("geometry", "quasirational", "verify"):
+        module = getattr(outerbilliards, name)
+        if getattr(module, "polygon_region", None) is original:
+            monkeypatch.setattr(module, "polygon_region", counted)
+    rep = check_necklace_invariance(model, m=1, samples=20, seed=5)
+    assert rep.passed
+    assert len(calls) == 1  # one per ring copy (2n) before the copies were moved
+
+
 def test_necklace_invariance_wrong_exponent_fails():
     m = BilliardModel(random_nice_polygon(5, seed=5))
     rep = check_necklace_invariance(m, m=1, samples=16, seed=1,

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from outerbilliards.errors import OnStripBoundaryError
-from outerbilliards.geometry import Location, pt, segments_intersect, slope_angle_cmp, vec
+from outerbilliards.geometry import Location, Point, pt, slope_angle_cmp, vec
 from outerbilliards.polygon import NicePolygon
+from outerbilliards.scalars import sign
 from outerbilliards.strips import (
     build_pinwheel_system,
     compose_strip_maps,
@@ -70,6 +71,34 @@ def test_edge_spoke_bijection():
         sys = build_pinwheel_system(poly)
         assert len({s.endpoint_indices() for s in sys.spokes}) == sys.n
         assert sorted(p.edge_index for p in sys.pairs) == list(range(poly.n))
+
+
+def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+    """Exact closed-segment intersection test."""
+
+    def orient(a: Point, b: Point, c: Point) -> int:
+        return sign((b - a).cross(c - a))
+
+    def on_seg(a: Point, b: Point, c: Point) -> bool:
+        if orient(a, b, c) != 0:
+            return False
+        return (min(a.x, b.x) <= c.x <= max(a.x, b.x)
+                and min(a.y, b.y) <= c.y <= max(a.y, b.y))
+
+    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
+    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
+    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
+        return True
+    return (on_seg(p1, p2, q1) or on_seg(p1, p2, q2)
+            or on_seg(q1, q2, p1) or on_seg(q1, q2, p2))
+
+
+def test_segments_intersect():
+    assert segments_intersect(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
+    assert segments_intersect(pt(0, 0), pt(2, 2), pt(1, 1), pt(5, 5))
+    assert segments_intersect(pt(0, 0), pt(1, 1), pt(1, 1), pt(2, 0))
+    assert not segments_intersect(pt(0, 0), pt(1, 1), pt(2, 2), pt(3, 3))
+    assert not segments_intersect(pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1))
 
 
 def test_any_two_spokes_intersect():
