@@ -104,12 +104,15 @@ class Tile:
     w_index: int
     translation: Vec            # the square map moves interior points by this
     region: ConvexRegion
-    unbounded: bool
     path_id: Optional[Tuple[int, int]] = None
 
     @property
     def label(self) -> Tuple[int, int]:
         return (self.v_index, self.w_index)
+
+    @property
+    def unbounded(self) -> bool:
+        return not self.region.is_bounded()
 
     def with_path(self, path_id: Tuple[int, int]) -> "Tile":
         return replace(self, path_id=path_id)
@@ -159,6 +162,5 @@ def build_partition(polygon: NicePolygon,
                 w_index=wi,
                 translation=(w - v) * 2,
                 region=r,
-                unbounded=not r.is_bounded(),
             ))
     return Partition(polygon, chirality, tuple(tiles))

@@ -55,7 +55,7 @@ def _parse_point(text: str) -> Point:
     try:
         xs, ys = text.split(",")
         return Point(Fraction(xs), Fraction(ys))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise SystemExit(_fail(f"bad point {text!r}: {exc}"))
 
 

@@ -5,10 +5,14 @@ with exact sign tests.  Convex regions are stored as canonicalized half-plane
 intersections.  One kernel pass, run once per region, clips each constraint's
 line by all the other constraints (a one-dimensional interval, exact, no
 floating point); from these edge intervals it reads emptiness, the
-non-redundant constraints and the clockwise vertex cycle.  Translations and
-point reflections move a canonical region without running it again.  A
-region's recession direction (`ConvexRegion.recession_direction`) is the one
-answer to both "is it bounded" and "which way does it run off to infinity".
+non-redundant constraints, the clockwise vertex cycle and the rays that
+generate the recession cone.  The pass computes on each line's integer form
+(ints, or integers of Q(sqrt d)): an interval end is a (num, den) pair
+compared by cross-multiplication, and the clipping builds a Fraction only for
+a vertex.  A region is bounded exactly when it has no rays (with interior:
+when its vertex cycle closes), and `recession_direction` reads the rays.
+Translations and point reflections move a canonical region, rays included,
+without running the pass again.
 
 Frame convention: y axis up, polygon vertex lists clockwise, "right of a ray"
 means the negative cross-product side.
@@ -24,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EmptyRegionError, UnboundedRegionError
 from .rng import Rng
-from .scalars import QuadExt, Scalar, ScalarLike, as_scalar, quad_sign, sign
+from .scalars import QuadExt, Scalar, ScalarLike, as_scalar, quad_sign, quadext, sign
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +297,6 @@ class HalfPlane:
             a, b, c = -a, -b, -c
         return a, b, c, self.sense.strict
 
-    def canonical_key(self):
-        a, b, c, strict = self.normalized()
-        lead = abs(a) if a != 0 else abs(b)
-        return (a / lead, b / lead, c / lead, strict)
-
     def strictened(self) -> "HalfPlane":
         return HalfPlane(self.line, self.sense.strictened())
 
@@ -307,54 +306,149 @@ def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> Hal
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional bounds: (coef, const, strict) means coef*t >= const (> const)
+# the kernel's integers: a constraint's integer form, and Z[sqrt d] over Q(sqrt d)
 
 
-def _one_dim_feasible(bounds) -> bool:
-    if any(coef == 0 and (const > 0 or (const == 0 and strict))
-           for coef, const, strict in bounds):
-        return False
-    return _open_nonempty(*_one_dim_interval(bounds))
+class _Zd:
+    """r + s*sqrt(d) with int r and s, the integers the region kernel
+    computes on over Q(sqrt d); plain ints mix in freely.  Comparisons are
+    exact (`quad_sign`); two different d are a ValueError."""
+
+    __slots__ = ("r", "s", "d")
+
+    def __init__(self, r: int, s: int, d: int):
+        self.r, self.s, self.d = r, s, d
+
+    def _split(self, other):
+        if type(other) is _Zd:
+            if other.d != self.d:
+                raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
+            return other.r, other.s
+        return other, 0
+
+    def __add__(self, other):
+        r, s = self._split(other)
+        return _Zd(self.r + r, self.s + s, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        r, s = self._split(other)
+        return _Zd(self.r - r, self.s - s, self.d)
+
+    def __rsub__(self, other):
+        r, s = self._split(other)
+        return _Zd(r - self.r, s - self.s, self.d)
+
+    def __neg__(self):
+        return _Zd(-self.r, -self.s, self.d)
+
+    def __mul__(self, other):
+        r, s = self._split(other)
+        return _Zd(self.r * r + self.s * s * self.d, self.r * s + self.s * r, self.d)
+
+    __rmul__ = __mul__
+
+    def _cmp(self, other) -> int:
+        r, s = self._split(other)
+        return quad_sign(self.r - r, self.s - s, self.d)
+
+    def __eq__(self, other):
+        return self._cmp(other) == 0
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    __hash__ = None
+
+
+def _form(h: HalfPlane):
+    """h as (a, b, c, strict), meaning a*x + b*y >= c (> c when strict): its
+    line's integer form, negated for an upper sense.  Entries with a sqrt(d)
+    part are `_Zd`, the others ints.  The form is a positive multiple of
+    `h.normalized()`, and every value the kernel reads off it is invariant
+    under that scale."""
+    line = h.line
+    if line._d is None:
+        a, b, c = line._num
+    else:
+        a, b, c = (r if s == 0 else _Zd(r, s, line._d) for r, s in zip(line._num, line._rad))
+    if h.sense.upper:
+        return -a, -b, -c, h.sense.strict
+    return a, b, c, h.sense.strict
+
+
+def _scalar(num, den) -> Scalar:
+    """num/den (den != 0) as a Fraction or QuadExt."""
+    if type(num) is int and type(den) is int:
+        return Fraction(num, den)
+    nr, ns, nd = (num.r, num.s, num.d) if type(num) is _Zd else (num, 0, None)
+    qr, qs, qd = (den.r, den.s, den.d) if type(den) is _Zd else (den, 0, None)
+    d = _common_radicand((nd, qd))
+    # (nr + ns sqrt d) / (qr + qs sqrt d), times the conjugate over itself
+    norm = qr * qr - qs * qs * d
+    return quadext(Fraction(nr * qr - ns * qs * d, norm), Fraction(ns * qr - nr * qs, norm), d)
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional bounds on kernel integers: (coef, const, strict) means
+# coef*t >= const (> const when strict).  A solved bound is (num, den,
+# strict) with den > 0: t >= num/den for a lower bound, t <= num/den for an
+# upper one.  Two bounds compare by cross-multiplication; t is never divided
+# out.
 
 
 def _one_dim_interval(bounds):
-    """Return ((lo, lo_strict) | None, (up, up_strict) | None) of the solution
-    interval, assuming it is nonempty."""
+    """(lower, upper) solved bounds of the solution interval, None where it
+    runs off; bounds with coef 0 are skipped, and of two equal bounds the
+    strict one wins."""
     lo = up = None
     for coef, const, strict in bounds:
         if coef == 0:
             continue
-        val = const / coef
-        if sign(coef) > 0:
-            if lo is None or val > lo[0] or (val == lo[0] and strict):
-                lo = (val, strict)
+        lower = coef > 0
+        cur = lo if lower else up
+        if cur is not None:
+            # den > 0 on both sides: const/coef is the tighter bound exactly
+            # when const*den - num*coef is positive
+            t = const * cur[1] - cur[0] * coef
+            if t < 0 or (t == 0 and not strict):
+                continue
+        if lower:
+            lo = (const, coef, strict)
         else:
-            if up is None or val < up[0] or (val == up[0] and strict):
-                up = (val, strict)
+            up = (-const, -coef, strict)
     return lo, up
 
 
 def _has_length(lo, up) -> bool:
-    return lo is None or up is None or lo[0] < up[0]
+    return lo is None or up is None or lo[0] * up[1] < up[0] * lo[1]
 
 
 def _open_nonempty(lo, up) -> bool:
-    """The interval between two `_one_dim_interval` bounds has a point."""
-    return (lo is None or up is None or lo[0] < up[0]
-            or (lo[0] == up[0] and not (lo[1] or up[1])))
+    """The interval between two solved bounds has a point."""
+    if lo is None or up is None:
+        return True
+    t = lo[0] * up[1] - up[0] * lo[1]
+    return t < 0 or (t == 0 and not (lo[2] or up[2]))
 
 
 def _pick_in_interval(lo, up, rng: Optional[Rng] = None, counter: int = 0):
+    """A scalar between lo and up (None: the interval runs off that way),
+    strictly inside when the interval has length."""
     if lo is not None and up is not None:
-        if lo[0] == up[0]:
-            return lo[0]
+        if lo == up:
+            return lo
         if rng is None:
-            return (lo[0] + up[0]) / 2
-        return rng.between(counter, lo[0], up[0])
+            return (lo + up) / 2
+        return rng.between(counter, lo, up)
     if lo is not None:
-        return lo[0] + (1 if rng is None else rng.unit(counter))
+        return lo + (1 if rng is None else rng.unit(counter))
     if up is not None:
-        return up[0] - (1 if rng is None else rng.unit(counter))
+        return up - (1 if rng is None else rng.unit(counter))
     return Fraction(0) if rng is None else rng.unit(counter)
 
 
@@ -362,38 +456,40 @@ def _pick_in_interval(lo, up, rng: Optional[Rng] = None, counter: int = 0):
 # the region kernel: one clip of each constraint's line by all the others
 
 
-def _line_clip(norms, i):
-    """Where on line i (`_on_line(norms[i], t)`) all the other constraints
-    hold: constraint j reads (a*b_j - b*a_j)*t >= c_j*(a^2 + b^2) -
-    c*(a*a_j + b*b_j), with no division.  None when that closed interval is
-    empty, else (lo, up, opposite): the bounds of `_one_dim_interval` (strict
-    flags kept) and the strict flag of the oppositely oriented constraint on
-    the same line, None when there is none."""
-    a, b, c, _ = norms[i]
+def _line_clip(forms, i):
+    """Where on line i (`_on_line(forms[i], bound)`) all the other
+    constraints hold: constraint j reads (a*b_j - b*a_j)*t >= c_j*(a^2 + b^2)
+    - c*(a*a_j + b*b_j), with no division.  None when that closed interval is
+    empty, else (lo, up, opposite): its solved bounds (strict flags kept) and
+    the strict flag of the oppositely oriented constraint on the same line,
+    None when there is none."""
+    a, b, c, _ = forms[i]
     nn = a * a + b * b
     bounds = []
     opposite = None
-    for j, (aj, bj, cj, sj) in enumerate(norms):
+    for j, (aj, bj, cj, sj) in enumerate(forms):
         if j == i:
             continue
         coef = a * bj - b * aj
         const = cj * nn - c * (a * aj + b * bj)
         if coef != 0:
             bounds.append((coef, const, sj))
-        elif sign(const) > 0:
+        elif const > 0:
             return None
         elif const == 0:  # merged duplicates leave only the opposite orientation
             opposite = sj
     lo, up = _one_dim_interval(bounds)
-    if lo is not None and up is not None and lo[0] > up[0]:
+    if lo is not None and up is not None and lo[0] * up[1] > up[0] * lo[1]:
         return None
     return lo, up, opposite
 
 
-def _on_line(norm, t) -> Point:
-    a, b, c, _ = norm
-    nn = a * a + b * b
-    return Point((a * c - b * t) / nn, (b * c + a * t) / nn)
+def _on_line(form, bound) -> Point:
+    """The point at t = num/den on the line of form, t as in `_line_clip`."""
+    a, b, c, _ = form
+    num, den, _ = bound
+    q = (a * a + b * b) * den
+    return Point(_scalar(a * c * den - b * num, q), _scalar(b * c * den + a * num, q))
 
 
 def _point_key(p: Point):
@@ -406,17 +502,19 @@ def _from_min(cycle) -> Tuple[Point, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-def _canonical(hps) -> "ConvexRegion":
-    """Canonical region of merged half-planes in `_hp_sort_key` order.
+def _canonical(hps, forms) -> "ConvexRegion":
+    """Canonical region of merged half-planes in `_form_key` order, given
+    with their `_form`s.
 
     A closure with interior keeps the constraints whose line clip has
     positive length (its edges; increasing t walks them clockwise) and, at a
     vertex no edge constraint excludes, the last strict constraint touching
     only that vertex.  A closure inside a line keeps every constraint tight
-    somewhere on it.
+    somewhere on it.  The rays generating the closure's recession cone are
+    read off the same clips: an edge whose clip runs off to t = -inf (+inf)
+    gives the ray (b, -a) ((-b, a)).
     """
-    norms = [h.normalized() for h in hps]
-    spans = [_line_clip(norms, i) for i in range(len(norms))]
+    spans = [_line_clip(forms, i) for i in range(len(forms))]
     tight = [i for i, s in enumerate(spans) if s is not None]
     edges = [i for i in tight if _has_length(*spans[i][:2])]
     if not edges or any(spans[i][2] is not None for i in tight):
@@ -425,26 +523,40 @@ def _canonical(hps) -> "ConvexRegion":
         if not any(not hps[i].sense.strict and spans[i][2] is not True
                    and _open_nonempty(*spans[i][:2]) for i in tight):
             return EMPTY_REGION
-        ends = {_on_line(norms[i], t[0]) for i in tight for t in spans[i][:2] if t}
+        ends = {_on_line(forms[i], t) for i in tight for t in spans[i][:2] if t}
+        rays = []
+        for i in tight:
+            if spans[i][2] is not None:  # the closure is this line's clip
+                (a, b, _, _), (lo, up, _) = forms[i], spans[i]
+                rays = [(b, -a)] * (lo is None) + [(-b, a)] * (up is None)
+                break
         return ConvexRegion(tuple(hps[i] for i in tight), False,
-                            tuple(sorted(ends, key=_point_key)), False)
-    e, starts = edges[0], {}  # walk from the edge that comes in from infinity, if any
+                            tuple(sorted(ends, key=_point_key)), False, tuple(rays))
+    first, starts = edges[0], {}  # walk from the edge that comes in from infinity, if any
     for i in edges:
         if spans[i][0] is None:
-            e = i
+            first = i
         else:
-            starts[_on_line(norms[i], spans[i][0][0])] = i
-    cycle = []
+            starts[_on_line(forms[i], spans[i][0])] = i
+    e, cycle = first, []
     for _ in edges:
         up = spans[e][1]
         if up is None:
             break
-        cycle.append(_on_line(norms[e], up[0]))
+        cycle.append(_on_line(forms[e], up))
         e = starts[cycle[-1]]
-    touching = {_on_line(norms[i], spans[i][0][0]): i for i in tight
+    rays = []
+    if spans[first][0] is None:
+        # the cycle did not close: the walk ran from the edge that comes in
+        # from infinity to the one that leaves; with no vertex that is one
+        # edge, of a strip or of a half-plane, whose cone holds its normal too
+        (a, b, _, _), (ae, be, _, _) = forms[first], forms[e]
+        rays = [(b, -a), (-be, ae)] + [(a, b)] * (len(edges) == 1)
+    touching = {_on_line(forms[i], spans[i][0]): i for i in tight
                 if i not in edges and hps[i].sense.strict}
     kept = edges + [i for p, i in touching.items() if all(hps[e].contains(p) for e in edges)]
-    return ConvexRegion(tuple(hps[i] for i in sorted(kept)), False, _from_min(cycle))
+    return ConvexRegion(tuple(hps[i] for i in sorted(kept)), False, _from_min(cycle), True,
+                        tuple(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +569,22 @@ class Location(enum.Enum):
     OUTSIDE = "outside"
 
 
-def _hp_sort_key(h: HalfPlane):
-    a, b, c, strict = h.canonical_key()
-    return (_scalar_sort_key(a), _scalar_sort_key(b), _scalar_sort_key(c), strict)
+def _form_key(form):
+    """The key that orders a region's constraints: the normalized
+    coefficients over the leading |coefficient|, each as its
+    `_scalar_sort_key` pair, computed on the `_form`."""
+    a, b, c, strict = form
+    lead = a if a != 0 else b
+    if lead < 0:
+        lead = -lead
+    return tuple(_scalar_sort_key(_scalar(x, lead)) for x in (a, b, c)) + (strict,)
 
 
 def _scalar_sort_key(x: Scalar):
     # (rational part, radical part) sorts Fractions and QuadExts consistently
     if isinstance(x, QuadExt):
         return (x.a, x.b)
-    return (x, Fraction(0))
+    return (x, 0)
 
 
 class ConvexRegion:
@@ -475,22 +593,24 @@ class ConvexRegion:
     Canonical form: exact duplicates merged, infeasible systems collapsed to
     the canonical empty region, redundant constraints removed (see
     `_canonical`), constraints in a fixed order.  Equality of
-    full-dimensional (or empty) regions is then structural.  The vertices of
-    the closure are found once, by the same pass, and stored.
+    full-dimensional (or empty) regions is then structural.  The same pass
+    finds, once, the vertices of the closure and the rays (pairs of kernel
+    integers) that generate its recession cone: none exactly when the region
+    is bounded.
     """
 
-    __slots__ = ("constraints", "is_empty", "_norms", "_sides", "_vertices", "_interior")
+    __slots__ = ("constraints", "is_empty", "_sides", "_vertices", "_interior", "_rays")
 
     def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool,
-                 vertices: Tuple[Point, ...] = (), interior: bool = True):
+                 vertices: Tuple[Point, ...] = (), interior: bool = True, rays: tuple = ()):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "is_empty", is_empty)
-        object.__setattr__(self, "_norms", tuple(h.normalized() for h in constraints))
         # (line, orientation): the constraint holds where orientation * side >= 0
         object.__setattr__(self, "_sides", tuple((h.line, -1 if h.sense.upper else 1)
                                                  for h in constraints))
         object.__setattr__(self, "_vertices", vertices)
         object.__setattr__(self, "_interior", interior and not is_empty)
+        object.__setattr__(self, "_rays", rays)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexRegion is immutable")
@@ -502,17 +622,19 @@ class ConvexRegion:
         # merge duplicates: for identical oriented lines keep the strict one
         by_line = {}
         for h in halfplanes:
-            key = _hp_sort_key(h)
+            form = _form(h)
+            key = _form_key(form)
             prev = by_line.get(key[:3])
             if prev is None or (key[3] and not prev[0][3]):
-                by_line[key[:3]] = (key, h)
+                by_line[key[:3]] = (key, h, form)
         if not by_line:
             return ConvexRegion.whole_plane()
-        return _canonical([h for _, h in sorted(by_line.values(), key=lambda kh: kh[0])])
+        merged = sorted(by_line.values(), key=lambda khf: khf[0])
+        return _canonical([h for _, h, _ in merged], [form for _, _, form in merged])
 
     @staticmethod
     def whole_plane() -> "ConvexRegion":
-        return ConvexRegion((), False)
+        return ConvexRegion((), False, rays=((1, 0), (0, 1), (-1, 0), (0, -1)))
 
     @staticmethod
     def empty() -> "ConvexRegion":
@@ -545,44 +667,52 @@ class ConvexRegion:
         if not self._interior:
             raise EmptyRegionError("region has empty interior")
         y = _pick_in_interval(self._y_bound(1), self._y_bound(-1), rng, 2 * counter)
-        xlo, xup = _one_dim_interval((a, c - b * y, True) for (a, b, c, _) in self._norms)
-        x = _pick_in_interval(xlo, xup, rng, 2 * counter + 1)
+        yr, ys, yq, yd = _integer_parts(y)
+        yn = yr if ys == 0 else _Zd(yr, ys, yd)
+        # a*x > c - b*y on every constraint, times the denominator yq > 0
+        xlo, xup = _one_dim_interval((a * yq, c * yq - b * yn, True)
+                                     for a, b, c, _ in map(_form, self.constraints))
+        x = _pick_in_interval(xlo and _scalar(xlo[0], xlo[1]), xup and _scalar(xup[0], xup[1]),
+                              rng, 2 * counter + 1)
         return Point(as_scalar(x), as_scalar(y))
 
     def _y_bound(self, s: int):
-        """The lowest (s = 1) or highest (s = -1) y of the closure as a bound
-        for `_pick_in_interval`; None when the region runs off that way."""
-        # (t, -s) recedes when a*t >= s*b on every constraint
-        if _one_dim_feasible([(a, s * b, False) for (a, b, _, _) in self._norms]):
+        """The lowest (s = 1) or highest (s = -1) y of the closure; None when
+        a recession ray runs off that way."""
+        if any(s * gy < 0 for _, gy in self._rays):
             return None
         # else the extreme y is at a vertex, or on a horizontal edge line
         ys = [p.y for p in self._vertices]
-        ys += [c / b for (a, b, c, _) in self._norms if a == 0 and sign(b) == s]
-        return (min(ys) if s > 0 else max(ys), False)
+        ys += [_scalar(c, b) for a, b, c, _ in map(_form, self.constraints) if a == 0 and s * b > 0]
+        return min(ys) if s > 0 else max(ys)
 
     def recession_direction(self) -> Optional[Vec]:
         """A rational direction along which the region recedes to infinity,
         strictly interior to the recession cone when that cone has interior;
         None exactly when the region is bounded (or empty).
 
-        Every nonzero direction is a positive multiple of (+-1, t) or (0, +-1),
-        and d recedes when a*d.x + b*d.y >= 0 on every constraint.
+        It is (dx, t) for the first dx of 1, -1 at which the cone has a
+        section (t its midpoint, its finite end -+ 1, or 0 when it is a whole
+        line), else (0, 1) or (0, -1).  The section's finite ends are where
+        the stored rays cross x = dx; it runs off upwards (downwards) when
+        (0, 1) ((0, -1)) satisfies every constraint's a*x + b*y >= 0.
         """
-        if self.is_empty:
-            return None
-        for strict in (True, False):
-            for dx in (1, -1):
-                bounds = [(b, -a * dx, strict) for (a, b, _, _) in self._norms]
-                if _one_dim_feasible(bounds):
-                    t = _pick_in_interval(*_one_dim_interval(bounds))
-                    return Vec(Fraction(dx), t)
+        for dx in (1, -1):
+            ts = [_scalar(gy, gx * dx) for gx, gy in self._rays if gx * dx > 0]
+            if ts:
+                lo = None if self._recedes(-1) else min(ts)
+                up = None if self._recedes(1) else max(ts)
+                return Vec(Fraction(dx), _pick_in_interval(lo, up))
         for dy in (1, -1):
-            if all(sign(b * dy) >= 0 for (_, b, _, _) in self._norms):
+            if any(gy * dy > 0 for _, gy in self._rays):
                 return Vec(Fraction(0), Fraction(dy))
         return None
 
+    def _recedes(self, dy: int) -> bool:
+        return not any(b * dy < 0 for _, b, _, _ in map(_form, self.constraints))
+
     def is_bounded(self) -> bool:
-        return self.recession_direction() is None
+        return not self._rays
 
     def vertices(self) -> Tuple[Point, ...]:
         """Vertices of the closure, in clockwise order starting from the
@@ -612,8 +742,8 @@ class ConvexRegion:
             return EMPTY_REGION
         return ConvexRegion.from_halfplanes(self.constraints + other.constraints)
 
-    # A rigid motion of a canonical region is canonical: the moved constraints
-    # and vertices are built directly, and the kernel does not run again.
+    # A rigid motion of a canonical region is canonical: the moved constraints,
+    # vertices and rays are built directly, and the kernel does not run again.
 
     def translate(self, v: Vec) -> "ConvexRegion":
         if self.is_empty:
@@ -623,20 +753,23 @@ class ConvexRegion:
                                   h.sense)
                         for h in self.constraints)
         return ConvexRegion(shifted, False, tuple(p + v for p in self._vertices),
-                            self._interior)
+                            self._interior, self._rays)
 
     def point_reflect(self, center: Point) -> "ConvexRegion":
         if self.is_empty:
             return self
+        # a half turn negates every constraint's direction (a, b), and the
+        # constraints' directions are distinct and decide their order: it
+        # reverses
         out = []
-        for h in self.constraints:
+        for h in reversed(self.constraints):
             a, b, c = h.line.a, h.line.b, h.line.c
             out.append(HalfPlane(Line(a, b, 2 * (a * center.x + b * center.y) - c),
                                  h.sense.flipped()))
-        out.sort(key=_hp_sort_key)
         # a half turn keeps the clockwise order; only the start moves
         verts = _from_min([p.reflect_through(center) for p in self._vertices])
-        return ConvexRegion(tuple(out), False, verts, self._interior)
+        return ConvexRegion(tuple(out), False, verts, self._interior,
+                            tuple((-gx, -gy) for gx, gy in self._rays))
 
     # -- sampling -----------------------------------------------------------
 
@@ -679,19 +812,15 @@ class ConvexRegion:
     def canonical_key(self):
         if self.is_empty:
             return ("empty",)
-        return tuple(h.canonical_key() for h in self.constraints)
+        return tuple(_form_key(_form(h)) for h in self.constraints)
 
     def __eq__(self, other):
         if not isinstance(other, ConvexRegion):
             return NotImplemented
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
         return self.canonical_key() == other.canonical_key()
 
     def __hash__(self):
-        if self.is_empty:
-            return hash("empty-region")
-        return hash(tuple((_hp_sort_key(h)) for h in self.constraints))
+        return hash(self.canonical_key())
 
     def __repr__(self):
         if self.is_empty:

@@ -262,11 +262,11 @@ def scalar_from_json(value, quad_d: int | None = None) -> Scalar:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _fraction(value)
     if isinstance(value, dict):
         try:
-            a = Fraction(value["a"])
-            b = Fraction(value["b"])
+            a = _fraction(value["a"])
+            b = _fraction(value["b"])
             d = value["d"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed quadratic scalar: {value!r}") from exc
@@ -278,3 +278,12 @@ def scalar_from_json(value, quad_d: int | None = None) -> Scalar:
             raise ValueError(f"scalar uses sqrt({d}) but the document declares sqrt({quad_d})")
         return quadext(a, b, d)
     raise ValueError(f"not a scalar: {value!r}")
+
+
+def _fraction(value) -> Fraction:
+    """Fraction(value), with a zero denominator a ValueError like any other
+    malformed number."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None

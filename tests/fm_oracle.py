@@ -1,11 +1,13 @@
 """Fourier-Motzkin reference for `ConvexRegion`: the region kernel the
 package used before the edge-interval pass, kept only as a test oracle.
 
-Regions are handled as tuples of half-planes.  `fm_canonical` merges
-duplicates, sorts, decides feasibility by eliminating x, and drops redundant
-constraints one at a time in sorted order (a constraint goes when the others
-plus its complement are infeasible).  `fm_vertices`, `fm_interior_point` and
-`fm_sample_points` are the matching queries on the kept constraints.
+Regions are handled as tuples of half-planes, and every bound is a Fraction
+or QuadExt.  `fm_canonical` merges duplicates, sorts, decides feasibility by
+eliminating x, and drops redundant constraints one at a time in sorted order
+(a constraint goes when the others plus its complement are infeasible).
+`fm_vertices`, `fm_interior_point` and `fm_sample_points` are the matching
+queries on the kept constraints, and `fm_recession_direction` finds a
+recession direction by one-dimensional scans over all of them.
 """
 
 from fractions import Fraction
@@ -15,18 +17,67 @@ from outerbilliards.geometry import (
     HalfPlane,
     Point,
     Sense,
-    _hp_sort_key,
-    _one_dim_feasible,
-    _one_dim_interval,
+    Vec,
     _pick_in_interval,
-    _scalar_sort_key,
     direction_ccw_cmp,
 )
 from outerbilliards.rng import Rng
-from outerbilliards.scalars import as_scalar, sign
+from outerbilliards.scalars import QuadExt, as_scalar, sign
 
 
 COMPLEMENT = {Sense.GE: Sense.LT, Sense.GT: Sense.LE, Sense.LE: Sense.GT, Sense.LT: Sense.GE}
+
+
+def _scalar_sort_key(x):
+    # (rational part, radical part) sorts Fractions and QuadExts consistently
+    if isinstance(x, QuadExt):
+        return (x.a, x.b)
+    return (x, Fraction(0))
+
+
+def _canonical_key(h):
+    a, b, c, strict = h.normalized()
+    lead = abs(a) if a != 0 else abs(b)
+    return (a / lead, b / lead, c / lead, strict)
+
+
+def _hp_sort_key(h):
+    a, b, c, strict = _canonical_key(h)
+    return (_scalar_sort_key(a), _scalar_sort_key(b), _scalar_sort_key(c), strict)
+
+
+# one-dimensional bounds: (coef, const, strict) means coef*t >= const (> const)
+
+
+def _one_dim_feasible(bounds):
+    if any(coef == 0 and (const > 0 or (const == 0 and strict))
+           for coef, const, strict in bounds):
+        return False
+    lo, up = _one_dim_interval(bounds)
+    return (lo is None or up is None or lo[0] < up[0]
+            or (lo[0] == up[0] and not (lo[1] or up[1])))
+
+
+def _one_dim_interval(bounds):
+    """Return ((lo, lo_strict) | None, (up, up_strict) | None) of the solution
+    interval, assuming it is nonempty."""
+    lo = up = None
+    for coef, const, strict in bounds:
+        if coef == 0:
+            continue
+        val = const / coef
+        if sign(coef) > 0:
+            if lo is None or val > lo[0] or (val == lo[0] and strict):
+                lo = (val, strict)
+        else:
+            if up is None or val < up[0] or (val == up[0] and strict):
+                up = (val, strict)
+    return lo, up
+
+
+def _pick(bounds, rng=None, counter=0):
+    lo, up = _one_dim_interval(bounds)
+    return _pick_in_interval(lo and lo[0], up and up[0], rng, counter)
 
 
 def _eliminate_x(norms):
@@ -54,10 +105,10 @@ def _find_point(norms, rng=None, counter=0):
     ybounds, lows, ups = _eliminate_x(norms)
     if not _one_dim_feasible(ybounds):
         return None
-    y = _pick_in_interval(*_one_dim_interval(ybounds), rng, 2 * counter)
+    y = _pick(ybounds, rng, 2 * counter)
     xbounds = [(Fraction(1), p + q * y, s) for (p, q, s) in lows]
     xbounds.extend((Fraction(-1), -(p + q * y), s) for (p, q, s) in ups)
-    x = _pick_in_interval(*_one_dim_interval(xbounds), rng, 2 * counter + 1)
+    x = _pick(xbounds, rng, 2 * counter + 1)
     return Point(as_scalar(x), as_scalar(y))
 
 
@@ -65,10 +116,10 @@ def fm_canonical(halfplanes):
     """(is_empty, kept constraints in order)."""
     by_line = {}
     for h in halfplanes:
-        a, b, c, strict = h.canonical_key()
+        a, b, c, strict = _canonical_key(h)
         key = (_scalar_sort_key(a), _scalar_sort_key(b), _scalar_sort_key(c))
         prev = by_line.get(key)
-        if prev is None or (strict and not prev.canonical_key()[3]):
+        if prev is None or (strict and not _canonical_key(prev)[3]):
             by_line[key] = h
     hps = sorted(by_line.values(), key=_hp_sort_key)
     if not _feasible([h.normalized() for h in hps]):
@@ -144,3 +195,21 @@ def fm_sample_points(constraints, count, seed):
         y = sum((w * v.y for w, v in zip(ws, verts)), start=Fraction(0)) / total
         out.append(Point(as_scalar(x), as_scalar(y)))
     return tuple(out)
+
+
+def fm_recession_direction(constraints):
+    """A recession direction of the nonempty region of the constraints by
+    one-dimensional scans, None when it is bounded: every nonzero direction
+    is a positive multiple of (+-1, t) or (0, +-1), and d recedes when
+    a*d.x + b*d.y >= 0 on every constraint; a direction strictly inside the
+    recession cone is tried first."""
+    norms = [h.normalized() for h in constraints]
+    for strict in (True, False):
+        for dx in (1, -1):
+            bounds = [(b, -a * dx, strict) for (a, b, _, _) in norms]
+            if _one_dim_feasible(bounds):
+                return Vec(Fraction(dx), _pick(bounds))
+    for dy in (1, -1):
+        if all(sign(b * dy) >= 0 for (_, b, _, _) in norms):
+            return Vec(Fraction(0), Fraction(dy))
+    return None

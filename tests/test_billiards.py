@@ -14,16 +14,21 @@ from outerbilliards.billiards import (
     square_map,
     tangent_vertex,
 )
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from outerbilliards import geometry
 from outerbilliards.errors import (
     InsidePolygonError,
+    MapUndefinedError,
     OnPrimaryWallError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import Location, pt, vec
+from outerbilliards.geometry import Location, Point, pt, vec
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.scalars import sign
+from outerbilliards.scalars import QuadExt, sign
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -307,3 +312,71 @@ def test_recession_direction_of_every_tile(poly_key):
                 a, b, _, _ = h.normalized()
                 assert sign(a * d.x + b * d.y) >= 0
         assert len(want) == 2 * poly.n
+
+
+# ---------------------------------------------------------------------------
+# affine parity: outer billiards commutes with affine maps, so a rational
+# polygon and its image under a shear with a sqrt 5 entry share their tiles
+# and orbits.  The image's tiles are built by the kernel's Q(sqrt 5) branch,
+# which rational inputs never reach (quadext(a, 0, d) is a Fraction).
+
+ROOT5 = QuadExt(0, 1, 5)
+
+
+def shear(p):
+    """A = [[1, sqrt 5], [0, 1]] applied to a Point or Vec; det A = 1 keeps
+    the orientation, hence the vertex order and every label."""
+    return type(p)(p.x + ROOT5 * p.y, p.y)
+
+
+def psi_labels(polygon, p, steps):
+    labels = []
+    for _ in range(steps):
+        try:
+            p, label = square_map(polygon, p)
+        except MapUndefinedError as exc:
+            return labels + [type(exc).__name__]
+        labels.append(label)
+    return labels
+
+
+STARTS = st.builds(Point, st.fractions(-40, 40, max_denominator=6),
+                   st.fractions(-40, 40, max_denominator=6))
+
+
+# no shrinking: each example builds four partitions, and the examples are
+# derandomized, so a failure reproduces as drawn
+@settings(max_examples=12, deadline=None, database=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.integers(3, 8), st.integers(0, 10 ** 6), st.lists(STARTS, min_size=1, max_size=3))
+def test_sqrt5_shear_keeps_tiles_and_orbits(n, seed, starts):
+    polygon = random_nice_polygon(n, seed)
+    image = NicePolygon.from_points([shear(v) for v in polygon.vertices], quad_d=5)
+    for chirality in Chirality:
+        tiles = {t.label: t for t in build_partition(polygon, chirality).tiles}
+        images = {t.label: t for t in build_partition(image, chirality).tiles}
+        assert sorted(images) == sorted(tiles)
+        for label, t in tiles.items():
+            u = images[label]
+            assert u.translation == shear(t.translation)
+            assert u.unbounded == t.unbounded
+            assert set(u.region.vertices()) == {shear(v) for v in t.region.vertices()}
+    for p in starts:
+        assert psi_labels(image, shear(p), 40) == psi_labels(polygon, p, 40)
+
+
+def test_sqrt5_shear_parity_catches_conjugate_sign_slip(monkeypatch):
+    """Negative control: a Q(sqrt d) branch whose quotients come out with
+    the sqrt(d) part negated must fail the parity property.  (Under this
+    shear the radical parts cancel in every sign the kernel decides, so the
+    property checks the branch's arithmetic; its signs are checked by
+    `test_kernel_matches_fm_oracle`.)"""
+    scalar = geometry._scalar
+
+    def conjugated(num, den):
+        x = scalar(num, den)
+        return QuadExt(x.a, -x.b, x.d) if isinstance(x, QuadExt) else x
+
+    monkeypatch.setattr(geometry, "_scalar", conjugated)
+    with pytest.raises(AssertionError):
+        test_sqrt5_shear_keeps_tiles_and_orbits()

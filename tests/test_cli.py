@@ -177,6 +177,14 @@ def test_quasi_certify(tri_file, capsys):
         assert code == 3 and "error" in cert
 
 
+# a triangle with the vertex (4, 1/0), in plain form and as a {"a","b","d"} scalar
+ZERO_DENOMINATOR_DOCS = {
+    "ZERO_DEN": '{"field": "rational", "vertices": [["0","0"],["1","3"],["4","1/0"]]}',
+    "ZERO_DEN_QUAD": ('{"field": {"quad": 5}, "vertices": [["0","0"],["1","3"],'
+                      '["4",{"a":"1/0","b":"1","d":5}]]}'),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--random", "n=15 count=1"),
     ("verify", "--random", "n=4 count=0"),
@@ -192,8 +200,17 @@ def test_quasi_certify(tri_file, capsys):
     ("orbit", "TRI", "--point", "8,-2", "--steps", "3", "--json", "/nonexistent/x.json"),
     ("orbit", "TRI", "--point", "8,-2", "--steps", "3", "--svg", "/nonexistent/x.svg"),
     ("verify", "TRI", "--json", "/nonexistent/x.json"),
+    ("classify", "TRI", "--point", "1/0,2"),
+    ("orbit", "TRI", "--point", "1,1/0"),
+    ("quasi", "TRI", "--certify", "5,1/0"),
+    ("validate", "ZERO_DEN"),
+    ("validate", "ZERO_DEN_QUAD"),
 ])
-def test_bad_argument_is_json_input_error(argv, tri_file, capsys):
-    code, out = run(capsys, *[tri_file if a == "TRI" else a for a in argv])
+def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
+    files = {"TRI": tri_file}
+    for name, doc in ZERO_DENOMINATOR_DOCS.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(doc)
+    code, out = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 2
     assert json.loads(out)["error"]

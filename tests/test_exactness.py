@@ -6,9 +6,17 @@ integer sign tests in `geometry` stay inside this guard.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from outerbilliards import geometry
+from outerbilliards.billiards import Chirality, build_partition
+from outerbilliards.generate import random_nice_polygon
+from outerbilliards.geometry import box_region
+from outerbilliards.rng import Rng
+from outerbilliards.scalars import QuadExt
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "outerbilliards"
 KERNEL = ("geometry", "polygon", "billiards", "strips", "dynamics", "paths",
@@ -48,3 +56,56 @@ def test_kernel_module_has_no_float_sites(module):
 ])
 def test_guard_trips_on_each_float_site(snippet):
     assert float_sites(snippet) != []
+
+
+# ---------------------------------------------------------------------------
+# at run time: the region kernel computes on ints, where a true division would
+# return a float that the AST guard above cannot tell from an exact one
+
+
+def exactness_corpus():
+    """The triangle, seeded n = 3..12 and both Q(sqrt 5) kites."""
+    from test_quasirational import TRIANGLE, sqrt5_kite
+    from test_verify import penrose_kite
+
+    return ([TRIANGLE] + [random_nice_polygon(n, n) for n in range(3, 13)]
+            + [sqrt5_kite(), penrose_kite()])
+
+
+def kernel_coordinates(polygon):
+    """Every coordinate the region kernel hands out on the polygon's forward
+    and backward tiles: vertices, interior points (plain and seeded),
+    samples (clipped where unbounded) and recession directions."""
+    clip = box_region(-10 ** 4, -10 ** 4, 10 ** 4, 10 ** 4)
+    for chirality in Chirality:
+        for tile in build_partition(polygon, chirality).tiles:
+            r = tile.region
+            points = list(r.vertices()) + [r.interior_point(), r.interior_point(Rng(3), 1)]
+            points += r.sample_points(2, seed=5, clip=clip)
+            if r.recession_direction() is not None:
+                points.append(r.recession_direction())
+            for p in points:
+                yield p.x
+                yield p.y
+
+
+def test_region_kernel_hands_out_only_exact_scalars():
+    for polygon in exactness_corpus():
+        inexact = {type(x).__name__ for x in kernel_coordinates(polygon)
+                   if not isinstance(x, (Fraction, QuadExt))}
+        assert inexact == set(), polygon.to_document()
+
+
+def test_exact_scalar_walk_trips_on_int_true_division(monkeypatch):
+    """Negative control: a kernel that turns its int quotients into c / b
+    must fail the walk."""
+    scalar = geometry._scalar
+
+    def true_division(num, den):
+        if type(num) is int and type(den) is int:
+            return num / den
+        return scalar(num, den)
+
+    monkeypatch.setattr(geometry, "_scalar", true_division)
+    with pytest.raises(AssertionError, match="float"):
+        test_region_kernel_hands_out_only_exact_scalars()

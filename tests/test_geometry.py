@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fm_oracle import fm_canonical, fm_has_interior, fm_interior_point, fm_sample_points, fm_vertices
+from fm_oracle import (
+    fm_canonical,
+    fm_has_interior,
+    fm_interior_point,
+    fm_recession_direction,
+    fm_sample_points,
+    fm_vertices,
+)
 from outerbilliards import geometry
 from outerbilliards.errors import EmptyRegionError, UnboundedRegionError
 from outerbilliards.geometry import (
@@ -382,6 +389,50 @@ def test_kernel_oracle_catches_kept_zero_length_edges(monkeypatch):
     monkeypatch.setattr(geometry, "_has_length", lambda lo, up: True)
     with pytest.raises(AssertionError):
         test_kernel_matches_fm_oracle()
+
+
+MOTIONS = {
+    "as built": lambda r: r,
+    "translated": lambda r: r.translate(vec(Fraction(5, 3), -2)),
+    "translated by sqrt 5": lambda r: r.translate(Vec(QuadExt(1, 1, 5), Fraction(1, 2))),
+    "reflected": lambda r: r.point_reflect(pt(Fraction(1, 2), 3)),
+    "reflected in sqrt 5": lambda r: r.point_reflect(Point(Fraction(-1), QuadExt(0, 1, 5))),
+}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          report_multiple_bugs=False)
+@given(halfplane_sets(), st.sampled_from(sorted(MOTIONS)))
+@example(BOX[:3], "as built")  # a half-strip: its recession cone is one ray
+@example([B(1, 1, 0, Sense.LE)], "reflected")  # a half-plane
+@example([B(0, 1, 0, Sense.GE), B(0, 1, 1, Sense.LT)], "translated")  # a strip
+@example([B(0, 1, 0, Sense.GE), B(0, 1, 0, Sense.LE), B(1, 0, 0, Sense.GE)], "as built")  # a ray
+def test_stored_recession_matches_scan_oracle(hps, motion):
+    """The boundedness and recession direction read off the stored rays
+    equal the 1-D scans over all constraints, for regions as built and
+    moved rigidly; a moved region keeps the canonical constraint order."""
+    r = MOTIONS[motion](region(hps))
+    want = None if r.is_empty else fm_recession_direction(r.constraints)
+    assert repr(r.recession_direction()) == repr(want)
+    assert r.is_bounded() == (want is None)
+    if motion != "as built" and r.has_interior():
+        assert region(r.constraints).constraints == r.constraints
+
+
+def test_stored_recession_oracle_catches_open_walk(monkeypatch):
+    """Negative control: a kernel that calls a region bounded whenever its
+    walk found a vertex, closed cycle or not, must fail the oracle property."""
+    canonical = geometry._canonical
+
+    def bounded_once_a_vertex(hps, forms):
+        r = canonical(hps, forms)
+        if not r.vertices():
+            return r
+        return ConvexRegion(r.constraints, r.is_empty, r.vertices(), r.has_interior())
+
+    monkeypatch.setattr(geometry, "_canonical", bounded_once_a_vertex)
+    with pytest.raises(AssertionError):
+        test_stored_recession_matches_scan_oracle()
 
 
 @pytest.mark.parametrize("n", [3, 5])
