@@ -12,8 +12,8 @@ cone(w) through v; each tile is open and carries its translation vector.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from .errors import InsidePolygonError, OnPrimaryWallError, UndefinedOnWallError
 from .geometry import (
@@ -104,7 +104,6 @@ class Tile:
     w_index: int
     translation: Vec            # the square map moves interior points by this
     region: ConvexRegion
-    path_id: Optional[Tuple[int, int]] = None
 
     @property
     def label(self) -> Tuple[int, int]:
@@ -113,9 +112,6 @@ class Tile:
     @property
     def unbounded(self) -> bool:
         return not self.region.is_bounded()
-
-    def with_path(self, path_id: Tuple[int, int]) -> "Tile":
-        return replace(self, path_id=path_id)
 
 
 class Partition:

@@ -126,9 +126,8 @@ def cmd_partition(args) -> int:
                      "c": scalar_to_json(h.line.c), "sense": h.sense.value}
                     for h in t.region.constraints],
             }
-            if t.path_id is not None:
-                p = model.paths.by_id[t.path_id]
-                entry["path"] = p.display()
+            if side == "forward":
+                entry["path"] = model.path_of_tile(t).display()
             if not t.unbounded:
                 entry["vertices"] = [_pt_json(v) for v in t.region.vertices()]
             tiles.append(entry)
@@ -160,7 +159,7 @@ def cmd_classify(args) -> int:
     except MapUndefinedError as exc:
         _emit({"schema": "classify/1", "error": str(exc)})
         return EXIT_UNDEFINED
-    path = model.paths.by_id[tile.path_id]
+    path = model.path_of_tile(tile)
     _emit({
         "schema": "classify/1",
         "label": [tile.v_index + 1, tile.w_index + 1],

@@ -51,8 +51,7 @@ def section(model: BilliardModel, p: Point) -> IndexedPoint:
     return IndexedPoint(p, (a - 1) % model.n)
 
 
-def pinwheel_theorem_step(model: BilliardModel, p: Point,
-                          budget_factor: int = 3) -> Tuple[Point, int, int]:
+def pinwheel_theorem_step(model: BilliardModel, p: Point) -> Tuple[Point, int, int]:
     """Follow the pinwheel orbit of iota(p) until it reaches (psi(p), c-1).
 
     Returns (psi(p), steps used, a), a the start spoke of the path a -> b
@@ -66,7 +65,7 @@ def pinwheel_theorem_step(model: BilliardModel, p: Point,
     a = model.path_of_tile(tile).start
     state = IndexedPoint(p, (a - 1) % n)
     target = section(model, q)  # (q, c-1): q lies in the tile of a path c -> d
-    budget = budget_factor * n
+    budget = 3 * n
     for used in range(1, budget + 1):
         state = pinwheel_step(model.system, state)
         if state.point == target.point and state.index == target.index:
@@ -86,17 +85,15 @@ def exit_map(model: BilliardModel, p: Point, budget: int = 1000) -> Tuple[Point,
     raise BudgetExceededError(budget, f"no tile exit within {budget} steps of {p}")
 
 
-def first_return_psi(model: BilliardModel, p: Point, budget: int,
-                     strip_index: int = 0) -> Tuple[Point, int]:
-    """Smallest k >= 1 with psi^k(p) strictly inside the given strip."""
-    pair = model.system.pair(strip_index)
+def first_return_psi(model: BilliardModel, p: Point, budget: int) -> Tuple[Point, int]:
+    """Smallest k >= 1 with psi^k(p) strictly inside strip 0."""
+    pair = model.system.pair(0)
     q = p
     for k in range(1, budget + 1):
         q, _ = square_map(model.polygon, q)
         if pair.location(q) == 1:
             return q, k
-    raise BudgetExceededError(budget, f"no return to strip {strip_index} "
-                                      f"within {budget} steps of {p}")
+    raise BudgetExceededError(budget, f"no return to strip 0 within {budget} steps of {p}")
 
 
 def strip_system_return(system: PinwheelSystem, x: IndexedPoint,

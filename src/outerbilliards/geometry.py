@@ -503,7 +503,7 @@ def _from_min(cycle) -> Tuple[Point, ...]:
 
 
 def _canonical(hps, forms) -> "ConvexRegion":
-    """Canonical region of merged half-planes in `_form_key` order, given
+    """Canonical region of merged half-planes in `_hp_key` order, given
     with their `_form`s.
 
     A closure with interior keeps the constraints whose line clip has
@@ -569,15 +569,15 @@ class Location(enum.Enum):
     OUTSIDE = "outside"
 
 
-def _form_key(form):
-    """The key that orders a region's constraints: the normalized
-    coefficients over the leading |coefficient|, each as its
-    `_scalar_sort_key` pair, computed on the `_form`."""
-    a, b, c, strict = form
-    lead = a if a != 0 else b
-    if lead < 0:
-        lead = -lead
-    return tuple(_scalar_sort_key(_scalar(x, lead)) for x in (a, b, c)) + (strict,)
+def _hp_key(h: HalfPlane):
+    """The key that orders a region's constraints and identifies a region:
+    `h.normalized()` over its leading |coefficient|, each entry as its
+    `_scalar_sort_key` pair, then the strict flag.  That is the line's
+    `_key`, negated when the sense is upper XOR the leading coefficient is
+    negative."""
+    line = h.line
+    neg = h.sense.upper != ((line.a if line.a != 0 else line.b) < 0)
+    return tuple(_scalar_sort_key(-x if neg else x) for x in line._key) + (h.sense.strict,)
 
 
 def _scalar_sort_key(x: Scalar):
@@ -622,15 +622,14 @@ class ConvexRegion:
         # merge duplicates: for identical oriented lines keep the strict one
         by_line = {}
         for h in halfplanes:
-            form = _form(h)
-            key = _form_key(form)
+            key = _hp_key(h)
             prev = by_line.get(key[:3])
             if prev is None or (key[3] and not prev[0][3]):
-                by_line[key[:3]] = (key, h, form)
+                by_line[key[:3]] = (key, h)
         if not by_line:
             return ConvexRegion.whole_plane()
-        merged = sorted(by_line.values(), key=lambda khf: khf[0])
-        return _canonical([h for _, h, _ in merged], [form for _, _, form in merged])
+        merged = [h for _, h in sorted(by_line.values(), key=lambda kh: kh[0])]
+        return _canonical(merged, [_form(h) for h in merged])
 
     @staticmethod
     def whole_plane() -> "ConvexRegion":
@@ -812,7 +811,7 @@ class ConvexRegion:
     def canonical_key(self):
         if self.is_empty:
             return ("empty",)
-        return tuple(_form_key(_form(h)) for h in self.constraints)
+        return tuple(_hp_key(h) for h in self.constraints)
 
     def __eq__(self, other):
         if not isinstance(other, ConvexRegion):

@@ -42,7 +42,8 @@ class BilliardModel:
         return self.polygon.n
 
     def path_of_tile(self, tile):
-        return self.paths.by_id[tile.path_id]
+        """The admissible path of a forward tile, found by the tile's label."""
+        return self.paths.path_for_label(tile.label)
 
     def path_start(self, p):
         """Start spoke index of the path owning the tile containing p."""

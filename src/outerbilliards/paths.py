@@ -8,9 +8,10 @@ head of spoke j, and the next spoke is incident to it either at its tail
 (ordinary: traverse forward) or at its head (special: skip, or end there by
 traversing it backward).
 
-Each emitted path is validated against the telescoping displacement identity;
-matching the paths one-to-one with the nonempty partition tiles happens in
-`link_partition`.
+Each emitted path is validated against the telescoping displacement identity.
+A path's endpoint pair is the label of its forward tile, so a tile finds its
+path by label (`PathFamily.path_for_label`); `link_partition` checks that the
+labels match the paths one-to-one.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ class AdmissiblePath:
         return self.end_lifted % self.n
 
     @property
-    def path_id(self) -> Tuple[int, int]:
-        return (self.start, self.end_lifted)
-
-    @property
     def length(self) -> int:
         return len(self.involved)
 
@@ -96,12 +93,11 @@ class AdmissiblePath:
 class PathFamily:
     """All admissible paths of a pinwheel system, with endpoint lookup."""
 
-    __slots__ = ("system", "paths", "by_id", "by_endpoints")
+    __slots__ = ("system", "paths", "by_endpoints")
 
     def __init__(self, system: PinwheelSystem, paths: Tuple[AdmissiblePath, ...]):
         self.system = system
         self.paths = paths
-        self.by_id = {p.path_id: p for p in paths}
         self.by_endpoints: Dict[Tuple[int, int], AdmissiblePath] = {}
         for p in paths:
             self.by_endpoints[p.endpoint_pair()] = p
@@ -190,7 +186,8 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
 
 
 def link_partition(partition: Partition, family: PathFamily) -> Partition:
-    """Attach path ids to tiles; exact one-to-one label matching required."""
+    """Check that the tile labels are exactly the paths' endpoint pairs (a
+    one-to-one match), and return the partition unchanged."""
     tile_labels = set(partition.by_label)
     path_labels = set(family.by_endpoints)
     if tile_labels != path_labels:
@@ -199,9 +196,7 @@ def link_partition(partition: Partition, family: PathFamily) -> Partition:
         raise AssertionError(
             f"path/tile label mismatch: paths-without-tiles={missing}, "
             f"tiles-without-paths={extra}")
-    linked = tuple(t.with_path(family.by_endpoints[t.label].path_id)
-                   for t in partition.tiles)
-    return Partition(partition.polygon, partition.chirality, linked)
+    return partition
 
 
 def path_tile(partition: Partition, path: AdmissiblePath) -> Tile:

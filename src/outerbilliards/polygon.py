@@ -25,7 +25,9 @@ from .scalars import scalar_from_json, scalar_to_json, sign
 class Edge:
     """Polygon edge from vertex `tail` to vertex `head` (clockwise order).
 
-    The line is oriented so that the polygon lies on the positive-offset side.
+    The line is oriented so that the polygon lies on the positive-offset side:
+    with d = head - tail it is d.y*x - d.x*y = d.y*tail.x - d.x*tail.y, whose
+    positive side is right of d, the inside of a clockwise polygon.
     """
 
     tail: int
@@ -143,13 +145,9 @@ def _build_edges(verts: Tuple[Point, ...]) -> Tuple[Edge, ...]:
     n = len(verts)
     edges = []
     for i in range(n):
-        tail, head = verts[i], verts[(i + 1) % n]
-        line = Line.through(tail, head)
-        # orient the normal so the polygon sits on the positive side
-        other = verts[(i + 2) % n]
-        if line.side(other) < 0:
-            line = Line(-line.a, -line.b, -line.c)
-        edges.append(Edge(i, (i + 1) % n, line))
+        t = verts[i]
+        d = verts[(i + 1) % n] - t
+        edges.append(Edge(i, (i + 1) % n, Line(d.y, -d.x, d.y * t.x - d.x * t.y)))
     return tuple(edges)
 
 

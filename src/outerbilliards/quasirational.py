@@ -36,7 +36,9 @@ from .strips import PinwheelSystem
 class QuasiData:
     areas: Tuple[Scalar, ...]          # A_j = area(strip_j overlap strip_{j+1})
     quasirational: bool
-    D: Optional[Scalar]                # least positive value with D/A_j integral
+    # with every D/A_j integral: over Q the least positive integer such D
+    # (areas 148/3 give D = 148, not 148/3), else the least positive such D
+    D: Optional[Scalar]
     D_int: Optional[Tuple[int, ...]]   # the integers D/A_j
 
 
@@ -56,11 +58,10 @@ def quasi_analyze(system: PinwheelSystem) -> QuasiData:
     areas = tuple(overlap_area(system, j) for j in range(n))
     assert all(sign(a) > 0 for a in areas)
     if all(isinstance(a, Fraction) for a in areas):
-        num, den = 1, 1
+        num = 1
         for a in areas:
             num = num * a.numerator // gcd(num, a.numerator)
-            den = gcd(den, a.denominator)
-        d = Fraction(num, den)
+        d = Fraction(num)
         ints = tuple(int(d / a) for a in areas)
         return QuasiData(areas, True, d, ints)
     ratios = [areas[j] / areas[0] for j in range(n)]
@@ -85,15 +86,28 @@ def quasi_analyze(system: PinwheelSystem) -> QuasiData:
 
 @dataclass(frozen=True)
 class NecklaceSpec:
-    """The m-th translated copy pair along strip j."""
+    """The m-th translated copy pair along strip j, stored as its rigid
+    motions of P: the translation by m*shift, and the half turn about center
+    followed by that translation."""
 
     j: int
     m: int
     shift: Vec                     # vector parallel to edge j spanning strip j+1
     center: Point                  # the vertex of P on the centerline of strip j
-    p_vertices: Tuple[Point, ...]  # P + m*shift
-    q_vertices: Tuple[Point, ...]  # (180-degree rotation of P about center) + m*shift
     polygon: NicePolygon           # P
+
+    @property
+    def p_vertices(self) -> Tuple[Point, ...]:
+        """The vertices of P + m*shift."""
+        offset = self.shift * self.m
+        return tuple(v + offset for v in self.polygon.vertices)
+
+    @property
+    def q_vertices(self) -> Tuple[Point, ...]:
+        """The vertices of (P turned 180 degrees about center) + m*shift."""
+        offset = self.shift * self.m
+        return tuple(v.reflect_through(self.center) + offset
+                     for v in self.polygon.vertices)
 
     def in_p(self, p: Point) -> bool:
         """p is interior to the copy P + m*shift."""
@@ -135,15 +149,8 @@ def transfer_ratio(system: PinwheelSystem, j: int) -> Scalar:
 
 def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     j = j % system.n
-    shift = necklace_shift(system, j)
-    center = system.pair(j).w
-    offset = shift * m
-    p_vertices = tuple(v + offset for v in system.polygon.vertices)
-    q_vertices = tuple(v.reflect_through(center) + offset
-                       for v in system.polygon.vertices)
-    return NecklaceSpec(j=j, m=m, shift=shift, center=center,
-                        p_vertices=p_vertices, q_vertices=q_vertices,
-                        polygon=system.polygon)
+    return NecklaceSpec(j=j, m=m, shift=necklace_shift(system, j),
+                        center=system.pair(j).w, polygon=system.polygon)
 
 
 # ---------------------------------------------------------------------------

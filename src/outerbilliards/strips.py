@@ -124,27 +124,18 @@ class PinwheelSystem:
         return PinwheelSystem(self.polygon, tuple(pairs), self.spokes)
 
 
-def _canonical_positive_line(raw: Line, inner: Point) -> Line:
-    lead = raw.a if raw.a != 0 else raw.b
-    line = Line(raw.a / lead, raw.b / lead, raw.c / lead)
-    if line.side(inner) < 0:
-        line = Line(-line.a, -line.b, -line.c)
-    return line
-
-
 def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
     """Construct the n pinwheel pairs and spokes, slope-cyclically indexed."""
     n = polygon.n
     entries = []
     for e in polygon.edges:
         tail, head = polygon.vertices[e.tail], polygon.vertices[e.head]
-        line = _canonical_positive_line(e.line, _inner_reference(polygon, e.tail))
+        # the edge line, polygon on its positive side, over its leading |coefficient|
+        lead = abs(e.line.a if e.line.a != 0 else e.line.b)
+        line = Line(e.line.a / lead, e.line.b / lead, e.line.c / lead)
         offsets = [line.signed_offset(v) for v in polygon.vertices]
+        # unique: no two sides of a nice polygon are parallel
         far = max(range(n), key=lambda i: offsets[i])
-        ties = [i for i in range(n) if offsets[i] == offsets[far]]
-        if len(ties) != 1:
-            # two equidistant vertices would mean an edge parallel to this one
-            raise AssertionError(f"farthest vertex not unique for edge {e.tail}")
         width = 2 * offsets[far]
         entries.append((head - tail, e, line, far, width))
 
@@ -188,11 +179,6 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
     return system
 
 
-def _inner_reference(polygon: NicePolygon, edge_tail: int) -> Point:
-    # any vertex off the edge works as an interior-side witness
-    return polygon.vertices[(edge_tail + 2) % polygon.n]
-
-
 def _assert_chain(system: PinwheelSystem):
     """Consecutive spokes must share a vertex (pinwheel chain structure)."""
     n = system.n
@@ -228,8 +214,8 @@ def strip_jump(pair: PinwheelPair, p: Point) -> Tuple[Point, int]:
     t = pair.offset(p)
     w = pair.width
     steps = -_floor_div(t, w)
-    if steps == 0:
-        if t == 0 or t == w:
+    if steps == 0:  # 0 <= t < w
+        if t == 0:
             raise OnStripBoundaryError(p, stage=pair.index)
         return p, 0
     if steps > 0:

@@ -8,7 +8,6 @@ Rendering output never feeds back into any computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import ConvexRegion, Point, box_region
@@ -66,13 +65,12 @@ def _fmt(x) -> str:
 
 
 def render_scene(items: Sequence[SceneItem],
-                 viewport: Optional[Tuple] = None,
-                 margin: Fraction = Fraction(1, 10)) -> str:
+                 viewport: Optional[Tuple] = None) -> str:
     """Render items to an SVG 1.1 document string.
 
     viewport is (xmin, ymin, xmax, ymax) in exact scalars; when omitted it is
-    the bounding box of all finite payload geometry, padded by `margin` of its
-    extent.  Unbounded regions are clipped to the viewport.
+    the bounding box of all finite payload geometry, padded by a tenth of its
+    extent plus 1.  Unbounded regions are clipped to the viewport.
     """
     items = list(items)
     if not items:
@@ -89,8 +87,8 @@ def render_scene(items: Sequence[SceneItem],
                     ys.append(p.y)
         if not xs:
             raise EmptySceneError("no finite geometry to set a viewport from")
-        pad_x = (max(xs) - min(xs)) * margin + 1
-        pad_y = (max(ys) - min(ys)) * margin + 1
+        pad_x = (max(xs) - min(xs)) / 10 + 1
+        pad_y = (max(ys) - min(ys)) / 10 + 1
         viewport = (min(xs) - pad_x, min(ys) - pad_y,
                     max(xs) + pad_x, max(ys) + pad_y)
     xmin, ymin, xmax, ymax = viewport
@@ -132,7 +130,7 @@ def render_scene(items: Sequence[SceneItem],
             pts = " ".join(map_pt(p) for p in it.points)
             out.append(f'  <polyline {ident} points="{pts}" {attrs}/>')
         elif it.kind == "points":
-            r = _fmt(Fraction(max(width, height), 200))
+            r = _fmt(max(width, height) / 200)
             for j, p in enumerate(it.points):
                 px, py = map_pt(p).split(",")
                 out.append(f'  <circle id="item{i}p{j}" cx="{px}" cy="{py}" '
@@ -143,19 +141,17 @@ def render_scene(items: Sequence[SceneItem],
     return "\n".join(out) + "\n"
 
 
-def partition_scene(model, include_unbounded: bool = True) -> List[SceneItem]:
+def partition_scene(model) -> List[SceneItem]:
     """Scene items for a forward partition: the polygon plus one filled
     region per tile (unbounded tiles get clipped by the viewport)."""
     palette = ("#cfe2ff", "#ffe0cc", "#d8f0d0", "#f0d0e8", "#fff3bf", "#d0ecf0")
     items = [draw_polygon(model.polygon.vertices, fill="#aaaaaa")]
     for i, tile in enumerate(sorted(model.partition.tiles, key=lambda t: t.label)):
-        if tile.unbounded and not include_unbounded:
-            continue
         items.append(draw_region(tile.region, fill=palette[i % len(palette)]))
     return items
 
 
-def default_viewport(model, strip_margin: int = 2):
+def default_viewport(model):
     """Bounded-tile extent padded by two strip widths on every side."""
     xs, ys = [], []
     for tile in model.partition.tiles:
@@ -166,5 +162,5 @@ def default_viewport(model, strip_margin: int = 2):
     for v in model.polygon.vertices:
         xs.append(v.x)
         ys.append(v.y)
-    pad = strip_margin * model.system.max_width()
+    pad = 2 * model.system.max_width()
     return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)

@@ -85,7 +85,7 @@ def _polygon_doc(model: BilliardModel) -> dict:
 
 
 def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
-                           seed: int = 0, budget_factor: int = 3) -> CheckReport:
+                           seed: int = 0) -> CheckReport:
     """Every sampled tile point must reach its landing state within 3n
     pinwheel steps; bounded-tile samples additionally realize the 2n-step
     bound and visit exactly the telescoped prefix points on the way."""
@@ -126,15 +126,12 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
         idx += 1
         rep.sample()
         try:
-            q, used, _ = pinwheel_theorem_step(model, p, budget_factor)
+            q, used, _ = pinwheel_theorem_step(model, p)
         except BudgetExceededError:
-            rep.fail(repr(p), f"k <= {budget_factor * n}", "budget exceeded", idx)
+            rep.fail(repr(p), f"k <= {3 * n}", "budget exceeded", idx)
             continue
         except MapUndefinedError:
             rep.skip()
-            continue
-        if used > 3 * n:
-            rep.fail(repr(p), f"k <= {3 * n}", f"k = {used}", idx)
             continue
         if tile is not None and not tile.unbounded:
             err = _structure2_realization(model, tile, p, q)
@@ -150,7 +147,7 @@ def _structure2_realization(model: BilliardModel, tile, p: Point, q: Point):
     """The pinwheel orbit of (p, a-1) must reach (psi(p), b-1) within 2n
     steps, and its planar trace must equal the telescoped prefix points."""
     n = model.n
-    path = model.paths.by_id[tile.path_id]
+    path = model.path_of_tile(tile)
     state = IndexedPoint(p, (path.start - 1) % n)
     target_index = (path.end_lifted - 1) % n
     expected = [p]
@@ -173,14 +170,13 @@ def _structure2_realization(model: BilliardModel, tile, p: Point, q: Point):
     return (f"(psi(p), b-1) within {2 * n} pinwheel steps", "not reached")
 
 
-def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0,
-                    radius=None) -> CheckReport:
+def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> CheckReport:
     """Beyond the far radius: k is 1 or 2, and k = 2 exactly when the image
     lands inside a pinwheel strip (which is then the index-shifting strip)."""
     rep = CheckReport("far-field-dichotomy", _polygon_doc(model), seed)
     t0 = time.monotonic()
     n = model.n
-    R = radius if radius is not None else far_radius(model)
+    R = far_radius(model)
     rep.notes.append(f"far radius = {R}")
     rng = Rng(seed).split(0xFA7)
     i = 0
@@ -224,7 +220,7 @@ def check_structure3(model: BilliardModel, samples: int = 40,
     per_tile = max(2, samples // max(len(tiles), 1))
     idx = 0
     for tile in tiles:
-        path = model.paths.by_id[tile.path_id]
+        path = model.path_of_tile(tile)
         b = path.end
         for p in tile_samples(model, tile, per_tile, rng.split(idx)):
             idx += 1
@@ -284,7 +280,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
     for tile in model.partition.tiles:
         if tile.unbounded:
             continue
-        path = model.paths.by_id[tile.path_id]
+        path = model.path_of_tile(tile)
         if corrupt_terminal_sign:
             steps = dict(path.steps)
             steps[path.end_lifted] = -steps[path.end_lifted]

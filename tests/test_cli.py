@@ -113,6 +113,163 @@ def test_partition_backward_json_golden(poly_key, tri_file, tmp_path, capsys):
     assert digest == PARTITION_BACKWARD_SHA256[poly_key]
 
 
+GOLDEN_STARTS = ("5,7/3", "8,-2", "1000,1/3")
+GOLDEN_MAPS = ("psi", "psistar", "exit", "return", "stripreturn")
+
+
+def golden_polygon_text(poly_key):
+    from test_quasirational import sqrt5_kite
+    from test_verify import penrose_kite
+
+    if poly_key == "triangle":
+        return TRIANGLE_DOC
+    if poly_key in ("sqrt5_kite", "penrose_kite"):
+        kite = {"sqrt5_kite": sqrt5_kite, "penrose_kite": penrose_kite}[poly_key]
+        return polygon_to_text(kite())
+    n = int(poly_key[1:])
+    return polygon_to_text(random_nice_polygon(n, seed=n))
+
+
+def cli_output_digests(poly_file, tmp_path, capsys):
+    """sha256 of every command's exit code, stdout and written files, by command."""
+    def out(*argv):
+        code, text = run(capsys, *argv)
+        return f"{code}\n{text}"
+
+    f = str(poly_file)
+    svg, js, vjs = (tmp_path / name for name in ("p.svg", "p.json", "v.json"))
+    groups = {
+        "validate": out("validate", f),
+        "partition": (out("partition", f, "--backward")
+                      + out("partition", f, "--json", str(js), "--svg", str(svg))
+                      + js.read_text() + svg.read_text()),
+        "quasi": out("quasi", f, "--m", "2", "--certify", "5,7/3"),
+        "classify": "".join(out("classify", f, "--point", p) for p in GOLDEN_STARTS),
+        "orbit": "".join(out("orbit", f, "--point", p, "--map", m, "--steps", "30")
+                         for p in GOLDEN_STARTS for m in GOLDEN_MAPS),
+        "verify": (out("verify", f, "--samples", "6", "--negative-controls",
+                       "--json", str(vjs)) + vjs.read_text()),
+    }
+    return {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in groups.items()}
+
+
+# Truncated sha256 of each command group's output, recorded before tiles
+# reached their paths by label and before ring copies became rigid motions.
+CLI_OUTPUT_SHA256 = {
+    "triangle": {
+        "validate": "f5f00d0e27c75c80",
+        "partition": "f82cc8a8a3f8670d",
+        "quasi": "c9fa100b9fe2ca55",
+        "classify": "adf6221d372753a0",
+        "orbit": "be6970840593b5d6",
+        "verify": "2100ce64ac8f439e",
+    },
+    "n3": {
+        "validate": "da724c66f3dc16b6",
+        "partition": "a224bc2d3e3e8a67",
+        "quasi": "b434690adbde692f",
+        "classify": "40df603e96f76357",
+        "orbit": "30f483866128e12f",
+        "verify": "aae36abcde90e74a",
+    },
+    "n4": {
+        "validate": "9b90dfb6de4f6f8c",
+        "partition": "a3f448d3453e5f46",
+        "quasi": "82bb15a330cf4d9a",
+        "classify": "4eb38b39cc74e56f",
+        "orbit": "d0e3b83d946d4b27",
+        "verify": "c463144aedfd0131",
+    },
+    "n5": {
+        "validate": "fa54abd6ef40da04",
+        "partition": "99004d7ac59a95c6",
+        "quasi": "18004001d8a1463d",
+        "classify": "92a2dc2068f96951",
+        "orbit": "e012318e9ae36ba7",
+        "verify": "ead433668a904b0f",
+    },
+    "n6": {
+        "validate": "809a96259b42f6da",
+        "partition": "bdeb279bdb4dbaff",
+        "quasi": "5eb9be7f74e6aa6d",
+        "classify": "9746a48da418da40",
+        "orbit": "2207ff2d88d2c9fa",
+        "verify": "141c784653890f84",
+    },
+    "n7": {
+        "validate": "8d91ecce655fd6d6",
+        "partition": "ae2fa9e442831aa1",
+        "quasi": "90598cb8f1b31199",
+        "classify": "20ba5d4a3d079eaf",
+        "orbit": "a5371c34e2cc357a",
+        "verify": "21eef868979be300",
+    },
+    "n8": {
+        "validate": "2bc386bfc98cb780",
+        "partition": "4c31ff8250dacf00",
+        "quasi": "0f309756e449e22e",
+        "classify": "63c2c17f8d48f642",
+        "orbit": "5faa863c2460d300",
+        "verify": "3a44c0d230b52b82",
+    },
+    "n9": {
+        "validate": "7546f7ea0b5f28b0",
+        "partition": "9038168c9d96eddb",
+        "quasi": "4e8d6b5886586d71",
+        "classify": "6a64de14c0968c5d",
+        "orbit": "d8ec53bc856c26de",
+        "verify": "c46ef84a80f198d2",
+    },
+    "n10": {
+        "validate": "6ba2750347ceaa2a",
+        "partition": "50bb2ad9563f2838",
+        "quasi": "9ba6ae4c6690be44",
+        "classify": "3bd17f4914247f01",
+        "orbit": "93d71328d3e9806d",
+        "verify": "388525896679aa97",
+    },
+    "n11": {
+        "validate": "addf4f4ced111101",
+        "partition": "16081df3963a6be2",
+        "quasi": "b03e0536d7f44349",
+        "classify": "e8471ec29ec3d550",
+        "orbit": "505a5666f4671489",
+        "verify": "81e65f0d3e56c2e0",
+    },
+    "n12": {
+        "validate": "10ec02bbb17ff6eb",
+        "partition": "f87f0477a14b077e",
+        "quasi": "1d2acb12d2ad5d00",
+        "classify": "8c96399c044a34b1",
+        "orbit": "b28f3b5931075933",
+        "verify": "c810bd1fdeed0c96",
+    },
+    "sqrt5_kite": {
+        "validate": "1b0bce3050085177",
+        "partition": "f5d36f06437633c2",
+        "quasi": "4abb1241a5248006",
+        "classify": "e0db664b646919d0",
+        "orbit": "28a599c439afab82",
+        "verify": "36af5e6f8b95ce69",
+    },
+    "penrose_kite": {
+        "validate": "4a2180957e3009f2",
+        "partition": "eeb9e1df04f611d5",
+        "quasi": "cc061b8a854cc322",
+        "classify": "179251f0d2aa725e",
+        "orbit": "29a7e8550cc1f083",
+        "verify": "2e938c17101df3a5",
+    },
+}
+
+
+@pytest.mark.parametrize("poly_key", sorted(CLI_OUTPUT_SHA256))
+def test_cli_outputs_golden(poly_key, tmp_path, capsys):
+    f = tmp_path / f"{poly_key}.json"
+    f.write_text(golden_polygon_text(poly_key))
+    assert cli_output_digests(f, tmp_path, capsys) == CLI_OUTPUT_SHA256[poly_key]
+
+
 def test_orbit_psi_events(tri_file, capsys):
     code, out = run(capsys, "orbit", tri_file, "--point", "8,-2",
                     "--map", "psi", "--steps", "3")
@@ -134,6 +291,18 @@ def test_orbit_svg_trace(tri_file, tmp_path, capsys):
                   "--map", "psi", "--steps", "8", "--svg", str(svg))
     assert code == 0
     assert "<polyline" in svg.read_text()
+
+
+def test_orbit_svg_trace_over_sqrt5(tmp_path, capsys):
+    from test_quasirational import sqrt5_kite
+
+    kite, svg = tmp_path / "kite.json", tmp_path / "orbit.svg"
+    kite.write_text(polygon_to_text(sqrt5_kite()))
+    code, out = run(capsys, "orbit", str(kite), "--point=5,7/3", "--svg", str(svg))
+    assert code == 0
+    assert json.loads(out)["events"]
+    text = svg.read_text()
+    assert "<polyline" in text and text.count("<circle") == 2
 
 
 def test_verify_random_reproducible(capsys):

@@ -55,7 +55,7 @@ def test_section_projects_back():
         x = section(m, p)
         assert x.point == p
         tile = m.partition.classify(p)
-        a = m.paths.by_id[tile.path_id].start
+        a = m.paths.path_for_label(tile.label).start
         assert x.index == (a - 1) % m.n
 
 

@@ -126,7 +126,7 @@ def test_nonadmissible_pair_on_hexagon():
 
 def test_prefix_closure():
     for m in models():
-        by_id = m.paths.by_id
+        by_id = {(q.start, q.end_lifted) for q in m.paths.paths}
         for p in m.paths.paths:
             if p.length < 3:
                 continue

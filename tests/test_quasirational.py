@@ -72,6 +72,15 @@ def test_least_common_multiple_is_least():
     assert any((half / a).denominator != 1 for a in q.areas)
 
 
+def test_rational_areas_give_least_integer_D():
+    # over Q, D is the least positive integer with every D/A_j integral, not
+    # the least positive value (that would be 148/3 here, with D_j = 1)
+    q = quasi_analyze(BilliardModel(random_nice_polygon(3, seed=1)).system)
+    assert q.areas == (Fraction(148, 3),) * 3
+    assert q.D == 148 and q.D.denominator == 1
+    assert q.D_int == (3, 3, 3)
+
+
 def test_sqrt5_kite_not_quasirational():
     m = BilliardModel(sqrt5_kite())
     q = quasi_analyze(m.system)
