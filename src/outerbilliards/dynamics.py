@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .billiards import square_map
-from .errors import BudgetExceededError, MapUndefinedError, OnStripBoundaryError
+from .errors import BudgetExceededError, MapUndefinedError
 from .geometry import Point, norm2_sq
 from .model import BilliardModel
 from .scalars import Scalar
@@ -33,16 +33,13 @@ class IndexedPoint:
 
 
 def pinwheel_step(system: PinwheelSystem, x: IndexedPoint) -> IndexedPoint:
-    """One application of the pinwheel map."""
+    """One application of the pinwheel map: strip map j = index + 1, once.
+    Where it fixes the point (returns it as is) the index advances to j;
+    otherwise it holds."""
     n = system.n
     j = (x.index + 1) % n
-    pair = system.pair(j)
-    loc = pair.location(x.point)
-    if loc == 0:
-        raise OnStripBoundaryError(x.point, stage=j)
-    if loc > 0:
-        return IndexedPoint(x.point, j)
-    return IndexedPoint(strip_map(pair, x.point), x.index % n)
+    q = strip_map(system.pair(j), x.point)
+    return IndexedPoint(q, j if q is x.point else x.index % n)
 
 
 def section(model: BilliardModel, p: Point) -> IndexedPoint:

@@ -7,10 +7,11 @@ line by all the other constraints (a one-dimensional interval, exact, no
 floating point); from these edge intervals it reads emptiness, the
 non-redundant constraints, the clockwise vertex cycle and the rays that
 generate the recession cone.  The pass computes on each line's integer form
-(ints, or integers of Q(sqrt d)): an interval end is a (num, den) pair
-compared by cross-multiplication, and the clipping builds a Fraction only for
-a vertex.  A region is bounded exactly when it has no rays (with interior:
-when its vertex cycle closes), and `recession_direction` reads the rays.
+(ints, or `QuadInt`s over Q(sqrt d), read off `as_integer_ratio()`): an
+interval end is a (num, den) pair compared by cross-multiplication, and the
+clipping builds a scalar (`ratio`) only for a vertex.  A region is bounded
+exactly when it has no rays (with interior: when its vertex cycle closes),
+and `recession_direction` reads the rays.
 Translations and point reflections move a canonical region, rays included,
 without running the pass again.
 
@@ -28,7 +29,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EmptyRegionError, UnboundedRegionError
 from .rng import Rng
-from .scalars import QuadExt, Scalar, ScalarLike, as_scalar, quad_sign, quadext, sign
+from .scalars import Scalar, ScalarLike, as_scalar, ratio, sign, sort_key
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +133,12 @@ class Line:
     Coefficients are stored exactly as given (so signed offsets keep the
     caller's scale); equality and hashing use a canonical rescaling, making
     wall-coincidence tests structural.  Construction also keeps an integer
-    form, (a, b, c) times the positive lcm of their denominators, from which
-    `side` decides every point-versus-line predicate.
+    form, (a, b, c) times the positive lcm of their denominators (ints, or
+    QuadInts where a coefficient has a sqrt(d) part), from which `side`
+    decides every point-versus-line predicate.
     """
 
-    __slots__ = ("a", "b", "c", "_key", "_num", "_rad", "_d")
+    __slots__ = ("a", "b", "c", "_key", "_ints")
 
     def __init__(self, a: ScalarLike, b: ScalarLike, c: ScalarLike):
         a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
@@ -147,21 +149,12 @@ class Line:
         object.__setattr__(self, "c", c)
         lead = a if a != 0 else b
         object.__setattr__(self, "_key", (a / lead, b / lead, c / lead))
-        num, rad, d = _integer_form((a, b, c))
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_rad", rad)
-        object.__setattr__(self, "_d", d)
+        fracs = [x.as_integer_ratio() for x in (a, b, c)]
+        scale = math.lcm(*(q for _, q in fracs))
+        object.__setattr__(self, "_ints", tuple(n * (scale // q) for n, q in fracs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
-
-    @staticmethod
-    def through(p: Point, q: Point) -> "Line":
-        d = q - p
-        if d.is_zero():
-            raise ValueError("line through two equal points")
-        # normal (-dy, dx); offset of x is then cross(d, x - p)
-        return Line(-d.y, d.x, d.x * p.y - d.y * p.x)
 
     def signed_offset(self, p: Point) -> Scalar:
         """a*p.x + b*p.y - c; zero exactly when p lies on the line."""
@@ -170,28 +163,16 @@ class Line:
     def side(self, p: Point) -> int:
         """The exact sign of `signed_offset(p)`: -1, 0 or +1.
 
-        p is taken to homogeneous integer coordinates (X, Y, Q), Q > 0, with
-        (x, y) = (X/Q, Y/Q), and the sign of a*X + b*Y - c*Q is read on the
-        integer coefficients; over Q(sqrt d) each integer is a (rational
-        part, sqrt(d) part) pair and `quad_sign` decides the sign.
+        p is taken to homogeneous integer coordinates (X, Y, Q) with
+        (x, y) = (X/Q, Y/Q) and int Q > 0 (from `as_integer_ratio()`), and
+        the sign of a*X + b*Y - c*Q is read on the integer form: an int, or
+        over Q(sqrt d) a QuadInt.
         """
-        x, y = p.x, p.y
-        if self._d is None and not isinstance(x, QuadExt) and not isinstance(y, QuadExt):
-            a, b, c = self._num
-            xn, xq = x.as_integer_ratio()
-            yn, yq = y.as_integer_ratio()
-            t = a * xn * yq + b * yn * xq - c * xq * yq
-            return (t > 0) - (t < 0)
-        xr, xs, xq, dx = _integer_parts(x)
-        yr, ys, yq, dy = _integer_parts(y)
-        d = _common_radicand((self._d, dx, dy))
-        ar, br, cr = self._num
-        as_, bs, cs = self._rad or (0, 0, 0)
-        q = xq * yq
-        # (u + v sqrt d)(r + s sqrt d) = (u r + v s d) + (u s + v r) sqrt d
-        rat = (ar * xr + as_ * xs * d) * yq + (br * yr + bs * ys * d) * xq - cr * q
-        rad = (ar * xs + as_ * xr) * yq + (br * ys + bs * yr) * xq - cs * q
-        return quad_sign(rat, rad, d)
+        a, b, c = self._ints
+        xn, xq = p.x.as_integer_ratio()
+        yn, yq = p.y.as_integer_ratio()
+        t = a * (xn * yq) + b * (yn * xq) - c * (xq * yq)
+        return (t > 0) - (t < 0)
 
     def normal(self) -> Vec:
         return Vec(self.a, self.b)
@@ -219,36 +200,6 @@ class Line:
 
     def __repr__(self):
         return f"Line({self.a}, {self.b}, {self.c})"
-
-
-def _integer_form(coeffs):
-    """Coefficients times the positive lcm of all their denominators: the
-    int rational parts, the int sqrt(d) parts (None over Q), and d."""
-    parts = [_integer_parts(x) for x in coeffs]
-    d = _common_radicand(d for _, _, _, d in parts)
-    scale = math.lcm(*(q for _, _, q, _ in parts))
-    num = tuple(r * (scale // q) for r, _, q, _ in parts)
-    if d is None:
-        return num, None, None
-    return num, tuple(s * (scale // q) for _, s, q, _ in parts), d
-
-
-def _common_radicand(ds):
-    """The one d among ds, None entries aside (None when all are None);
-    two different values are a ValueError, as in QuadExt arithmetic."""
-    fields = set(ds) - {None}
-    if len(fields) > 1:
-        raise ValueError("cannot mix " + " with ".join(f"sqrt({d})" for d in sorted(fields)))
-    return fields.pop() if fields else None
-
-
-def _integer_parts(x):
-    """x as (r, s, q, d) with x = (r + s*sqrt(d)) / q, q > 0; d None over Q."""
-    if isinstance(x, QuadExt):
-        (an, aq), (bn, bq) = x.a.as_integer_ratio(), x.b.as_integer_ratio()
-        return an * bq, bn * aq, aq * bq, x.d
-    n, q = x.as_integer_ratio()
-    return n, 0, q, None
 
 
 class Sense(enum.Enum):
@@ -306,91 +257,19 @@ def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> Hal
 
 
 # ---------------------------------------------------------------------------
-# the kernel's integers: a constraint's integer form, and Z[sqrt d] over Q(sqrt d)
-
-
-class _Zd:
-    """r + s*sqrt(d) with int r and s, the integers the region kernel
-    computes on over Q(sqrt d); plain ints mix in freely.  Comparisons are
-    exact (`quad_sign`); two different d are a ValueError."""
-
-    __slots__ = ("r", "s", "d")
-
-    def __init__(self, r: int, s: int, d: int):
-        self.r, self.s, self.d = r, s, d
-
-    def _split(self, other):
-        if type(other) is _Zd:
-            if other.d != self.d:
-                raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-            return other.r, other.s
-        return other, 0
-
-    def __add__(self, other):
-        r, s = self._split(other)
-        return _Zd(self.r + r, self.s + s, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r, s = self._split(other)
-        return _Zd(self.r - r, self.s - s, self.d)
-
-    def __rsub__(self, other):
-        r, s = self._split(other)
-        return _Zd(r - self.r, s - self.s, self.d)
-
-    def __neg__(self):
-        return _Zd(-self.r, -self.s, self.d)
-
-    def __mul__(self, other):
-        r, s = self._split(other)
-        return _Zd(self.r * r + self.s * s * self.d, self.r * s + self.s * r, self.d)
-
-    __rmul__ = __mul__
-
-    def _cmp(self, other) -> int:
-        r, s = self._split(other)
-        return quad_sign(self.r - r, self.s - s, self.d)
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    __hash__ = None
+# the kernel's integers: a constraint's integer form
 
 
 def _form(h: HalfPlane):
     """h as (a, b, c, strict), meaning a*x + b*y >= c (> c when strict): its
-    line's integer form, negated for an upper sense.  Entries with a sqrt(d)
-    part are `_Zd`, the others ints.  The form is a positive multiple of
+    line's integer form, negated for an upper sense: ints, and QuadInts for
+    entries with a sqrt(d) part.  The form is a positive multiple of
     `h.normalized()`, and every value the kernel reads off it is invariant
     under that scale."""
-    line = h.line
-    if line._d is None:
-        a, b, c = line._num
-    else:
-        a, b, c = (r if s == 0 else _Zd(r, s, line._d) for r, s in zip(line._num, line._rad))
+    a, b, c = h.line._ints
     if h.sense.upper:
         return -a, -b, -c, h.sense.strict
     return a, b, c, h.sense.strict
-
-
-def _scalar(num, den) -> Scalar:
-    """num/den (den != 0) as a Fraction or QuadExt."""
-    if type(num) is int and type(den) is int:
-        return Fraction(num, den)
-    nr, ns, nd = (num.r, num.s, num.d) if type(num) is _Zd else (num, 0, None)
-    qr, qs, qd = (den.r, den.s, den.d) if type(den) is _Zd else (den, 0, None)
-    d = _common_radicand((nd, qd))
-    # (nr + ns sqrt d) / (qr + qs sqrt d), times the conjugate over itself
-    norm = qr * qr - qs * qs * d
-    return quadext(Fraction(nr * qr - ns * qs * d, norm), Fraction(ns * qr - nr * qs, norm), d)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +368,11 @@ def _on_line(form, bound) -> Point:
     a, b, c, _ = form
     num, den, _ = bound
     q = (a * a + b * b) * den
-    return Point(_scalar(a * c * den - b * num, q), _scalar(b * c * den + a * num, q))
+    return Point(ratio(a * c * den - b * num, q), ratio(b * c * den + a * num, q))
 
 
 def _point_key(p: Point):
-    return (_scalar_sort_key(p.x), _scalar_sort_key(p.y))
+    return (sort_key(p.x), sort_key(p.y))
 
 
 def _from_min(cycle) -> Tuple[Point, ...]:
@@ -572,19 +451,12 @@ class Location(enum.Enum):
 def _hp_key(h: HalfPlane):
     """The key that orders a region's constraints and identifies a region:
     `h.normalized()` over its leading |coefficient|, each entry as its
-    `_scalar_sort_key` pair, then the strict flag.  That is the line's
+    `sort_key` pair, then the strict flag.  That is the line's
     `_key`, negated when the sense is upper XOR the leading coefficient is
     negative."""
     line = h.line
     neg = h.sense.upper != ((line.a if line.a != 0 else line.b) < 0)
-    return tuple(_scalar_sort_key(-x if neg else x) for x in line._key) + (h.sense.strict,)
-
-
-def _scalar_sort_key(x: Scalar):
-    # (rational part, radical part) sorts Fractions and QuadExts consistently
-    if isinstance(x, QuadExt):
-        return (x.a, x.b)
-    return (x, 0)
+    return tuple(sort_key(-x if neg else x) for x in line._key) + (h.sense.strict,)
 
 
 class ConvexRegion:
@@ -666,12 +538,11 @@ class ConvexRegion:
         if not self._interior:
             raise EmptyRegionError("region has empty interior")
         y = _pick_in_interval(self._y_bound(1), self._y_bound(-1), rng, 2 * counter)
-        yr, ys, yq, yd = _integer_parts(y)
-        yn = yr if ys == 0 else _Zd(yr, ys, yd)
+        yn, yq = y.as_integer_ratio()
         # a*x > c - b*y on every constraint, times the denominator yq > 0
         xlo, xup = _one_dim_interval((a * yq, c * yq - b * yn, True)
                                      for a, b, c, _ in map(_form, self.constraints))
-        x = _pick_in_interval(xlo and _scalar(xlo[0], xlo[1]), xup and _scalar(xup[0], xup[1]),
+        x = _pick_in_interval(xlo and ratio(xlo[0], xlo[1]), xup and ratio(xup[0], xup[1]),
                               rng, 2 * counter + 1)
         return Point(as_scalar(x), as_scalar(y))
 
@@ -682,7 +553,7 @@ class ConvexRegion:
             return None
         # else the extreme y is at a vertex, or on a horizontal edge line
         ys = [p.y for p in self._vertices]
-        ys += [_scalar(c, b) for a, b, c, _ in map(_form, self.constraints) if a == 0 and s * b > 0]
+        ys += [ratio(c, b) for a, b, c, _ in map(_form, self.constraints) if a == 0 and s * b > 0]
         return min(ys) if s > 0 else max(ys)
 
     def recession_direction(self) -> Optional[Vec]:
@@ -697,7 +568,7 @@ class ConvexRegion:
         (0, 1) ((0, -1)) satisfies every constraint's a*x + b*y >= 0.
         """
         for dx in (1, -1):
-            ts = [_scalar(gy, gx * dx) for gx, gy in self._rays if gx * dx > 0]
+            ts = [ratio(gy, gx * dx) for gx, gy in self._rays if gx * dx > 0]
             if ts:
                 lo = None if self._recedes(-1) else min(ts)
                 up = None if self._recedes(1) else max(ts)

@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import Line, Location, Point
-from .scalars import scalar_from_json, scalar_to_json, sign
+from .scalars import radicand, scalar_from_json, scalar_to_json, sign
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,23 @@ class Edge:
 
 
 class NicePolygon:
-    """A strictly convex polygon, clockwise vertices, no two sides parallel."""
+    """A strictly convex polygon, clockwise vertices, no two sides parallel.
+
+    quad_d is the d of the polygon's field Q(sqrt d) (None: Q).  When not
+    given it is read off the vertices; a vertex over another field is a
+    ValueError.
+    """
 
     __slots__ = ("vertices", "reoriented", "edges", "quad_d")
 
     def __init__(self, vertices: Sequence[Point], reoriented: bool = False,
                  quad_d: Optional[int] = None):
         verts = tuple(vertices)
+        fields = {radicand(x) for v in verts for x in (v.x, v.y)} | {quad_d}
+        fields.discard(None)
+        if len(fields) > 1:
+            raise ValueError("cannot mix " + " with ".join(f"sqrt({d})" for d in sorted(fields)))
+        quad_d = fields.pop() if fields else None
         _validate(verts)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "reoriented", reoriented)

@@ -157,31 +157,25 @@ def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
 # annulus membership and the boundedness certificate
 
 
-def _axis_coord(system: PinwheelSystem, j: int, p: Point) -> Scalar:
-    d = necklace_shift(system, j)
-    return d.x * p.x + d.y * p.y
-
-
-def _ring_axis_range(system: PinwheelSystem, j: int, m: int):
-    """The axis-coordinate range (along d = necklace_shift(j)) of the ring
-    copies P + m*d and Q + m*d: the range of P and its reflection Q about the
-    centre vertex, shifted by m*(d.d)."""
+def _ring_base(system: PinwheelSystem, j: int):
+    """(d, lo, hi, dd) for strip j: d = necklace_shift(system, j), [lo, hi]
+    the axis-coordinate range (along d) of P and its reflection Q about the
+    centre vertex, and dd = d.d.  The ring copies P + m*d and Q + m*d span
+    [lo, hi] + m*dd."""
     d = necklace_shift(system, j)
     vals = [d.x * v.x + d.y * v.y for v in system.polygon.vertices]
     lo, hi = min(vals), max(vals)
     c = system.pair(j).w
     twice_center = 2 * (d.x * c.x + d.y * c.y)
-    shift = m * d.dot(d)
-    return min(lo, twice_center - hi) + shift, max(hi, twice_center - lo) + shift
+    return d, min(lo, twice_center - hi), max(hi, twice_center - lo), d.dot(d)
 
 
 def annulus_windows(system: PinwheelSystem, j: int, m_exponent: int):
     """The two axis-coordinate windows of strip j strictly between the base
     ring and the +-m_exponent rings."""
-    lo0, hi0 = _ring_axis_range(system, j, 0)
-    lo_p, _ = _ring_axis_range(system, j, m_exponent)
-    _, hi_m = _ring_axis_range(system, j, -m_exponent)
-    return ((hi0, lo_p), (hi_m, lo0))
+    _, lo, hi, dd = _ring_base(system, j)
+    shift = m_exponent * dd
+    return ((hi, lo + shift), (hi - shift, lo))
 
 
 def in_annulus(system: PinwheelSystem, j: int, m_exponent: int, p: Point) -> bool:
@@ -189,9 +183,10 @@ def in_annulus(system: PinwheelSystem, j: int, m_exponent: int, p: Point) -> boo
     ring and the +-m_exponent rings (a subset of the pictorial 'between')."""
     if system.pair(j).location(p) != 1:
         return False
-    s = _axis_coord(system, j, p)
-    (a1, b1), (a2, b2) = annulus_windows(system, j, m_exponent)
-    return (a1 < s < b1) or (a2 < s < b2)
+    d, lo, hi, dd = _ring_base(system, j)
+    s = d.x * p.x + d.y * p.y
+    shift = m_exponent * dd
+    return hi < s < lo + shift or hi - shift < s < lo
 
 
 def in_trapped_extent(system: PinwheelSystem, j: int, m_exponent: int,
@@ -199,18 +194,15 @@ def in_trapped_extent(system: PinwheelSystem, j: int, m_exponent: int,
     """Loose membership: inside the strip, within the closed axis extent of
     the two outer rings, and not interior to either outer ring copy.  The
     image of any between-point lands here; points here can never escape."""
-    if system.pair(j).location(p) != 1:
+    pair = system.pair(j)
+    if pair.location(p) != 1:
         return False
-    s = _axis_coord(system, j, p)
-    lo, _ = _ring_axis_range(system, j, -m_exponent)
-    _, hi = _ring_axis_range(system, j, m_exponent)
-    if not (lo <= s <= hi):
+    d, lo, hi, dd = _ring_base(system, j)
+    shift = m_exponent * dd
+    if not (lo - shift <= d.x * p.x + d.y * p.y <= hi + shift):
         return False
-    for m_out in (m_exponent, -m_exponent):
-        spec = necklace(system, j, m_out)
-        if spec.contains(p):
-            return False
-    return True
+    return not any(NecklaceSpec(j % system.n, m_out, d, pair.w, system.polygon).contains(p)
+                   for m_out in (m_exponent, -m_exponent))
 
 
 def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
@@ -237,11 +229,10 @@ def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
             f"point {p} is not inside any strip's m={m} annulus")
     radius = Fraction(0)
     for j in range(n):
-        pair = system.pair(j)
-        lo, _ = _ring_axis_range(system, j, -m * quasi.D_int[j])
-        _, hi = _ring_axis_range(system, j, m * quasi.D_int[j])
-        for s_val in (lo, hi):
-            for off in (Fraction(0), pair.width):
+        _, lo, hi, dd = _ring_base(system, j)
+        shift = m * quasi.D_int[j] * dd
+        for s_val in (lo - shift, hi + shift):
+            for off in (Fraction(0), system.pair(j).width):
                 corner = frame_point(system, j, s_val, off)
                 radius = max(radius, abs(corner.x) + abs(corner.y))
     return True, radius

@@ -2,15 +2,21 @@
 
 Every coordinate in the library is either a ``fractions.Fraction`` or a
 ``QuadExt`` value ``a + b*sqrt(d)`` with rational ``a``, ``b`` and a fixed
-square-free integer ``d >= 2``.  All operations are exact field operations;
-nothing in this module (or anything built on it) ever rounds.
+square-free integer ``d >= 2``.  This is the one module that knows how a
+number of Q(sqrt d) is built: a ``QuadExt`` is a ``QuadInt`` numerator
+``r + s*sqrt(d)`` (int ``r`` and ``s``) over a positive int denominator, in
+lowest terms, and all of its arithmetic is ``QuadInt`` arithmetic followed by
+one division, `ratio`.  ``as_integer_ratio()`` hands out that pair, as
+``Fraction.as_integer_ratio()`` hands out two ints, so other modules compute
+on integers over either field alike.  All operations are exact field
+operations; nothing in this module (or anything built on it) ever rounds.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 Scalar = Union[Fraction, "QuadExt"]
 ScalarLike = Union[int, Fraction, "QuadExt"]
@@ -53,54 +59,171 @@ def quad_sign(a, b, d: int) -> int:
     return -_sign_rational(t)
 
 
+class QuadInt:
+    """r + s*sqrt(d) with int r and s: an integer of Q(sqrt d), d square-free
+    (taken on trust; `QuadExt` checks it where a value enters).  Plain ints
+    mix in freely and s may be 0; comparisons are exact; two different d are
+    a ValueError."""
+
+    __slots__ = ("r", "s", "d")
+
+    def __init__(self, r: int, s: int, d: int):
+        self.r, self.s, self.d = r, s, d
+
+    def _split(self, other):
+        if type(other) is int:
+            return other, 0
+        if type(other) is QuadInt:
+            if other.d != self.d:
+                raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
+            return other.r, other.s
+        raise TypeError(f"cannot combine QuadInt with {type(other).__name__}")
+
+    def __add__(self, other):
+        r, s = self._split(other)
+        return QuadInt(self.r + r, self.s + s, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        r, s = self._split(other)
+        return QuadInt(self.r - r, self.s - s, self.d)
+
+    def __rsub__(self, other):
+        r, s = self._split(other)
+        return QuadInt(r - self.r, s - self.s, self.d)
+
+    def __neg__(self):
+        return QuadInt(-self.r, -self.s, self.d)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return QuadInt(self.r * other, self.s * other, self.d)
+        r, s = self._split(other)
+        # (u + v sqrt d)(r + s sqrt d) = (u r + v s d) + (u s + v r) sqrt d
+        return QuadInt(self.r * r + self.s * s * self.d, self.r * s + self.s * r, self.d)
+
+    __rmul__ = __mul__
+
+    def sign(self) -> int:
+        return quad_sign(self.r, self.s, self.d)
+
+    def _cmp(self, other) -> int:
+        if type(other) is int:
+            return quad_sign(self.r - other, self.s, self.d)
+        r, s = self._split(other)
+        return quad_sign(self.r - r, self.s - s, self.d)
+
+    def __eq__(self, other):
+        return self._cmp(other) == 0
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    __hash__ = None
+
+    def __floor__(self) -> int:
+        # s sqrt(d) = +-sqrt(s^2 d); s^2 d is a perfect square only for s = 0
+        root = math.isqrt(self.s * self.s * self.d)
+        return self.r + (root if self.s >= 0 else -root - 1)
+
+    def __repr__(self):
+        return f"QuadInt({self.r}, {self.s}, {self.d})"
+
+
+def ratio(num, den) -> Scalar:
+    """num/den for ints or QuadInts, den != 0: a Fraction, or a QuadExt in
+    lowest terms.  Every QuadExt result is built here."""
+    if type(den) is QuadInt:
+        # times the conjugate r - s sqrt(d) over itself: the denominator
+        # becomes r^2 - s^2 d, nonzero as sqrt(d) is irrational
+        r, s, d = den.r, den.s, den.d
+        num, den = num * QuadInt(r, -s, d), r * r - s * s * d
+    if type(num) is int:
+        return Fraction(num, den)
+    r, s = num.r, num.s
+    if s == 0:
+        return Fraction(r, den)
+    if den == 0:
+        raise ZeroDivisionError("division by zero")
+    if den < 0:
+        r, s, den = -r, -s, -den
+    g = math.gcd(r, s, den)
+    if g > 1:
+        r, s, den = r // g, s // g, den // g
+    return QuadExt._make(QuadInt(r, s, num.d), den)
+
+
 class QuadExt:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
     Instances always have b != 0; arithmetic that lands back in Q returns a
-    plain Fraction.  Mixing two different values of d is an error.
+    plain Fraction.  Mixing two different values of d is an error.  Stored
+    as `as_integer_ratio()`: a QuadInt numerator over a positive int
+    denominator, with no common factor.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, a: ScalarLike, b: ScalarLike, d: int):
         if isinstance(a, QuadExt) or isinstance(b, QuadExt):
             raise TypeError("QuadExt components must be rational")
         if not (isinstance(d, int) and d >= 2 and is_squarefree(d)):
             raise ValueError(f"d must be a square-free integer >= 2, got {d!r}")
-        b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
         if b == 0:
             raise ValueError("QuadExt requires b != 0; use a Fraction instead")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        # over the lcm of two reduced denominators no factor is common to all
+        den = math.lcm(a.denominator, b.denominator)
+        self._num = QuadInt(a.numerator * (den // a.denominator),
+                            b.numerator * (den // b.denominator), d)
+        self._den = den
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
+    @classmethod
+    def _make(cls, num: QuadInt, den: int) -> "QuadExt":
+        x = object.__new__(cls)
+        x._num, x._den = num, den
+        return x
 
-    # -- coercion helpers -------------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._num.r, self._den)
 
-    def _coerce(self, other):
-        """Return other as (a, b) rational components, or None if unsupported."""
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-            return other.a, other.b
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._num.s, self._den)
+
+    @property
+    def d(self) -> int:
+        return self._num.d
+
+    def as_integer_ratio(self):
+        """(QuadInt numerator, positive int denominator), in lowest terms."""
+        return self._num, self._den
+
+    # -- arithmetic: each operand as (numerator, denominator) ---------------
+
+    @staticmethod
+    def _coerce(other):
+        """other's `as_integer_ratio()`, or None if unsupported."""
+        if isinstance(other, (QuadExt, int, Fraction)):
+            return other.as_integer_ratio()
         return None
-
-    # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         parts = self._coerce(other)
         if parts is None:
             return NotImplemented
-        return quadext(self.a + parts[0], self.b + parts[1], self.d)
+        n, q = parts
+        return ratio(self._num * q + n * self._den, self._den * q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._make(-self._num, self._den)
 
     def __pos__(self):
         return self
@@ -109,68 +232,63 @@ class QuadExt:
         parts = self._coerce(other)
         if parts is None:
             return NotImplemented
-        return quadext(self.a - parts[0], self.b - parts[1], self.d)
+        n, q = parts
+        return ratio(self._num * q - n * self._den, self._den * q)
 
     def __rsub__(self, other):
         parts = self._coerce(other)
         if parts is None:
             return NotImplemented
-        return quadext(parts[0] - self.a, parts[1] - self.b, self.d)
+        n, q = parts
+        return ratio(n * self._den - self._num * q, self._den * q)
 
     def __mul__(self, other):
         parts = self._coerce(other)
         if parts is None:
             return NotImplemented
-        c, e = parts
-        return quadext(self.a * c + self.b * e * self.d, self.a * e + self.b * c, self.d)
+        n, q = parts
+        return ratio(self._num * n, self._den * q)
 
     __rmul__ = __mul__
 
     def _inverse(self):
-        # (a + b sqrt d)^-1 = (a - b sqrt d) / (a^2 - b^2 d); the denominator is
-        # nonzero because sqrt(d) is irrational.
-        n = self.a * self.a - self.b * self.b * self.d
-        return quadext(self.a / n, -self.b / n, self.d)
+        return ratio(self._den, self._num)
 
     def __truediv__(self, other):
         parts = self._coerce(other)
         if parts is None:
             return NotImplemented
-        c, e = parts
-        if e == 0:
-            if c == 0:
-                raise ZeroDivisionError("division by zero")
-            return quadext(self.a / c, self.b / c, self.d)
-        return self * QuadExt(c, e, self.d)._inverse()
+        n, q = parts
+        return ratio(self._num * q, self._den * n)
 
     def __rtruediv__(self, other):
         parts = self._coerce(other)
         if parts is None:
             return NotImplemented
-        inv = self._inverse()
-        return (parts[0] + quadext(0, parts[1], self.d) if parts[1] else parts[0]) * inv
+        n, q = parts
+        return ratio(n * self._den, q * self._num)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
+    def __floor__(self) -> int:
+        return math.floor(self._num) // self._den
+
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
-        return quad_sign(self.a, self.b, self.d)
+        return self._num.sign()
 
     def _cmp(self, other) -> int:
         parts = self._coerce(other)
         if parts is None:
             return NotImplemented
-        return quad_sign(self.a - parts[0], self.b - parts[1], self.d)
+        n, q = parts
+        return (self._num * q - n * self._den).sign()
 
     def __eq__(self, other):
         c = self._cmp(other)
         return c == 0 if c is not NotImplemented else NotImplemented
-
-    def __ne__(self, other):
-        c = self._cmp(other)
-        return c != 0 if c is not NotImplemented else NotImplemented
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -189,9 +307,9 @@ class QuadExt:
         return c >= 0 if c is not NotImplemented else NotImplemented
 
     def __hash__(self):
-        # b != 0 always, so no QuadExt ever equals a rational; a component
-        # hash keeps equal QuadExt values colliding correctly.
-        return hash((self.a, self.b, self.d))
+        # b != 0 always, so no QuadExt ever equals a rational; equal values
+        # share their lowest-terms form
+        return hash((self._num.r, self._num.s, self._den, self._num.d))
 
     def __bool__(self):
         return True  # b != 0 means the value is irrational, hence nonzero
@@ -225,6 +343,19 @@ def as_scalar(x: ScalarLike) -> Scalar:
     if isinstance(x, QuadExt):
         return x
     return Fraction(x)
+
+
+def radicand(x: ScalarLike) -> Optional[int]:
+    """The d of a QuadExt; None for a rational."""
+    return x.d if isinstance(x, QuadExt) else None
+
+
+def sort_key(x: Scalar):
+    """(rational part, sqrt(d) part): a key that orders Fractions and
+    QuadExts of one field consistently (not by value)."""
+    if isinstance(x, QuadExt):
+        return (x.a, x.b)
+    return (x, 0)
 
 
 def to_float(x: ScalarLike) -> float:

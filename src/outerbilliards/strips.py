@@ -10,6 +10,7 @@ are reproducible even though only the cyclic order is geometrically forced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -189,11 +190,11 @@ def _assert_chain(system: PinwheelSystem):
 
 
 def strip_map(pair: PinwheelPair, p: Point) -> Point:
-    """One application of the strip map: identity strictly inside the slab,
-    otherwise the translate by +-V that is strictly closer to the slab.  V
-    moves the offset by exactly one width, so that translate is +V below the
-    slab and -V above it; the result may still be outside.  Undefined on the
-    slab boundary."""
+    """One application of the strip map: identity strictly inside the slab
+    (p itself is returned), otherwise the translate by +-V that is strictly
+    closer to the slab.  V moves the offset by exactly one width, so that
+    translate is +V below the slab and -V above it; the result may still be
+    outside.  Undefined on the slab boundary."""
     loc = pair.location(p)
     if loc == 0:
         raise OnStripBoundaryError(p, stage=pair.index)
@@ -213,7 +214,7 @@ def strip_jump(pair: PinwheelPair, p: Point) -> Tuple[Point, int]:
     """
     t = pair.offset(p)
     w = pair.width
-    steps = -_floor_div(t, w)
+    steps = -math.floor(t / w)
     if steps == 0:  # 0 <= t < w
         if t == 0:
             raise OnStripBoundaryError(p, stage=pair.index)
@@ -226,26 +227,6 @@ def strip_jump(pair: PinwheelPair, p: Point) -> Tuple[Point, int]:
     if pair.location(q) != 1:
         raise OnStripBoundaryError(q, stage=pair.index)
     return q, steps
-
-
-def _floor_div(t, w) -> int:
-    """floor(t / w) for exact scalars, w > 0."""
-    q = t / w
-    if isinstance(q, Fraction):
-        return q.numerator // q.denominator
-    # quadratic scalar a + b*sqrt(d): seed with an integer-sqrt estimate of
-    # the radical part, then correct with exact comparisons
-    import math
-
-    s = q.b * q.b * q.d
-    root = math.isqrt(s.numerator * s.denominator) // s.denominator
-    est = (q.a.numerator // q.a.denominator) + (root if q.b > 0 else -root - 1)
-    lo = est - 2
-    while q >= lo + 1:
-        lo += 1
-    while q < lo:
-        lo -= 1
-    return lo
 
 
 def compose_strip_maps(system: PinwheelSystem, a: int, b: int, p: Point) -> Point:

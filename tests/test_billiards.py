@@ -371,12 +371,12 @@ def test_sqrt5_shear_parity_catches_conjugate_sign_slip(monkeypatch):
     shear the radical parts cancel in every sign the kernel decides, so the
     property checks the branch's arithmetic; its signs are checked by
     `test_kernel_matches_fm_oracle`.)"""
-    scalar = geometry._scalar
+    scalar = geometry.ratio
 
     def conjugated(num, den):
         x = scalar(num, den)
         return QuadExt(x.a, -x.b, x.d) if isinstance(x, QuadExt) else x
 
-    monkeypatch.setattr(geometry, "_scalar", conjugated)
+    monkeypatch.setattr(geometry, "ratio", conjugated)
     with pytest.raises(AssertionError):
         test_sqrt5_shear_keeps_tiles_and_orbits()

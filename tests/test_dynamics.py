@@ -23,7 +23,7 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Point, pt
+from outerbilliards.geometry import Line, Point, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
@@ -47,6 +47,25 @@ def test_pinwheel_step_cases():
     assert pinwheel_step(m.system, nxt) == IndexedPoint(pt(2, 5), 0)
     with pytest.raises(OnStripBoundaryError):
         pinwheel_step(m.system, IndexedPoint(pt(5, 0), m.n - 1))
+
+
+def test_pinwheel_step_locates_the_point_once(monkeypatch):
+    """A step is one strip map: two `Line.side` calls to locate the point in
+    the strip, plus one to pick the translate when it moves."""
+    system = BilliardModel(random_nice_polygon(7, 3)).system
+    calls = []
+    side = Line.side
+    monkeypatch.setattr(Line, "side", lambda line, p: calls.append(p) or side(line, p))
+    x = IndexedPoint(pt(1000, Fraction(1, 3)), 0)
+    seen = set()
+    for _ in range(40):
+        calls.clear()
+        nxt = pinwheel_step(system, x)
+        moved = nxt.index == x.index
+        assert len(calls) == (3 if moved else 2)
+        seen.add(moved)
+        x = nxt
+    assert seen == {True, False}
 
 
 def test_section_projects_back():

@@ -99,13 +99,13 @@ def test_region_kernel_hands_out_only_exact_scalars():
 def test_exact_scalar_walk_trips_on_int_true_division(monkeypatch):
     """Negative control: a kernel that turns its int quotients into c / b
     must fail the walk."""
-    scalar = geometry._scalar
+    scalar = geometry.ratio
 
     def true_division(num, den):
         if type(num) is int and type(den) is int:
             return num / den
         return scalar(num, den)
 
-    monkeypatch.setattr(geometry, "_scalar", true_division)
+    monkeypatch.setattr(geometry, "ratio", true_division)
     with pytest.raises(AssertionError, match="float"):
         test_region_kernel_hands_out_only_exact_scalars()

@@ -16,6 +16,7 @@ from outerbilliards.polygon import (
     parse_polygon,
     polygon_to_text,
 )
+from outerbilliards.scalars import quadext
 
 TRIANGLE = [pt(0, 0), pt(1, 3), pt(4, 0)]
 
@@ -110,6 +111,18 @@ def test_quad_field_polygon():
     assert p.n == 4
     again = parse_polygon(polygon_to_text(p))
     assert again == p
+
+
+def test_quad_field_read_off_the_vertices():
+    """A Q(sqrt 5) kite built without quad_d writes a document that parses
+    back; a quad_d the vertices contradict is refused."""
+    kite = [pt(-1, 0), pt(0, 1), pt(quadext(-2, 1, 5), 0), pt(0, -1)]
+    p = NicePolygon.from_points(kite)
+    assert p.quad_d == 5
+    assert parse_polygon(polygon_to_text(p)) == p
+    assert NicePolygon.from_points(TRIANGLE, quad_d=5).quad_d == 5
+    with pytest.raises(ValueError):
+        NicePolygon.from_points(kite, quad_d=2)
 
 
 def test_parse_error_reports_position():

@@ -11,7 +11,7 @@ from outerbilliards.geometry import Location, Point, norm2_sq, polygon_region, p
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
-    _ring_axis_range,
+    _ring_base,
     annulus_windows,
     boundedness_certificate,
     frame_point,
@@ -300,14 +300,14 @@ def test_necklace_membership_matches_region_route(poly_key):
 
 @pytest.mark.parametrize("poly_key", ["pentagon", "sqrt5_kite"])
 def test_ring_axis_range_closed_form_matches_ring_construction(poly_key):
-    """The closed-form ring window (base range of P and Q along the shift,
-    plus m*(d.d)) equals the min/max over the 2n translated vertices of the
+    """The closed-form ring window (`_ring_base`: the range of P and Q along
+    the shift, plus m*(d.d)) equals the min/max over the 2n translated vertices of the
     ring built by `necklace` (the reference route, kept only here)."""
     poly = random_nice_polygon(5, seed=21) if poly_key == "pentagon" else sqrt5_kite()
     system = BilliardModel(poly).system
     for j in range(system.n):
-        d = necklace_shift(system, j)
+        d, lo, hi, dd = _ring_base(system, j)
         for mm in range(-3, 4):
             spec = necklace(system, j, mm)
             vals = [d.x * v.x + d.y * v.y for v in spec.p_vertices + spec.q_vertices]
-            assert _ring_axis_range(system, j, mm) == (min(vals), max(vals)), (j, mm)
+            assert (lo + mm * dd, hi + mm * dd) == (min(vals), max(vals)), (j, mm)

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: field axioms, ordering, serialization."""
 
 import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from outerbilliards.rng import Rng
 from outerbilliards.scalars import (
     QuadExt,
+    QuadInt,
     is_squarefree,
     quadext,
     scalar_from_json,
@@ -74,6 +76,40 @@ def test_field_axioms_randomized():
         if sign(a) != 0:
             assert a * (1 / a if not isinstance(a, QuadExt) else Fraction(1) / a) == 1
             assert (b / a) * a == b
+
+
+def parts(x):
+    return (x.a, x.b) if isinstance(x, QuadExt) else (x, 0)
+
+
+def test_ops_match_fraction_pair_oracle():
+    """QuadExt arithmetic (a QuadInt over an int) against the same
+    operations written on the (a, b) Fraction pairs, with d = 5."""
+    rng = Rng(11).split(3)
+    for i in range(400):
+        x, y = rand_scalar(rng.split(0), i), rand_scalar(rng.split(1), i)
+        (xa, xb), (ya, yb) = parts(x), parts(y)
+        assert parts(x + y) == (xa + ya, xb + yb)
+        assert parts(x - y) == (xa - ya, xb - yb)
+        assert parts(x * y) == (xa * ya + 5 * xb * yb, xa * yb + xb * ya)
+        if sign(y) != 0:
+            n = ya * ya - 5 * yb * yb
+            assert parts(x / y) == ((xa * ya - 5 * xb * yb) / n, (xb * ya - xa * yb) / n)
+        if isinstance(x, QuadExt):
+            num, den = x.as_integer_ratio()
+            assert den > 0 and math.gcd(num.r, num.s, den) == 1
+            assert (Fraction(num.r, den), Fraction(num.s, den)) == (xa, xb)
+
+
+def test_floor_is_exact():
+    rng = Rng(5).split(8)
+    cases = [QuadExt(-2, 1, 5), QuadExt(2, -1, 5), QuadExt(3, -1, 5),
+             QuadExt(0, 10 ** 9, 2), QuadExt(Fraction(-7, 3), Fraction(-1, 9), 13)]
+    cases += [rand_scalar(rng, i) for i in range(300)]
+    for x in cases:
+        f = math.floor(x)
+        assert type(f) is int and f <= x < f + 1, x
+    assert math.floor(QuadInt(4, -2, 5)) == -1  # 4 - 2 sqrt 5 = -0.47
 
 
 def test_mixed_rational_quadext_arithmetic():
