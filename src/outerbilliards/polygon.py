@@ -18,7 +18,13 @@ from .errors import (
     ParseError,
 )
 from .geometry import Line, Location, Point
-from .scalars import radicand, scalar_from_json, scalar_to_json, sign
+from .scalars import (
+    is_squarefree,
+    radicand,
+    scalar_from_json,
+    scalar_to_json,
+    sign,
+)
 
 
 @dataclass(frozen=True)
@@ -179,11 +185,10 @@ def polygon_from_document(doc) -> NicePolygon:
     if not isinstance(doc, dict):
         raise ParseError("polygon document must be an object")
     field = doc.get("field", "rational")
-    if field == "rational":
-        quad_d = None
-    elif isinstance(field, dict) and isinstance(field.get("quad"), int):
-        quad_d = field["quad"]
-    else:
+    quad_d = field.get("quad") if isinstance(field, dict) else None
+    # Q(sqrt d) needs a square-free int d >= 2; a bool is not one
+    if field != "rational" and not (type(quad_d) is int and quad_d >= 2
+                                    and is_squarefree(quad_d)):
         raise ParseError(f"unsupported field spec: {field!r}")
     raw = doc.get("vertices")
     if not isinstance(raw, list):

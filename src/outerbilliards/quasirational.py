@@ -15,21 +15,27 @@ The invariance checks therefore work with the two-sided ring |exponent| = m*D.
 Every ring copy is P itself moved rigidly (translated, or rotated 180 degrees
 about a strip's centre vertex and translated), so "is p inside this copy" is
 answered by pulling p back to P and asking the polygon; no copy's region is
-built except where the copy is sampled.
+built except where the copy is sampled, and then P's region is moved there.
+
+A strip's ring is one `NecklaceSpec` value: `necklace` computes the strip's
+frame once (the shift, the axis range of P and Q along it, shift.shift), and
+the ring answers every query from it: copy membership, the annulus windows,
+annulus membership, the point at given frame coordinates, and P's region
+placed on a copy.  A caller builds each strip's ring once and asks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import Line, Location, Point, Vec
+from .geometry import ConvexRegion, Location, Point, Vec
 from .polygon import NicePolygon
 from .scalars import Scalar, sign
-from .strips import PinwheelSystem
+from .strips import PinwheelPair, PinwheelSystem
 
 
 @dataclass(frozen=True)
@@ -81,20 +87,32 @@ def quasi_analyze(system: PinwheelSystem) -> QuasiData:
 
 
 # ---------------------------------------------------------------------------
-# necklace polygons
+# necklace rings, annulus membership and the boundedness certificate
 
 
 @dataclass(frozen=True)
 class NecklaceSpec:
-    """The m-th translated copy pair along strip j, stored as its rigid
-    motions of P: the translation by m*shift, and the half turn about center
-    followed by that translation."""
+    """Strip j's ring at exponent m: the copies P + m*shift and Q + m*shift,
+    Q being P turned 180 degrees about the strip's centre vertex, stored as
+    rigid motions of P together with the strip's frame.  A point's axis
+    coordinate is shift.p; the ring spans the axis range [lo, hi] + m*dd."""
 
     j: int
     m: int
     shift: Vec                     # vector parallel to edge j spanning strip j+1
-    center: Point                  # the vertex of P on the centerline of strip j
+    pair: PinwheelPair             # strip j; its centre vertex is pair.w
     polygon: NicePolygon           # P
+    lo: Scalar                     # axis range of P and Q together
+    hi: Scalar
+    dd: Scalar                     # shift.shift
+
+    @property
+    def center(self) -> Point:
+        return self.pair.w
+
+    def at(self, m: int) -> "NecklaceSpec":
+        """The same strip's ring at exponent m."""
+        return replace(self, m=m)
 
     @property
     def p_vertices(self) -> Tuple[Point, ...]:
@@ -109,6 +127,13 @@ class NecklaceSpec:
         return tuple(v.reflect_through(self.center) + offset
                      for v in self.polygon.vertices)
 
+    def place(self, region: ConvexRegion, kind: str) -> ConvexRegion:
+        """P's region moved onto the copy P + m*shift (kind "P") or
+        Q + m*shift (kind "Q")."""
+        if kind == "Q":
+            region = region.point_reflect(self.center)
+        return region.translate(self.shift * self.m)
+
     def in_p(self, p: Point) -> bool:
         """p is interior to the copy P + m*shift."""
         back = p - self.shift * self.m
@@ -121,6 +146,28 @@ class NecklaceSpec:
 
     def contains(self, p: Point) -> bool:
         return self.in_p(p) or self.in_q(p)
+
+    def windows(self):
+        """The two axis windows strictly between the base ring and the
+        +-m rings."""
+        shift = self.m * self.dd
+        return ((self.hi, self.lo + shift), (self.hi - shift, self.lo))
+
+    def in_annulus(self, p: Point) -> bool:
+        """Conservative membership: inside the strip and strictly within one
+        of the windows (a subset of the pictorial 'between')."""
+        if self.pair.location(p) != 1:
+            return False
+        s = self.shift.dot(p)
+        return any(a < s < b for a, b in self.windows())
+
+    def frame_point(self, s: Scalar, off: Scalar) -> Point:
+        """The point with axis coordinate s and strip offset off (0 on the
+        strip's edge line): where a*x + b*y = c + off meets shift.(x, y) = s."""
+        line, d = self.pair.line, self.shift
+        c = line.c + off
+        det = line.a * d.y - d.x * line.b
+        return Point((c * d.y - s * line.b) / det, (line.a * s - d.x * c) / det)
 
 
 def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
@@ -148,61 +195,33 @@ def transfer_ratio(system: PinwheelSystem, j: int) -> Scalar:
 
 
 def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
-    j = j % system.n
-    return NecklaceSpec(j=j, m=m, shift=necklace_shift(system, j),
-                        center=system.pair(j).w, polygon=system.polygon)
-
-
-# ---------------------------------------------------------------------------
-# annulus membership and the boundedness certificate
-
-
-def _ring_base(system: PinwheelSystem, j: int):
-    """(d, lo, hi, dd) for strip j: d = necklace_shift(system, j), [lo, hi]
-    the axis-coordinate range (along d) of P and its reflection Q about the
-    centre vertex, and dd = d.d.  The ring copies P + m*d and Q + m*d span
-    [lo, hi] + m*dd."""
+    """Strip j's ring at exponent m, its frame computed once: Q's axis range
+    is P's reflected through twice the centre's axis coordinate."""
+    pair = system.pair(j)
     d = necklace_shift(system, j)
-    vals = [d.x * v.x + d.y * v.y for v in system.polygon.vertices]
+    vals = [d.dot(v) for v in system.polygon.vertices]
     lo, hi = min(vals), max(vals)
-    c = system.pair(j).w
-    twice_center = 2 * (d.x * c.x + d.y * c.y)
-    return d, min(lo, twice_center - hi), max(hi, twice_center - lo), d.dot(d)
+    twice_center = 2 * d.dot(pair.w)
+    return NecklaceSpec(j % system.n, m, d, pair, system.polygon,
+                        min(lo, twice_center - hi), max(hi, twice_center - lo),
+                        d.dot(d))
 
 
 def annulus_windows(system: PinwheelSystem, j: int, m_exponent: int):
     """The two axis-coordinate windows of strip j strictly between the base
     ring and the +-m_exponent rings."""
-    _, lo, hi, dd = _ring_base(system, j)
-    shift = m_exponent * dd
-    return ((hi, lo + shift), (hi - shift, lo))
+    return necklace(system, j, m_exponent).windows()
 
 
-def in_annulus(system: PinwheelSystem, j: int, m_exponent: int, p: Point) -> bool:
-    """Conservative membership: strictly between the hull extents of the base
-    ring and the +-m_exponent rings (a subset of the pictorial 'between')."""
-    if system.pair(j).location(p) != 1:
-        return False
-    d, lo, hi, dd = _ring_base(system, j)
-    s = d.x * p.x + d.y * p.y
-    shift = m_exponent * dd
-    return hi < s < lo + shift or hi - shift < s < lo
-
-
-def in_trapped_extent(system: PinwheelSystem, j: int, m_exponent: int,
-                      p: Point) -> bool:
-    """Loose membership: inside the strip, within the closed axis extent of
-    the two outer rings, and not interior to either outer ring copy.  The
+def in_trapped_extent(ring: NecklaceSpec, p: Point) -> bool:
+    """Loose membership: inside the ring's strip, within the closed axis
+    extent of the rings at +-ring.m, and not interior to either of them.  The
     image of any between-point lands here; points here can never escape."""
-    pair = system.pair(j)
-    if pair.location(p) != 1:
+    shift = ring.m * ring.dd
+    if ring.pair.location(p) != 1 or not (
+            ring.lo - shift <= ring.shift.dot(p) <= ring.hi + shift):
         return False
-    d, lo, hi, dd = _ring_base(system, j)
-    shift = m_exponent * dd
-    if not (lo - shift <= d.x * p.x + d.y * p.y <= hi + shift):
-        return False
-    return not any(NecklaceSpec(j % system.n, m_out, d, pair.w, system.polygon).contains(p)
-                   for m_out in (m_exponent, -m_exponent))
+    return not (ring.contains(p) or ring.at(-ring.m).contains(p))
 
 
 def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
@@ -218,28 +237,15 @@ def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
         raise NotQuasirationalError("polygon is not quasirational")
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = system.n
-    home = None
-    for j in range(n):
-        if in_annulus(system, j, m * quasi.D_int[j], p):
-            home = j
-            break
-    if home is None:
+    rings = [necklace(system, j, m * quasi.D_int[j]) for j in range(system.n)]
+    if not any(ring.in_annulus(p) for ring in rings):
         raise AnnulusNotFoundError(
             f"point {p} is not inside any strip's m={m} annulus")
     radius = Fraction(0)
-    for j in range(n):
-        _, lo, hi, dd = _ring_base(system, j)
-        shift = m * quasi.D_int[j] * dd
-        for s_val in (lo - shift, hi + shift):
-            for off in (Fraction(0), system.pair(j).width):
-                corner = frame_point(system, j, s_val, off)
+    for ring in rings:
+        shift = ring.m * ring.dd
+        for s_val in (ring.lo - shift, ring.hi + shift):
+            for off in (Fraction(0), ring.pair.width):
+                corner = ring.frame_point(s_val, off)
                 radius = max(radius, abs(corner.x) + abs(corner.y))
     return True, radius
-
-
-def frame_point(system: PinwheelSystem, j: int, s: Scalar, off: Scalar) -> Point:
-    """The point of strip j's frame with axis coordinate s (along the
-    necklace shift) and strip offset off (0 on the strip's edge line)."""
-    d = necklace_shift(system, j)
-    return system.pair(j).line.parallel_offset(off).intersection(Line(d.x, d.y, s))

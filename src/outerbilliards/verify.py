@@ -28,14 +28,7 @@ from .geometry import ConvexRegion, HalfPlane, Line, Point, polygon_region
 from .model import BilliardModel
 from .paths import apex_sequence
 from .polygon import NicePolygon
-from .quasirational import (
-    annulus_windows,
-    frame_point,
-    in_annulus,
-    in_trapped_extent,
-    necklace,
-    quasi_analyze,
-)
+from .quasirational import in_trapped_extent, necklace, quasi_analyze
 from .report import CheckReport
 from .rng import Rng
 from .strips import strip_map
@@ -76,10 +69,6 @@ def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
     return out
 
 
-def _polygon_doc(model: BilliardModel) -> dict:
-    return model.polygon.to_document()
-
-
 # ---------------------------------------------------------------------------
 # the checks
 
@@ -89,8 +78,7 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
     """Every sampled tile point must reach its landing state within 3n
     pinwheel steps; bounded-tile samples additionally realize the 2n-step
     bound and visit exactly the telescoped prefix points on the way."""
-    rep = CheckReport("pinwheel-theorem", _polygon_doc(model), seed)
-    t0 = time.monotonic()
+    rep = CheckReport("pinwheel-theorem", model.polygon.to_document(), seed)
     n = model.n
     rng = Rng(seed).split(0x71, n)
     tiles = model.partition.tiles
@@ -139,7 +127,6 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
                 rep.fail(repr(p), err[0], err[1], idx)
                 continue
         rep.ok()
-    rep.runtime = time.monotonic() - t0
     return rep
 
 
@@ -173,8 +160,7 @@ def _structure2_realization(model: BilliardModel, tile, p: Point, q: Point):
 def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> CheckReport:
     """Beyond the far radius: k is 1 or 2, and k = 2 exactly when the image
     lands inside a pinwheel strip (which is then the index-shifting strip)."""
-    rep = CheckReport("far-field-dichotomy", _polygon_doc(model), seed)
-    t0 = time.monotonic()
+    rep = CheckReport("far-field-dichotomy", model.polygon.to_document(), seed)
     n = model.n
     R = far_radius(model)
     rep.notes.append(f"far radius = {R}")
@@ -204,7 +190,6 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
             rep.fail(repr(p), f"landing strip = {a % n}", f"strips = {strips_in}", i)
         else:
             rep.ok()
-    rep.runtime = time.monotonic() - t0
     return rep
 
 
@@ -212,8 +197,7 @@ def check_structure3(model: BilliardModel, samples: int = 40,
                      seed: int = 0) -> CheckReport:
     """For q = psi(p): q lies in the closed strips b..c-1 and the pinwheel
     map shifts (q, b-1) to (q, c-1) within n steps without moving q."""
-    rep = CheckReport("structure3", _polygon_doc(model), seed)
-    t0 = time.monotonic()
+    rep = CheckReport("structure3", model.polygon.to_document(), seed)
     n = model.n
     rng = Rng(seed).split(0x53)
     tiles = model.partition.tiles
@@ -244,7 +228,6 @@ def check_structure3(model: BilliardModel, samples: int = 40,
                 rep.ok()
             else:
                 rep.fail(repr(p), "containment and index shift", bad, idx)
-    rep.runtime = time.monotonic() - t0
     return rep
 
 
@@ -272,8 +255,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
     """Bounded tiles: the translated-tile containments (exact on vertices),
     the final strip-map action, the displacement identity, and the bounded
     depth bound.  corrupt_terminal_sign is a harness self-test hook."""
-    rep = CheckReport("pin1-pin2-move", _polygon_doc(model), seed)
-    t0 = time.monotonic()
+    rep = CheckReport("pin1-pin2-move", model.polygon.to_document(), seed)
     n = model.n
     rng = Rng(seed).split(0x91)
     idx = 0
@@ -339,15 +321,13 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
                 rep.ok()
         if ok:
             rep.ok()
-    rep.runtime = time.monotonic() - t0
     return rep
 
 
 def check_apex(model: BilliardModel) -> CheckReport:
     """Each start spoke's maximal path: every telescoped apex point lies in
     the corresponding closed strip."""
-    rep = CheckReport("apex", _polygon_doc(model), 0)
-    t0 = time.monotonic()
+    rep = CheckReport("apex", model.polygon.to_document(), 0)
     n = model.n
     for a in range(n):
         path = model.paths.maximal_from(a)
@@ -364,14 +344,12 @@ def check_apex(model: BilliardModel) -> CheckReport:
             rep.ok()
         else:
             rep.fail(path.display(), "closed strip containment", bad, a)
-    rep.runtime = time.monotonic() - t0
     return rep
 
 
 def check_structure1(model: BilliardModel) -> CheckReport:
     """Exact bijection between admissible paths and nonempty tiles."""
-    rep = CheckReport("structure1", _polygon_doc(model), 0)
-    t0 = time.monotonic()
+    rep = CheckReport("structure1", model.polygon.to_document(), 0)
     tile_labels = set(model.partition.by_label)
     path_labels = set(model.paths.by_endpoints)
     rep.sample()
@@ -388,7 +366,6 @@ def check_structure1(model: BilliardModel) -> CheckReport:
         rep.ok()
     else:
         rep.fail("unbounded tile count", f"{2 * model.n}", f"{unbounded}")
-    rep.runtime = time.monotonic() - t0
     return rep
 
 
@@ -397,8 +374,7 @@ def check_exit_reversal_conjugate(model: BilliardModel, samples: int = 20,
     """Exit characterization (exact region arithmetic, both directions),
     reversal onto the backward partition (exact + sampled labels), and the
     reflected-polygon index laws."""
-    rep = CheckReport("exit-reversal-conjugate", _polygon_doc(model), seed)
-    t0 = time.monotonic()
+    rep = CheckReport("exit-reversal-conjugate", model.polygon.to_document(), seed)
     n = model.n
     # exit: a tile is unbounded exactly when its translate meets it
     for tile in model.partition.tiles:
@@ -442,7 +418,6 @@ def check_exit_reversal_conjugate(model: BilliardModel, samples: int = 20,
                 rep.fail(repr(p), f"backward label {(lab[1], lab[0])}",
                          f"{back_lab}", i)
     _conjugate_laws(model, rep)
-    rep.runtime = time.monotonic() - t0
     return rep
 
 
@@ -502,13 +477,11 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
     carried rigidly onto the copy at exponent +-m*D_{j+1} (exact vertex-set
     identity plus sampled membership), and annulus points stay between the
     rings.  exponent_offset != 0 is the harness negative-control hook."""
-    rep = CheckReport("necklace-invariance", _polygon_doc(model), seed)
-    t0 = time.monotonic()
+    rep = CheckReport("necklace-invariance", model.polygon.to_document(), seed)
     system = model.system
     quasi = quasi_analyze(system)
     if not quasi.quasirational:
         rep.notes.append("polygon not quasirational; nothing to check")
-        rep.runtime = time.monotonic() - t0
         return rep
     n = model.n
     rng = Rng(seed).split(0x9E, m)
@@ -518,11 +491,11 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
     for j in range(n):
         Mj = m * quasi.D_int[j] + exponent_offset
         Mj1 = m * quasi.D_int[(j + 1) % n]
-        targets = [necklace(system, j + 1, Mj1), necklace(system, j + 1, -Mj1)]
+        ring = necklace(system, j, Mj)
+        target = necklace(system, j + 1, Mj1)
+        targets = [target, target.at(-Mj1)]
         for kind in ("P", "Q"):
-            spec = necklace(system, j, Mj)
-            copy = base if kind == "P" else base.point_reflect(spec.center)
-            region = copy.translate(spec.shift * spec.m)
+            region = ring.place(base, kind)
             pts = region.sample_points(per_piece, seed=rng.u64(4 * j) & 0xFFFF)
             landings = []
             for p in pts:
@@ -545,7 +518,7 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                 rep.sample()
                 p0, q0, tgt = landings[0]
                 delta = q0 - p0
-                src = spec.p_vertices if kind == "P" else spec.q_vertices
+                src = ring.p_vertices if kind == "P" else ring.q_vertices
                 dst = tgt.p_vertices if kind == "P" else tgt.q_vertices
                 if {v + delta for v in src} == set(dst):
                     rep.ok()
@@ -555,20 +528,18 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                              "vertex sets differ", j)
         # annulus membership transfer
         if exponent_offset == 0:
-            wins = annulus_windows(system, j, m * quasi.D_int[j])
-            pair = system.pair(j)
+            (a1, b1), (a2, b2) = ring.windows()
             produced = 0
             for t_i in range(6 * per_piece):
                 if produced >= per_piece:
                     break
-                (a1, b1), (a2, b2) = wins
                 lo, hi = (a1, b1) if t_i % 2 == 0 else (a2, b2)
                 if not lo < hi:
                     continue
                 s_val = rng.split(7, j).between(t_i, lo, hi)
-                off = pair.width * rng.split(8, j).unit(t_i)
-                p = frame_point(system, j, s_val, off)
-                if not in_annulus(system, j, m * quasi.D_int[j], p):
+                off = ring.pair.width * rng.split(8, j).unit(t_i)
+                p = ring.frame_point(s_val, off)
+                if not ring.in_annulus(p):
                     continue
                 produced += 1
                 rep.sample()
@@ -577,13 +548,11 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                 except MapUndefinedError:
                     rep.skip()
                     continue
-                if in_trapped_extent(system, (j + 1) % n,
-                                     m * quasi.D_int[(j + 1) % n], land.point):
+                if in_trapped_extent(target, land.point):
                     rep.ok()
                 else:
                     rep.fail(repr(p), f"between the rings of strip {(j + 1) % n}",
                              f"{land.point}", j)
-    rep.runtime = time.monotonic() - t0
     return rep
 
 
@@ -599,8 +568,9 @@ CHECKS: Tuple[str, ...] = (
 
 def run_all(polygon: NicePolygon, profile: str = "quick", seed: int = 0,
             samples: Optional[int] = None) -> List[CheckReport]:
-    """Run the whole suite on one polygon; sample counts follow the profile,
-    or the explicit `samples` override."""
+    """Run the whole suite on one polygon, timing each check into its
+    report's runtime; sample counts follow the profile, or the explicit
+    `samples` override."""
     if profile not in ("quick", "full"):
         raise ValueError(f"unknown profile {profile!r}")
     model = BilliardModel(polygon)
@@ -609,15 +579,21 @@ def run_all(polygon: NicePolygon, profile: str = "quick", seed: int = 0,
     def count(quick_n, full_n):
         return samples if samples is not None else (quick_n if quick else full_n)
 
+    def timed(check, **kwargs):
+        t0 = time.monotonic()
+        rep = check(model, **kwargs)
+        rep.runtime = time.monotonic() - t0
+        return rep
+
     reports = [
-        check_structure1(model),
-        check_pinwheel_theorem(model, samples=count(40, 200), seed=seed),
-        check_far_field(model, samples=count(60, 400), seed=seed),
-        check_structure3(model, samples=count(30, 120), seed=seed),
-        check_pin1_pin2_move(model, samples_per_tile=6 if quick else 20, seed=seed),
-        check_apex(model),
-        check_exit_reversal_conjugate(model, samples=count(12, 40), seed=seed),
-        check_necklace_invariance(model, m=1, samples=count(12, 30), seed=seed),
+        timed(check_structure1),
+        timed(check_pinwheel_theorem, samples=count(40, 200), seed=seed),
+        timed(check_far_field, samples=count(60, 400), seed=seed),
+        timed(check_structure3, samples=count(30, 120), seed=seed),
+        timed(check_pin1_pin2_move, samples_per_tile=6 if quick else 20, seed=seed),
+        timed(check_apex),
+        timed(check_exit_reversal_conjugate, samples=count(12, 40), seed=seed),
+        timed(check_necklace_invariance, m=1, samples=count(12, 30), seed=seed),
     ]
     for rep in reports:
         rate = rep.wall_skip_rate()

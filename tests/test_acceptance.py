@@ -19,10 +19,8 @@ from outerbilliards.model import BilliardModel
 from outerbilliards.paths import apex_sequence
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
-    annulus_windows,
     boundedness_certificate,
-    frame_point,
-    in_annulus,
+    necklace,
     overlap_area_determinant,
     quasi_analyze,
 )
@@ -166,9 +164,10 @@ def test_criterion_07_quasirational_boundedness():
     # a long orbit from a certified start stays within the certified radius
     model = BilliardModel(TRIANGLE)
     quasi = quasi_analyze(model.system)
-    (a1, b1), _ = annulus_windows(model.system, 0, quasi.D_int[0])
-    start = frame_point(model.system, 0, (a1 + b1) / 2, Fraction(7, 3))
-    assert in_annulus(model.system, 0, quasi.D_int[0], start)
+    ring = necklace(model.system, 0, quasi.D_int[0])
+    (a1, b1), _ = ring.windows()
+    start = ring.frame_point((a1 + b1) / 2, Fraction(7, 3))
+    assert ring.in_annulus(start)
     bounded, radius = boundedness_certificate(model.system, quasi, start, m=1)
     assert bounded
     rec = orbit(model, start, "psi", budget=100_000)

@@ -346,11 +346,16 @@ def test_quasi_certify(tri_file, capsys):
         assert code == 3 and "error" in cert
 
 
-# a triangle with the vertex (4, 1/0), in plain form and as a {"a","b","d"} scalar
-ZERO_DENOMINATOR_DOCS = {
+# a triangle with the vertex (4, 1/0), in plain form and as a {"a","b","d"}
+# scalar; then the plain triangle over a "field" whose d is not square-free,
+# negative, or a bool
+BAD_POLYGON_DOCS = {
     "ZERO_DEN": '{"field": "rational", "vertices": [["0","0"],["1","3"],["4","1/0"]]}',
     "ZERO_DEN_QUAD": ('{"field": {"quad": 5}, "vertices": [["0","0"],["1","3"],'
                       '["4",{"a":"1/0","b":"1","d":5}]]}'),
+    "QUAD_4": '{"field": {"quad": 4}, "vertices": [["0","0"],["1","3"],["4","0"]]}',
+    "QUAD_NEG3": '{"field": {"quad": -3}, "vertices": [["0","0"],["1","3"],["4","0"]]}',
+    "QUAD_TRUE": '{"field": {"quad": true}, "vertices": [["0","0"],["1","3"],["4","0"]]}',
 }
 
 
@@ -374,10 +379,13 @@ ZERO_DENOMINATOR_DOCS = {
     ("quasi", "TRI", "--certify", "5,1/0"),
     ("validate", "ZERO_DEN"),
     ("validate", "ZERO_DEN_QUAD"),
+    ("validate", "QUAD_4"),
+    ("validate", "QUAD_NEG3"),
+    ("validate", "QUAD_TRUE"),
 ])
 def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
     files = {"TRI": tri_file}
-    for name, doc in ZERO_DENOMINATOR_DOCS.items():
+    for name, doc in BAD_POLYGON_DOCS.items():
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(doc)
     code, out = run(capsys, *[files.get(a, a) for a in argv])

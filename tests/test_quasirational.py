@@ -1,5 +1,7 @@
 """Quasirationality, necklace rings, and the boundedness certificate."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,15 +9,12 @@ import pytest
 from outerbilliards.dynamics import IndexedPoint, orbit, strip_system_return
 from outerbilliards.errors import AnnulusNotFoundError, NotQuasirationalError
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Location, Point, norm2_sq, polygon_region, pt
+from outerbilliards.geometry import Line, Location, Point, polygon_region, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
-    _ring_base,
     annulus_windows,
     boundedness_certificate,
-    frame_point,
-    in_annulus,
     necklace,
     necklace_shift,
     overlap_area_determinant,
@@ -210,16 +209,17 @@ def test_annulus_windows_and_membership():
     for j in range(m.n):
         (a1, b1), (a2, b2) = annulus_windows(m.system, j, q.D_int[j])
         assert a1 < b1 and a2 < b2  # D_j = 1 rings leave a gap here
-    assert not in_annulus(m.system, 0, 1, pt(1, 1))  # interior of P
+    assert not necklace(m.system, 0, 1).in_annulus(pt(1, 1))  # interior of P
 
 
 def test_boundedness_certificate_triangle():
     m = BilliardModel(TRIANGLE)
     q = quasi_analyze(m.system)
     # hunt a certified point inside strip 0's m=1 annulus
-    (a1, b1), _ = annulus_windows(m.system, 0, q.D_int[0])
-    p = frame_point(m.system, 0, (a1 + b1) / 2, Fraction(7, 3))
-    assert in_annulus(m.system, 0, q.D_int[0], p)
+    ring = necklace(m.system, 0, q.D_int[0])
+    (a1, b1), _ = ring.windows()
+    p = ring.frame_point((a1 + b1) / 2, Fraction(7, 3))
+    assert ring.in_annulus(p)
     bounded, radius = boundedness_certificate(m.system, q, p, m=1)
     assert bounded
     assert radius > 0
@@ -233,8 +233,9 @@ def test_boundedness_certificate_triangle():
 def test_certificate_radius_monotone_in_m():
     m = BilliardModel(TRIANGLE)
     q = quasi_analyze(m.system)
-    (a1, b1), _ = annulus_windows(m.system, 0, q.D_int[0])
-    p = frame_point(m.system, 0, (a1 + b1) / 2, Fraction(7, 3))
+    ring = necklace(m.system, 0, q.D_int[0])
+    (a1, b1), _ = ring.windows()
+    p = ring.frame_point((a1 + b1) / 2, Fraction(7, 3))
     _, r1 = boundedness_certificate(m.system, q, p, m=1)
     _, r2 = boundedness_certificate(m.system, q, p, m=2)
     _, r3 = boundedness_certificate(m.system, q, p, m=3)
@@ -300,14 +301,95 @@ def test_necklace_membership_matches_region_route(poly_key):
 
 @pytest.mark.parametrize("poly_key", ["pentagon", "sqrt5_kite"])
 def test_ring_axis_range_closed_form_matches_ring_construction(poly_key):
-    """The closed-form ring window (`_ring_base`: the range of P and Q along
-    the shift, plus m*(d.d)) equals the min/max over the 2n translated vertices of the
-    ring built by `necklace` (the reference route, kept only here)."""
+    """The closed-form ring window (the spec's lo, hi: the range of P and Q
+    along the shift, plus m*dd) equals the min/max over the 2n translated
+    vertices of the ring's copies (the reference route, kept only here)."""
     poly = random_nice_polygon(5, seed=21) if poly_key == "pentagon" else sqrt5_kite()
     system = BilliardModel(poly).system
     for j in range(system.n):
-        d, lo, hi, dd = _ring_base(system, j)
+        base = necklace(system, j, 0)
+        d, lo, hi, dd = base.shift, base.lo, base.hi, base.dd
         for mm in range(-3, 4):
             spec = necklace(system, j, mm)
             vals = [d.x * v.x + d.y * v.y for v in spec.p_vertices + spec.q_vertices]
             assert (lo + mm * dd, hi + mm * dd) == (min(vals), max(vals)), (j, mm)
+
+
+@pytest.mark.parametrize("poly_key", ["pentagon", "sqrt5_kite"])
+def test_frame_point_closed_form_matches_line_route(poly_key):
+    """The ring's closed-form frame point equals the meeting point of the
+    offset strip line and the axis line (the reference route, kept only
+    here), in value and in scalar type."""
+    poly = random_nice_polygon(5, seed=21) if poly_key == "pentagon" else sqrt5_kite()
+    system = BilliardModel(poly).system
+    for j in range(system.n):
+        ring = necklace(system, j, 2)
+        d, width = ring.shift, ring.pair.width
+        for s in (ring.lo, ring.hi + 2 * ring.dd, (ring.lo + ring.hi) / 3,
+                  quadext(Fraction(-7, 2), 3, 5)):
+            for off in (Fraction(0), width, width * Fraction(2, 7), Fraction(-5, 3)):
+                want = ring.pair.line.parallel_offset(off).intersection(Line(d.x, d.y, s))
+                got = ring.frame_point(s, off)
+                assert repr(got) == repr(want), (j, s, off)
+                assert d.dot(got) == s and ring.pair.offset(got) == off
+
+
+def test_necklace_check_computes_shift_per_strip_not_per_sample(monkeypatch):
+    import outerbilliards.quasirational as quasirational
+
+    model = BilliardModel(random_nice_polygon(5, seed=5))
+    model.system  # built outside the count
+    calls = []
+    original = quasirational.necklace_shift
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(quasirational, "necklace_shift", counted)
+    counts = []
+    for samples in (12, 60):
+        calls.clear()
+        assert check_necklace_invariance(model, m=1, samples=samples, seed=5).passed
+        counts.append(len(calls))
+    assert counts == [2 * model.n] * 2  # the source and target ring of each strip
+
+
+def necklace_golden_text(n):
+    """Every necklace report (m = 1..3, exponent offsets 0 and 1) and a
+    certificate from the middle of the first open annulus window, on
+    random_nice_polygon(n, s) for s = 0..5."""
+    lines = []
+    for s in range(6):
+        model = BilliardModel(random_nice_polygon(n, s))
+        system = model.system
+        quasi = quasi_analyze(system)
+        for mm in (1, 2, 3):
+            for off in (0, 1):
+                rep = check_necklace_invariance(model, m=mm, samples=12, seed=mm,
+                                                exponent_offset=off)
+                lines.append(json.dumps(rep.to_json(), sort_keys=True))
+            rings = (necklace(system, j, mm * quasi.D_int[j]) for j in range(n))
+            ring = next(r for r in rings if r.windows()[0][0] < r.windows()[0][1])
+            (a1, b1), _ = ring.windows()
+            p = ring.frame_point((a1 + b1) / 2, ring.pair.width / 3)
+            lines.append(f"{ring.j} {p!r} "
+                         f"{boundedness_certificate(system, quasi, p, mm)!r}")
+    return "\n".join(lines)
+
+
+# Truncated sha256 of `necklace_golden_text(n)`, recorded before the rings
+# carried their strip's frame
+NECKLACE_GOLDEN = {
+    3: "53310bb9bbee1cb6",
+    4: "6bb0b035a59ded08",
+    5: "da76b5310ed92d26",
+    6: "ca43e9fa9d4142ef",
+    7: "4be70fd4242fa54b",
+}
+
+
+@pytest.mark.parametrize("n", sorted(NECKLACE_GOLDEN))
+def test_necklace_reports_and_certificates_golden(n):
+    text = necklace_golden_text(n)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == NECKLACE_GOLDEN[n]
