@@ -4,9 +4,11 @@ The square map is a piecewise translation: away from a measure-zero wall set,
 p moves by 2*(w - v) where v and w are the tangent vertices of the two
 reflection steps.  An outside point sees one contiguous chain of edges, and
 its tangent vertex, the end of that chain on the map's side, is read off the
-signs of its n edge-line offsets.  The regions of constancy are convex tiles,
-computed here exactly as cone(v) intersected with the point reflection of
-cone(w) through v; each tile is open and carries its translation vector.
+signs of its n edge-line offsets.  Both reflections run on the polygon's
+integer lattice (`NicePolygon.homogeneous`), dividing out only the result.
+The regions of constancy are convex tiles, computed here exactly as cone(v)
+intersected with the point reflection of cone(w) through v; each tile is
+open and carries its translation vector.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .geometry import (
     region,
 )
 from .polygon import NicePolygon
+from .scalars import ratio
 
 
 class Chirality(enum.Enum):
@@ -36,11 +39,12 @@ class Chirality(enum.Enum):
     LEFT = 1     # inverse map
 
 
-def tangent_vertex(polygon: NicePolygon, p: Point,
+def tangent_vertex(polygon: NicePolygon, p,
                    chirality: Chirality = Chirality.RIGHT) -> int:
     """The vertex v with every other vertex strictly on the chirality side of
     the ray p -> v: for RIGHT the vertex i with p seeing edge i-1 (negative
-    offset) and not edge i (positive offset), the reverse for LEFT.
+    offset) and not edge i (positive offset), the reverse for LEFT.  p is a
+    Point or its `NicePolygon.homogeneous` triple.
     OnPrimaryWallError when p is on the line of the edge at that end;
     InsidePolygonError when p is not strictly outside."""
     signs = polygon.edge_signs(p)
@@ -72,16 +76,26 @@ def inverse_square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int
 
 
 def _double_step(polygon, p, chirality):
+    """Both reflections on the polygon's lattice: p is (X, Y) over L, a
+    vertex is its `lattice` numerators times s = L // den over L, so
+    reflecting through it is X -> 2*s*VX - X, and only the result is
+    divided out."""
+    X, Y, L = here = polygon.homogeneous(p)
     try:
-        vi = tangent_vertex(polygon, p, chirality)
+        vi = tangent_vertex(polygon, here, chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(p, stage=1) from None
-    mid = p.reflect_through(polygon.vertices[vi])
+    except InsidePolygonError:
+        raise InsidePolygonError(p) from None
+    s2 = 2 * (L // polygon.den)
+    vx, vy = polygon.lattice[vi]
+    X, Y = s2 * vx - X, s2 * vy - Y
     try:
-        wi = tangent_vertex(polygon, mid, chirality)
+        wi = tangent_vertex(polygon, (X, Y, L), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(p, stage=2) from None
-    return mid.reflect_through(polygon.vertices[wi]), (vi, wi)
+    wx, wy = polygon.lattice[wi]
+    return Point(ratio(s2 * wx - X, L), ratio(s2 * wy - Y, L)), (vi, wi)
 
 
 def primary_cone(polygon: NicePolygon, v_index: int,

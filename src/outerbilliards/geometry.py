@@ -133,25 +133,36 @@ class Line:
     Coefficients are stored exactly as given (so signed offsets keep the
     caller's scale); equality and hashing use a canonical rescaling, making
     wall-coincidence tests structural.  Construction also keeps an integer
-    form, (a, b, c) times the positive lcm of their denominators (ints, or
-    QuadInts where a coefficient has a sqrt(d) part), from which `side`
-    decides every point-versus-line predicate.
+    form, `ints`: (a, b, c) times the positive lcm of their denominators
+    (ints, or QuadInts where a coefficient has a sqrt(d) part), from which
+    every point-versus-line predicate is decided: by `side`, and for polygon
+    edges by `NicePolygon.edge_signs`.
     """
 
-    __slots__ = ("a", "b", "c", "_key", "_ints")
+    __slots__ = ("a", "b", "c", "_key", "ints")
 
     def __init__(self, a: ScalarLike, b: ScalarLike, c: ScalarLike):
         a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
         if a == 0 and b == 0:
             raise ValueError("line requires (a, b) != (0, 0)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
         lead = a if a != 0 else b
-        object.__setattr__(self, "_key", (a / lead, b / lead, c / lead))
+        self._fill(a, b, c, (a / lead, b / lead, c / lead))
+
+    def _fill(self, a, b, c, key):
         fracs = [x.as_integer_ratio() for x in (a, b, c)]
         scale = math.lcm(*(q for _, q in fracs))
-        object.__setattr__(self, "_ints", tuple(n * (scale // q) for n, q in fracs))
+        ints = tuple(n * (scale // q) for n, q in fracs)
+        for name, value in (("a", a), ("b", b), ("c", c), ("_key", key), ("ints", ints)):
+            object.__setattr__(self, name, value)
+
+    def _with_c(self, c: Scalar) -> "Line":
+        """The line a*x + b*y = c of this direction: a moved line keeps
+        (a, b), so the first two `_key` entries carry over and only c is
+        divided by the leading coefficient."""
+        a, b = self.a, self.b
+        line = object.__new__(Line)
+        line._fill(a, b, c, self._key[:2] + (c / (a if a != 0 else b),))
+        return line
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
@@ -168,7 +179,7 @@ class Line:
         the sign of a*X + b*Y - c*Q is read on the integer form: an int, or
         over Q(sqrt d) a QuadInt.
         """
-        a, b, c = self._ints
+        a, b, c = self.ints
         xn, xq = p.x.as_integer_ratio()
         yn, yq = p.y.as_integer_ratio()
         t = a * (xn * yq) + b * (yn * xq) - c * (xq * yq)
@@ -182,7 +193,7 @@ class Line:
 
     def parallel_offset(self, delta: ScalarLike) -> "Line":
         """The parallel line whose signed offsets are shifted down by delta."""
-        return Line(self.a, self.b, self.c + delta)
+        return self._with_c(self.c + delta)
 
     def intersection(self, other: "Line") -> Optional[Point]:
         det = self.a * other.b - other.a * self.b
@@ -266,7 +277,7 @@ def _form(h: HalfPlane):
     entries with a sqrt(d) part.  The form is a positive multiple of
     `h.normalized()`, and every value the kernel reads off it is invariant
     under that scale."""
-    a, b, c = h.line._ints
+    a, b, c = h.line.ints
     if h.sense.upper:
         return -a, -b, -c, h.sense.strict
     return a, b, c, h.sense.strict
@@ -618,9 +629,8 @@ class ConvexRegion:
     def translate(self, v: Vec) -> "ConvexRegion":
         if self.is_empty:
             return self
-        shifted = tuple(HalfPlane(Line(h.line.a, h.line.b,
-                                       h.line.c + h.line.a * v.x + h.line.b * v.y),
-                                  h.sense)
+        shifted = tuple(HalfPlane(h.line._with_c(h.line.c + h.line.a * v.x
+                                                 + h.line.b * v.y), h.sense)
                         for h in self.constraints)
         return ConvexRegion(shifted, False, tuple(p + v for p in self._vertices),
                             self._interior, self._rays)
@@ -633,8 +643,9 @@ class ConvexRegion:
         # reverses
         out = []
         for h in reversed(self.constraints):
-            a, b, c = h.line.a, h.line.b, h.line.c
-            out.append(HalfPlane(Line(a, b, 2 * (a * center.x + b * center.y) - c),
+            line = h.line
+            out.append(HalfPlane(line._with_c(2 * (line.a * center.x + line.b * center.y)
+                                              - line.c),
                                  h.sense.flipped()))
         # a half turn keeps the clockwise order; only the start moves
         verts = _from_min([p.reflect_through(center) for p in self._vertices])

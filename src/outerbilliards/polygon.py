@@ -7,6 +7,7 @@ Input in either orientation is accepted and reoriented with a flag.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -47,9 +48,14 @@ class NicePolygon:
     quad_d is the d of the polygon's field Q(sqrt d) (None: Q).  When not
     given it is read off the vertices; a vertex over another field is a
     ValueError.
+
+    The polygon's lattice, fixed at construction: `den` is the least common
+    denominator D of the vertex coordinates, and `lattice[i]` is vertex i's
+    numerator pair over D (ints, or the `QuadInt`s of `as_integer_ratio()`).
     """
 
-    __slots__ = ("vertices", "reoriented", "edges", "quad_d")
+    __slots__ = ("vertices", "reoriented", "edges", "quad_d", "den", "lattice",
+                 "_forms")
 
     def __init__(self, vertices: Sequence[Point], reoriented: bool = False,
                  quad_d: Optional[int] = None):
@@ -64,6 +70,12 @@ class NicePolygon:
         object.__setattr__(self, "reoriented", reoriented)
         object.__setattr__(self, "edges", _build_edges(verts))
         object.__setattr__(self, "quad_d", quad_d)
+        fracs = [(v.x.as_integer_ratio(), v.y.as_integer_ratio()) for v in verts]
+        den = math.lcm(*(q for pair in fracs for _, q in pair))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "lattice", tuple(
+            (xn * (den // xq), yn * (den // yq)) for (xn, xq), (yn, yq) in fracs))
+        object.__setattr__(self, "_forms", tuple(e.line.ints for e in self.edges))
 
     def __setattr__(self, name, value):
         raise AttributeError("NicePolygon is immutable")
@@ -82,10 +94,23 @@ class NicePolygon:
     def vertex(self, i: int) -> Point:
         return self.vertices[i % self.n]
 
-    def edge_signs(self, p: Point) -> List[int]:
-        """`Line.side` of p against every edge line, in edge order: +1 on the
-        polygon's side, -1 where p sees the edge, 0 on the edge's line."""
-        return [e.line.side(p) for e in self.edges]
+    def homogeneous(self, p: Point) -> Tuple:
+        """p as integer coordinates (X, Y, L) on the polygon's lattice:
+        p = (X/L, Y/L), where L is the lcm of p's two denominators and `den`,
+        so vertex i sits at `lattice[i]` times the int L // den over L."""
+        xn, xq = p.x.as_integer_ratio()
+        yn, yq = p.y.as_integer_ratio()
+        L = math.lcm(xq, yq, self.den)
+        return xn * (L // xq), yn * (L // yq), L
+
+    def edge_signs(self, p) -> List[int]:
+        """The sign of p's offset from every edge line, in edge order (as
+        `Line.side`): +1 on the polygon's side, -1 where p sees the edge, 0
+        on the edge's line.  p is a Point or its `homogeneous` triple; the
+        sign of a*X + b*Y - c*L is read off each edge's integer form."""
+        X, Y, L = p if type(p) is tuple else self.homogeneous(p)
+        return [(t > 0) - (t < 0)
+                for t in (a * X + b * Y - c * L for a, b, c in self._forms)]
 
     def point_location(self, p: Point) -> Location:
         """Exact inside / boundary / outside classification."""

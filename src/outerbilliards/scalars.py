@@ -31,14 +31,21 @@ def _sign_rational(x) -> int:
 
 
 def is_squarefree(d: int) -> bool:
+    """Whether no square > 1 divides d >= 1, in O(cbrt d) divisions.  Trial
+    division divides out every k with k**3 <= the cofactor m; what is left
+    has all its prime factors >= k > cbrt(m), so at most two of them, and m
+    is square-free unless it is a prime's square."""
     if d < 1:
         return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    m, k = d, 2
+    while k * k * k <= m:
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
+                return False
+        k += 1 if k == 2 else 2
+    r = math.isqrt(m)
+    return m == 1 or r * r != m
 
 
 def quad_sign(a, b, d: int) -> int:

@@ -1,5 +1,8 @@
 """Outer billiards map, square map, cones and the tangent-pair partition."""
 
+import inspect
+import math
+import textwrap
 from fractions import Fraction
 from itertools import count
 
@@ -17,7 +20,7 @@ from outerbilliards.billiards import (
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from outerbilliards import geometry
+from outerbilliards import billiards, geometry
 from outerbilliards.errors import (
     InsidePolygonError,
     MapUndefinedError,
@@ -94,18 +97,24 @@ def _oracle_points(poly):
     return grid + on_edge_lines
 
 
-@pytest.mark.parametrize("poly_key", ["triangle"] + [f"n{n}" for n in range(3, 13)]
-                         + ["sqrt5_kite", "penrose_kite"])
-def test_tangent_vertex_matches_vertex_pair_oracle(poly_key):
+# the triangle, seeded rational n = 3..12 and both Q(sqrt 5) kites
+CORPUS = ["triangle"] + [f"n{n}" for n in range(3, 13)] + ["sqrt5_kite", "penrose_kite"]
+
+
+def corpus_polygon(poly_key):
     from test_quasirational import sqrt5_kite
     from test_verify import penrose_kite
 
     if poly_key == "triangle":
-        poly = TRIANGLE
-    elif poly_key.startswith("n"):
-        poly = random_nice_polygon(int(poly_key[1:]), seed=7)
-    else:
-        poly = {"sqrt5_kite": sqrt5_kite, "penrose_kite": penrose_kite}[poly_key]()
+        return TRIANGLE
+    if poly_key.startswith("n"):
+        return random_nice_polygon(int(poly_key[1:]), seed=7)
+    return {"sqrt5_kite": sqrt5_kite, "penrose_kite": penrose_kite}[poly_key]()
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_tangent_vertex_matches_vertex_pair_oracle(poly_key):
+    poly = corpus_polygon(poly_key)
     seen = set()
     for p in _oracle_points(poly):
         for chirality in Chirality:
@@ -380,3 +389,109 @@ def test_sqrt5_shear_parity_catches_conjugate_sign_slip(monkeypatch):
     monkeypatch.setattr(geometry, "ratio", conjugated)
     with pytest.raises(AssertionError):
         test_sqrt5_shear_keeps_tiles_and_orbits()
+
+
+# ---------------------------------------------------------------------------
+# the lattice kernel against the Point route: `tangent_vertex` on a Point,
+# then `reflect_through` each tangent vertex, kept here only as the oracle
+# for `billiards._double_step`
+
+
+def _point_route(polygon, p, chirality):
+    try:
+        vi = tangent_vertex(polygon, p, chirality)
+    except OnPrimaryWallError:
+        raise UndefinedOnWallError(p, stage=1) from None
+    mid = p.reflect_through(polygon.vertices[vi])
+    try:
+        wi = tangent_vertex(polygon, mid, chirality)
+    except OnPrimaryWallError:
+        raise UndefinedOnWallError(p, stage=2) from None
+    return mid.reflect_through(polygon.vertices[wi]), (vi, wi)
+
+
+def _outcome(step, polygon, p, chirality):
+    """repr of (point, label), so that Fraction and QuadExt coordinates
+    must agree in type too, or the error's class, point and stage."""
+    try:
+        return repr(step(polygon, p, chirality))
+    except MapUndefinedError as exc:
+        return (type(exc).__name__, exc.point, getattr(exc, "stage", None))
+
+
+# directions on a square around the origin and radii in polygon extents:
+# 2-5 extents out, and 10^4
+DIRECTIONS = [(1, Fraction(1, 3)), (Fraction(-2, 7), 1), (-1, Fraction(-5, 11)),
+              (Fraction(3, 5), -1), (1, 1), (-1, Fraction(1, 9))]
+RADII = [2, Fraction(7, 3), 5, 10 ** 4, 10 ** 4 + Fraction(1, 13)]
+
+
+def _parity_starts(poly):
+    extent = max(math.floor(abs(c)) for v in poly.vertices for c in (v.x, v.y)) + 1
+    far = [pt(r * extent * ux, r * extent * uy) for r in RADII for ux, uy in DIRECTIONS]
+    # a Q(sqrt 5) start for every rational one, on rational polygons too
+    far += [Point(p.x + ROOT5 / 7, p.y) for p in far]
+    walls = [v + (poly.vertex(i + 1) - v) * t for i, v in enumerate(poly.vertices)
+             for t in (-3, Fraction(-1, 2), Fraction(3, 2), 4)]
+    # reflected through a vertex, a wall point is the midpoint of a start
+    second = [q.reflect_through(v) for q in walls for v in poly.vertices]
+    inside = [pt(sum(v.x for v in poly.vertices) / poly.n,
+                 sum(v.y for v in poly.vertices) / poly.n)]
+    boundary = list(poly.vertices) + [
+        v + (poly.vertex(i + 1) - v) * Fraction(1, 3) for i, v in enumerate(poly.vertices)]
+    return far + walls + second + inside + boundary
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_lattice_kernel_matches_point_route(poly_key):
+    """square_map and inverse_square_map equal the Point route on near and
+    far starts over both fields and the next 4 points of each orbit, on
+    walls of either stage, and inside and on the polygon."""
+    poly = corpus_polygon(poly_key)
+    seen = set()
+    for chirality, step in ((Chirality.RIGHT, square_map),
+                            (Chirality.LEFT, inverse_square_map)):
+        for p in _parity_starts(poly):
+            for _ in range(5):
+                got = _outcome(lambda poly, p, _: step(poly, p), poly, p, chirality)
+                assert got == _outcome(_point_route, poly, p, chirality), (p, chirality)
+                if isinstance(got, tuple):
+                    seen.add(got[::2])
+                    break
+                seen.add("mapped")
+                p = step(poly, p)[0]
+    assert seen == {"mapped", ("UndefinedOnWallError", 1),
+                    ("UndefinedOnWallError", 2), ("InsidePolygonError", None)}
+
+
+def test_lattice_parity_catches_dropped_rescale(monkeypatch):
+    """Negative control: a kernel that reflects through the vertex's lattice
+    numerators without rescaling them from den to L must fail the parity
+    test."""
+    source = textwrap.dedent(inspect.getsource(billiards._double_step))
+    rescale = "2 * (L // polygon.den)"
+    assert rescale in source
+    namespace = dict(vars(billiards))
+    exec(source.replace(rescale, "2"), namespace)
+    monkeypatch.setattr(billiards, "_double_step", namespace["_double_step"])
+    with pytest.raises(AssertionError):
+        test_lattice_kernel_matches_point_route("n7")
+
+
+def test_square_map_calls_tangent_vertex_once_per_reflection(monkeypatch):
+    """Two tangent_vertex calls per ψ (or ψ⁻¹) step: the traced benchmark
+    counts `billiards.tangent_vertex` calls, so the kernel must call it."""
+    calls = []
+    real = billiards.tangent_vertex
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(billiards, "tangent_vertex", counted)
+    p = pt(Fraction(17, 3), -2)
+    for k in range(1, 6):
+        p, _ = square_map(PENTAGON, p)
+        assert len(calls) == 2 * k
+    inverse_square_map(PENTAGON, p)
+    assert len(calls) == 12

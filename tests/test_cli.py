@@ -348,7 +348,7 @@ def test_quasi_certify(tri_file, capsys):
 
 # a triangle with the vertex (4, 1/0), in plain form and as a {"a","b","d"}
 # scalar; then the plain triangle over a "field" whose d is not square-free,
-# negative, or a bool
+# negative, or a bool, or is the square of the prime 10^9 + 7
 BAD_POLYGON_DOCS = {
     "ZERO_DEN": '{"field": "rational", "vertices": [["0","0"],["1","3"],["4","1/0"]]}',
     "ZERO_DEN_QUAD": ('{"field": {"quad": 5}, "vertices": [["0","0"],["1","3"],'
@@ -356,6 +356,8 @@ BAD_POLYGON_DOCS = {
     "QUAD_4": '{"field": {"quad": 4}, "vertices": [["0","0"],["1","3"],["4","0"]]}',
     "QUAD_NEG3": '{"field": {"quad": -3}, "vertices": [["0","0"],["1","3"],["4","0"]]}',
     "QUAD_TRUE": '{"field": {"quad": true}, "vertices": [["0","0"],["1","3"],["4","0"]]}',
+    "QUAD_PRIME_SQ": ('{"field": {"quad": 1000000014000000049}, '
+                      '"vertices": [["0","0"],["1","3"],["4","0"]]}'),
 }
 
 
@@ -382,6 +384,7 @@ BAD_POLYGON_DOCS = {
     ("validate", "QUAD_4"),
     ("validate", "QUAD_NEG3"),
     ("validate", "QUAD_TRUE"),
+    ("validate", "QUAD_PRIME_SQ"),
 ])
 def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
     files = {"TRI": tri_file}

@@ -14,6 +14,7 @@ from fm_oracle import (
     fm_sample_points,
     fm_vertices,
 )
+from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry
 from outerbilliards.errors import EmptyRegionError, UnboundedRegionError
 from outerbilliards.geometry import (
@@ -453,3 +454,30 @@ def test_build_partition_runs_kernel_once_per_region(n, monkeypatch):
     # n primary cones and n(n-1) tile intersections; the reflected cones
     # are rigid motions and do not run the kernel
     assert len(calls) == n + n * (n - 1)
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_moved_lines_equal_fresh_lines(poly_key):
+    """`translate`, `point_reflect` and `parallel_offset` build each moved
+    line from the old one's direction; it must equal the Line built from its
+    coefficients: by ==, by hash, by integer form and by the side of every
+    vertex of the moved region."""
+    from outerbilliards.billiards import Chirality, build_partition
+
+    poly = corpus_polygon(poly_key)
+    moved = 0
+    for chirality in Chirality:
+        for tile in build_partition(poly, chirality).tiles:
+            v = poly.vertices[tile.v_index]
+            for r in (tile.region.translate(tile.translation),
+                      tile.region.point_reflect(v)):
+                corners = r.vertices() + poly.vertices
+                for h in r.constraints:
+                    for line in (h.line, h.line.parallel_offset(v.x)):
+                        fresh = Line(line.a, line.b, line.c)
+                        assert line == fresh and hash(line) == hash(fresh)
+                        assert line.ints == fresh.ints
+                        assert [line.side(p) for p in corners] == [
+                            fresh.side(p) for p in corners]
+                        moved += 1
+    assert moved > 0

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,30 @@ def test_quadext_requires_squarefree():
         QuadExt(1, 1, 8)
     with pytest.raises(ValueError):
         QuadExt(1, 1, 1)
+
+
+def test_is_squarefree_matches_trial_division():
+    def by_trial_division(d):
+        k = 2
+        while k * k <= d:
+            if d % (k * k) == 0:
+                return False
+            k += 1
+        return True
+
+    assert [d for d in range(-2, 20001) if is_squarefree(d)] == [
+        d for d in range(1, 20001) if by_trial_division(d)]
+
+
+def test_is_squarefree_on_two_large_prime_factors():
+    """Two prime factors near 10^9: trial division to sqrt(d) takes 10^9
+    steps, to cbrt(d) about 10^6."""
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9
+    t0 = time.perf_counter()
+    assert not is_squarefree(p * p)
+    assert is_squarefree(p * q)
+    assert not is_squarefree(4 * p * q)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_quadext_collapses_to_fraction():
