@@ -54,18 +54,29 @@ def pinwheel_theorem_step(model: BilliardModel, p: Point) -> Tuple[Point, int, i
     Returns (psi(p), steps used, a), a the start spoke of the path a -> b
     owning p's tile.  BudgetExceededError after 3n steps signals a violation
     of the theorem; a strip-boundary hit during the iteration is reported
-    distinctly as OnStripBoundaryError.
+    distinctly as OnStripBoundaryError.  The orbit runs on p's lattice
+    triple (`NicePolygon.homogeneous`): each strip map moves it over the same
+    L, where the target psi(p) = p + 2(w - v) is compared on integers.
     """
     n = model.n
+    polygon, system = model.polygon, model.system
     tile = model.partition.classify(p)
     q = p + tile.translation
     a = model.path_of_tile(tile).start
-    state = IndexedPoint(p, (a - 1) % n)
-    target = section(model, q)  # (q, c-1): q lies in the tile of a path c -> d
+    c = model.path_start(q)  # q lies in the tile of a path c -> d
+    X, Y, L = here = polygon.homogeneous(p)
+    s2 = 2 * (L // polygon.den)
+    (vx, vy), (wx, wy) = polygon.lattice[tile.v_index], polygon.lattice[tile.w_index]
+    goal_x, goal_y = X + s2 * (wx - vx), Y + s2 * (wy - vy)
+    index, goal_index = (a - 1) % n, (c - 1) % n
     budget = 3 * n
     for used in range(1, budget + 1):
-        state = pinwheel_step(model.system, state)
-        if state.point == target.point and state.index == target.index:
+        j = (index + 1) % n
+        there = strip_map(system.pair(j), here)
+        if there is here:
+            index = j
+        here = there
+        if index == goal_index and here[0] == goal_x and here[1] == goal_y:
             return q, used, a
     raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
 

@@ -99,6 +99,22 @@ def norm2_sq(p: Point) -> Scalar:
     return p.x * p.x + p.y * p.y
 
 
+def lattice(points) -> Tuple[int, Tuple[tuple, ...]]:
+    """(D, numerators): D the least common denominator of the points' (or
+    vectors') coordinates, and each one's numerator pair over D (ints, or
+    QuadInts from `as_integer_ratio()`)."""
+    fracs = [(p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points]
+    den = math.lcm(*(q for pair in fracs for _, q in pair))
+    return den, tuple((xn * (den // xq), yn * (den // yq)) for (xn, xq), (yn, yq) in fracs)
+
+
+def signed_area2(points: Tuple[Point, ...]) -> Scalar:
+    """Twice the signed area of a closed vertex cycle (the shoelace sum):
+    negative when clockwise, zero for fewer than three points."""
+    return sum((v.x * w.y - w.x * v.y for v, w in zip(points, points[1:] + points[:1])),
+               start=Fraction(0))
+
+
 def direction_ccw_cmp(u: Vec, v: Vec) -> int:
     """Compare directions by counterclockwise angle from the positive x-axis.
 
@@ -171,19 +187,24 @@ class Line:
         """a*p.x + b*p.y - c; zero exactly when p lies on the line."""
         return self.a * p.x + self.b * p.y - self.c
 
-    def side(self, p: Point) -> int:
+    def side(self, p) -> int:
         """The exact sign of `signed_offset(p)`: -1, 0 or +1.
 
-        p is taken to homogeneous integer coordinates (X, Y, Q) with
-        (x, y) = (X/Q, Y/Q) and int Q > 0 (from `as_integer_ratio()`), and
-        the sign of a*X + b*Y - c*Q is read on the integer form: an int, or
-        over Q(sqrt d) a QuadInt.
+        p is a Point, taken to homogeneous integer coordinates (X, Y, Q) with
+        (x, y) = (X/Q, Y/Q) and int Q > 0 (from `as_integer_ratio()`), or
+        such a triple itself (as `NicePolygon.homogeneous` gives one).  The
+        sign of a*X + b*Y - c*Q is read on the integer form: an int, or over
+        Q(sqrt d) a QuadInt, whose sign is read once.
         """
+        if type(p) is tuple:
+            X, Y, Q = p
+        else:
+            xn, xq = p.x.as_integer_ratio()
+            yn, yq = p.y.as_integer_ratio()
+            X, Y, Q = xn * yq, yn * xq, xq * yq
         a, b, c = self.ints
-        xn, xq = p.x.as_integer_ratio()
-        yn, yq = p.y.as_integer_ratio()
-        t = a * (xn * yq) + b * (yn * xq) - c * (xq * yq)
-        return (t > 0) - (t < 0)
+        t = a * X + b * Y - c * Q
+        return (t > 0) - (t < 0) if type(t) is int else t.sign()
 
     def normal(self) -> Vec:
         return Vec(self.a, self.b)
@@ -194,14 +215,6 @@ class Line:
     def parallel_offset(self, delta: ScalarLike) -> "Line":
         """The parallel line whose signed offsets are shifted down by delta."""
         return self._with_c(self.c + delta)
-
-    def intersection(self, other: "Line") -> Optional[Point]:
-        det = self.a * other.b - other.a * self.b
-        if det == 0:
-            return None
-        x = (self.c * other.b - other.c * self.b) / det
-        y = (self.a * other.c - other.a * self.c) / det
-        return Point(x, y)
 
     def __eq__(self, other):
         return isinstance(other, Line) and self._key == other._key
@@ -607,14 +620,7 @@ class ConvexRegion:
             return Fraction(0)
         if not self.is_bounded():
             raise UnboundedRegionError("area of an unbounded region")
-        verts = self.vertices()
-        if len(verts) < 3:
-            return Fraction(0)
-        acc = Fraction(0)
-        for i, v in enumerate(verts):
-            w = verts[(i + 1) % len(verts)]
-            acc = acc + (v.x * w.y - w.x * v.y)
-        return abs(acc) / 2
+        return abs(signed_area2(self.vertices())) / 2
 
     # -- constructors of derived regions ------------------------------------
 
@@ -673,17 +679,18 @@ class ConvexRegion:
                 raise EmptyRegionError("clip box misses the region")
         if not target.has_interior():
             raise EmptyRegionError("region has no interior to sample")
-        # a bounded region with interior is a polygon: barycentric weights
-        verts = target.vertices()
+        # a bounded region with interior is a polygon: barycentric weights,
+        # the odd numerators 2z+1 of `rng.unit` (their common denominator
+        # cancels), over the vertices' numerators on their lattice
+        den, verts = lattice(target.vertices())
         rng = Rng(seed).split(0x5A17)
         out = []
         k = len(verts)
         for i in range(count):
-            ws = [rng.unit(i * k + j) for j in range(k)]
-            total = sum(ws)
-            x = sum((w * v.x for w, v in zip(ws, verts)), start=Fraction(0)) / total
-            y = sum((w * v.y for w, v in zip(ws, verts)), start=Fraction(0)) / total
-            out.append(Point(as_scalar(x), as_scalar(y)))
+            ws = [rng.odd(i * k + j) for j in range(k)]
+            total = den * sum(ws)
+            out.append(Point(ratio(sum(w * X for w, (X, _) in zip(ws, verts)), total),
+                             ratio(sum(w * Y for w, (_, Y) in zip(ws, verts)), total)))
         for p in out:
             assert self.contains(p) is Location.INTERIOR
         return tuple(out)

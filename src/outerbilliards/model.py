@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Optional
 
 from .billiards import Chirality, Partition, build_partition
 from .paths import PathFamily, enumerate_paths, link_partition
@@ -14,11 +15,14 @@ class BilliardModel:
     """Polygon plus lazily built pinwheel system, partitions, and paths.
 
     The forward partition is always cross-validated against the admissible
-    path enumeration (exact label bijection) on construction.
+    path enumeration (exact label bijection) on construction.  A given
+    `system` (a negative control's corrupted one) replaces the built one.
     """
 
-    def __init__(self, polygon: NicePolygon):
+    def __init__(self, polygon: NicePolygon, system: Optional[PinwheelSystem] = None):
         self.polygon = polygon
+        if system is not None:
+            self.system = system
 
     @cached_property
     def system(self) -> PinwheelSystem:

@@ -18,7 +18,7 @@ from .errors import (
     ParallelEdgesError,
     ParseError,
 )
-from .geometry import Line, Location, Point
+from .geometry import Line, Location, Point, lattice, signed_area2
 from .scalars import (
     is_squarefree,
     radicand,
@@ -70,11 +70,9 @@ class NicePolygon:
         object.__setattr__(self, "reoriented", reoriented)
         object.__setattr__(self, "edges", _build_edges(verts))
         object.__setattr__(self, "quad_d", quad_d)
-        fracs = [(v.x.as_integer_ratio(), v.y.as_integer_ratio()) for v in verts]
-        den = math.lcm(*(q for pair in fracs for _, q in pair))
+        den, nums = lattice(verts)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "lattice", tuple(
-            (xn * (den // xq), yn * (den // yq)) for (xn, xq), (yn, yq) in fracs))
+        object.__setattr__(self, "lattice", nums)
         object.__setattr__(self, "_forms", tuple(e.line.ints for e in self.edges))
 
     def __setattr__(self, name, value):
@@ -83,7 +81,7 @@ class NicePolygon:
     @staticmethod
     def from_points(points: Sequence[Point], quad_d: Optional[int] = None) -> "NicePolygon":
         verts = tuple(points)
-        if len(verts) >= 3 and _signed_area2(verts) > 0:
+        if len(verts) >= 3 and signed_area2(verts) > 0:
             return NicePolygon(tuple(reversed(verts)), reoriented=True, quad_d=quad_d)
         return NicePolygon(verts, reoriented=False, quad_d=quad_d)
 
@@ -107,10 +105,14 @@ class NicePolygon:
         """The sign of p's offset from every edge line, in edge order (as
         `Line.side`): +1 on the polygon's side, -1 where p sees the edge, 0
         on the edge's line.  p is a Point or its `homogeneous` triple; the
-        sign of a*X + b*Y - c*L is read off each edge's integer form."""
+        sign of a*X + b*Y - c*L is read off each edge's integer form.  Over
+        Q every such offset is an int; over Q(sqrt d) a QuadInt offset's
+        sign is read once."""
         X, Y, L = p if type(p) is tuple else self.homogeneous(p)
-        return [(t > 0) - (t < 0)
-                for t in (a * X + b * Y - c * L for a, b, c in self._forms)]
+        ts = [a * X + b * Y - c * L for a, b, c in self._forms]
+        if self.quad_d is None:
+            return [(t > 0) - (t < 0) for t in ts]
+        return [(t > 0) - (t < 0) if type(t) is int else t.sign() for t in ts]
 
     def point_location(self, p: Point) -> Location:
         """Exact inside / boundary / outside classification."""
@@ -139,14 +141,6 @@ class NicePolygon:
         return f"NicePolygon(n={self.n})"
 
 
-def _signed_area2(verts: Tuple[Point, ...]):
-    acc = Fraction(0)
-    for i, v in enumerate(verts):
-        w = verts[(i + 1) % len(verts)]
-        acc = acc + (v.x * w.y - w.x * v.y)
-    return acc
-
-
 def _validate(verts: Tuple[Point, ...]):
     n = len(verts)
     if n < 3:
@@ -159,7 +153,7 @@ def _validate(verts: Tuple[Point, ...]):
             raise DegenerateVerticesError(
                 f"repeated vertex at indices {seen[key]} and {i}", (seen[key], i))
         seen[key] = i
-    area2 = _signed_area2(verts)
+    area2 = signed_area2(verts)
     if area2 == 0:
         raise DegenerateVerticesError("zero-area vertex cycle", range(n))
     if area2 > 0:

@@ -52,13 +52,6 @@ def overlap_area(system: PinwheelSystem, j: int) -> Scalar:
     return system.strip(j).intersect(system.strip(j + 1)).area()
 
 
-def overlap_area_determinant(system: PinwheelSystem, j: int) -> Scalar:
-    """Independent route: W_j * W_{j+1} / |det of the two strip normals|."""
-    a, b = system.pair(j), system.pair(j + 1)
-    det = a.line.a * b.line.b - b.line.a * a.line.b
-    return abs(a.width * b.width / det)
-
-
 def quasi_analyze(system: PinwheelSystem) -> QuasiData:
     n = system.n
     areas = tuple(overlap_area(system, j) for j in range(n))
@@ -179,19 +172,6 @@ def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
     d = system.polygon.vertices[e.head] - system.polygon.vertices[e.tail]
     t = nxt.width / (nxt.line.a * d.x + nxt.line.b * d.y)
     return d * t
-
-
-def transfer_ratio(system: PinwheelSystem, j: int) -> Scalar:
-    """Signed ratio lambda with shift_j - V_{j+1} = lambda * shift_{j+1}.
-
-    |lambda| always equals A_j / A_{j+1}; the sign says on which side of the
-    polygon the carried ring lands.  The cycle product of the signs is -1.
-    """
-    lhs = necklace_shift(system, j) - system.pair(j + 1).V
-    rhs = necklace_shift(system, (j + 1) % system.n)
-    lam = lhs.x / rhs.x if rhs.x != 0 else lhs.y / rhs.y
-    assert lhs.x == lam * rhs.x and lhs.y == lam * rhs.y
-    return lam
 
 
 def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:

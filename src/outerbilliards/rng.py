@@ -46,10 +46,13 @@ class Rng:
             raise ValueError("empty range")
         return lo + self.u64(counter) % (hi - lo + 1)
 
+    def odd(self, counter: int, bits: int = 32) -> int:
+        """The odd int 2z+1 < 2^(bits+1), z the top `bits` bits of `u64`."""
+        return 2 * (self.u64(counter) >> (64 - bits)) + 1
+
     def unit(self, counter: int, bits: int = 32) -> Fraction:
-        """Rational strictly inside (0, 1): (2z+1) / 2^(bits+1)."""
-        z = self.u64(counter) >> (64 - bits)
-        return Fraction(2 * z + 1, 2 << bits)
+        """Rational strictly inside (0, 1): `odd` / 2^(bits+1)."""
+        return Fraction(self.odd(counter, bits), 2 << bits)
 
     def between(self, counter: int, lo, hi) -> Fraction:
         """Rational strictly between lo and hi (exact endpoints excluded)."""

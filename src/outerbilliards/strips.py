@@ -11,7 +11,7 @@ are reproducible even though only the cyclic order is geometrically forced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Tuple
@@ -24,11 +24,12 @@ from .geometry import (
     Point,
     Sense,
     Vec,
+    lattice,
     region,
     slope_angle_cmp,
 )
 from .polygon import NicePolygon
-from .scalars import Scalar
+from .scalars import Scalar, ratio
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,12 @@ class PinwheelPair:
     v: Point
     w: Point
     V: Vec                  # 2*(w - v); translation spanning the strip
+    # (VX, VY, q): V = (VX/q, VY/q), q | the polygon's den
+    V_ints: Tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q, ((VX, VY),) = lattice((self.V,))
+        object.__setattr__(self, "V_ints", (VX, VY, q))
 
     def offset(self, p: Point) -> Scalar:
         return self.line.signed_offset(p)
@@ -58,8 +65,9 @@ class PinwheelPair:
             return t - self.width
         return Fraction(0)
 
-    def location(self, p: Point) -> int:
-        """-1 outside, 0 on the boundary, +1 strictly inside the strip."""
+    def location(self, p) -> int:
+        """-1 outside, 0 on the boundary, +1 strictly inside the strip; p is
+        a Point or an integer triple, as for `Line.side`."""
         near, far = self.line.side(p), self.line_far.side(p)
         if near == 0 or far == 0:
             return 0
@@ -85,9 +93,6 @@ class Spoke:
 
     def direction(self) -> Vec:
         return self.head - self.tail
-
-    def endpoint_indices(self) -> Tuple[int, int]:
-        return (self.tail_index, self.head_index)
 
 
 class PinwheelSystem:
@@ -189,18 +194,27 @@ def _assert_chain(system: PinwheelSystem):
             raise AssertionError(f"spokes {j} and {(j + 1) % n} share no vertex")
 
 
-def strip_map(pair: PinwheelPair, p: Point) -> Point:
+def strip_map(pair: PinwheelPair, p):
     """One application of the strip map: identity strictly inside the slab
     (p itself is returned), otherwise the translate by +-V that is strictly
     closer to the slab.  V moves the offset by exactly one width, so that
     translate is +V below the slab and -V above it; the result may still be
-    outside.  Undefined on the slab boundary."""
-    loc = pair.location(p)
-    if loc == 0:
+    outside.  Undefined on the slab boundary (the error carries the Point).
+    p is a Point or its lattice triple (`NicePolygon.homogeneous`), and so is
+    the result: the pair's V moves a triple by V_ints over L (q divides L)."""
+    near, far = pair.line.side(p), pair.line_far.side(p)
+    if near == 0 or far == 0:
+        if type(p) is tuple:
+            p = Point(ratio(p[0], p[2]), ratio(p[1], p[2]))
         raise OnStripBoundaryError(p, stage=pair.index)
-    if loc > 0:
+    if near > 0 > far:
         return p
-    return p + pair.V if pair.line.side(p) < 0 else p - pair.V
+    if type(p) is tuple:
+        X, Y, L = p
+        VX, VY, q = pair.V_ints
+        s = L // q if near < 0 else -(L // q)
+        return X + s * VX, Y + s * VY, L
+    return p + pair.V if near < 0 else p - pair.V
 
 
 def strip_jump(pair: PinwheelPair, p: Point) -> Tuple[Point, int]:

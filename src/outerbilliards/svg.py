@@ -34,10 +34,6 @@ def draw_region(region: ConvexRegion, **style) -> SceneItem:
     return SceneItem("region", (), region, _style(style))
 
 
-def draw_segment(a: Point, b: Point, **style) -> SceneItem:
-    return SceneItem("segment", (a, b), None, _style(style))
-
-
 def draw_polyline(points: Sequence[Point], **style) -> SceneItem:
     return SceneItem("polyline", tuple(points), None, _style(style))
 

@@ -23,7 +23,6 @@ from .dynamics import (
     strip_system_return,
 )
 from .errors import BudgetExceededError, MapUndefinedError
-from .generate import random_nice_polygon
 from .geometry import ConvexRegion, HalfPlane, Line, Point, polygon_region
 from .model import BilliardModel
 from .paths import apex_sequence
@@ -32,21 +31,6 @@ from .quasirational import in_trapped_extent, necklace, quasi_analyze
 from .report import CheckReport
 from .rng import Rng
 from .strips import strip_map
-
-__all__ = [
-    "random_nice_polygon",
-    "check_pinwheel_theorem",
-    "check_far_field",
-    "check_structure3",
-    "check_pin1_pin2_move",
-    "check_apex",
-    "check_structure1",
-    "check_exit_reversal_conjugate",
-    "check_necklace_invariance",
-    "run_all",
-    "negative_controls",
-]
-
 
 # ---------------------------------------------------------------------------
 # sample generation over tiles
@@ -180,7 +164,8 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
         except MapUndefinedError:
             rep.skip()
             continue
-        strips_in = [j for j in range(n) if model.system.pair(j).location(q) == 1]
+        here = model.polygon.homogeneous(q)
+        strips_in = [j for j in range(n) if model.system.pair(j).location(here) == 1]
         if k not in (1, 2):
             rep.fail(repr(p), "k in {1, 2}", f"k = {k}", i)
         elif (k == 2) != bool(strips_in):
@@ -613,10 +598,7 @@ def negative_controls(polygon: NicePolygon, seed: int = 0) -> List[CheckReport]:
     hacked = dataclasses.replace(
         pair, width=pair.width / 2,
         line_far=pair.line.parallel_offset(pair.width / 2))
-    broken = BilliardModel(polygon)
-    broken.__dict__["system"] = model.system.with_pair(0, hacked)
-    broken.__dict__["partition"] = model.partition
-    broken.__dict__["paths"] = model.paths
+    broken = BilliardModel(polygon, system=model.system.with_pair(0, hacked))
     rep = check_structure3(broken, samples=40, seed=seed)
     rep2 = check_pinwheel_theorem(broken, samples=40, seed=seed)
     rep.attempted += rep2.attempted

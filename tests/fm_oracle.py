@@ -21,6 +21,7 @@ from outerbilliards.geometry import (
     _pick_in_interval,
     direction_ccw_cmp,
 )
+from oracles import line_intersection
 from outerbilliards.rng import Rng
 from outerbilliards.scalars import QuadExt, as_scalar, sign
 
@@ -164,7 +165,7 @@ def fm_vertices(constraints):
     cands = []
     for i in range(len(uniq)):
         for j in range(i + 1, len(uniq)):
-            p = uniq[i].intersection(uniq[j])
+            p = line_intersection(uniq[i], uniq[j])
             if p is None or p in cands:
                 continue
             if all(sign(a * p.x + b * p.y - c) >= 0

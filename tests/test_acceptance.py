@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import overlap_area_determinant
 from outerbilliards.billiards import square_map
 from outerbilliards.dynamics import orbit
 from outerbilliards.errors import EmptyRegionError
@@ -21,7 +22,6 @@ from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
     boundedness_certificate,
     necklace,
-    overlap_area_determinant,
     quasi_analyze,
 )
 from outerbilliards.strips import build_pinwheel_system, sigma_range, strip_map

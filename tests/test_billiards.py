@@ -20,7 +20,7 @@ from outerbilliards.billiards import (
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from outerbilliards import billiards, geometry
+from outerbilliards import billiards, geometry, scalars
 from outerbilliards.errors import (
     InsidePolygonError,
     MapUndefinedError,
@@ -495,3 +495,32 @@ def test_square_map_calls_tangent_vertex_once_per_reflection(monkeypatch):
         assert len(calls) == 2 * k
     inverse_square_map(PENTAGON, p)
     assert len(calls) == 12
+
+
+def test_psi_step_reads_each_irrational_offset_sign_once(monkeypatch):
+    """On the Penrose kite a ψ step runs `quad_sign` once per QuadInt edge
+    offset, at p and at its reflection through the tangent vertex, and never
+    for an int offset: a QuadInt offset's sign is read with `.sign()`, not
+    by two comparisons.  The offsets are recomputed here on the lattice as
+    the kernel forms them (a QuadInt offset can still be rational)."""
+    kite = corpus_polygon("penrose_kite")
+    calls = []
+    real = scalars.quad_sign
+    monkeypatch.setattr(scalars, "quad_sign", lambda a, b, d: calls.append(b) or real(a, b, d))
+    seen = set()
+    for p in (pt(3, Fraction(1, 3)), pt(Fraction(-5, 2), Fraction(7, 3)),
+              Point(ROOT5 / 7 + 3, Fraction(1, 3)), Point(Fraction(1, 9), ROOT5 * 3)):
+        for _ in range(6):
+            calls.clear()
+            q, (vi, _) = square_map(kite, p)
+            got = len(calls)
+            X, Y, L = kite.homogeneous(p)
+            s2 = 2 * (L // kite.den)
+            vx, vy = kite.lattice[vi]
+            want = sum(type(a * x + b * y - c * L) is not int
+                       for x, y in ((X, Y), (s2 * vx - X, s2 * vy - Y))
+                       for a, b, c in (e.line.ints for e in kite.edges))
+            assert got == want, (p, got, want)
+            seen.add(want)
+            p = q
+    assert seen == {4, 2 * kite.n}  # two sqrt(5) edges at a rational point; all four

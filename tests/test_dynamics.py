@@ -1,9 +1,15 @@
 """Pinwheel dynamics: steps, section, returns, orbits."""
 
+import dataclasses
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from oracles import point_route_theorem_step
+from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
+from outerbilliards import dynamics, strips
 from outerbilliards.billiards import square_map
 from outerbilliards.dynamics import (
     IndexedPoint,
@@ -23,11 +29,12 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Line, Point, pt
+from outerbilliards.geometry import HalfPlane, Line, Point, Sense, pt, region
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
 from outerbilliards.strips import strip_jump, strip_map
+from outerbilliards.verify import tile_samples
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -50,8 +57,9 @@ def test_pinwheel_step_cases():
 
 
 def test_pinwheel_step_locates_the_point_once(monkeypatch):
-    """A step is one strip map: two `Line.side` calls to locate the point in
-    the strip, plus one to pick the translate when it moves."""
+    """A step is one strip map: two `Line.side` calls locate the point in
+    the strip, and the near line's sign also picks the translate when it
+    moves."""
     system = BilliardModel(random_nice_polygon(7, 3)).system
     calls = []
     side = Line.side
@@ -62,7 +70,7 @@ def test_pinwheel_step_locates_the_point_once(monkeypatch):
         calls.clear()
         nxt = pinwheel_step(system, x)
         moved = nxt.index == x.index
-        assert len(calls) == (3 if moved else 2)
+        assert len(calls) == 2
         seen.add(moved)
         x = nxt
     assert seen == {True, False}
@@ -495,3 +503,92 @@ def test_orbit_golden_covers_every_selector_and_end_tag():
     assert selectors == {"psi", "psi_star", "exit", "first_return", "strip_return"}
     assert tags == {"start", "translated", "index-shifted", "returned",
                     "undefined", "budget-exhausted", "escaped"}
+
+
+# pinwheel_theorem_step on the lattice against the Point route
+# (`oracles.point_route_theorem_step`)
+
+
+def _theorem_outcome(step, model, p):
+    """repr of (psi(p), steps used, a), so that Fraction and QuadExt
+    coordinates must agree in type too, or the error's class, point and
+    stage."""
+    try:
+        return repr(step(model, p))
+    except (MapUndefinedError, BudgetExceededError) as exc:
+        return (type(exc).__name__, getattr(exc, "point", None), getattr(exc, "stage", None))
+
+
+def _theorem_starts(model):
+    """Two samples of every tile, and far starts over both fields."""
+    rng = Rng(5).split(model.n)
+    starts = []
+    for t_i, tile in enumerate(model.partition.tiles):
+        starts += tile_samples(model, tile, 2, rng.split(t_i))
+    R = far_radius(model)
+    for ux, uy in DIRECTIONS:
+        p = Point(2 * R * ux / (abs(ux) + abs(uy)), 2 * R * uy / (abs(ux) + abs(uy)))
+        starts += [p, Point(p.x + ROOT5 / 7, p.y)]
+    return starts
+
+
+def _halved_strip_model(model):
+    """The model with strip 0 at half its width, as the halved-strip
+    negative control builds it."""
+    pair = model.system.pair(0)
+    half = pair.width / 2
+    hacked = dataclasses.replace(pair, width=half, line_far=pair.line.parallel_offset(half))
+    return BilliardModel(model.polygon, system=model.system.with_pair(0, hacked))
+
+
+def _boundary_starts(model):
+    """Starts whose pinwheel orbit hits the far line of strip 0 at stage 0:
+    in a tile whose path starts at spoke 0, strip 0 first moves p by +-V
+    into the strip and is applied again there, so p on that line -+ V is a
+    hit.  With the true strip the line is a wall and the tiles miss it."""
+    pair = model.system.pair(0)
+    far_line = region([HalfPlane(pair.line_far, Sense.GE), HalfPlane(pair.line_far, Sense.LE)])
+    out = []
+    for tile in model.partition.tiles:
+        if model.path_of_tile(tile).start != 0:
+            continue
+        for segment in (far_line.translate(pair.V), far_line.translate(-pair.V)):
+            segment = tile.region.intersect(segment)
+            ends = segment.vertices()
+            if len(ends) == 2:
+                out.append(ends[0] + (ends[1] - ends[0]) * Fraction(1, 3))
+            elif len(ends) == 1:
+                out.append(ends[0] + segment.recession_direction())
+    return out
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_theorem_step_lattice_matches_point_route(poly_key):
+    """pinwheel_theorem_step on lattice triples equals the Point route: the
+    same (psi(p), steps, a) on tile and far samples over both fields and,
+    with strip 0 halved (so its pair, not the polygon, must give the far
+    line), the same strip-boundary hits and exceeded budgets."""
+    model = BilliardModel(corpus_polygon(poly_key))
+    halved = _halved_strip_model(model)
+    seen = set()
+    for m, starts in ((model, _theorem_starts(model)),
+                      (halved, _theorem_starts(halved) + _boundary_starts(halved))):
+        for p in starts:
+            got = _theorem_outcome(pinwheel_theorem_step, m, p)
+            assert got == _theorem_outcome(point_route_theorem_step, m, p), p
+            seen.add(got[0] if isinstance(got, tuple) else "mapped")
+    assert {"mapped", "OnStripBoundaryError"} <= seen, seen
+
+
+def test_theorem_parity_catches_dropped_rescale(monkeypatch):
+    """Negative control: a strip map that moves a triple by V's numerators
+    without rescaling them from V's denominator q to L must fail the parity
+    test."""
+    source = textwrap.dedent(inspect.getsource(strips.strip_map))
+    rescale = "L // q"
+    assert source.count(rescale) == 2
+    namespace = dict(vars(strips))
+    exec(source.replace(rescale, "1"), namespace)
+    monkeypatch.setattr(dynamics, "strip_map", namespace["strip_map"])
+    with pytest.raises(AssertionError):
+        test_theorem_step_lattice_matches_point_route("n7")

@@ -1,5 +1,7 @@
 """Geometry kernel tests: lines, half-planes, convex regions, sampling."""
 
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from fm_oracle import (
     fm_sample_points,
     fm_vertices,
 )
+from oracles import line_intersection
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry
 from outerbilliards.errors import EmptyRegionError, UnboundedRegionError
@@ -32,8 +35,9 @@ from outerbilliards.geometry import (
     region,
     vec,
 )
+from outerbilliards.model import BilliardModel
 from outerbilliards.rng import Rng
-from outerbilliards.scalars import QuadExt, QuadInt, quad_sign, quadext, sign
+from outerbilliards.scalars import QuadExt, quadext, sign
 
 
 def slab(a, b, lo, hi):
@@ -98,13 +102,13 @@ def test_side_matches_offset_sign(line_and_point):
 def test_side_oracle_catches_dropped_radical_part(monkeypatch):
     """Negative control: a side that keeps only the rational part of its
     Q(sqrt d) integer sum must fail the oracle property.  The sum is a
-    QuadInt, so its comparisons are patched; the oracle's QuadExt signs do
-    not go through them."""
-    def rational_part_only(self, other):
-        r, _ = self._split(other)
-        return quad_sign(self.r - r, 0, self.d)
-
-    monkeypatch.setattr(QuadInt, "_cmp", rational_part_only)
+    QuadInt whose sign `side` reads once; the oracle's QuadExt signs go
+    through `QuadInt.sign` too, so `side` itself is mutated, not the type."""
+    source = textwrap.dedent(inspect.getsource(Line.side))
+    assert "t.sign()" in source
+    namespace = dict(vars(geometry))
+    exec(source.replace("t.sign()", "(t.r > 0) - (t.r < 0)"), namespace)
+    monkeypatch.setattr(Line, "side", namespace["side"])
     with pytest.raises(AssertionError):
         test_side_matches_offset_sign()
 
@@ -312,7 +316,7 @@ def halfplane_sets(draw):
         elif kind == "parallel":
             line = Line(base.line.a, base.line.b, base.line.c + draw(SMALL))
         else:
-            p = base.line.intersection(draw(st.sampled_from(hps)).line) or origin
+            p = line_intersection(base.line, draw(st.sampled_from(hps)).line) or origin
             line = Line(a, b, a * p.x + b * p.y)
         keep_origin = line.side(origin) >= 0
         if draw(st.sampled_from([False] * 5 + [True])):
@@ -382,6 +386,20 @@ def test_kernel_matches_fm_oracle(hps):
             r.sample_points(3, seed=4, clip=clip)
     else:
         assert r.sample_points(3, seed=4, clip=clip) == fm_sample_points(clipped, 3, seed=4)
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_tile_samples_match_fm_oracle(poly_key):
+    """`sample_points`, integer weights over the vertices' lattice, draws
+    the same points, of the same scalar types, as the Fraction route of
+    `fm_sample_points` on every bounded forward tile, over Q and Q(sqrt 5);
+    triangles have no bounded tile."""
+    tiles = [t for t in BilliardModel(corpus_polygon(poly_key)).partition.tiles
+             if not t.unbounded]
+    assert tiles or len(corpus_polygon(poly_key).vertices) == 3
+    for i, tile in enumerate(tiles):
+        got = tile.region.sample_points(4, seed=i)
+        assert repr(got) == repr(fm_sample_points(tile.region.constraints, 4, seed=i))
 
 
 def test_kernel_oracle_catches_kept_zero_length_edges(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import line_intersection, overlap_area_determinant, transfer_ratio
 from outerbilliards.dynamics import IndexedPoint, orbit, strip_system_return
 from outerbilliards.errors import AnnulusNotFoundError, NotQuasirationalError
 from outerbilliards.generate import random_nice_polygon
@@ -17,9 +18,7 @@ from outerbilliards.quasirational import (
     boundedness_certificate,
     necklace,
     necklace_shift,
-    overlap_area_determinant,
     quasi_analyze,
-    transfer_ratio,
 )
 from outerbilliards.scalars import QuadExt, quadext
 from outerbilliards.verify import check_necklace_invariance
@@ -328,7 +327,7 @@ def test_frame_point_closed_form_matches_line_route(poly_key):
         for s in (ring.lo, ring.hi + 2 * ring.dd, (ring.lo + ring.hi) / 3,
                   quadext(Fraction(-7, 2), 3, 5)):
             for off in (Fraction(0), width, width * Fraction(2, 7), Fraction(-5, 3)):
-                want = ring.pair.line.parallel_offset(off).intersection(Line(d.x, d.y, s))
+                want = line_intersection(ring.pair.line.parallel_offset(off), Line(d.x, d.y, s))
                 got = ring.frame_point(s, off)
                 assert repr(got) == repr(want), (j, s, off)
                 assert d.dot(got) == s and ring.pair.offset(got) == off

@@ -69,7 +69,7 @@ def test_consecutive_spokes_share_vertex():
 def test_edge_spoke_bijection():
     for poly in (TRIANGLE, PENTAGON):
         sys = build_pinwheel_system(poly)
-        assert len({s.endpoint_indices() for s in sys.spokes}) == sys.n
+        assert len({(s.tail_index, s.head_index) for s in sys.spokes}) == sys.n
         assert sorted(p.edge_index for p in sys.pairs) == list(range(poly.n))
 
 
