@@ -1,17 +1,19 @@
 """Pinwheel dynamics: the indexed-plane map, section, returns and orbits.
 
 The pinwheel map acts on R^2 x {0..n-1}: try the next strip map; if it fixes
-the point, advance the index, otherwise translate and hold the index.  The
-section drops a plane point into the indexed plane at index a-1, where a is
-the start spoke of the tile's admissible path.  All step budgets are explicit
-and every undefined-point condition is a distinct exception.
+the point, advance the index, otherwise translate and hold the index.  One
+loop, `pinwheel_walk`, applies that rule; the other pinwheel routines read
+its states.  The section drops a plane point into the indexed plane at index
+a-1, where a is the start spoke of the tile's admissible path.  All step
+budgets are explicit and every undefined-point condition is a distinct
+exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .billiards import square_map
 from .errors import BudgetExceededError, MapUndefinedError
@@ -32,14 +34,27 @@ class IndexedPoint:
         return IndexedPoint(self.point, self.index % n)
 
 
-def pinwheel_step(system: PinwheelSystem, x: IndexedPoint) -> IndexedPoint:
-    """One application of the pinwheel map: strip map j = index + 1, once.
-    Where it fixes the point (returns it as is) the index advances to j;
-    otherwise it holds."""
+def pinwheel_walk(system: PinwheelSystem, here, index: int) -> Iterator[Tuple]:
+    """The pinwheel orbit of (here, index): each next state (here, index),
+    without end.  A step tries strip map j = index + 1 once; where it fixes
+    the point (returns it as is) the index advances to j, otherwise it holds.
+    `here` is a Point or its lattice triple, as for `strip_map`, and the
+    states keep its form; the index comes out reduced mod n."""
     n = system.n
-    j = (x.index + 1) % n
-    q = strip_map(system.pair(j), x.point)
-    return IndexedPoint(q, j if q is x.point else x.index % n)
+    pairs = system.pairs
+    index %= n
+    while True:
+        j = (index + 1) % n
+        there = strip_map(pairs[j], here)
+        if there is here:
+            index = j
+        here = there
+        yield here, index
+
+
+def pinwheel_step(system: PinwheelSystem, x: IndexedPoint) -> IndexedPoint:
+    """One application of the pinwheel map: the first state of the walk."""
+    return IndexedPoint(*next(pinwheel_walk(system, x.point, x.index)))
 
 
 def section(model: BilliardModel, p: Point) -> IndexedPoint:
@@ -48,37 +63,36 @@ def section(model: BilliardModel, p: Point) -> IndexedPoint:
     return IndexedPoint(p, (a - 1) % model.n)
 
 
-def pinwheel_theorem_step(model: BilliardModel, p: Point) -> Tuple[Point, int, int]:
+def pinwheel_theorem_step(model: BilliardModel, p: Point) -> Tuple[Point, List[Tuple], int]:
     """Follow the pinwheel orbit of iota(p) until it reaches (psi(p), c-1).
 
-    Returns (psi(p), steps used, a), a the start spoke of the path a -> b
+    Returns (psi(p), orbit, a): orbit lists the walk's states on p's lattice
+    triple (`NicePolygon.homogeneous`), the last one (psi(p), c-1), so the
+    step count k is its length; a is the start spoke of the path a -> b
     owning p's tile.  BudgetExceededError after 3n steps signals a violation
     of the theorem; a strip-boundary hit during the iteration is reported
-    distinctly as OnStripBoundaryError.  The orbit runs on p's lattice
-    triple (`NicePolygon.homogeneous`): each strip map moves it over the same
-    L, where the target psi(p) = p + 2(w - v) is compared on integers.
+    distinctly as OnStripBoundaryError.  Each strip map moves the triple over
+    the same L, where the target psi(p) = p + 2(w - v) is compared on
+    integers.
     """
     n = model.n
-    polygon, system = model.polygon, model.system
+    polygon = model.polygon
     tile = model.partition.classify(p)
     q = p + tile.translation
     a = model.path_of_tile(tile).start
     c = model.path_start(q)  # q lies in the tile of a path c -> d
-    X, Y, L = here = polygon.homogeneous(p)
+    X, Y, L = start = polygon.homogeneous(p)
     s2 = 2 * (L // polygon.den)
     (vx, vy), (wx, wy) = polygon.lattice[tile.v_index], polygon.lattice[tile.w_index]
-    goal_x, goal_y = X + s2 * (wx - vx), Y + s2 * (wy - vy)
-    index, goal_index = (a - 1) % n, (c - 1) % n
+    goal = (X + s2 * (wx - vx), Y + s2 * (wy - vy), L), (c - 1) % n
     budget = 3 * n
-    for used in range(1, budget + 1):
-        j = (index + 1) % n
-        there = strip_map(system.pair(j), here)
-        if there is here:
-            index = j
-        here = there
-        if index == goal_index and here[0] == goal_x and here[1] == goal_y:
-            return q, used, a
-    raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
+    orbit = []
+    for state in pinwheel_walk(model.system, start, a - 1):
+        orbit.append(state)
+        if state == goal:
+            return q, orbit, a
+        if len(orbit) == budget:
+            raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
 
 
 def exit_map(model: BilliardModel, p: Point, budget: int = 1000) -> Tuple[Point, int]:

@@ -244,9 +244,6 @@ class Sense(enum.Enum):
         return {Sense.GE: Sense.LE, Sense.GT: Sense.LT,
                 Sense.LE: Sense.GE, Sense.LT: Sense.GT}[self]
 
-    def strictened(self) -> "Sense":
-        return {Sense.GE: Sense.GT, Sense.LE: Sense.LT}.get(self, self)
-
 
 @dataclass(frozen=True)
 class HalfPlane:
@@ -271,9 +268,6 @@ class HalfPlane:
         if self.sense.upper:
             a, b, c = -a, -b, -c
         return a, b, c, self.sense.strict
-
-    def strictened(self) -> "HalfPlane":
-        return HalfPlane(self.line, self.sense.strictened())
 
 
 def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> HalfPlane:
@@ -660,29 +654,23 @@ class ConvexRegion:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_points(self, count: int, seed: int,
-                      clip: Optional["ConvexRegion"] = None) -> Tuple[Point, ...]:
+    def sample_points(self, count: int, seed: int) -> Tuple[Point, ...]:
         """Deterministic rational points strictly interior to the region.
 
-        Unbounded regions must be clipped by a caller-supplied box region.
+        An unbounded region must first be intersected with a box region.
         """
         if count <= 0:
             return ()
         if self.is_empty:
             raise EmptyRegionError("cannot sample an empty region")
-        target = self
         if not self.is_bounded():
-            if clip is None:
-                raise ValueError("sampling an unbounded region requires a clip box")
-            target = self.intersect(clip)
-            if target.is_empty:
-                raise EmptyRegionError("clip box misses the region")
-        if not target.has_interior():
+            raise ValueError("sampling an unbounded region: intersect it with a box first")
+        if not self.has_interior():
             raise EmptyRegionError("region has no interior to sample")
         # a bounded region with interior is a polygon: barycentric weights,
         # the odd numerators 2z+1 of `rng.unit` (their common denominator
         # cancels), over the vertices' numerators on their lattice
-        den, verts = lattice(target.vertices())
+        den, verts = lattice(self.vertices())
         rng = Rng(seed).split(0x5A17)
         out = []
         k = len(verts)

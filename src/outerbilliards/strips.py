@@ -91,9 +91,6 @@ class Spoke:
     head: Point
     special: bool
 
-    def direction(self) -> Vec:
-        return self.head - self.tail
-
 
 class PinwheelSystem:
     """All pinwheel pairs and spokes of a nice polygon, slope ordered."""

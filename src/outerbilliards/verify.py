@@ -18,8 +18,8 @@ from .billiards import inverse_square_map, square_map
 from .dynamics import (
     IndexedPoint,
     far_radius,
-    pinwheel_step,
     pinwheel_theorem_step,
+    pinwheel_walk,
     strip_system_return,
 )
 from .errors import BudgetExceededError, MapUndefinedError
@@ -30,6 +30,7 @@ from .polygon import NicePolygon
 from .quasirational import in_trapped_extent, necklace, quasi_analyze
 from .report import CheckReport
 from .rng import Rng
+from .scalars import ratio
 from .strips import strip_map
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
         idx += 1
         rep.sample()
         try:
-            q, used, _ = pinwheel_theorem_step(model, p)
+            _, orbit, _ = pinwheel_theorem_step(model, p)
         except BudgetExceededError:
             rep.fail(repr(p), f"k <= {3 * n}", "budget exceeded", idx)
             continue
@@ -106,7 +107,7 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
             rep.skip()
             continue
         if tile is not None and not tile.unbounded:
-            err = _structure2_realization(model, tile, p, q)
+            err = _structure2_realization(model, tile, p, orbit)
             if err is not None:
                 rep.fail(repr(p), err[0], err[1], idx)
                 continue
@@ -114,31 +115,31 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
     return rep
 
 
-def _structure2_realization(model: BilliardModel, tile, p: Point, q: Point):
-    """The pinwheel orbit of (p, a-1) must reach (psi(p), b-1) within 2n
-    steps, and its planar trace must equal the telescoped prefix points."""
+def _structure2_realization(model: BilliardModel, tile, p: Point, orbit):
+    """The pinwheel orbit of (p, a-1), as the theorem step's `orbit` of
+    lattice states, must pass (psi(p), b-1) within 2n steps, and its planar
+    trace up to there must equal the telescoped prefix points."""
     n = model.n
     path = model.path_of_tile(tile)
-    state = IndexedPoint(p, (path.start - 1) % n)
-    target_index = (path.end_lifted - 1) % n
-    expected = [p]
+    try:
+        used = orbit.index((orbit[-1][0], (path.end_lifted - 1) % n), 0, 2 * n) + 1
+    except ValueError:
+        return (f"(psi(p), b-1) within {2 * n} pinwheel steps", "not reached")
+    homogeneous = model.polygon.homogeneous
+    expected = [homogeneous(p)]
     for shift in path.prefix_sums:
-        nxt = p + shift
+        nxt = homogeneous(p + shift)
         if nxt != expected[-1]:
             expected.append(nxt)
-    trace = [p]
-    for _ in range(2 * n):
-        try:
-            state = pinwheel_step(model.system, state)
-        except MapUndefinedError:
-            return ("orbit off walls", "strip boundary hit")
-        if state.point != trace[-1]:
-            trace.append(state.point)
-        if state.point == q and state.index == target_index:
-            if trace != expected:
-                return (f"planar trace {expected}", f"{trace}")
-            return None
-    return (f"(psi(p), b-1) within {2 * n} pinwheel steps", "not reached")
+    trace = expected[:1]
+    for here, _ in orbit[:used]:
+        if here != trace[-1]:
+            trace.append(here)
+    if trace != expected:
+        planar = [[Point(ratio(X, L), ratio(Y, L)) for X, Y, L in pts]
+                  for pts in (expected, trace)]
+        return (f"planar trace {planar[0]}", f"{planar[1]}")
+    return None
 
 
 def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> CheckReport:
@@ -160,11 +161,11 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
         p = Point(2 * R * Fraction(ux, s), 2 * R * Fraction(uy, s))
         rep.sample()
         try:
-            q, k, a = pinwheel_theorem_step(model, p)
+            _, orbit, a = pinwheel_theorem_step(model, p)
         except MapUndefinedError:
             rep.skip()
             continue
-        here = model.polygon.homogeneous(q)
+        k, here = len(orbit), orbit[-1][0]
         strips_in = [j for j in range(n) if model.system.pair(j).location(here) == 1]
         if k not in (1, 2):
             rep.fail(repr(p), "k in {1, 2}", f"k = {k}", i)
@@ -201,14 +202,15 @@ def check_structure3(model: BilliardModel, samples: int = 40,
                 rep.skip()
                 continue
             span = (c - b) % n
+            here = model.polygon.homogeneous(q)
             bad = None
             for d in range(span):
                 pair = model.system.pair(b + d)
-                if pair.location(q) < 0:
+                if pair.location(here) < 0:
                     bad = f"q outside closed strip {(b + d) % n}"
                     break
-            if bad is None:
-                bad = _index_shift(model, q, b, c, span)
+            if bad is None and span:
+                bad = _index_shift(model, here, b, c)
             if bad is None:
                 rep.ok()
             else:
@@ -216,21 +218,19 @@ def check_structure3(model: BilliardModel, samples: int = 40,
     return rep
 
 
-def _index_shift(model: BilliardModel, q: Point, b: int, c: int,
-                 span: int) -> Optional[str]:
+def _index_shift(model: BilliardModel, here, b: int, c: int) -> Optional[str]:
+    """The walk from (q, b-1), q as the lattice triple `here`, must reach
+    index c-1 within n steps without moving q."""
     n = model.n
-    state = IndexedPoint(q, (b - 1) % n)
-    if span == 0:
-        return None
-    for _ in range(n):
-        try:
-            state = pinwheel_step(model.system, state)
-        except MapUndefinedError:
-            return "strip boundary during index shift"
-        if state.point != q:
-            return "pinwheel map moved the point during index shift"
-        if state.index == (c - 1) % n:
-            return None
+    walk = pinwheel_walk(model.system, here, b - 1)
+    try:
+        for _, (there, index) in zip(range(n), walk):
+            if there != here:
+                return "pinwheel map moved the point during index shift"
+            if index == (c - 1) % n:
+                return None
+    except MapUndefinedError:
+        return "strip boundary during index shift"
     return f"index not shifted to {(c - 1) % n} within {n} steps"
 
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from outerbilliards.dynamics import IndexedPoint, pinwheel_step, section
-from outerbilliards.errors import BudgetExceededError
+from outerbilliards import strips
+from outerbilliards.dynamics import section
+from outerbilliards.errors import BudgetExceededError, MapUndefinedError
 from outerbilliards.geometry import Line, Point
 from outerbilliards.quasirational import necklace_shift
 
@@ -42,19 +43,56 @@ def transfer_ratio(system, j: int):
     return lam
 
 
+def _point_step(system, point: Point, index: int) -> Tuple[Point, int]:
+    """One pinwheel step on a `Point`, the index rule applied here: strip
+    map j = index + 1 advances the index where it fixes the point."""
+    j = (index + 1) % system.n
+    moved = strips.strip_map(system.pair(j), point)
+    return moved, (j if moved is point else index % system.n)
+
+
 def point_route_theorem_step(model, p: Point) -> Tuple[Point, int, int]:
     """`dynamics.pinwheel_theorem_step` on `Point`s: the indexed-plane map
-    from (p, a-1), one `pinwheel_step` at a time, until it reaches the
-    section of psi(p)."""
+    from (p, a-1), one step at a time, until it reaches the section of
+    psi(p); returns (psi(p), steps used, a)."""
     n = model.n
     tile = model.partition.classify(p)
     q = p + tile.translation
     a = model.path_of_tile(tile).start
-    state = IndexedPoint(p, (a - 1) % n)
+    point, index = p, (a - 1) % n
     target = section(model, q)
     budget = 3 * n
     for used in range(1, budget + 1):
-        state = pinwheel_step(model.system, state)
-        if state.point == target.point and state.index == target.index:
+        point, index = _point_step(model.system, point, index)
+        if point == target.point and index == target.index:
             return q, used, a
     raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
+
+
+def point_route_structure2(model, tile, p: Point, q: Point):
+    """verify's Structure 2 check walked afresh on `Point`s: the orbit of
+    (p, a-1) must reach (q, b-1), q = psi(p), within 2n steps, and its
+    planar trace must equal the telescoped prefix points.  None when it
+    holds, else the (expected, actual) pair of the violation."""
+    n = model.n
+    path = model.path_of_tile(tile)
+    point, index = p, (path.start - 1) % n
+    target_index = (path.end_lifted - 1) % n
+    expected = [p]
+    for shift in path.prefix_sums:
+        nxt = p + shift
+        if nxt != expected[-1]:
+            expected.append(nxt)
+    trace = [p]
+    for _ in range(2 * n):
+        try:
+            point, index = _point_step(model.system, point, index)
+        except MapUndefinedError:
+            return ("orbit off walls", "strip boundary hit")
+        if point != trace[-1]:
+            trace.append(point)
+        if point == q and index == target_index:
+            if trace != expected:
+                return (f"planar trace {expected}", f"{trace}")
+            return None
+    return (f"(psi(p), b-1) within {2 * n} pinwheel steps", "not reached")

@@ -174,7 +174,7 @@ def test_primary_cone_round_trip():
     for poly in (TRIANGLE, PENTAGON):
         for vi in range(poly.n):
             cone = primary_cone(poly, vi)
-            for p in cone.sample_points(6, seed=3, clip=_far_box(poly)):
+            for p in cone.intersect(_far_box(poly)).sample_points(6, seed=3):
                 if poly.point_location(p) is Location.OUTSIDE:
                     assert tangent_vertex(poly, p) == vi
             assert cone.contains(poly.vertices[vi]) is Location.BOUNDARY  # apex

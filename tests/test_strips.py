@@ -117,8 +117,8 @@ def test_spoke_slope_order_compatible_with_strip_order():
         # sort spokes by slope angle; the result must be a rotation of 0..n-1
         import functools
         order = sorted(range(n), key=functools.cmp_to_key(
-            lambda i, j: slope_angle_cmp(sys.spoke(i).direction(),
-                                         sys.spoke(j).direction())))
+            lambda i, j: slope_angle_cmp(sys.spoke(i).head - sys.spoke(i).tail,
+                                         sys.spoke(j).head - sys.spoke(j).tail)))
         shift = order.index(0)
         rotated = order[shift:] + order[:shift]
         assert rotated == list(range(n))

@@ -48,7 +48,7 @@ def test_traced_theorem_step_counts_its_strip_maps():
     model = BilliardModel(NicePolygon.from_points(
         [pt(0, 0), pt(-1, 3), pt(2, 5), pt(5, 2), pt(4, -1)]))
     p = pt(9, -4)
-    _, used, _ = pinwheel_theorem_step(model, p)
+    _, orbit, _ = pinwheel_theorem_step(model, p)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
@@ -57,5 +57,5 @@ def test_traced_theorem_step_counts_its_strip_maps():
         tracer.uninstall()
     spans = tracer.aggregate()
     assert spans["dynamics.pinwheel_theorem_step"]["calls"] == 1
-    assert spans["strips.strip_map"]["calls"] == used
+    assert spans["strips.strip_map"]["calls"] == len(orbit)
     assert outerbilliards.dynamics.pinwheel_theorem_step is pinwheel_theorem_step

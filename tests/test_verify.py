@@ -1,15 +1,23 @@
 """The verification harness itself: determinism, sensitivity, generation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from outerbilliards.errors import GenerationFailedError
+from oracles import point_route_structure2
+from outerbilliards import dynamics, strips, verify
+from outerbilliards.dynamics import pinwheel_theorem_step
+from outerbilliards.errors import GenerationFailedError, MapUndefinedError
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.geometry import Point, pt
 from outerbilliards.model import BilliardModel
+from outerbilliards.paths import AdmissiblePath
 from outerbilliards.polygon import NicePolygon, parse_polygon, polygon_to_text
+from outerbilliards.rng import Rng
 from outerbilliards.scalars import quadext
+from outerbilliards.strips import PinwheelSystem
+from test_billiards import CORPUS, corpus_polygon
 from outerbilliards.verify import (
     check_apex,
     check_exit_reversal_conjugate,
@@ -20,6 +28,7 @@ from outerbilliards.verify import (
     check_structure3,
     negative_controls,
     run_all,
+    tile_samples,
 )
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
@@ -156,3 +165,113 @@ def test_far_field_evaluates_psi_twice_per_sample(monkeypatch):
     rep = check_far_field(model, samples=50, seed=0)
     assert rep.attempted == 50 and rep.valid == 50
     assert len(calls) == 100
+
+
+# controls for checks the shipped negative controls never trip: each
+# corruption must produce its own violation, and the check passes without it
+
+
+def _reorder_prefix_sums(monkeypatch):
+    """Every path's prefix sums, all but the last, in reverse order: the
+    displacement holds, the telescoped points on the way do not."""
+    sums = AdmissiblePath.prefix_sums.func
+    monkeypatch.setattr(AdmissiblePath, "prefix_sums",
+                        property(lambda path: sums(path)[-2::-1] + sums(path)[-1:]))
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 12])
+def test_reordered_prefix_sums_trip_the_planar_trace(monkeypatch, n):
+    model = BilliardModel(random_nice_polygon(n, n))
+    assert check_pinwheel_theorem(model, samples=40, seed=0).passed
+    _reorder_prefix_sums(monkeypatch)
+    rep = check_pinwheel_theorem(model, samples=40, seed=0)
+    assert any(v.expected.startswith("planar trace ") for v in rep.violations)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_negated_translations_trip_pin2(n):
+    polygon = random_nice_polygon(n, n)
+    model = BilliardModel(polygon)
+    assert check_pin1_pin2_move(model, samples_per_tile=6, seed=0).passed
+    system = model.system
+    negated = PinwheelSystem(polygon, tuple(dataclasses.replace(p, V=-p.V)
+                                            for p in system.pairs), system.spokes)
+    rep = check_pin1_pin2_move(BilliardModel(polygon, system=negated),
+                               samples_per_tile=6, seed=0)
+    assert any(v.expected.startswith("mu_") and " adds " in v.expected
+               for v in rep.violations)
+
+
+def test_moving_strip_map_trips_the_index_shift(monkeypatch):
+    """A strip map that translates every point, inside its strip too, must
+    show up as Structure 3's index shift moving psi(p)."""
+    model = BilliardModel(random_nice_polygon(6, 6))
+    assert check_structure3(model, samples=40, seed=0).passed
+
+    def moving(pair, p):
+        if type(p) is tuple:
+            (X, Y, L), (VX, VY, q) = p, pair.V_ints
+            return X + VX * (L // q), Y + VY * (L // q), L
+        return p + pair.V
+
+    monkeypatch.setattr(dynamics, "strip_map", moving)
+    rep = check_structure3(model, samples=40, seed=0)
+    assert any(v.actual == "pinwheel map moved the point during index shift"
+               for v in rep.violations)
+
+
+def test_pinwheel_theorem_check_walks_each_orbit_once(monkeypatch):
+    """Structure 2 is read off the theorem step's orbit: every strip map the
+    check applies runs inside `pinwheel_theorem_step`."""
+    model = BilliardModel(random_nice_polygon(6, 23))
+    model.partition
+    depth, inside, outside = [0], [], []
+    real_map = strips.strip_map
+
+    def counted(pair, p):
+        (inside if depth[0] else outside).append(p)
+        return real_map(pair, p)
+
+    def step(model, p):
+        depth[0] += 1
+        try:
+            return pinwheel_theorem_step(model, p)
+        finally:
+            depth[0] -= 1
+
+    for module in (strips, dynamics, verify):
+        if vars(module).get("strip_map") is real_map:
+            monkeypatch.setattr(module, "strip_map", counted)
+    monkeypatch.setattr(verify, "pinwheel_theorem_step", step)
+    assert check_pinwheel_theorem(model, samples=60, seed=0).passed
+    assert inside and not outside
+
+
+@pytest.mark.parametrize("poly_key", [k for k in CORPUS if k not in ("triangle", "n3")])
+def test_structure2_matches_point_route(monkeypatch, poly_key):
+    """Structure 2 read off the theorem step's lattice orbit equals the
+    Point-route walk (`oracles.point_route_structure2`) on bounded-tile
+    samples, on the true system and with every path's prefix sums
+    reordered.  Triangles have no bounded tiles."""
+    model = BilliardModel(corpus_polygon(poly_key))
+    rng = Rng(3).split(model.n)
+    cases = []
+    for t_i, tile in enumerate(model.partition.tiles):
+        if tile.unbounded:
+            continue
+        for p in tile_samples(model, tile, 2, rng.split(t_i)):
+            try:
+                cases.append((tile, p, pinwheel_theorem_step(model, p)))
+            except MapUndefinedError:
+                continue
+    assert cases
+
+    def outcomes():
+        return [(verify._structure2_realization(model, tile, p, orbit),
+                 point_route_structure2(model, tile, p, q))
+                for tile, p, (q, orbit, _) in cases]
+
+    assert all(got is None and want is None for got, want in outcomes())
+    _reorder_prefix_sums(monkeypatch)
+    for got, want in outcomes():
+        assert got is not None and got == want
