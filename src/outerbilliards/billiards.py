@@ -26,6 +26,7 @@ from .geometry import (
     Point,
     Sense,
     Vec,
+    point_of,
     region,
 )
 from .polygon import NicePolygon
@@ -78,24 +79,28 @@ def inverse_square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int
 def _double_step(polygon, p, chirality):
     """Both reflections on the polygon's lattice: p is (X, Y) over L, a
     vertex is its `lattice` numerators times s = L // den over L, so
-    reflecting through it is X -> 2*s*VX - X, and only the result is
-    divided out."""
-    X, Y, L = here = polygon.homogeneous(p)
+    reflecting through it is X -> 2*s*VX - X.  p is a Point, whose image
+    is divided out to a Point, or its `homogeneous` triple, whose image is
+    the triple over the same L; errors carry the Point."""
+    X, Y, L = here = p if type(p) is tuple else polygon.homogeneous(p)
     try:
         vi = tangent_vertex(polygon, here, chirality)
     except OnPrimaryWallError:
-        raise UndefinedOnWallError(p, stage=1) from None
+        raise UndefinedOnWallError(point_of(p), stage=1) from None
     except InsidePolygonError:
-        raise InsidePolygonError(p) from None
+        raise InsidePolygonError(point_of(p)) from None
     s2 = 2 * (L // polygon.den)
     vx, vy = polygon.lattice[vi]
     X, Y = s2 * vx - X, s2 * vy - Y
     try:
         wi = tangent_vertex(polygon, (X, Y, L), chirality)
     except OnPrimaryWallError:
-        raise UndefinedOnWallError(p, stage=2) from None
+        raise UndefinedOnWallError(point_of(p), stage=2) from None
     wx, wy = polygon.lattice[wi]
-    return Point(ratio(s2 * wx - X, L), ratio(s2 * wy - Y, L)), (vi, wi)
+    X, Y = s2 * wx - X, s2 * wy - Y
+    if type(p) is tuple:
+        return (X, Y, L), (vi, wi)
+    return Point(ratio(X, L), ratio(Y, L)), (vi, wi)
 
 
 def primary_cone(polygon: NicePolygon, v_index: int,
@@ -140,9 +145,10 @@ class Partition:
         self.tiles = tiles
         self.by_label: Dict[Tuple[int, int], Tile] = {t.label: t for t in tiles}
 
-    def classify(self, p: Point) -> Tile:
+    def classify(self, p) -> Tile:
         """Tile containing p, from the dynamic tangent computation; the label
-        and the region agree or the partition is inconsistent."""
+        and the region agree or the partition is inconsistent.  p is a Point
+        or its `NicePolygon.homogeneous` triple, tested as it is given."""
         _, label = _double_step(self.polygon, p, self.chirality)
         tile = self.by_label[label]
         loc = tile.region.contains(p)

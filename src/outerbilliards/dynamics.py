@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .billiards import square_map
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import Point, norm2_sq
+from .geometry import Point, norm2_sq, point_of
 from .model import BilliardModel
 from .scalars import Scalar
 from .strips import PinwheelSystem, strip_jump, strip_map
@@ -71,26 +71,26 @@ def pinwheel_theorem_step(model: BilliardModel, p: Point) -> Tuple[Point, List[T
     step count k is its length; a is the start spoke of the path a -> b
     owning p's tile.  BudgetExceededError after 3n steps signals a violation
     of the theorem; a strip-boundary hit during the iteration is reported
-    distinctly as OnStripBoundaryError.  Each strip map moves the triple over
-    the same L, where the target psi(p) = p + 2(w - v) is compared on
-    integers.
+    distinctly as OnStripBoundaryError.  p and psi(p) = p + 2(w - v) are
+    classified on their triples, and each strip map moves the triple over
+    the same L, where the target psi(p) is compared on integers.
     """
     n = model.n
     polygon = model.polygon
-    tile = model.partition.classify(p)
-    q = p + tile.translation
-    a = model.path_of_tile(tile).start
-    c = model.path_start(q)  # q lies in the tile of a path c -> d
     X, Y, L = start = polygon.homogeneous(p)
+    tile = model.partition.classify(start)
+    a = model.path_of_tile(tile).start
     s2 = 2 * (L // polygon.den)
     (vx, vy), (wx, wy) = polygon.lattice[tile.v_index], polygon.lattice[tile.w_index]
-    goal = (X + s2 * (wx - vx), Y + s2 * (wy - vy), L), (c - 1) % n
+    there = X + s2 * (wx - vx), Y + s2 * (wy - vy), L
+    c = model.path_start(there)  # psi(p) lies in the tile of a path c -> d
+    goal = there, (c - 1) % n
     budget = 3 * n
     orbit = []
     for state in pinwheel_walk(model.system, start, a - 1):
         orbit.append(state)
         if state == goal:
-            return q, orbit, a
+            return point_of(there), orbit, a
         if len(orbit) == budget:
             raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
 

@@ -108,6 +108,23 @@ def lattice(points) -> Tuple[int, Tuple[tuple, ...]]:
     return den, tuple((xn * (den // xq), yn * (den // yq)) for (xn, xq), (yn, yq) in fracs)
 
 
+def integer_form(*coefs) -> tuple:
+    """Scalars times the positive lcm of their denominators: ints, or
+    QuadInts where a scalar has a sqrt(d) part."""
+    fracs = [x.as_integer_ratio() for x in coefs]
+    scale = math.lcm(*(q for _, q in fracs))
+    return tuple(n * (scale // q) for n, q in fracs)
+
+
+def point_of(p) -> Point:
+    """p as a Point: a homogeneous triple (X, Y, L), L > 0, is divided out
+    to (X/L, Y/L), and a Point is returned as it is."""
+    if type(p) is not tuple:
+        return p
+    X, Y, L = p
+    return Point(ratio(X, L), ratio(Y, L))
+
+
 def signed_area2(points: Tuple[Point, ...]) -> Scalar:
     """Twice the signed area of a closed vertex cycle (the shoelace sum):
     negative when clockwise, zero for fewer than three points."""
@@ -165,9 +182,7 @@ class Line:
         self._fill(a, b, c, (a / lead, b / lead, c / lead))
 
     def _fill(self, a, b, c, key):
-        fracs = [x.as_integer_ratio() for x in (a, b, c)]
-        scale = math.lcm(*(q for _, q in fracs))
-        ints = tuple(n * (scale // q) for n, q in fracs)
+        ints = integer_form(a, b, c)
         for name, value in (("a", a), ("b", b), ("c", c), ("_key", key), ("ints", ints)):
             object.__setattr__(self, name, value)
 

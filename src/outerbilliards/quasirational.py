@@ -13,8 +13,10 @@ on opposite sides of the polygon, and one full turn lands on the other side).
 The invariance checks therefore work with the two-sided ring |exponent| = m*D.
 
 Every ring copy is P itself moved rigidly (translated, or rotated 180 degrees
-about a strip's centre vertex and translated), so "is p inside this copy" is
-answered by pulling p back to P and asking the polygon; no copy's region is
+about a strip's centre vertex and translated), so each of its edges is one of
+P's edge forms moved along: at exponent m, the form A*X + B*Y - (C + m*D)*L
+on a point's lattice triple (X, Y, L), with D the edge's rate along the shift.
+"Is p inside this copy" is a sign per edge on integers; no copy's region is
 built except where the copy is sampled, and then P's region is moved there.
 
 A strip's ring is one `NecklaceSpec` value: `necklace` computes the strip's
@@ -26,13 +28,13 @@ placed on a copy.  A caller builds each strip's ring once and asks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import ConvexRegion, Location, Point, Vec
+from .geometry import ConvexRegion, Point, Vec, integer_form, lattice
 from .polygon import NicePolygon
 from .scalars import Scalar, sign
 from .strips import PinwheelPair, PinwheelSystem
@@ -88,7 +90,9 @@ class NecklaceSpec:
     """Strip j's ring at exponent m: the copies P + m*shift and Q + m*shift,
     Q being P turned 180 degrees about the strip's centre vertex, stored as
     rigid motions of P together with the strip's frame.  A point's axis
-    coordinate is shift.p; the ring spans the axis range [lo, hi] + m*dd."""
+    coordinate is shift.p; the ring spans the axis range [lo, hi] + m*dd.
+    Membership reads `forms`, which do not depend on m: `necklace` builds
+    them once per strip, and `at` carries them to another exponent."""
 
     j: int
     m: int
@@ -98,6 +102,9 @@ class NecklaceSpec:
     lo: Scalar                     # axis range of P and Q together
     hi: Scalar
     dd: Scalar                     # shift.shift
+    # integer forms (A, B, C, D) of P's edges, of Q's, and of the trapped
+    # extent's two ends
+    forms: Tuple = field(repr=False, compare=False)
 
     @property
     def center(self) -> Point:
@@ -127,18 +134,20 @@ class NecklaceSpec:
             region = region.point_reflect(self.center)
         return region.translate(self.shift * self.m)
 
-    def in_p(self, p: Point) -> bool:
-        """p is interior to the copy P + m*shift."""
-        back = p - self.shift * self.m
-        return self.polygon.point_location(back) is Location.INTERIOR
+    def _triple(self, p):
+        return p if type(p) is tuple else self.polygon.homogeneous(p)
 
-    def in_q(self, p: Point) -> bool:
-        """p is interior to the rotated copy Q + m*shift."""
-        back = (p - self.shift * self.m).reflect_through(self.center)
-        return self.polygon.point_location(back) is Location.INTERIOR
+    def in_p(self, p) -> bool:
+        """p (a Point or its lattice triple) is interior to P + m*shift."""
+        return _least_sign(self.forms[0], self.m, self._triple(p)) > 0
 
-    def contains(self, p: Point) -> bool:
-        return self.in_p(p) or self.in_q(p)
+    def in_q(self, p) -> bool:
+        """p (a Point or its lattice triple) is interior to Q + m*shift."""
+        return _least_sign(self.forms[1], self.m, self._triple(p)) > 0
+
+    def contains(self, p) -> bool:
+        here = self._triple(p)
+        return any(_least_sign(forms, self.m, here) > 0 for forms in self.forms[:2])
 
     def windows(self):
         """The two axis windows strictly between the base ring and the
@@ -174,17 +183,47 @@ def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
     return d * t
 
 
+def _least_sign(forms, m: int, here) -> int:
+    """The least sign of A*X + B*Y - (C + m*D)*L over the forms on the
+    triple (X, Y, L): +1 inside all of them, 0 on a boundary, -1 outside."""
+    X, Y, L = here
+    low = 1
+    for A, B, C, D in forms:
+        t = A * X + B * Y - (C + m * D) * L
+        s = (t > 0) - (t < 0) if type(t) is int else t.sign()
+        if s < 0:
+            return s
+        low = min(low, s)
+    return low
+
+
 def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     """Strip j's ring at exponent m, its frame computed once: Q's axis range
-    is P's reflected through twice the centre's axis coordinate."""
+    is P's reflected through twice the centre's axis coordinate.  An edge
+    a*x + b*y > c of P has D = a*sx + b*sy, and its turned copy on Q is
+    -a*x - b*y > c - 2(a*cx + b*cy) with -D, (cx, cy) the centre vertex;
+    both are read on the edge's integer form over the shift's and the
+    polygon's lattices."""
     pair = system.pair(j)
+    polygon = system.polygon
     d = necklace_shift(system, j)
-    vals = [d.dot(v) for v in system.polygon.vertices]
+    vals = [d.dot(v) for v in polygon.vertices]
     lo, hi = min(vals), max(vals)
     twice_center = 2 * d.dot(pair.w)
-    return NecklaceSpec(j % system.n, m, d, pair, system.polygon,
-                        min(lo, twice_center - hi), max(hi, twice_center - lo),
-                        d.dot(d))
+    lo, hi = min(lo, twice_center - hi), max(hi, twice_center - lo)
+    sq, ((SX, SY),) = lattice((d,))
+    den, (WX, WY) = polygon.den, polygon.lattice[pair.w_index]
+    p_forms, q_forms = [], []
+    for A, B, C in (e.line.ints for e in polygon.edges):
+        D = A * SX + B * SY
+        p_forms.append((A * sq, B * sq, C * sq, D))
+        q_forms.append((-A * sq * den, -B * sq * den, (C * den - 2 * (A * WX + B * WY)) * sq,
+                        -D * den))
+    dd = d.dot(d)
+    # lo - m*dd <= shift.p <= hi + m*dd
+    extent = (integer_form(d.x, d.y, lo, -dd), integer_form(-d.x, -d.y, -hi, -dd))
+    return NecklaceSpec(j % system.n, m, d, pair, polygon, lo, hi, dd,
+                        (tuple(p_forms), tuple(q_forms), extent))
 
 
 def annulus_windows(system: PinwheelSystem, j: int, m_exponent: int):
@@ -193,15 +232,15 @@ def annulus_windows(system: PinwheelSystem, j: int, m_exponent: int):
     return necklace(system, j, m_exponent).windows()
 
 
-def in_trapped_extent(ring: NecklaceSpec, p: Point) -> bool:
+def in_trapped_extent(ring: NecklaceSpec, p) -> bool:
     """Loose membership: inside the ring's strip, within the closed axis
     extent of the rings at +-ring.m, and not interior to either of them.  The
-    image of any between-point lands here; points here can never escape."""
-    shift = ring.m * ring.dd
-    if ring.pair.location(p) != 1 or not (
-            ring.lo - shift <= ring.shift.dot(p) <= ring.hi + shift):
+    image of any between-point lands here; points here can never escape.
+    p is a Point or its lattice triple."""
+    here = ring._triple(p)
+    if ring.pair.location(here) != 1 or _least_sign(ring.forms[2], ring.m, here) < 0:
         return False
-    return not (ring.contains(p) or ring.at(-ring.m).contains(p))
+    return not (ring.contains(here) or ring.at(-ring.m).contains(here))
 
 
 def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,

@@ -25,6 +25,7 @@ from .geometry import (
     Sense,
     Vec,
     lattice,
+    point_of,
     region,
     slope_angle_cmp,
 )
@@ -201,9 +202,7 @@ def strip_map(pair: PinwheelPair, p):
     the result: the pair's V moves a triple by V_ints over L (q divides L)."""
     near, far = pair.line.side(p), pair.line_far.side(p)
     if near == 0 or far == 0:
-        if type(p) is tuple:
-            p = Point(ratio(p[0], p[2]), ratio(p[1], p[2]))
-        raise OnStripBoundaryError(p, stage=pair.index)
+        raise OnStripBoundaryError(point_of(p), stage=pair.index)
     if near > 0 > far:
         return p
     if type(p) is tuple:
@@ -214,30 +213,37 @@ def strip_map(pair: PinwheelPair, p):
     return p + pair.V if near < 0 else p - pair.V
 
 
-def strip_jump(pair: PinwheelPair, p: Point) -> Tuple[Point, int]:
+def strip_jump(pair: PinwheelPair, p):
     """Where iterating the strip map lands p strictly inside the slab, plus
-    the number of translations taken; exact closed form on the offset.
+    the number of translations taken; p is a Point or a lattice triple
+    (X, Y, L), as for `strip_map`, and so is the landing point.
 
-    Equivalent to applying `strip_map` until the point is interior (each
-    application moves the offset by one width), but O(1).  Raises
-    OnStripBoundaryError when the offset is an exact multiple of the width,
-    which is where some iterate would sit on the slab boundary.
+    O(1) on the line's integer form: the offset t = a*X + b*Y - c*L and the
+    width on its scale, w = (a*VX + b*VY) * (L // q), give the step count
+    k = -floor(t / w).  Raises OnStripBoundaryError when t is an exact
+    multiple of w, where some iterate would sit on the slab boundary.
     """
-    t = pair.offset(p)
-    w = pair.width
-    steps = -math.floor(t / w)
-    if steps == 0:  # 0 <= t < w
-        if t == 0:
-            raise OnStripBoundaryError(p, stage=pair.index)
-        return p, 0
-    if steps > 0:
-        q = p + pair.V * steps
+    VX, VY, q = pair.V_ints
+    if type(p) is tuple:
+        X, Y, L = p
     else:
-        steps = -steps
-        q = p - pair.V * steps
-    if pair.location(q) != 1:
-        raise OnStripBoundaryError(q, stage=pair.index)
-    return q, steps
+        xn, xq = p.x.as_integer_ratio()
+        yn, yq = p.y.as_integer_ratio()
+        L = math.lcm(xq, yq, q)
+        X, Y = xn * (L // xq), yn * (L // yq)
+    a, b, c = pair.line.ints
+    t = a * X + b * Y - c * L
+    w = (a * VX + b * VY) * (L // q)
+    k = -(t // w) if type(t) is int and type(w) is int else -math.floor(ratio(t, w))
+    if k == 0:  # 0 <= t < w
+        if t == 0:
+            raise OnStripBoundaryError(point_of(p), stage=pair.index)
+        return p, 0
+    s = k * (L // q)
+    here = X + s * VX, Y + s * VY, L
+    if t + k * w == 0:  # the landing offset, in [0, w), is 0
+        raise OnStripBoundaryError(point_of(here), stage=pair.index)
+    return (here if type(p) is tuple else point_of(here)), abs(k)
 
 
 def compose_strip_maps(system: PinwheelSystem, a: int, b: int, p: Point) -> Point:

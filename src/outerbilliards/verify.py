@@ -473,11 +473,13 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
     per_piece = max(2, samples // (2 * n))
     # every ring copy is P moved rigidly: build P's region once and move it
     base = polygon_region(system.polygon.vertices, open_region=True)
+    # one ring per strip: the source of strip j and the target of strip j - 1
+    rings = [necklace(system, j, 0) for j in range(n)]
     for j in range(n):
         Mj = m * quasi.D_int[j] + exponent_offset
         Mj1 = m * quasi.D_int[(j + 1) % n]
-        ring = necklace(system, j, Mj)
-        target = necklace(system, j + 1, Mj1)
+        ring = rings[j].at(Mj)
+        target = rings[(j + 1) % n].at(Mj1)
         targets = [target, target.at(-Mj1)]
         for kind in ("P", "Q"):
             region = ring.place(base, kind)
@@ -490,8 +492,8 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                 except MapUndefinedError:
                     rep.skip()
                     continue
-                hit = [t for t in targets
-                       if (t.in_p if kind == "P" else t.in_q)(land.point)]
+                here = system.polygon.homogeneous(land.point)
+                hit = [t for t in targets if (t.in_p if kind == "P" else t.in_q)(here)]
                 if not hit:
                     rep.fail(repr(p), f"lands in ring copy |{Mj1}| of strip "
                                       f"{(j + 1) % n}", f"{land.point}", j)

@@ -3,12 +3,13 @@ package computes (or once computed) another way, on `Point`s and scalars."""
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from outerbilliards import strips
 from outerbilliards.dynamics import section
-from outerbilliards.errors import BudgetExceededError, MapUndefinedError
-from outerbilliards.geometry import Line, Point
+from outerbilliards.errors import BudgetExceededError, MapUndefinedError, OnStripBoundaryError
+from outerbilliards.geometry import Line, Location, Point
 from outerbilliards.quasirational import necklace_shift
 
 
@@ -96,3 +97,50 @@ def point_route_structure2(model, tile, p: Point, q: Point):
                 return (f"planar trace {expected}", f"{trace}")
             return None
     return (f"(psi(p), b-1) within {2 * n} pinwheel steps", "not reached")
+
+
+def point_strip_jump(pair, p: Point) -> Tuple[Point, int]:
+    """`strips.strip_jump` on `Point`s: the step count floors the quotient of
+    the scalar offset and width, the landing is p moved by whole V, and a
+    landing off the open strip raises at that point."""
+    t = pair.offset(p)
+    w = pair.width
+    steps = -math.floor(t / w)
+    if steps == 0:  # 0 <= t < w
+        if t == 0:
+            raise OnStripBoundaryError(p, stage=pair.index)
+        return p, 0
+    if steps > 0:
+        q = p + pair.V * steps
+    else:
+        steps = -steps
+        q = p - pair.V * steps
+    if pair.location(q) != 1:
+        raise OnStripBoundaryError(q, stage=pair.index)
+    return q, steps
+
+
+def pulled_back_in_p(ring, p: Point) -> bool:
+    """`NecklaceSpec.in_p` by pulling p back to P: p - m*shift asked of the
+    polygon."""
+    back = p - ring.shift * ring.m
+    return ring.polygon.point_location(back) is Location.INTERIOR
+
+
+def pulled_back_in_q(ring, p: Point) -> bool:
+    """`NecklaceSpec.in_q` by pulling p back to P: p - m*shift reflected
+    through the strip's centre vertex, asked of the polygon."""
+    back = (p - ring.shift * ring.m).reflect_through(ring.center)
+    return ring.polygon.point_location(back) is Location.INTERIOR
+
+
+def pulled_back_trapped_extent(ring, p: Point) -> bool:
+    """`quasirational.in_trapped_extent` on scalars: the strip, the axis
+    coordinate shift.p against the extent, and the pulled-back copies at
+    +-m."""
+    shift = ring.m * ring.dd
+    if ring.pair.location(p) != 1 or not (
+            ring.lo - shift <= ring.shift.dot(p) <= ring.hi + shift):
+        return False
+    return not any(test(r, p) for r in (ring, ring.at(-ring.m))
+                   for test in (pulled_back_in_p, pulled_back_in_q))

@@ -1,22 +1,38 @@
 """Quasirationality, necklace rings, and the boundedness certificate."""
 
 import hashlib
+import inspect
 import json
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from oracles import line_intersection, overlap_area_determinant, transfer_ratio
+from oracles import (
+    line_intersection,
+    overlap_area_determinant,
+    point_strip_jump,
+    pulled_back_in_p,
+    pulled_back_in_q,
+    pulled_back_trapped_extent,
+    transfer_ratio,
+)
+from outerbilliards import quasirational, strips
 from outerbilliards.dynamics import IndexedPoint, orbit, strip_system_return
-from outerbilliards.errors import AnnulusNotFoundError, NotQuasirationalError
+from outerbilliards.errors import (
+    AnnulusNotFoundError,
+    NotQuasirationalError,
+    OnStripBoundaryError,
+)
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Line, Location, Point, polygon_region, pt
+from outerbilliards.geometry import Line, Location, Point, point_of, polygon_region, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
     annulus_windows,
     boundedness_certificate,
     necklace,
+    in_trapped_extent,
     necklace_shift,
     quasi_analyze,
 )
@@ -351,7 +367,126 @@ def test_necklace_check_computes_shift_per_strip_not_per_sample(monkeypatch):
         calls.clear()
         assert check_necklace_invariance(model, m=1, samples=samples, seed=5).passed
         counts.append(len(calls))
-    assert counts == [2 * model.n] * 2  # the source and target ring of each strip
+    assert counts == [model.n] * 2  # one ring per strip, source and target alike
+
+
+# the lattice necklace against the Point routes kept in `oracles`: copy
+# membership pulled back to P, the trapped extent on scalars, and the
+# `Fraction` strip jump
+
+
+LATTICE_KEYS = [f"n{n}" for n in range(3, 8)] + ["sqrt5_kite"]
+
+
+def _lattice_polygon(key):
+    return sqrt5_kite() if key == "sqrt5_kite" else random_nice_polygon(int(key[1:]), seed=11)
+
+
+def _copy_points(verts):
+    """(boundary, inner): a copy's vertices and the points a third of the
+    way along its edges, and points a fifth of the way to its centroid."""
+    k = len(verts)
+    mid = Point(sum(v.x for v in verts) / k, sum(v.y for v in verts) / k)
+    boundary = list(verts) + [v + (verts[(i + 1) % k] - v) * Fraction(1, 3)
+                              for i, v in enumerate(verts)]
+    return boundary, [v + (mid - v) * Fraction(1, 5) for v in verts]
+
+
+def _extent_points(ring):
+    """Frame points on and around the ends of the trapped extent, on the
+    strip's lines and inside the strip."""
+    shift = ring.m * ring.dd
+    ends = (ring.lo - shift, ring.hi + shift)
+    width = ring.pair.width
+    return [ring.frame_point(s, off)
+            for s in ends + (ends[0] - Fraction(1, 7), ends[1] + Fraction(1, 7),
+                             (ends[0] + ends[1]) / 2)
+            for off in (Fraction(0), width / 3, width / 2, width)]
+
+
+def _jump_outcome(jump, pair, p):
+    try:
+        return repr(jump(pair, p))
+    except OnStripBoundaryError as exc:
+        return ("OnStripBoundaryError", exc.point, exc.stage)
+
+
+def _jump_points(pair):
+    """Offsets at exact multiples of the width (on the edge line, and moved
+    along it), on the centreline, and generic ones, near and far."""
+    along = pair.line.direction()
+    pts = []
+    for k in range(-3, 4):
+        pts += [pair.v + pair.V * k, pair.v + pair.V * k + along * Fraction(2, 3),
+                pair.w + pair.V * k, pair.w + pair.V * Fraction(k, 3) + along * Fraction(1, 5),
+                pair.v + pair.V * (10 ** 4 * k + Fraction(2, 7))]
+    # a Q(sqrt 5) point beside every one, on rational polygons too
+    return pts + [Point(p.x + QuadExt(0, 1, 5) / 7, p.y) for p in pts]
+
+
+@pytest.mark.parametrize("poly_key", LATTICE_KEYS)
+def test_lattice_necklace_matches_point_route(poly_key):
+    """Copy membership, the trapped extent and `strip_jump` on integer forms
+    equal their Point routes on every strip's rings at m = -3..3, both for a
+    Point and for its lattice triple.  Copy vertices and edge points are
+    never interior, and offsets at exact multiples of a width raise at the
+    same Point and stage."""
+    poly = _lattice_polygon(poly_key)
+    system = BilliardModel(poly).system
+    inside = trapped = 0
+    for j in range(system.n):
+        for mm in range(-3, 4):
+            ring = quasirational.necklace(system, j, mm)
+            for verts in (ring.p_vertices, ring.q_vertices):
+                boundary, inner = _copy_points(verts)
+                for p in boundary:
+                    assert not ring.contains(p), (j, mm, p)
+                for p in boundary + inner + [p + ring.shift * Fraction(1, 3) for p in inner]:
+                    want = (pulled_back_in_p(ring, p), pulled_back_in_q(ring, p))
+                    here = poly.homogeneous(p)
+                    assert (ring.in_p(p), ring.in_q(p)) == want, (j, mm, p)
+                    assert (ring.in_p(here), ring.in_q(here)) == want, (j, mm, p)
+                    assert ring.contains(p) == ring.contains(here) == any(want)
+                    inside += any(want)
+            other = ring.at(-mm)
+            copies = (ring.p_vertices, ring.q_vertices, other.p_vertices, other.q_vertices)
+            for p in _extent_points(ring) + [p for verts in copies for p in _copy_points(verts)[1]]:
+                want = pulled_back_trapped_extent(ring, p)
+                assert in_trapped_extent(ring, p) == want, (j, mm, p)
+                assert in_trapped_extent(ring, poly.homogeneous(p)) == want
+                trapped += want
+    assert inside and trapped
+    raise_points = set()
+    for pair in system.pairs:
+        for p in _jump_points(pair):
+            want = _jump_outcome(point_strip_jump, pair, p)
+            assert _jump_outcome(strips.strip_jump, pair, p) == want, (pair.index, p)
+            try:
+                landed, k = strips.strip_jump(pair, poly.homogeneous(p))
+            except OnStripBoundaryError as exc:
+                assert ("OnStripBoundaryError", exc.point, exc.stage) == want
+                raise_points.add(exc.point == p)
+            else:
+                assert repr((point_of(landed), k)) == want
+    assert raise_points == {True, False}
+
+
+@pytest.mark.parametrize("module, name, old, new", [
+    (quasirational, "_least_sign", "(C + m * D)", "C"),
+    (quasirational, "necklace", "(-A * sq * den, -B * sq * den,", "(A * sq * den, B * sq * den,"),
+    (strips, "strip_jump", "(a * VX + b * VY) * (L // q)", "(a * VX + b * VY)"),
+], ids=["dropped-shift", "unnegated-q", "dropped-rescale"])
+def test_lattice_necklace_parity_catches_broken_forms(monkeypatch, module, name, old, new):
+    """Negative controls: copy forms that drop the m*D term or leave Q's
+    edge form unnegated, and a jump width left on V's denominator q instead
+    of rescaled to the point's L, must each fail the parity test."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+    with pytest.raises(AssertionError):
+        test_lattice_necklace_matches_point_route("n4")
 
 
 def necklace_golden_text(n):
