@@ -125,6 +125,18 @@ def point_of(p) -> Point:
     return Point(ratio(X, L), ratio(Y, L))
 
 
+def barycentric_triples(den: int, cycle, count: int, seed: int):
+    """`count` triples (X, Y, L) strictly inside the convex polygon with the
+    vertex cycle `cycle` (numerator pairs over den, from `lattice`): weights the
+    odd numerators 2z+1 of `rng.unit`, in the cycle's order; L = den * their sum."""
+    rng = Rng(seed).split(0x5A17)
+    k = len(cycle)
+    for i in range(count):
+        ws = [rng.odd(i * k + j) for j in range(k)]
+        yield (sum(w * X for w, (X, _) in zip(ws, cycle)),
+               sum(w * Y for w, (_, Y) in zip(ws, cycle)), den * sum(ws))
+
+
 def signed_area2(points: Tuple[Point, ...]) -> Scalar:
     """Twice the signed area of a closed vertex cycle (the shoelace sum):
     negative when clockwise, zero for fewer than three points."""
@@ -404,13 +416,13 @@ def _on_line(form, bound) -> Point:
     return Point(ratio(a * c * den - b * num, q), ratio(b * c * den + a * num, q))
 
 
-def _point_key(p: Point):
+def point_key(p: Point):
     return (sort_key(p.x), sort_key(p.y))
 
 
 def _from_min(cycle) -> Tuple[Point, ...]:
     """The cycle rotated to start at its lexicographically smallest point."""
-    k = min(range(len(cycle)), key=lambda i: _point_key(cycle[i]), default=0)
+    k = min(range(len(cycle)), key=lambda i: point_key(cycle[i]), default=0)
     return tuple(cycle[k:] + cycle[:k])
 
 
@@ -443,7 +455,7 @@ def _canonical(hps, forms) -> "ConvexRegion":
                 rays = [(b, -a)] * (lo is None) + [(-b, a)] * (up is None)
                 break
         return ConvexRegion(tuple(hps[i] for i in tight), False,
-                            tuple(sorted(ends, key=_point_key)), False, tuple(rays))
+                            tuple(sorted(ends, key=point_key)), False, tuple(rays))
     first, starts = edges[0], {}  # walk from the edge that comes in from infinity, if any
     for i in edges:
         if spans[i][0] is None:
@@ -682,21 +694,10 @@ class ConvexRegion:
             raise ValueError("sampling an unbounded region: intersect it with a box first")
         if not self.has_interior():
             raise EmptyRegionError("region has no interior to sample")
-        # a bounded region with interior is a polygon: barycentric weights,
-        # the odd numerators 2z+1 of `rng.unit` (their common denominator
-        # cancels), over the vertices' numerators on their lattice
-        den, verts = lattice(self.vertices())
-        rng = Rng(seed).split(0x5A17)
-        out = []
-        k = len(verts)
-        for i in range(count):
-            ws = [rng.odd(i * k + j) for j in range(k)]
-            total = den * sum(ws)
-            out.append(Point(ratio(sum(w * X for w, (X, _) in zip(ws, verts)), total),
-                             ratio(sum(w * Y for w, (_, Y) in zip(ws, verts)), total)))
-        for p in out:
-            assert self.contains(p) is Location.INTERIOR
-        return tuple(out)
+        # a bounded region with interior is a polygon
+        out = tuple(map(point_of, barycentric_triples(*lattice(self.vertices()), count, seed)))
+        assert all(self.contains(p) is Location.INTERIOR for p in out)
+        return out
 
     # -- identity ------------------------------------------------------------
 

@@ -16,27 +16,28 @@ Every ring copy is P itself moved rigidly (translated, or rotated 180 degrees
 about a strip's centre vertex and translated), so each of its edges is one of
 P's edge forms moved along: at exponent m, the form A*X + B*Y - (C + m*D)*L
 on a point's lattice triple (X, Y, L), with D the edge's rate along the shift.
-"Is p inside this copy" is a sign per edge on integers; no copy's region is
-built except where the copy is sampled, and then P's region is moved there.
+"Is p inside this copy" is a sign per edge on integers, and no copy's region
+is built: samples drawn on P's lattice are carried there by its rigid motion.
 
 A strip's ring is one `NecklaceSpec` value: `necklace` computes the strip's
 frame once (the shift, the axis range of P and Q along it, shift.shift), and
 the ring answers every query from it: copy membership, the annulus windows,
-annulus membership, the point at given frame coordinates, and P's region
-placed on a copy.  A caller builds each strip's ring once and asks it.
+annulus membership, the point at given frame coordinates, and a copy's
+samples.  A caller builds each strip's ring once and asks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import ConvexRegion, Point, Vec, integer_form, lattice
+from .geometry import (Point, Vec, barycentric_triples, integer_form, lattice, point_key,
+                       point_of)
 from .polygon import NicePolygon
-from .scalars import Scalar, sign
+from .scalars import Scalar, ratio
 from .strips import PinwheelPair, PinwheelSystem
 
 
@@ -51,34 +52,24 @@ class QuasiData:
 
 
 def overlap_area(system: PinwheelSystem, j: int) -> Scalar:
-    return system.strip(j).intersect(system.strip(j + 1)).area()
+    """The area where strips j and j+1 overlap: W_j * W_{j+1} / |a_j*b_{j+1} -
+    a_{j+1}*b_j|, (a, b) each strip's line normal and W its width on that scale."""
+    p, q = system.pair(j), system.pair(j + 1)
+    return abs(p.width * q.width / (p.line.a * q.line.b - q.line.a * p.line.b))
 
 
 def quasi_analyze(system: PinwheelSystem) -> QuasiData:
-    n = system.n
-    areas = tuple(overlap_area(system, j) for j in range(n))
-    assert all(sign(a) > 0 for a in areas)
-    if all(isinstance(a, Fraction) for a in areas):
-        num = 1
-        for a in areas:
-            num = num * a.numerator // gcd(num, a.numerator)
-        d = Fraction(num)
-        ints = tuple(int(d / a) for a in areas)
-        return QuasiData(areas, True, d, ints)
-    ratios = [areas[j] / areas[0] for j in range(n)]
+    areas = tuple(overlap_area(system, j) for j in range(system.n))
+    ratios = [a / areas[0] for a in areas]
     if not all(isinstance(r, Fraction) for r in ratios):
         return QuasiData(areas, False, None, None)
-    # irrational areas with rational ratios: D = lcm(ratio numerators) * A_0
-    t = 1
-    for r in ratios:
-        t = t * r.numerator // gcd(t, r.numerator)
-    d = areas[0] * t
-    ints = []
-    for a in areas:
-        q = d / a
-        assert isinstance(q, Fraction) and q.denominator == 1
-        ints.append(int(q))
-    return QuasiData(areas, True, d, tuple(ints))
+    if isinstance(areas[0], Fraction):  # the lcm of the areas' numerators
+        d = Fraction(lcm(*(a.numerator for a in areas)))
+    else:  # irrational areas with rational ratios: lcm(ratio numerators) * A_0
+        d = areas[0] * lcm(*(r.numerator for r in ratios))
+    ints = [d / a for a in areas]
+    assert all(q.denominator == 1 for q in ints)
+    return QuasiData(areas, True, d, tuple(map(int, ints)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +93,12 @@ class NecklaceSpec:
     lo: Scalar                     # axis range of P and Q together
     hi: Scalar
     dd: Scalar                     # shift.shift
-    # integer forms (A, B, C, D) of P's edges, of Q's, and of the trapped
-    # extent's two ends
+    # integer forms (A, B, C, D) of P's edges, of Q's, of the trapped
+    # extent's two ends, and of each annulus window's two ends
     forms: Tuple = field(repr=False, compare=False)
+    # ((SX, SY, sq), (A, B, C, k), (u, v)): the shift on its lattice, the edge
+    # line's integer form A*x + B*y = C with its scale k, 1/(A*SY - SX*B) = u/v
+    frame: Tuple = field(repr=False, compare=False)
 
     @property
     def center(self) -> Point:
@@ -114,25 +108,28 @@ class NecklaceSpec:
         """The same strip's ring at exponent m."""
         return replace(self, m=m)
 
-    @property
-    def p_vertices(self) -> Tuple[Point, ...]:
-        """The vertices of P + m*shift."""
-        offset = self.shift * self.m
-        return tuple(v + offset for v in self.polygon.vertices)
+    def carry(self, here, kind: str):
+        """P's point `here`, a lattice triple with the polygon's den dividing
+        L, moved onto the copy P + m*shift or Q + m*shift: a triple over L*sq."""
+        X, Y, L = here
+        SX, SY, sq = self.frame[0]
+        if kind == "Q":  # 2*center - p, the centre (WX, WY)/den
+            WX, WY = self.polygon.lattice[self.pair.w_index]
+            k = 2 * (L // self.polygon.den)
+            X, Y = WX * k - X, WY * k - Y
+        return X * sq + SX * self.m * L, Y * sq + SY * self.m * L, L * sq
 
-    @property
-    def q_vertices(self) -> Tuple[Point, ...]:
-        """The vertices of (P turned 180 degrees about center) + m*shift."""
-        offset = self.shift * self.m
-        return tuple(v.reflect_through(self.center) + offset
-                     for v in self.polygon.vertices)
-
-    def place(self, region: ConvexRegion, kind: str) -> ConvexRegion:
-        """P's region moved onto the copy P + m*shift (kind "P") or
-        Q + m*shift (kind "Q")."""
+    def samples(self, cycle, kind: str, count: int, seed: int) -> list:
+        """The copy's region's `sample_points(count, seed)` as triples, drawn on
+        P's lattice from `cycle`, P's region's vertices, carried onto the copy
+        and asserted interior to it.  A half turn reverses the lexicographic
+        order: Q's weights go on P's cycle started at its largest vertex."""
         if kind == "Q":
-            region = region.point_reflect(self.center)
-        return region.translate(self.shift * self.m)
+            top = max(range(len(cycle)), key=lambda i: point_key(cycle[i]))
+            cycle = cycle[top:] + cycle[:top]
+        out = [self.carry(t, kind) for t in barycentric_triples(*lattice(cycle), count, seed)]
+        assert all(map(self.in_p if kind == "P" else self.in_q, out))
+        return out
 
     def _triple(self, p):
         return p if type(p) is tuple else self.polygon.homogeneous(p)
@@ -155,21 +152,25 @@ class NecklaceSpec:
         shift = self.m * self.dd
         return ((self.hi, self.lo + shift), (self.hi - shift, self.lo))
 
-    def in_annulus(self, p: Point) -> bool:
-        """Conservative membership: inside the strip and strictly within one
-        of the windows (a subset of the pictorial 'between')."""
-        if self.pair.location(p) != 1:
-            return False
-        s = self.shift.dot(p)
-        return any(a < s < b for a, b in self.windows())
+    def in_annulus(self, p) -> bool:
+        """Conservative membership of a Point or triple: inside the strip and
+        strictly within one of the windows (a subset of the pictorial 'between')."""
+        here = self._triple(p)
+        return self.pair.location(here) == 1 and any(
+            _least_sign(ends, self.m, here) > 0 for ends in self.forms[3:])
+
+    def frame_triple(self, s: Scalar, off: Scalar):
+        """The point with axis coordinate s and strip offset off (0 on the edge
+        line) as a triple over a multiple of den: where A*x + B*y = C + k*off
+        meets SX*x + SY*y = sq*s, by Cramer's rule over s's and off's denominators."""
+        (SX, SY, sq), (A, B, C, k), (u, v) = self.frame
+        (sn, sd), (on, od) = s.as_integer_ratio(), off.as_integer_ratio()
+        c, t, g = (C * od + k * on) * sd, sq * sn * od, self.polygon.den * u
+        return (c * SY - B * t) * g, (A * t - SX * c) * g, v * sd * od * self.polygon.den
 
     def frame_point(self, s: Scalar, off: Scalar) -> Point:
-        """The point with axis coordinate s and strip offset off (0 on the
-        strip's edge line): where a*x + b*y = c + off meets shift.(x, y) = s."""
-        line, d = self.pair.line, self.shift
-        c = line.c + off
-        det = line.a * d.y - d.x * line.b
-        return Point((c * d.y - s * line.b) / det, (line.a * s - d.x * c) / det)
+        """`frame_triple(s, off)` as a Point."""
+        return point_of(self.frame_triple(s, off))
 
 
 def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
@@ -190,10 +191,11 @@ def _least_sign(forms, m: int, here) -> int:
     low = 1
     for A, B, C, D in forms:
         t = A * X + B * Y - (C + m * D) * L
-        s = (t > 0) - (t < 0) if type(t) is int else t.sign()
-        if s < 0:
-            return s
-        low = min(low, s)
+        t = t if type(t) is int else t.sign()
+        if t < 0:
+            return -1
+        if t == 0:
+            low = 0
     return low
 
 
@@ -222,8 +224,14 @@ def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     dd = d.dot(d)
     # lo - m*dd <= shift.p <= hi + m*dd
     extent = (integer_form(d.x, d.y, lo, -dd), integer_form(-d.x, -d.y, -hi, -dd))
+    # hi < shift.p < lo + m*dd, and hi - m*dd < shift.p < lo
+    windows = ((integer_form(d.x, d.y, hi, 0), integer_form(-d.x, -d.y, -lo, -dd)),
+               (integer_form(d.x, d.y, hi, -dd), integer_form(-d.x, -d.y, -lo, 0)))
+    # the edge line's integer form, and its scale k as the form of the constant 1
+    A, B, C, k = integer_form(pair.line.a, pair.line.b, pair.line.c, 1)
+    frame = ((SX, SY, sq), (A, B, C, k), ratio(1, A * SY - SX * B).as_integer_ratio())
     return NecklaceSpec(j % system.n, m, d, pair, polygon, lo, hi, dd,
-                        (tuple(p_forms), tuple(q_forms), extent))
+                        (tuple(p_forms), tuple(q_forms), extent) + windows, frame)
 
 
 def annulus_windows(system: PinwheelSystem, j: int, m_exponent: int):
@@ -240,7 +248,8 @@ def in_trapped_extent(ring: NecklaceSpec, p) -> bool:
     here = ring._triple(p)
     if ring.pair.location(here) != 1 or _least_sign(ring.forms[2], ring.m, here) < 0:
         return False
-    return not (ring.contains(here) or ring.at(-ring.m).contains(here))
+    return not any(_least_sign(forms, m, here) > 0
+                   for m in (ring.m, -ring.m) for forms in ring.forms[:2])
 
 
 def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
@@ -260,11 +269,7 @@ def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
     if not any(ring.in_annulus(p) for ring in rings):
         raise AnnulusNotFoundError(
             f"point {p} is not inside any strip's m={m} annulus")
-    radius = Fraction(0)
-    for ring in rings:
-        shift = ring.m * ring.dd
-        for s_val in (ring.lo - shift, ring.hi + shift):
-            for off in (Fraction(0), ring.pair.width):
-                corner = ring.frame_point(s_val, off)
-                radius = max(radius, abs(corner.x) + abs(corner.y))
-    return True, radius
+    corners = (ring.frame_point(s_val, off) for ring in rings
+               for s_val in (ring.lo - ring.m * ring.dd, ring.hi + ring.m * ring.dd)
+               for off in (Fraction(0), ring.pair.width))
+    return True, max(abs(c.x) + abs(c.y) for c in corners)

@@ -15,15 +15,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .billiards import inverse_square_map, square_map
-from .dynamics import (
-    IndexedPoint,
-    far_radius,
-    pinwheel_theorem_step,
-    pinwheel_walk,
-    strip_system_return,
-)
+from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import ConvexRegion, HalfPlane, Line, Point, polygon_region
+from .geometry import ConvexRegion, HalfPlane, Line, Point, point_of, polygon_region
 from .model import BilliardModel
 from .paths import apex_sequence
 from .polygon import NicePolygon
@@ -31,7 +25,7 @@ from .quasirational import in_trapped_extent, necklace, quasi_analyze
 from .report import CheckReport
 from .rng import Rng
 from .scalars import ratio
-from .strips import strip_map
+from .strips import strip_jump, strip_map
 
 # ---------------------------------------------------------------------------
 # sample generation over tiles
@@ -471,8 +465,10 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
     n = model.n
     rng = Rng(seed).split(0x9E, m)
     per_piece = max(2, samples // (2 * n))
-    # every ring copy is P moved rigidly: build P's region once and move it
-    base = polygon_region(system.polygon.vertices, open_region=True)
+    # every ring copy is P moved rigidly: read P's vertex cycle off its
+    # region once, and carry what is drawn on P's lattice onto the copies
+    cycle = polygon_region(system.polygon.vertices, open_region=True).vertices()
+    corners = [(X, Y, system.polygon.den) for X, Y in system.polygon.lattice]
     # one ring per strip: the source of strip j and the target of strip j - 1
     rings = [necklace(system, j, 0) for j in range(n)]
     for j in range(n):
@@ -482,36 +478,33 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
         target = rings[(j + 1) % n].at(Mj1)
         targets = [target, target.at(-Mj1)]
         for kind in ("P", "Q"):
-            region = ring.place(base, kind)
-            pts = region.sample_points(per_piece, seed=rng.u64(4 * j) & 0xFFFF)
             landings = []
-            for p in pts:
+            for here in ring.samples(cycle, kind, per_piece, seed=rng.u64(4 * j) & 0xFFFF):
                 rep.sample()
                 try:
-                    land, _ = strip_system_return(system, IndexedPoint(p, j))
+                    land, _ = strip_jump(target.pair, here)
                 except MapUndefinedError:
                     rep.skip()
                     continue
-                here = system.polygon.homogeneous(land.point)
-                hit = [t for t in targets if (t.in_p if kind == "P" else t.in_q)(here)]
+                hit = [t for t in targets if (t.in_p if kind == "P" else t.in_q)(land)]
                 if not hit:
-                    rep.fail(repr(p), f"lands in ring copy |{Mj1}| of strip "
-                                      f"{(j + 1) % n}", f"{land.point}", j)
+                    rep.fail(repr(point_of(here)), f"lands in ring copy |{Mj1}| of strip "
+                                                   f"{(j + 1) % n}", f"{point_of(land)}", j)
                     continue
-                landings.append((p, land.point, hit[0]))
+                landings.append((here, land, hit[0]))
                 rep.ok()
-            # rigid-translation identity: the whole copy maps by one vector
+            # rigid-translation identity: the whole copy maps by one vector,
+            # (X1 - X0, Y1 - Y0)/L0, onto the target copy, vertex by vertex
             if landings and exponent_offset == 0:
                 rep.sample()
-                p0, q0, tgt = landings[0]
-                delta = q0 - p0
-                src = ring.p_vertices if kind == "P" else ring.q_vertices
-                dst = tgt.p_vertices if kind == "P" else tgt.q_vertices
-                if {v + delta for v in src} == set(dst):
+                (X0, Y0, L0), (X1, Y1, _), tgt = landings[0]
+                moved = ((X * L0 + (X1 - X0) * L, Y * L0 + (Y1 - Y0) * L, L * L0)
+                         for X, Y, L in (ring.carry(v, kind) for v in corners))
+                if all(X * M == U * L and Y * M == V * L for (X, Y, L), (U, V, M)
+                       in zip(moved, (tgt.carry(v, kind) for v in corners))):
                     rep.ok()
                 else:
-                    rep.fail(f"copy {kind}^{Mj} of strip {j}",
-                             "maps rigidly onto the target copy",
+                    rep.fail(f"copy {kind}^{Mj} of strip {j}", "maps rigidly onto the target copy",
                              "vertex sets differ", j)
         # annulus membership transfer
         if exponent_offset == 0:
@@ -525,21 +518,21 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                     continue
                 s_val = rng.split(7, j).between(t_i, lo, hi)
                 off = ring.pair.width * rng.split(8, j).unit(t_i)
-                p = ring.frame_point(s_val, off)
-                if not ring.in_annulus(p):
+                here = ring.frame_triple(s_val, off)
+                if not ring.in_annulus(here):
                     continue
                 produced += 1
                 rep.sample()
                 try:
-                    land, _ = strip_system_return(system, IndexedPoint(p, j))
+                    land, _ = strip_jump(target.pair, here)
                 except MapUndefinedError:
                     rep.skip()
                     continue
-                if in_trapped_extent(target, land.point):
+                if in_trapped_extent(target, land):
                     rep.ok()
                 else:
-                    rep.fail(repr(p), f"between the rings of strip {(j + 1) % n}",
-                             f"{land.point}", j)
+                    rep.fail(repr(point_of(here)), f"between the rings of strip {(j + 1) % n}",
+                             f"{point_of(land)}", j)
     return rep
 
 

@@ -23,12 +23,10 @@ def line_intersection(first: Line, second: Line) -> Optional[Point]:
     return Point(x, y)
 
 
-def overlap_area_determinant(system, j: int):
-    """Overlap area of strips j and j+1 as W_j * W_{j+1} / |det of the two
-    strip normals|, independent of the region kernel."""
-    a, b = system.pair(j), system.pair(j + 1)
-    det = a.line.a * b.line.b - b.line.a * a.line.b
-    return abs(a.width * b.width / det)
+def overlap_area_region(system, j: int):
+    """Overlap area of strips j and j+1 read off the region kernel: the two
+    strips intersected, and the area of that parallelogram."""
+    return system.strip(j).intersect(system.strip(j + 1)).area()
 
 
 def transfer_ratio(system, j: int):
@@ -144,3 +142,31 @@ def pulled_back_trapped_extent(ring, p: Point) -> bool:
         return False
     return not any(test(r, p) for r in (ring, ring.at(-ring.m))
                    for test in (pulled_back_in_p, pulled_back_in_q))
+
+
+def scalar_in_annulus(ring, p: Point) -> bool:
+    """`NecklaceSpec.in_annulus` on scalars: inside the strip, and the axis
+    coordinate shift.p strictly within one of the ring's windows."""
+    s = ring.shift.dot(p)
+    return ring.pair.location(p) == 1 and any(a < s < b for a, b in ring.windows())
+
+
+def placed_samples(ring, base, kind: str, count: int, seed: int):
+    """A ring copy's samples by the region route: P's region `base` moved
+    onto the copy (turned about the strip's centre vertex for kind "Q", then
+    translated by m*shift) and sampled there."""
+    region = base.point_reflect(ring.center) if kind == "Q" else base
+    return region.translate(ring.shift * ring.m).sample_points(count, seed=seed)
+
+
+def p_vertices(ring) -> Tuple[Point, ...]:
+    """The vertices of the ring's copy P + m*shift, on `Point`s."""
+    offset = ring.shift * ring.m
+    return tuple(v + offset for v in ring.polygon.vertices)
+
+
+def q_vertices(ring) -> Tuple[Point, ...]:
+    """The vertices of the ring's copy (P turned 180 degrees about its
+    centre vertex) + m*shift, on `Point`s."""
+    offset = ring.shift * ring.m
+    return tuple(v.reflect_through(ring.center) + offset for v in ring.polygon.vertices)

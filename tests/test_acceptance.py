@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import overlap_area_determinant
 from outerbilliards.billiards import square_map
 from outerbilliards.dynamics import orbit
 from outerbilliards.errors import EmptyRegionError
@@ -22,6 +21,7 @@ from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
     boundedness_certificate,
     necklace,
+    overlap_area,
     quasi_analyze,
 )
 from outerbilliards.strips import build_pinwheel_system, sigma_range, strip_map
@@ -191,7 +191,7 @@ def test_criterion_08_worked_example_regressions():
     system = build_pinwheel_system(TRIANGLE)
     r = sigma_range(system, 0, 2)
     assert r.area() == 48
-    assert overlap_area_determinant(system, 0) == 48
+    assert overlap_area(system, 0) == 48
     # one-step-closer strip map example
     assert strip_map(system.pair(0), pt(0, 13)) == pt(-2, 7)
     _announce(8, "psi(8,-2) = (10,4) with label ((0,0),(1,3)); "

@@ -118,11 +118,13 @@ GOLDEN_MAPS = ("psi", "psistar", "exit", "return", "stripreturn")
 
 
 def golden_polygon_text(poly_key):
-    from test_quasirational import sqrt5_kite
+    from test_quasirational import sqrt5_kite, sqrt5_pentagon
     from test_verify import penrose_kite
 
     if poly_key == "triangle":
         return TRIANGLE_DOC
+    if poly_key == "sqrt5_pentagon":
+        return polygon_to_text(sqrt5_pentagon())
     if poly_key in ("sqrt5_kite", "penrose_kite"):
         kite = {"sqrt5_kite": sqrt5_kite, "penrose_kite": penrose_kite}[poly_key]
         return polygon_to_text(kite())
@@ -130,7 +132,11 @@ def golden_polygon_text(poly_key):
     return polygon_to_text(random_nice_polygon(n, seed=n))
 
 
-def cli_output_digests(poly_file, tmp_path, capsys):
+# `quasi --certify` points: inside an annulus where the default is not
+CERTIFY_POINTS = {"sqrt5_pentagon": "339113161581/155,-1320353506152/85"}
+
+
+def cli_output_digests(poly_file, tmp_path, capsys, certify="5,7/3"):
     """sha256 of every command's exit code, stdout and written files, by command."""
     def out(*argv):
         code, text = run(capsys, *argv)
@@ -143,7 +149,7 @@ def cli_output_digests(poly_file, tmp_path, capsys):
         "partition": (out("partition", f, "--backward")
                       + out("partition", f, "--json", str(js), "--svg", str(svg))
                       + js.read_text() + svg.read_text()),
-        "quasi": out("quasi", f, "--m", "2", "--certify", "5,7/3"),
+        "quasi": out("quasi", f, "--m", "2", "--certify", certify),
         "classify": "".join(out("classify", f, "--point", p) for p in GOLDEN_STARTS),
         "orbit": "".join(out("orbit", f, "--point", p, "--map", m, "--steps", "30")
                          for p in GOLDEN_STARTS for m in GOLDEN_MAPS),
@@ -252,6 +258,15 @@ CLI_OUTPUT_SHA256 = {
         "orbit": "28a599c439afab82",
         "verify": "36af5e6f8b95ce69",
     },
+    # recorded before the necklace check ran on the lattice end to end
+    "sqrt5_pentagon": {
+        "validate": "30a4daad47774943",
+        "partition": "2980d6bc85221cc7",
+        "quasi": "31b1969f685b570b",
+        "classify": "00222485210532ff",
+        "orbit": "4605298c8d421e71",
+        "verify": "611f64c808759c05",
+    },
     "penrose_kite": {
         "validate": "4a2180957e3009f2",
         "partition": "eeb9e1df04f611d5",
@@ -267,7 +282,8 @@ CLI_OUTPUT_SHA256 = {
 def test_cli_outputs_golden(poly_key, tmp_path, capsys):
     f = tmp_path / f"{poly_key}.json"
     f.write_text(golden_polygon_text(poly_key))
-    assert cli_output_digests(f, tmp_path, capsys) == CLI_OUTPUT_SHA256[poly_key]
+    certify = CERTIFY_POINTS.get(poly_key, "5,7/3")
+    assert cli_output_digests(f, tmp_path, capsys, certify) == CLI_OUTPUT_SHA256[poly_key]
 
 
 def test_orbit_psi_events(tri_file, capsys):

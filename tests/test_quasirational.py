@@ -10,11 +10,15 @@ import pytest
 
 from oracles import (
     line_intersection,
-    overlap_area_determinant,
+    overlap_area_region,
+    p_vertices,
+    placed_samples,
     point_strip_jump,
     pulled_back_in_p,
     pulled_back_in_q,
     pulled_back_trapped_extent,
+    q_vertices,
+    scalar_in_annulus,
     transfer_ratio,
 )
 from outerbilliards import quasirational, strips
@@ -50,6 +54,41 @@ def sqrt5_kite():
         quad_d=5)
 
 
+def sqrt5_pentagon():
+    """random_nice_polygon(5, 9000) scaled by 1 + sqrt(5): quasirational over
+    Q(sqrt 5) with irrational overlap areas."""
+    k = quadext(1, 1, 5)
+    return NicePolygon.from_points(
+        [Point(v.x * k, v.y * k) for v in random_nice_polygon(5, 9000).vertices], quad_d=5)
+
+
+# a rational point inside strip 0's m=2 annulus of `sqrt5_pentagon()`
+SQRT5_PENTAGON_ANNULUS = Point(Fraction(339113161581, 155), Fraction(-1320353506152, 85))
+
+
+def test_sqrt5_pentagon_quasirational_necklace_and_certificate():
+    """The irrational-area branch of `quasi_analyze`: D is irrational and the
+    D/A_j are the unscaled pentagon's; the necklace transfer holds at m = 1
+    and 2 with every sample valid, and the certificate succeeds from an
+    annulus start."""
+    model = BilliardModel(sqrt5_pentagon())
+    q = quasi_analyze(model.system)
+    assert q.quasirational
+    assert isinstance(q.D, QuadExt)
+    assert all(isinstance(a, QuadExt) for a in q.areas)
+    assert q.D_int == (34206210, 160277333, 4970364, 64713600, 134787240)
+    assert q.D_int == quasi_analyze(BilliardModel(random_nice_polygon(5, 9000)).system).D_int
+    for mm in (1, 2):
+        rep = check_necklace_invariance(model, m=mm, samples=60, seed=mm)
+        assert rep.passed, rep.violations[:2]
+        assert rep.valid == rep.attempted == 100
+    assert necklace(model.system, 0, 2 * q.D_int[0]).in_annulus(SQRT5_PENTAGON_ANNULUS)
+    bounded, radius = boundedness_certificate(model.system, q, SQRT5_PENTAGON_ANNULUS, m=2)
+    assert bounded
+    assert radius == QuadExt(Fraction(404316041011637, 25405),
+                             Fraction(404316041011637, 25405), 5)
+
+
 def test_triangle_overlap_areas_all_48():
     m = BilliardModel(TRIANGLE)
     q = quasi_analyze(m.system)
@@ -60,11 +99,19 @@ def test_triangle_overlap_areas_all_48():
 
 
 def test_area_two_routes_agree():
-    for n in (3, 4, 5, 6, 7):
-        m = BilliardModel(random_nice_polygon(n, seed=3 * n + 7))
-        q = quasi_analyze(m.system)
-        for j in range(n):
-            assert q.areas[j] == overlap_area_determinant(m.system, j)
+    """The closed-form overlap areas equal the region kernel's, in value and
+    in scalar type, over Q and Q(sqrt 5)."""
+    from test_verify import penrose_kite
+
+    polys = ([random_nice_polygon(n, seed=3 * n + 7) for n in (3, 4, 5, 6, 7)]
+             + [sqrt5_kite(), penrose_kite(), sqrt5_pentagon()]
+             + [random_nice_polygon(5, 9000 + i) for i in range(8)])
+    for poly in polys:
+        system = BilliardModel(poly).system
+        q = quasi_analyze(system)
+        for j in range(system.n):
+            want = overlap_area_region(system, j)
+            assert q.areas[j] == want and type(q.areas[j]) is type(want), (poly, j)
             assert q.areas[j] > 0
 
 
@@ -110,8 +157,8 @@ def test_sqrt5_kite_not_quasirational():
 def test_necklace_zero_shift_is_polygon():
     m = BilliardModel(TRIANGLE)
     spec = necklace(m.system, 0, 0)
-    assert spec.p_vertices == m.polygon.vertices
-    assert spec.q_vertices == tuple(
+    assert p_vertices(spec) == m.polygon.vertices
+    assert q_vertices(spec) == tuple(
         v.reflect_through(spec.center) for v in m.polygon.vertices)
     assert spec.center == m.system.pair(0).w
 
@@ -122,8 +169,8 @@ def test_necklace_copies_preserve_area():
     for j in range(m.n):
         for mm in (-2, 1, 3):
             spec = necklace(m.system, j, mm)
-            assert abs(_signed_area(spec.p_vertices)) == base
-            assert abs(_signed_area(spec.q_vertices)) == base
+            assert abs(_signed_area(p_vertices(spec))) == base
+            assert abs(_signed_area(q_vertices(spec))) == base
 
 
 def _signed_area(verts):
@@ -173,7 +220,8 @@ def test_necklace_invariance_sampled_and_exact():
 def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
     """P's open region translated (and point-reflected for Q) is the ring
     copy's own canonical region: same vertices in the same order, hence the
-    same samples."""
+    same samples.  The ring's `carry` moves P's vertex triples onto the
+    copy's vertices."""
     poly = random_nice_polygon(5, seed=21) if poly_key == "pentagon" else sqrt5_kite()
     system = BilliardModel(poly).system
     base = polygon_region(poly.vertices, open_region=True)
@@ -181,13 +229,16 @@ def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
         for mm in (-2, 1, 3):
             spec = necklace(system, j, mm)
             offset = spec.shift * spec.m
-            for moved, verts in ((base.translate(offset), spec.p_vertices),
-                                 (base.point_reflect(spec.center).translate(offset),
-                                  spec.q_vertices)):
+            for kind, moved, verts in (
+                    ("P", base.translate(offset), p_vertices(spec)),
+                    ("Q", base.point_reflect(spec.center).translate(offset), q_vertices(spec))):
                 ref = polygon_region(verts, open_region=True)
                 assert moved == ref
                 assert moved.vertices() == ref.vertices()
                 assert moved.sample_points(3, seed=j) == ref.sample_points(3, seed=j)
+                carried = tuple(point_of(spec.carry((X, Y, poly.den), kind))
+                                for X, Y in poly.lattice)
+                assert repr(carried) == repr(verts)
 
 
 def test_necklace_check_builds_one_polygon_region(monkeypatch):
@@ -292,10 +343,10 @@ def test_necklace_membership_matches_region_route(poly_key):
     for j in range(system.n):
         for mm in range(-3, 4):
             spec = necklace(system, j, mm)
-            p_ref = polygon_region(spec.p_vertices, open_region=True)
-            q_ref = polygon_region(spec.q_vertices, open_region=True)
+            p_ref = polygon_region(p_vertices(spec), open_region=True)
+            q_ref = polygon_region(q_vertices(spec), open_region=True)
             pts = []
-            for verts, ref in ((spec.p_vertices, p_ref), (spec.q_vertices, q_ref)):
+            for verts, ref in ((p_vertices(spec), p_ref), (q_vertices(spec), q_ref)):
                 k = len(verts)
                 pts.extend(verts)
                 pts.extend(Point((verts[i].x + verts[(i + 1) % k].x) / 2,
@@ -326,7 +377,7 @@ def test_ring_axis_range_closed_form_matches_ring_construction(poly_key):
         d, lo, hi, dd = base.shift, base.lo, base.hi, base.dd
         for mm in range(-3, 4):
             spec = necklace(system, j, mm)
-            vals = [d.x * v.x + d.y * v.y for v in spec.p_vertices + spec.q_vertices]
+            vals = [d.x * v.x + d.y * v.y for v in p_vertices(spec) + q_vertices(spec)]
             assert (lo + mm * dd, hi + mm * dd) == (min(vals), max(vals)), (j, mm)
 
 
@@ -404,6 +455,16 @@ def _extent_points(ring):
             for off in (Fraction(0), width / 3, width / 2, width)]
 
 
+def _annulus_points(ring):
+    """Frame points on and between the ends of both annulus windows, on the
+    strip's lines and inside the strip."""
+    width = ring.pair.width
+    ends = [s for window in ring.windows() for s in window]
+    return [ring.frame_point(s, off)
+            for s in ends + [(a + b) / 2 for a, b in ring.windows()]
+            for off in (Fraction(0), width / 3, width)]
+
+
 def _jump_outcome(jump, pair, p):
     try:
         return repr(jump(pair, p))
@@ -433,11 +494,11 @@ def test_lattice_necklace_matches_point_route(poly_key):
     same Point and stage."""
     poly = _lattice_polygon(poly_key)
     system = BilliardModel(poly).system
-    inside = trapped = 0
+    inside = trapped = annulus = 0
     for j in range(system.n):
         for mm in range(-3, 4):
             ring = quasirational.necklace(system, j, mm)
-            for verts in (ring.p_vertices, ring.q_vertices):
+            for verts in (p_vertices(ring), q_vertices(ring)):
                 boundary, inner = _copy_points(verts)
                 for p in boundary:
                     assert not ring.contains(p), (j, mm, p)
@@ -448,14 +509,18 @@ def test_lattice_necklace_matches_point_route(poly_key):
                     assert (ring.in_p(here), ring.in_q(here)) == want, (j, mm, p)
                     assert ring.contains(p) == ring.contains(here) == any(want)
                     inside += any(want)
+            for p in _annulus_points(ring):
+                want = scalar_in_annulus(ring, p)
+                assert ring.in_annulus(p) == ring.in_annulus(poly.homogeneous(p)) == want
+                annulus += want
             other = ring.at(-mm)
-            copies = (ring.p_vertices, ring.q_vertices, other.p_vertices, other.q_vertices)
+            copies = (p_vertices(ring), q_vertices(ring), p_vertices(other), q_vertices(other))
             for p in _extent_points(ring) + [p for verts in copies for p in _copy_points(verts)[1]]:
                 want = pulled_back_trapped_extent(ring, p)
                 assert in_trapped_extent(ring, p) == want, (j, mm, p)
                 assert in_trapped_extent(ring, poly.homogeneous(p)) == want
                 trapped += want
-    assert inside and trapped
+    assert inside and trapped and annulus
     raise_points = set()
     for pair in system.pairs:
         for p in _jump_points(pair):
@@ -475,11 +540,13 @@ def test_lattice_necklace_matches_point_route(poly_key):
     (quasirational, "_least_sign", "(C + m * D)", "C"),
     (quasirational, "necklace", "(-A * sq * den, -B * sq * den,", "(A * sq * den, B * sq * den,"),
     (strips, "strip_jump", "(a * VX + b * VY) * (L // q)", "(a * VX + b * VY)"),
-], ids=["dropped-shift", "unnegated-q", "dropped-rescale"])
+    (quasirational, "necklace", "integer_form(d.x, d.y, hi, -dd)", "integer_form(d.x, d.y, hi, 0)"),
+], ids=["dropped-shift", "unnegated-q", "dropped-rescale", "unshifted-window"])
 def test_lattice_necklace_parity_catches_broken_forms(monkeypatch, module, name, old, new):
     """Negative controls: copy forms that drop the m*D term or leave Q's
-    edge form unnegated, and a jump width left on V's denominator q instead
-    of rescaled to the point's L, must each fail the parity test."""
+    edge form unnegated, a jump width left on V's denominator q instead of
+    rescaled to the point's L, and an annulus window end left at the base
+    ring instead of the -m ring, must each fail the parity test."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1
     namespace = dict(vars(module))
@@ -487,6 +554,48 @@ def test_lattice_necklace_parity_catches_broken_forms(monkeypatch, module, name,
     monkeypatch.setattr(module, name, namespace[name])
     with pytest.raises(AssertionError):
         test_lattice_necklace_matches_point_route("n4")
+
+
+SAMPLE_KEYS = [f"pentagon-{i}" for i in range(8)] + ["sqrt5_pentagon"]
+
+
+def _sample_polygon(key):
+    if key == "sqrt5_pentagon":
+        return sqrt5_pentagon()
+    return random_nice_polygon(5, 9000 + int(key.split("-")[1]))
+
+
+@pytest.mark.parametrize("poly_key", SAMPLE_KEYS)
+def test_ring_samples_match_placed_region_route(poly_key):
+    """A copy's samples, drawn on P's lattice and carried by the copy's
+    rigid motion on integers, equal pointwise (in value and scalar type)
+    those of P's region moved onto the copy and sampled there, for every
+    strip, P and Q, at the exponents m*D_j, m = 1, 2, 3."""
+    poly = _sample_polygon(poly_key)
+    system = BilliardModel(poly).system
+    quasi = quasi_analyze(system)
+    base = polygon_region(poly.vertices, open_region=True)
+    for j in range(system.n):
+        for mm in (1, 2, 3):
+            ring = necklace(system, j, mm * quasi.D_int[j])
+            for kind in ("P", "Q"):
+                got = tuple(map(point_of, ring.samples(base.vertices(), kind, 3, seed=7 * j + mm)))
+                want = placed_samples(ring, base, kind, 3, seed=7 * j + mm)
+                assert repr(got) == repr(want), (j, mm, kind)
+
+
+def test_ring_samples_parity_catches_q_cycle_from_vertex_0(monkeypatch):
+    """Negative control: Q's weights put on P's cycle as it starts (at its
+    smallest vertex), not started at its largest as Q's own cycle is, must
+    fail the sample parity test."""
+    source = textwrap.dedent(inspect.getsource(quasirational.NecklaceSpec.samples))
+    old = "cycle = cycle[top:] + cycle[:top]"
+    assert source.count(old) == 1
+    namespace = dict(vars(quasirational))
+    exec(source.replace(old, "pass"), namespace)
+    monkeypatch.setattr(quasirational.NecklaceSpec, "samples", namespace["samples"])
+    with pytest.raises(AssertionError):
+        test_ring_samples_match_placed_region_route("pentagon-0")
 
 
 def necklace_golden_text(n):
