@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from .errors import MapUndefinedError
+
 
 @dataclass
 class Violation:
@@ -36,9 +38,6 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def skip(self):
-        self.wall_skipped += 1
-
     def sample(self):
         self.attempted += 1
 
@@ -47,6 +46,30 @@ class CheckReport:
 
     def fail(self, input_repr: str, expected: str, actual: str, index: int = -1):
         self.violations.append(Violation(index, input_repr, expected, actual))
+
+    def judge(self, index: int, predicate, *args) -> Optional[bool]:
+        """Count one sample of `predicate(*args)`: valid when it returns
+        None, a violation at `index` when it returns (input, expected,
+        actual), a wall skip when it raises MapUndefinedError.  Returns
+        True, False or None for those three."""
+        self.attempted += 1
+        try:
+            verdict = predicate(*args)
+        except MapUndefinedError:
+            self.wall_skipped += 1
+            return None
+        if verdict is None:
+            self.valid += 1
+            return True
+        self.fail(*verdict, index)
+        return False
+
+    def absorb(self, other: CheckReport):
+        """Add another report's sample counts and violations to this one."""
+        self.attempted += other.attempted
+        self.valid += other.valid
+        self.wall_skipped += other.wall_skipped
+        self.violations.extend(other.violations)
 
     def wall_skip_rate(self) -> float:
         if self.attempted == 0:

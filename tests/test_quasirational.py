@@ -421,6 +421,39 @@ def test_necklace_check_computes_shift_per_strip_not_per_sample(monkeypatch):
     assert counts == [model.n] * 2  # one ring per strip, source and target alike
 
 
+ANNULUS_KEYS = ([f"bench{i}" for i in range(8)] + [f"n{n}" for n in range(3, 9)]
+                + ["sqrt5_pentagon"])
+
+
+@pytest.mark.parametrize("key", ANNULUS_KEYS)
+def test_necklace_check_draws_annulus_samples_inside_the_annulus(monkeypatch, key):
+    """Each annulus sample of the check, a frame point strictly inside a
+    nonempty window and strictly inside the strip, is in its ring's
+    annulus, so the check needs no membership filter.  Polygons: the bench
+    necklace pentagons, random_nice_polygon(n, n), the Q(sqrt 5) pentagon."""
+    if key == "sqrt5_pentagon":
+        poly = sqrt5_pentagon()
+    elif key.startswith("bench"):
+        poly = random_nice_polygon(5, 9000 + int(key[5:]))
+    else:
+        poly = random_nice_polygon(int(key[1:]), int(key[1:]))
+    model = BilliardModel(poly)
+    drawn = []
+    frame_triple = quasirational.NecklaceSpec.frame_triple
+
+    def recorded(ring, s, off):
+        here = frame_triple(ring, s, off)
+        drawn.append((ring, here))
+        return here
+
+    monkeypatch.setattr(quasirational.NecklaceSpec, "frame_triple", recorded)
+    for mm in (1, 2, 3):
+        drawn.clear()
+        assert check_necklace_invariance(model, m=mm, samples=100, seed=mm).passed
+        assert drawn
+        assert all(ring.in_annulus(here) for ring, here in drawn), mm
+
+
 # the lattice necklace against the Point routes kept in `oracles`: copy
 # membership pulled back to P, the trapped extent on scalars, and the
 # `Fraction` strip jump

@@ -8,12 +8,19 @@ import pytest
 from oracles import point_route_structure2
 from outerbilliards import dynamics, strips, verify
 from outerbilliards.dynamics import pinwheel_theorem_step
-from outerbilliards.errors import GenerationFailedError, MapUndefinedError
+from outerbilliards.errors import (
+    BudgetExceededError,
+    GenerationFailedError,
+    MapUndefinedError,
+    OnStripBoundaryError,
+    UndefinedOnWallError,
+)
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.geometry import Point, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import AdmissiblePath
 from outerbilliards.polygon import NicePolygon, parse_polygon, polygon_to_text
+from outerbilliards.report import CheckReport, Violation
 from outerbilliards.rng import Rng
 from outerbilliards.scalars import quadext
 from outerbilliards.strips import PinwheelSystem
@@ -128,6 +135,49 @@ def test_violations_carry_replay_information():
     v = rep.violations[0]
     assert v.input and v.expected and v.actual
     assert rep.seed == 5
+
+
+def test_flipped_terminal_control_trips_the_displacement_identity():
+    """The flipped terminal step breaks the displacement identity, which is
+    checked before pin2: every violation on criterion 10's polygon is a
+    displacement one (pin2 is tripped by the negated translations below)."""
+    controls = {rep.check: rep for rep in negative_controls(random_nice_polygon(5, 77), seed=3)}
+    rep = controls["negative-control-flipped-terminal"]
+    assert rep.violations
+    assert all(v.expected.startswith("displacement ") for v in rep.violations)
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_judge_counts_valid_violation_and_wall_skip():
+    rep = CheckReport("c", {}, 0)
+    assert rep.judge(1, lambda: None) is True
+    assert rep.judge(2, lambda x: ("in", "want", f"got {x}"), 7) is False
+    assert rep.judge(3, _raise, OnStripBoundaryError(pt(0, 0), stage=1)) is None
+    assert rep.judge(4, _raise, UndefinedOnWallError(pt(1, 0), stage=2)) is None
+    assert rep.judge(5, lambda: None) is True
+    assert (rep.attempted, rep.valid, rep.wall_skipped) == (5, 2, 2)
+    assert rep.violations == [Violation(2, "in", "want", "got 7")]
+
+
+@pytest.mark.parametrize("exc", [BudgetExceededError(9), AssertionError("broken")])
+def test_judge_propagates_errors_that_are_not_walls(exc):
+    rep = CheckReport("c", {}, 0)
+    with pytest.raises(type(exc)):
+        rep.judge(1, _raise, exc)
+    assert (rep.valid, rep.wall_skipped, rep.violations) == (0, 0, [])
+
+
+def test_absorb_sums_counts_and_violations():
+    first, second = Violation(1, "a", "b", "c"), Violation(2, "d", "e", "f")
+    rep = CheckReport("one", {}, 0, attempted=5, valid=3, wall_skipped=1, violations=[first])
+    rep.absorb(CheckReport("two", {}, 4, attempted=7, valid=4, wall_skipped=2,
+                           violations=[second]))
+    assert (rep.attempted, rep.valid, rep.wall_skipped) == (12, 7, 3)
+    assert rep.violations == [first, second]
+    assert (rep.check, rep.seed) == ("one", 0)
 
 
 @pytest.mark.parametrize("kite_key", ["sqrt5_kite", "penrose_kite"])
