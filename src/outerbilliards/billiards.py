@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import sub
 from typing import Dict, Tuple
 
 from .errors import InsidePolygonError, OnPrimaryWallError, UndefinedOnWallError
@@ -30,7 +31,6 @@ from .geometry import (
     region,
 )
 from .polygon import NicePolygon
-from .scalars import ratio
 
 
 class Chirality(enum.Enum):
@@ -45,17 +45,15 @@ def tangent_vertex(polygon: NicePolygon, p,
     """The vertex v with every other vertex strictly on the chirality side of
     the ray p -> v: for RIGHT the vertex i with p seeing edge i-1 (negative
     offset) and not edge i (positive offset), the reverse for LEFT.  p is a
-    Point or its `NicePolygon.homogeneous` triple.
+    Point, its `NicePolygon.homogeneous` triple, or its carried `edge_offsets`.
     OnPrimaryWallError when p is on the line of the edge at that end;
     InsidePolygonError when p is not strictly outside."""
     signs = polygon.edge_signs(p)
-    if min(signs) >= 0:
-        raise InsidePolygonError(p)
-    want = (chirality.value, -chirality.value)
-    for i in range(polygon.n):
-        if (signs[i - 1], signs[i]) == want:
+    before, after = chirality._value_, -chirality._value_
+    for i, s in enumerate(signs):
+        if s == after and signs[i - 1] == before:
             return i
-    raise OnPrimaryWallError(p)
+    raise (InsidePolygonError if min(signs) >= 0 else OnPrimaryWallError)(p)
 
 
 def outer_step(polygon: NicePolygon, p: Point,
@@ -67,40 +65,47 @@ def outer_step(polygon: NicePolygon, p: Point,
 
 def square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int, int]]:
     """Two reflections: returns (p + 2*(w - v), (v_index, w_index))."""
-    return _double_step(polygon, p, Chirality.RIGHT)
+    q, label = next(_double_step(polygon, polygon.homogeneous(p), Chirality.RIGHT))
+    return point_of(q), label
 
 
 def inverse_square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int, int]]:
     """The inverse square map, via the mirrored tangency rule.  The label is
     the backward-partition label of p."""
-    return _double_step(polygon, p, Chirality.LEFT)
+    q, label = next(_double_step(polygon, polygon.homogeneous(p), Chirality.LEFT))
+    return point_of(q), label
 
 
-def _double_step(polygon, p, chirality):
-    """Both reflections on the polygon's lattice: p is (X, Y) over L, a
-    vertex is its `lattice` numerators times s = L // den over L, so
-    reflecting through it is X -> 2*s*VX - X.  p is a Point, whose image
-    is divided out to a Point, or its `homogeneous` triple, whose image is
-    the triple over the same L; errors carry the Point."""
-    X, Y, L = here = p if type(p) is tuple else polygon.homogeneous(p)
-    try:
-        vi = tangent_vertex(polygon, here, chirality)
-    except OnPrimaryWallError:
-        raise UndefinedOnWallError(point_of(p), stage=1) from None
-    except InsidePolygonError:
-        raise InsidePolygonError(point_of(p)) from None
+def _double_step(polygon, here, chirality=Chirality.RIGHT):
+    """The ψ walk (ψ⁻¹ for LEFT) of the lattice triple `here` (X, Y, L):
+    each next state (there, (v, w)) over the same L, without end.  Through
+    vertex v, at its `lattice` numerators times s = L // den, X -> 2*s*VX - X
+    and each edge offset t -> 2*s*E - t, E its `vertex_offsets` row doubled
+    onto L; only `here`'s offsets are evaluated.  Errors carry a step's start."""
+    X, Y, L = here
     s2 = 2 * (L // polygon.den)
-    vx, vy = polygon.lattice[vi]
-    X, Y = s2 * vx - X, s2 * vy - Y
-    try:
-        wi = tangent_vertex(polygon, (X, Y, L), chirality)
-    except OnPrimaryWallError:
-        raise UndefinedOnWallError(point_of(p), stage=2) from None
-    wx, wy = polygon.lattice[wi]
-    X, Y = s2 * wx - X, s2 * wy - Y
-    if type(p) is tuple:
-        return (X, Y, L), (vi, wi)
-    return Point(ratio(X, L), ratio(Y, L)), (vi, wi)
+    rows = [None] * polygon.n
+    ts = polygon.edge_offsets(here)
+    while True:
+        stage = 1
+        try:
+            vi = tangent_vertex(polygon, ts, chirality)
+            rows[vi] = rows[vi] or [s2 * e for e in polygon.vertex_offsets[vi]]
+            ts = list(map(sub, rows[vi], ts))
+            stage = 2
+            wi = tangent_vertex(polygon, ts, chirality)
+        except OnPrimaryWallError:
+            raise UndefinedOnWallError(point_of((X, Y, L)), stage=stage) from None
+        except InsidePolygonError:
+            raise InsidePolygonError(point_of((X, Y, L))) from None
+        rows[wi] = rows[wi] or [s2 * e for e in polygon.vertex_offsets[wi]]
+        ts = list(map(sub, rows[wi], ts))
+        (vx, vy), (wx, wy) = polygon.lattice[vi], polygon.lattice[wi]
+        X, Y = X + s2 * (wx - vx), Y + s2 * (wy - vy)
+        yield (X, Y, L), (vi, wi)
+
+
+psi_walk = _double_step  # square_map and classify take its first state as _double_step
 
 
 def primary_cone(polygon: NicePolygon, v_index: int,
@@ -149,7 +154,8 @@ class Partition:
         """Tile containing p, from the dynamic tangent computation; the label
         and the region agree or the partition is inconsistent.  p is a Point
         or its `NicePolygon.homogeneous` triple, tested as it is given."""
-        _, label = _double_step(self.polygon, p, self.chirality)
+        here = p if type(p) is tuple else self.polygon.homogeneous(p)
+        _, label = next(_double_step(self.polygon, here, self.chirality))
         tile = self.by_label[label]
         loc = tile.region.contains(p)
         if loc is not Location.INTERIOR:

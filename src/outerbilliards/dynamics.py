@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .billiards import square_map
+from .billiards import psi_walk
 from .errors import BudgetExceededError, MapUndefinedError
 from .geometry import Point, norm2_sq, point_of
 from .model import BilliardModel
@@ -98,11 +98,11 @@ def pinwheel_theorem_step(model: BilliardModel, p: Point) -> Tuple[Point, List[T
 def exit_map(model: BilliardModel, p: Point, budget: int = 1000) -> Tuple[Point, int]:
     """Iterate the square map until the tile label changes; returns the
     landing point and the number of square-map steps taken."""
-    q, start_label = square_map(model.polygon, p)
-    for k in range(1, budget + 1):
-        nxt, label = square_map(model.polygon, q)
+    walk = psi_walk(model.polygon, model.polygon.homogeneous(p))
+    q, start_label = next(walk)
+    for k, (nxt, label) in zip(range(1, budget + 1), walk):
         if label != start_label:
-            return q, k
+            return point_of(q), k
         q = nxt
     raise BudgetExceededError(budget, f"no tile exit within {budget} steps of {p}")
 
@@ -110,11 +110,10 @@ def exit_map(model: BilliardModel, p: Point, budget: int = 1000) -> Tuple[Point,
 def first_return_psi(model: BilliardModel, p: Point, budget: int) -> Tuple[Point, int]:
     """Smallest k >= 1 with psi^k(p) strictly inside strip 0."""
     pair = model.system.pair(0)
-    q = p
-    for k in range(1, budget + 1):
-        q, _ = square_map(model.polygon, q)
+    walk = psi_walk(model.polygon, model.polygon.homogeneous(p))
+    for k, (q, _) in zip(range(1, budget + 1), walk):
         if pair.location(q) == 1:
-            return q, k
+            return point_of(q), k
     raise BudgetExceededError(budget, f"no return to strip 0 within {budget} steps of {p}")
 
 
@@ -190,6 +189,7 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     esc_sq = None if escape_radius is None else escape_radius * escape_radius
     indexed = selector in ("psi_star", "strip_return")
     x = start.reduce(model.n) if indexed else start
+    walk = psi_walk(model.polygon, model.polygon.homogeneous(x)) if selector == "psi" else None
 
     def log(step, label=None, tag="translated"):
         point, index = (x.point, x.index) if indexed else (x, None)
@@ -198,8 +198,8 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     def advance(remaining):
         """(next state, steps used, label, tag) of one application."""
         if selector == "psi":
-            q, label = square_map(model.polygon, x)
-            return q, 1, label, "translated"
+            q, label = next(walk)
+            return point_of(q), 1, label, "translated"
         if selector == "psi_star":
             nxt = pinwheel_step(model.system, x)
             return nxt, 1, None, ("index-shifted" if nxt.index != x.index

@@ -52,10 +52,11 @@ class NicePolygon:
     The polygon's lattice, fixed at construction: `den` is the least common
     denominator D of the vertex coordinates, and `lattice[i]` is vertex i's
     numerator pair over D (ints, or the `QuadInt`s of `as_integer_ratio()`).
+    `vertex_offsets[v]` is vertex v's `edge_offsets` over D, which the ψ walk reflects by.
     """
 
     __slots__ = ("vertices", "reoriented", "edges", "quad_d", "den", "lattice",
-                 "_forms")
+                 "_forms", "vertex_offsets")
 
     def __init__(self, vertices: Sequence[Point], reoriented: bool = False,
                  quad_d: Optional[int] = None):
@@ -74,6 +75,8 @@ class NicePolygon:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "lattice", nums)
         object.__setattr__(self, "_forms", tuple(e.line.ints for e in self.edges))
+        object.__setattr__(self, "vertex_offsets",
+                           tuple(self.edge_offsets(v + (den,)) for v in nums))
 
     def __setattr__(self, name, value):
         raise AttributeError("NicePolygon is immutable")
@@ -101,15 +104,18 @@ class NicePolygon:
         L = math.lcm(xq, yq, self.den)
         return xn * (L // xq), yn * (L // yq), L
 
+    def edge_offsets(self, p) -> list:
+        """p's offsets a*X + b*Y - c*L from the edges' integer forms, in edge order."""
+        X, Y, L = p if type(p) is tuple else self.homogeneous(p)
+        return [a * X + b * Y - c * L for a, b, c in self._forms]
+
     def edge_signs(self, p) -> List[int]:
         """The sign of p's offset from every edge line, in edge order (as
         `Line.side`): +1 on the polygon's side, -1 where p sees the edge, 0
-        on the edge's line.  p is a Point or its `homogeneous` triple; the
-        sign of a*X + b*Y - c*L is read off each edge's integer form.  Over
-        Q every such offset is an int; over Q(sqrt d) a QuadInt offset's
-        sign is read once."""
-        X, Y, L = p if type(p) is tuple else self.homogeneous(p)
-        ts = [a * X + b * Y - c * L for a, b, c in self._forms]
+        on the edge's line.  p is a Point, its `homogeneous` triple, or the
+        list of its `edge_offsets`, as the ψ walk carries them; a QuadInt
+        offset's sign is read once."""
+        ts = p if type(p) is list else self.edge_offsets(p)
         if self.quad_d is None:
             return [(t > 0) - (t < 0) for t in ts]
         return [(t > 0) - (t < 0) if type(t) is int else t.sign() for t in ts]

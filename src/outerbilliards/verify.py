@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from .billiards import inverse_square_map, square_map
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import ConvexRegion, HalfPlane, Line, Point, point_of, polygon_region
+from .geometry import ConvexRegion, HalfPlane, Line, Point, lattice, point_of, polygon_region
 from .model import BilliardModel
 from .paths import apex_sequence
 from .polygon import NicePolygon
@@ -47,6 +47,12 @@ def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
     return out
 
 
+def _moved(here, vec):
+    """The lattice triple `here` moved by vec, whose denominators divide its L."""
+    (X, Y, L), (q, ((VX, VY),)) = here, lattice((vec,))
+    return X + VX * (L // q), Y + VY * (L // q), L
+
+
 # ---------------------------------------------------------------------------
 # the checks
 
@@ -62,9 +68,9 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
     tiles = model.partition.tiles
     per_tile = max(3, -(-samples // max(len(tiles), 1)))
     pool = []
+    scale = far_radius(model, factor=1)
     for t_i, tile in enumerate(tiles):
-        for p in tile_samples(model, tile, per_tile, rng.split(t_i),
-                              radii_scale=far_radius(model, factor=1)):
+        for p in tile_samples(model, tile, per_tile, rng.split(t_i), radii_scale=scale):
             pool.append((tile, p))
     # strip-approach samples: preimages of points spread across each strip's
     # width at far radius, so the k = 2 branch is exercised on every strip
@@ -229,12 +235,13 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         if path.displacement() != tile.translation:
             return path.display(), f"displacement {tile.translation}", f"{path.displacement()}"
         verts = tile.region.vertices()
+        corners = [model.polygon.homogeneous(v) for v in verts]
         # pin1: translated closed tile inside each closed strip, on vertices
         for k in range(path.start, path.end_lifted):
             shift = path.prefix_sum(k)
             pair = model.system.pair(k)
-            for v in verts:
-                if pair.location(v + shift) < 0:
+            for v, here in zip(verts, corners):
+                if pair.location(_moved(here, shift)) < 0:
                     return (path.display(), "closed containments",
                             f"vertex {v} + prefix({k}) outside strip {k % n}")
         # bounded depth: the tile sits within half a width of its start strip
@@ -246,10 +253,11 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         return None
 
     def acts(s, path, shift, want):
-        moved_from = s + shift
-        got = strip_map(model.system.pair(path.end_lifted), moved_from)
-        if got != moved_from + want:
-            return repr(s), f"mu_{path.end_lifted % n} adds {want}", f"{got - moved_from}"
+        here = _moved(model.polygon.homogeneous(s), shift)
+        got = strip_map(model.system.pair(path.end_lifted), here)
+        if got != _moved(here, want):
+            return (repr(s), f"mu_{path.end_lifted % n} adds {want}",
+                    f"{point_of(got) - point_of(here)}")
         return None
 
     idx = 0

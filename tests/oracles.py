@@ -7,9 +7,17 @@ import math
 from typing import Optional, Tuple
 
 from outerbilliards import strips
+from outerbilliards.billiards import tangent_vertex
 from outerbilliards.dynamics import section
-from outerbilliards.errors import BudgetExceededError, MapUndefinedError, OnStripBoundaryError
-from outerbilliards.geometry import Line, Location, Point
+from outerbilliards.errors import (
+    BudgetExceededError,
+    InsidePolygonError,
+    MapUndefinedError,
+    OnPrimaryWallError,
+    OnStripBoundaryError,
+    UndefinedOnWallError,
+)
+from outerbilliards.geometry import Line, Location, Point, point_of
 from outerbilliards.quasirational import necklace_shift
 
 
@@ -21,6 +29,30 @@ def line_intersection(first: Line, second: Line) -> Optional[Point]:
     x = (first.c * second.b - second.c * first.b) / det
     y = (first.a * second.c - second.a * first.c) / det
     return Point(x, y)
+
+
+def fresh_offsets_step(polygon, here, chirality):
+    """One state of `billiards.psi_walk` with every edge offset evaluated
+    afresh: the tangent vertex is read off the signs of a*X + b*Y - c*L at
+    the lattice triple `here` and again at its reflection, and both
+    reflections are X -> 2*(L // den)*VX - X.  Returns (there, (v, w)) over
+    the same L; errors carry `here` as a Point."""
+    X, Y, L = here
+    try:
+        vi = tangent_vertex(polygon, here, chirality)
+    except OnPrimaryWallError:
+        raise UndefinedOnWallError(point_of(here), stage=1) from None
+    except InsidePolygonError:
+        raise InsidePolygonError(point_of(here)) from None
+    s2 = 2 * (L // polygon.den)
+    vx, vy = polygon.lattice[vi]
+    X, Y = s2 * vx - X, s2 * vy - Y
+    try:
+        wi = tangent_vertex(polygon, (X, Y, L), chirality)
+    except OnPrimaryWallError:
+        raise UndefinedOnWallError(point_of(here), stage=2) from None
+    wx, wy = polygon.lattice[wi]
+    return (s2 * wx - X, s2 * wy - Y, L), (vi, wi)
 
 
 def overlap_area_region(system, j: int):

@@ -32,6 +32,7 @@ from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.scalars import QuadExt, sign
+from oracles import fresh_offsets_step
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -476,6 +477,120 @@ def test_lattice_parity_catches_dropped_rescale(monkeypatch):
     monkeypatch.setattr(billiards, "_double_step", namespace["_double_step"])
     with pytest.raises(AssertionError):
         test_lattice_kernel_matches_point_route("n7")
+
+
+# the ψ walk against `oracles.fresh_offsets_step`, which evaluates every edge
+# offset afresh at each reflection, on 10^3-step prefixes
+
+
+def _walk_prefix(states, steps):
+    """The first `steps` states of an iterator of ψ states, then the error
+    (class, Point, stage) that ended it early; reprs, so that ints and
+    QuadInts must agree in type too."""
+    out = []
+    try:
+        for _, state in zip(range(steps), states):
+            out.append(repr(state))
+    except MapUndefinedError as exc:
+        out.append((type(exc).__name__, exc.point, getattr(exc, "stage", None)))
+    return out
+
+
+def _oracle_states(poly, here, chirality):
+    while True:
+        here, label = fresh_offsets_step(poly, here, chirality)
+        yield here, label
+
+
+def _wall_starts(poly, back):
+    """Starts whose orbit meets a wall mid-orbit: a point on an edge line
+    (a stage-1 wall) or one reflected through a vertex (stage 2), walked up
+    to `back` steps backwards by the oracle's mirrored rule."""
+    walls = [v + (poly.vertex(i + 1) - v) * t for i, v in enumerate(poly.vertices)
+             for t in (Fraction(-22, 7), Fraction(33, 19))]
+    walls += [q.reflect_through(poly.vertex(i + 2)) for i, q in enumerate(walls)]
+    for q in walls:
+        for chirality, mirror in ((Chirality.RIGHT, Chirality.LEFT),
+                                  (Chirality.LEFT, Chirality.RIGHT)):
+            here, steps = poly.homogeneous(q), 0
+            try:
+                for steps in range(1, back + 1):
+                    here, _ = fresh_offsets_step(poly, here, mirror)
+            except MapUndefinedError:
+                steps -= 1
+            if steps:
+                yield here, chirality
+
+
+def _assert_walk_matches_oracle(poly):
+    """Compare 10^3-step prefixes from near and far starts, and the prefixes
+    of wall, inside and boundary starts up to their error; returns the set
+    of endings seen, each error with whether a state came before it."""
+    extent = max(math.floor(abs(c)) for v in poly.vertices for c in (v.x, v.y)) + 1
+    starts = [pt(r * extent * ux, r * extent * uy)
+              for r, (ux, uy) in zip(RADII, DIRECTIONS)]
+    starts += [Point(p.x + ROOT5 / 7, p.y) for p in starts[1::3]]
+    runs = [(poly.homogeneous(p), Chirality.RIGHT, 1000) for p in starts]
+    runs.append((poly.homogeneous(starts[0]), Chirality.LEFT, 1000))
+    inside = pt(sum(v.x for v in poly.vertices) / poly.n,
+                sum(v.y for v in poly.vertices) / poly.n)
+    runs += [(poly.homogeneous(p), chirality, 10)
+             for p, chirality in ((inside, Chirality.RIGHT), (poly.vertex(0), Chirality.LEFT))]
+    runs += [(here, chirality, 10) for here, chirality in _wall_starts(poly, back=5)]
+    seen = set()
+    for here, chirality, steps in runs:
+        got = _walk_prefix(billiards.psi_walk(poly, here, chirality), steps)
+        want = _walk_prefix(_oracle_states(poly, here, chirality), steps)
+        assert got == want, ("walk differs from the oracle", here, chirality)
+        end = got[-1]
+        seen.add(end[::2] + (len(got) > 1,) if isinstance(end, tuple) else "mapped")
+    return seen
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_psi_walk_matches_fresh_offsets_oracle(poly_key):
+    """Every state of the walk, label and triple, and the error class, Point
+    and stage of a wall hit equal those of the oracle, on near and far
+    starts over both fields, both chiralities, starts that meet a stage-1 or
+    a stage-2 wall mid-orbit, and starts inside and on the polygon."""
+    seen = _assert_walk_matches_oracle(corpus_polygon(poly_key))
+    assert seen >= {"mapped", ("UndefinedOnWallError", 1, True),
+                    ("UndefinedOnWallError", 2, True), ("InsidePolygonError", None, False)}
+
+
+def test_walk_parity_catches_offsets_without_the_edge_constant():
+    """Negative control: a `vertex_offsets` table built as a*VX + b*VY,
+    without the c*den term, must fail the walk's parity test."""
+    poly = corpus_polygon("n7")
+    broken = tuple([a * vx + b * vy for a, b, _ in (e.line.ints for e in poly.edges)]
+                   for vx, vy in poly.lattice)
+    object.__setattr__(poly, "vertex_offsets", broken)
+    with pytest.raises(AssertionError, match="walk differs from the oracle"):
+        _assert_walk_matches_oracle(poly)
+
+
+def test_psi_orbits_evaluate_the_edge_offsets_once(monkeypatch):
+    """After the walk's first state no ψ step evaluates a*X + b*Y - c*L: an
+    orbit, an exit-map and a first-return call evaluate the edge offsets
+    once each, whatever their length."""
+    from outerbilliards.dynamics import exit_map, first_return_psi, orbit
+
+    model = BilliardModel(PENTAGON)
+    model.system  # built before counting
+    calls = []
+    real = NicePolygon.edge_offsets
+    monkeypatch.setattr(NicePolygon, "edge_offsets",
+                        lambda self, p: calls.append(p) or real(self, p))
+    p = pt(Fraction(17, 3), -2)
+    assert len(orbit(model, p, "psi", 200).events) == 202
+    assert len(calls) == 1
+    for run in (lambda: exit_map(model, p), lambda: first_return_psi(model, p, 500)):
+        calls.clear()
+        try:
+            run()
+        except MapUndefinedError:
+            pass
+        assert len(calls) == 1
 
 
 def test_square_map_calls_tangent_vertex_once_per_reflection(monkeypatch):
