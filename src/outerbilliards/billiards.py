@@ -5,7 +5,8 @@ p moves by 2*(w - v) where v and w are the tangent vertices of the two
 reflection steps.  An outside point sees one contiguous chain of edges, and
 its tangent vertex, the end of that chain on the map's side, is read off the
 signs of its n edge-line offsets.  Both reflections run on the polygon's
-integer lattice (`NicePolygon.homogeneous`), dividing out only the result.
+integer lattice: the entry points take a Point to its lattice triple once
+(`NicePolygon.homogeneous`) and divide out only the result.
 The regions of constancy are convex tiles, computed here exactly as cone(v)
 intersected with the point reflection of cone(w) through v; each tile is
 open and carries its translation vector.
@@ -40,43 +41,46 @@ class Chirality(enum.Enum):
     LEFT = 1     # inverse map
 
 
-def tangent_vertex(polygon: NicePolygon, p,
+def tangent_vertex(polygon: NicePolygon, ts,
                    chirality: Chirality = Chirality.RIGHT) -> int:
     """The vertex v with every other vertex strictly on the chirality side of
-    the ray p -> v: for RIGHT the vertex i with p seeing edge i-1 (negative
-    offset) and not edge i (positive offset), the reverse for LEFT.  p is a
-    Point, its `NicePolygon.homogeneous` triple, or its carried `edge_offsets`.
-    OnPrimaryWallError when p is on the line of the edge at that end;
-    InsidePolygonError when p is not strictly outside."""
-    signs = polygon.edge_signs(p)
+    the ray p -> v, read off p's `edge_offsets` ts: for RIGHT the vertex i
+    with p seeing edge i-1 (negative offset) and not edge i (positive
+    offset), the reverse for LEFT.  OnPrimaryWallError when p is on the line
+    of the edge at that end; InsidePolygonError when p is not strictly
+    outside.  The error carries ts; the entry points re-raise with p."""
+    signs = polygon.edge_signs(ts)
     before, after = chirality._value_, -chirality._value_
     for i, s in enumerate(signs):
         if s == after and signs[i - 1] == before:
             return i
-    raise (InsidePolygonError if min(signs) >= 0 else OnPrimaryWallError)(p)
+    raise (InsidePolygonError if min(signs) >= 0 else OnPrimaryWallError)(ts)
 
 
 def outer_step(polygon: NicePolygon, p: Point,
                chirality: Chirality = Chirality.RIGHT) -> Point:
     """One outer billiards reflection: 2v - p through the tangent vertex."""
-    v = polygon.vertices[tangent_vertex(polygon, p, chirality)]
-    return p.reflect_through(v)
+    try:
+        vi = tangent_vertex(polygon, polygon.edge_offsets(polygon.homogeneous(p)), chirality)
+    except (InsidePolygonError, OnPrimaryWallError) as exc:
+        raise type(exc)(p) from None
+    return p.reflect_through(polygon.vertices[vi])
 
 
 def square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int, int]]:
     """Two reflections: returns (p + 2*(w - v), (v_index, w_index))."""
-    q, label = next(_double_step(polygon, polygon.homogeneous(p), Chirality.RIGHT))
+    q, label = next(psi_walk(polygon, polygon.homogeneous(p), Chirality.RIGHT))
     return point_of(q), label
 
 
 def inverse_square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int, int]]:
     """The inverse square map, via the mirrored tangency rule.  The label is
     the backward-partition label of p."""
-    q, label = next(_double_step(polygon, polygon.homogeneous(p), Chirality.LEFT))
+    q, label = next(psi_walk(polygon, polygon.homogeneous(p), Chirality.LEFT))
     return point_of(q), label
 
 
-def _double_step(polygon, here, chirality=Chirality.RIGHT):
+def psi_walk(polygon, here, chirality=Chirality.RIGHT):
     """The ψ walk (ψ⁻¹ for LEFT) of the lattice triple `here` (X, Y, L):
     each next state (there, (v, w)) over the same L, without end.  Through
     vertex v, at its `lattice` numerators times s = L // den, X -> 2*s*VX - X
@@ -103,9 +107,6 @@ def _double_step(polygon, here, chirality=Chirality.RIGHT):
         (vx, vy), (wx, wy) = polygon.lattice[vi], polygon.lattice[wi]
         X, Y = X + s2 * (wx - vx), Y + s2 * (wy - vy)
         yield (X, Y, L), (vi, wi)
-
-
-psi_walk = _double_step  # square_map and classify take its first state as _double_step
 
 
 def primary_cone(polygon: NicePolygon, v_index: int,
@@ -151,16 +152,15 @@ class Partition:
         self.by_label: Dict[Tuple[int, int], Tile] = {t.label: t for t in tiles}
 
     def classify(self, p) -> Tile:
-        """Tile containing p, from the dynamic tangent computation; the label
-        and the region agree or the partition is inconsistent.  p is a Point
-        or its `NicePolygon.homogeneous` triple, tested as it is given."""
-        here = p if type(p) is tuple else self.polygon.homogeneous(p)
-        _, label = next(_double_step(self.polygon, here, self.chirality))
+        """Tile containing the point with lattice triple p
+        (`NicePolygon.homogeneous`), from the dynamic tangent computation;
+        the label and the region agree or the partition is inconsistent."""
+        _, label = next(psi_walk(self.polygon, p, self.chirality))
         tile = self.by_label[label]
         loc = tile.region.contains(p)
         if loc is not Location.INTERIOR:
             raise AssertionError(
-                f"point {p} labels tile {label} but sits on/off it ({loc})")
+                f"point {point_of(p)} labels tile {label} but sits on/off it ({loc})")
         return tile
 
 

@@ -155,7 +155,7 @@ def cmd_classify(args) -> int:
     model = BilliardModel(poly)
     p = _parse_point(args.point)
     try:
-        tile = model.partition.classify(p)
+        tile = model.partition.classify(poly.homogeneous(p))
     except MapUndefinedError as exc:
         _emit({"schema": "classify/1", "error": str(exc)})
         return EXIT_UNDEFINED

@@ -35,11 +35,11 @@ class IndexedPoint:
 
 
 def pinwheel_walk(system: PinwheelSystem, here, index: int) -> Iterator[Tuple]:
-    """The pinwheel orbit of (here, index): each next state (here, index),
-    without end.  A step tries strip map j = index + 1 once; where it fixes
-    the point (returns it as is) the index advances to j, otherwise it holds.
-    `here` is a Point or its lattice triple, as for `strip_map`, and the
-    states keep its form; the index comes out reduced mod n."""
+    """The pinwheel orbit of (here, index), `here` a lattice triple as for
+    `strip_map`: each next state (here, index) over the same L, without end.
+    A step tries strip map j = index + 1 once; where it fixes the point
+    (returns it as is) the index advances to j, otherwise it holds.  The
+    index comes out reduced mod n."""
     n = system.n
     pairs = system.pairs
     index %= n
@@ -54,12 +54,13 @@ def pinwheel_walk(system: PinwheelSystem, here, index: int) -> Iterator[Tuple]:
 
 def pinwheel_step(system: PinwheelSystem, x: IndexedPoint) -> IndexedPoint:
     """One application of the pinwheel map: the first state of the walk."""
-    return IndexedPoint(*next(pinwheel_walk(system, x.point, x.index)))
+    here, index = next(pinwheel_walk(system, system.polygon.homogeneous(x.point), x.index))
+    return IndexedPoint(point_of(here), index)
 
 
 def section(model: BilliardModel, p: Point) -> IndexedPoint:
     """iota(p) = (p, a-1) for p interior to a tile of the path a -> b."""
-    a = model.path_start(p)
+    a = model.path_start(model.polygon.homogeneous(p))
     return IndexedPoint(p, (a - 1) % model.n)
 
 
@@ -127,13 +128,12 @@ def strip_system_return(system: PinwheelSystem, x: IndexedPoint,
     equals the number of pinwheel-map applications the stepwise route takes.
     A budget, when given, bounds that count.
     """
-    state = x.reduce(system.n)
-    j = (state.index + 1) % system.n
-    q, translations = strip_jump(system.pair(j), state.point)
+    j = (x.index + 1) % system.n
+    q, translations = strip_jump(system.pair(j), system.polygon.homogeneous(x.point))
     steps = translations + 1  # the final application fixes q and shifts the index
     if budget is not None and steps > budget:
         raise BudgetExceededError(budget, "no strip-system return within budget")
-    return IndexedPoint(q, j), steps
+    return IndexedPoint(point_of(q), j), steps
 
 
 def far_radius(model: BilliardModel, factor: int = 8) -> Scalar:

@@ -116,11 +116,18 @@ def integer_form(*coefs) -> tuple:
     return tuple(n * (scale // q) for n, q in fracs)
 
 
+def homogeneous(p: Point, den: int = 1) -> tuple:
+    """p as the lattice triple (X, Y, L) with p = (X/L, Y/L): L is the lcm of
+    p's two denominators and den, X and Y are ints, or QuadInts where a
+    coordinate has a sqrt(d) part.  The one Point -> triple conversion."""
+    xn, xq = p.x.as_integer_ratio()
+    yn, yq = p.y.as_integer_ratio()
+    L = math.lcm(xq, yq, den)
+    return xn * (L // xq), yn * (L // yq), L
+
+
 def point_of(p) -> Point:
-    """p as a Point: a homogeneous triple (X, Y, L), L > 0, is divided out
-    to (X/L, Y/L), and a Point is returned as it is."""
-    if type(p) is not tuple:
-        return p
+    """The lattice triple p = (X, Y, L), L > 0, divided out to (X/L, Y/L)."""
     X, Y, L = p
     return Point(ratio(X, L), ratio(Y, L))
 
@@ -180,8 +187,9 @@ class Line:
     wall-coincidence tests structural.  Construction also keeps an integer
     form, `ints`: (a, b, c) times the positive lcm of their denominators
     (ints, or QuadInts where a coefficient has a sqrt(d) part), from which
-    every point-versus-line predicate is decided: by `side`, and for polygon
-    edges by `NicePolygon.edge_signs`.
+    every point-versus-line predicate is decided on a point's lattice triple
+    (`homogeneous`): by `side`, and for polygon edges by
+    `NicePolygon.edge_offsets`.
     """
 
     __slots__ = ("a", "b", "c", "_key", "ints")
@@ -215,22 +223,14 @@ class Line:
         return self.a * p.x + self.b * p.y - self.c
 
     def side(self, p) -> int:
-        """The exact sign of `signed_offset(p)`: -1, 0 or +1.
-
-        p is a Point, taken to homogeneous integer coordinates (X, Y, Q) with
-        (x, y) = (X/Q, Y/Q) and int Q > 0 (from `as_integer_ratio()`), or
-        such a triple itself (as `NicePolygon.homogeneous` gives one).  The
-        sign of a*X + b*Y - c*Q is read on the integer form: an int, or over
+        """The exact sign of the signed offset of the point with lattice
+        triple p = (X, Y, L) (`homogeneous`): -1, 0 or +1.  The sign of
+        a*X + b*Y - c*L is read on the integer form: an int, or over
         Q(sqrt d) a QuadInt, whose sign is read once.
         """
-        if type(p) is tuple:
-            X, Y, Q = p
-        else:
-            xn, xq = p.x.as_integer_ratio()
-            yn, yq = p.y.as_integer_ratio()
-            X, Y, Q = xn * yq, yn * xq, xq * yq
+        X, Y, L = p
         a, b, c = self.ints
-        t = a * X + b * Y - c * Q
+        t = a * X + b * Y - c * L
         return (t > 0) - (t < 0) if type(t) is int else t.sign()
 
     def normal(self) -> Vec:
@@ -279,7 +279,8 @@ class HalfPlane:
     line: Line
     sense: Sense
 
-    def contains(self, p: Point) -> bool:
+    def contains(self, p) -> bool:
+        """Whether the point with lattice triple p satisfies the constraint."""
         s = self.line.side(p)
         if self.sense is Sense.GE:
             return s >= 0
@@ -478,7 +479,8 @@ def _canonical(hps, forms) -> "ConvexRegion":
         rays = [(b, -a), (-be, ae)] + [(a, b)] * (len(edges) == 1)
     touching = {_on_line(forms[i], spans[i][0]): i for i in tight
                 if i not in edges and hps[i].sense.strict}
-    kept = edges + [i for p, i in touching.items() if all(hps[e].contains(p) for e in edges)]
+    kept = edges + [i for p, i in touching.items()
+                    if all(hps[e].contains(t) for t in [homogeneous(p)] for e in edges)]
     return ConvexRegion(tuple(hps[i] for i in sorted(kept)), False, _from_min(cycle), True,
                         tuple(rays))
 
@@ -558,9 +560,10 @@ class ConvexRegion:
 
     # -- queries ------------------------------------------------------------
 
-    def contains(self, p: Point) -> Location:
-        """Classify p against the region: interior, boundary (of the closure,
-        including boundary lines of strict constraints), or outside."""
+    def contains(self, p) -> Location:
+        """Classify the point with lattice triple p against the region:
+        interior, boundary (of the closure, including boundary lines of
+        strict constraints), or outside."""
         if self.is_empty:
             return Location.OUTSIDE
         saw_zero = False
@@ -695,9 +698,9 @@ class ConvexRegion:
         if not self.has_interior():
             raise EmptyRegionError("region has no interior to sample")
         # a bounded region with interior is a polygon
-        out = tuple(map(point_of, barycentric_triples(*lattice(self.vertices()), count, seed)))
-        assert all(self.contains(p) is Location.INTERIOR for p in out)
-        return out
+        triples = list(barycentric_triples(*lattice(self.vertices()), count, seed))
+        assert all(self.contains(t) is Location.INTERIOR for t in triples)
+        return tuple(map(point_of, triples))
 
     # -- identity ------------------------------------------------------------
 

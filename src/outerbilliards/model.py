@@ -50,5 +50,6 @@ class BilliardModel:
         return self.paths.path_for_label(tile.label)
 
     def path_start(self, p):
-        """Start spoke index of the path owning the tile containing p."""
+        """Start spoke index of the path owning the tile containing the
+        point with lattice triple p (`NicePolygon.homogeneous`)."""
         return self.path_of_tile(self.partition.classify(p)).start

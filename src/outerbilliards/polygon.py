@@ -7,7 +7,6 @@ Input in either orientation is accepted and reoriented with a flag.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -18,7 +17,7 @@ from .errors import (
     ParallelEdgesError,
     ParseError,
 )
-from .geometry import Line, Location, Point, lattice, signed_area2
+from .geometry import Line, Location, Point, homogeneous, lattice, signed_area2
 from .scalars import (
     is_squarefree,
     radicand,
@@ -96,33 +95,28 @@ class NicePolygon:
         return self.vertices[i % self.n]
 
     def homogeneous(self, p: Point) -> Tuple:
-        """p as integer coordinates (X, Y, L) on the polygon's lattice:
-        p = (X/L, Y/L), where L is the lcm of p's two denominators and `den`,
-        so vertex i sits at `lattice[i]` times the int L // den over L."""
-        xn, xq = p.x.as_integer_ratio()
-        yn, yq = p.y.as_integer_ratio()
-        L = math.lcm(xq, yq, self.den)
-        return xn * (L // xq), yn * (L // yq), L
+        """p's lattice triple (X, Y, L) on the polygon's lattice (`den`
+        divides L), so vertex i sits at `lattice[i]` times L // den over L."""
+        return homogeneous(p, self.den)
 
     def edge_offsets(self, p) -> list:
-        """p's offsets a*X + b*Y - c*L from the edges' integer forms, in edge order."""
-        X, Y, L = p if type(p) is tuple else self.homogeneous(p)
+        """The offsets a*X + b*Y - c*L of the lattice triple p = (X, Y, L)
+        from the edges' integer forms, in edge order."""
+        X, Y, L = p
         return [a * X + b * Y - c * L for a, b, c in self._forms]
 
-    def edge_signs(self, p) -> List[int]:
-        """The sign of p's offset from every edge line, in edge order (as
-        `Line.side`): +1 on the polygon's side, -1 where p sees the edge, 0
-        on the edge's line.  p is a Point, its `homogeneous` triple, or the
-        list of its `edge_offsets`, as the ψ walk carries them; a QuadInt
+    def edge_signs(self, ts) -> List[int]:
+        """The signs of a point's `edge_offsets` ts, as the ψ walk carries
+        them, in edge order (as `Line.side`): +1 on the polygon's side, -1
+        where the point sees the edge, 0 on the edge's line; a QuadInt
         offset's sign is read once."""
-        ts = p if type(p) is list else self.edge_offsets(p)
         if self.quad_d is None:
             return [(t > 0) - (t < 0) for t in ts]
         return [(t > 0) - (t < 0) if type(t) is int else t.sign() for t in ts]
 
     def point_location(self, p: Point) -> Location:
         """Exact inside / boundary / outside classification."""
-        signs = self.edge_signs(p)
+        signs = self.edge_signs(self.edge_offsets(self.homogeneous(p)))
         low = min(signs)
         if low < 0:
             return Location.OUTSIDE

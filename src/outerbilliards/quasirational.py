@@ -131,20 +131,17 @@ class NecklaceSpec:
         assert all(map(self.in_p if kind == "P" else self.in_q, out))
         return out
 
-    def _triple(self, p):
-        return p if type(p) is tuple else self.polygon.homogeneous(p)
-
     def in_p(self, p) -> bool:
-        """p (a Point or its lattice triple) is interior to P + m*shift."""
-        return _least_sign(self.forms[0], self.m, self._triple(p)) > 0
+        """The point with lattice triple p is interior to P + m*shift."""
+        return _least_sign(self.forms[0], self.m, p) > 0
 
     def in_q(self, p) -> bool:
-        """p (a Point or its lattice triple) is interior to Q + m*shift."""
-        return _least_sign(self.forms[1], self.m, self._triple(p)) > 0
+        """The point with lattice triple p is interior to Q + m*shift."""
+        return _least_sign(self.forms[1], self.m, p) > 0
 
     def contains(self, p) -> bool:
-        here = self._triple(p)
-        return any(_least_sign(forms, self.m, here) > 0 for forms in self.forms[:2])
+        """The point with lattice triple p is interior to either copy."""
+        return any(_least_sign(forms, self.m, p) > 0 for forms in self.forms[:2])
 
     def windows(self):
         """The two axis windows strictly between the base ring and the
@@ -153,11 +150,10 @@ class NecklaceSpec:
         return ((self.hi, self.lo + shift), (self.hi - shift, self.lo))
 
     def in_annulus(self, p) -> bool:
-        """Conservative membership of a Point or triple: inside the strip and
+        """Conservative membership of the lattice triple p: inside the strip and
         strictly within one of the windows (a subset of the pictorial 'between')."""
-        here = self._triple(p)
-        return self.pair.location(here) == 1 and any(
-            _least_sign(ends, self.m, here) > 0 for ends in self.forms[3:])
+        return self.pair.location(p) == 1 and any(
+            _least_sign(ends, self.m, p) > 0 for ends in self.forms[3:])
 
     def frame_triple(self, s: Scalar, off: Scalar):
         """The point with axis coordinate s and strip offset off (0 on the edge
@@ -244,11 +240,10 @@ def in_trapped_extent(ring: NecklaceSpec, p) -> bool:
     """Loose membership: inside the ring's strip, within the closed axis
     extent of the rings at +-ring.m, and not interior to either of them.  The
     image of any between-point lands here; points here can never escape.
-    p is a Point or its lattice triple."""
-    here = ring._triple(p)
-    if ring.pair.location(here) != 1 or _least_sign(ring.forms[2], ring.m, here) < 0:
+    p is a lattice triple."""
+    if ring.pair.location(p) != 1 or _least_sign(ring.forms[2], ring.m, p) < 0:
         return False
-    return not any(_least_sign(forms, m, here) > 0
+    return not any(_least_sign(forms, m, p) > 0
                    for m in (ring.m, -ring.m) for forms in ring.forms[:2])
 
 
@@ -266,7 +261,8 @@ def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
     if m < 1:
         raise ValueError("m must be >= 1")
     rings = [necklace(system, j, m * quasi.D_int[j]) for j in range(system.n)]
-    if not any(ring.in_annulus(p) for ring in rings):
+    here = system.polygon.homogeneous(p)
+    if not any(ring.in_annulus(here) for ring in rings):
         raise AnnulusNotFoundError(
             f"point {p} is not inside any strip's m={m} annulus")
     corners = (ring.frame_point(s_val, off) for ring in rings

@@ -67,8 +67,8 @@ class PinwheelPair:
         return Fraction(0)
 
     def location(self, p) -> int:
-        """-1 outside, 0 on the boundary, +1 strictly inside the strip; p is
-        a Point or an integer triple, as for `Line.side`."""
+        """-1 outside, 0 on the boundary, +1 strictly inside the strip, for
+        the point with lattice triple p (as `Line.side`)."""
         near, far = self.line.side(p), self.line_far.side(p)
         if near == 0 or far == 0:
             return 0
@@ -193,30 +193,28 @@ def _assert_chain(system: PinwheelSystem):
 
 
 def strip_map(pair: PinwheelPair, p):
-    """One application of the strip map: identity strictly inside the slab
-    (p itself is returned), otherwise the translate by +-V that is strictly
-    closer to the slab.  V moves the offset by exactly one width, so that
-    translate is +V below the slab and -V above it; the result may still be
-    outside.  Undefined on the slab boundary (the error carries the Point).
-    p is a Point or its lattice triple (`NicePolygon.homogeneous`), and so is
-    the result: the pair's V moves a triple by V_ints over L (q divides L)."""
+    """One application of the strip map to the lattice triple p = (X, Y, L)
+    (`NicePolygon.homogeneous`): identity strictly inside the slab (p itself
+    is returned), otherwise the translate by +-V that is strictly closer to
+    the slab, over the same L (V_ints' q divides L).  V moves the offset by
+    exactly one width, so that translate is +V below the slab and -V above
+    it; the result may still be outside.  Undefined on the slab boundary
+    (the error carries the Point)."""
     near, far = pair.line.side(p), pair.line_far.side(p)
     if near == 0 or far == 0:
         raise OnStripBoundaryError(point_of(p), stage=pair.index)
     if near > 0 > far:
         return p
-    if type(p) is tuple:
-        X, Y, L = p
-        VX, VY, q = pair.V_ints
-        s = L // q if near < 0 else -(L // q)
-        return X + s * VX, Y + s * VY, L
-    return p + pair.V if near < 0 else p - pair.V
+    X, Y, L = p
+    VX, VY, q = pair.V_ints
+    s = L // q if near < 0 else -(L // q)
+    return X + s * VX, Y + s * VY, L
 
 
 def strip_jump(pair: PinwheelPair, p):
-    """Where iterating the strip map lands p strictly inside the slab, plus
-    the number of translations taken; p is a Point or a lattice triple
-    (X, Y, L), as for `strip_map`, and so is the landing point.
+    """Where iterating the strip map lands the lattice triple p = (X, Y, L)
+    strictly inside the slab, as a triple over the same L, plus the number
+    of translations taken.
 
     O(1) on the line's integer form: the offset t = a*X + b*Y - c*L and the
     width on its scale, w = (a*VX + b*VY) * (L // q), give the step count
@@ -224,13 +222,7 @@ def strip_jump(pair: PinwheelPair, p):
     multiple of w, where some iterate would sit on the slab boundary.
     """
     VX, VY, q = pair.V_ints
-    if type(p) is tuple:
-        X, Y, L = p
-    else:
-        xn, xq = p.x.as_integer_ratio()
-        yn, yq = p.y.as_integer_ratio()
-        L = math.lcm(xq, yq, q)
-        X, Y = xn * (L // xq), yn * (L // yq)
+    X, Y, L = p
     a, b, c = pair.line.ints
     t = a * X + b * Y - c * L
     w = (a * VX + b * VY) * (L // q)
@@ -243,7 +235,7 @@ def strip_jump(pair: PinwheelPair, p):
     here = X + s * VX, Y + s * VY, L
     if t + k * w == 0:  # the landing offset, in [0, w), is 0
         raise OnStripBoundaryError(point_of(here), stage=pair.index)
-    return (here if type(p) is tuple else point_of(here)), abs(k)
+    return here, abs(k)
 
 
 def compose_strip_maps(system: PinwheelSystem, a: int, b: int, p: Point) -> Point:
@@ -251,13 +243,13 @@ def compose_strip_maps(system: PinwheelSystem, a: int, b: int, p: Point) -> Poin
     to b mod n.  Raises OnStripBoundaryError with the failing stage."""
     n = system.n
     b_lifted = a + (b - a) % n
-    q = p
+    q = system.polygon.homogeneous(p)
     for i in range(a, b_lifted + 1):
         try:
             q = strip_map(system.pair(i), q)
         except OnStripBoundaryError as exc:
             raise OnStripBoundaryError(exc.point, stage=i % n) from None
-    return q
+    return point_of(q)
 
 
 def sigma_range(system: PinwheelSystem, a: int, b: int) -> ConvexRegion:

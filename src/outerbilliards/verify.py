@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .billiards import inverse_square_map, square_map
+from .billiards import inverse_square_map, psi_walk, square_map
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
 from .geometry import ConvexRegion, HalfPlane, Line, Point, lattice, point_of, polygon_region
@@ -180,10 +180,9 @@ def check_structure3(model: BilliardModel, samples: int = 40,
     per_tile = max(2, samples // max(len(tiles), 1))
 
     def shifts(p, b):
-        q, _ = square_map(model.polygon, p)
-        c = model.path_start(q)
+        here, _ = next(psi_walk(model.polygon, model.polygon.homogeneous(p)))
+        c = model.path_start(here)
         span = (c - b) % n
-        here = model.polygon.homogeneous(q)
         bad = None
         for d in range(span):
             if model.system.pair(b + d).location(here) < 0:
@@ -296,7 +295,7 @@ def check_apex(model: BilliardModel) -> CheckReport:
 
     def contained(path):
         for i, q in enumerate(apex_sequence(path)[1:]):
-            if model.system.pair(path.start + i).location(q) < 0:
+            if model.system.pair(path.start + i).location(model.polygon.homogeneous(q)) < 0:
                 return (path.display(), "closed strip containment",
                         f"apex point {i} of {path.display()} outside "
                         f"closed strip {(path.start + i) % n}")

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from outerbilliards import strips
 from outerbilliards.billiards import tangent_vertex
 from outerbilliards.dynamics import section
 from outerbilliards.errors import (
@@ -19,6 +18,7 @@ from outerbilliards.errors import (
 )
 from outerbilliards.geometry import Line, Location, Point, point_of
 from outerbilliards.quasirational import necklace_shift
+from outerbilliards.scalars import sign
 
 
 def line_intersection(first: Line, second: Line) -> Optional[Point]:
@@ -39,7 +39,7 @@ def fresh_offsets_step(polygon, here, chirality):
     the same L; errors carry `here` as a Point."""
     X, Y, L = here
     try:
-        vi = tangent_vertex(polygon, here, chirality)
+        vi = tangent_vertex(polygon, polygon.edge_offsets(here), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(point_of(here), stage=1) from None
     except InsidePolygonError:
@@ -48,7 +48,7 @@ def fresh_offsets_step(polygon, here, chirality):
     vx, vy = polygon.lattice[vi]
     X, Y = s2 * vx - X, s2 * vy - Y
     try:
-        wi = tangent_vertex(polygon, (X, Y, L), chirality)
+        wi = tangent_vertex(polygon, polygon.edge_offsets((X, Y, L)), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(point_of(here), stage=2) from None
     wx, wy = polygon.lattice[wi]
@@ -74,11 +74,35 @@ def transfer_ratio(system, j: int):
     return lam
 
 
+def _scalar_sides(pair, p: Point) -> Tuple[int, int]:
+    """The signs of p's scalar `signed_offset`s from the strip's two lines."""
+    return sign(pair.line.signed_offset(p)), sign(pair.line_far.signed_offset(p))
+
+
+def scalar_location(pair, p: Point) -> int:
+    """`PinwheelPair.location` on a `Point`, from its scalar offsets."""
+    near, far = _scalar_sides(pair, p)
+    if near == 0 or far == 0:
+        return 0
+    return 1 if near > 0 > far else -1
+
+
+def point_strip_map(pair, p: Point) -> Point:
+    """`strips.strip_map` on a `Point`: the slab side from the scalar
+    offsets, then p itself strictly inside the slab, else p +- V."""
+    near, far = _scalar_sides(pair, p)
+    if near == 0 or far == 0:
+        raise OnStripBoundaryError(p, stage=pair.index)
+    if near > 0 > far:
+        return p
+    return p + pair.V if near < 0 else p - pair.V
+
+
 def _point_step(system, point: Point, index: int) -> Tuple[Point, int]:
     """One pinwheel step on a `Point`, the index rule applied here: strip
     map j = index + 1 advances the index where it fixes the point."""
     j = (index + 1) % system.n
-    moved = strips.strip_map(system.pair(j), point)
+    moved = point_strip_map(system.pair(j), point)
     return moved, (j if moved is point else index % system.n)
 
 
@@ -87,7 +111,7 @@ def point_route_theorem_step(model, p: Point) -> Tuple[Point, int, int]:
     from (p, a-1), one step at a time, until it reaches the section of
     psi(p); returns (psi(p), steps used, a)."""
     n = model.n
-    tile = model.partition.classify(p)
+    tile = model.partition.classify(model.polygon.homogeneous(p))
     q = p + tile.translation
     a = model.path_of_tile(tile).start
     point, index = p, (a - 1) % n
@@ -145,7 +169,7 @@ def point_strip_jump(pair, p: Point) -> Tuple[Point, int]:
     else:
         steps = -steps
         q = p - pair.V * steps
-    if pair.location(q) != 1:
+    if scalar_location(pair, q) != 1:
         raise OnStripBoundaryError(q, stage=pair.index)
     return q, steps
 
@@ -169,7 +193,7 @@ def pulled_back_trapped_extent(ring, p: Point) -> bool:
     coordinate shift.p against the extent, and the pulled-back copies at
     +-m."""
     shift = ring.m * ring.dd
-    if ring.pair.location(p) != 1 or not (
+    if scalar_location(ring.pair, p) != 1 or not (
             ring.lo - shift <= ring.shift.dot(p) <= ring.hi + shift):
         return False
     return not any(test(r, p) for r in (ring, ring.at(-ring.m))
@@ -180,7 +204,7 @@ def scalar_in_annulus(ring, p: Point) -> bool:
     """`NecklaceSpec.in_annulus` on scalars: inside the strip, and the axis
     coordinate shift.p strictly within one of the ring's windows."""
     s = ring.shift.dot(p)
-    return ring.pair.location(p) == 1 and any(a < s < b for a, b in ring.windows())
+    return scalar_location(ring.pair, p) == 1 and any(a < s < b for a, b in ring.windows())
 
 
 def placed_samples(ring, base, kind: str, count: int, seed: int):

@@ -14,7 +14,7 @@ from outerbilliards.billiards import square_map
 from outerbilliards.dynamics import orbit
 from outerbilliards.errors import EmptyRegionError
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import pt
+from outerbilliards.geometry import point_of, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import apex_sequence
 from outerbilliards.polygon import NicePolygon
@@ -167,7 +167,7 @@ def test_criterion_07_quasirational_boundedness():
     ring = necklace(model.system, 0, quasi.D_int[0])
     (a1, b1), _ = ring.windows()
     start = ring.frame_point((a1 + b1) / 2, Fraction(7, 3))
-    assert ring.in_annulus(start)
+    assert ring.in_annulus(TRIANGLE.homogeneous(start))
     bounded, radius = boundedness_certificate(model.system, quasi, start, m=1)
     assert bounded
     rec = orbit(model, start, "psi", budget=100_000)
@@ -193,7 +193,7 @@ def test_criterion_08_worked_example_regressions():
     assert r.area() == 48
     assert overlap_area(system, 0) == 48
     # one-step-closer strip map example
-    assert strip_map(system.pair(0), pt(0, 13)) == pt(-2, 7)
+    assert point_of(strip_map(system.pair(0), TRIANGLE.homogeneous(pt(0, 13)))) == pt(-2, 7)
     _announce(8, "psi(8,-2) = (10,4) with label ((0,0),(1,3)); "
                  "overlap area 48; strip step (0,13) -> (-2,7)")
 

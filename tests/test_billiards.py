@@ -39,23 +39,28 @@ PENTAGON = NicePolygon.from_points(
     [pt(0, 0), pt(-1, 3), pt(2, 5), pt(5, 2), pt(4, -1)])
 
 
+def _offsets(polygon, p):
+    """p's edge offsets on the polygon's lattice, as `tangent_vertex` takes them."""
+    return polygon.edge_offsets(polygon.homogeneous(p))
+
+
 def test_tangent_vertex_worked_examples():
     # all other vertices strictly right of the ray: cross signs (-26, -8)
-    assert tangent_vertex(TRIANGLE, pt(8, -2)) == 0
-    assert TRIANGLE.vertices[tangent_vertex(TRIANGLE, pt(-8, 2))] == pt(1, 3)
+    assert tangent_vertex(TRIANGLE, _offsets(TRIANGLE, pt(8, -2))) == 0
+    assert TRIANGLE.vertices[tangent_vertex(TRIANGLE, _offsets(TRIANGLE, pt(-8, 2)))] == pt(1, 3)
 
 
 def test_tangent_vertex_on_primary_wall():
     # on the extension of the bottom edge
     with pytest.raises(OnPrimaryWallError):
-        tangent_vertex(TRIANGLE, pt(6, 0))
+        tangent_vertex(TRIANGLE, _offsets(TRIANGLE, pt(6, 0)))
 
 
 def test_tangent_vertex_inside_rejected():
     with pytest.raises(InsidePolygonError):
-        tangent_vertex(TRIANGLE, pt(1, 1))
+        tangent_vertex(TRIANGLE, _offsets(TRIANGLE, pt(1, 1)))
     with pytest.raises(InsidePolygonError):
-        tangent_vertex(TRIANGLE, pt(2, 0))  # boundary is not outside
+        tangent_vertex(TRIANGLE, _offsets(TRIANGLE, pt(2, 0)))  # boundary is not outside
 
 
 def _tangent_vertex_oracle(polygon, p, chirality):
@@ -79,7 +84,7 @@ def _tangent_vertex_oracle(polygon, p, chirality):
 
 def _tangent_outcome(polygon, p, chirality):
     try:
-        return tangent_vertex(polygon, p, chirality)
+        return tangent_vertex(polygon, _offsets(polygon, p), chirality)
     except OnPrimaryWallError:
         return "wall"
     except InsidePolygonError:
@@ -177,8 +182,8 @@ def test_primary_cone_round_trip():
             cone = primary_cone(poly, vi)
             for p in cone.intersect(_far_box(poly)).sample_points(6, seed=3):
                 if poly.point_location(p) is Location.OUTSIDE:
-                    assert tangent_vertex(poly, p) == vi
-            assert cone.contains(poly.vertices[vi]) is Location.BOUNDARY  # apex
+                    assert tangent_vertex(poly, _offsets(poly, p)) == vi
+            assert cone.contains(poly.homogeneous(poly.vertices[vi])) is Location.BOUNDARY
 
 
 def _far_box(poly):
@@ -204,11 +209,11 @@ def test_cones_disjoint_cover():
         if poly.point_location(p) is not Location.OUTSIDE:
             continue
         inside = [i for i, c in enumerate(cones)
-                  if c.contains(p) is Location.INTERIOR]
+                  if c.contains(poly.homogeneous(p)) is Location.INTERIOR]
         if len(inside) == 1:
             hits += 1
         else:
-            assert any(c.contains(p) is Location.BOUNDARY for c in cones)
+            assert any(c.contains(poly.homogeneous(p)) is Location.BOUNDARY for c in cones)
     assert hits >= 50
 
 
@@ -240,16 +245,16 @@ def test_piecewise_translation_on_tiles():
 
 def test_classify_matches_dynamics():
     part = build_partition(TRIANGLE)
-    tile = part.classify(pt(8, -2))
+    tile = part.classify(TRIANGLE.homogeneous(pt(8, -2)))
     assert tile.label == (0, 1)
     with pytest.raises(UndefinedOnWallError):
-        part.classify(pt(6, 0))
+        part.classify(TRIANGLE.homogeneous(pt(6, 0)))
 
 
 def test_far_points_classify_into_unbounded_tiles():
     part = build_partition(PENTAGON)
     for p in (pt(500, 1), pt(-3, 700), pt(-411, -399)):
-        tile = part.classify(p)
+        tile = part.classify(PENTAGON.homogeneous(p))
         assert tile.unbounded
 
 
@@ -393,19 +398,25 @@ def test_sqrt5_shear_parity_catches_conjugate_sign_slip(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the lattice kernel against the Point route: `tangent_vertex` on a Point,
-# then `reflect_through` each tangent vertex, kept here only as the oracle
-# for `billiards._double_step`
+# the lattice kernel against the Point route: `tangent_vertex` on the signs
+# of a Point's scalar `signed_offset`s, then `reflect_through` each tangent
+# vertex, kept here only as the oracle for `billiards.psi_walk`
+
+
+def _scalar_signs(polygon, p):
+    return [sign(e.line.signed_offset(p)) for e in polygon.edges]
 
 
 def _point_route(polygon, p, chirality):
     try:
-        vi = tangent_vertex(polygon, p, chirality)
+        vi = tangent_vertex(polygon, _scalar_signs(polygon, p), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(p, stage=1) from None
+    except InsidePolygonError:
+        raise InsidePolygonError(p) from None
     mid = p.reflect_through(polygon.vertices[vi])
     try:
-        wi = tangent_vertex(polygon, mid, chirality)
+        wi = tangent_vertex(polygon, _scalar_signs(polygon, mid), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(p, stage=2) from None
     return mid.reflect_through(polygon.vertices[wi]), (vi, wi)
@@ -469,12 +480,12 @@ def test_lattice_parity_catches_dropped_rescale(monkeypatch):
     """Negative control: a kernel that reflects through the vertex's lattice
     numerators without rescaling them from den to L must fail the parity
     test."""
-    source = textwrap.dedent(inspect.getsource(billiards._double_step))
+    source = textwrap.dedent(inspect.getsource(billiards.psi_walk))
     rescale = "2 * (L // polygon.den)"
     assert rescale in source
     namespace = dict(vars(billiards))
     exec(source.replace(rescale, "2"), namespace)
-    monkeypatch.setattr(billiards, "_double_step", namespace["_double_step"])
+    monkeypatch.setattr(billiards, "psi_walk", namespace["psi_walk"])
     with pytest.raises(AssertionError):
         test_lattice_kernel_matches_point_route("n7")
 

@@ -81,7 +81,7 @@ def test_section_projects_back():
     for p in (pt(20, 1), pt(-9, 14), pt(Fraction(31, 7), Fraction(-22, 5))):
         x = section(m, p)
         assert x.point == p
-        tile = m.partition.classify(p)
+        tile = m.partition.classify(m.polygon.homogeneous(p))
         a = m.paths.path_for_label(tile.label).start
         assert x.index == (a - 1) % m.n
 
@@ -111,7 +111,8 @@ def test_theorem_step_worked_far_field_cases():
             continue
         k = len(orbit)
         assert k in (1, 2)
-        in_strip = any(m.system.pair(j).location(q) == 1 for j in range(m.n))
+        in_strip = any(m.system.pair(j).location(m.polygon.homogeneous(q)) == 1
+                       for j in range(m.n))
         assert (k == 2) == in_strip
         found[k] += 1
     assert found[1] >= 5 and found[2] >= 2
@@ -158,9 +159,9 @@ def test_exit_map_far_field_counts_match_strip_jump():
             base = Point(pair.line.a * pair.line.c / n2,
                          pair.line.b * pair.line.c / n2)
             p = base + d * (sgn * 3 * R / (abs(d.x) + abs(d.y))) + nrm * (off / n2)
-            assert pair.location(p) == 1
+            assert pair.location(m.polygon.homogeneous(p)) == 1
             try:
-                _, jump_steps = strip_jump(m.system.pair(j + 1), p)
+                _, jump_steps = strip_jump(m.system.pair(j + 1), m.polygon.homogeneous(p))
                 _, exit_steps = exit_map(m, p, budget=jump_steps + 8)
             except (MapUndefinedError, BudgetExceededError):
                 continue
@@ -179,9 +180,9 @@ def test_first_return_postconditions():
     nrm = pair.line.normal()
     n2 = nrm.dot(nrm)
     p = base + nrm * ((pair.width * Fraction(3, 7) + pair.line.c) / n2)
-    assert pair.location(p) == 1
+    assert pair.location(m.polygon.homogeneous(p)) == 1
     q, steps = first_return_psi(m, p, budget=10_000)
-    assert pair.location(q) == 1
+    assert pair.location(m.polygon.homogeneous(q)) == 1
     assert steps >= 1
     with pytest.raises(BudgetExceededError):
         first_return_psi(m, p, budget=0)
@@ -203,7 +204,7 @@ def test_far_field_first_return_equals_strip_system_return_cycle():
         off = pair.width * rng.unit(2 * i + 1)
         p = (pt(0, 0) + d * (t / (abs(d.x) + abs(d.y)))
              + nrm * ((off + pair.line.c) / n2))
-        if pair.location(p) != 1:
+        if pair.location(m.polygon.homogeneous(p)) != 1:
             continue
         try:
             q1, _ = first_return_psi(m, p, budget=100_000)
@@ -237,7 +238,7 @@ def test_strip_return_point_lies_on_exit_map_orbit():
         t = 2 * R * (1 + rng.unit(2 * i + 1))
         p = (pt(0, 0) + d * (t / (abs(d.x) + abs(d.y)))
              + nrm * ((off + pair.line.c) / n2))
-        if pair.location(p) != 1:
+        if pair.location(m.polygon.homogeneous(p)) != 1:
             continue
         try:
             q, _ = first_return_psi(m, p, budget=100_000)
@@ -270,7 +271,7 @@ def test_strip_system_return_advances_one_strip():
             except MapUndefinedError:
                 continue
             assert nxt.index == (j + 1) % m.n
-            assert m.system.pair(j + 1).location(nxt.point) == 1
+            assert m.system.pair(j + 1).location(m.polygon.homogeneous(nxt.point)) == 1
             assert steps >= 1
 
 
@@ -284,7 +285,7 @@ def test_strip_system_return_matches_stepwise_pinwheel():
     m = BilliardModel(PENTAGON)
     p = pt(Fraction(200, 3), Fraction(41, 7))
     for j in range(m.n):
-        if m.system.pair(j).location(p) != 1:
+        if m.system.pair(j).location(m.polygon.homogeneous(p)) != 1:
             continue
         fast, fast_steps = strip_system_return(m.system, IndexedPoint(p, j))
         state = IndexedPoint(p, j)

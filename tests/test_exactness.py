@@ -2,7 +2,8 @@
 
 A float literal, a `float(...)` call or `math.sqrt` in a kernel module would
 round somewhere; so would a stray true division on two ints, which is why the
-integer sign tests in `geometry` stay inside this guard.
+integer sign tests in `geometry` stay inside this guard.  A second scan keeps
+the package free of branches on a point's form (Point or lattice triple).
 """
 
 import ast
@@ -56,6 +57,38 @@ def test_kernel_module_has_no_float_sites(module):
 ])
 def test_guard_trips_on_each_float_site(snippet):
     assert float_sites(snippet) != []
+
+
+# ---------------------------------------------------------------------------
+# one point form below the entry points: a Point is converted to its lattice
+# triple once, where it comes in, so no predicate branches on the form it got
+
+
+def point_form_branches(source: str, filename: str = "<source>"):
+    """(line, test) of every `is tuple`, `is not tuple` or `is list` test."""
+    sites = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Is, ast.IsNot)) and isinstance(right, ast.Name)
+                and right.id in ("tuple", "list")
+                for op, right in zip(node.ops, node.comparators)):
+            sites.append((node.lineno, ast.unparse(node)))
+    return sites
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_module_has_no_point_form_branch(module):
+    path = PACKAGE / f"{module}.py"
+    assert point_form_branches(path.read_text(encoding="utf-8"), str(path)) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "X, Y, L = p if type(p) is tuple else homogeneous(p)\n",
+    "if type(p) is not tuple:\n    p = homogeneous(p)\n",
+    "ts = p if type(p) is list else edge_offsets(p)\n",
+])
+def test_point_form_scan_trips_on_each_branch(snippet):
+    assert point_form_branches(snippet) != []
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from outerbilliards.geometry import (
     Vec,
     box_region,
     half_plane,
+    homogeneous,
+    point_of,
     polygon_region,
     pt,
     region,
@@ -99,7 +101,35 @@ R5 = QuadExt(0, 1, 5)
           Point(Fraction(3, 4), Fraction(-1, 6))))
 def test_side_matches_offset_sign(line_and_point):
     line, p = line_and_point
-    assert line.side(p) == sign(line.signed_offset(p))
+    assert line.side(homogeneous(p)) == sign(line.signed_offset(p))
+
+
+def _numerator_parts(X):
+    """The int parts of a lattice coordinate: X itself, or a QuadInt's r and s."""
+    return [X] if type(X) is int else [X.r, X.s]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.builds(Point, COORDS, COORDS), st.integers(1, 60))
+@example(Point(Fraction(1, 6), Fraction(-5, 4)), 10)  # L = 60, not the product 240
+@example(Point(R5 / 3, Fraction(2, 9)), 1)  # a Q(sqrt 5) coordinate over 3
+def test_homogeneous_is_the_least_lattice_triple(p, den):
+    """`homogeneous(p, den)` is an exact triple (X, Y, L) with den | L, and
+    the least one: no prime q of L leaves den | L/q with q dividing every
+    int part of X and Y.  Dividing it out gives p back."""
+    X, Y, L = homogeneous(p, den)
+    assert type(L) is int and L > 0 and L % den == 0
+    parts = _numerator_parts(X) + _numerator_parts(Y)
+    assert all(type(t) is int for t in parts)
+    rest, q = L, 2
+    while rest > 1:  # q runs over the primes of L
+        if rest % q:
+            q += 1
+            continue
+        assert (L // q) % den or any(t % q for t in parts), (p, den, q)
+        while rest % q == 0:
+            rest //= q
+    assert point_of((X, Y, L)) == p
 
 
 def test_side_oracle_catches_dropped_radical_part(monkeypatch):
@@ -122,7 +152,7 @@ def test_side_rejects_mixed_radicals_like_signed_offset():
     with pytest.raises(ValueError):
         line.signed_offset(p)
     with pytest.raises(ValueError):
-        line.side(p)
+        line.side(homogeneous(p))
     with pytest.raises(ValueError):
         Line(QuadExt(0, 1, 5), QuadExt(0, 1, 2), 0)
 
@@ -170,18 +200,18 @@ def test_region_area_unbounded_raises():
 
 def test_region_contains_classification():
     sq = box_region(0, 0, 1, 1)
-    assert sq.contains(pt(Fraction(1, 2), Fraction(1, 2))) is Location.INTERIOR
-    assert sq.contains(pt(0, Fraction(1, 2))) is Location.BOUNDARY
-    assert sq.contains(pt(2, 0)) is Location.OUTSIDE
+    assert sq.contains(homogeneous(pt(Fraction(1, 2), Fraction(1, 2)))) is Location.INTERIOR
+    assert sq.contains(homogeneous(pt(0, Fraction(1, 2)))) is Location.BOUNDARY
+    assert sq.contains(homogeneous(pt(2, 0))) is Location.OUTSIDE
     open_sq = region([HalfPlane(h.line, STRICT[h.sense]) for h in sq.constraints])
-    assert open_sq.contains(pt(0, Fraction(1, 2))) is Location.BOUNDARY
-    assert open_sq.contains(pt(-1, 5)) is Location.OUTSIDE
+    assert open_sq.contains(homogeneous(pt(0, Fraction(1, 2)))) is Location.BOUNDARY
+    assert open_sq.contains(homogeneous(pt(-1, 5))) is Location.OUTSIDE
 
 
 def test_whole_plane_and_boundedness():
     plane = ConvexRegion.whole_plane()
     assert not plane.is_bounded()
-    assert plane.contains(pt(100, -3)) is Location.INTERIOR
+    assert plane.contains(homogeneous(pt(100, -3))) is Location.INTERIOR
     assert box_region(-1, -1, 1, 1).is_bounded()
     assert not slab(0, 1, 0, 1).is_bounded()
     assert not region([half_plane(1, 0, 0, Sense.GE),
@@ -229,7 +259,7 @@ def test_sample_points_interior_and_deterministic():
     pts = sq.sample_points(3, seed=7)
     assert len(pts) == 3
     for p in pts:
-        assert sq.contains(p) is Location.INTERIOR
+        assert sq.contains(homogeneous(p)) is Location.INTERIOR
     assert pts == sq.sample_points(3, seed=7)
     assert pts != sq.sample_points(3, seed=8)
 
@@ -253,9 +283,9 @@ def test_polygon_region_open_vs_closed():
     tri = [pt(0, 0), pt(1, 3), pt(4, 0)]
     closed = polygon_region(tri)
     opened = polygon_region(tri, open_region=True)
-    assert closed.contains(pt(2, 0)) is Location.BOUNDARY
-    assert opened.contains(pt(2, 0)) is Location.BOUNDARY
-    assert closed.contains(pt(1, 1)) is Location.INTERIOR
+    assert closed.contains(homogeneous(pt(2, 0))) is Location.BOUNDARY
+    assert opened.contains(homogeneous(pt(2, 0))) is Location.BOUNDARY
+    assert closed.contains(homogeneous(pt(1, 1))) is Location.INTERIOR
     assert closed.area() == opened.area() == 6
 
 
@@ -321,7 +351,7 @@ def halfplane_sets(draw):
         else:
             p = line_intersection(base.line, draw(st.sampled_from(hps)).line) or origin
             line = Line(a, b, a * p.x + b * p.y)
-        keep_origin = line.side(origin) >= 0
+        keep_origin = line.side(homogeneous(origin)) >= 0
         if draw(st.sampled_from([False] * 5 + [True])):
             keep_origin = not keep_origin
         sense = Sense.GE if keep_origin else Sense.LE
@@ -330,7 +360,7 @@ def halfplane_sets(draw):
 
 
 def _in_set(constraints, p):
-    return all(h.contains(p) for h in constraints)
+    return all(h.contains(homogeneous(p)) for h in constraints)
 
 
 def _probe_points(verts):
@@ -367,7 +397,8 @@ def test_kernel_matches_fm_oracle(hps):
         assert [id(h) for h in r.constraints] == [id(h) for h in fm_kept]
     else:  # no interior: the same point set, however it is written
         for p in _probe_points(r.vertices()):
-            assert r.contains(p) is ConvexRegion(fm_kept, False).contains(p)
+            assert r.contains(homogeneous(p)) is ConvexRegion(fm_kept, False).contains(
+                homogeneous(p))
             assert _in_set(r.constraints, p) == _in_set(fm_kept, p)
     assert r.vertices() == fm_vertices(fm_kept)
     if not r.has_interior():
@@ -492,7 +523,7 @@ def test_moved_lines_equal_fresh_lines(poly_key):
             v = poly.vertices[tile.v_index]
             for r in (tile.region.translate(tile.translation),
                       tile.region.point_reflect(v)):
-                corners = r.vertices() + poly.vertices
+                corners = [homogeneous(p) for p in r.vertices() + poly.vertices]
                 for h in r.constraints:
                     for line in (h.line, h.line.parallel_offset(v.x)):
                         fresh = Line(line.a, line.b, line.c)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from outerbilliards.errors import OnStripBoundaryError
-from outerbilliards.geometry import Location, Point, pt, slope_angle_cmp, vec
+from outerbilliards.geometry import Location, Point, point_of, pt, slope_angle_cmp, vec
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.scalars import sign
 from outerbilliards.strips import (
@@ -33,8 +33,8 @@ def test_triangle_bottom_edge_pair():
     assert p0.offset(pt(7, 0)) == 0
     assert p0.offset(pt(0, 6)) == 6
     assert p0.width == 6         # strip {0 <= y <= 6}
-    assert p0.strip_region().contains(pt(0, 3)) is Location.INTERIOR
-    assert p0.strip_region().contains(pt(123, 6)) is Location.BOUNDARY
+    assert p0.strip_region().contains(TRIANGLE.homogeneous(pt(0, 3))) is Location.INTERIOR
+    assert p0.strip_region().contains(TRIANGLE.homogeneous(pt(123, 6))) is Location.BOUNDARY
 
 
 def test_strips_sorted_by_slope_angle():
@@ -126,27 +126,27 @@ def test_spoke_slope_order_compatible_with_strip_order():
 
 def test_strip_map_fixed_inside():
     sys = triangle_system()
-    assert strip_map(sys.pair(0), pt(1, 3)) == pt(1, 3)
+    assert point_of(strip_map(sys.pair(0), TRIANGLE.homogeneous(pt(1, 3)))) == pt(1, 3)
 
 
 def test_strip_map_one_step_closer_entering():
     sys = triangle_system()
     # offset -1: candidates +V gives 5 (inside), -V gives -7; closer wins
-    assert strip_map(sys.pair(0), pt(0, -1)) == pt(2, 5)
+    assert point_of(strip_map(sys.pair(0), TRIANGLE.homogeneous(pt(0, -1)))) == pt(2, 5)
 
 
 def test_strip_map_one_step_closer_still_outside():
     sys = triangle_system()
     # offset 13: -V gives 7 (distance 1, still outside), +V gives 19
-    assert strip_map(sys.pair(0), pt(0, 13)) == pt(-2, 7)
+    assert point_of(strip_map(sys.pair(0), TRIANGLE.homogeneous(pt(0, 13)))) == pt(-2, 7)
 
 
 def test_strip_map_boundary_is_error():
     sys = triangle_system()
     with pytest.raises(OnStripBoundaryError):
-        strip_map(sys.pair(0), pt(5, 0))
+        strip_map(sys.pair(0), TRIANGLE.homogeneous(pt(5, 0)))
     with pytest.raises(OnStripBoundaryError):
-        strip_map(sys.pair(0), pt(5, 6))
+        strip_map(sys.pair(0), TRIANGLE.homogeneous(pt(5, 6)))
 
 
 def test_strip_map_contracts_offset_distance():
@@ -155,9 +155,9 @@ def test_strip_map_contracts_offset_distance():
         pair = sys.pair(j)
         p = pt(31, 47)
         guard = 0
-        while pair.location(p) != 1:
+        while pair.location(PENTAGON.homogeneous(p)) != 1:
             d_before = pair.slab_distance(p)
-            p = strip_map(pair, p)
+            p = point_of(strip_map(pair, PENTAGON.homogeneous(p)))
             d_after = pair.slab_distance(p)
             # the offset moves by exactly one width toward the slab
             assert d_after == max(d_before - pair.width, 0)
@@ -169,14 +169,15 @@ def test_strip_map_contracts_offset_distance():
 def test_compose_single_stage_when_a_equals_b():
     sys = triangle_system()
     p = pt(0, -1)
-    assert compose_strip_maps(sys, 0, 0, p) == strip_map(sys.pair(0), p)
+    assert compose_strip_maps(sys, 0, 0, p) == point_of(
+        strip_map(sys.pair(0), TRIANGLE.homogeneous(p)))
 
 
 def test_compose_fixes_point_interior_to_all_strips():
     sys = build_pinwheel_system(PENTAGON)
     inner = pt(2, 2)  # interior of the polygon lies inside every strip
     for j in range(sys.n):
-        assert sys.pair(j).location(inner) == 1
+        assert sys.pair(j).location(PENTAGON.homogeneous(inner)) == 1
     assert compose_strip_maps(sys, 0, sys.n - 1, inner) == inner
 
 
@@ -185,15 +186,15 @@ def test_compose_matches_stepwise_loop():
     p = pt(Fraction(37, 5), Fraction(-22, 7))
     manual = p
     for i in (0, 1, 2):
-        manual = strip_map(sys.pair(i), manual)
+        manual = point_of(strip_map(sys.pair(i), TRIANGLE.homogeneous(manual)))
     assert compose_strip_maps(sys, 0, 2, p) == manual
 
 
 def test_compose_wraps_indices():
     sys = triangle_system()
     p = pt(Fraction(19, 3), Fraction(14, 5))
-    manual = strip_map(sys.pair(2), p)
-    manual = strip_map(sys.pair(0), manual)
+    manual = point_of(strip_map(sys.pair(2), TRIANGLE.homogeneous(p)))
+    manual = point_of(strip_map(sys.pair(0), TRIANGLE.homogeneous(manual)))
     assert compose_strip_maps(sys, 2, 0, p) == manual
 
 

@@ -198,20 +198,20 @@ def test_quadratic_kites_pass_suite_and_trip_controls(kite_key):
 
 def test_far_field_evaluates_psi_twice_per_sample(monkeypatch):
     """One classification of p (inside the pinwheel theorem step, which also
-    hands back the start spoke) and one of psi(p): two double steps per
-    sample, not three."""
+    hands back the start spoke) and one of psi(p): two ψ walks per sample,
+    not three."""
     from outerbilliards import billiards
 
     model = BilliardModel(random_nice_polygon(7, 3))
     model.partition  # built, and its own classifications done, before counting
     calls = []
-    real = billiards._double_step
+    real = billiards.psi_walk
 
     def counted(polygon, p, chirality):
         calls.append(p)
         return real(polygon, p, chirality)
 
-    monkeypatch.setattr(billiards, "_double_step", counted)
+    monkeypatch.setattr(billiards, "psi_walk", counted)
     rep = check_far_field(model, samples=50, seed=0)
     assert rep.attempted == 50 and rep.valid == 50
     assert len(calls) == 100
