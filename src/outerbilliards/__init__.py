@@ -70,7 +70,6 @@ from .scalars import QuadExt, quadext, scalar_from_json, scalar_to_json
 from .strips import (
     PinwheelPair,
     PinwheelSystem,
-    Spoke,
     build_pinwheel_system,
     compose_strip_maps,
     sigma_range,

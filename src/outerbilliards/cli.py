@@ -87,7 +87,7 @@ def cmd_validate(args) -> int:
     poly = _load_polygon(args.polygon)
     model = BilliardModel(poly)
     pairs = []
-    for p, s in zip(model.system.pairs, model.system.spokes):
+    for p in model.system.pairs:
         pairs.append({
             "index": p.index + 1,
             "edge": p.edge_index + 1,
@@ -95,7 +95,7 @@ def cmd_validate(args) -> int:
             "v": _pt_json(p.v),
             "w": _pt_json(p.w),
             "V": _pt_json(Point(p.V.x, p.V.y)),
-            "special": s.special,
+            "special": p.special,
         })
     _emit({
         "schema": "validate/1",
@@ -136,7 +136,7 @@ def cmd_partition(args) -> int:
         paths.append({
             "path": p.display(),
             "involved": [i % poly.n + 1 for i in p.involved],
-            "special": [model.system.spoke(i).special for i in p.involved],
+            "special": [model.system.pair(i).special for i in p.involved],
             "W": {str(i % poly.n + 1): _pt_json(Point(w.x, w.y))
                   for i, w in sorted(p.steps.items())},
             "endpoints": [_pt_json(p.first_vertex), _pt_json(p.last_vertex)],

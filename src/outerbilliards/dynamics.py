@@ -189,7 +189,11 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     esc_sq = None if escape_radius is None else escape_radius * escape_radius
     indexed = selector in ("psi_star", "strip_return")
     x = start.reduce(model.n) if indexed else start
-    walk = psi_walk(model.polygon, model.polygon.homogeneous(x)) if selector == "psi" else None
+    walk = None  # psi and psi_star iterate one walk on the start's lattice triple
+    if selector == "psi":
+        walk = psi_walk(model.polygon, model.polygon.homogeneous(x))
+    elif selector == "psi_star":
+        walk = pinwheel_walk(model.system, model.polygon.homogeneous(x.point), x.index)
 
     def log(step, label=None, tag="translated"):
         point, index = (x.point, x.index) if indexed else (x, None)
@@ -201,9 +205,9 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
             q, label = next(walk)
             return point_of(q), 1, label, "translated"
         if selector == "psi_star":
-            nxt = pinwheel_step(model.system, x)
-            return nxt, 1, None, ("index-shifted" if nxt.index != x.index
-                                  else "translated")
+            q, index = next(walk)
+            return IndexedPoint(point_of(q), index), 1, None, (
+                "index-shifted" if index != x.index else "translated")
         if selector == "strip_return":
             nxt, used = strip_system_return(model.system, x, budget=remaining)
         elif selector == "exit":

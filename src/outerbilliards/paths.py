@@ -135,8 +135,8 @@ def enumerate_paths(system: PinwheelSystem) -> PathFamily:
 
 def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
     n = system.n
-    first = system.spoke(a)
-    v0_index = first.tail_index
+    first = system.pair(a)
+    v0_index = first.v_index
     paths: List[AdmissiblePath] = []
 
     def emit(end_lifted, involved, steps, last_index, last_point, terminal_special):
@@ -144,40 +144,40 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
             start=a, end_lifted=end_lifted, n=n,
             involved=tuple(involved), steps=dict(steps),
             first_vertex_index=v0_index, last_vertex_index=last_index,
-            first_vertex=first.tail, last_vertex=last_point,
+            first_vertex=first.v, last_vertex=last_point,
             terminal_special=terminal_special,
         ))
 
     involved = [a]
-    steps: Dict[int, Vec] = {a: first.head - first.tail}
-    current_index, current_point = first.head_index, first.head
+    steps: Dict[int, Vec] = {a: first.w - first.v}
+    current_index, current_point = first.w_index, first.w
     emit(a, involved, steps, current_index, current_point, False)
 
     for j in range(a + 1, a + n):
-        s = system.spoke(j)
-        if s.tail_index == current_index:
+        s = system.pair(j)
+        if s.v_index == current_index:
             # ordinary continuation; the prefix ending here traverses forward
             if s.special:
                 raise AssertionError(
                     f"special spoke {j % n} met at its tail in walk from {a}")
             involved.append(j)
-            steps[j] = s.head - s.tail
-            current_index, current_point = s.head_index, s.head
+            steps[j] = s.w - s.v
+            current_index, current_point = s.w_index, s.w
             if len(involved) % 2 == 1:
                 if current_index == v0_index:
                     break  # wrapped all the way around the polygon
                 emit(j, involved, steps, current_index, current_point, False)
-        elif s.head_index == current_index:
+        elif s.w_index == current_index:
             # special spoke: may terminate the path backward, else is skipped
             if not s.special:
                 raise AssertionError(
                     f"ordinary spoke {j % n} met at its head in walk from {a}")
             if (len(involved) + 1) % 2 == 1:
-                if s.tail_index == v0_index:
+                if s.v_index == v0_index:
                     break
                 end_steps = dict(steps)
-                end_steps[j] = s.tail - s.head
-                emit(j, involved + [j], end_steps, s.tail_index, s.tail, True)
+                end_steps[j] = s.v - s.w
+                emit(j, involved + [j], end_steps, s.v_index, s.v, True)
             steps[j] = ZERO_VEC  # skipped: the current vertex stays put
         else:
             raise AssertionError(

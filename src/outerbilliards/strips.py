@@ -1,4 +1,4 @@
-"""Pinwheel pairs, spokes, strip maps and their compositions.
+"""Pinwheel pairs (each with its spoke), strip maps and their compositions.
 
 For every polygon edge e there is a strip bounded by the edge's line L and the
 parallel line L' placed so the vertex farthest from L sits exactly halfway,
@@ -35,7 +35,10 @@ from .scalars import Scalar, ratio
 
 @dataclass(frozen=True)
 class PinwheelPair:
-    """Strip and translation vector attached to one polygon edge."""
+    """Strip, translation vector and spoke attached to one polygon edge.
+
+    The spoke is the oriented segment v -> w; it is special when it shares a
+    vertex with both neighbouring spokes."""
 
     index: int              # position in the slope-cyclic order, 0-based
     edge_index: int         # index into polygon.edges (vertex order)
@@ -47,6 +50,7 @@ class PinwheelPair:
     v: Point
     w: Point
     V: Vec                  # 2*(w - v); translation spanning the strip
+    special: bool           # spoke v -> w shares a vertex with both neighbours
     # (VX, VY, q): V = (VX/q, VY/q), q | the polygon's den
     V_ints: Tuple = field(init=False, repr=False, compare=False)
 
@@ -81,29 +85,15 @@ class PinwheelPair:
         ])
 
 
-@dataclass(frozen=True)
-class Spoke:
-    """Oriented segment from the edge's head vertex to the far vertex."""
-
-    index: int
-    tail_index: int
-    head_index: int
-    tail: Point
-    head: Point
-    special: bool
-
-
 class PinwheelSystem:
-    """All pinwheel pairs and spokes of a nice polygon, slope ordered."""
+    """All pinwheel pairs of a nice polygon, slope ordered; pair j carries
+    spoke j.  Strip regions are built when asked for."""
 
-    __slots__ = ("polygon", "pairs", "spokes", "_strip_regions")
+    __slots__ = ("polygon", "pairs")
 
-    def __init__(self, polygon: NicePolygon, pairs: Tuple[PinwheelPair, ...],
-                 spokes: Tuple[Spoke, ...]):
+    def __init__(self, polygon: NicePolygon, pairs: Tuple[PinwheelPair, ...]):
         self.polygon = polygon
         self.pairs = pairs
-        self.spokes = spokes
-        self._strip_regions = tuple(p.strip_region() for p in pairs)
 
     @property
     def n(self) -> int:
@@ -112,11 +102,8 @@ class PinwheelSystem:
     def pair(self, j: int) -> PinwheelPair:
         return self.pairs[j % self.n]
 
-    def spoke(self, j: int) -> Spoke:
-        return self.spokes[j % self.n]
-
     def strip(self, j: int) -> ConvexRegion:
-        return self._strip_regions[j % self.n]
+        return self.pair(j).strip_region()
 
     def max_width(self) -> Scalar:
         return max(p.width for p in self.pairs)
@@ -125,7 +112,7 @@ class PinwheelSystem:
         """Copy with one pair replaced (used by harness negative controls)."""
         pairs = list(self.pairs)
         pairs[j % self.n] = pair
-        return PinwheelSystem(self.polygon, tuple(pairs), self.spokes)
+        return PinwheelSystem(self.polygon, tuple(pairs))
 
 
 def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
@@ -145,6 +132,7 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
 
     entries.sort(key=cmp_to_key(lambda x, y: slope_angle_cmp(x[0], y[0])))
 
+    ends = [{e.head, far} for _, e, _, far, _ in entries]
     pairs = []
     for j, (_, e, line, far, width) in enumerate(entries):
         v = polygon.vertices[e.head]
@@ -160,25 +148,10 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
             v=v,
             w=w,
             V=(w - v) * 2,
+            special=bool(ends[j - 1] & ends[j] & ends[(j + 1) % n]),
         ))
 
-    spokes = []
-    for j, p in enumerate(pairs):
-        prev = pairs[(j - 1) % n]
-        nxt = pairs[(j + 1) % n]
-        shared = ({prev.v_index, prev.w_index}
-                  & {p.v_index, p.w_index}
-                  & {nxt.v_index, nxt.w_index})
-        spokes.append(Spoke(
-            index=j,
-            tail_index=p.v_index,
-            head_index=p.w_index,
-            tail=p.v,
-            head=p.w,
-            special=bool(shared),
-        ))
-
-    system = PinwheelSystem(polygon, tuple(pairs), tuple(spokes))
+    system = PinwheelSystem(polygon, tuple(pairs))
     _assert_chain(system)
     return system
 
@@ -187,8 +160,8 @@ def _assert_chain(system: PinwheelSystem):
     """Consecutive spokes must share a vertex (pinwheel chain structure)."""
     n = system.n
     for j in range(n):
-        s, t = system.spoke(j), system.spoke(j + 1)
-        if not ({s.tail_index, s.head_index} & {t.tail_index, t.head_index}):
+        s, t = system.pair(j), system.pair(j + 1)
+        if not ({s.v_index, s.w_index} & {t.v_index, t.w_index}):
             raise AssertionError(f"spokes {j} and {(j + 1) % n} share no vertex")
 
 

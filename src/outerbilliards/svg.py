@@ -20,7 +20,7 @@ class EmptySceneError(ValueError):
 
 @dataclass(frozen=True)
 class SceneItem:
-    kind: str                  # polygon | region | segment | polyline | points
+    kind: str                  # polygon | region | polyline | points
     points: Tuple[Point, ...]  # payload for everything except region
     region: Optional[ConvexRegion] = None
     style: Tuple[Tuple[str, str], ...] = ()
@@ -50,7 +50,6 @@ _DEFAULTS = {
     "polygon": (("fill", "#dddddd"), ("stroke", "#333333"), ("stroke-width", "0.05")),
     "region": (("fill", "#cfe2ff"), ("fill-opacity", "0.6"), ("stroke", "#446688"),
                ("stroke-width", "0.03")),
-    "segment": (("stroke", "#aa3333"), ("stroke-width", "0.05")),
     "polyline": (("fill", "none"), ("stroke", "#aa3333"), ("stroke-width", "0.04")),
     "points": (("fill", "#222222"),),
 }
@@ -117,11 +116,6 @@ def render_scene(items: Sequence[SceneItem],
         elif it.kind == "polygon":
             pts = " ".join(map_pt(p) for p in it.points)
             out.append(f'  <polygon {ident} points="{pts}" {attrs}/>')
-        elif it.kind == "segment":
-            a, b = it.points
-            ax, ay = map_pt(a).split(",")
-            bx, by = map_pt(b).split(",")
-            out.append(f'  <line {ident} x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" {attrs}/>')
         elif it.kind == "polyline":
             pts = " ".join(map_pt(p) for p in it.points)
             out.append(f'  <polyline {ident} points="{pts}" {attrs}/>')

@@ -380,8 +380,9 @@ def _conjugate_laws(model: BilliardModel, rep: CheckReport):
     reflected = NicePolygon.from_points(
         [Point(v.x, -v.y) for v in model.polygon.vertices])
     other = BilliardModel(reflected)
-    r0 = _reflect_region(model.system.strip(0))
-    hits = [k for k in range(n) if other.system.strip(k) == r0]
+    theirs = [other.system.strip(k) for k in range(n)]
+    mine = [_reflect_region(model.system.strip(j)) for j in range(n)]
+    hits = [k for k in range(n) if theirs[k] == mine[0]]
     if not rep.judge(-1, lambda: None if len(hits) == 1 else
                      ("strip reflection", "unique matching strip", f"{hits}")):
         return
@@ -389,21 +390,20 @@ def _conjugate_laws(model: BilliardModel, rep: CheckReport):
     rep.notes.append(f"conjugate index origin c = {c}")
 
     def reflects(j):
-        if other.system.strip((c - j) % n) != _reflect_region(model.system.strip(j)):
+        if theirs[(c - j) % n] != mine[j]:
             return f"strip {j}", f"reflects onto strip {(c - j) % n}", "mismatch"
         k = (c + 1 - j) % n
-        s, s2 = model.system.spoke(j), other.system.spoke(k)
-        rt = Point(s.tail.x, -s.tail.y)
-        rh = Point(s.head.x, -s.head.y)
-        if {s2.tail, s2.head} != {rt, rh}:
+        s, s2 = model.system.pair(j), other.system.pair(k)
+        rt = Point(s.v.x, -s.v.y)
+        rh = Point(s.w.x, -s.w.y)
+        if {s2.v, s2.w} != {rt, rh}:
             return f"spoke {j}", f"reflects onto spoke {k}", "endpoint mismatch"
         if s.special != s2.special:
             return f"spoke {j}", "special flag preserved", f"{s2.special}"
-        pv, pv2 = model.system.pair(j).V, other.system.pair(k).V
-        refl_v = (pv.x, -pv.y)
-        plus = refl_v == (pv2.x, pv2.y)
-        minus = refl_v == (-pv2.x, -pv2.y)
-        if not (plus or minus) or plus != (rt == s2.tail):
+        refl_v = (s.V.x, -s.V.y)
+        plus = refl_v == (s2.V.x, s2.V.y)
+        minus = refl_v == (-s2.V.x, -s2.V.y)
+        if not (plus or minus) or plus != (rt == s2.v):
             return (f"spoke {j}", "V reflects onto +-V with matching tails",
                     f"plus={plus} minus={minus}")
         return None

@@ -360,6 +360,25 @@ def test_orbit_psi_star_tags():
     assert "index-shifted" in tags or "translated" in tags
 
 
+def test_psi_star_orbit_converts_the_start_once(monkeypatch):
+    """A psi_star orbit iterates one pinwheel walk on the start's lattice
+    triple: 200 steps take one `NicePolygon.homogeneous` call and visit the
+    states that 200 `pinwheel_step`s visit."""
+    m = BilliardModel(random_nice_polygon(7, 7))
+    x = IndexedPoint(pt(Fraction(1001, 3), Fraction(-77, 5)), 0)
+    expect = [x]
+    for _ in range(200):
+        expect.append(pinwheel_step(m.system, expect[-1]))
+    calls = []
+    real = NicePolygon.homogeneous
+    monkeypatch.setattr(NicePolygon, "homogeneous",
+                        lambda poly, p: calls.append(p) or real(poly, p))
+    rec = orbit(m, x, "psi_star", budget=200)
+    assert len(calls) == 1
+    assert [IndexedPoint(e.point, e.index) for e in rec.events[:201]] == expect
+    assert rec.final.tag == "budget-exhausted"
+
+
 def test_far_radius_scales_with_polygon():
     small = BilliardModel(TRIANGLE)
     big = BilliardModel(random_nice_polygon(7, 3, bound=40))

@@ -42,7 +42,7 @@ def test_interior_skipped_spokes_are_exactly_the_special_ones():
         for p in m.paths.paths:
             involved = set(p.involved)
             for i in range(p.start + 1, p.end_lifted):
-                spoke = m.system.spoke(i)
+                spoke = m.system.pair(i)
                 assert (i not in involved) == spoke.special
 
 
@@ -51,16 +51,16 @@ def test_terminal_orientation_flips_exactly_on_special_spokes():
         for p in m.paths.paths:
             if p.length == 1:
                 continue
-            last = m.system.spoke(p.end_lifted)
+            last = m.system.pair(p.end_lifted)
             w = p.steps[p.end_lifted]
             if last.special:
-                assert w == last.tail - last.head
+                assert w == last.v - last.w
                 assert p.terminal_special
             else:
-                assert w == last.head - last.tail
+                assert w == last.w - last.v
             for i in p.involved[:-1]:
-                s = m.system.spoke(i)
-                assert p.steps[i] == s.head - s.tail  # pinwheel orientation
+                s = m.system.pair(i)
+                assert p.steps[i] == s.w - s.v  # pinwheel orientation
 
 
 def test_displacement_telescopes_to_endpoints():
@@ -87,9 +87,9 @@ def test_endpoint_arc_oracle():
         ccw_next = {i: (i - 1) % m.polygon.n for i in range(m.polygon.n)}
         for a in range(n):
             group = sorted(m.paths.from_start(a), key=lambda q: q.end_lifted)
-            expect = m.system.spoke(a).head_index
+            expect = m.system.pair(a).w_index
             for p in group:
-                assert p.first_vertex_index == m.system.spoke(a).tail_index
+                assert p.first_vertex_index == m.system.pair(a).v_index
                 assert p.last_vertex_index == expect
                 assert expect != p.first_vertex_index
                 expect = ccw_next[expect]

@@ -9,6 +9,8 @@ from outerbilliards.geometry import Location, Point, point_of, pt, slope_angle_c
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.scalars import sign
 from outerbilliards.strips import (
+    PinwheelSystem,
+    _assert_chain,
     build_pinwheel_system,
     compose_strip_maps,
     sigma_range,
@@ -62,14 +64,25 @@ def test_consecutive_spokes_share_vertex():
     for poly in (TRIANGLE, PENTAGON):
         sys = build_pinwheel_system(poly)
         for j in range(sys.n):
-            s, t = sys.spoke(j), sys.spoke(j + 1)
-            assert {s.tail_index, s.head_index} & {t.tail_index, t.head_index}
+            s, t = sys.pair(j), sys.pair(j + 1)
+            assert {s.v_index, s.w_index} & {t.v_index, t.w_index}
+
+
+def test_chain_assert_trips_on_spokes_sharing_no_vertex():
+    sys = build_pinwheel_system(PENTAGON)
+    # spokes 0 and 2 of the pentagon share no vertex; swapping pairs 1 and 2
+    # makes them neighbours
+    s, t = sys.pair(0), sys.pair(2)
+    assert not {s.v_index, s.w_index} & {t.v_index, t.w_index}
+    swapped = PinwheelSystem(PENTAGON, tuple(sys.pair(i) for i in (0, 2, 1, 3, 4)))
+    with pytest.raises(AssertionError, match="spokes 0 and 1 share no vertex"):
+        _assert_chain(swapped)
 
 
 def test_edge_spoke_bijection():
     for poly in (TRIANGLE, PENTAGON):
         sys = build_pinwheel_system(poly)
-        assert len({(s.tail_index, s.head_index) for s in sys.spokes}) == sys.n
+        assert len({(s.v_index, s.w_index) for s in sys.pairs}) == sys.n
         assert sorted(p.edge_index for p in sys.pairs) == list(range(poly.n))
 
 
@@ -106,8 +119,8 @@ def test_any_two_spokes_intersect():
         sys = build_pinwheel_system(poly)
         for i in range(sys.n):
             for j in range(i + 1, sys.n):
-                a, b = sys.spoke(i), sys.spoke(j)
-                assert segments_intersect(a.tail, a.head, b.tail, b.head)
+                a, b = sys.pair(i), sys.pair(j)
+                assert segments_intersect(a.v, a.w, b.v, b.w)
 
 
 def test_spoke_slope_order_compatible_with_strip_order():
@@ -117,8 +130,8 @@ def test_spoke_slope_order_compatible_with_strip_order():
         # sort spokes by slope angle; the result must be a rotation of 0..n-1
         import functools
         order = sorted(range(n), key=functools.cmp_to_key(
-            lambda i, j: slope_angle_cmp(sys.spoke(i).head - sys.spoke(i).tail,
-                                         sys.spoke(j).head - sys.spoke(j).tail)))
+            lambda i, j: slope_angle_cmp(sys.pair(i).w - sys.pair(i).v,
+                                         sys.pair(j).w - sys.pair(j).v)))
         shift = order.index(0)
         rotated = order[shift:] + order[:shift]
         assert rotated == list(range(n))

@@ -14,7 +14,6 @@ from outerbilliards.svg import (
     draw_region,
     partition_scene,
     render_scene,
-    SceneItem,
 )
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
@@ -29,7 +28,7 @@ def test_triangle_alone_renders_one_polygon():
 
 def test_same_scene_twice_is_byte_identical():
     scene = [draw_polygon(TRIANGLE.vertices),
-             SceneItem("segment", (pt(0, 0), pt(10, 10))),
+             draw_polyline([pt(0, 0), pt(10, 10)]),
              draw_points([pt(1, 1), pt(2, 2)])]
     assert render_scene(scene) == render_scene(scene)
 

@@ -120,7 +120,7 @@ def test_individual_checks_pass_on_hexagon_with_special_spoke():
     hexagon = NicePolygon.from_points(
         [pt(0, 0), pt(-2, 3), pt(1, 6), pt(5, 5), pt(8, 1), pt(4, -2)])
     m = BilliardModel(hexagon)
-    assert any(s.special for s in m.system.spokes)
+    assert any(s.special for s in m.system.pairs)
     assert check_structure3(m, samples=30, seed=1).passed
     assert check_pin1_pin2_move(m, samples_per_tile=8, seed=1).passed
     assert check_apex(m).passed
@@ -245,7 +245,7 @@ def test_negated_translations_trip_pin2(n):
     assert check_pin1_pin2_move(model, samples_per_tile=6, seed=0).passed
     system = model.system
     negated = PinwheelSystem(polygon, tuple(dataclasses.replace(p, V=-p.V)
-                                            for p in system.pairs), system.spokes)
+                                            for p in system.pairs))
     rep = check_pin1_pin2_move(BilliardModel(polygon, system=negated),
                                samples_per_tile=6, seed=0)
     assert any(v.expected.startswith("mu_") and " adds " in v.expected
