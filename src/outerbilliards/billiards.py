@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 from typing import Dict, Tuple
 
 from .errors import InsidePolygonError, OnPrimaryWallError, UndefinedOnWallError
@@ -32,6 +32,7 @@ from .geometry import (
     region,
 )
 from .polygon import NicePolygon
+from .scalars import floor_div
 
 
 class Chirality(enum.Enum):
@@ -85,10 +86,22 @@ def psi_walk(polygon, here, chirality=Chirality.RIGHT):
     each next state (there, (v, w)) over the same L, without end.  Through
     vertex v, at its `lattice` numerators times s = L // den, X -> 2*s*VX - X
     and each edge offset t -> 2*s*E - t, E its `vertex_offsets` row doubled
-    onto L; only `here`'s offsets are evaluated.  Errors carry a step's start."""
+    onto L; only `here`'s offsets are evaluated.  Errors carry a step's start.
+
+    A step with label (v, w) adds D = rw - rv to every offset (rv, rw the
+    rows of v and w), and the next step keeps the label exactly while four
+    offsets bounding its tile keep their signs.  Two of them only move away
+    from 0 along D, so after a step through `tangent_vertex` the walk checks
+    the other two (`_label_run`).  Where both hold, the run's remaining
+    length k is one `floor_div` per exit bound: its k states are yielded by
+    translation alone, the offsets move by k*D at once, and the walk steps
+    on, so a wall at a run's end is raised by an ordinary step.  Nothing past
+    the first state is computed before it is asked for."""
     X, Y, L = here
     s2 = 2 * (L // polygon.den)
+    first = -1 if chirality is Chirality.RIGHT else 0  # checked: edges v-1, w-1 (or v, w)
     rows = [None] * polygon.n
+    runs = {}  # label -> `_label_run`, built the first time a run takes it
     ts = polygon.edge_offsets(here)
     while True:
         stage = 1
@@ -105,8 +118,41 @@ def psi_walk(polygon, here, chirality=Chirality.RIGHT):
         rows[wi] = rows[wi] or [s2 * e for e in polygon.vertex_offsets[wi]]
         ts = list(map(sub, rows[wi], ts))
         (vx, vy), (wx, wy) = polygon.lattice[vi], polygon.lattice[wi]
-        X, Y = X + s2 * (wx - vx), Y + s2 * (wy - vy)
-        yield (X, Y, L), (vi, wi)
+        dx, dy = s2 * (wx - vx), s2 * (wy - vy)
+        X, Y = X + dx, Y + dy
+        label = vi, wi
+        yield (X, Y, L), label
+        rv = rows[vi]
+        a, p = vi + first, wi + first
+        if ts[a] < 0 and rv[p] < ts[p]:
+            run = runs[label] = runs.get(label) or _label_run(rv, rows[wi], a, p)
+            D, exits = run
+            k = min(-floor_div(ts[e] - c, D[e]) for e, c in exits)
+            for _ in range(k):
+                X, Y = X + dx, Y + dy
+                yield (X, Y, L), label
+            ts = list(map(add, ts, D if k == 1 else [k * d for d in D]))
+
+
+def _label_run(rv, rw, a, p):
+    """(D, exits) of label (v, w) in a ψ walk with rows rv and rw
+    (`vertex_offsets` doubled onto L, 2s*E): D = rw - rv, what a step adds
+    to every offset t, and the exit bounds (e, c): those of the two the walk
+    checks, t_a < 0 and rv_p < t_p, that D moves toward 0.  Exit e fails
+    after -floor((t_e - c) / D_e) more steps.
+
+    For RIGHT, a = v-1 and p = w-1: the next step's tangent vertex is v
+    while t_{v-1} < 0 < t_v, and the next is w while, at rv - t,
+    rv_{w-1} < t_{w-1} and t_w < rv_w.  E[x][i] >= 0, zero exactly at the two
+    ends of edge i, and v ends edge v-1 and starts edge v (w likewise), so
+    t_{v-1}, t_v and rv_w - t_w move by 2s*E[w][v-1], 2s*E[w][v] and
+    2s*E[v][w] >= 0, and t_{w-1} - rv_{w-1} by -2s*E[v][w-1] <= 0.  The
+    bounds at v and w held when the walk took the label and only grow.
+    Every label has an exit: E[w][v-1] = 0 only for w = v-1, and then
+    v = w+1 does not end edge w-1, so E[v][w-1] > 0.  LEFT (a = v, p = w)
+    mirrors all of this."""
+    D = list(map(sub, rw, rv))
+    return D, [(e, c) for e, c in ((a, 0), (p, rv[p])) if D[e] != 0]
 
 
 def primary_cone(polygon: NicePolygon, v_index: int,

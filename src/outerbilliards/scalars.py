@@ -164,6 +164,18 @@ def ratio(num, den) -> Scalar:
     return QuadExt._make(QuadInt(r, s, num.d), den)
 
 
+def floor_div(num, den) -> int:
+    """floor(num / den) for ints or QuadInts, den != 0, without building the
+    quotient: a QuadInt den is cleared by its conjugate, as in `ratio`, and
+    floor(x / q) = floor(x) // q for an int q > 0."""
+    if type(den) is QuadInt:
+        r, s, d = den.r, den.s, den.d
+        num, den = num * QuadInt(r, -s, d), r * r - s * s * d
+    if den < 0:
+        num, den = -num, -den
+    return math.floor(num) // den
+
+
 class QuadExt:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 

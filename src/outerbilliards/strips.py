@@ -10,7 +10,6 @@ are reproducible even though only the cyclic order is geometrically forced.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -30,7 +29,7 @@ from .geometry import (
     slope_angle_cmp,
 )
 from .polygon import NicePolygon
-from .scalars import Scalar, ratio
+from .scalars import Scalar, floor_div
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def strip_jump(pair: PinwheelPair, p):
     a, b, c = pair.line.ints
     t = a * X + b * Y - c * L
     w = (a * VX + b * VY) * (L // q)
-    k = -(t // w) if type(t) is int and type(w) is int else -math.floor(ratio(t, w))
+    k = -floor_div(t, w)
     if k == 0:  # 0 <= t < w
         if t == 0:
             raise OnStripBoundaryError(point_of(p), stage=pair.index)

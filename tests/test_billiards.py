@@ -491,20 +491,24 @@ def test_lattice_parity_catches_dropped_rescale(monkeypatch):
 
 
 # the ψ walk against `oracles.fresh_offsets_step`, which evaluates every edge
-# offset afresh at each reflection, on 10^3-step prefixes
+# offset afresh at each reflection: 10^3-step prefixes, and 10^4-step ones
+# from far starts, where nearly every step is inside a long label run that
+# the walk takes in closed form
 
 
 def _walk_prefix(states, steps):
     """The first `steps` states of an iterator of ψ states, then the error
     (class, Point, stage) that ended it early; reprs, so that ints and
-    QuadInts must agree in type too."""
-    out = []
+    QuadInts must agree in type too.  Also returns the length of the last
+    label run among the states."""
+    out, run, last = [], 0, None
     try:
-        for _, state in zip(range(steps), states):
-            out.append(repr(state))
+        for _, (there, label) in zip(range(steps), states):
+            out.append(repr((there, label)))
+            run, last = (run + 1 if label == last else 1), label
     except MapUndefinedError as exc:
         out.append((type(exc).__name__, exc.point, getattr(exc, "stage", None)))
-    return out
+    return out, run
 
 
 def _oracle_states(poly, here, chirality):
@@ -513,12 +517,21 @@ def _oracle_states(poly, here, chirality):
         yield here, label
 
 
-def _wall_starts(poly, back):
-    """Starts whose orbit meets a wall mid-orbit: a point on an edge line
-    (a stage-1 wall) or one reflected through a vertex (stage 2), walked up
-    to `back` steps backwards by the oracle's mirrored rule."""
+# where the wall points sit on the edge lines, in edge lengths from each
+# edge's tail: a few edges out, on both sides of every edge, and about 2,000
+# out, on alternate sides, where a label run ends at the wall after tens to
+# hundreds of steps
+NEAR_WALLS = (Fraction(-22, 7), Fraction(33, 19))
+FAR_WALLS = (Fraction(-20000, 7), Fraction(30001, 19))
+
+
+def _wall_starts(poly, back, ts, both_sides):
+    """Starts whose orbit meets a wall mid-orbit: a point t along an edge
+    line, t in ts (or t = ts[i % 2] on edge i, where not both_sides), a
+    stage-1 wall, or one reflected through a vertex (stage 2), walked up to
+    `back` steps backwards by the oracle's mirrored rule."""
     walls = [v + (poly.vertex(i + 1) - v) * t for i, v in enumerate(poly.vertices)
-             for t in (Fraction(-22, 7), Fraction(33, 19))]
+             for t in (ts if both_sides else ts[i % 2:i % 2 + 1])]
     walls += [q.reflect_through(poly.vertex(i + 2)) for i, q in enumerate(walls)]
     for q in walls:
         for chirality, mirror in ((Chirality.RIGHT, Chirality.LEFT),
@@ -534,27 +547,41 @@ def _wall_starts(poly, back):
 
 
 def _assert_walk_matches_oracle(poly):
-    """Compare 10^3-step prefixes from near and far starts, and the prefixes
-    of wall, inside and boundary starts up to their error; returns the set
-    of endings seen, each error with whether a state came before it."""
+    """Compare 10^3-step prefixes from near and far starts, 10^4-step ones
+    from two far starts, and the prefixes of wall, inside and boundary
+    starts up to their error; returns the set of endings seen, each error with its
+    stage and whether a state came before it, and ("long run", stage) for
+    a wall met at the end of a label run of at least 50 steps."""
     extent = max(math.floor(abs(c)) for v in poly.vertices for c in (v.x, v.y)) + 1
     starts = [pt(r * extent * ux, r * extent * uy)
               for r, (ux, uy) in zip(RADII, DIRECTIONS)]
     starts += [Point(p.x + ROOT5 / 7, p.y) for p in starts[1::3]]
-    runs = [(poly.homogeneous(p), Chirality.RIGHT, 1000) for p in starts]
-    runs.append((poly.homogeneous(starts[0]), Chirality.LEFT, 1000))
+    # starts 3, 4 and 6 are 10^4 extents out: 4 forward and 3 backward go
+    # 10^4 steps
+    runs = [(poly.homogeneous(p), Chirality.RIGHT, 10 ** 4 if i == 4 else 1000)
+            for i, p in enumerate(starts)]
+    runs += [(poly.homogeneous(starts[0]), Chirality.LEFT, 1000),
+             (poly.homogeneous(starts[3]), Chirality.LEFT, 10 ** 4)]
     inside = pt(sum(v.x for v in poly.vertices) / poly.n,
                 sum(v.y for v in poly.vertices) / poly.n)
     runs += [(poly.homogeneous(p), chirality, 10)
              for p, chirality in ((inside, Chirality.RIGHT), (poly.vertex(0), Chirality.LEFT))]
-    runs += [(here, chirality, 10) for here, chirality in _wall_starts(poly, back=5)]
+    runs += [(here, chirality, 10)
+             for here, chirality in _wall_starts(poly, 5, NEAR_WALLS, True)]
+    runs += [(here, chirality, 102)
+             for here, chirality in _wall_starts(poly, 100, FAR_WALLS, False)]
     seen = set()
     for here, chirality, steps in runs:
-        got = _walk_prefix(billiards.psi_walk(poly, here, chirality), steps)
-        want = _walk_prefix(_oracle_states(poly, here, chirality), steps)
+        got, run = _walk_prefix(billiards.psi_walk(poly, here, chirality), steps)
+        want, _ = _walk_prefix(_oracle_states(poly, here, chirality), steps)
         assert got == want, ("walk differs from the oracle", here, chirality)
         end = got[-1]
-        seen.add(end[::2] + (len(got) > 1,) if isinstance(end, tuple) else "mapped")
+        if not isinstance(end, tuple):
+            seen.add("mapped")
+            continue
+        seen.add(end[::2] + (len(got) > 1,))
+        if run >= 50:
+            seen.add(("long run", end[2]))
     return seen
 
 
@@ -563,10 +590,32 @@ def test_psi_walk_matches_fresh_offsets_oracle(poly_key):
     """Every state of the walk, label and triple, and the error class, Point
     and stage of a wall hit equal those of the oracle, on near and far
     starts over both fields, both chiralities, starts that meet a stage-1 or
-    a stage-2 wall mid-orbit, and starts inside and on the polygon."""
+    a stage-2 wall mid-orbit, and starts inside and on the polygon; some
+    wall ends a label run of at least 50 steps, so a run taken in closed
+    form ends at a wall."""
     seen = _assert_walk_matches_oracle(corpus_polygon(poly_key))
     assert seen >= {"mapped", ("UndefinedOnWallError", 1, True),
                     ("UndefinedOnWallError", 2, True), ("InsidePolygonError", None, False)}
+    assert seen & {("long run", 1), ("long run", 2)}
+
+
+@pytest.mark.parametrize("mutant", [("range(k)", "range(k + 1)"),
+                                    ("range(k)", "range(k - 1)"),
+                                    ("ts = list(map(add, ts, D", "_ = list(map(add, ts, D")],
+                         ids=["run-too-long", "run-too-short", "offsets-not-moved"])
+def test_walk_parity_catches_wrong_label_runs(monkeypatch, mutant):
+    """Negative controls: a walk whose label runs yield one state too many
+    or too few, or that leaves the offsets where the run began, must fail
+    the parity test.  (A run cut short with its offsets moved to match would
+    be right, only slower: the walk would take the rest stepwise.)"""
+    source = textwrap.dedent(inspect.getsource(billiards.psi_walk))
+    old, new = mutant
+    assert source.count(old) == 1
+    namespace = dict(vars(billiards))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(billiards, "psi_walk", namespace["psi_walk"])
+    with pytest.raises(AssertionError, match="walk differs from the oracle"):
+        _assert_walk_matches_oracle(corpus_polygon("n7"))
 
 
 def test_walk_parity_catches_offsets_without_the_edge_constant():
@@ -621,6 +670,43 @@ def test_square_map_calls_tangent_vertex_once_per_reflection(monkeypatch):
         assert len(calls) == 2 * k
     inverse_square_map(PENTAGON, p)
     assert len(calls) == 12
+
+
+def test_far_orbit_calls_tangent_vertex_twice_per_label_run(monkeypatch):
+    """A 10^4-step ψ orbit of the triangle from (1000, 1/3), in 81 label
+    runs, steps through `tangent_vertex` once per run and takes the rest of
+    each run in closed form: at most 2 calls per run, plus 2 for the step
+    after the last one, where stepping every state would make 2 * 10^4."""
+    from outerbilliards.dynamics import orbit
+
+    calls = []
+    real = billiards.tangent_vertex
+    monkeypatch.setattr(billiards, "tangent_vertex",
+                        lambda *args: calls.append(args) or real(*args))
+    rec = orbit(BilliardModel(TRIANGLE), pt(1000, Fraction(1, 3)), "psi", 10 ** 4)
+    labels = [e.label for e in rec.events if e.tag == "translated"]
+    runs = 1 + sum(a != b for a, b in zip(labels, labels[1:]))
+    assert len(labels) == 10 ** 4 and runs < 100
+    assert len(calls) <= 2 * runs + 2
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_every_tile_has_an_exit_along_its_translation(poly_key):
+    """No label run is unbounded: every tile of both partitions has a side
+    that its translation crosses outwards, and the walk's run record for
+    the tile's label (`billiards._label_run`, on rows over L = den) has an
+    exit bound."""
+    m = BilliardModel(corpus_polygon(poly_key))
+    rows = [[2 * e for e in row] for row in m.polygon.vertex_offsets]
+    for part in (m.partition, m.backward_partition):
+        first = -1 if part.chirality is Chirality.RIGHT else 0
+        for tile in part.tiles:
+            d = tile.translation
+            assert any(sign(a * d.x + b * d.y) < 0
+                       for a, b, _, _ in (h.normalized() for h in tile.region.constraints))
+            v, w = tile.label
+            _, exits = billiards._label_run(rows[v], rows[w], v + first, w + first)
+            assert 1 <= len(exits) <= 2, (part.chirality, tile.label)
 
 
 def test_psi_step_reads_each_irrational_offset_sign_once(monkeypatch):

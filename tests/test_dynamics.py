@@ -1,6 +1,7 @@
 """Pinwheel dynamics: steps, section, returns, orbits."""
 
 import dataclasses
+import hashlib
 import inspect
 import textwrap
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from oracles import point_route_theorem_step
 from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
 from outerbilliards import dynamics, strips
-from outerbilliards.billiards import square_map
+from outerbilliards.billiards import psi_walk, square_map
 from outerbilliards.dynamics import (
     IndexedPoint,
     exit_map,
@@ -515,6 +516,46 @@ def test_orbit_golden_event_log(case):
     got = [(e.step, str(e.point.x), str(e.point.y), e.index, e.label, e.tag)
            for e in rec.events]
     assert got == want
+
+
+# Truncated sha256 of `far_orbit_text`: 5000-step ψ orbits whose steps are
+# almost all inside label runs, recorded with the stepwise walk, before runs
+# went in closed form.  (polygon, start, wall stage or None, digest); each
+# wall start meets its wall at step 121, at the end of a run of 72 (stage 1)
+# or 120 (stage 2) steps.
+FAR_ORBIT_GOLDEN = {
+    "triangle": ("triangle", pt(1000, Fraction(1, 3)), None, "4f6e5910930025cf"),
+    "n7": ("n7", pt(180013, Fraction(-52001, 3)), None, "e2c786e69b2ec5d0"),
+    "n12": ("n12", pt(Fraction(-61001, 7), 200003), None, "0a48284b6aafabf2"),
+    "sqrt5_kite": ("sqrt5_kite", Point(ROOT5 / 7 + 30011, Fraction(-10007, 3)), None,
+                   "7508d20f64744965"),
+    "penrose_kite": ("penrose_kite", pt(-30007, Fraction(10001, 7)), None, "cc85f9287a72ad38"),
+    "wall-stage1": ("n7", pt(Fraction(-76620, 49), Fraction(-190591, 49)), 1, "3bca0d8f546e4a5e"),
+    "wall-stage2": ("triangle", pt(Fraction(7096, 7), Fraction(960, 7)), 2, "36ea95e734fdb399"),
+}
+
+
+def far_orbit_text(poly_key, start) -> str:
+    rec = orbit(BilliardModel(corpus_polygon(poly_key)), start, "psi", 5000)
+    return "\n".join(f"{e.step} {e.tag} {e.label} {e.point.x} {e.point.y}"
+                     for e in rec.events)
+
+
+@pytest.mark.parametrize("case", sorted(FAR_ORBIT_GOLDEN))
+def test_far_orbit_golden_digest(case):
+    poly_key, start, stage, digest = FAR_ORBIT_GOLDEN[case]
+    text = far_orbit_text(poly_key, start)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    if stage is None:
+        assert text.count("translated") == 5000
+        return
+    poly = corpus_polygon(poly_key)
+    with pytest.raises(UndefinedOnWallError) as hit:
+        for _ in psi_walk(poly, poly.homogeneous(start)):
+            pass
+    assert hit.value.stage == stage
+    wall = hit.value.point
+    assert text.endswith(f"undefined None {wall.x} {wall.y}")
 
 
 def test_orbit_golden_covers_every_selector_and_end_tag():

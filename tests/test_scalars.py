@@ -11,8 +11,10 @@ from outerbilliards.rng import Rng
 from outerbilliards.scalars import (
     QuadExt,
     QuadInt,
+    floor_div,
     is_squarefree,
     quadext,
+    ratio,
     scalar_from_json,
     scalar_to_json,
     sign,
@@ -135,6 +137,24 @@ def test_floor_is_exact():
         f = math.floor(x)
         assert type(f) is int and f <= x < f + 1, x
     assert math.floor(QuadInt(4, -2, 5)) == -1  # 4 - 2 sqrt 5 = -0.47
+
+
+def test_floor_div_is_the_floor_of_the_quotient():
+    """floor_div(num, den) on ints and QuadInts, either sign of den, equals
+    floor of the `ratio` quotient, and is an int."""
+    rng = Rng(7).split(2)
+    values = [0, 1, -1, 7, -7, QuadInt(4, -2, 5), QuadInt(-4, 2, 5), QuadInt(0, 3, 5)]
+    for i in range(40):
+        x = rand_scalar(rng, i)
+        num, den = x.as_integer_ratio()
+        values += [num, num * den]
+    for num in values:
+        for den in values[1:]:
+            if den == 0:
+                continue
+            q = floor_div(num, den)
+            x = ratio(num, den)
+            assert type(q) is int and q <= x < q + 1, (num, den)
 
 
 def test_mixed_rational_quadext_arithmetic():
