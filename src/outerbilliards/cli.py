@@ -185,11 +185,8 @@ def cmd_orbit(args) -> int:
     if escape is not None and escape < 0:
         return _fail(f"--escape must be >= 0, got {args.escape}")
     try:
-        if selector in ("psi_star", "strip_return"):
-            start = section(model, p)
-            rec = orbit(model, start, selector, args.steps, escape)
-        else:
-            rec = orbit(model, p, selector, args.steps, escape)
+        start = section(model, p) if selector in ("psi_star", "strip_return") else p
+        rec = orbit(model, start, selector, args.steps, escape)
     except MapUndefinedError as exc:
         _emit({"schema": "orbit/1", "error": str(exc)})
         return EXIT_UNDEFINED

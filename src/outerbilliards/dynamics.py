@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .billiards import psi_walk
 from .errors import BudgetExceededError, MapUndefinedError
@@ -29,9 +29,6 @@ class IndexedPoint:
 
     point: Point
     index: int
-
-    def reduce(self, n: int) -> "IndexedPoint":
-        return IndexedPoint(self.point, self.index % n)
 
 
 def pinwheel_walk(system: PinwheelSystem, here, index: int) -> Iterator[Tuple]:
@@ -150,8 +147,7 @@ def far_radius(model: BilliardModel, factor: int = 8) -> Scalar:
 # orbit iteration with event logging
 
 
-@dataclass(frozen=True)
-class OrbitEvent:
+class OrbitEvent(NamedTuple):
     step: int
     point: Point
     index: Optional[int]
@@ -175,62 +171,67 @@ class OrbitRecord:
 ORBIT_SELECTORS = ("psi", "psi_star", "exit", "strip_return", "first_return")
 
 
+def _until_beyond(walk, esc_sq):
+    """The walk's states up to its first one beyond radius sqrt(esc_sq), included."""
+    for state in walk:
+        yield state
+        if norm2_sq(point_of(state[0])) > esc_sq:
+            return
+
+
 def orbit(model: BilliardModel, start, selector: str, budget: int,
           escape_radius=None) -> OrbitRecord:
     """Iterate the selected map with a full event log.
 
     `start` is a Point for the plane maps (psi, exit, first_return) and an
     IndexedPoint for psi_star / strip_return.  Iteration stops at the budget,
-    on an undefined point (recorded, not raised), or beyond escape_radius.
+    on an undefined point (recorded, not raised), or beyond escape_radius;
+    the closing event repeats the last state's point and index.  psi and
+    psi_star each loop once over one walk on the start's lattice triple: a
+    state costs its step, one `point_of` and one appended event.
     """
     if selector not in ORBIT_SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     rec = OrbitRecord(selector=selector)
+    log = rec.events.append
     esc_sq = None if escape_radius is None else escape_radius * escape_radius
     indexed = selector in ("psi_star", "strip_return")
-    x = start.reduce(model.n) if indexed else start
-    walk = None  # psi and psi_star iterate one walk on the start's lattice triple
-    if selector == "psi":
-        walk = psi_walk(model.polygon, model.polygon.homogeneous(x))
-    elif selector == "psi_star":
-        walk = pinwheel_walk(model.system, model.polygon.homogeneous(x.point), x.index)
-
-    def log(step, label=None, tag="translated"):
-        point, index = (x.point, x.index) if indexed else (x, None)
-        rec.events.append(OrbitEvent(step, point, index, label, tag))
-
-    def advance(remaining):
-        """(next state, steps used, label, tag) of one application."""
+    point, index = (start.point, start.index % model.n) if indexed else (start, None)
+    log(OrbitEvent(0, point, index, None, "start" if budget else "budget-exhausted"))
+    if not budget:
+        return rec
+    if selector in ("psi", "psi_star"):
+        here = model.polygon.homogeneous(point)
+        walk = (psi_walk(model.polygon, here) if selector == "psi"
+                else pinwheel_walk(model.system, here, index))
+        states = zip(range(1, budget + 1),
+                     walk if esc_sq is None else _until_beyond(walk, esc_sq))
+    try:
         if selector == "psi":
-            q, label = next(walk)
-            return point_of(q), 1, label, "translated"
-        if selector == "psi_star":
-            q, index = next(walk)
-            return IndexedPoint(point_of(q), index), 1, None, (
-                "index-shifted" if index != x.index else "translated")
-        if selector == "strip_return":
-            nxt, used = strip_system_return(model.system, x, budget=remaining)
-        elif selector == "exit":
-            nxt, used = exit_map(model, x, budget=remaining)
+            for step, (q, label) in states:
+                log(OrbitEvent(step, point_of(q), None, label, "translated"))
+        elif selector == "psi_star":
+            for step, (q, i) in states:
+                log(OrbitEvent(step, point_of(q), i, None,
+                               "translated" if i == index else "index-shifted"))
+                index = i
         else:
-            nxt, used = first_return_psi(model, x, budget=remaining)
-        return nxt, used, None, "returned"
-
-    log(0, tag="budget-exhausted" if budget == 0 else "start")
-    steps = 0
-    while steps < budget:
-        try:
-            x, used, label, tag = advance(budget - steps)
-        except (BudgetExceededError, MapUndefinedError) as exc:
-            log(steps + 1, tag=("budget-exhausted"
-                                if isinstance(exc, BudgetExceededError)
-                                else "undefined"))
-            return rec
-        steps += used
-        log(steps, label, tag)
-        if esc_sq is not None and norm2_sq(x.point if indexed else x) > esc_sq:
-            log(steps, tag="escaped")
-            return rec
-    if rec.final.tag != "budget-exhausted":
-        log(steps, tag="budget-exhausted")
+            x, steps = start, 0  # strip_system_return reduces the index itself
+            while steps < budget:
+                if indexed:
+                    x, used = strip_system_return(model.system, x, budget - steps)
+                    point, index = x.point, x.index
+                else:
+                    returns = exit_map if selector == "exit" else first_return_psi
+                    point, used = returns(model, point, budget - steps)
+                steps += used
+                log(OrbitEvent(steps, point, index, None, "returned"))
+                if esc_sq is not None and norm2_sq(point) > esc_sq:
+                    break
+    except (BudgetExceededError, MapUndefinedError) as exc:
+        tag = "budget-exhausted" if isinstance(exc, BudgetExceededError) else "undefined"
+        log(rec.final._replace(step=rec.final.step + 1, label=None, tag=tag))
+        return rec
+    escaped = esc_sq is not None and norm2_sq(rec.final.point) > esc_sq
+    log(rec.final._replace(label=None, tag="escaped" if escaped else "budget-exhausted"))
     return rec

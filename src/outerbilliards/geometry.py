@@ -127,9 +127,11 @@ def homogeneous(p: Point, den: int = 1) -> tuple:
 
 
 def point_of(p) -> Point:
-    """The lattice triple p = (X, Y, L), L > 0, divided out to (X/L, Y/L)."""
+    """The lattice triple p = (X, Y, L), L a positive int, divided out to
+    (X/L, Y/L): by `Fraction` where X and Y are ints, else by `ratio`."""
     X, Y, L = p
-    return Point(ratio(X, L), ratio(Y, L))
+    div = Fraction if type(X) is type(Y) is int else ratio
+    return Point(div(X, L), div(Y, L))
 
 
 def barycentric_triples(den: int, cycle, count: int, seed: int):

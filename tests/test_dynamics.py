@@ -14,6 +14,7 @@ from outerbilliards import dynamics, strips
 from outerbilliards.billiards import psi_walk, square_map
 from outerbilliards.dynamics import (
     IndexedPoint,
+    OrbitEvent,
     exit_map,
     far_radius,
     first_return_psi,
@@ -378,6 +379,87 @@ def test_psi_star_orbit_converts_the_start_once(monkeypatch):
     assert len(calls) == 1
     assert [IndexedPoint(e.point, e.index) for e in rec.events[:201]] == expect
     assert rec.final.tag == "budget-exhausted"
+
+
+def _square_map_states(polygon, p, steps):
+    """(step, point, label) of the start and `steps` iterated `square_map`s."""
+    states = [(0, p, None)]
+    for k in range(1, steps + 1):
+        p, label = square_map(polygon, p)
+        states.append((k, p, label))
+    return states
+
+
+@pytest.mark.parametrize("poly_key, start", [
+    ("n7", pt(70, Fraction(-17, 5))),
+    ("n7", pt(180013, Fraction(-52001, 3))),
+    ("penrose_kite", Point(ROOT5 / 7 + 3, Fraction(1, 3))),
+    ("penrose_kite", pt(-30007, Fraction(10001, 7))),
+])
+def test_psi_orbit_converts_the_start_once(monkeypatch, poly_key, start):
+    """A psi orbit iterates one ψ walk on the start's lattice triple: 200
+    steps take one `NicePolygon.homogeneous` call and log each state of 200
+    iterated `square_map`s once, in order and with its label, near and far
+    out; `budget-exhausted` repeats the last state, not the start."""
+    m = BilliardModel(corpus_polygon(poly_key))
+    expect = _square_map_states(m.polygon, start, 200)
+    calls = []
+    real = NicePolygon.homogeneous
+    monkeypatch.setattr(NicePolygon, "homogeneous",
+                        lambda poly, p: calls.append(p) or real(poly, p))
+    rec = orbit(m, start, "psi", budget=200)
+    assert len(calls) == 1
+    assert [(e.step, e.point, e.label) for e in rec.events[:-1]] == expect
+    assert [e.tag for e in rec.events] == ["start"] + ["translated"] * 200 + ["budget-exhausted"]
+    assert rec.final == OrbitEvent(200, expect[-1][1], None, None, "budget-exhausted")
+
+
+# Starts of `FAR_ORBIT_GOLDEN` that meet a wall at step 121, and the last
+# state before it, as the stepwise `orbit` loop recorded them.
+@pytest.mark.parametrize("poly_key, start, last", [
+    ("n7", pt(Fraction(-76620, 49), Fraction(-190591, 49)),
+     pt(Fraction(208042, 49), Fraction(-152735, 49))),
+    ("triangle", pt(Fraction(7096, 7), Fraction(960, 7)), pt(Fraction(2056, 7), Fraction(6000, 7))),
+])
+def test_psi_orbit_ends_undefined_at_a_mid_orbit_wall(poly_key, start, last):
+    m = BilliardModel(corpus_polygon(poly_key))
+    rec = orbit(m, start, "psi", budget=200)
+    expect = _square_map_states(m.polygon, start, 120)
+    assert [(e.step, e.point, e.label) for e in rec.events[:-1]] == expect
+    assert expect[-1][1] == last
+    assert rec.final == OrbitEvent(121, last, None, None, "undefined")
+
+
+def test_orbit_event_contract():
+    """`OrbitEvent` keeps its five fields in order, refuses assignment and
+    prints as recorded when it was a frozen dataclass, over Q and Q(sqrt 5);
+    `points()` and `final` read the event log."""
+    fields = ("step", "point", "index", "label", "tag")
+    assert tuple(inspect.signature(OrbitEvent).parameters) == fields
+    m = BilliardModel(TRIANGLE)
+    rec = orbit(m, pt(8, -2), "psi", 6)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec.events[1], name, None)
+    assert repr(rec.events[1]) == (
+        "OrbitEvent(step=1, point=Point(x=Fraction(10, 1), y=Fraction(4, 1)), "
+        "index=None, label=(0, 1), tag='translated')")
+    assert rec.points() == [pt(8, -2), pt(10, 4), pt(4, 10), pt(-4, 10), pt(-12, 10),
+                            pt(-14, 4), pt(-8, -2), pt(-8, -2)]
+    assert rec.final is rec.events[-1] and rec.final.tag == "budget-exhausted"
+    star = orbit(m, section(m, pt(8, -2)), "psi_star", 3)
+    assert repr(star.events[2]) == (
+        "OrbitEvent(step=2, point=Point(x=Fraction(10, 1), y=Fraction(4, 1)), "
+        "index=0, label=None, tag='index-shifted')")
+    kite = BilliardModel(corpus_polygon("sqrt5_kite"))
+    start = Point(ROOT5 / 7 + 30011, Fraction(-10007, 3))
+    rec = orbit(kite, start, "psi", 3)
+    assert repr(rec.events[2]) == (
+        "OrbitEvent(step=2, point=Point(x=QuadExt(Fraction(30011, 1), Fraction(1, 7), 5), "
+        "y=Fraction(-9983, 3)), index=None, label=(3, 1), tag='translated')")
+    assert rec.points() == [Point(start.x, Fraction(y, 3)) for y in (-10007, -9995, -9983, -9971)] + [
+        Point(start.x, Fraction(-9971, 3))]
+    assert rec.final == OrbitEvent(3, Point(start.x, Fraction(-9971, 3)), None, None, "budget-exhausted")
 
 
 def test_far_radius_scales_with_polygon():

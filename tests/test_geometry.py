@@ -1,6 +1,7 @@
 """Geometry kernel tests: lines, half-planes, convex regions, sampling."""
 
 import inspect
+import math
 import textwrap
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from outerbilliards.geometry import (
 )
 from outerbilliards.model import BilliardModel
 from outerbilliards.rng import Rng
-from outerbilliards.scalars import QuadExt, quadext, sign
+from outerbilliards.scalars import QuadExt, QuadInt, quadext, ratio, sign
 
 # a closed sense and its strict counterpart
 STRICT = {Sense.GE: Sense.GT, Sense.LE: Sense.LT}
@@ -130,6 +131,27 @@ def test_homogeneous_is_the_least_lattice_triple(p, den):
         while rest % q == 0:
             rest //= q
     assert point_of((X, Y, L)) == p
+
+
+@pytest.mark.parametrize("triple, want", [
+    ((6, -9, 12), (Fraction(1, 2), Fraction(-3, 4))),  # a common factor
+    ((-35, 14, 21), (Fraction(-5, 3), Fraction(2, 3))),  # negative X
+    ((QuadInt(4, 0, 5), QuadInt(-6, 0, 5), 8), (Fraction(1, 2), Fraction(-3, 4))),
+    ((10, QuadInt(6, -4, 5), 4), (Fraction(5, 2), QuadExt(Fraction(3, 2), -1, 5))),
+    ((QuadInt(-9, 3, 5), -4, 6), (QuadExt(Fraction(-3, 2), Fraction(1, 2), 5), Fraction(-2, 3))),
+])
+def test_point_of_divides_out_in_lowest_terms(triple, want):
+    """`point_of` agrees with `ratio` per coordinate on int, QuadInt and mixed
+    triples: a QuadInt with no sqrt part comes out a Fraction, and every
+    numerator is prime to its positive denominator."""
+    X, Y, L = triple
+    got = point_of(triple)
+    assert got == Point(ratio(X, L), ratio(Y, L)) == Point(*want)
+    for value, expected in zip((got.x, got.y), want):
+        assert type(value) is type(expected)
+        num, den = value.as_integer_ratio()
+        parts = (num.r, num.s) if type(num) is QuadInt else (num,)
+        assert den > 0 and math.gcd(*parts, den) == 1
 
 
 def test_side_oracle_catches_dropped_radical_part(monkeypatch):
