@@ -71,8 +71,6 @@ from .strips import (
     PinwheelPair,
     PinwheelSystem,
     build_pinwheel_system,
-    compose_strip_maps,
-    sigma_range,
     strip_jump,
     strip_map,
 )

@@ -172,10 +172,14 @@ ORBIT_SELECTORS = ("psi", "psi_star", "exit", "strip_return", "first_return")
 
 
 def _until_beyond(walk, esc_sq):
-    """The walk's states up to its first one beyond radius sqrt(esc_sq), included."""
+    """The walk's states up to its first one beyond radius sqrt(esc_sq) =
+    sqrt(p/q), included: (X, Y, L) with q*(X^2 + Y^2) - p*L^2 > 0."""
+    p, q = esc_sq.as_integer_ratio()
     for state in walk:
         yield state
-        if norm2_sq(point_of(state[0])) > esc_sq:
+        X, Y, L = state[0]
+        t = q * (X * X + Y * Y) - p * L * L
+        if (t > 0 if type(t) is int else t.sign() > 0):
             return
 
 

@@ -1,19 +1,20 @@
 """Exact planar geometry: points, lines, half-planes and convex regions.
 
 Everything here works over an ordered field (Fraction or QuadExt coordinates)
-with exact sign tests.  Convex regions are stored as canonicalized half-plane
-intersections.  One kernel pass, run once per region, clips each constraint's
-line by all the other constraints (a one-dimensional interval, exact, no
-floating point); from these edge intervals it reads emptiness, the
-non-redundant constraints, the clockwise vertex cycle and the rays that
-generate the recession cone.  The pass computes on each line's integer form
-(ints, or `QuadInt`s over Q(sqrt d), read off `as_integer_ratio()`): an
-interval end is a (num, den) pair compared by cross-multiplication, and the
-clipping builds a scalar (`ratio`) only for a vertex.  A region is bounded
-exactly when it has no rays (with interior: when its vertex cycle closes),
-and `recession_direction` reads the rays.
+with exact sign tests.  A line is one integer form (A, B, C) (ints, or
+`QuadInt`s over Q(sqrt d)) over one positive int scale s; identity and order
+read its primitive normal form (`scalars.primitive`), with no division.
+Convex regions are stored as canonicalized half-plane intersections.  One
+kernel pass, run once per region, clips each constraint's line by all the
+other constraints (a one-dimensional interval, exact); from these edge
+intervals it reads emptiness, the non-redundant constraints, the clockwise
+vertex cycle and the rays that generate the recession cone.  The pass
+computes on the integer forms: an interval end is a (num, den) pair compared
+by cross-multiplication, and a vertex is a lattice triple in lowest terms.
+A region is bounded exactly when it has no rays (with interior: when its
+vertex cycle closes), and `recession_direction` reads the rays.
 Translations and point reflections move a canonical region, rays included,
-without running the pass again.
+without running the pass again, on integers.
 
 Frame convention: y axis up, polygon vertex lists clockwise, "right of a ray"
 means the negative cross-product side.
@@ -27,16 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import EmptyRegionError, UnboundedRegionError
+from .errors import EmptyRegionError
 from .rng import Rng
-from .scalars import Scalar, ScalarLike, as_scalar, ratio, sign, sort_key
+from .scalars import Scalar, ScalarLike, as_scalar, int_parts, primitive, ratio, sign
 
 
 # ---------------------------------------------------------------------------
 # points and vectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec:
     x: Scalar
     y: Scalar
@@ -65,7 +66,7 @@ class Vec:
         return self.x == 0 and self.y == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     x: Scalar
     y: Scalar
@@ -162,8 +163,7 @@ def direction_ccw_cmp(u: Vec, v: Vec) -> int:
     hv = 0 if (sign(v.y) > 0 or (v.y == 0 and sign(v.x) > 0)) else 1
     if hu != hv:
         return -1 if hu < hv else 1
-    c = sign(u.cross(v))
-    return -c
+    return -sign(u.cross(v))
 
 
 def slope_angle_cmp(u: Vec, v: Vec) -> int:
@@ -184,45 +184,49 @@ def slope_angle_cmp(u: Vec, v: Vec) -> int:
 class Line:
     """The line a*x + b*y = c, with (a, b) != (0, 0).
 
-    Coefficients are stored exactly as given (so signed offsets keep the
-    caller's scale); equality and hashing use a canonical rescaling, making
-    wall-coincidence tests structural.  Construction also keeps an integer
-    form, `ints`: (a, b, c) times the positive lcm of their denominators
-    (ints, or QuadInts where a coefficient has a sqrt(d) part), from which
-    every point-versus-line predicate is decided on a point's lattice triple
-    (`homogeneous`): by `side`, and for polygon edges by
-    `NicePolygon.edge_offsets`.
+    One representation: the integer form `ints` = (A, B, C) (ints, or
+    QuadInts) over a positive int scale `s` prime to their content, with
+    a = A/s, b = B/s, c = C/s as given (signed offsets keep that scale).
+    Every point-versus-line predicate reads it at a point's lattice triple.
+    Equality and hashing use the primitive form of (A, B, C), sign fixed by
+    the leading entry, so wall-coincidence tests are structural.
     """
 
-    __slots__ = ("a", "b", "c", "_key", "ints")
+    __slots__ = ("ints", "s")
 
     def __init__(self, a: ScalarLike, b: ScalarLike, c: ScalarLike):
-        a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
-        if a == 0 and b == 0:
-            raise ValueError("line requires (a, b) != (0, 0)")
-        lead = a if a != 0 else b
-        self._fill(a, b, c, (a / lead, b / lead, c / lead))
+        A, B, C, s = integer_form(a, b, c, 1)  # s is the form of the constant 1
+        if (A == 0 and B == 0) or len({x.d for x in (A, B, C) if type(x) is not int}) > 1:
+            raise ValueError("a line requires (a, b) != (0, 0) and one radicand")
+        object.__setattr__(self, "ints", (A, B, C))
+        object.__setattr__(self, "s", s)
 
-    def _fill(self, a, b, c, key):
-        ints = integer_form(a, b, c)
-        for name, value in (("a", a), ("b", b), ("c", c), ("_key", key), ("ints", ints)):
-            object.__setattr__(self, name, value)
-
-    def _with_c(self, c: Scalar) -> "Line":
-        """The line a*x + b*y = c of this direction: a moved line keeps
-        (a, b), so the first two `_key` entries carry over and only c is
-        divided by the leading coefficient."""
-        a, b = self.a, self.b
+    @staticmethod
+    def of_ints(A, B, C, s: int = 1) -> "Line":
+        """The line (A/s)*x + (B/s)*y = C/s; s is prime to the form's content."""
         line = object.__new__(Line)
-        line._fill(a, b, c, self._key[:2] + (c / (a if a != 0 else b),))
+        object.__setattr__(line, "ints", (A, B, C))
+        object.__setattr__(line, "s", s)
         return line
+
+    def _moved(self, C, L: int) -> "Line":
+        """The line (A*L)*x + (B*L)*y = C over the scale s*L, reduced."""
+        A, B, _ = self.ints
+        s, A, B, C = primitive(self.s * L, A * L, B * L, C)
+        return Line.of_ints(A, B, C, s)
 
     def __setattr__(self, name, value):
         raise AttributeError("Line is immutable")
 
+    a = property(lambda self: ratio(self.ints[0], self.s))
+    b = property(lambda self: ratio(self.ints[1], self.s))
+    c = property(lambda self: ratio(self.ints[2], self.s))
+
     def signed_offset(self, p: Point) -> Scalar:
         """a*p.x + b*p.y - c; zero exactly when p lies on the line."""
-        return self.a * p.x + self.b * p.y - self.c
+        X, Y, L = homogeneous(p)
+        A, B, C = self.ints
+        return ratio(A * X + B * Y - C * L, self.s * L)
 
     def side(self, p) -> int:
         """The exact sign of the signed offset of the point with lattice
@@ -243,13 +247,18 @@ class Line:
 
     def parallel_offset(self, delta: ScalarLike) -> "Line":
         """The parallel line whose signed offsets are shifted down by delta."""
-        return self._with_c(self.c + delta)
+        n, q = delta.as_integer_ratio()
+        return self._moved(self.ints[2] * q + n * self.s, q)
+
+    def _normal(self) -> tuple:
+        A, B, C = primitive(*self.ints)
+        return (-A, -B, -C) if (A if A != 0 else B) < 0 else (A, B, C)
 
     def __eq__(self, other):
-        return isinstance(other, Line) and self._key == other._key
+        return isinstance(other, Line) and self._normal() == other._normal()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._normal())
 
     def __repr__(self):
         return f"Line({self.a}, {self.b}, {self.c})"
@@ -283,21 +292,8 @@ class HalfPlane:
 
     def contains(self, p) -> bool:
         """Whether the point with lattice triple p satisfies the constraint."""
-        s = self.line.side(p)
-        if self.sense is Sense.GE:
-            return s >= 0
-        if self.sense is Sense.GT:
-            return s > 0
-        if self.sense is Sense.LE:
-            return s <= 0
-        return s < 0
-
-    def normalized(self) -> Tuple[Scalar, Scalar, Scalar, bool]:
-        """Rewrite as (a, b, c, strict) meaning a*x + b*y >= c (or > c)."""
-        a, b, c = self.line.a, self.line.b, self.line.c
-        if self.sense.upper:
-            a, b, c = -a, -b, -c
-        return a, b, c, self.sense.strict
+        s = -self.line.side(p) if self.sense.upper else self.line.side(p)
+        return s > 0 or (s == 0 and not self.sense.strict)
 
 
 def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> HalfPlane:
@@ -310,10 +306,8 @@ def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> Hal
 
 def _form(h: HalfPlane):
     """h as (a, b, c, strict), meaning a*x + b*y >= c (> c when strict): its
-    line's integer form, negated for an upper sense: ints, and QuadInts for
-    entries with a sqrt(d) part.  The form is a positive multiple of
-    `h.normalized()`, and every value the kernel reads off it is invariant
-    under that scale."""
+    line's integer form, negated for an upper sense.  Every value the kernel
+    reads off it is invariant under a positive scale."""
     a, b, c = h.line.ints
     if h.sense.upper:
         return -a, -b, -c, h.sense.strict
@@ -411,27 +405,36 @@ def _line_clip(forms, i):
     return lo, up, opposite
 
 
-def _on_line(form, bound) -> Point:
-    """The point at t = num/den on the line of form, t as in `_line_clip`."""
+def _lowest(X, Y, L) -> tuple:
+    """(X/L, Y/L), L > 0, as its one lattice triple in lowest terms: int L > 0, content 1."""
+    L, X, Y = primitive(L, X, Y)
+    return X, Y, L
+
+
+def _on_line(form, bound) -> tuple:
+    """The point at t = num/den on the line of form (t as in `_line_clip`), as `_lowest`."""
     a, b, c, _ = form
     num, den, _ = bound
-    q = (a * a + b * b) * den
-    return Point(ratio(a * c * den - b * num, q), ratio(b * c * den + a * num, q))
+    return _lowest(a * c * den - b * num, b * c * den + a * num, (a * a + b * b) * den)
 
 
-def point_key(p: Point):
-    return (sort_key(p.x), sort_key(p.y))
+def _point_keys(triples) -> list:
+    """Int keys that order lattice triples' points lexicographically, each
+    coordinate by its (rational part, sqrt(d) part)."""
+    P = math.lcm(*(L for _, _, L in triples))
+    return [int_parts(X * (P // L)) + int_parts(Y * (P // L)) for X, Y, L in triples]
 
 
-def _from_min(cycle) -> Tuple[Point, ...]:
-    """The cycle rotated to start at its lexicographically smallest point."""
-    k = min(range(len(cycle)), key=lambda i: point_key(cycle[i]), default=0)
+def _from_min(cycle) -> tuple:
+    """The cycle of triples rotated to start at its lexicographically least point."""
+    keys = _point_keys(cycle)
+    k = min(range(len(cycle)), key=keys.__getitem__, default=0)
     return tuple(cycle[k:] + cycle[:k])
 
 
 def _canonical(hps, forms) -> "ConvexRegion":
-    """Canonical region of merged half-planes in `_hp_key` order, given
-    with their `_form`s.
+    """Canonical region of merged half-planes in canonical order
+    (`_in_order`), given with their `_form`s.
 
     A closure with interior keeps the constraints whose line clip has
     positive length (its edges; increasing t walks them clockwise) and, at a
@@ -439,7 +442,7 @@ def _canonical(hps, forms) -> "ConvexRegion":
     only that vertex.  A closure inside a line keeps every constraint tight
     somewhere on it.  The rays generating the closure's recession cone are
     read off the same clips: an edge whose clip runs off to t = -inf (+inf)
-    gives the ray (b, -a) ((-b, a)).
+    gives the ray (b, -a) ((-b, a)).  Vertices are lattice triples (`_on_line`).
     """
     spans = [_line_clip(forms, i) for i in range(len(forms))]
     tight = [i for i, s in enumerate(spans) if s is not None]
@@ -450,7 +453,7 @@ def _canonical(hps, forms) -> "ConvexRegion":
         if not any(not hps[i].sense.strict and spans[i][2] is not True
                    and _open_nonempty(*spans[i][:2]) for i in tight):
             return EMPTY_REGION
-        ends = {_on_line(forms[i], t) for i in tight for t in spans[i][:2] if t}
+        ends = list({_on_line(forms[i], t) for i in tight for t in spans[i][:2] if t})
         rays = []
         for i in tight:
             if spans[i][2] is not None:  # the closure is this line's clip
@@ -458,7 +461,8 @@ def _canonical(hps, forms) -> "ConvexRegion":
                 rays = [(b, -a)] * (lo is None) + [(-b, a)] * (up is None)
                 break
         return ConvexRegion(tuple(hps[i] for i in tight), False,
-                            tuple(sorted(ends, key=point_key)), False, tuple(rays))
+                            tuple(t for _, t in sorted(zip(_point_keys(ends), ends))), False,
+                            tuple(rays))
     first, starts = edges[0], {}  # walk from the edge that comes in from infinity, if any
     for i in edges:
         if spans[i][0] is None:
@@ -481,8 +485,7 @@ def _canonical(hps, forms) -> "ConvexRegion":
         rays = [(b, -a), (-be, ae)] + [(a, b)] * (len(edges) == 1)
     touching = {_on_line(forms[i], spans[i][0]): i for i in tight
                 if i not in edges and hps[i].sense.strict}
-    kept = edges + [i for p, i in touching.items()
-                    if all(hps[e].contains(t) for t in [homogeneous(p)] for e in edges)]
+    kept = edges + [i for t, i in touching.items() if all(hps[e].contains(t) for e in edges)]
     return ConvexRegion(tuple(hps[i] for i in sorted(kept)), False, _from_min(cycle), True,
                         tuple(rays))
 
@@ -497,15 +500,13 @@ class Location(enum.Enum):
     OUTSIDE = "outside"
 
 
-def _hp_key(h: HalfPlane):
-    """The key that orders a region's constraints and identifies a region:
-    `h.normalized()` over its leading |coefficient|, each entry as its
-    `sort_key` pair, then the strict flag.  That is the line's
-    `_key`, negated when the sense is upper XOR the leading coefficient is
-    negative."""
-    line = h.line
-    neg = h.sense.upper != ((line.a if line.a != 0 else line.b) < 0)
-    return tuple(sort_key(-x if neg else x) for x in line._key) + (h.sense.strict,)
+def _in_order(by_form: dict) -> list:
+    """The values of `by_form`, keyed by primitive forms, in canonical order: each
+    form over its |leading entry|, entry by entry as (rational part, sqrt(d) part)."""
+    P = math.lcm(*(abs(A if A != 0 else B) for A, B, _ in by_form))  # all over P, as ints
+    keys = {(A, B, C): ((A > 0) - (A < 0),) + int_parts(B * m) + int_parts(C * m)
+            for A, B, C in by_form for m in [P // abs(A if A != 0 else B)]}
+    return [by_form[form] for form in sorted(by_form, key=keys.__getitem__)]
 
 
 class ConvexRegion:
@@ -515,15 +516,15 @@ class ConvexRegion:
     the canonical empty region, redundant constraints removed (see
     `_canonical`), constraints in a fixed order.  Equality of
     full-dimensional (or empty) regions is then structural.  The same pass
-    finds, once, the vertices of the closure and the rays (pairs of kernel
-    integers) that generate its recession cone: none exactly when the region
-    is bounded.
+    finds, once, the vertices of the closure (lattice triples) and the rays
+    (pairs of kernel integers) that generate its recession cone: none
+    exactly when the region is bounded.
     """
 
     __slots__ = ("constraints", "is_empty", "_sides", "_vertices", "_interior", "_rays")
 
     def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool,
-                 vertices: Tuple[Point, ...] = (), interior: bool = True, rays: tuple = ()):
+                 vertices: tuple = (), interior: bool = True, rays: tuple = ()):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "is_empty", is_empty)
         # (line, orientation): the constraint holds where orientation * side >= 0
@@ -540,17 +541,18 @@ class ConvexRegion:
 
     @staticmethod
     def from_halfplanes(halfplanes: Iterable[HalfPlane]) -> "ConvexRegion":
-        # merge duplicates: for identical oriented lines keep the strict one
-        by_line = {}
+        # merge duplicates: of one primitive form keep the first (strict) one
+        by_form = {}
         for h in halfplanes:
-            key = _hp_key(h)
-            prev = by_line.get(key[:3])
-            if prev is None or (key[3] and not prev[0][3]):
-                by_line[key[:3]] = (key, h)
-        if not by_line:
+            form = _form(h)
+            key = primitive(form[0], form[1], form[2])
+            prev = by_form.get(key)
+            if prev is None or (form[3] and not prev[0][3]):
+                by_form[key] = (form, h)
+        if not by_form:
             return ConvexRegion.whole_plane()
-        merged = [h for _, h in sorted(by_line.values(), key=lambda kh: kh[0])]
-        return _canonical(merged, [_form(h) for h in merged])
+        merged = _in_order(by_form)
+        return _canonical([h for _, h in merged], [form for form, _ in merged])
 
     @staticmethod
     def whole_plane() -> "ConvexRegion":
@@ -602,7 +604,7 @@ class ConvexRegion:
         if any(s * gy < 0 for _, gy in self._rays):
             return None
         # else the extreme y is at a vertex, or on a horizontal edge line
-        ys = [p.y for p in self._vertices]
+        ys = [ratio(Y, L) for _, Y, L in self._vertices]
         ys += [ratio(c, b) for a, b, c, _ in map(_form, self.constraints) if a == 0 and s * b > 0]
         return min(ys) if s > 0 else max(ys)
 
@@ -638,15 +640,7 @@ class ConvexRegion:
         """Vertices of the closure, in clockwise order starting from the
         lexicographically smallest (sorted when the closure has no
         interior); empty tuple when there are none."""
-        return self._vertices
-
-    def area(self) -> Scalar:
-        """Exact area of the closure; zero for the empty region."""
-        if self.is_empty:
-            return Fraction(0)
-        if not self.is_bounded():
-            raise UnboundedRegionError("area of an unbounded region")
-        return abs(signed_area2(self.vertices())) / 2
+        return tuple(map(point_of, self._vertices))
 
     # -- constructors of derived regions ------------------------------------
 
@@ -661,11 +655,14 @@ class ConvexRegion:
     def translate(self, v: Vec) -> "ConvexRegion":
         if self.is_empty:
             return self
-        shifted = tuple(HalfPlane(h.line._with_c(h.line.c + h.line.a * v.x
-                                                 + h.line.b * v.y), h.sense)
-                        for h in self.constraints)
-        return ConvexRegion(shifted, False, tuple(p + v for p in self._vertices),
-                            self._interior, self._rays)
+        X, Y, L = homogeneous(v)
+        shifted = []
+        for h in self.constraints:
+            A, B, C = h.line.ints
+            shifted.append(HalfPlane(h.line._moved(C * L + A * X + B * Y, L), h.sense))
+        verts = tuple(_lowest(PX * L + X * M, PY * L + Y * M, M * L)
+                      for PX, PY, M in self._vertices)
+        return ConvexRegion(tuple(shifted), False, verts, self._interior, self._rays)
 
     def point_reflect(self, center: Point) -> "ConvexRegion":
         if self.is_empty:
@@ -673,14 +670,15 @@ class ConvexRegion:
         # a half turn negates every constraint's direction (a, b), and the
         # constraints' directions are distinct and decide their order: it
         # reverses
+        X, Y, L = homogeneous(center)
         out = []
         for h in reversed(self.constraints):
-            line = h.line
-            out.append(HalfPlane(line._with_c(2 * (line.a * center.x + line.b * center.y)
-                                              - line.c),
+            A, B, C = h.line.ints
+            out.append(HalfPlane(h.line._moved(2 * (A * X + B * Y) - C * L, L),
                                  h.sense.flipped()))
         # a half turn keeps the clockwise order; only the start moves
-        verts = _from_min([p.reflect_through(center) for p in self._vertices])
+        verts = _from_min([_lowest(2 * X * M - PX * L, 2 * Y * M - PY * L, M * L)
+                           for PX, PY, M in self._vertices])
         return ConvexRegion(tuple(out), False, verts, self._interior,
                             tuple((-gx, -gy) for gx, gy in self._rays))
 
@@ -700,16 +698,20 @@ class ConvexRegion:
         if not self.has_interior():
             raise EmptyRegionError("region has no interior to sample")
         # a bounded region with interior is a polygon
-        triples = list(barycentric_triples(*lattice(self.vertices()), count, seed))
+        den = math.lcm(*(L for _, _, L in self._vertices))
+        cycle = [(X * (den // L), Y * (den // L)) for X, Y, L in self._vertices]
+        triples = list(barycentric_triples(den, cycle, count, seed))
         assert all(self.contains(t) is Location.INTERIOR for t in triples)
         return tuple(map(point_of, triples))
 
     # -- identity ------------------------------------------------------------
 
     def canonical_key(self):
+        """Each constraint's primitive form and strict flag, in order."""
         if self.is_empty:
             return ("empty",)
-        return tuple(_hp_key(h) for h in self.constraints)
+        return tuple(primitive(a, b, c) + (strict,)
+                     for a, b, c, strict in map(_form, self.constraints))
 
     def __eq__(self, other):
         if not isinstance(other, ConvexRegion):

@@ -34,10 +34,9 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import (Point, Vec, barycentric_triples, integer_form, lattice, point_key,
-                       point_of)
+from .geometry import Point, Vec, barycentric_triples, integer_form, lattice, point_of
 from .polygon import NicePolygon
-from .scalars import Scalar, ratio
+from .scalars import Scalar, int_parts, ratio
 from .strips import PinwheelPair, PinwheelSystem
 
 
@@ -124,10 +123,11 @@ class NecklaceSpec:
         P's lattice from `cycle`, P's region's vertices, carried onto the copy
         and asserted interior to it.  A half turn reverses the lexicographic
         order: Q's weights go on P's cycle started at its largest vertex."""
+        den, cycle = lattice(cycle)
         if kind == "Q":
-            top = max(range(len(cycle)), key=lambda i: point_key(cycle[i]))
+            top = max(range(len(cycle)), key=lambda i: [int_parts(X) for X in cycle[i]])
             cycle = cycle[top:] + cycle[:top]
-        out = [self.carry(t, kind) for t in barycentric_triples(*lattice(cycle), count, seed)]
+        out = [self.carry(t, kind) for t in barycentric_triples(den, cycle, count, seed)]
         assert all(map(self.in_p if kind == "P" else self.in_q, out))
         return out
 
@@ -223,8 +223,8 @@ def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     # hi < shift.p < lo + m*dd, and hi - m*dd < shift.p < lo
     windows = ((integer_form(d.x, d.y, hi, 0), integer_form(-d.x, -d.y, -lo, -dd)),
                (integer_form(d.x, d.y, hi, -dd), integer_form(-d.x, -d.y, -lo, 0)))
-    # the edge line's integer form, and its scale k as the form of the constant 1
-    A, B, C, k = integer_form(pair.line.a, pair.line.b, pair.line.c, 1)
+    # the edge line's integer form and its scale
+    (A, B, C), k = pair.line.ints, pair.line.s
     frame = ((SX, SY, sq), (A, B, C, k), ratio(1, A * SY - SX * B).as_integer_ratio())
     return NecklaceSpec(j % system.n, m, d, pair, polygon, lo, hi, dd,
                         (tuple(p_forms), tuple(q_forms), extent) + windows, frame)

@@ -69,8 +69,8 @@ def quad_sign(a, b, d: int) -> int:
 class QuadInt:
     """r + s*sqrt(d) with int r and s: an integer of Q(sqrt d), d square-free
     (taken on trust; `QuadExt` checks it where a value enters).  Plain ints
-    mix in freely and s may be 0; comparisons are exact; two different d are
-    a ValueError."""
+    mix in freely and s may be 0; comparisons are exact, and hashing agrees
+    with them; two different d are a ValueError."""
 
     __slots__ = ("r", "s", "d")
 
@@ -130,7 +130,9 @@ class QuadInt:
     def __gt__(self, other):
         return self._cmp(other) > 0
 
-    __hash__ = None
+    def __hash__(self):
+        # equal to the int r where s == 0, so hashed as r there
+        return hash(self.r) if self.s == 0 else hash((self.r, self.s, self.d))
 
     def __floor__(self) -> int:
         # s sqrt(d) = +-sqrt(s^2 d); s^2 d is a perfect square only for s = 0
@@ -162,6 +164,29 @@ def ratio(num, den) -> Scalar:
     if g > 1:
         r, s, den = r // g, s // g, den // g
     return QuadExt._make(QuadInt(r, s, num.d), den)
+
+
+def int_parts(x) -> tuple:
+    """The int parts of an int or a QuadInt: (x, 0), or (r, s)."""
+    return (x, 0) if type(x) is int else (x.r, x.s)
+
+
+def primitive(*xs) -> tuple:
+    """The primitive form of ints and QuadInts xs, not all 0: their positive
+    multiple whose first nonzero entry is an int (over Q(sqrt d), times that
+    entry's conjugate, negated if negative) and whose int parts have gcd 1.
+    Two vectors are positive multiples exactly when their forms are equal."""
+    if QuadInt not in map(type, xs):
+        g = math.gcd(*xs)
+        return tuple([x // g for x in xs])
+    lead = next(x for x in xs if x != 0)
+    if type(lead) is QuadInt and lead.s:
+        k = QuadInt(lead.r, -lead.s, lead.d)
+        k = k if k.sign() > 0 else -k
+        xs = [x * k for x in xs]
+    g = math.gcd(*[t for x in xs for t in int_parts(x)])
+    return tuple(x // g if type(x) is int else x.r // g if x.s == 0
+                 else QuadInt(x.r // g, x.s // g, x.d) for x in xs)
 
 
 def floor_div(num, den) -> int:
@@ -367,14 +392,6 @@ def as_scalar(x: ScalarLike) -> Scalar:
 def radicand(x: ScalarLike) -> Optional[int]:
     """The d of a QuadExt; None for a rational."""
     return x.d if isinstance(x, QuadExt) else None
-
-
-def sort_key(x: Scalar):
-    """(rational part, sqrt(d) part): a key that orders Fractions and
-    QuadExts of one field consistently (not by value)."""
-    if isinstance(x, QuadExt):
-        return (x.a, x.b)
-    return (x, 0)
 
 
 def to_float(x: ScalarLike) -> float:

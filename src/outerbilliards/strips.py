@@ -11,7 +11,6 @@ are reproducible even though only the cyclic order is geometrically forced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Tuple
 
@@ -29,7 +28,7 @@ from .geometry import (
     slope_angle_cmp,
 )
 from .polygon import NicePolygon
-from .scalars import Scalar, floor_div
+from .scalars import Scalar, floor_div, primitive
 
 
 @dataclass(frozen=True)
@@ -59,15 +58,6 @@ class PinwheelPair:
 
     def offset(self, p: Point) -> Scalar:
         return self.line.signed_offset(p)
-
-    def slab_distance(self, p: Point) -> Scalar:
-        """Offset distance from p to the closed slab; 0 inside."""
-        t = self.offset(p)
-        if t < 0:
-            return -t
-        if t > self.width:
-            return t - self.width
-        return Fraction(0)
 
     def location(self, p) -> int:
         """-1 outside, 0 on the boundary, +1 strictly inside the strip, for
@@ -121,8 +111,8 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
     for e in polygon.edges:
         tail, head = polygon.vertices[e.tail], polygon.vertices[e.head]
         # the edge line, polygon on its positive side, over its leading |coefficient|
-        lead = abs(e.line.a if e.line.a != 0 else e.line.b)
-        line = Line(e.line.a / lead, e.line.b / lead, e.line.c / lead)
+        A, B, C = primitive(*e.line.ints)
+        line = Line.of_ints(A, B, C, abs(A if A != 0 else B))
         offsets = [line.signed_offset(v) for v in polygon.vertices]
         # unique: no two sides of a nice polygon are parallel
         far = max(range(n), key=lambda i: offsets[i])
@@ -209,28 +199,3 @@ def strip_jump(pair: PinwheelPair, p):
         raise OnStripBoundaryError(point_of(here), stage=pair.index)
     return here, abs(k)
 
-
-def compose_strip_maps(system: PinwheelSystem, a: int, b: int, p: Point) -> Point:
-    """Apply mu_a, ..., mu_b' in order, b' the smallest index >= a congruent
-    to b mod n.  Raises OnStripBoundaryError with the failing stage."""
-    n = system.n
-    b_lifted = a + (b - a) % n
-    q = system.polygon.homogeneous(p)
-    for i in range(a, b_lifted + 1):
-        try:
-            q = strip_map(system.pair(i), q)
-        except OnStripBoundaryError as exc:
-            raise OnStripBoundaryError(exc.point, stage=i % n) from None
-    return point_of(q)
-
-
-def sigma_range(system: PinwheelSystem, a: int, b: int) -> ConvexRegion:
-    """Intersection of the strips a, ..., b'-1; the whole plane when a == b."""
-    n = system.n
-    span = (b - a) % n
-    if span == 0:
-        return ConvexRegion.whole_plane()
-    out = system.strip(a)
-    for i in range(a + 1, a + span):
-        out = out.intersect(system.strip(i % n))
-    return out

@@ -246,7 +246,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         # bounded depth: the tile sits within half a width of its start strip
         pair_a = model.system.pair(path.start)
         for v in verts:
-            if pair_a.slab_distance(v) > pair_a.width / 2:
+            if not -pair_a.width <= 2 * pair_a.offset(v) <= 3 * pair_a.width:
                 return (path.display(), "closed containments",
                         f"vertex {v} deeper than half the width of strip {path.start}")
         return None
@@ -368,8 +368,8 @@ def check_exit_reversal_conjugate(model: BilliardModel, samples: int = 20,
 
 def _reflect_region(r: ConvexRegion) -> ConvexRegion:
     return ConvexRegion.from_halfplanes(
-        HalfPlane(Line(h.line.a, -h.line.b, h.line.c), h.sense)
-        for h in r.constraints)
+        HalfPlane(Line.of_ints(A, -B, C, h.line.s), h.sense)
+        for h in r.constraints for A, B, C in [h.line.ints])
 
 
 def _conjugate_laws(model: BilliardModel, rep: CheckReport):

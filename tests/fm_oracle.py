@@ -21,7 +21,7 @@ from outerbilliards.geometry import (
     _pick_in_interval,
     direction_ccw_cmp,
 )
-from oracles import line_intersection
+from oracles import line_intersection, normalized
 from outerbilliards.rng import Rng
 from outerbilliards.scalars import QuadExt, as_scalar, sign
 
@@ -37,7 +37,7 @@ def _scalar_sort_key(x):
 
 
 def _canonical_key(h):
-    a, b, c, strict = h.normalized()
+    a, b, c, strict = normalized(h)
     lead = abs(a) if a != 0 else abs(b)
     return (a / lead, b / lead, c / lead, strict)
 
@@ -123,14 +123,14 @@ def fm_canonical(halfplanes):
         if prev is None or (strict and not _canonical_key(prev)[3]):
             by_line[key] = h
     hps = sorted(by_line.values(), key=_hp_sort_key)
-    if not _feasible([h.normalized() for h in hps]):
+    if not _feasible([normalized(h) for h in hps]):
         return True, ()
     keep = list(hps)
     i = 0
     while i < len(keep):
         others = keep[:i] + keep[i + 1:]
         h = keep[i]
-        test = [o.normalized() for o in others + [HalfPlane(h.line, COMPLEMENT[h.sense])]]
+        test = [normalized(o) for o in others + [HalfPlane(h.line, COMPLEMENT[h.sense])]]
         if _feasible(test):
             i += 1
         else:
@@ -139,7 +139,7 @@ def fm_canonical(halfplanes):
 
 
 def _strict(constraints):
-    return [(a, b, c, True) for (a, b, c, _) in (h.normalized() for h in constraints)]
+    return [(a, b, c, True) for (a, b, c, _) in (normalized(h) for h in constraints)]
 
 
 def fm_has_interior(constraints):
@@ -169,7 +169,7 @@ def fm_vertices(constraints):
             if p is None or p in cands:
                 continue
             if all(sign(a * p.x + b * p.y - c) >= 0
-                   for (a, b, c, _) in (h.normalized() for h in constraints)):
+                   for (a, b, c, _) in (normalized(h) for h in constraints)):
                 cands.append(p)
     if len(cands) <= 2:
         return tuple(sorted(cands, key=_point_key))
@@ -204,7 +204,7 @@ def fm_recession_direction(constraints):
     is a positive multiple of (+-1, t) or (0, +-1), and d recedes when
     a*d.x + b*d.y >= 0 on every constraint; a direction strictly inside the
     recession cone is tried first."""
-    norms = [h.normalized() for h in constraints]
+    norms = [normalized(h) for h in constraints]
     for strict in (True, False):
         for dx in (1, -1):
             bounds = [(b, -a * dx, strict) for (a, b, _, _) in norms]

@@ -4,6 +4,7 @@ package computes (or once computed) another way, on `Point`s and scalars."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from outerbilliards.billiards import tangent_vertex
@@ -14,11 +15,94 @@ from outerbilliards.errors import (
     MapUndefinedError,
     OnPrimaryWallError,
     OnStripBoundaryError,
+    UnboundedRegionError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import Line, Location, Point, point_of
+from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Location, Point, point_of,
+                                     signed_area2)
 from outerbilliards.quasirational import necklace_shift
-from outerbilliards.scalars import sign
+from outerbilliards.strips import strip_map
+from outerbilliards.scalars import QuadExt, sign
+
+
+def normalized(h: HalfPlane) -> tuple:
+    """h rewritten as (a, b, c, strict), meaning a*x + b*y >= c (or > c), on
+    the line's scalar coefficients."""
+    a, b, c = h.line.a, h.line.b, h.line.c
+    if h.sense.upper:
+        a, b, c = -a, -b, -c
+    return a, b, c, h.sense.strict
+
+
+def sort_key(x) -> tuple:
+    """(rational part, sqrt(d) part): a key that orders Fractions and
+    QuadExts of one field consistently (not by value)."""
+    return (x.a, x.b) if isinstance(x, QuadExt) else (x, 0)
+
+
+def line_key(line: Line) -> tuple:
+    """The line's coefficients over its leading one, in Fractions and
+    QuadExts: equal exactly for equal lines (the Fraction key `Line` once
+    kept beside its integer form)."""
+    a, b, c = line.a, line.b, line.c
+    lead = a if a != 0 else b
+    return a / lead, b / lead, c / lead
+
+
+def hp_key(h: HalfPlane) -> tuple:
+    """The key that once ordered a region's constraints and identified a
+    region: `normalized(h)` over its leading |coefficient|, each entry as
+    its `sort_key` pair, then the strict flag; that is `line_key`, negated
+    when the sense is upper XOR the leading coefficient is negative."""
+    line = h.line
+    neg = h.sense.upper != ((line.a if line.a != 0 else line.b) < 0)
+    return tuple(sort_key(-x if neg else x) for x in line_key(line)) + (h.sense.strict,)
+
+
+def slab_distance(pair, p):
+    """Offset distance from p to the pair's closed slab; 0 inside."""
+    t = pair.offset(p)
+    if t < 0:
+        return -t
+    if t > pair.width:
+        return t - pair.width
+    return Fraction(0)
+
+
+def compose_strip_maps(system, a: int, b: int, p: Point) -> Point:
+    """Apply mu_a, ..., mu_b' in order, b' the smallest index >= a congruent
+    to b mod n.  Raises OnStripBoundaryError with the failing stage."""
+    n = system.n
+    b_lifted = a + (b - a) % n
+    q = system.polygon.homogeneous(p)
+    for i in range(a, b_lifted + 1):
+        try:
+            q = strip_map(system.pair(i), q)
+        except OnStripBoundaryError as exc:
+            raise OnStripBoundaryError(exc.point, stage=i % n) from None
+    return point_of(q)
+
+
+def sigma_range(system, a: int, b: int) -> ConvexRegion:
+    """Intersection of the strips a, ..., b'-1; the whole plane when a == b."""
+    n = system.n
+    span = (b - a) % n
+    if span == 0:
+        return ConvexRegion.whole_plane()
+    out = system.strip(a)
+    for i in range(a + 1, a + span):
+        out = out.intersect(system.strip(i % n))
+    return out
+
+
+def region_area(r):
+    """Exact area of a region's closure, the shoelace sum over its vertex
+    cycle; zero for the empty region."""
+    if r.is_empty:
+        return Fraction(0)
+    if not r.is_bounded():
+        raise UnboundedRegionError("area of an unbounded region")
+    return abs(signed_area2(r.vertices())) / 2
 
 
 def line_intersection(first: Line, second: Line) -> Optional[Point]:
@@ -58,7 +142,7 @@ def fresh_offsets_step(polygon, here, chirality):
 def overlap_area_region(system, j: int):
     """Overlap area of strips j and j+1 read off the region kernel: the two
     strips intersected, and the area of that parallelogram."""
-    return system.strip(j).intersect(system.strip(j + 1)).area()
+    return region_area(system.strip(j).intersect(system.strip(j + 1)))
 
 
 def transfer_ratio(system, j: int):

@@ -32,7 +32,7 @@ from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.scalars import QuadExt, sign
-from oracles import fresh_offsets_step
+from oracles import fresh_offsets_step, normalized
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -324,7 +324,7 @@ def test_recession_direction_of_every_tile(poly_key):
             assert (str(d.x), str(d.y)) == want[t.label], (side, t.label)
             assert t.unbounded and not t.region.is_bounded()
             for h in t.region.constraints:
-                a, b, _, _ = h.normalized()
+                a, b, _, _ = normalized(h)
                 assert sign(a * d.x + b * d.y) >= 0
         assert len(want) == 2 * poly.n
 
@@ -703,7 +703,7 @@ def test_every_tile_has_an_exit_along_its_translation(poly_key):
         for tile in part.tiles:
             d = tile.translation
             assert any(sign(a * d.x + b * d.y) < 0
-                       for a, b, _, _ in (h.normalized() for h in tile.region.constraints))
+                       for a, b, _, _ in (normalized(h) for h in tile.region.constraints))
             v, w = tile.label
             _, exits = billiards._label_run(rows[v], rows[w], v + first, w + first)
             assert 1 <= len(exits) <= 2, (part.chirality, tile.label)

@@ -17,9 +17,9 @@ from fm_oracle import (
     fm_sample_points,
     fm_vertices,
 )
-from oracles import line_intersection
+from oracles import hp_key, line_intersection, line_key, region_area
 from test_billiards import CORPUS, corpus_polygon
-from outerbilliards import geometry
+from outerbilliards import geometry, scalars
 from outerbilliards.errors import EmptyRegionError, UnboundedRegionError
 from outerbilliards.geometry import (
     ConvexRegion,
@@ -201,23 +201,23 @@ def test_region_intersect_parallelogram_vertices():
     vs = r.vertices()
     assert set(vs) == {pt(0, 0), pt(2, 6), pt(10, 6), pt(8, 0)}
     assert vs[0] == pt(0, 0)  # deterministic start
-    assert r.area() == 48
+    assert region_area(r) == 48
 
 
 def test_region_area_unit_square_and_empty():
     sq = box_region(0, 0, 1, 1)
-    assert sq.area() == 1
-    assert ConvexRegion.empty().area() == 0
+    assert region_area(sq) == 1
+    assert region_area(ConvexRegion.empty()) == 0
 
 
 def test_region_area_parallelogram_48():
     r = polygon_region([pt(0, 0), pt(2, 6), pt(10, 6), pt(8, 0)])
-    assert r.area() == 48  # base 8, height 6
+    assert region_area(r) == 48  # base 8, height 6
 
 
 def test_region_area_unbounded_raises():
     with pytest.raises(UnboundedRegionError):
-        slab(0, 1, 0, 6).area()
+        region_area(slab(0, 1, 0, 6))
 
 
 def test_region_contains_classification():
@@ -264,7 +264,7 @@ def test_split_additivity_of_area():
     outer = box_region(0, 0, 4, 2)
     left = outer.intersect(region([half_plane(1, 0, 1, Sense.LE)]))
     right = outer.intersect(region([half_plane(1, 0, 1, Sense.GE)]))
-    assert left.area() + right.area() == outer.area()
+    assert region_area(left) + region_area(right) == region_area(outer)
 
 
 def test_translate_and_point_reflect():
@@ -273,7 +273,7 @@ def test_translate_and_point_reflect():
     assert moved == box_region(3, -2, 4, -1)
     refl = sq.point_reflect(pt(0, 0))
     assert refl == box_region(-1, -1, 0, 0)
-    assert sq.translate(vec(1, 1)).area() == sq.area()
+    assert region_area(sq.translate(vec(1, 1))) == region_area(sq)
 
 
 def test_sample_points_interior_and_deterministic():
@@ -308,7 +308,7 @@ def test_polygon_region_open_vs_closed():
     assert closed.contains(homogeneous(pt(2, 0))) is Location.BOUNDARY
     assert opened.contains(homogeneous(pt(2, 0))) is Location.BOUNDARY
     assert closed.contains(homogeneous(pt(1, 1))) is Location.INTERIOR
-    assert closed.area() == opened.area() == 6
+    assert region_area(closed) == region_area(opened) == 6
 
 
 def test_random_region_properties():
@@ -324,7 +324,7 @@ def test_random_region_properties():
         diag = b.intersect(slab(1, 1, x0 + y0, x0 + y0 + 1))
         if not diag.is_empty:
             assert diag.is_bounded()
-            assert diag.area() <= b.area()
+            assert region_area(diag) <= region_area(b)
 
 
 # ---------------------------------------------------------------------------
@@ -555,3 +555,121 @@ def test_moved_lines_equal_fresh_lines(poly_key):
                             fresh.side(p) for p in corners]
                         moved += 1
     assert moved > 0
+
+
+# ---------------------------------------------------------------------------
+# identity and order on primitive normal forms against the Fraction keys
+
+
+def _assert_oracle_order(r):
+    """The region lists its constraints in strictly increasing `hp_key`
+    order (its oriented line over the leading |coefficient|)."""
+    keys = [hp_key(h)[:3] for h in r.constraints]
+    assert all(k < l for k, l in zip(keys, keys[1:])), keys
+
+
+def _assert_same_classes(items, oracle_key):
+    """`==` and `hash` split items into the classes that equality of
+    `oracle_key` does."""
+    classes = {}
+    for x in items:
+        classes.setdefault(oracle_key(x), []).append(x)
+    for same in classes.values():
+        assert all(x == same[0] and hash(x) == hash(same[0]) for x in same), same
+    assert len(set(items)) == len(classes)
+
+
+def _region_key(r):
+    return ("empty",) if r.is_empty else tuple(map(hp_key, r.constraints))
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_tiles_and_strips_match_fraction_keys(poly_key):
+    """Every tile of both partitions, with its translate and its point
+    reflection, and every strip lists its constraints in the order of the
+    Fraction key, and lines and regions are equal exactly when their
+    Fraction keys are."""
+    from outerbilliards.billiards import Chirality, build_partition
+    from outerbilliards.strips import build_pinwheel_system
+
+    poly = corpus_polygon(poly_key)
+    regions = []
+    for chirality in Chirality:
+        for tile in build_partition(poly, chirality).tiles:
+            v = poly.vertices[tile.v_index]
+            regions += [tile.region, tile.region.translate(tile.translation),
+                        tile.region.point_reflect(v)]
+    system = build_pinwheel_system(poly)
+    regions += [system.strip(j) for j in range(system.n)]
+    for r in regions:
+        _assert_oracle_order(r)
+    lines = [h.line for r in regions for h in r.constraints]
+    lines += [line for pair in system.pairs for line in (pair.line, pair.line_far)]
+    _assert_same_classes(lines, line_key)
+    _assert_same_classes(regions, _region_key)
+
+
+NONZERO = st.one_of(RATIONALS, SQRT5).filter(lambda k: k != 0)
+R5_LINES = [Line(R5, 1, 0), Line(5, R5, 0), Line(1 + R5, -2, R5), Line(3, 3 - R5, 1)]
+
+
+@st.composite
+def rescaled_lines(draw):
+    """1-4 lines over Q or Q(sqrt 5), each with copies rescaled by nonzero
+    factors of either sign, rational or irrational, and a parallel copy."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b, c = draw(COEFFS), draw(COEFFS), draw(COEFFS)
+        a = a if a != 0 or b != 0 else draw(NONZERO)
+        lines.append(Line(a, b, c))
+        for k in draw(st.lists(NONZERO, min_size=1, max_size=3)):
+            lines.append(Line(a * k, b * k, c * k))
+        lines.append(Line(a, b, c + 1))
+    return lines
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          report_multiple_bugs=False)
+@given(rescaled_lines(), st.lists(st.booleans(), min_size=20, max_size=20))
+@example(R5_LINES + [Line(2, 4, 6), Line(1, 2, 3)], [False] * 20)
+@example([Line(1, R5, 2), Line(-R5, -5, -2 * R5), Line(3 + R5, 3 * R5 + 5, 6 + 2 * R5)],
+         [True, False] * 10)
+def test_rescaled_lines_match_fraction_keys(lines, flips):
+    """Rescaled copies of a line are equal to it, with one hash, and other
+    lines are not, as for the Fraction key; the region of their half-planes
+    (the origin kept on each closed side, or the other side where flipped)
+    orders its constraints by the Fraction key, over Q and Q(sqrt 5) and
+    for irrational leading coefficients."""
+    _assert_same_classes(lines, line_key)
+    origin = homogeneous(pt(0, 0))
+    hps = [HalfPlane(line, Sense.GE if (line.side(origin) >= 0) != flip else Sense.LE)
+           for line, flip in zip(lines, flips)]
+    r = region(hps)
+    _assert_oracle_order(r)
+    assert r == region(reversed(hps))
+
+
+def _mutate_primitive(monkeypatch, *edits):
+    source = textwrap.dedent(inspect.getsource(scalars.primitive))
+    for old, new in edits:
+        assert old in source
+        source = source.replace(old, new)
+    namespace = dict(vars(scalars))
+    exec(source, namespace)
+    monkeypatch.setattr(geometry, "primitive", namespace["primitive"])
+
+
+def test_fraction_key_oracle_catches_dropped_gcd(monkeypatch):
+    """Negative control: normal forms that keep their common factor must
+    fail the oracle property."""
+    _mutate_primitive(monkeypatch, ("math.gcd(", "1 or math.gcd("))
+    with pytest.raises(AssertionError):
+        test_rescaled_lines_match_fraction_keys()
+
+
+def test_fraction_key_oracle_catches_skipped_conjugate(monkeypatch):
+    """Negative control: over Q(sqrt d), normal forms whose leading entry
+    is not made rational by its conjugate must fail the oracle property."""
+    _mutate_primitive(monkeypatch, ("if type(lead) is QuadInt and lead.s:", "if False:"))
+    with pytest.raises(AssertionError):
+        test_rescaled_lines_match_fraction_keys()

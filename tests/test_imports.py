@@ -28,7 +28,7 @@ def test_no_private_name_imported_across_modules():
 
 def test_only_scalars_names_the_quadratic_types():
     """Other modules reach Q(sqrt d) through `as_integer_ratio`, `ratio`,
-    `sign` and `sort_key`; `__init__` only re-exports."""
+    `sign`, `int_parts` and `primitive`; `__init__` only re-exports."""
     offenders = []
     for name, tree in package_trees():
         if name in ("scalars.py", "__init__.py"):
