@@ -17,7 +17,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .billiards import psi_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import Point, norm2_sq, point_of
+from .geometry import Point, homogeneous, point_of
 from .model import BilliardModel
 from .scalars import Scalar
 from .strips import PinwheelSystem, strip_jump, strip_map
@@ -171,15 +171,18 @@ class OrbitRecord:
 ORBIT_SELECTORS = ("psi", "psi_star", "exit", "strip_return", "first_return")
 
 
-def _until_beyond(walk, esc_sq):
-    """The walk's states up to its first one beyond radius sqrt(esc_sq) =
-    sqrt(p/q), included: (X, Y, L) with q*(X^2 + Y^2) - p*L^2 > 0."""
-    p, q = esc_sq.as_integer_ratio()
+def _beyond(here, p, q) -> bool:
+    """Whether the lattice triple (X, Y, L) lies beyond radius sqrt(p/q):
+    q*(X^2 + Y^2) - p*L^2 > 0."""
+    X, Y, L = here
+    return q * (X * X + Y * Y) - p * L * L > 0
+
+
+def _until_beyond(walk, p, q):
+    """The walk's states up to its first one beyond radius sqrt(p/q), included."""
     for state in walk:
         yield state
-        X, Y, L = state[0]
-        t = q * (X * X + Y * Y) - p * L * L
-        if (t > 0 if type(t) is int else t.sign() > 0):
+        if _beyond(state[0], p, q):
             return
 
 
@@ -198,7 +201,8 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
         raise ValueError(f"unknown selector {selector!r}")
     rec = OrbitRecord(selector=selector)
     log = rec.events.append
-    esc_sq = None if escape_radius is None else escape_radius * escape_radius
+    # the escape radius squared, p/q
+    esc = None if escape_radius is None else (escape_radius * escape_radius).as_integer_ratio()
     indexed = selector in ("psi_star", "strip_return")
     point, index = (start.point, start.index % model.n) if indexed else (start, None)
     log(OrbitEvent(0, point, index, None, "start" if budget else "budget-exhausted"))
@@ -209,7 +213,7 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
         walk = (psi_walk(model.polygon, here) if selector == "psi"
                 else pinwheel_walk(model.system, here, index))
         states = zip(range(1, budget + 1),
-                     walk if esc_sq is None else _until_beyond(walk, esc_sq))
+                     walk if esc is None else _until_beyond(walk, *esc))
     try:
         if selector == "psi":
             for step, (q, label) in states:
@@ -230,12 +234,12 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
                     point, used = returns(model, point, budget - steps)
                 steps += used
                 log(OrbitEvent(steps, point, index, None, "returned"))
-                if esc_sq is not None and norm2_sq(point) > esc_sq:
+                if esc is not None and _beyond(homogeneous(point), *esc):
                     break
     except (BudgetExceededError, MapUndefinedError) as exc:
         tag = "budget-exhausted" if isinstance(exc, BudgetExceededError) else "undefined"
         log(rec.final._replace(step=rec.final.step + 1, label=None, tag=tag))
         return rec
-    escaped = esc_sq is not None and norm2_sq(rec.final.point) > esc_sq
+    escaped = esc is not None and _beyond(homogeneous(rec.final.point), *esc)
     log(rec.final._replace(label=None, tag="escaped" if escaped else "budget-exhausted"))
     return rec

@@ -11,10 +11,6 @@ class EmptyRegionError(GeometryError):
     """An operation required a nonempty (full-dimensional) region."""
 
 
-class UnboundedRegionError(GeometryError):
-    """Area or vertex data requested for an unbounded region."""
-
-
 class PolygonError(ValueError):
     """Base for polygon validation failures; carries offending indices."""
 

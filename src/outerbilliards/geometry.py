@@ -96,10 +96,6 @@ def vec(x: ScalarLike, y: ScalarLike) -> Vec:
     return Vec(as_scalar(x), as_scalar(y))
 
 
-def norm2_sq(p: Point) -> Scalar:
-    return p.x * p.x + p.y * p.y
-
-
 def lattice(points) -> Tuple[int, Tuple[tuple, ...]]:
     """(D, numerators): D the least common denominator of the points' (or
     vectors') coordinates, and each one's numerator pair over D (ints, or
@@ -279,8 +275,12 @@ class Sense(enum.Enum):
         return self in (Sense.LE, Sense.LT)
 
     def flipped(self) -> "Sense":
-        return {Sense.GE: Sense.LE, Sense.GT: Sense.LT,
-                Sense.LE: Sense.GE, Sense.LT: Sense.GT}[self]
+        return self._flipped
+
+
+# set once at import: an Enum body cannot name its own members
+Sense.GE._flipped, Sense.LE._flipped = Sense.LE, Sense.GE
+Sense.GT._flipped, Sense.LT._flipped = Sense.LT, Sense.GT
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ Every coordinate in the library is either a ``fractions.Fraction`` or a
 square-free integer ``d >= 2``.  This is the one module that knows how a
 number of Q(sqrt d) is built: a ``QuadExt`` is a ``QuadInt`` numerator
 ``r + s*sqrt(d)`` (int ``r`` and ``s``) over a positive int denominator, in
-lowest terms, and all of its arithmetic is ``QuadInt`` arithmetic followed by
-one division, `ratio`.  ``as_integer_ratio()`` hands out that pair, as
+lowest terms.  ``as_integer_ratio()`` hands out that pair, as
 ``Fraction.as_integer_ratio()`` hands out two ints, so other modules compute
-on integers over either field alike.  All operations are exact field
-operations; nothing in this module (or anything built on it) ever rounds.
+on integers over either field alike.  Each arithmetic operation is one rule
+in ``QuadInt`` arithmetic on the two operands' pairs, followed by one
+division, `ratio`; each comparison is one test of the sign of the
+difference.  All operations are exact field operations; nothing in this
+module (or anything built on it) ever rounds.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ from typing import Optional, Union
 
 Scalar = Union[Fraction, "QuadExt"]
 ScalarLike = Union[int, Fraction, "QuadExt"]
-
-
-def _sign_rational(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
 
 
 def is_squarefree(d: int) -> bool:
@@ -52,18 +46,16 @@ def quad_sign(a, b, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for rational (or integer) a and b, via sign
     analysis of a, b and a^2 - b^2 d."""
     if b == 0:
-        return _sign_rational(a)
+        return (a > 0) - (a < 0)
     if a == 0:
-        return _sign_rational(b)
+        return (b > 0) - (b < 0)
     if a > 0 and b > 0:
         return 1
     if a < 0 and b < 0:
         return -1
     t = a * a - b * b * d
     # a > 0, b < 0:  positive iff a^2 > b^2 d;  a < 0, b > 0: the mirror case.
-    if a > 0:
-        return _sign_rational(t)
-    return -_sign_rational(t)
+    return (t > 0) - (t < 0) if a > 0 else (t < 0) - (t > 0)
 
 
 class QuadInt:
@@ -248,7 +240,11 @@ class QuadExt:
         """(QuadInt numerator, positive int denominator), in lowest terms."""
         return self._num, self._den
 
-    # -- arithmetic: each operand as (numerator, denominator) ---------------
+    # -- arithmetic: one rule per operation ---------------------------------
+    #
+    # A rule maps two operands' (numerator, denominator) pairs, left operand
+    # first, to the result's pair; `_operators` turns it into the forward and
+    # the reflected operator, as `fractions.Fraction._operator_fallbacks` does.
 
     @staticmethod
     def _coerce(other):
@@ -257,14 +253,25 @@ class QuadExt:
             return other.as_integer_ratio()
         return None
 
-    def __add__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        n, q = parts
-        return ratio(self._num * q + n * self._den, self._den * q)
+    def _operators(rule):
+        def forward(self, other):
+            parts = self._coerce(other)
+            if parts is None:
+                return NotImplemented
+            return ratio(*rule(self._num, self._den, *parts))
 
-    __radd__ = __add__
+        def reflected(self, other):
+            parts = self._coerce(other)
+            if parts is None:
+                return NotImplemented
+            return ratio(*rule(*parts, self._num, self._den))
+
+        return forward, reflected
+
+    __add__, __radd__ = _operators(lambda n1, q1, n2, q2: (n1 * q2 + n2 * q1, q1 * q2))
+    __sub__, __rsub__ = _operators(lambda n1, q1, n2, q2: (n1 * q2 - n2 * q1, q1 * q2))
+    __mul__, __rmul__ = _operators(lambda n1, q1, n2, q2: (n1 * n2, q1 * q2))
+    __truediv__, __rtruediv__ = _operators(lambda n1, q1, n2, q2: (n1 * q2, q1 * n2))
 
     def __neg__(self):
         return QuadExt._make(-self._num, self._den)
@@ -272,45 +279,8 @@ class QuadExt:
     def __pos__(self):
         return self
 
-    def __sub__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        n, q = parts
-        return ratio(self._num * q - n * self._den, self._den * q)
-
-    def __rsub__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        n, q = parts
-        return ratio(n * self._den - self._num * q, self._den * q)
-
-    def __mul__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        n, q = parts
-        return ratio(self._num * n, self._den * q)
-
-    __rmul__ = __mul__
-
     def _inverse(self):
         return ratio(self._den, self._num)
-
-    def __truediv__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        n, q = parts
-        return ratio(self._num * q, self._den * n)
-
-    def __rtruediv__(self, other):
-        parts = self._coerce(other)
-        if parts is None:
-            return NotImplemented
-        n, q = parts
-        return ratio(n * self._den, q * self._num)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -318,7 +288,7 @@ class QuadExt:
     def __floor__(self) -> int:
         return math.floor(self._num) // self._den
 
-    # -- comparisons -------------------------------------------------------
+    # -- comparisons: each one test of the sign of self - other ------------
 
     def sign(self) -> int:
         return self._num.sign()
@@ -330,25 +300,19 @@ class QuadExt:
         n, q = parts
         return (self._num * q - n * self._den).sign()
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return c == 0 if c is not NotImplemented else NotImplemented
+    def _comparison(test):
+        def compare(self, other):
+            c = self._cmp(other)
+            return NotImplemented if c is NotImplemented else test(c)
 
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return c < 0 if c is not NotImplemented else NotImplemented
+        return compare
 
-    def __le__(self, other):
-        c = self._cmp(other)
-        return c <= 0 if c is not NotImplemented else NotImplemented
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return c > 0 if c is not NotImplemented else NotImplemented
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return c >= 0 if c is not NotImplemented else NotImplemented
+    __eq__ = _comparison(lambda c: c == 0)
+    __lt__ = _comparison(lambda c: c < 0)
+    __le__ = _comparison(lambda c: c <= 0)
+    __gt__ = _comparison(lambda c: c > 0)
+    __ge__ = _comparison(lambda c: c >= 0)
+    del _operators, _comparison
 
     def __hash__(self):
         # b != 0 always, so no QuadExt ever equals a rational; equal values
@@ -380,7 +344,7 @@ def sign(x: ScalarLike) -> int:
     """Exact sign of a scalar: -1, 0 or +1."""
     if isinstance(x, QuadExt):
         return x.sign()
-    return _sign_rational(x)
+    return (x > 0) - (x < 0)
 
 
 def as_scalar(x: ScalarLike) -> Scalar:
@@ -394,11 +358,6 @@ def radicand(x: ScalarLike) -> Optional[int]:
     return x.d if isinstance(x, QuadExt) else None
 
 
-def to_float(x: ScalarLike) -> float:
-    """One-way float conversion, for rendering and reporting only."""
-    return float(x)
-
-
 # -- serialization ----------------------------------------------------------
 #
 # Wire format: a decimal integer string, "p/q", or for quadratic values
@@ -406,16 +365,10 @@ def to_float(x: ScalarLike) -> float:
 
 
 def scalar_to_json(x: ScalarLike):
+    # str of a Fraction is "p/q", or "p" where q == 1
     if isinstance(x, QuadExt):
-        return {"a": _frac_to_text(x.a), "b": _frac_to_text(x.b), "d": x.d}
-    x = Fraction(x)
-    return _frac_to_text(x)
-
-
-def _frac_to_text(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return {"a": str(x.a), "b": str(x.b), "d": x.d}
+    return str(Fraction(x))
 
 
 def scalar_from_json(value, quad_d: int | None = None) -> Scalar:

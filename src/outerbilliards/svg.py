@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import ConvexRegion, Point, box_region
-from .scalars import to_float
 
 
 class EmptySceneError(ValueError):
@@ -56,7 +55,7 @@ _DEFAULTS = {
 
 
 def _fmt(x) -> str:
-    return format(to_float(x), ".12g")
+    return format(float(x), ".12g")
 
 
 def render_scene(items: Sequence[SceneItem],

@@ -15,7 +15,6 @@ from outerbilliards.errors import (
     MapUndefinedError,
     OnPrimaryWallError,
     OnStripBoundaryError,
-    UnboundedRegionError,
     UndefinedOnWallError,
 )
 from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Location, Point, point_of,
@@ -101,7 +100,7 @@ def region_area(r):
     if r.is_empty:
         return Fraction(0)
     if not r.is_bounded():
-        raise UnboundedRegionError("area of an unbounded region")
+        raise ValueError("area of an unbounded region")
     return abs(signed_area2(r.vertices())) / 2
 
 

@@ -20,7 +20,7 @@ from fm_oracle import (
 from oracles import hp_key, line_intersection, line_key, region_area
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry, scalars
-from outerbilliards.errors import EmptyRegionError, UnboundedRegionError
+from outerbilliards.errors import EmptyRegionError
 from outerbilliards.geometry import (
     ConvexRegion,
     HalfPlane,
@@ -215,8 +215,18 @@ def test_region_area_parallelogram_48():
     assert region_area(r) == 48  # base 8, height 6
 
 
+def test_sense_flipped_is_an_involution():
+    """flipped pairs each bound with the opposite bound of the same
+    strictness, and undoes itself."""
+    assert {s: s.flipped() for s in Sense} == {Sense.GE: Sense.LE, Sense.LE: Sense.GE,
+                                               Sense.GT: Sense.LT, Sense.LT: Sense.GT}
+    for s in Sense:
+        assert s.flipped().flipped() is s
+        assert s.flipped().strict == s.strict and s.flipped().upper != s.upper
+
+
 def test_region_area_unbounded_raises():
-    with pytest.raises(UnboundedRegionError):
+    with pytest.raises(ValueError):
         region_area(slab(0, 1, 0, 6))
 
 

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -126,6 +127,85 @@ def test_ops_match_fraction_pair_oracle():
             num, den = x.as_integer_ratio()
             assert den > 0 and math.gcd(num.r, num.s, den) == 1
             assert (Fraction(num.r, den), Fraction(num.s, den)) == (xa, xb)
+
+
+def rand_quadext(rng, i, d=5):
+    b = rand_fraction(rng.split(2), i)
+    return QuadExt(rand_fraction(rng.split(1), i), b if b != 0 else Fraction(1, 3), d)
+
+
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def reflected_mismatches():
+    """Each reflected operator with an int and with a Fraction on the left of
+    a QuadExt, against the Fraction pair oracle (d = 5): the (left, op, x,
+    got, expected) cases that disagree, a raised ZeroDivisionError
+    included."""
+    rng = Rng(13).split(4)
+    bad = []
+    for i in range(200):
+        x = rand_quadext(rng.split(0), i)
+        xa, xb = parts(x)
+        n = xa * xa - 5 * xb * xb
+        for left in (rng.int_range(i, -30, 30), rand_fraction(rng.split(3), i)):
+            expected = {"+": (left + xa, xb), "-": (left - xa, -xb),
+                        "*": (left * xa, left * xb), "/": (left * xa / n, -left * xb / n)}
+            for op, apply in ARITHMETIC.items():
+                try:
+                    got = parts(apply(left, x))
+                except ZeroDivisionError as exc:
+                    got = exc
+                if got != expected[op]:
+                    bad.append((left, op, x, got, expected[op]))
+    return bad
+
+
+def test_reflected_ops_match_fraction_pair_oracle():
+    assert reflected_mismatches() == []
+
+
+def test_reflected_oracle_trips_on_forward_rules(monkeypatch):
+    """Negative control: reflected subtraction and division computing
+    self - other and self / other are caught by the oracle above."""
+    monkeypatch.setattr(QuadExt, "__rsub__", QuadExt.__sub__)
+    monkeypatch.setattr(QuadExt, "__rtruediv__", QuadExt.__truediv__)
+    ops = {op for _, op, *_ in reflected_mismatches()}
+    assert ops == {"-", "/"}
+
+
+def test_comparisons_match_decimal_oracle_in_both_orders():
+    """All five comparisons of a QuadExt with a QuadExt, a Fraction or an
+    int, with the QuadExt on either side, against the sign of the
+    difference: exact where the sqrt(5) parts agree, else to 60 digits."""
+    rng = Rng(17).split(6)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        sqrt5 = decimal.Decimal(5).sqrt()
+        for i in range(300):
+            x = rand_quadext(rng.split(0), i)
+            kind = i % 4
+            y = (rand_quadext(rng.split(1), i) if kind == 0 else x if kind == 1
+                 else rand_fraction(rng.split(1), i) if kind == 2 else rng.int_range(i, -5, 5))
+            a, b = (u - v for u, v in zip(parts(x), parts(y)))
+            c = (sign(a) if b == 0 else
+                 sign(decimal.Decimal(a.numerator) / a.denominator
+                      + decimal.Decimal(b.numerator) / b.denominator * sqrt5))
+            for left, right, s in ((x, y, c), (y, x, -c)):
+                assert ((left == right, left < right, left <= right, left > right, left >= right)
+                        == (s == 0, s < 0, s <= 0, s > 0, s >= 0)), (left, right)
+
+
+@pytest.mark.parametrize("other", [1.5, "2"])
+def test_unsupported_operands_raise_type_error(other):
+    """A float or a str on either side of every arithmetic operator and
+    ordering is a TypeError; equality with one is False."""
+    x = QuadExt(1, 2, 5)
+    for op in (*ARITHMETIC.values(), operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    assert x != other and other != x
 
 
 def test_floor_is_exact():
