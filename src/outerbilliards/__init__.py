@@ -54,8 +54,6 @@ from .paths import (
     apex_sequence,
     enumerate_paths,
     link_partition,
-    path_tile,
-    tile_translate,
 )
 from .polygon import NicePolygon, parse_polygon, polygon_to_text
 from .quasirational import (

@@ -154,11 +154,7 @@ def cmd_classify(args) -> int:
     poly = _load_polygon(args.polygon)
     model = BilliardModel(poly)
     p = _parse_point(args.point)
-    try:
-        tile = model.partition.classify(poly.homogeneous(p))
-    except MapUndefinedError as exc:
-        _emit({"schema": "classify/1", "error": str(exc)})
-        return EXIT_UNDEFINED
+    tile = model.partition.classify(poly.homogeneous(p))
     path = model.path_of_tile(tile)
     _emit({
         "schema": "classify/1",
@@ -184,12 +180,8 @@ def cmd_orbit(args) -> int:
         return _fail(f"bad --escape {args.escape!r}: {exc}")
     if escape is not None and escape < 0:
         return _fail(f"--escape must be >= 0, got {args.escape}")
-    try:
-        start = section(model, p) if selector in ("psi_star", "strip_return") else p
-        rec = orbit(model, start, selector, args.steps, escape)
-    except MapUndefinedError as exc:
-        _emit({"schema": "orbit/1", "error": str(exc)})
-        return EXIT_UNDEFINED
+    start = section(model, p) if selector in ("psi_star", "strip_return") else p
+    rec = orbit(model, start, selector, args.steps, escape)
     events = []
     for e in rec.events:
         entry = {"step": e.step, "point": _pt_json(e.point), "event": e.tag}
@@ -286,8 +278,15 @@ def cmd_quasi(args) -> int:
     return status
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: a JSON error on stdout, exit code 2."""
+
+    def error(self, message):
+        raise SystemExit(_fail(f"{self.prog}: {message}"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="outerbilliards",
         description="Exact outer billiards, pinwheel dynamics, and verification")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -339,9 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except MapUndefinedError as exc:
+        _emit({"schema": f"{args.command}/1", "error": str(exc)})
+        return EXIT_UNDEFINED
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT

@@ -3,11 +3,7 @@
 from __future__ import annotations
 
 
-class GeometryError(Exception):
-    """Base for exact-geometry failures."""
-
-
-class EmptyRegionError(GeometryError):
+class EmptyRegionError(Exception):
     """An operation required a nonempty (full-dimensional) region."""
 
 

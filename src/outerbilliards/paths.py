@@ -21,9 +21,9 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .billiards import Partition, Tile
+from .billiards import Partition
 from .errors import IndexOutOfRangeError, NotAdmissiblePairError
-from .geometry import ConvexRegion, Point, Vec
+from .geometry import Point, Vec
 from .strips import PinwheelSystem
 
 ZERO_VEC = Vec(Fraction(0), Fraction(0))
@@ -48,7 +48,6 @@ class AdmissiblePath:
     last_vertex_index: int
     first_vertex: Point
     last_vertex: Point
-    terminal_special: bool
 
     @property
     def end(self) -> int:
@@ -112,11 +111,9 @@ class PathFamily:
         except KeyError:
             raise NotAdmissiblePairError(label) from None
 
-    def from_start(self, a: int) -> List[AdmissiblePath]:
-        return [p for p in self.paths if p.start == a % self.system.n]
-
     def maximal_from(self, a: int) -> AdmissiblePath:
-        return max(self.from_start(a), key=lambda p: p.end_lifted)
+        return max((p for p in self.paths if p.start == a % self.system.n),
+                   key=lambda p: p.end_lifted)
 
 
 def enumerate_paths(system: PinwheelSystem) -> PathFamily:
@@ -139,19 +136,18 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
     v0_index = first.v_index
     paths: List[AdmissiblePath] = []
 
-    def emit(end_lifted, involved, steps, last_index, last_point, terminal_special):
+    def emit(end_lifted, involved, steps, last_index, last_point):
         paths.append(AdmissiblePath(
             start=a, end_lifted=end_lifted, n=n,
             involved=tuple(involved), steps=dict(steps),
             first_vertex_index=v0_index, last_vertex_index=last_index,
             first_vertex=first.v, last_vertex=last_point,
-            terminal_special=terminal_special,
         ))
 
     involved = [a]
     steps: Dict[int, Vec] = {a: first.w - first.v}
     current_index, current_point = first.w_index, first.w
-    emit(a, involved, steps, current_index, current_point, False)
+    emit(a, involved, steps, current_index, current_point)
 
     for j in range(a + 1, a + n):
         s = system.pair(j)
@@ -166,7 +162,7 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
             if len(involved) % 2 == 1:
                 if current_index == v0_index:
                     break  # wrapped all the way around the polygon
-                emit(j, involved, steps, current_index, current_point, False)
+                emit(j, involved, steps, current_index, current_point)
         elif s.w_index == current_index:
             # special spoke: may terminate the path backward, else is skipped
             if not s.special:
@@ -177,7 +173,7 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
                     break
                 end_steps = dict(steps)
                 end_steps[j] = s.v - s.w
-                emit(j, involved + [j], end_steps, s.v_index, s.v, True)
+                emit(j, involved + [j], end_steps, s.v_index, s.v)
             steps[j] = ZERO_VEC  # skipped: the current vertex stays put
         else:
             raise AssertionError(
@@ -197,17 +193,6 @@ def link_partition(partition: Partition, family: PathFamily) -> Partition:
             f"path/tile label mismatch: paths-without-tiles={missing}, "
             f"tiles-without-paths={extra}")
     return partition
-
-
-def path_tile(partition: Partition, path: AdmissiblePath) -> Tile:
-    """The tile of a path; for single-spoke paths, the one labelled (v, w)."""
-    return partition.by_label[path.endpoint_pair()]
-
-
-def tile_translate(partition: Partition, path: AdmissiblePath, k: int) -> ConvexRegion:
-    """The path's tile translated by the doubled step prefix through index k."""
-    tile = path_tile(partition, path)
-    return tile.region.translate(path.prefix_sum(k))
 
 
 def apex_sequence(path: AdmissiblePath) -> Tuple[Point, ...]:

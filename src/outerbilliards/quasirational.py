@@ -99,10 +99,6 @@ class NecklaceSpec:
     # line's integer form A*x + B*y = C with its scale k, 1/(A*SY - SX*B) = u/v
     frame: Tuple = field(repr=False, compare=False)
 
-    @property
-    def center(self) -> Point:
-        return self.pair.w
-
     def at(self, m: int) -> "NecklaceSpec":
         """The same strip's ring at exponent m."""
         return replace(self, m=m)
@@ -118,16 +114,18 @@ class NecklaceSpec:
             X, Y = WX * k - X, WY * k - Y
         return X * sq + SX * self.m * L, Y * sq + SY * self.m * L, L * sq
 
-    def samples(self, cycle, kind: str, count: int, seed: int) -> list:
+    def samples(self, kind: str, count: int, seed: int) -> list:
         """The copy's region's `sample_points(count, seed)` as triples, drawn on
-        P's lattice from `cycle`, P's region's vertices, carried onto the copy
-        and asserted interior to it.  A half turn reverses the lexicographic
-        order: Q's weights go on P's cycle started at its largest vertex."""
-        den, cycle = lattice(cycle)
-        if kind == "Q":
-            top = max(range(len(cycle)), key=lambda i: [int_parts(X) for X in cycle[i]])
-            cycle = cycle[top:] + cycle[:top]
-        out = [self.carry(t, kind) for t in barycentric_triples(den, cycle, count, seed)]
+        P's lattice from P's vertex cycle started, as P's region's cycle is, at
+        its lexicographically least vertex, carried onto the copy and asserted
+        interior to it.  A half turn reverses the lexicographic order: Q's
+        weights go on P's cycle started at its largest vertex."""
+        cycle = self.polygon.lattice
+        first = (max if kind == "Q" else min)(
+            range(len(cycle)), key=lambda i: [int_parts(X) for X in cycle[i]])
+        cycle = cycle[first:] + cycle[:first]
+        out = [self.carry(t, kind)
+               for t in barycentric_triples(self.polygon.den, cycle, count, seed)]
         assert all(map(self.in_p if kind == "P" else self.in_q, out))
         return out
 
@@ -163,10 +161,6 @@ class NecklaceSpec:
         (sn, sd), (on, od) = s.as_integer_ratio(), off.as_integer_ratio()
         c, t, g = (C * od + k * on) * sd, sq * sn * od, self.polygon.den * u
         return (c * SY - B * t) * g, (A * t - SX * c) * g, v * sd * od * self.polygon.den
-
-    def frame_point(self, s: Scalar, off: Scalar) -> Point:
-        """`frame_triple(s, off)` as a Point."""
-        return point_of(self.frame_triple(s, off))
 
 
 def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
@@ -265,7 +259,7 @@ def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
     if not any(ring.in_annulus(here) for ring in rings):
         raise AnnulusNotFoundError(
             f"point {p} is not inside any strip's m={m} annulus")
-    corners = (ring.frame_point(s_val, off) for ring in rings
+    corners = (point_of(ring.frame_triple(s_val, off)) for ring in rings
                for s_val in (ring.lo - ring.m * ring.dd, ring.hi + ring.m * ring.dd)
                for off in (Fraction(0), ring.pair.width))
     return True, max(abs(c.x) + abs(c.y) for c in corners)

@@ -38,12 +38,6 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def sample(self):
-        self.attempted += 1
-
-    def ok(self):
-        self.valid += 1
-
     def fail(self, input_repr: str, expected: str, actual: str, index: int = -1):
         self.violations.append(Violation(index, input_repr, expected, actual))
 

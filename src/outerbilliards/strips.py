@@ -56,9 +56,6 @@ class PinwheelPair:
         q, ((VX, VY),) = lattice((self.V,))
         object.__setattr__(self, "V_ints", (VX, VY, q))
 
-    def offset(self, p: Point) -> Scalar:
-        return self.line.signed_offset(p)
-
     def location(self, p) -> int:
         """-1 outside, 0 on the boundary, +1 strictly inside the strip, for
         the point with lattice triple p (as `Line.side`)."""
@@ -90,9 +87,6 @@ class PinwheelSystem:
 
     def pair(self, j: int) -> PinwheelPair:
         return self.pairs[j % self.n]
-
-    def strip(self, j: int) -> ConvexRegion:
-        return self.pair(j).strip_region()
 
     def max_width(self) -> Scalar:
         return max(p.width for p in self.pairs)

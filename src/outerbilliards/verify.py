@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from .billiards import inverse_square_map, psi_walk, square_map
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import ConvexRegion, HalfPlane, Line, Point, lattice, point_of, polygon_region
+from .geometry import ConvexRegion, HalfPlane, Line, Point, lattice, point_of
 from .model import BilliardModel
 from .paths import apex_sequence
 from .polygon import NicePolygon
@@ -246,7 +246,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         # bounded depth: the tile sits within half a width of its start strip
         pair_a = model.system.pair(path.start)
         for v in verts:
-            if not -pair_a.width <= 2 * pair_a.offset(v) <= 3 * pair_a.width:
+            if not -pair_a.width <= 2 * pair_a.line.signed_offset(v) <= 3 * pair_a.width:
                 return (path.display(), "closed containments",
                         f"vertex {v} deeper than half the width of strip {path.start}")
         return None
@@ -271,7 +271,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         idx += 1
         # the tile counts once, valid only when none of its pin2 samples is a
         # violation; a pin2 violation is that sample's, not the tile's
-        rep.sample()
+        rep.attempted += 1
         bad = moves(tile, path)
         if bad is not None:
             rep.fail(*bad, idx)
@@ -283,7 +283,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
             pts = tile.region.sample_points(samples_per_tile, seed=rng.u64(idx) & 0xFFFF)
             if any(rep.judge(idx, acts, s, path, shift, want) is False for s in pts):
                 continue
-        rep.ok()
+        rep.valid += 1
     return rep
 
 
@@ -380,8 +380,8 @@ def _conjugate_laws(model: BilliardModel, rep: CheckReport):
     reflected = NicePolygon.from_points(
         [Point(v.x, -v.y) for v in model.polygon.vertices])
     other = BilliardModel(reflected)
-    theirs = [other.system.strip(k) for k in range(n)]
-    mine = [_reflect_region(model.system.strip(j)) for j in range(n)]
+    theirs = [other.system.pair(k).strip_region() for k in range(n)]
+    mine = [_reflect_region(model.system.pair(j).strip_region()) for j in range(n)]
     hits = [k for k in range(n) if theirs[k] == mine[0]]
     if not rep.judge(-1, lambda: None if len(hits) == 1 else
                      ("strip reflection", "unique matching strip", f"{hits}")):
@@ -428,9 +428,6 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
     n = model.n
     rng = Rng(seed).split(0x9E, m)
     per_piece = max(2, samples // (2 * n))
-    # every ring copy is P moved rigidly: read P's vertex cycle off its
-    # region once, and carry what is drawn on P's lattice onto the copies
-    cycle = polygon_region(system.polygon.vertices, open_region=True).vertices()
     corners = [(X, Y, system.polygon.den) for X, Y in system.polygon.lattice]
     # one ring per strip: the source of strip j and the target of strip j - 1
     rings = [necklace(system, j, 0) for j in range(n)]
@@ -469,7 +466,7 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
         targets = [target, target.at(-target.m)]
         for kind in ("P", "Q"):
             landings = []
-            for here in ring.samples(cycle, kind, per_piece, seed=rng.u64(4 * j) & 0xFFFF):
+            for here in ring.samples(kind, per_piece, seed=rng.u64(4 * j) & 0xFFFF):
                 rep.judge(j, lands, here, kind, targets, landings)
             if landings and exponent_offset == 0:
                 rep.judge(j, rigid, ring, kind, landings[0])

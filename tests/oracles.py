@@ -60,7 +60,7 @@ def hp_key(h: HalfPlane) -> tuple:
 
 def slab_distance(pair, p):
     """Offset distance from p to the pair's closed slab; 0 inside."""
-    t = pair.offset(p)
+    t = pair.line.signed_offset(p)
     if t < 0:
         return -t
     if t > pair.width:
@@ -88,9 +88,9 @@ def sigma_range(system, a: int, b: int) -> ConvexRegion:
     span = (b - a) % n
     if span == 0:
         return ConvexRegion.whole_plane()
-    out = system.strip(a)
+    out = system.pair(a).strip_region()
     for i in range(a + 1, a + span):
-        out = out.intersect(system.strip(i % n))
+        out = out.intersect(system.pair(i).strip_region())
     return out
 
 
@@ -141,7 +141,8 @@ def fresh_offsets_step(polygon, here, chirality):
 def overlap_area_region(system, j: int):
     """Overlap area of strips j and j+1 read off the region kernel: the two
     strips intersected, and the area of that parallelogram."""
-    return region_area(system.strip(j).intersect(system.strip(j + 1)))
+    strip, nxt = system.pair(j).strip_region(), system.pair(j + 1).strip_region()
+    return region_area(strip.intersect(nxt))
 
 
 def transfer_ratio(system, j: int):
@@ -240,7 +241,7 @@ def point_strip_jump(pair, p: Point) -> Tuple[Point, int]:
     """`strips.strip_jump` on `Point`s: the step count floors the quotient of
     the scalar offset and width, the landing is p moved by whole V, and a
     landing off the open strip raises at that point."""
-    t = pair.offset(p)
+    t = pair.line.signed_offset(p)
     w = pair.width
     steps = -math.floor(t / w)
     if steps == 0:  # 0 <= t < w
@@ -267,7 +268,7 @@ def pulled_back_in_p(ring, p: Point) -> bool:
 def pulled_back_in_q(ring, p: Point) -> bool:
     """`NecklaceSpec.in_q` by pulling p back to P: p - m*shift reflected
     through the strip's centre vertex, asked of the polygon."""
-    back = (p - ring.shift * ring.m).reflect_through(ring.center)
+    back = (p - ring.shift * ring.m).reflect_through(ring.pair.w)
     return ring.polygon.point_location(back) is Location.INTERIOR
 
 
@@ -294,7 +295,7 @@ def placed_samples(ring, base, kind: str, count: int, seed: int):
     """A ring copy's samples by the region route: P's region `base` moved
     onto the copy (turned about the strip's centre vertex for kind "Q", then
     translated by m*shift) and sampled there."""
-    region = base.point_reflect(ring.center) if kind == "Q" else base
+    region = base.point_reflect(ring.pair.w) if kind == "Q" else base
     return region.translate(ring.shift * ring.m).sample_points(count, seed=seed)
 
 
@@ -308,4 +309,4 @@ def q_vertices(ring) -> Tuple[Point, ...]:
     """The vertices of the ring's copy (P turned 180 degrees about its
     centre vertex) + m*shift, on `Point`s."""
     offset = ring.shift * ring.m
-    return tuple(v.reflect_through(ring.center) + offset for v in ring.polygon.vertices)
+    return tuple(v.reflect_through(ring.pair.w) + offset for v in ring.polygon.vertices)

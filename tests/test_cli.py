@@ -58,10 +58,16 @@ def test_classify_worked_example(tri_file, capsys):
     assert doc["bounded"] is False
 
 
+# stdout at the triangle's wall point (6, 0), recorded when classify and
+# orbit each caught MapUndefinedError themselves
+WALL_ERROR = ('{\n  "error": "map undefined on a wall (stage 1): '
+              'Point(x=Fraction(6, 1), y=Fraction(0, 1))",\n  "schema": "%s/1"\n}\n')
+
+
 def test_classify_wall_point_distinct_exit_code(tri_file, capsys):
     code, out = run(capsys, "classify", tri_file, "--point", "6,0")
     assert code == 3
-    assert "error" in json.loads(out)
+    assert out == WALL_ERROR % "classify"
 
 
 def test_classify_bad_point_is_input_error(tri_file, capsys):
@@ -296,9 +302,11 @@ def test_orbit_psi_events(tri_file, capsys):
 
 
 def test_orbit_wall_point(tri_file, capsys):
-    code, out = run(capsys, "orbit", tri_file, "--point", "6,0",
-                    "--map", "psistar", "--steps", "3")
-    assert code == 3
+    for name in ("psistar", "stripreturn"):
+        code, out = run(capsys, "orbit", tri_file, "--point", "6,0",
+                        "--map", name, "--steps", "3")
+        assert code == 3
+        assert out == WALL_ERROR % "orbit"
 
 
 def test_orbit_svg_trace(tri_file, tmp_path, capsys):
@@ -401,6 +409,11 @@ BAD_POLYGON_DOCS = {
     ("validate", "QUAD_NEG3"),
     ("validate", "QUAD_TRUE"),
     ("validate", "QUAD_PRIME_SQ"),
+    ("orbit", "TRI", "--point", "8,-2", "--steps", "abc"),
+    ("orbit", "TRI", "--point", "8,-2", "--map", "bogus"),
+    ("orbit", "TRI"),
+    ("verify", "TRI", "--seed", "x"),
+    (),
 ])
 def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
     files = {"TRI": tri_file}
@@ -410,3 +423,10 @@ def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
     code, out = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 2
     assert json.loads(out)["error"]
+
+
+def test_help_is_not_a_usage_error(capsys):
+    for argv in (("--help",), ("orbit", "--help")):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: outerbilliards")

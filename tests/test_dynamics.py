@@ -265,7 +265,7 @@ def test_strip_system_return_advances_one_strip():
     m = BilliardModel(PENTAGON)
     rng = Rng(8).split(4)
     for j in range(m.n):
-        pts = m.system.strip(j).intersect(_bigbox()).sample_points(
+        pts = m.system.pair(j).strip_region().intersect(_bigbox()).sample_points(
             4, seed=rng.u64(j) & 0xFFFF)
         for p in pts:
             try:

@@ -610,7 +610,7 @@ def test_tiles_and_strips_match_fraction_keys(poly_key):
             regions += [tile.region, tile.region.translate(tile.translation),
                         tile.region.point_reflect(v)]
     system = build_pinwheel_system(poly)
-    regions += [system.strip(j) for j in range(system.n)]
+    regions += [system.pair(j).strip_region() for j in range(system.n)]
     for r in regions:
         _assert_oracle_order(r)
     lines = [h.line for r in regions for h in r.constraints]

@@ -7,7 +7,7 @@ from outerbilliards.errors import IndexOutOfRangeError, NotAdmissiblePairError
 from outerbilliards.geometry import Location, pt
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.model import BilliardModel
-from outerbilliards.paths import apex_sequence, path_tile, tile_translate
+from outerbilliards.paths import apex_sequence
 from outerbilliards.polygon import NicePolygon
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
@@ -56,7 +56,6 @@ def test_terminal_orientation_flips_exactly_on_special_spokes():
             w = p.steps[p.end_lifted]
             if last.special:
                 assert w == last.v - last.w
-                assert p.terminal_special
             else:
                 assert w == last.w - last.v
             for i in p.involved[:-1]:
@@ -87,7 +86,8 @@ def test_endpoint_arc_oracle():
         n = m.n
         ccw_next = {i: (i - 1) % m.polygon.n for i in range(m.polygon.n)}
         for a in range(n):
-            group = sorted(m.paths.from_start(a), key=lambda q: q.end_lifted)
+            group = sorted((q for q in m.paths.paths if q.start == a),
+                           key=lambda q: q.end_lifted)
             expect = m.system.pair(a).w_index
             for p in group:
                 assert p.first_vertex_index == m.system.pair(a).v_index
@@ -138,8 +138,8 @@ def test_prefix_closure():
 def test_tile_translate_k_equals_b_is_the_psi_image():
     for m in models():
         for p in m.paths.paths:
-            tile = path_tile(m.partition, p)
-            moved = tile_translate(m.partition, p, p.end_lifted)
+            tile = m.partition.by_label[p.endpoint_pair()]
+            moved = tile.region.translate(p.prefix_sum(p.end_lifted))
             assert moved == tile.region.translate(tile.translation)
             assert moved.is_bounded() == tile.region.is_bounded()
             if not tile.unbounded:
@@ -150,16 +150,16 @@ def test_tile_translate_index_out_of_range():
     m = BilliardModel(HEXAGON)
     p = max(m.paths.paths, key=lambda q: q.length)
     with pytest.raises(IndexOutOfRangeError):
-        tile_translate(m.partition, p, p.start - 1)
+        p.prefix_sum(p.start - 1)
     with pytest.raises(IndexOutOfRangeError):
-        tile_translate(m.partition, p, p.end_lifted + 1)
+        p.prefix_sum(p.end_lifted + 1)
 
 
 def test_tile_translate_single_spoke_path():
     m = BilliardModel(TRIANGLE)
     p = m.paths.path_for_label((0, 1))
-    tile = path_tile(m.partition, p)
-    moved = tile_translate(m.partition, p, p.start)
+    tile = m.partition.by_label[p.endpoint_pair()]
+    moved = tile.region.translate(p.prefix_sum(p.start))
     assert moved == tile.region.translate(p.steps[p.start] * 2)
 
 
@@ -179,4 +179,4 @@ def test_apex_points_in_closed_strips_for_maximal_paths():
             seq = apex_sequence(p)
             for i, q in enumerate(seq[1:]):
                 pair = m.system.pair(p.start + i)
-                assert 0 <= pair.offset(q) <= pair.width
+                assert 0 <= pair.line.signed_offset(q) <= pair.width

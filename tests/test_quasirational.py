@@ -160,8 +160,8 @@ def test_necklace_zero_shift_is_polygon():
     spec = necklace(m.system, 0, 0)
     assert p_vertices(spec) == m.polygon.vertices
     assert q_vertices(spec) == tuple(
-        v.reflect_through(spec.center) for v in m.polygon.vertices)
-    assert spec.center == m.system.pair(0).w
+        v.reflect_through(spec.pair.w) for v in m.polygon.vertices)
+    assert spec.pair.w == m.system.pair(0).w
 
 
 def test_necklace_copies_preserve_area():
@@ -232,7 +232,7 @@ def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
             offset = spec.shift * spec.m
             for kind, moved, verts in (
                     ("P", base.translate(offset), p_vertices(spec)),
-                    ("Q", base.point_reflect(spec.center).translate(offset), q_vertices(spec))):
+                    ("Q", base.point_reflect(spec.pair.w).translate(offset), q_vertices(spec))):
                 ref = polygon_region(verts, open_region=True)
                 assert moved == ref
                 assert moved.vertices() == ref.vertices()
@@ -242,7 +242,7 @@ def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
                 assert repr(carried) == repr(verts)
 
 
-def test_necklace_check_builds_one_polygon_region(monkeypatch):
+def test_necklace_check_builds_no_polygon_region(monkeypatch):
     import outerbilliards
 
     model = BilliardModel(random_nice_polygon(5, seed=5))
@@ -260,7 +260,7 @@ def test_necklace_check_builds_one_polygon_region(monkeypatch):
             monkeypatch.setattr(module, "polygon_region", counted)
     rep = check_necklace_invariance(model, m=1, samples=20, seed=5)
     assert rep.passed
-    assert len(calls) == 1  # one per ring copy (2n) before the copies were moved
+    assert calls == []  # P's vertex cycle is its lattice; the copies are carried
 
 
 def test_necklace_invariance_wrong_exponent_fails():
@@ -285,7 +285,7 @@ def test_boundedness_certificate_triangle():
     # hunt a certified point inside strip 0's m=1 annulus
     ring = necklace(m.system, 0, q.D_int[0])
     (a1, b1), _ = ring.windows()
-    p = ring.frame_point((a1 + b1) / 2, Fraction(7, 3))
+    p = point_of(ring.frame_triple((a1 + b1) / 2, Fraction(7, 3)))
     assert ring.in_annulus(TRIANGLE.homogeneous(p))
     bounded, radius = boundedness_certificate(m.system, q, p, m=1)
     assert bounded
@@ -302,7 +302,7 @@ def test_certificate_radius_monotone_in_m():
     q = quasi_analyze(m.system)
     ring = necklace(m.system, 0, q.D_int[0])
     (a1, b1), _ = ring.windows()
-    p = ring.frame_point((a1 + b1) / 2, Fraction(7, 3))
+    p = point_of(ring.frame_triple((a1 + b1) / 2, Fraction(7, 3)))
     _, r1 = boundedness_certificate(m.system, q, p, m=1)
     _, r2 = boundedness_certificate(m.system, q, p, m=2)
     _, r3 = boundedness_certificate(m.system, q, p, m=3)
@@ -397,9 +397,9 @@ def test_frame_point_closed_form_matches_line_route(poly_key):
                   quadext(Fraction(-7, 2), 3, 5)):
             for off in (Fraction(0), width, width * Fraction(2, 7), Fraction(-5, 3)):
                 want = line_intersection(ring.pair.line.parallel_offset(off), Line(d.x, d.y, s))
-                got = ring.frame_point(s, off)
+                got = point_of(ring.frame_triple(s, off))
                 assert repr(got) == repr(want), (j, s, off)
-                assert d.dot(got) == s and ring.pair.offset(got) == off
+                assert d.dot(got) == s and ring.pair.line.signed_offset(got) == off
 
 
 def test_necklace_check_computes_shift_per_strip_not_per_sample(monkeypatch):
@@ -484,7 +484,7 @@ def _extent_points(ring):
     shift = ring.m * ring.dd
     ends = (ring.lo - shift, ring.hi + shift)
     width = ring.pair.width
-    return [ring.frame_point(s, off)
+    return [point_of(ring.frame_triple(s, off))
             for s in ends + (ends[0] - Fraction(1, 7), ends[1] + Fraction(1, 7),
                              (ends[0] + ends[1]) / 2)
             for off in (Fraction(0), width / 3, width / 2, width)]
@@ -495,7 +495,7 @@ def _annulus_points(ring):
     strip's lines and inside the strip."""
     width = ring.pair.width
     ends = [s for window in ring.windows() for s in window]
-    return [ring.frame_point(s, off)
+    return [point_of(ring.frame_triple(s, off))
             for s in ends + [(a + b) / 2 for a, b in ring.windows()]
             for off in (Fraction(0), width / 3, width)]
 
@@ -611,23 +611,43 @@ def test_ring_samples_match_placed_region_route(poly_key):
         for mm in (1, 2, 3):
             ring = necklace(system, j, mm * quasi.D_int[j])
             for kind in ("P", "Q"):
-                got = tuple(map(point_of, ring.samples(base.vertices(), kind, 3, seed=7 * j + mm)))
+                got = tuple(map(point_of, ring.samples(kind, 3, seed=7 * j + mm)))
                 want = placed_samples(ring, base, kind, 3, seed=7 * j + mm)
                 assert repr(got) == repr(want), (j, mm, kind)
 
 
-def test_ring_samples_parity_catches_q_cycle_from_vertex_0(monkeypatch):
-    """Negative control: Q's weights put on P's cycle as it starts (at its
-    smallest vertex), not started at its largest as Q's own cycle is, must
-    fail the sample parity test."""
+def _patch_first_vertex(monkeypatch, choice):
+    """`NecklaceSpec.samples` with `choice` picking where each cycle starts."""
     source = textwrap.dedent(inspect.getsource(quasirational.NecklaceSpec.samples))
-    old = "cycle = cycle[top:] + cycle[:top]"
+    old = '(max if kind == "Q" else min)'
     assert source.count(old) == 1
     namespace = dict(vars(quasirational))
-    exec(source.replace(old, "pass"), namespace)
+    exec(source.replace(old, choice), namespace)
     monkeypatch.setattr(quasirational.NecklaceSpec, "samples", namespace["samples"])
+
+
+def test_ring_samples_parity_catches_q_cycle_from_least_vertex(monkeypatch):
+    """Negative control: Q's weights put on P's cycle started at its least
+    vertex, as P's are, not at its largest as Q's own cycle is, must fail
+    the sample parity test."""
+    _patch_first_vertex(monkeypatch, "min")
     with pytest.raises(AssertionError):
         test_ring_samples_match_placed_region_route("pentagon-0")
+
+
+def test_ring_samples_parity_catches_unrotated_p_cycle(monkeypatch):
+    """Negative control: P's weights put on P's cycle from vertex 0, not from
+    its least vertex where P's region's cycle starts, must fail the sample
+    parity test on a polygon whose least vertex is not vertex 0."""
+    def least_is_not_first(key):
+        poly = _sample_polygon(key)
+        return polygon_region(poly.vertices, open_region=True).vertices()[0] != poly.vertices[0]
+
+    keys = [k for k in SAMPLE_KEYS if least_is_not_first(k)]
+    assert keys
+    _patch_first_vertex(monkeypatch, '(max if kind == "Q" else (lambda _, key: 0))')
+    with pytest.raises(AssertionError):
+        test_ring_samples_match_placed_region_route(keys[0])
 
 
 def necklace_golden_text(n):
@@ -647,7 +667,7 @@ def necklace_golden_text(n):
             rings = (necklace(system, j, mm * quasi.D_int[j]) for j in range(n))
             ring = next(r for r in rings if r.windows()[0][0] < r.windows()[0][1])
             (a1, b1), _ = ring.windows()
-            p = ring.frame_point((a1 + b1) / 2, ring.pair.width / 3)
+            p = point_of(ring.frame_triple((a1 + b1) / 2, ring.pair.width / 3))
             lines.append(f"{ring.j} {p!r} "
                          f"{boundedness_certificate(system, quasi, p, mm)!r}")
     return "\n".join(lines)

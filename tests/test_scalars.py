@@ -256,7 +256,7 @@ def test_mixing_different_radicands_raises():
 
 def test_ordering_transitive_and_matches_decimal_oracle():
     # float/decimal used strictly as a test oracle; the kernel never rounds
-    decimal.getcontext().prec = 60
+    prec = decimal.getcontext().prec
     rng = Rng(7).split(99)
     vals = []
     for i in range(10_000):
@@ -265,17 +265,19 @@ def test_ordering_transitive_and_matches_decimal_oracle():
         if b == 0:
             b = Fraction(1, 7)
         vals.append(QuadExt(a, b, 5))
-    sqrt5 = decimal.Decimal(5).sqrt()
+    with decimal.localcontext(decimal.Context(prec=60)):
+        sqrt5 = decimal.Decimal(5).sqrt()
 
-    def approx(q):
-        return (decimal.Decimal(q.a.numerator) / q.a.denominator
-                + (decimal.Decimal(q.b.numerator) / q.b.denominator) * sqrt5)
+        def approx(q):
+            return (decimal.Decimal(q.a.numerator) / q.a.denominator
+                    + (decimal.Decimal(q.b.numerator) / q.b.denominator) * sqrt5)
 
-    for i in range(0, len(vals) - 1, 2):
-        x, y = vals[i], vals[i + 1]
-        ax, ay = approx(x), approx(y)
-        if abs(ax - ay) > decimal.Decimal("1e-30"):
-            assert (x < y) == (ax < ay)
+        for i in range(0, len(vals) - 1, 2):
+            x, y = vals[i], vals[i + 1]
+            ax, ay = approx(x), approx(y)
+            if abs(ax - ay) > decimal.Decimal("1e-30"):
+                assert (x < y) == (ax < ay)
+    assert decimal.getcontext().prec == prec  # the oracle's precision stays in its context
     # transitivity spot-check on sorted triples
     s = sorted(vals[:300])
     for i in range(len(s) - 2):

@@ -31,8 +31,8 @@ def test_triangle_bottom_edge_pair():
     assert p0.v == pt(0, 0)      # head of the clockwise edge (4,0) -> (0,0)
     assert p0.w == pt(1, 3)      # farthest vertex from y = 0
     assert p0.V == vec(2, 6)
-    assert p0.offset(pt(7, 0)) == 0
-    assert p0.offset(pt(0, 6)) == 6
+    assert p0.line.signed_offset(pt(7, 0)) == 0
+    assert p0.line.signed_offset(pt(0, 6)) == 6
     assert p0.width == 6         # strip {0 <= y <= 6}
     assert p0.strip_region().contains(TRIANGLE.homogeneous(pt(0, 3))) is Location.INTERIOR
     assert p0.strip_region().contains(TRIANGLE.homogeneous(pt(123, 6))) is Location.BOUNDARY
@@ -53,10 +53,10 @@ def test_head_on_centerline_and_slab_spanning():
     for poly in (TRIANGLE, PENTAGON):
         sys = build_pinwheel_system(poly)
         for p in sys.pairs:
-            assert p.offset(p.w) == p.width / 2  # w equidistant from L and L'
-            assert p.offset(p.v) == 0            # tail on the edge line
+            assert p.line.signed_offset(p.w) == p.width / 2  # w equidistant from L and L'
+            assert p.line.signed_offset(p.v) == 0            # tail on the edge line
             # translation by V carries L onto L'
-            assert p.offset(p.v + p.V) == p.width
+            assert p.line.signed_offset(p.v + p.V) == p.width
 
 
 def test_consecutive_spokes_share_vertex():
@@ -219,7 +219,7 @@ def test_sigma_range_whole_plane_when_equal():
 
 def test_sigma_range_single_strip():
     sys = triangle_system()
-    assert sigma_range(sys, 0, 1) == sys.strip(0)
+    assert sigma_range(sys, 0, 1) == sys.pair(0).strip_region()
 
 
 def test_sigma_range_parallelogram_area_48():
@@ -256,5 +256,5 @@ def test_strip_widths_double_minimal_strip():
     for poly in (TRIANGLE, PENTAGON):
         sys = build_pinwheel_system(poly)
         for p in sys.pairs:
-            farthest = max(p.offset(v) for v in poly.vertices)
+            farthest = max(p.line.signed_offset(v) for v in poly.vertices)
             assert p.width == 2 * farthest
