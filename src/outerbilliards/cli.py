@@ -75,7 +75,7 @@ def _emit(doc, path=None):
         sys.stdout.write(text)
 
 
-def _pt_json(p: Point):
+def _pt_json(p):  # a Point or a Vec
     return [scalar_to_json(p.x), scalar_to_json(p.y)]
 
 
@@ -94,7 +94,7 @@ def cmd_validate(args) -> int:
             "width": scalar_to_json(p.width),
             "v": _pt_json(p.v),
             "w": _pt_json(p.w),
-            "V": _pt_json(Point(p.V.x, p.V.y)),
+            "V": _pt_json(p.V),
             "special": p.special,
         })
     _emit({
@@ -119,7 +119,7 @@ def cmd_partition(args) -> int:
             entry = {
                 "side": side,
                 "label": [t.v_index + 1, t.w_index + 1],
-                "translation": _pt_json(Point(t.translation.x, t.translation.y)),
+                "translation": _pt_json(t.translation),
                 "bounded": not t.unbounded,
                 "constraints": [
                     {"a": scalar_to_json(h.line.a), "b": scalar_to_json(h.line.b),
@@ -137,7 +137,7 @@ def cmd_partition(args) -> int:
             "path": p.display(),
             "involved": [i % poly.n + 1 for i in p.involved],
             "special": [model.system.pair(i).special for i in p.involved],
-            "W": {str(i % poly.n + 1): _pt_json(Point(w.x, w.y))
+            "W": {str(i % poly.n + 1): _pt_json(w)
                   for i, w in sorted(p.steps.items())},
             "endpoints": [_pt_json(p.first_vertex), _pt_json(p.last_vertex)],
         })
@@ -160,7 +160,7 @@ def cmd_classify(args) -> int:
         "schema": "classify/1",
         "label": [tile.v_index + 1, tile.w_index + 1],
         "path": path.display(),
-        "translation": _pt_json(Point(tile.translation.x, tile.translation.y)),
+        "translation": _pt_json(tile.translation),
         "bounded": not tile.unbounded,
     })
     return EXIT_OK

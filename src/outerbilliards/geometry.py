@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -285,10 +285,21 @@ Sense.GT._flipped, Sense.LT._flipped = Sense.LT, Sense.GT
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """Constraint `a*x + b*y (sense) c` over the line's stored coefficients."""
+    """Constraint `a*x + b*y (sense) c` over the line's stored coefficients.
+
+    `form` is its kernel form (a, b, c, strict), fixed at construction, meaning
+    a*x + b*y >= c (> c when strict): the primitive form of the line's `ints`,
+    negated for an upper sense.  Every value the kernel reads off it is
+    invariant under a positive scale."""
 
     line: Line
     sense: Sense
+    form: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b, c = primitive(*self.line.ints)
+        a, b, c = (-a, -b, -c) if self.sense.upper else (a, b, c)
+        object.__setattr__(self, "form", (a, b, c, self.sense.strict))
 
     def contains(self, p) -> bool:
         """Whether the point with lattice triple p satisfies the constraint."""
@@ -298,20 +309,6 @@ class HalfPlane:
 
 def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> HalfPlane:
     return HalfPlane(Line(a, b, c), sense)
-
-
-# ---------------------------------------------------------------------------
-# the kernel's integers: a constraint's integer form
-
-
-def _form(h: HalfPlane):
-    """h as (a, b, c, strict), meaning a*x + b*y >= c (> c when strict): its
-    line's integer form, negated for an upper sense.  Every value the kernel
-    reads off it is invariant under a positive scale."""
-    a, b, c = h.line.ints
-    if h.sense.upper:
-        return -a, -b, -c, h.sense.strict
-    return a, b, c, h.sense.strict
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +431,7 @@ def _from_min(cycle) -> tuple:
 
 def _canonical(hps, forms) -> "ConvexRegion":
     """Canonical region of merged half-planes in canonical order
-    (`_in_order`), given with their `_form`s.
+    (`_in_order`), given with their `HalfPlane.form`s.
 
     A closure with interior keeps the constraints whose line clip has
     positive length (its edges; increasing t walks them clockwise) and, at a
@@ -521,15 +518,12 @@ class ConvexRegion:
     exactly when the region is bounded.
     """
 
-    __slots__ = ("constraints", "is_empty", "_sides", "_vertices", "_interior", "_rays")
+    __slots__ = ("constraints", "is_empty", "_vertices", "_interior", "_rays")
 
     def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool,
                  vertices: tuple = (), interior: bool = True, rays: tuple = ()):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "is_empty", is_empty)
-        # (line, orientation): the constraint holds where orientation * side >= 0
-        object.__setattr__(self, "_sides", tuple((h.line, -1 if h.sense.upper else 1)
-                                                 for h in constraints))
         object.__setattr__(self, "_vertices", vertices)
         object.__setattr__(self, "_interior", interior and not is_empty)
         object.__setattr__(self, "_rays", rays)
@@ -544,15 +538,13 @@ class ConvexRegion:
         # merge duplicates: of one primitive form keep the first (strict) one
         by_form = {}
         for h in halfplanes:
-            form = _form(h)
-            key = primitive(form[0], form[1], form[2])
-            prev = by_form.get(key)
-            if prev is None or (form[3] and not prev[0][3]):
-                by_form[key] = (form, h)
+            prev = by_form.get(h.form[:3])
+            if prev is None or (h.form[3] and not prev.form[3]):
+                by_form[h.form[:3]] = h
         if not by_form:
             return ConvexRegion.whole_plane()
         merged = _in_order(by_form)
-        return _canonical([h for _, h in merged], [form for form, _ in merged])
+        return _canonical(merged, [h.form for h in merged])
 
     @staticmethod
     def whole_plane() -> "ConvexRegion":
@@ -570,9 +562,12 @@ class ConvexRegion:
         strict constraints), or outside."""
         if self.is_empty:
             return Location.OUTSIDE
+        X, Y, L = p
         saw_zero = False
-        for line, orientation in self._sides:
-            s = orientation * line.side(p)
+        for h in self.constraints:
+            a, b, c, _ = h.form
+            s = a * X + b * Y - c * L
+            s = s if type(s) is int else s.sign()
             if s < 0:
                 return Location.OUTSIDE
             if s == 0:
@@ -593,7 +588,7 @@ class ConvexRegion:
         yn, yq = y.as_integer_ratio()
         # a*x > c - b*y on every constraint, times the denominator yq > 0
         xlo, xup = _one_dim_interval((a * yq, c * yq - b * yn, True)
-                                     for a, b, c, _ in map(_form, self.constraints))
+                                     for a, b, c, _ in (h.form for h in self.constraints))
         x = _pick_in_interval(xlo and ratio(xlo[0], xlo[1]), xup and ratio(xup[0], xup[1]),
                               rng, 2 * counter + 1)
         return Point(as_scalar(x), as_scalar(y))
@@ -605,7 +600,8 @@ class ConvexRegion:
             return None
         # else the extreme y is at a vertex, or on a horizontal edge line
         ys = [ratio(Y, L) for _, Y, L in self._vertices]
-        ys += [ratio(c, b) for a, b, c, _ in map(_form, self.constraints) if a == 0 and s * b > 0]
+        ys += [ratio(c, b) for h in self.constraints for a, b, c, _ in [h.form]
+               if a == 0 and s * b > 0]
         return min(ys) if s > 0 else max(ys)
 
     def recession_direction(self) -> Optional[Vec]:
@@ -631,7 +627,7 @@ class ConvexRegion:
         return None
 
     def _recedes(self, dy: int) -> bool:
-        return not any(b * dy < 0 for _, b, _, _ in map(_form, self.constraints))
+        return not any(h.form[1] * dy < 0 for h in self.constraints)
 
     def is_bounded(self) -> bool:
         return not self._rays
@@ -707,11 +703,10 @@ class ConvexRegion:
     # -- identity ------------------------------------------------------------
 
     def canonical_key(self):
-        """Each constraint's primitive form and strict flag, in order."""
+        """Each constraint's `form`, in order."""
         if self.is_empty:
             return ("empty",)
-        return tuple(primitive(a, b, c) + (strict,)
-                     for a, b, c, strict in map(_form, self.constraints))
+        return tuple(h.form for h in self.constraints)
 
     def __eq__(self, other):
         if not isinstance(other, ConvexRegion):

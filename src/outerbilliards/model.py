@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
 
 from .billiards import Chirality, Partition, build_partition
 from .paths import PathFamily, enumerate_paths, link_partition
@@ -15,14 +14,13 @@ class BilliardModel:
     """Polygon plus lazily built pinwheel system, partitions, and paths.
 
     The forward partition is always cross-validated against the admissible
-    path enumeration (exact label bijection) on construction.  A given
-    `system` (a negative control's corrupted one) replaces the built one.
+    path enumeration (exact label bijection) on construction.  A negative
+    control corrupts a model by assigning its `system` or `paths` before
+    anything reads them; what is built from them then reads the corrupted one.
     """
 
-    def __init__(self, polygon: NicePolygon, system: Optional[PinwheelSystem] = None):
+    def __init__(self, polygon: NicePolygon):
         self.polygon = polygon
-        if system is not None:
-            self.system = system
 
     @cached_property
     def system(self) -> PinwheelSystem:

@@ -7,8 +7,6 @@ Input in either orientation is accepted and reoriented with a flag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -27,26 +25,17 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Polygon edge from vertex `tail` to vertex `head` (clockwise order).
-
-    The line is oriented so that the polygon lies on the positive-offset side:
-    with d = head - tail it is d.y*x - d.x*y = d.y*tail.x - d.x*tail.y, whose
-    positive side is right of d, the inside of a clockwise polygon.
-    """
-
-    tail: int
-    head: int
-    line: Line
-
-
 class NicePolygon:
     """A strictly convex polygon, clockwise vertices, no two sides parallel.
 
     quad_d is the d of the polygon's field Q(sqrt d) (None: Q).  When not
     given it is read off the vertices; a vertex over another field is a
     ValueError.
+
+    `edges[i]` is the line of edge i, from vertex i to vertex i+1, oriented so
+    that the polygon lies on its positive side: with d = v[i+1] - v[i] it is
+    d.y*x - d.x*y = d.y*v[i].x - d.x*v[i].y, positive right of d, the inside
+    of a clockwise polygon.
 
     The polygon's lattice, fixed at construction: `den` is the least common
     denominator D of the vertex coordinates, and `lattice[i]` is vertex i's
@@ -68,12 +57,14 @@ class NicePolygon:
         _validate(verts)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "reoriented", reoriented)
-        object.__setattr__(self, "edges", _build_edges(verts))
+        object.__setattr__(self, "edges", tuple(
+            Line(d.y, -d.x, d.y * t.x - d.x * t.y)
+            for t, h in zip(verts, verts[1:] + verts[:1]) for d in [h - t]))
         object.__setattr__(self, "quad_d", quad_d)
         den, nums = lattice(verts)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "lattice", nums)
-        object.__setattr__(self, "_forms", tuple(e.line.ints for e in self.edges))
+        object.__setattr__(self, "_forms", tuple(e.ints for e in self.edges))
         object.__setattr__(self, "vertex_offsets",
                            tuple(self.edge_offsets(v + (den,)) for v in nums))
 
@@ -176,16 +167,6 @@ def _validate(verts: Tuple[Point, ...]):
                     f"edges {i} and {j} are parallel", (i, j))
 
 
-def _build_edges(verts: Tuple[Point, ...]) -> Tuple[Edge, ...]:
-    n = len(verts)
-    edges = []
-    for i in range(n):
-        t = verts[i]
-        d = verts[(i + 1) % n] - t
-        edges.append(Edge(i, (i + 1) % n, Line(d.y, -d.x, d.y * t.x - d.x * t.y)))
-    return tuple(edges)
-
-
 # ---------------------------------------------------------------------------
 # document parsing
 
@@ -197,6 +178,8 @@ def parse_polygon(text: str) -> NicePolygon:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     return polygon_from_document(doc)
 
 

@@ -34,7 +34,7 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import Point, Vec, barycentric_triples, integer_form, lattice, point_of
+from .geometry import Point, Vec, barycentric_triples, homogeneous, integer_form, point_of
 from .polygon import NicePolygon
 from .scalars import Scalar, int_parts, ratio
 from .strips import PinwheelPair, PinwheelSystem
@@ -168,8 +168,7 @@ def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
     strip-(j+1) offset increases by one width."""
     pj = system.pair(j)
     nxt = system.pair(j + 1)
-    e = system.polygon.edges[pj.edge_index]
-    d = system.polygon.vertices[e.head] - system.polygon.vertices[e.tail]
+    d = pj.v - system.polygon.vertex(pj.edge_index)  # v is the edge's head
     t = nxt.width / (nxt.line.a * d.x + nxt.line.b * d.y)
     return d * t
 
@@ -203,10 +202,10 @@ def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     lo, hi = min(vals), max(vals)
     twice_center = 2 * d.dot(pair.w)
     lo, hi = min(lo, twice_center - hi), max(hi, twice_center - lo)
-    sq, ((SX, SY),) = lattice((d,))
+    SX, SY, sq = homogeneous(d)
     den, (WX, WY) = polygon.den, polygon.lattice[pair.w_index]
     p_forms, q_forms = [], []
-    for A, B, C in (e.line.ints for e in polygon.edges):
+    for A, B, C in (e.ints for e in polygon.edges):
         D = A * SX + B * SY
         p_forms.append((A * sq, B * sq, C * sq, D))
         q_forms.append((-A * sq * den, -B * sq * den, (C * den - 2 * (A * WX + B * WY)) * sq,

@@ -22,7 +22,7 @@ from .geometry import (
     Point,
     Sense,
     Vec,
-    lattice,
+    homogeneous,
     point_of,
     region,
     slope_angle_cmp,
@@ -39,7 +39,7 @@ class PinwheelPair:
     vertex with both neighbouring spokes."""
 
     index: int              # position in the slope-cyclic order, 0-based
-    edge_index: int         # index into polygon.edges (vertex order)
+    edge_index: int         # index into polygon.edges: edge from vertex i to i+1
     line: Line              # L, contains the edge; polygon on the positive side
     line_far: Line          # L', parallel, offset = width
     width: Scalar           # signed_offset(L, .) evaluated on L'; always > 0
@@ -53,8 +53,7 @@ class PinwheelPair:
     V_ints: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q, ((VX, VY),) = lattice((self.V,))
-        object.__setattr__(self, "V_ints", (VX, VY, q))
+        object.__setattr__(self, "V_ints", homogeneous(self.V))
 
     def location(self, p) -> int:
         """-1 outside, 0 on the boundary, +1 strictly inside the strip, for
@@ -91,42 +90,35 @@ class PinwheelSystem:
     def max_width(self) -> Scalar:
         return max(p.width for p in self.pairs)
 
-    def with_pair(self, j: int, pair: PinwheelPair) -> "PinwheelSystem":
-        """Copy with one pair replaced (used by harness negative controls)."""
-        pairs = list(self.pairs)
-        pairs[j % self.n] = pair
-        return PinwheelSystem(self.polygon, tuple(pairs))
-
 
 def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
     """Construct the n pinwheel pairs and spokes, slope-cyclically indexed."""
     n = polygon.n
     entries = []
-    for e in polygon.edges:
-        tail, head = polygon.vertices[e.tail], polygon.vertices[e.head]
+    for i, edge in enumerate(polygon.edges):
         # the edge line, polygon on its positive side, over its leading |coefficient|
-        A, B, C = primitive(*e.line.ints)
+        A, B, C = primitive(*edge.ints)
         line = Line.of_ints(A, B, C, abs(A if A != 0 else B))
         offsets = [line.signed_offset(v) for v in polygon.vertices]
         # unique: no two sides of a nice polygon are parallel
         far = max(range(n), key=lambda i: offsets[i])
         width = 2 * offsets[far]
-        entries.append((head - tail, e, line, far, width))
+        entries.append((polygon.vertex(i + 1) - polygon.vertex(i), i, line, far, width))
 
     entries.sort(key=cmp_to_key(lambda x, y: slope_angle_cmp(x[0], y[0])))
 
-    ends = [{e.head, far} for _, e, _, far, _ in entries]
+    ends = [{(i + 1) % n, far} for _, i, _, far, _ in entries]
     pairs = []
-    for j, (_, e, line, far, width) in enumerate(entries):
-        v = polygon.vertices[e.head]
+    for j, (_, i, line, far, width) in enumerate(entries):
+        v = polygon.vertex(i + 1)
         w = polygon.vertices[far]
         pairs.append(PinwheelPair(
             index=j,
-            edge_index=e.tail,
+            edge_index=i,
             line=line,
             line_far=line.parallel_offset(width),
             width=width,
-            v_index=e.head,
+            v_index=(i + 1) % n,
             w_index=far,
             v=v,
             w=w,

@@ -17,14 +17,14 @@ from typing import List, Optional, Tuple
 from .billiards import inverse_square_map, psi_walk, square_map
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import ConvexRegion, HalfPlane, Line, Point, lattice, point_of
+from .geometry import ConvexRegion, HalfPlane, Line, Point, homogeneous, point_of
 from .model import BilliardModel
-from .paths import apex_sequence
+from .paths import PathFamily, apex_sequence
 from .polygon import NicePolygon
 from .quasirational import in_trapped_extent, necklace, quasi_analyze
 from .report import CheckReport
 from .rng import Rng
-from .strips import strip_jump, strip_map
+from .strips import PinwheelSystem, strip_jump, strip_map
 
 # ---------------------------------------------------------------------------
 # sample generation over tiles
@@ -49,7 +49,7 @@ def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
 
 def _moved(here, vec):
     """The lattice triple `here` moved by vec, whose denominators divide its L."""
-    (X, Y, L), (q, ((VX, VY),)) = here, lattice((vec,))
+    (X, Y, L), (VX, VY, q) = here, homogeneous(vec)
     return X + VX * (L // q), Y + VY * (L // q), L
 
 
@@ -218,13 +218,10 @@ def _index_shift(model: BilliardModel, here, b: int, c: int) -> Optional[str]:
 
 
 def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
-                         seed: int = 0,
-                         corrupt_terminal_sign: bool = False) -> CheckReport:
+                         seed: int = 0) -> CheckReport:
     """Bounded tiles: the translated-tile containments (exact on vertices),
     the final strip-map action, the displacement identity, and the bounded
-    depth bound.  corrupt_terminal_sign, a negative-control hook, flips each
-    path's terminal step; that breaks the displacement identity, which is
-    checked first, so the corrupted paths never reach pin2."""
+    depth bound."""
     rep = CheckReport("pin1-pin2-move", model.polygon.to_document(), seed)
     n = model.n
     rng = Rng(seed).split(0x91)
@@ -264,10 +261,6 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         if tile.unbounded:
             continue
         path = model.path_of_tile(tile)
-        if corrupt_terminal_sign:
-            steps = dict(path.steps)
-            steps[path.end_lifted] = -steps[path.end_lifted]
-            path = dataclasses.replace(path, steps=steps)
         idx += 1
         # the tile counts once, valid only when none of its pin2 samples is a
         # violation; a pin2 violation is that sample's, not the tile's
@@ -537,20 +530,24 @@ def negative_controls(polygon: NicePolygon, seed: int = 0) -> List[CheckReport]:
 
     # 1. halve one strip's width: strip containment / the pinwheel budget break
     model = BilliardModel(polygon)
-    pair = model.system.pair(0)
+    pair, *rest = model.system.pairs
     hacked = dataclasses.replace(
         pair, width=pair.width / 2,
         line_far=pair.line.parallel_offset(pair.width / 2))
-    broken = BilliardModel(polygon, system=model.system.with_pair(0, hacked))
+    broken = BilliardModel(polygon)
+    broken.system = PinwheelSystem(polygon, (hacked, *rest))
     rep = check_structure3(broken, samples=40, seed=seed)
     rep.absorb(check_pinwheel_theorem(broken, samples=40, seed=seed))
     rep.check = "negative-control-halved-strip"
     out.append(rep)
 
-    # 2. flip the terminal step sign of every bounded path: the displacement
+    # 2. flip the terminal step sign of every path: the displacement
     # identity must break (it runs before pin2, so pin2 is never reached)
-    rep = check_pin1_pin2_move(model, samples_per_tile=6, seed=seed,
-                               corrupt_terminal_sign=True)
+    flipped = BilliardModel(polygon)
+    flipped.paths = PathFamily(model.system, tuple(
+        dataclasses.replace(p, steps={**p.steps, p.end_lifted: -p.steps[p.end_lifted]})
+        for p in model.paths.paths))
+    rep = check_pin1_pin2_move(flipped, samples_per_tile=6, seed=seed)
     rep.check = "negative-control-flipped-terminal"
     out.append(rep)
 

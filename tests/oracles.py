@@ -21,7 +21,7 @@ from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Location, Po
                                      signed_area2)
 from outerbilliards.quasirational import necklace_shift
 from outerbilliards.strips import strip_map
-from outerbilliards.scalars import QuadExt, sign
+from outerbilliards.scalars import QuadExt, primitive, sign
 
 
 def normalized(h: HalfPlane) -> tuple:
@@ -56,6 +56,21 @@ def hp_key(h: HalfPlane) -> tuple:
     line = h.line
     neg = h.sense.upper != ((line.a if line.a != 0 else line.b) < 0)
     return tuple(sort_key(-x if neg else x) for x in line_key(line)) + (h.sense.strict,)
+
+
+def per_call_key(h: HalfPlane) -> tuple:
+    """The key a region once recomputed for each constraint on every `==`,
+    `hash` and merge: the primitive form of the line's integer form, negated
+    for an upper sense, then the strict flag."""
+    a, b, c = h.line.ints
+    if h.sense.upper:
+        a, b, c = -a, -b, -c
+    return primitive(a, b, c) + (h.sense.strict,)
+
+
+def per_call_region_key(r: ConvexRegion) -> tuple:
+    """`ConvexRegion.canonical_key` as it once read, on `per_call_key`."""
+    return ("empty",) if r.is_empty else tuple(map(per_call_key, r.constraints))
 
 
 def slab_distance(pair, p):

@@ -404,7 +404,7 @@ def test_sqrt5_shear_parity_catches_conjugate_sign_slip(monkeypatch):
 
 
 def _scalar_signs(polygon, p):
-    return [sign(e.line.signed_offset(p)) for e in polygon.edges]
+    return [sign(e.signed_offset(p)) for e in polygon.edges]
 
 
 def _point_route(polygon, p, chirality):
@@ -622,7 +622,7 @@ def test_walk_parity_catches_offsets_without_the_edge_constant():
     """Negative control: a `vertex_offsets` table built as a*VX + b*VY,
     without the c*den term, must fail the walk's parity test."""
     poly = corpus_polygon("n7")
-    broken = tuple([a * vx + b * vy for a, b, _ in (e.line.ints for e in poly.edges)]
+    broken = tuple([a * vx + b * vy for a, b, _ in (e.ints for e in poly.edges)]
                    for vx, vy in poly.lattice)
     object.__setattr__(poly, "vertex_offsets", broken)
     with pytest.raises(AssertionError, match="walk differs from the oracle"):
@@ -731,7 +731,7 @@ def test_psi_step_reads_each_irrational_offset_sign_once(monkeypatch):
             vx, vy = kite.lattice[vi]
             want = sum(type(a * x + b * y - c * L) is not int
                        for x, y in ((X, Y), (s2 * vx - X, s2 * vy - Y))
-                       for a, b, c in (e.line.ints for e in kite.edges))
+                       for a, b, c in (e.ints for e in kite.edges))
             assert got == want, (p, got, want)
             seen.add(want)
             p = q

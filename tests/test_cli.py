@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from outerbilliards import cli
 from outerbilliards.cli import main
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.polygon import polygon_to_text
+from outerbilliards.report import CheckReport
 
 TRIANGLE_DOC = '{"field": "rational", "vertices": [["0","0"],["1","3"],["4","0"]]}'
 SQUARE_DOC = '{"field": "rational", "vertices": [["0","0"],["0","1"],["1","1"],["1","0"]]}'
@@ -370,9 +372,51 @@ def test_quasi_certify(tri_file, capsys):
         assert code == 3 and "error" in cert
 
 
+def _report(check, violated, attempted=1):
+    """A report of `attempted` samples, one of them a violation when `violated`."""
+    rep = CheckReport(check, {}, 0, attempted=attempted, valid=attempted - violated)
+    if violated:
+        rep.fail("p", "expected", "actual")
+    return rep
+
+
+def test_verify_violation_exits_1_and_writes_the_report(tri_file, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "run_all", lambda *a, **k: [_report("structure1", True)])
+    report = tmp_path / "verify.json"
+    code, out = run(capsys, "verify", tri_file, "--json", str(report))
+    assert code == 1
+    assert out.splitlines()[-1] == "RESULT: FAIL"
+    doc = json.loads(report.read_text())
+    assert doc["runs"][0]["reports"][0]["pass"] is False
+
+
+def test_verify_untripped_control_exits_1_and_writes_the_report(tri_file, tmp_path,
+                                                               capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_all", lambda *a, **k: [_report("structure1", False)])
+    monkeypatch.setattr(cli, "negative_controls",
+                        lambda *a, **k: [_report("negative-control-x", False, attempted=3)])
+    report = tmp_path / "verify.json"
+    code, out = run(capsys, "verify", tri_file, "--negative-controls", "--json", str(report))
+    assert code == 1
+    assert "[0] !! negative control did not trip" in out.splitlines()
+    assert out.splitlines()[-1] == "RESULT: FAIL"
+    checks = [r["check"] for r in json.loads(report.read_text())["runs"][0]["reports"]]
+    assert checks == ["structure1", "negative-control-x"]
+
+
+def test_quasi_failed_invariance_exits_1(tri_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_necklace_invariance",
+                        lambda *a, **k: _report("necklace-invariance", True))
+    code, out = run(capsys, "quasi", tri_file)
+    assert code == 1
+    assert json.loads(out)["invariance"]["pass"] is False
+
+
 # a triangle with the vertex (4, 1/0), in plain form and as a {"a","b","d"}
 # scalar; then the plain triangle over a "field" whose d is not square-free,
-# negative, or a bool, or is the square of the prime 10^9 + 7
+# negative, or a bool, or is the square of the prime 10^9 + 7; last, an array
+# nested 5,000 deep, past the JSON parser's recursion limit
 BAD_POLYGON_DOCS = {
     "ZERO_DEN": '{"field": "rational", "vertices": [["0","0"],["1","3"],["4","1/0"]]}',
     "ZERO_DEN_QUAD": ('{"field": {"quad": 5}, "vertices": [["0","0"],["1","3"],'
@@ -382,6 +426,7 @@ BAD_POLYGON_DOCS = {
     "QUAD_TRUE": '{"field": {"quad": true}, "vertices": [["0","0"],["1","3"],["4","0"]]}',
     "QUAD_PRIME_SQ": ('{"field": {"quad": 1000000014000000049}, '
                       '"vertices": [["0","0"],["1","3"],["4","0"]]}'),
+    "DEEP": "[" * 5000 + "]" * 5000,
 }
 
 
@@ -414,6 +459,10 @@ BAD_POLYGON_DOCS = {
     ("orbit", "TRI"),
     ("verify", "TRI", "--seed", "x"),
     (),
+    ("validate", "DEEP"),
+    ("partition", "DEEP"),
+    ("quasi", "DEEP"),
+    ("verify",),
 ])
 def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
     files = {"TRI": tri_file}

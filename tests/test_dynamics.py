@@ -35,7 +35,7 @@ from outerbilliards.geometry import HalfPlane, Line, Point, Sense, pt, region
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
-from outerbilliards.strips import strip_jump, strip_map
+from outerbilliards.strips import PinwheelSystem, strip_jump, strip_map
 from outerbilliards.verify import tile_samples
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
@@ -684,10 +684,12 @@ def _theorem_starts(model):
 def _halved_strip_model(model):
     """The model with strip 0 at half its width, as the halved-strip
     negative control builds it."""
-    pair = model.system.pair(0)
+    pair, *rest = model.system.pairs
     half = pair.width / 2
     hacked = dataclasses.replace(pair, width=half, line_far=pair.line.parallel_offset(half))
-    return BilliardModel(model.polygon, system=model.system.with_pair(0, hacked))
+    broken = BilliardModel(model.polygon)
+    broken.system = PinwheelSystem(model.polygon, (hacked, *rest))
+    return broken
 
 
 def _boundary_starts(model):

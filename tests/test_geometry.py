@@ -17,7 +17,8 @@ from fm_oracle import (
     fm_sample_points,
     fm_vertices,
 )
-from oracles import hp_key, line_intersection, line_key, region_area
+from oracles import (hp_key, line_intersection, line_key, per_call_key, per_call_region_key,
+                     region_area)
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry, scalars
 from outerbilliards.errors import EmptyRegionError
@@ -683,3 +684,73 @@ def test_fraction_key_oracle_catches_skipped_conjugate(monkeypatch):
     _mutate_primitive(monkeypatch, ("if type(lead) is QuadInt and lead.s:", "if False:"))
     with pytest.raises(AssertionError):
         test_rescaled_lines_match_fraction_keys()
+
+
+# ---------------------------------------------------------------------------
+# the kernel form a half-plane fixes at construction
+
+
+POSITIVE = st.one_of(RATIONALS, SQRT5).filter(lambda k: k != 0).map(lambda k: k if k > 0 else -k)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(halfplane_sets(), POSITIVE)
+@example([B(R5, 1, 0, Sense.LT), B(1 + R5, -2, R5, Sense.GE)], 3 - R5)
+def test_form_is_the_oriented_primitive_form(hps, k):
+    """`form` is the primitive form of the line's integer form, negated for
+    LE and LT, then the strict flag; a positive multiple of the line gives
+    the same form, the opposite sense the negated one."""
+    for h in hps:
+        want = scalars.primitive(*h.line.ints)
+        if h.sense in (Sense.LE, Sense.LT):
+            want = tuple(-x for x in want)
+        assert h.form == want + (h.sense in (Sense.GT, Sense.LT),)
+        a, b, c = h.line.a, h.line.b, h.line.c
+        assert HalfPlane(Line(a * k, b * k, c * k), h.sense).form == h.form
+        (a, b, c, strict), flipped = h.form, HalfPlane(h.line, h.sense.flipped())
+        assert flipped.form == (-a, -b, -c, strict)
+
+
+def _corpus_tiles(poly_key):
+    from outerbilliards.billiards import Chirality, build_partition
+
+    poly = corpus_polygon(poly_key)
+    return poly, [t for c in Chirality for t in build_partition(poly, c).tiles]
+
+
+def _moved(poly, tiles):
+    """Each tile's translate and point reflection, built from the tile's
+    constraints without running the kernel."""
+    return [r for t in tiles for r in (t.region.translate(t.translation),
+                                       t.region.point_reflect(poly.vertices[t.v_index]))]
+
+
+def _assert_per_call_key_parity(regions):
+    for r in regions:
+        assert r.canonical_key() == per_call_region_key(r)
+        assert all(h.form == per_call_key(h) for h in r.constraints)
+    _assert_same_classes(regions, per_call_region_key)
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_canonical_key_matches_per_call_key(poly_key):
+    """`canonical_key`, `==` and `hash` on the fixed forms agree with the
+    primitive key once recomputed per call, on every corpus tile, its
+    translate and its point reflection."""
+    poly, tiles = _corpus_tiles(poly_key)
+    _assert_per_call_key_parity([t.region for t in tiles] + _moved(poly, tiles))
+
+
+def test_per_call_key_parity_catches_unnegated_upper_form(monkeypatch):
+    """Negative control: forms that are not negated for an upper sense must
+    fail the parity with the per-call key.  The tiles are built first, by
+    the kernel; their translates and point reflections (a point reflection
+    flips every sense) take the mutant forms."""
+    poly, tiles = _corpus_tiles("n5")
+
+    def unnegated(h):
+        object.__setattr__(h, "form", scalars.primitive(*h.line.ints) + (h.sense.strict,))
+
+    monkeypatch.setattr(HalfPlane, "__post_init__", unnegated)
+    with pytest.raises(AssertionError):
+        _assert_per_call_key_parity([t.region for t in tiles] + _moved(poly, tiles))

@@ -36,8 +36,8 @@ def test_triangle_is_nice_with_distinct_slopes():
     assert p.n == 3
     # edge slopes {3, -1, 0} pairwise distinct
     slopes = set()
-    for e in p.edges:
-        d = p.vertices[e.head] - p.vertices[e.tail]
+    for i in range(p.n):
+        d = p.vertex(i + 1) - p.vertex(i)
         slopes.add(None if d.x == 0 else d.y / d.x)
     assert slopes == {3, -1, 0}
 
@@ -76,10 +76,10 @@ def test_point_location():
 def test_edges_positive_toward_interior():
     p = NicePolygon.from_points(TRIANGLE)
     inner = pt(1, 1)
-    for e in p.edges:
-        assert e.line.signed_offset(inner) > 0
-        assert e.line.signed_offset(p.vertices[e.tail]) == 0
-        assert e.line.signed_offset(p.vertices[e.head]) == 0
+    for i, e in enumerate(p.edges):
+        assert e.signed_offset(inner) > 0
+        assert e.signed_offset(p.vertex(i)) == 0
+        assert e.signed_offset(p.vertex(i + 1)) == 0
 
 
 def test_serialization_round_trip_bit_exact():

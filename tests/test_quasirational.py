@@ -189,8 +189,8 @@ def test_necklace_shift_spans_next_strip():
         nxt = m.system.pair(j + 1)
         assert nxt.line.a * d.x + nxt.line.b * d.y == nxt.width
         # parallel to edge j
-        e = m.polygon.edges[m.system.pair(j).edge_index]
-        ed = m.polygon.vertices[e.head] - m.polygon.vertices[e.tail]
+        i = m.system.pair(j).edge_index
+        ed = m.polygon.vertex(i + 1) - m.polygon.vertex(i)
         assert d.cross(ed) == 0
 
 

@@ -43,8 +43,7 @@ def test_strips_sorted_by_slope_angle():
         sys = build_pinwheel_system(poly)
         dirs = []
         for p in sys.pairs:
-            e = poly.edges[p.edge_index]
-            dirs.append(poly.vertices[e.head] - poly.vertices[e.tail])
+            dirs.append(poly.vertex(p.edge_index + 1) - poly.vertex(p.edge_index))
         for i in range(len(dirs) - 1):
             assert slope_angle_cmp(dirs[i], dirs[i + 1]) < 0
 

@@ -18,7 +18,7 @@ from outerbilliards.errors import (
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.geometry import Point, pt
 from outerbilliards.model import BilliardModel
-from outerbilliards.paths import AdmissiblePath
+from outerbilliards.paths import AdmissiblePath, PathFamily, enumerate_paths
 from outerbilliards.polygon import NicePolygon, parse_polygon, polygon_to_text
 from outerbilliards.report import CheckReport, Violation
 from outerbilliards.rng import Rng
@@ -129,8 +129,10 @@ def test_individual_checks_pass_on_hexagon_with_special_spoke():
 
 def test_violations_carry_replay_information():
     m = BilliardModel(random_nice_polygon(5, 77))
-    rep = check_pin1_pin2_move(m, samples_per_tile=4, seed=5,
-                               corrupt_terminal_sign=True)
+    m.paths = PathFamily(m.system, tuple(
+        dataclasses.replace(p, steps={**p.steps, p.end_lifted: -p.steps[p.end_lifted]})
+        for p in enumerate_paths(m.system).paths))
+    rep = check_pin1_pin2_move(m, samples_per_tile=4, seed=5)
     assert not rep.passed
     v = rep.violations[0]
     assert v.input and v.expected and v.actual
@@ -246,8 +248,9 @@ def test_negated_translations_trip_pin2(n):
     system = model.system
     negated = PinwheelSystem(polygon, tuple(dataclasses.replace(p, V=-p.V)
                                             for p in system.pairs))
-    rep = check_pin1_pin2_move(BilliardModel(polygon, system=negated),
-                               samples_per_tile=6, seed=0)
+    broken = BilliardModel(polygon)
+    broken.system = negated
+    rep = check_pin1_pin2_move(broken, samples_per_tile=6, seed=0)
     assert any(v.expected.startswith("mu_") and " adds " in v.expected
                for v in rep.violations)
 
