@@ -17,7 +17,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .billiards import psi_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import Point, homogeneous, point_of
+from .geometry import Point, point_of
 from .model import BilliardModel
 from .scalars import Scalar
 from .strips import PinwheelSystem, strip_jump, strip_map
@@ -93,44 +93,46 @@ def pinwheel_theorem_step(model: BilliardModel, p: Point) -> Tuple[Point, List[T
             raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
 
 
-def exit_map(model: BilliardModel, p: Point, budget: int = 1000) -> Tuple[Point, int]:
-    """Iterate the square map until the tile label changes; returns the
-    landing point and the number of square-map steps taken."""
-    walk = psi_walk(model.polygon, model.polygon.homogeneous(p))
+def exit_map(model: BilliardModel, here, budget: int = 1000) -> Tuple[Tuple, int]:
+    """Iterate the square map from the lattice triple `here` until the tile
+    label changes; returns the landing triple and the steps taken."""
+    walk = psi_walk(model.polygon, here)
     q, start_label = next(walk)
     for k, (nxt, label) in zip(range(1, budget + 1), walk):
         if label != start_label:
-            return point_of(q), k
+            return q, k
         q = nxt
-    raise BudgetExceededError(budget, f"no tile exit within {budget} steps of {p}")
+    raise BudgetExceededError(budget, f"no tile exit within {budget} steps of {point_of(here)}")
 
 
-def first_return_psi(model: BilliardModel, p: Point, budget: int) -> Tuple[Point, int]:
-    """Smallest k >= 1 with psi^k(p) strictly inside strip 0."""
+def first_return_psi(model: BilliardModel, here, budget: int) -> Tuple[Tuple, int]:
+    """psi^k of the lattice triple `here`, k >= 1 least with it strictly
+    inside strip 0, and k."""
     pair = model.system.pair(0)
-    walk = psi_walk(model.polygon, model.polygon.homogeneous(p))
-    for k, (q, _) in zip(range(1, budget + 1), walk):
+    for k, (q, _) in zip(range(1, budget + 1), psi_walk(model.polygon, here)):
         if pair.location(q) == 1:
-            return point_of(q), k
-    raise BudgetExceededError(budget, f"no return to strip 0 within {budget} steps of {p}")
+            return q, k
+    raise BudgetExceededError(
+        budget, f"no return to strip 0 within {budget} steps of {point_of(here)}")
 
 
-def strip_system_return(system: PinwheelSystem, x: IndexedPoint,
-                        budget: Optional[int] = None) -> Tuple[IndexedPoint, int]:
-    """One step of the accelerated strip system: from (p, k) with p inside
-    strip k, iterate the pinwheel map until the index advances; geometrically,
-    apply strip map k+1 until the point settles inside strip k+1.
+def strip_system_return(system: PinwheelSystem, here, index: int,
+                        budget: Optional[int] = None) -> Tuple[Tuple, int]:
+    """One step of the accelerated strip system: from the state (here, index),
+    `here` a lattice triple inside strip `index`, iterate the pinwheel map
+    until the index advances to j; geometrically, apply strip map j until the
+    point settles inside strip j.  Returns ((there, j), steps), over one L.
 
     Uses the exact closed-form jump (`strip_jump`); the reported step count
     equals the number of pinwheel-map applications the stepwise route takes.
     A budget, when given, bounds that count.
     """
-    j = (x.index + 1) % system.n
-    q, translations = strip_jump(system.pair(j), system.polygon.homogeneous(x.point))
+    j = (index + 1) % system.n
+    q, translations = strip_jump(system.pair(j), here)
     steps = translations + 1  # the final application fixes q and shifts the index
     if budget is not None and steps > budget:
         raise BudgetExceededError(budget, "no strip-system return within budget")
-    return IndexedPoint(point_of(q), j), steps
+    return (q, j), steps
 
 
 def far_radius(model: BilliardModel, factor: int = 8) -> Scalar:
@@ -193,9 +195,9 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     `start` is a Point for the plane maps (psi, exit, first_return) and an
     IndexedPoint for psi_star / strip_return.  Iteration stops at the budget,
     on an undefined point (recorded, not raised), or beyond escape_radius;
-    the closing event repeats the last state's point and index.  psi and
-    psi_star each loop once over one walk on the start's lattice triple: a
-    state costs its step, one `point_of` and one appended event.
+    the closing event repeats the last state's point and index.  Every
+    selector loops on the start's lattice triple, over one L: a state or a
+    return costs its step, one `point_of` and one appended event.
     """
     if selector not in ORBIT_SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
@@ -208,38 +210,38 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     log(OrbitEvent(0, point, index, None, "start" if budget else "budget-exhausted"))
     if not budget:
         return rec
+    here = model.polygon.homogeneous(point)
     if selector in ("psi", "psi_star"):
-        here = model.polygon.homogeneous(point)
         walk = (psi_walk(model.polygon, here) if selector == "psi"
                 else pinwheel_walk(model.system, here, index))
         states = zip(range(1, budget + 1),
                      walk if esc is None else _until_beyond(walk, *esc))
     try:
         if selector == "psi":
-            for step, (q, label) in states:
-                log(OrbitEvent(step, point_of(q), None, label, "translated"))
+            for step, (here, label) in states:
+                log(OrbitEvent(step, point_of(here), None, label, "translated"))
         elif selector == "psi_star":
-            for step, (q, i) in states:
-                log(OrbitEvent(step, point_of(q), i, None,
+            for step, (here, i) in states:
+                log(OrbitEvent(step, point_of(here), i, None,
                                "translated" if i == index else "index-shifted"))
                 index = i
         else:
-            x, steps = start, 0  # strip_system_return reduces the index itself
+            steps = 0
             while steps < budget:
                 if indexed:
-                    x, used = strip_system_return(model.system, x, budget - steps)
-                    point, index = x.point, x.index
+                    (here, index), used = strip_system_return(model.system, here, index,
+                                                              budget - steps)
                 else:
                     returns = exit_map if selector == "exit" else first_return_psi
-                    point, used = returns(model, point, budget - steps)
+                    here, used = returns(model, here, budget - steps)
                 steps += used
-                log(OrbitEvent(steps, point, index, None, "returned"))
-                if esc is not None and _beyond(homogeneous(point), *esc):
+                log(OrbitEvent(steps, point_of(here), index, None, "returned"))
+                if esc is not None and _beyond(here, *esc):
                     break
     except (BudgetExceededError, MapUndefinedError) as exc:
         tag = "budget-exhausted" if isinstance(exc, BudgetExceededError) else "undefined"
         log(rec.final._replace(step=rec.final.step + 1, label=None, tag=tag))
         return rec
-    escaped = esc is not None and _beyond(homogeneous(rec.final.point), *esc)
+    escaped = esc is not None and _beyond(here, *esc)
     log(rec.final._replace(label=None, tag="escaped" if escaped else "budget-exhausted"))
     return rec

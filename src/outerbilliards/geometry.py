@@ -218,23 +218,6 @@ class Line:
     b = property(lambda self: ratio(self.ints[1], self.s))
     c = property(lambda self: ratio(self.ints[2], self.s))
 
-    def signed_offset(self, p: Point) -> Scalar:
-        """a*p.x + b*p.y - c; zero exactly when p lies on the line."""
-        X, Y, L = homogeneous(p)
-        A, B, C = self.ints
-        return ratio(A * X + B * Y - C * L, self.s * L)
-
-    def side(self, p) -> int:
-        """The exact sign of the signed offset of the point with lattice
-        triple p = (X, Y, L) (`homogeneous`): -1, 0 or +1.  The sign of
-        a*X + b*Y - c*L is read on the integer form: an int, or over
-        Q(sqrt d) a QuadInt, whose sign is read once.
-        """
-        X, Y, L = p
-        a, b, c = self.ints
-        t = a * X + b * Y - c * L
-        return (t > 0) - (t < 0) if type(t) is int else t.sign()
-
     def normal(self) -> Vec:
         return Vec(self.a, self.b)
 
@@ -302,9 +285,14 @@ class HalfPlane:
         object.__setattr__(self, "form", (a, b, c, self.sense.strict))
 
     def contains(self, p) -> bool:
-        """Whether the point with lattice triple p satisfies the constraint."""
-        s = -self.line.side(p) if self.sense.upper else self.line.side(p)
-        return s > 0 or (s == 0 and not self.sense.strict)
+        """Whether the point with lattice triple p = (X, Y, L) (`homogeneous`)
+        satisfies the constraint: the sign of a*X + b*Y - c*L on `form`, an
+        int, or over Q(sqrt d) a QuadInt whose sign is read once."""
+        X, Y, L = p
+        a, b, c, strict = self.form
+        s = a * X + b * Y - c * L
+        s = s if type(s) is int else s.sign()
+        return s > 0 or (s == 0 and not strict)
 
 
 def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> HalfPlane:

@@ -98,7 +98,7 @@ class NicePolygon:
 
     def edge_signs(self, ts) -> List[int]:
         """The signs of a point's `edge_offsets` ts, as the ψ walk carries
-        them, in edge order (as `Line.side`): +1 on the polygon's side, -1
+        them, in edge order: +1 on the polygon's side, -1
         where the point sees the edge, 0 on the edge's line; a QuadInt
         offset's sign is read once."""
         if self.quad_d is None:

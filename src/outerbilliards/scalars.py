@@ -341,8 +341,8 @@ def quadext(a: ScalarLike, b: ScalarLike, d: int) -> Scalar:
 
 
 def sign(x: ScalarLike) -> int:
-    """Exact sign of a scalar: -1, 0 or +1."""
-    if isinstance(x, QuadExt):
+    """Exact sign of a scalar, an int or a QuadInt: -1, 0 or +1."""
+    if isinstance(x, (QuadExt, QuadInt)):
         return x.sign()
     return (x > 0) - (x < 0)
 

@@ -28,7 +28,7 @@ from .geometry import (
     slope_angle_cmp,
 )
 from .polygon import NicePolygon
-from .scalars import Scalar, floor_div, primitive
+from .scalars import Scalar, floor_div, primitive, ratio, sign
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class PinwheelPair:
     index: int              # position in the slope-cyclic order, 0-based
     edge_index: int         # index into polygon.edges: edge from vertex i to i+1
     line: Line              # L, contains the edge; polygon on the positive side
-    line_far: Line          # L', parallel, offset = width
-    width: Scalar           # signed_offset(L, .) evaluated on L'; always > 0
+    width: Scalar           # offset a*x + b*y - c of the far line L'; always > 0
     v_index: int            # head vertex of the edge
     w_index: int            # vertex farthest from L, on the centerline
     v: Point
@@ -51,22 +50,33 @@ class PinwheelPair:
     special: bool           # spoke v -> w shares a vertex with both neighbours
     # (VX, VY, q): V = (VX/q, VY/q), q | the polygon's den
     V_ints: Tuple = field(init=False, repr=False, compare=False)
+    # (a, b, c, wn, wq): L's integer form, and s*width = wn/wq, wq | den
+    form: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "V_ints", homogeneous(self.V))
+        object.__setattr__(self, "form", self.line.ints
+                           + (self.width * self.line.s).as_integer_ratio())
+
+    def offsets(self, p) -> tuple:
+        """(t, w) at the lattice triple p = (X, Y, L): L's offset
+        t = a*X + b*Y - c*L and the width on its scale, w = wn*(L // wq) > 0
+        (ints, or QuadInts).  The open strip is 0 < t < w."""
+        X, Y, L = p
+        a, b, c, wn, wq = self.form
+        return a * X + b * Y - c * L, wn * (L // wq)
 
     def location(self, p) -> int:
         """-1 outside, 0 on the boundary, +1 strictly inside the strip, for
-        the point with lattice triple p (as `Line.side`)."""
-        near, far = self.line.side(p), self.line_far.side(p)
-        if near == 0 or far == 0:
-            return 0
-        return 1 if near > 0 > far else -1
+        the point with lattice triple p."""
+        t, w = self.offsets(p)
+        # w > 0, so the signs of t and t - w are (-,-), (0,-), (+,-), (+,0) or (+,+)
+        return -sign(t) * sign(t - w)
 
     def strip_region(self) -> ConvexRegion:
         return region([
             HalfPlane(self.line, Sense.GE),
-            HalfPlane(self.line_far, Sense.LE),
+            HalfPlane(self.line.parallel_offset(self.width), Sense.LE),
         ])
 
 
@@ -99,10 +109,11 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
         # the edge line, polygon on its positive side, over its leading |coefficient|
         A, B, C = primitive(*edge.ints)
         line = Line.of_ints(A, B, C, abs(A if A != 0 else B))
-        offsets = [line.signed_offset(v) for v in polygon.vertices]
-        # unique: no two sides of a nice polygon are parallel
+        # the vertices' offsets from it over s*den; the farthest is unique: no
+        # two sides of a nice polygon are parallel
+        offsets = [A * X + B * Y - C * polygon.den for X, Y in polygon.lattice]
         far = max(range(n), key=lambda i: offsets[i])
-        width = 2 * offsets[far]
+        width = ratio(2 * offsets[far], line.s * polygon.den)
         entries.append((polygon.vertex(i + 1) - polygon.vertex(i), i, line, far, width))
 
     entries.sort(key=cmp_to_key(lambda x, y: slope_angle_cmp(x[0], y[0])))
@@ -116,7 +127,6 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
             index=j,
             edge_index=i,
             line=line,
-            line_far=line.parallel_offset(width),
             width=width,
             v_index=(i + 1) % n,
             w_index=far,
@@ -148,7 +158,8 @@ def strip_map(pair: PinwheelPair, p):
     exactly one width, so that translate is +V below the slab and -V above
     it; the result may still be outside.  Undefined on the slab boundary
     (the error carries the Point)."""
-    near, far = pair.line.side(p), pair.line_far.side(p)
+    t, w = pair.offsets(p)
+    near, far = sign(t), sign(t - w)
     if near == 0 or far == 0:
         raise OnStripBoundaryError(point_of(p), stage=pair.index)
     if near > 0 > far:
@@ -164,24 +175,20 @@ def strip_jump(pair: PinwheelPair, p):
     strictly inside the slab, as a triple over the same L, plus the number
     of translations taken.
 
-    O(1) on the line's integer form: the offset t = a*X + b*Y - c*L and the
-    width on its scale, w = (a*VX + b*VY) * (L // q), give the step count
-    k = -floor(t / w).  Raises OnStripBoundaryError when t is an exact
+    O(1) on the strip's (t, w) at p (`PinwheelPair.offsets`): the step count
+    is k = -floor(t / w).  Raises OnStripBoundaryError when t is an exact
     multiple of w, where some iterate would sit on the slab boundary.
     """
-    VX, VY, q = pair.V_ints
-    X, Y, L = p
-    a, b, c = pair.line.ints
-    t = a * X + b * Y - c * L
-    w = (a * VX + b * VY) * (L // q)
+    t, w = pair.offsets(p)
     k = -floor_div(t, w)
     if k == 0:  # 0 <= t < w
         if t == 0:
             raise OnStripBoundaryError(point_of(p), stage=pair.index)
         return p, 0
+    X, Y, L = p
+    VX, VY, q = pair.V_ints
     s = k * (L // q)
     here = X + s * VX, Y + s * VY, L
     if t + k * w == 0:  # the landing offset, in [0, w), is 0
         raise OnStripBoundaryError(point_of(here), stage=pair.index)
     return here, abs(k)
-

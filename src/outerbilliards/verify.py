@@ -146,7 +146,10 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
     rng = Rng(seed).split(0xFA7)
 
     def dichotomy(p):
-        _, orbit, a = pinwheel_theorem_step(model, p)
+        try:
+            _, orbit, a = pinwheel_theorem_step(model, p)
+        except BudgetExceededError:
+            return repr(p), f"k <= {3 * n}", "budget exceeded"
         k, here = len(orbit), orbit[-1][0]
         strips_in = [j for j in range(n) if model.system.pair(j).location(here) == 1]
         if k not in (1, 2):
@@ -242,8 +245,8 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
                             f"vertex {v} + prefix({k}) outside strip {k % n}")
         # bounded depth: the tile sits within half a width of its start strip
         pair_a = model.system.pair(path.start)
-        for v in verts:
-            if not -pair_a.width <= 2 * pair_a.line.signed_offset(v) <= 3 * pair_a.width:
+        for v, (t, w) in zip(verts, map(pair_a.offsets, corners)):
+            if 2 * t < -w or 2 * t > 3 * w:
                 return (path.display(), "closed containments",
                         f"vertex {v} deeper than half the width of strip {path.start}")
         return None
@@ -531,9 +534,7 @@ def negative_controls(polygon: NicePolygon, seed: int = 0) -> List[CheckReport]:
     # 1. halve one strip's width: strip containment / the pinwheel budget break
     model = BilliardModel(polygon)
     pair, *rest = model.system.pairs
-    hacked = dataclasses.replace(
-        pair, width=pair.width / 2,
-        line_far=pair.line.parallel_offset(pair.width / 2))
+    hacked = dataclasses.replace(pair, width=pair.width / 2)
     broken = BilliardModel(polygon)
     broken.system = PinwheelSystem(polygon, (hacked, *rest))
     rep = check_structure3(broken, samples=40, seed=seed)

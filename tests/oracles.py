@@ -75,7 +75,7 @@ def per_call_region_key(r: ConvexRegion) -> tuple:
 
 def slab_distance(pair, p):
     """Offset distance from p to the pair's closed slab; 0 inside."""
-    t = pair.line.signed_offset(p)
+    t = signed_offset(pair.line, p)
     if t < 0:
         return -t
     if t > pair.width:
@@ -173,9 +173,28 @@ def transfer_ratio(system, j: int):
     return lam
 
 
+def signed_offset(line: Line, p: Point):
+    """a*p.x + b*p.y - c on the line's coefficients as given, in Fractions
+    and QuadExts: zero exactly when p lies on the line."""
+    return line.a * p.x + line.b * p.y - line.c
+
+
+def side(line: Line, p) -> int:
+    """The exact sign of the line's signed offset at the point with lattice
+    triple p = (X, Y, L): the sign of a*X + b*Y - c*L on the line's integer
+    form, an int, or over Q(sqrt d) a QuadInt whose sign is read once (what
+    `Line.side` once computed)."""
+    X, Y, L = p
+    a, b, c = line.ints
+    t = a * X + b * Y - c * L
+    return (t > 0) - (t < 0) if type(t) is int else t.sign()
+
+
 def _scalar_sides(pair, p: Point) -> Tuple[int, int]:
-    """The signs of p's scalar `signed_offset`s from the strip's two lines."""
-    return sign(pair.line.signed_offset(p)), sign(pair.line_far.signed_offset(p))
+    """The signs of p's scalar `signed_offset`s from the strip's two lines,
+    the far one built afresh from the width."""
+    far = pair.line.parallel_offset(pair.width)
+    return sign(signed_offset(pair.line, p)), sign(signed_offset(far, p))
 
 
 def scalar_location(pair, p: Point) -> int:
@@ -256,7 +275,7 @@ def point_strip_jump(pair, p: Point) -> Tuple[Point, int]:
     """`strips.strip_jump` on `Point`s: the step count floors the quotient of
     the scalar offset and width, the landing is p moved by whole V, and a
     landing off the open strip raises at that point."""
-    t = pair.line.signed_offset(p)
+    t = signed_offset(pair.line, p)
     w = pair.width
     steps = -math.floor(t / w)
     if steps == 0:  # 0 <= t < w

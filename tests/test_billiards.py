@@ -32,7 +32,7 @@ from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.scalars import QuadExt, sign
-from oracles import fresh_offsets_step, normalized
+from oracles import fresh_offsets_step, normalized, signed_offset
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -404,7 +404,7 @@ def test_sqrt5_shear_parity_catches_conjugate_sign_slip(monkeypatch):
 
 
 def _scalar_signs(polygon, p):
-    return [sign(e.signed_offset(p)) for e in polygon.edges]
+    return [sign(signed_offset(e, p)) for e in polygon.edges]
 
 
 def _point_route(polygon, p, chirality):
@@ -644,7 +644,8 @@ def test_psi_orbits_evaluate_the_edge_offsets_once(monkeypatch):
     p = pt(Fraction(17, 3), -2)
     assert len(orbit(model, p, "psi", 200).events) == 202
     assert len(calls) == 1
-    for run in (lambda: exit_map(model, p), lambda: first_return_psi(model, p, 500)):
+    here = model.polygon.homogeneous(p)
+    for run in (lambda: exit_map(model, here), lambda: first_return_psi(model, here, 500)):
         calls.clear()
         try:
             run()

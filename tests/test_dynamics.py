@@ -31,7 +31,7 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import HalfPlane, Line, Point, Sense, pt, region
+from outerbilliards.geometry import HalfPlane, Point, Sense, homogeneous, point_of, pt, region
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
@@ -59,20 +59,21 @@ def test_pinwheel_step_cases():
 
 
 def test_pinwheel_step_locates_the_point_once(monkeypatch):
-    """A step is one strip map: two `Line.side` calls locate the point in
-    the strip, and the near line's sign also picks the translate when it
+    """A step is one strip map: one strip-form evaluation (t, w) locates the
+    point in the strip, and the sign of t also picks the translate when it
     moves."""
     system = BilliardModel(random_nice_polygon(7, 3)).system
     calls = []
-    side = Line.side
-    monkeypatch.setattr(Line, "side", lambda line, p: calls.append(p) or side(line, p))
+    offsets = strips.PinwheelPair.offsets
+    monkeypatch.setattr(strips.PinwheelPair, "offsets",
+                        lambda pair, p: calls.append(p) or offsets(pair, p))
     x = IndexedPoint(pt(1000, Fraction(1, 3)), 0)
     seen = set()
     for _ in range(40):
         calls.clear()
         nxt = pinwheel_step(system, x)
         moved = nxt.index == x.index
-        assert len(calls) == 2
+        assert len(calls) == 1
         seen.add(moved)
         x = nxt
     assert seen == {True, False}
@@ -139,11 +140,11 @@ def test_exit_map_bounded_tile_is_one_step():
     tile = next(t for t in m.partition.tiles if not t.unbounded)
     for p in tile.region.sample_points(5, seed=1):
         try:
-            q, steps = exit_map(m, p)
+            q, steps = exit_map(m, m.polygon.homogeneous(p))
         except MapUndefinedError:
             continue
         assert steps == 1
-        assert q == square_map(m.polygon, p)[0]
+        assert point_of(q) == square_map(m.polygon, p)[0]
 
 
 def test_exit_map_far_field_counts_match_strip_jump():
@@ -161,10 +162,11 @@ def test_exit_map_far_field_counts_match_strip_jump():
             base = Point(pair.line.a * pair.line.c / n2,
                          pair.line.b * pair.line.c / n2)
             p = base + d * (sgn * 3 * R / (abs(d.x) + abs(d.y))) + nrm * (off / n2)
-            assert pair.location(m.polygon.homogeneous(p)) == 1
+            here = m.polygon.homogeneous(p)
+            assert pair.location(here) == 1
             try:
-                _, jump_steps = strip_jump(m.system.pair(j + 1), m.polygon.homogeneous(p))
-                _, exit_steps = exit_map(m, p, budget=jump_steps + 8)
+                _, jump_steps = strip_jump(m.system.pair(j + 1), here)
+                _, exit_steps = exit_map(m, here, budget=jump_steps + 8)
             except (MapUndefinedError, BudgetExceededError):
                 continue
             # far away, leaving the tile takes exactly the jump translations
@@ -182,12 +184,13 @@ def test_first_return_postconditions():
     nrm = pair.line.normal()
     n2 = nrm.dot(nrm)
     p = base + nrm * ((pair.width * Fraction(3, 7) + pair.line.c) / n2)
-    assert pair.location(m.polygon.homogeneous(p)) == 1
-    q, steps = first_return_psi(m, p, budget=10_000)
-    assert pair.location(m.polygon.homogeneous(q)) == 1
+    here = m.polygon.homogeneous(p)
+    assert pair.location(here) == 1
+    q, steps = first_return_psi(m, here, budget=10_000)
+    assert pair.location(q) == 1
     assert steps >= 1
     with pytest.raises(BudgetExceededError):
-        first_return_psi(m, p, budget=0)
+        first_return_psi(m, here, budget=0)
 
 
 def test_far_field_first_return_equals_strip_system_return_cycle():
@@ -206,20 +209,21 @@ def test_far_field_first_return_equals_strip_system_return_cycle():
         off = pair.width * rng.unit(2 * i + 1)
         p = (pt(0, 0) + d * (t / (abs(d.x) + abs(d.y)))
              + nrm * ((off + pair.line.c) / n2))
-        if pair.location(m.polygon.homogeneous(p)) != 1:
+        here = m.polygon.homogeneous(p)
+        if pair.location(here) != 1:
             continue
         try:
-            q1, _ = first_return_psi(m, p, budget=100_000)
+            q1, _ = first_return_psi(m, here, budget=100_000)
         except (BudgetExceededError, MapUndefinedError):
             continue
-        state = IndexedPoint(p, 0)
+        state = here, 0
         try:
             for _ in range(m.n):
-                state, _ = strip_system_return(m.system, state)
+                state, _ = strip_system_return(m.system, *state)
         except MapUndefinedError:
             continue
-        assert state.index == 0
-        assert state.point == q1
+        assert state[1] == 0
+        assert point_of(state[0]) == point_of(q1)
         checked += 1
     assert checked >= 4
 
@@ -240,14 +244,14 @@ def test_strip_return_point_lies_on_exit_map_orbit():
         t = 2 * R * (1 + rng.unit(2 * i + 1))
         p = (pt(0, 0) + d * (t / (abs(d.x) + abs(d.y)))
              + nrm * ((off + pair.line.c) / n2))
-        if pair.location(m.polygon.homogeneous(p)) != 1:
+        x = m.polygon.homogeneous(p)
+        if pair.location(x) != 1:
             continue
         try:
-            q, _ = first_return_psi(m, p, budget=100_000)
+            q, _ = first_return_psi(m, x, budget=100_000)
         except (BudgetExceededError, MapUndefinedError):
             continue
-        hops = [p]
-        x = p
+        hops = [x]
         try:
             for _ in range(4 * m.n):
                 x, _ = exit_map(m, x, budget=100_000)
@@ -269,11 +273,11 @@ def test_strip_system_return_advances_one_strip():
             4, seed=rng.u64(j) & 0xFFFF)
         for p in pts:
             try:
-                nxt, steps = strip_system_return(m.system, IndexedPoint(p, j))
+                (q, index), steps = strip_system_return(m.system, m.polygon.homogeneous(p), j)
             except MapUndefinedError:
                 continue
-            assert nxt.index == (j + 1) % m.n
-            assert m.system.pair(j + 1).location(m.polygon.homogeneous(nxt.point)) == 1
+            assert index == (j + 1) % m.n
+            assert m.system.pair(j + 1).location(q) == 1
             assert steps >= 1
 
 
@@ -289,7 +293,8 @@ def test_strip_system_return_matches_stepwise_pinwheel():
     for j in range(m.n):
         if m.system.pair(j).location(m.polygon.homogeneous(p)) != 1:
             continue
-        fast, fast_steps = strip_system_return(m.system, IndexedPoint(p, j))
+        (q, k), fast_steps = strip_system_return(m.system, m.polygon.homogeneous(p), j)
+        fast = IndexedPoint(point_of(q), k)
         state = IndexedPoint(p, j)
         slow_steps = 0
         while True:
@@ -379,6 +384,31 @@ def test_psi_star_orbit_converts_the_start_once(monkeypatch):
     assert len(calls) == 1
     assert [IndexedPoint(e.point, e.index) for e in rec.events[:201]] == expect
     assert rec.final.tag == "budget-exhausted"
+
+
+@pytest.mark.parametrize("radius", [1005, 10 ** 4])
+@pytest.mark.parametrize("selector", ["exit", "first_return", "strip_return"])
+def test_return_orbits_convert_the_start_once(monkeypatch, selector, radius):
+    """A return-map orbit loops on the start's lattice triple: one
+    `NicePolygon.homogeneous` call for the whole orbit and no
+    `geometry.homogeneous` call, the escape tests included, whether the
+    orbit escapes or exhausts its budget."""
+    m = BilliardModel(TRIANGLE)
+    p = pt(1000, Fraction(1, 3))
+    start = section(m, p) if selector == "strip_return" else p
+    calls, converted = [], []
+    real = NicePolygon.homogeneous
+    monkeypatch.setattr(NicePolygon, "homogeneous",
+                        lambda poly, q: calls.append(q) or real(poly, q))
+    monkeypatch.setattr(dynamics, "homogeneous",
+                        lambda *args: converted.append(args) or homogeneous(*args),
+                        raising=False)
+    rec = orbit(m, start, selector, 3000, escape_radius=Fraction(radius))
+    assert len(calls) == 1 and not converted
+    assert sum(e.tag == "returned" for e in rec.events) >= 2
+    x, y = rec.final.point.x, rec.final.point.y
+    escaped = x * x + y * y > radius * radius
+    assert rec.final.tag == ("escaped" if escaped else "budget-exhausted")
 
 
 def _square_map_states(polygon, p, steps):
@@ -686,7 +716,7 @@ def _halved_strip_model(model):
     negative control builds it."""
     pair, *rest = model.system.pairs
     half = pair.width / 2
-    hacked = dataclasses.replace(pair, width=half, line_far=pair.line.parallel_offset(half))
+    hacked = dataclasses.replace(pair, width=half)
     broken = BilliardModel(model.polygon)
     broken.system = PinwheelSystem(model.polygon, (hacked, *rest))
     return broken
@@ -698,7 +728,8 @@ def _boundary_starts(model):
     into the strip and is applied again there, so p on that line -+ V is a
     hit.  With the true strip the line is a wall and the tiles miss it."""
     pair = model.system.pair(0)
-    far_line = region([HalfPlane(pair.line_far, Sense.GE), HalfPlane(pair.line_far, Sense.LE)])
+    line = pair.line.parallel_offset(pair.width)
+    far_line = region([HalfPlane(line, Sense.GE), HalfPlane(line, Sense.LE)])
     out = []
     for tile in model.partition.tiles:
         if model.path_of_tile(tile).start != 0:

@@ -18,7 +18,7 @@ from fm_oracle import (
     fm_vertices,
 )
 from oracles import (hp_key, line_intersection, line_key, per_call_key, per_call_region_key,
-                     region_area)
+                     region_area, side, signed_offset)
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry, scalars
 from outerbilliards.errors import EmptyRegionError
@@ -53,14 +53,14 @@ def slab(a, b, lo, hi):
 
 def test_signed_offset_axis_aligned():
     l = Line(0, 1, 0)  # y = 0
-    assert l.signed_offset(pt(3, 5)) == 5
-    assert l.signed_offset(pt(3, 0)) == 0
+    assert signed_offset(l, pt(3, 5)) == 5
+    assert signed_offset(l, pt(3, 0)) == 0
 
 
 def test_signed_offset_uses_stored_coefficients():
     # offsets are evaluated on the coefficients as given (3x - y = 0)
     l = Line(3, -1, 0)
-    assert l.signed_offset(pt(4, 0)) == 12
+    assert signed_offset(l, pt(4, 0)) == 12
 
 
 def test_line_equality_is_canonical():
@@ -70,7 +70,8 @@ def test_line_equality_is_canonical():
 
 
 # ---------------------------------------------------------------------------
-# Line.side against the Fraction/QuadExt oracle sign(signed_offset)
+# HalfPlane.contains and the integer-form `side` oracle against the
+# Fraction/QuadExt oracle sign(signed_offset)
 
 RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 SQRT5 = st.builds(lambda a, b: quadext(a, b, 5), RATIONALS, RATIONALS)
@@ -102,8 +103,13 @@ R5 = QuadExt(0, 1, 5)
 @example((Line(Fraction(2, 3), Fraction(-5, 7), Fraction(1, 11)),
           Point(Fraction(3, 4), Fraction(-1, 6))))
 def test_side_matches_offset_sign(line_and_point):
+    """A half-plane of each sense on the line contains p exactly as the sign
+    of p's scalar offset says, and so does the `side` oracle."""
     line, p = line_and_point
-    assert line.side(homogeneous(p)) == sign(line.signed_offset(p))
+    here, s = homogeneous(p), sign(signed_offset(line, p))
+    assert [HalfPlane(line, sense).contains(here) for sense in Sense] == [
+        s >= 0, s > 0, s <= 0, s < 0]
+    assert side(line, here) == s
 
 
 def _numerator_parts(X):
@@ -156,15 +162,16 @@ def test_point_of_divides_out_in_lowest_terms(triple, want):
 
 
 def test_side_oracle_catches_dropped_radical_part(monkeypatch):
-    """Negative control: a side that keeps only the rational part of its
-    Q(sqrt d) integer sum must fail the oracle property.  The sum is a
-    QuadInt whose sign `side` reads once; the oracle's QuadExt signs go
-    through `QuadInt.sign` too, so `side` itself is mutated, not the type."""
-    source = textwrap.dedent(inspect.getsource(Line.side))
-    assert "t.sign()" in source
+    """Negative control: a `HalfPlane.contains` that keeps only the rational
+    part of its Q(sqrt d) integer sum must fail the oracle property.  The sum
+    is a QuadInt whose sign `contains` reads once; the oracle's QuadExt signs
+    go through `QuadInt.sign` too, so `contains` itself is mutated, not the
+    type."""
+    source = textwrap.dedent(inspect.getsource(HalfPlane.contains))
+    assert source.count("s.sign()") == 1
     namespace = dict(vars(geometry))
-    exec(source.replace("t.sign()", "(t.r > 0) - (t.r < 0)"), namespace)
-    monkeypatch.setattr(Line, "side", namespace["side"])
+    exec(source.replace("s.sign()", "(s.r > 0) - (s.r < 0)"), namespace)
+    monkeypatch.setattr(HalfPlane, "contains", namespace["contains"])
     with pytest.raises(AssertionError):
         test_side_matches_offset_sign()
 
@@ -173,9 +180,11 @@ def test_side_rejects_mixed_radicals_like_signed_offset():
     line = Line(QuadExt(0, 1, 5), 1, 0)
     p = Point(QuadExt(1, 1, 2), Fraction(0))
     with pytest.raises(ValueError):
-        line.signed_offset(p)
+        signed_offset(line, p)
     with pytest.raises(ValueError):
-        line.side(homogeneous(p))
+        HalfPlane(line, Sense.GE).contains(homogeneous(p))
+    with pytest.raises(ValueError):
+        side(line, homogeneous(p))
     with pytest.raises(ValueError):
         Line(QuadExt(0, 1, 5), QuadExt(0, 1, 2), 0)
 
@@ -384,7 +393,7 @@ def halfplane_sets(draw):
         else:
             p = line_intersection(base.line, draw(st.sampled_from(hps)).line) or origin
             line = Line(a, b, a * p.x + b * p.y)
-        keep_origin = line.side(homogeneous(origin)) >= 0
+        keep_origin = side(line, homogeneous(origin)) >= 0
         if draw(st.sampled_from([False] * 5 + [True])):
             keep_origin = not keep_origin
         sense = Sense.GE if keep_origin else Sense.LE
@@ -562,8 +571,8 @@ def test_moved_lines_equal_fresh_lines(poly_key):
                         fresh = Line(line.a, line.b, line.c)
                         assert line == fresh and hash(line) == hash(fresh)
                         assert line.ints == fresh.ints
-                        assert [line.side(p) for p in corners] == [
-                            fresh.side(p) for p in corners]
+                        assert [side(line, p) for p in corners] == [
+                            side(fresh, p) for p in corners]
                         moved += 1
     assert moved > 0
 
@@ -615,7 +624,8 @@ def test_tiles_and_strips_match_fraction_keys(poly_key):
     for r in regions:
         _assert_oracle_order(r)
     lines = [h.line for r in regions for h in r.constraints]
-    lines += [line for pair in system.pairs for line in (pair.line, pair.line_far)]
+    lines += [line for pair in system.pairs
+              for line in (pair.line, pair.line.parallel_offset(pair.width))]
     _assert_same_classes(lines, line_key)
     _assert_same_classes(regions, _region_key)
 
@@ -653,7 +663,7 @@ def test_rescaled_lines_match_fraction_keys(lines, flips):
     for irrational leading coefficients."""
     _assert_same_classes(lines, line_key)
     origin = homogeneous(pt(0, 0))
-    hps = [HalfPlane(line, Sense.GE if (line.side(origin) >= 0) != flip else Sense.LE)
+    hps = [HalfPlane(line, Sense.GE if (side(line, origin) >= 0) != flip else Sense.LE)
            for line, flip in zip(lines, flips)]
     r = region(hps)
     _assert_oracle_order(r)

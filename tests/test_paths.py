@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import region_area
+from oracles import region_area, signed_offset
 from outerbilliards.errors import IndexOutOfRangeError, NotAdmissiblePairError
 from outerbilliards.geometry import Location, pt
 from outerbilliards.generate import random_nice_polygon
@@ -179,4 +179,4 @@ def test_apex_points_in_closed_strips_for_maximal_paths():
             seq = apex_sequence(p)
             for i, q in enumerate(seq[1:]):
                 pair = m.system.pair(p.start + i)
-                assert 0 <= pair.line.signed_offset(q) <= pair.width
+                assert 0 <= signed_offset(pair.line, q) <= pair.width

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from oracles import signed_offset
 from outerbilliards.errors import (
     DegenerateVerticesError,
     NotConvexError,
@@ -77,9 +78,9 @@ def test_edges_positive_toward_interior():
     p = NicePolygon.from_points(TRIANGLE)
     inner = pt(1, 1)
     for i, e in enumerate(p.edges):
-        assert e.signed_offset(inner) > 0
-        assert e.signed_offset(p.vertex(i)) == 0
-        assert e.signed_offset(p.vertex(i + 1)) == 0
+        assert signed_offset(e, inner) > 0
+        assert signed_offset(e, p.vertex(i)) == 0
+        assert signed_offset(e, p.vertex(i + 1)) == 0
 
 
 def test_serialization_round_trip_bit_exact():

@@ -19,10 +19,11 @@ from oracles import (
     pulled_back_trapped_extent,
     q_vertices,
     scalar_in_annulus,
+    signed_offset,
     transfer_ratio,
 )
 from outerbilliards import quasirational, strips
-from outerbilliards.dynamics import IndexedPoint, orbit, strip_system_return
+from outerbilliards.dynamics import orbit, strip_system_return
 from outerbilliards.errors import (
     AnnulusNotFoundError,
     NotQuasirationalError,
@@ -328,10 +329,10 @@ def test_strip_system_maps_polygon_copy_to_itself():
     inner = m.polygon.vertices[0] + (m.polygon.vertices[2] - m.polygon.vertices[0]) * Fraction(1, 3)
     assert m.polygon.point_location(inner) is Location.INTERIOR
     for j in range(m.n):
-        land, steps = strip_system_return(m.system, IndexedPoint(inner, j))
-        assert land.point == inner
+        (land, index), steps = strip_system_return(m.system, m.polygon.homogeneous(inner), j)
+        assert point_of(land) == inner
         assert steps == 1
-        assert land.index == (j + 1) % m.n
+        assert index == (j + 1) % m.n
 
 
 @pytest.mark.parametrize("poly_key", ["pentagon", "sqrt5_kite"])
@@ -399,7 +400,7 @@ def test_frame_point_closed_form_matches_line_route(poly_key):
                 want = line_intersection(ring.pair.line.parallel_offset(off), Line(d.x, d.y, s))
                 got = point_of(ring.frame_triple(s, off))
                 assert repr(got) == repr(want), (j, s, off)
-                assert d.dot(got) == s and ring.pair.line.signed_offset(got) == off
+                assert d.dot(got) == s and signed_offset(ring.pair.line, got) == off
 
 
 def test_necklace_check_computes_shift_per_strip_not_per_sample(monkeypatch):
@@ -571,14 +572,15 @@ def test_lattice_necklace_matches_point_route(poly_key):
 @pytest.mark.parametrize("module, name, old, new", [
     (quasirational, "_least_sign", "(C + m * D)", "C"),
     (quasirational, "necklace", "(-A * sq * den, -B * sq * den,", "(A * sq * den, B * sq * den,"),
-    (strips, "strip_jump", "(a * VX + b * VY) * (L // q)", "(a * VX + b * VY)"),
+    (strips.PinwheelPair, "offsets", "wn * (L // wq)", "wn"),
     (quasirational, "necklace", "integer_form(d.x, d.y, hi, -dd)", "integer_form(d.x, d.y, hi, 0)"),
 ], ids=["dropped-shift", "unnegated-q", "dropped-rescale", "unshifted-window"])
 def test_lattice_necklace_parity_catches_broken_forms(monkeypatch, module, name, old, new):
     """Negative controls: copy forms that drop the m*D term or leave Q's
-    edge form unnegated, a jump width left on V's denominator q instead of
-    rescaled to the point's L, and an annulus window end left at the base
-    ring instead of the -m ring, must each fail the parity test."""
+    edge form unnegated, a strip width (`PinwheelPair.offsets`) left on its
+    denominator instead of rescaled to the point's L, and an annulus window
+    end left at the base ring instead of the -m ring, must each fail the
+    parity test."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1
     namespace = dict(vars(module))

@@ -1,10 +1,16 @@
 """Pinwheel pairs, spokes and strip maps."""
 
+import dataclasses
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from oracles import compose_strip_maps, region_area, sigma_range, slab_distance
+from oracles import (compose_strip_maps, point_strip_jump, point_strip_map, region_area,
+                     scalar_location, sigma_range, signed_offset, slab_distance)
+from test_billiards import CORPUS, ROOT5, corpus_polygon
+from outerbilliards import strips
 from outerbilliards.errors import OnStripBoundaryError
 from outerbilliards.geometry import Location, Point, point_of, pt, slope_angle_cmp, vec
 from outerbilliards.polygon import NicePolygon
@@ -31,8 +37,8 @@ def test_triangle_bottom_edge_pair():
     assert p0.v == pt(0, 0)      # head of the clockwise edge (4,0) -> (0,0)
     assert p0.w == pt(1, 3)      # farthest vertex from y = 0
     assert p0.V == vec(2, 6)
-    assert p0.line.signed_offset(pt(7, 0)) == 0
-    assert p0.line.signed_offset(pt(0, 6)) == 6
+    assert signed_offset(p0.line, pt(7, 0)) == 0
+    assert signed_offset(p0.line, pt(0, 6)) == 6
     assert p0.width == 6         # strip {0 <= y <= 6}
     assert p0.strip_region().contains(TRIANGLE.homogeneous(pt(0, 3))) is Location.INTERIOR
     assert p0.strip_region().contains(TRIANGLE.homogeneous(pt(123, 6))) is Location.BOUNDARY
@@ -52,10 +58,10 @@ def test_head_on_centerline_and_slab_spanning():
     for poly in (TRIANGLE, PENTAGON):
         sys = build_pinwheel_system(poly)
         for p in sys.pairs:
-            assert p.line.signed_offset(p.w) == p.width / 2  # w equidistant from L and L'
-            assert p.line.signed_offset(p.v) == 0            # tail on the edge line
+            assert signed_offset(p.line, p.w) == p.width / 2  # w equidistant from L and L'
+            assert signed_offset(p.line, p.v) == 0            # tail on the edge line
             # translation by V carries L onto L'
-            assert p.line.signed_offset(p.v + p.V) == p.width
+            assert signed_offset(p.line, p.v + p.V) == p.width
 
 
 def test_consecutive_spokes_share_vertex():
@@ -255,5 +261,78 @@ def test_strip_widths_double_minimal_strip():
     for poly in (TRIANGLE, PENTAGON):
         sys = build_pinwheel_system(poly)
         for p in sys.pairs:
-            farthest = max(p.line.signed_offset(v) for v in poly.vertices)
+            farthest = max(signed_offset(p.line, v) for v in poly.vertices)
             assert p.width == 2 * farthest
+
+
+# the strip's one (t, w) form against the two-line oracles
+
+
+def _strip_form_points(pair):
+    """Points on both lines, strictly inside, outside on either side and at
+    exact multiples of the width, near and far, at three places along the
+    edge, each beside a Q(sqrt 5) twin: `step` moves the offset by one
+    width."""
+    line = pair.line
+    step = pair.V * (pair.width / (line.a * pair.V.x + line.b * pair.V.y))
+    along = line.direction()
+    pts = [pair.v + step * (k + f) + along * t
+           for k in (*range(-3, 4), -10 ** 4, 10 ** 4)
+           for f in (0, Fraction(1, 3), Fraction(1, 2))
+           for t in (0, Fraction(2, 3), 10 ** 4 + Fraction(1, 7))]
+    return pts + [Point(p.x + ROOT5 / 7, p.y) for p in pts]
+
+
+def _outcome(route):
+    """repr of route(), so that Fraction and QuadExt coordinates must agree
+    in type too, or the boundary error's point and stage."""
+    try:
+        return repr(route())
+    except OnStripBoundaryError as exc:
+        return ("OnStripBoundaryError", exc.point, exc.stage)
+
+
+def _landed(jump):
+    here, k = jump
+    return point_of(here), k
+
+
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_strip_form_matches_two_line_oracles(poly_key):
+    """`location`, `strip_map` and `strip_jump`, each reading the pair's one
+    (t, w) form, agree with the oracles that place a Point against the edge
+    line and the far line on scalars, on every pair and, for `location` and
+    `strip_map`, on pair 0 at half its width (iterating that strip map need
+    not settle, so its jump has no oracle)."""
+    poly = corpus_polygon(poly_key)
+    system = build_pinwheel_system(poly)
+    halved = dataclasses.replace(system.pair(0), width=system.pair(0).width / 2)
+    seen = set()
+    for pair in system.pairs + (halved,):
+        for p in _strip_form_points(pair):
+            here = poly.homogeneous(p)
+            seen.add(pair.location(here))
+            assert pair.location(here) == scalar_location(pair, p), (pair.index, p)
+            assert _outcome(lambda: point_of(strips.strip_map(pair, here))) == _outcome(
+                lambda: point_strip_map(pair, p)), (pair.index, p)
+            if pair is not halved:
+                assert _outcome(lambda: _landed(strips.strip_jump(pair, here))) == _outcome(
+                    lambda: point_strip_jump(pair, p)), (pair.index, p)
+    assert seen == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("owner, name, old, new", [
+    (strips, "strip_map", "if near == 0 or far == 0:", "if near == 0:"),
+    (strips.PinwheelPair, "offsets", "wn * (L // wq)", "wn * L"),
+], ids=["dropped-far-boundary", "dropped-width-denominator"])
+def test_strip_form_parity_catches_broken_forms(monkeypatch, owner, name, old, new):
+    """Negative controls: a strip map that misses the far line t == w, and
+    a width left off its denominator wq (1 on integer polygons; up to 7 on
+    n12), must each fail the parity test."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(strips))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    with pytest.raises(AssertionError):
+        test_strip_form_matches_two_line_oracles("n12")

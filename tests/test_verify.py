@@ -219,6 +219,23 @@ def test_far_field_evaluates_psi_twice_per_sample(monkeypatch):
     assert len(calls) == 100
 
 
+@pytest.mark.parametrize("n, seed", [(5, 1), (7, 3), (3, 1)])
+def test_far_field_records_an_exceeded_budget(n, seed):
+    """A model that breaks k <= 3n (pair 0's V negated) is a far-field
+    violation, recorded as the pinwheel-theorem check records it, and the
+    check goes on sampling; the true model passes."""
+    polygon = random_nice_polygon(n, seed)
+    model = BilliardModel(polygon)
+    assert check_far_field(model, samples=20, seed=0).passed
+    pair, *rest = model.system.pairs
+    broken = BilliardModel(polygon)
+    broken.system = PinwheelSystem(polygon, (dataclasses.replace(pair, V=-pair.V), *rest))
+    rep = check_far_field(broken, samples=20, seed=0)
+    assert rep.attempted == 20
+    assert any((v.expected, v.actual) == (f"k <= {3 * n}", "budget exceeded")
+               for v in rep.violations)
+
+
 # controls for checks the shipped negative controls never trip: each
 # corruption must produce its own violation, and the check passes without it
 
