@@ -14,7 +14,6 @@ from .billiards import (
     Tile,
     build_partition,
     inverse_square_map,
-    outer_step,
     primary_cone,
     square_map,
     tangent_vertex,

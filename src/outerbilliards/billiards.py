@@ -58,16 +58,6 @@ def tangent_vertex(polygon: NicePolygon, ts,
     raise (InsidePolygonError if min(signs) >= 0 else OnPrimaryWallError)(ts)
 
 
-def outer_step(polygon: NicePolygon, p: Point,
-               chirality: Chirality = Chirality.RIGHT) -> Point:
-    """One outer billiards reflection: 2v - p through the tangent vertex."""
-    try:
-        vi = tangent_vertex(polygon, polygon.edge_offsets(polygon.homogeneous(p)), chirality)
-    except (InsidePolygonError, OnPrimaryWallError) as exc:
-        raise type(exc)(p) from None
-    return p.reflect_through(polygon.vertices[vi])
-
-
 def square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int, int]]:
     """Two reflections: returns (p + 2*(w - v), (v_index, w_index))."""
     q, label = next(psi_walk(polygon, polygon.homogeneous(p), Chirality.RIGHT))
@@ -197,17 +187,23 @@ class Partition:
         self.tiles = tiles
         self.by_label: Dict[Tuple[int, int], Tile] = {t.label: t for t in tiles}
 
+    def walk(self, here):
+        """The ψ walk (ψ⁻¹ for LEFT) from the lattice triple `here`, `here`
+        first, each state with the tile of its step's label, asserted to hold
+        it (or the partition is inconsistent)."""
+        for there, label in psi_walk(self.polygon, here, self.chirality):
+            tile = self.by_label[label]
+            loc = tile.region.contains(here)
+            if loc is not Location.INTERIOR:
+                raise AssertionError(
+                    f"point {point_of(here)} labels tile {label} but sits on/off it ({loc})")
+            yield here, tile
+            here = there
+
     def classify(self, p) -> Tile:
         """Tile containing the point with lattice triple p
-        (`NicePolygon.homogeneous`), from the dynamic tangent computation;
-        the label and the region agree or the partition is inconsistent."""
-        _, label = next(psi_walk(self.polygon, p, self.chirality))
-        tile = self.by_label[label]
-        loc = tile.region.contains(p)
-        if loc is not Location.INTERIOR:
-            raise AssertionError(
-                f"point {point_of(p)} labels tile {label} but sits on/off it ({loc})")
-        return tile
+        (`NicePolygon.homogeneous`): the first tile of its `walk`."""
+        return next(self.walk(p))[1]
 
 
 def build_partition(polygon: NicePolygon,

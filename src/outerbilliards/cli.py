@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .dynamics import orbit, section
 from .errors import AnnulusNotFoundError, MapUndefinedError, ParseError, PolygonError
@@ -19,7 +18,7 @@ from .geometry import Point
 from .model import BilliardModel
 from .polygon import parse_polygon
 from .quasirational import boundedness_certificate, quasi_analyze
-from .scalars import scalar_to_json
+from .scalars import scalar_from_json, scalar_to_json
 from .svg import (
     default_viewport,
     draw_points,
@@ -54,8 +53,8 @@ def _fail(message: str) -> int:
 def _parse_point(text: str) -> Point:
     try:
         xs, ys = text.split(",")
-        return Point(Fraction(xs), Fraction(ys))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Point(scalar_from_json(xs), scalar_from_json(ys))
+    except ValueError as exc:
         raise SystemExit(_fail(f"bad point {text!r}: {exc}"))
 
 
@@ -175,8 +174,8 @@ def cmd_orbit(args) -> int:
     if args.steps < 0:
         return _fail(f"--steps must be >= 0, got {args.steps}")
     try:
-        escape = Fraction(args.escape) if args.escape else None
-    except (ValueError, ZeroDivisionError) as exc:
+        escape = scalar_from_json(args.escape) if args.escape else None
+    except ValueError as exc:
         return _fail(f"bad --escape {args.escape!r}: {exc}")
     if escape is not None and escape < 0:
         return _fail(f"--escape must be >= 0, got {args.escape}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .billiards import psi_walk
@@ -57,40 +58,34 @@ def pinwheel_step(system: PinwheelSystem, x: IndexedPoint) -> IndexedPoint:
 
 def section(model: BilliardModel, p: Point) -> IndexedPoint:
     """iota(p) = (p, a-1) for p interior to a tile of the path a -> b."""
-    a = model.path_start(model.polygon.homogeneous(p))
+    a = model.path_of_tile(model.partition.classify(model.polygon.homogeneous(p))).start
     return IndexedPoint(p, (a - 1) % model.n)
 
 
-def pinwheel_theorem_step(model: BilliardModel, p: Point) -> Tuple[Point, List[Tuple], int]:
-    """Follow the pinwheel orbit of iota(p) until it reaches (psi(p), c-1).
+def pinwheel_theorem_step(model: BilliardModel, here) -> Tuple[Tuple, List[Tuple], int]:
+    """Follow the pinwheel orbit of iota(p), p the lattice triple `here`
+    (`NicePolygon.homogeneous`), until it reaches (psi(p), c-1).
 
-    Returns (psi(p), orbit, a): orbit lists the walk's states on p's lattice
-    triple (`NicePolygon.homogeneous`), the last one (psi(p), c-1), so the
-    step count k is its length; a is the start spoke of the path a -> b
-    owning p's tile.  BudgetExceededError after 3n steps signals a violation
-    of the theorem; a strip-boundary hit during the iteration is reported
-    distinctly as OnStripBoundaryError.  p and psi(p) = p + 2(w - v) are
-    classified on their triples, and each strip map moves the triple over
-    the same L, where the target psi(p) is compared on integers.
+    Returns (psi(p), orbit, a), all over p's L: orbit lists the walk's
+    states, the last one (psi(p), c-1), so the step count k is its length; a
+    is the start spoke of the path a -> b owning p's tile.  p's tile and
+    psi(p)'s are the first two of one `Partition.walk`.  BudgetExceededError
+    after 3n steps signals a violation of the theorem; a strip-boundary hit
+    is reported distinctly as OnStripBoundaryError.
     """
     n = model.n
-    polygon = model.polygon
-    X, Y, L = start = polygon.homogeneous(p)
-    tile = model.partition.classify(start)
+    (_, tile), (there, landing) = islice(model.partition.walk(here), 2)
     a = model.path_of_tile(tile).start
-    s2 = 2 * (L // polygon.den)
-    (vx, vy), (wx, wy) = polygon.lattice[tile.v_index], polygon.lattice[tile.w_index]
-    there = X + s2 * (wx - vx), Y + s2 * (wy - vy), L
-    c = model.path_start(there)  # psi(p) lies in the tile of a path c -> d
-    goal = there, (c - 1) % n
+    goal = there, (model.path_of_tile(landing).start - 1) % n  # psi(p) on a path c -> d
     budget = 3 * n
     orbit = []
-    for state in pinwheel_walk(model.system, start, a - 1):
+    for state in pinwheel_walk(model.system, here, a - 1):
         orbit.append(state)
         if state == goal:
-            return point_of(there), orbit, a
+            return there, orbit, a
         if len(orbit) == budget:
-            raise BudgetExceededError(budget, f"pinwheel budget {budget} exceeded at {p}")
+            raise BudgetExceededError(
+                budget, f"pinwheel budget {budget} exceeded at {point_of(here)}")
 
 
 def exit_map(model: BilliardModel, here, budget: int = 1000) -> Tuple[Tuple, int]:

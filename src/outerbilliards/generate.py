@@ -37,7 +37,7 @@ def random_nice_polygon(n: int, seed: int, bound: int = 20) -> NicePolygon:
         mx = sum((v.x for v in raws), start=Fraction(0)) / n
         my = sum((v.y for v in raws), start=Fraction(0)) / n
         edges = [Vec(v.x - mx, v.y - my) for v in raws]
-        if any(e.is_zero() for e in edges):
+        if Vec(0, 0) in edges:
             continue
         if any(edges[i].cross(edges[j]) == 0
                for i in range(n) for j in range(i + 1, n)):

@@ -62,9 +62,6 @@ class Vec:
     def dot(self, other: "Vec") -> Scalar:
         return self.x * other.x + self.y * other.y
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
 
 @dataclass(frozen=True, slots=True)
 class Point:
@@ -82,10 +79,6 @@ class Point:
         if isinstance(other, Vec):
             return Point(self.x - other.x, self.y - other.y)
         return NotImplemented
-
-    def reflect_through(self, center: "Point") -> "Point":
-        """Point reflection: 2*center - self."""
-        return Point(2 * center.x - self.x, 2 * center.y - self.y)
 
 
 def pt(x: ScalarLike, y: ScalarLike) -> Point:
@@ -121,6 +114,13 @@ def homogeneous(p: Point, den: int = 1) -> tuple:
     yn, yq = p.y.as_integer_ratio()
     L = math.lcm(xq, yq, den)
     return xn * (L // xq), yn * (L // yq), L
+
+
+def lifted(p, den: int) -> tuple:
+    """The lattice triple p reduced, then lifted onto den: `homogeneous(point_of(p), den)`."""
+    X, Y, L = _lowest(*p)
+    k = den // math.gcd(L, den)
+    return X * k, Y * k, L * k
 
 
 def point_of(p) -> Point:
@@ -668,8 +668,9 @@ class ConvexRegion:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_points(self, count: int, seed: int) -> Tuple[Point, ...]:
-        """Deterministic rational points strictly interior to the region.
+    def sample_points(self, count: int, seed: int) -> Tuple[tuple, ...]:
+        """Deterministic lattice triples of points strictly interior to the
+        region (`barycentric_triples` over its vertex cycle).
 
         An unbounded region must first be intersected with a box region.
         """
@@ -686,7 +687,7 @@ class ConvexRegion:
         cycle = [(X * (den // L), Y * (den // L)) for X, Y, L in self._vertices]
         triples = list(barycentric_triples(den, cycle, count, seed))
         assert all(self.contains(t) is Location.INTERIOR for t in triples)
-        return tuple(map(point_of, triples))
+        return tuple(triples)
 
     # -- identity ------------------------------------------------------------
 

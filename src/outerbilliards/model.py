@@ -46,8 +46,3 @@ class BilliardModel:
     def path_of_tile(self, tile):
         """The admissible path of a forward tile, found by the tile's label."""
         return self.paths.path_for_label(tile.label)
-
-    def path_start(self, p):
-        """Start spoke index of the path owning the tile containing the
-        point with lattice triple p (`NicePolygon.homogeneous`)."""
-        return self.path_of_tile(self.partition.classify(p)).start

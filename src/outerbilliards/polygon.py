@@ -17,7 +17,7 @@ from .errors import (
 )
 from .geometry import Line, Location, Point, homogeneous, lattice, signed_area2
 from .scalars import (
-    is_squarefree,
+    is_radicand,
     radicand,
     scalar_from_json,
     scalar_to_json,
@@ -188,10 +188,8 @@ def polygon_from_document(doc) -> NicePolygon:
         raise ParseError("polygon document must be an object")
     field = doc.get("field", "rational")
     quad_d = field.get("quad") if isinstance(field, dict) else None
-    # Q(sqrt d) needs a square-free int d >= 2; a bool is not one
-    if field != "rational" and not (type(quad_d) is int and quad_d >= 2
-                                    and is_squarefree(quad_d)):
-        raise ParseError(f"unsupported field spec: {field!r}")
+    if field != "rational" and not is_radicand(quad_d):
+        raise ParseError(f"unsupported field spec {field!r}: d square-free, 2 <= d < 2**64")
     raw = doc.get("vertices")
     if not isinstance(raw, list):
         raise ParseError("missing or malformed 'vertices' list")

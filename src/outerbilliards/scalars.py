@@ -17,11 +17,18 @@ module (or anything built on it) ever rounds.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional, Union
 
 Scalar = Union[Fraction, "QuadExt"]
 ScalarLike = Union[int, Fraction, "QuadExt"]
+
+# Input bounds, checked before `Fraction` or `is_squarefree` sees an input: a
+# scalar's text has at most SCALAR_DIGITS characters and an exponent of at most
+# SCALAR_DIGITS; a radicand d < RADICAND_BOUND costs < 1.4 million divisions.
+SCALAR_DIGITS = 1000
+RADICAND_BOUND = 2 ** 64
 
 
 def is_squarefree(d: int) -> bool:
@@ -40,6 +47,11 @@ def is_squarefree(d: int) -> bool:
         k += 1 if k == 2 else 2
     r = math.isqrt(m)
     return m == 1 or r * r != m
+
+
+def is_radicand(d) -> bool:
+    """Whether d is a square-free int (not a bool), 2 <= d < RADICAND_BOUND."""
+    return type(d) is int and 2 <= d < RADICAND_BOUND and is_squarefree(d)
 
 
 def quad_sign(a, b, d: int) -> int:
@@ -207,8 +219,8 @@ class QuadExt:
     def __init__(self, a: ScalarLike, b: ScalarLike, d: int):
         if isinstance(a, QuadExt) or isinstance(b, QuadExt):
             raise TypeError("QuadExt components must be rational")
-        if not (isinstance(d, int) and d >= 2 and is_squarefree(d)):
-            raise ValueError(f"d must be a square-free integer >= 2, got {d!r}")
+        if not is_radicand(d):
+            raise ValueError(f"d must be a square-free int, 2 <= d < 2**64, got {d!r}")
         a, b = Fraction(a), Fraction(b)
         if b == 0:
             raise ValueError("QuadExt requires b != 0; use a Fraction instead")
@@ -379,9 +391,7 @@ def scalar_from_json(value, quad_d: int | None = None) -> Scalar:
     """
     if isinstance(value, bool):
         raise ValueError(f"not a scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return _fraction(value)
     if isinstance(value, dict):
         try:
@@ -401,8 +411,12 @@ def scalar_from_json(value, quad_d: int | None = None) -> Scalar:
 
 
 def _fraction(value) -> Fraction:
-    """Fraction(value), with a zero denominator a ValueError like any other
-    malformed number."""
+    """Fraction(str(value)); a zero denominator, or text past the
+    SCALAR_DIGITS bound (checked before Fraction parses it), is a ValueError."""
+    value = str(value)
+    exp = re.search(r"[eE][-+]?([\d_]+)", value)
+    if len(value) > SCALAR_DIGITS or exp and int(exp[1]) > SCALAR_DIGITS:
+        raise ValueError(f"scalar past {SCALAR_DIGITS} characters or exponent: {value[:24]!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:

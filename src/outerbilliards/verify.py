@@ -4,7 +4,8 @@ Every check is deterministic given (polygon, seed, sample counts), reports
 wall-skipped samples separately from violations, and makes each violation
 replayable from its (seed, index) pair.  Containment assertions use closed
 strips; exact assertions (tile vertices, region identities, label sets) use
-no sampling at all.
+no sampling at all.  Samples are born as lattice triples, and a sample's
+tile and psi(p)'s come off one ψ walk (`Partition.walk`).
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from fractions import Fraction
+from itertools import islice
 from typing import List, Optional, Tuple
 
-from .billiards import inverse_square_map, psi_walk, square_map
+from .billiards import Chirality, inverse_square_map, psi_walk, square_map
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import ConvexRegion, HalfPlane, Line, Point, homogeneous, point_of
+from .geometry import ConvexRegion, HalfPlane, Line, Point, homogeneous, lifted, point_of
 from .model import BilliardModel
 from .paths import PathFamily, apex_sequence
 from .polygon import NicePolygon
@@ -31,19 +33,21 @@ from .strips import PinwheelSystem, strip_jump, strip_map
 
 
 def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
-                 radii_scale=None) -> List[Point]:
-    """Interior samples of a tile: barycentric for bounded tiles, points at
+                 radii_scale=None) -> List[tuple]:
+    """Interior samples of a tile as lattice triples on the polygon's lattice
+    (`NicePolygon.homogeneous`): barycentric for bounded tiles, points at
     exponentially spaced distances along a recession ray for unbounded ones."""
+    polygon = model.polygon
     if not tile.unbounded:
         seed = rng.u64(hash(tile.label) & 0xFFFF)
-        return list(tile.region.sample_points(count, seed=seed))
+        return [lifted(t, polygon.den) for t in tile.region.sample_points(count, seed=seed)]
     direction = tile.region.recession_direction()
     scale = radii_scale if radii_scale is not None else Fraction(64)
     out = []
     for i in range(count):
         base = tile.region.interior_point(rng.split(11, i), i)
         t = scale * (2 ** (i % 3)) * (1 + rng.unit(1000 + i))
-        out.append(base + direction * t)
+        out.append(polygon.homogeneous(base + direction * t))
     return out
 
 
@@ -70,26 +74,24 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
     pool = []
     scale = far_radius(model, factor=1)
     for t_i, tile in enumerate(tiles):
-        for p in tile_samples(model, tile, per_tile, rng.split(t_i), radii_scale=scale):
-            pool.append((tile, p))
+        pool += [(tile, p) for p in tile_samples(model, tile, per_tile, rng.split(t_i), scale)]
     # strip-approach samples: preimages of points spread across each strip's
     # width at far radius, so the k = 2 branch is exercised on every strip
     R = far_radius(model)
     for j in range(n):
         pair = model.system.pair(j)
-        d = pair.line.direction()
-        nrm = pair.line.normal()
-        n2 = nrm.dot(nrm)
+        a, b, c = pair.line.a, pair.line.b, pair.line.c
         for t_i, sgn in enumerate((1, -1, 1)):
-            # offsets W/4, 3W/4, 5W/4: inside the strip twice, beyond it once
+            # at offsets W/4, 3W/4, 5W/4 (inside the strip twice, beyond it
+            # once) from the line's foot, and sgn*(2 + t_i)*R along it in L1
             off = (pair.width * Fraction(2 * t_i + 1, 4)
                    + pair.width * rng.split(0xA9, j).unit(t_i) / 64)
-            q0 = (Point(pair.line.a * pair.line.c / n2,
-                        pair.line.b * pair.line.c / n2)
-                  + d * (sgn * (2 + t_i) * R / (abs(d.x) + abs(d.y)))
-                  + nrm * (off / n2))
+            along = sgn * (2 + t_i) * R / (abs(a) + abs(b))
+            q0 = Point(a * (c + off) / (a * a + b * b) - b * along,
+                       b * (c + off) / (a * a + b * b) + a * along)
             try:
-                p0, _ = inverse_square_map(model.polygon, q0)
+                p0, _ = next(psi_walk(model.polygon, model.polygon.homogeneous(q0),
+                                      Chirality.LEFT))
             except MapUndefinedError:
                 continue
             pool.append((None, p0))
@@ -98,11 +100,11 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
         try:
             _, orbit, _ = pinwheel_theorem_step(model, p)
         except BudgetExceededError:
-            return repr(p), f"k <= {3 * n}", "budget exceeded"
+            return repr(point_of(p)), f"k <= {3 * n}", "budget exceeded"
         if tile is not None and not tile.unbounded:
             err = _structure2_realization(model, tile, p, orbit)
             if err is not None:
-                return (repr(p), *err)
+                return (repr(point_of(p)), *err)
         return None
 
     for idx, (tile, p) in enumerate(pool, 1):
@@ -110,20 +112,19 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
     return rep
 
 
-def _structure2_realization(model: BilliardModel, tile, p: Point, orbit):
-    """The pinwheel orbit of (p, a-1), as the theorem step's `orbit` of
-    lattice states, must pass (psi(p), b-1) within 2n steps, and its planar
-    trace up to there must equal the telescoped prefix points."""
+def _structure2_realization(model: BilliardModel, tile, here, orbit):
+    """The pinwheel orbit of (p, a-1), p the lattice triple `here`, as the
+    theorem step's `orbit`, must pass (psi(p), b-1) within 2n steps, and its
+    trace up to there must equal p moved by each prefix sum over its L."""
     n = model.n
     path = model.path_of_tile(tile)
     try:
         used = orbit.index((orbit[-1][0], (path.end_lifted - 1) % n), 0, 2 * n) + 1
     except ValueError:
         return (f"(psi(p), b-1) within {2 * n} pinwheel steps", "not reached")
-    homogeneous = model.polygon.homogeneous
-    expected = [homogeneous(p)]
+    expected = [here]
     for shift in path.prefix_sums:
-        nxt = homogeneous(p + shift)
+        nxt = _moved(here, shift)
         if nxt != expected[-1]:
             expected.append(nxt)
     trace = expected[:1]
@@ -149,17 +150,19 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
         try:
             _, orbit, a = pinwheel_theorem_step(model, p)
         except BudgetExceededError:
-            return repr(p), f"k <= {3 * n}", "budget exceeded"
+            return repr(point_of(p)), f"k <= {3 * n}", "budget exceeded"
         k, here = len(orbit), orbit[-1][0]
         strips_in = [j for j in range(n) if model.system.pair(j).location(here) == 1]
         if k not in (1, 2):
-            return repr(p), "k in {1, 2}", f"k = {k}"
+            return repr(point_of(p)), "k in {1, 2}", f"k = {k}"
         if (k == 2) != bool(strips_in):
-            return repr(p), "k = 2 iff psi(p) inside a strip", f"k = {k}, strips = {strips_in}"
+            return (repr(point_of(p)), "k = 2 iff psi(p) inside a strip",
+                    f"k = {k}, strips = {strips_in}")
         if k == 2 and strips_in != [a % n]:
-            return repr(p), f"landing strip = {a % n}", f"strips = {strips_in}"
+            return repr(point_of(p)), f"landing strip = {a % n}", f"strips = {strips_in}"
         return None
 
+    Rn, Rq = R.as_integer_ratio()  # the sample 2R*(ux, uy)/s as a triple, R = Rn/Rq
     i = 0
     while rep.valid + len(rep.violations) < samples and i < 20 * samples:
         i += 1
@@ -168,7 +171,7 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
         if ux == 0 and uy == 0:
             continue
         s = abs(ux) + abs(uy)
-        rep.judge(i, dichotomy, Point(2 * R * Fraction(ux, s), 2 * R * Fraction(uy, s)))
+        rep.judge(i, dichotomy, lifted((2 * Rn * ux, 2 * Rn * uy, Rq * s), model.polygon.den))
     return rep
 
 
@@ -182,9 +185,9 @@ def check_structure3(model: BilliardModel, samples: int = 40,
     tiles = model.partition.tiles
     per_tile = max(2, samples // max(len(tiles), 1))
 
-    def shifts(p, b):
-        here, _ = next(psi_walk(model.polygon, model.polygon.homogeneous(p)))
-        c = model.path_start(here)
+    def shifts(p):
+        (_, tile), (here, landing) = islice(model.partition.walk(p), 2)
+        b, c = model.path_of_tile(tile).end, model.path_of_tile(landing).start
         span = (c - b) % n
         bad = None
         for d in range(span):
@@ -193,14 +196,13 @@ def check_structure3(model: BilliardModel, samples: int = 40,
                 break
         if bad is None and span:
             bad = _index_shift(model, here, b, c)
-        return None if bad is None else (repr(p), "containment and index shift", bad)
+        return None if bad is None else (repr(point_of(p)), "containment and index shift", bad)
 
     idx = 0
     for tile in tiles:
-        b = model.path_of_tile(tile).end
         for p in tile_samples(model, tile, per_tile, rng.split(idx)):
             idx += 1
-            rep.judge(idx, shifts, p, b)
+            rep.judge(idx, shifts, p)
     return rep
 
 
@@ -252,10 +254,10 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         return None
 
     def acts(s, path, shift, want):
-        here = _moved(model.polygon.homogeneous(s), shift)
+        here = _moved(lifted(s, model.polygon.den), shift)
         got = strip_map(model.system.pair(path.end_lifted), here)
         if got != _moved(here, want):
-            return (repr(s), f"mu_{path.end_lifted % n} adds {want}",
+            return (repr(point_of(s)), f"mu_{path.end_lifted % n} adds {want}",
                     f"{point_of(got) - point_of(here)}")
         return None
 
@@ -357,7 +359,7 @@ def check_exit_reversal_conjugate(model: BilliardModel, samples: int = 20,
     rng = Rng(seed).split(0xEE)
     for i, tile in enumerate(tiles):
         for p in tile_samples(model, tile, max(1, samples // len(tiles)), rng.split(i)):
-            rep.judge(i, relabels, p)
+            rep.judge(i, relabels, point_of(p))
     _conjugate_laws(model, rep)
     return rep
 

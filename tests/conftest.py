@@ -1,0 +1,19 @@
+"""Fixtures shared by more than one test module."""
+
+import signal
+
+import pytest
+
+
+@pytest.fixture()
+def within_seconds():
+    """Fails the test by SIGALRM if it runs past 5 s: an input past a bound
+    must be refused before any work on its size (POSIX only)."""
+    def expire(signum, frame):
+        raise TimeoutError("input not refused within 5 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from outerbilliards.billiards import tangent_vertex
+from outerbilliards.billiards import Chirality, tangent_vertex
 from outerbilliards.dynamics import section
 from outerbilliards.errors import (
     BudgetExceededError,
@@ -127,6 +127,20 @@ def line_intersection(first: Line, second: Line) -> Optional[Point]:
     x = (first.c * second.b - second.c * first.b) / det
     y = (first.a * second.c - second.a * first.c) / det
     return Point(x, y)
+
+
+def reflected(p: Point, center: Point) -> Point:
+    """Point reflection: 2*center - p."""
+    return Point(2 * center.x - p.x, 2 * center.y - p.y)
+
+
+def outer_step(polygon, p: Point, chirality: Chirality = Chirality.RIGHT) -> Point:
+    """One outer billiards reflection: 2v - p through the tangent vertex."""
+    try:
+        vi = tangent_vertex(polygon, polygon.edge_offsets(polygon.homogeneous(p)), chirality)
+    except (InsidePolygonError, OnPrimaryWallError) as exc:
+        raise type(exc)(p) from None
+    return reflected(p, polygon.vertices[vi])
 
 
 def fresh_offsets_step(polygon, here, chirality):
@@ -302,7 +316,7 @@ def pulled_back_in_p(ring, p: Point) -> bool:
 def pulled_back_in_q(ring, p: Point) -> bool:
     """`NecklaceSpec.in_q` by pulling p back to P: p - m*shift reflected
     through the strip's centre vertex, asked of the polygon."""
-    back = (p - ring.shift * ring.m).reflect_through(ring.pair.w)
+    back = reflected(p - ring.shift * ring.m, ring.pair.w)
     return ring.polygon.point_location(back) is Location.INTERIOR
 
 
@@ -330,7 +344,8 @@ def placed_samples(ring, base, kind: str, count: int, seed: int):
     onto the copy (turned about the strip's centre vertex for kind "Q", then
     translated by m*shift) and sampled there."""
     region = base.point_reflect(ring.pair.w) if kind == "Q" else base
-    return region.translate(ring.shift * ring.m).sample_points(count, seed=seed)
+    moved = region.translate(ring.shift * ring.m)
+    return tuple(map(point_of, moved.sample_points(count, seed=seed)))
 
 
 def p_vertices(ring) -> Tuple[Point, ...]:
@@ -343,4 +358,4 @@ def q_vertices(ring) -> Tuple[Point, ...]:
     """The vertices of the ring's copy (P turned 180 degrees about its
     centre vertex) + m*shift, on `Point`s."""
     offset = ring.shift * ring.m
-    return tuple(v.reflect_through(ring.pair.w) + offset for v in ring.polygon.vertices)
+    return tuple(reflected(v, ring.pair.w) + offset for v in ring.polygon.vertices)

@@ -12,7 +12,6 @@ from outerbilliards.billiards import (
     Chirality,
     build_partition,
     inverse_square_map,
-    outer_step,
     primary_cone,
     square_map,
     tangent_vertex,
@@ -27,12 +26,12 @@ from outerbilliards.errors import (
     OnPrimaryWallError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import Location, Point, pt, vec
+from outerbilliards.geometry import Location, Point, point_of, pt, vec
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.scalars import QuadExt, sign
-from oracles import fresh_offsets_step, normalized, signed_offset
+from oracles import fresh_offsets_step, normalized, outer_step, reflected, signed_offset
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -180,7 +179,7 @@ def test_primary_cone_round_trip():
     for poly in (TRIANGLE, PENTAGON):
         for vi in range(poly.n):
             cone = primary_cone(poly, vi)
-            for p in cone.intersect(_far_box(poly)).sample_points(6, seed=3):
+            for p in map(point_of, cone.intersect(_far_box(poly)).sample_points(6, seed=3)):
                 if poly.point_location(p) is Location.OUTSIDE:
                     assert tangent_vertex(poly, _offsets(poly, p)) == vi
             assert cone.contains(poly.homogeneous(poly.vertices[vi])) is Location.BOUNDARY
@@ -237,7 +236,7 @@ def test_piecewise_translation_on_tiles():
     for tile in part.tiles:
         if tile.unbounded:
             continue
-        for p in tile.region.sample_points(20, seed=2):
+        for p in map(point_of, tile.region.sample_points(20, seed=2)):
             q, label = square_map(PENTAGON, p)
             assert label == tile.label
             assert q - p == tile.translation
@@ -399,7 +398,7 @@ def test_sqrt5_shear_parity_catches_conjugate_sign_slip(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the lattice kernel against the Point route: `tangent_vertex` on the signs
-# of a Point's scalar `signed_offset`s, then `reflect_through` each tangent
+# of a Point's scalar `signed_offset`s, then `reflected` through each tangent
 # vertex, kept here only as the oracle for `billiards.psi_walk`
 
 
@@ -414,12 +413,12 @@ def _point_route(polygon, p, chirality):
         raise UndefinedOnWallError(p, stage=1) from None
     except InsidePolygonError:
         raise InsidePolygonError(p) from None
-    mid = p.reflect_through(polygon.vertices[vi])
+    mid = reflected(p, polygon.vertices[vi])
     try:
         wi = tangent_vertex(polygon, _scalar_signs(polygon, mid), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(p, stage=2) from None
-    return mid.reflect_through(polygon.vertices[wi]), (vi, wi)
+    return reflected(mid, polygon.vertices[wi]), (vi, wi)
 
 
 def _outcome(step, polygon, p, chirality):
@@ -446,7 +445,7 @@ def _parity_starts(poly):
     walls = [v + (poly.vertex(i + 1) - v) * t for i, v in enumerate(poly.vertices)
              for t in (-3, Fraction(-1, 2), Fraction(3, 2), 4)]
     # reflected through a vertex, a wall point is the midpoint of a start
-    second = [q.reflect_through(v) for q in walls for v in poly.vertices]
+    second = [reflected(q, v) for q in walls for v in poly.vertices]
     inside = [pt(sum(v.x for v in poly.vertices) / poly.n,
                  sum(v.y for v in poly.vertices) / poly.n)]
     boundary = list(poly.vertices) + [
@@ -532,7 +531,7 @@ def _wall_starts(poly, back, ts, both_sides):
     `back` steps backwards by the oracle's mirrored rule."""
     walls = [v + (poly.vertex(i + 1) - v) * t for i, v in enumerate(poly.vertices)
              for t in (ts if both_sides else ts[i % 2:i % 2 + 1])]
-    walls += [q.reflect_through(poly.vertex(i + 2)) for i, q in enumerate(walls)]
+    walls += [reflected(q, poly.vertex(i + 2)) for i, q in enumerate(walls)]
     for q in walls:
         for chirality, mirror in ((Chirality.RIGHT, Chirality.LEFT),
                                   (Chirality.LEFT, Chirality.RIGHT)):

@@ -474,6 +474,37 @@ def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
     assert json.loads(out)["error"]
 
 
+def _field_doc(tmp_path, d):
+    f = tmp_path / "field.json"
+    f.write_text(TRIANGLE_DOC.replace('"rational"', f'{{"quad": {d}}}'))
+    return str(f)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("orbit", "TRI", "--point", "1e5000,1/3"), 2),
+    (("orbit", "TRI", "--point", "1e1000,1/3", "--steps", "1"), 0),  # the bound itself
+    (("orbit", "TRI", "--point", "1e1001,1/3", "--steps", "1"), 2),
+    (("orbit", "TRI", "--point", "1e-1001,1/3", "--steps", "1"), 2),
+    (("orbit", "TRI", "--point", "8," + "1" * 1000, "--steps", "1"), 0),
+    (("orbit", "TRI", "--point", "8," + "1" * 1001, "--steps", "1"), 2),
+    (("orbit", "TRI", "--point", "8,-2", "--escape", "1e1001"), 2),
+    (("quasi", "TRI", "--certify", "5,1e1001"), 2),
+    (("validate", "D", 2 ** 64 - 1), 0),  # square-free: 3*5*17*257*641*65537*6700417
+    (("validate", "D", 2 ** 64 + 1), 2),  # square-free too: 274177 * 67280421310721
+    (("validate", "D", 10 ** 69 + 7), 2),
+])
+def test_inputs_past_their_bound_are_json_input_errors(argv, code, tri_file, tmp_path,
+                                                       capsys, within_seconds):
+    """Scalar text is bounded to 1000 characters and an exponent of 1000,
+    and a radicand to d < 2**64, before any number is built from them."""
+    if argv[1] == "D":
+        argv = (argv[0], _field_doc(tmp_path, argv[2]))
+    got, out = run(capsys, *[tri_file if a == "TRI" else a for a in argv])
+    assert got == code
+    if code == 2:
+        assert "2**64" in json.loads(out)["error"] or "past 1000" in out
+
+
 def test_help_is_not_a_usage_error(capsys):
     for argv in (("--help",), ("orbit", "--help")):
         code, out = run(capsys, *argv)

@@ -109,12 +109,12 @@ def test_theorem_step_worked_far_field_cases():
         s = abs(ux) + abs(uy)
         p = Point(Fraction(2 * R * ux, s), Fraction(2 * R * uy, s))
         try:
-            q, orbit, _ = pinwheel_theorem_step(m, p)
+            q, orbit, _ = pinwheel_theorem_step(m, m.polygon.homogeneous(p))
         except MapUndefinedError:
             continue
         k = len(orbit)
         assert k in (1, 2)
-        in_strip = any(m.system.pair(j).location(m.polygon.homogeneous(q)) == 1
+        in_strip = any(m.system.pair(j).location(q) == 1
                        for j in range(m.n))
         assert (k == 2) == in_strip
         found[k] += 1
@@ -126,19 +126,19 @@ def test_theorem_step_bounded_tiles_within_3n():
     for tile in m.partition.tiles:
         if tile.unbounded:
             continue
-        for p in tile.region.sample_points(5, seed=9):
+        for p in map(point_of, tile.region.sample_points(5, seed=9)):
             try:
-                q, orbit, _ = pinwheel_theorem_step(m, p)
+                q, orbit, _ = pinwheel_theorem_step(m, m.polygon.homogeneous(p))
             except MapUndefinedError:
                 continue
             assert len(orbit) <= 3 * m.n
-            assert q == square_map(m.polygon, p)[0]
+            assert point_of(q) == square_map(m.polygon, p)[0]
 
 
 def test_exit_map_bounded_tile_is_one_step():
     m = BilliardModel(PENTAGON)
     tile = next(t for t in m.partition.tiles if not t.unbounded)
-    for p in tile.region.sample_points(5, seed=1):
+    for p in map(point_of, tile.region.sample_points(5, seed=1)):
         try:
             q, steps = exit_map(m, m.polygon.homogeneous(p))
         except MapUndefinedError:
@@ -271,7 +271,7 @@ def test_strip_system_return_advances_one_strip():
     for j in range(m.n):
         pts = m.system.pair(j).strip_region().intersect(_bigbox()).sample_points(
             4, seed=rng.u64(j) & 0xFFFF)
-        for p in pts:
+        for p in map(point_of, pts):
             try:
                 (q, index), steps = strip_system_return(m.system, m.polygon.homogeneous(p), j)
             except MapUndefinedError:
@@ -683,9 +683,9 @@ def test_orbit_golden_covers_every_selector_and_end_tag():
 
 
 def _lattice_theorem_step(model, p):
-    """pinwheel_theorem_step with its orbit read as the step count."""
-    q, orbit, a = pinwheel_theorem_step(model, p)
-    return q, len(orbit), a
+    """pinwheel_theorem_step on p's triple, its orbit read as the step count."""
+    q, orbit, a = pinwheel_theorem_step(model, model.polygon.homogeneous(p))
+    return point_of(q), len(orbit), a
 
 
 def _theorem_outcome(step, model, p):
@@ -703,7 +703,7 @@ def _theorem_starts(model):
     rng = Rng(5).split(model.n)
     starts = []
     for t_i, tile in enumerate(model.partition.tiles):
-        starts += tile_samples(model, tile, 2, rng.split(t_i))
+        starts += map(point_of, tile_samples(model, tile, 2, rng.split(t_i)))
     R = far_radius(model)
     for ux, uy in DIRECTIONS:
         p = Point(2 * R * ux / (abs(ux) + abs(uy)), 2 * R * uy / (abs(ux) + abs(uy)))

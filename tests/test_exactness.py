@@ -114,7 +114,8 @@ def kernel_coordinates(polygon):
         for tile in build_partition(polygon, chirality).tiles:
             r = tile.region
             points = list(r.vertices()) + [r.interior_point(), r.interior_point(Rng(3), 1)]
-            points += (r if r.is_bounded() else r.intersect(clip)).sample_points(2, seed=5)
+            points += map(geometry.point_of, (r if r.is_bounded() else r.intersect(clip))
+                          .sample_points(2, seed=5))
             if r.recession_direction() is not None:
                 points.append(r.recession_direction())
             for p in points:

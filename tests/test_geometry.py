@@ -33,6 +33,7 @@ from outerbilliards.geometry import (
     box_region,
     half_plane,
     homogeneous,
+    lifted,
     point_of,
     polygon_region,
     pt,
@@ -138,6 +139,16 @@ def test_homogeneous_is_the_least_lattice_triple(p, den):
         while rest % q == 0:
             rest //= q
     assert point_of((X, Y, L)) == p
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.builds(Point, COORDS, COORDS), st.integers(1, 60), st.integers(1, 12))
+@example(Point(R5 / 3, Fraction(2, 9)), 4, 6)
+def test_lifted_is_homogeneous_of_point_of(p, den, k):
+    """`lifted` reduces any multiple of p's triple and lifts it onto den:
+    the triple `homogeneous(p, den)`, int and QuadInt types included."""
+    X, Y, L = homogeneous(p)
+    assert repr(lifted((k * X, k * Y, k * L), den)) == repr(homogeneous(p, den))
 
 
 @pytest.mark.parametrize("triple, want", [
@@ -301,7 +312,7 @@ def test_sample_points_interior_and_deterministic():
     pts = sq.sample_points(3, seed=7)
     assert len(pts) == 3
     for p in pts:
-        assert sq.contains(homogeneous(p)) is Location.INTERIOR
+        assert sq.contains(p) is Location.INTERIOR
     assert pts == sq.sample_points(3, seed=7)
     assert pts != sq.sample_points(3, seed=8)
 
@@ -316,7 +327,7 @@ def test_sample_points_unbounded_needs_clip():
     with pytest.raises(ValueError):
         half.sample_points(2, seed=1)
     pts = half.intersect(box_region(-10, -10, 10, 10)).sample_points(5, seed=1)
-    for p in pts:
+    for p in map(point_of, pts):
         assert 0 < p.y <= 10
         assert -10 <= p.x <= 10
 
@@ -454,14 +465,16 @@ def test_kernel_matches_fm_oracle(hps):
     assert r.interior_point() == fm_interior_point(fm_kept)
     clip = box_region(-6, -6, 6, 6)
     if r.is_bounded():
-        assert r.sample_points(3, seed=4) == fm_sample_points(fm_kept, 3, seed=4)
+        got = tuple(map(point_of, r.sample_points(3, seed=4)))
+        assert got == fm_sample_points(fm_kept, 3, seed=4)
         return
     clip_empty, clipped = fm_canonical(fm_kept + clip.constraints)
     if clip_empty or not fm_has_interior(clipped):
         with pytest.raises(EmptyRegionError):
             r.intersect(clip).sample_points(3, seed=4)
     else:
-        assert r.intersect(clip).sample_points(3, seed=4) == fm_sample_points(clipped, 3, seed=4)
+        got = tuple(map(point_of, r.intersect(clip).sample_points(3, seed=4)))
+        assert got == fm_sample_points(clipped, 3, seed=4)
 
 
 @pytest.mark.parametrize("poly_key", CORPUS)
@@ -474,7 +487,7 @@ def test_tile_samples_match_fm_oracle(poly_key):
              if not t.unbounded]
     assert tiles or len(corpus_polygon(poly_key).vertices) == 3
     for i, tile in enumerate(tiles):
-        got = tile.region.sample_points(4, seed=i)
+        got = tuple(map(point_of, tile.region.sample_points(4, seed=i)))
         assert repr(got) == repr(fm_sample_points(tile.region.constraints, 4, seed=i))
 
 

@@ -18,6 +18,7 @@ from oracles import (
     pulled_back_in_q,
     pulled_back_trapped_extent,
     q_vertices,
+    reflected,
     scalar_in_annulus,
     signed_offset,
     transfer_ratio,
@@ -161,7 +162,7 @@ def test_necklace_zero_shift_is_polygon():
     spec = necklace(m.system, 0, 0)
     assert p_vertices(spec) == m.polygon.vertices
     assert q_vertices(spec) == tuple(
-        v.reflect_through(spec.pair.w) for v in m.polygon.vertices)
+        reflected(v, spec.pair.w) for v in m.polygon.vertices)
     assert spec.pair.w == m.system.pair(0).w
 
 
@@ -237,7 +238,8 @@ def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
                 ref = polygon_region(verts, open_region=True)
                 assert moved == ref
                 assert moved.vertices() == ref.vertices()
-                assert moved.sample_points(3, seed=j) == ref.sample_points(3, seed=j)
+                assert ([point_of(t) for t in moved.sample_points(3, seed=j)]
+                        == [point_of(t) for t in ref.sample_points(3, seed=j)])
                 carried = tuple(point_of(spec.carry((X, Y, poly.den), kind))
                                 for X, Y in poly.lattice)
                 assert repr(carried) == repr(verts)
@@ -354,7 +356,7 @@ def test_necklace_membership_matches_region_route(poly_key):
                 pts.extend(Point((verts[i].x + verts[(i + 1) % k].x) / 2,
                                  (verts[i].y + verts[(i + 1) % k].y) / 2)
                            for i in range(k))
-                pts.extend(ref.sample_points(4, seed=100 + 7 * j + mm))
+                pts.extend(map(point_of, ref.sample_points(4, seed=100 + 7 * j + mm)))
             pts += [p + spec.shift * Fraction(1, 3) for p in pts]
             for p in pts:
                 here = poly.homogeneous(p)

@@ -12,7 +12,10 @@ from outerbilliards.rng import Rng
 from outerbilliards.scalars import (
     QuadExt,
     QuadInt,
+    RADICAND_BOUND,
+    SCALAR_DIGITS,
     floor_div,
+    is_radicand,
     is_squarefree,
     quadext,
     ratio,
@@ -70,6 +73,37 @@ def test_is_squarefree_on_two_large_prime_factors():
     assert is_squarefree(p * q)
     assert not is_squarefree(4 * p * q)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_radicand_bound_comes_before_the_square_free_test(within_seconds):
+    """2**64 - 1 and 2**64 + 1 are both square-free; only the first is
+    below the bound, and past it no division is tried."""
+    assert RADICAND_BOUND == 2 ** 64
+    assert is_radicand(2 ** 64 - 1) and is_squarefree(2 ** 64 + 1)
+    assert not is_radicand(2 ** 64 + 1)
+    t0 = time.perf_counter()
+    assert not is_radicand(10 ** 69 + 7)
+    assert not is_radicand(True) and not is_radicand(5.0)
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        QuadExt(0, 1, 2 ** 64 + 1)
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("1" * SCALAR_DIGITS, True), ("1" * (SCALAR_DIGITS + 1), False),
+    ("-3/" + "7" * (SCALAR_DIGITS - 3), True), ("2.5e1000", True), ("1E-1000", True),
+    ("1e1001", False), ("1e-1001", False), ("1e+0001001", False), ("1e1_001", False),
+    ("7e5000", False),
+])
+def test_scalar_text_bound(text, ok, within_seconds):
+    """A scalar's text: at most SCALAR_DIGITS characters, an exponent of at
+    most SCALAR_DIGITS; the same bound inside a quadratic scalar."""
+    for value, quad_d in ((text, None), ({"a": text, "b": "1", "d": 5}, 5)):
+        if ok:
+            scalar_from_json(value, quad_d=quad_d)
+        else:
+            with pytest.raises(ValueError, match="past 1000"):
+                scalar_from_json(value, quad_d=quad_d)
 
 
 def test_quadext_collapses_to_fraction():

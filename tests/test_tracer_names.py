@@ -47,7 +47,7 @@ def test_traced_theorem_step_counts_its_strip_maps():
     is as it was."""
     model = BilliardModel(NicePolygon.from_points(
         [pt(0, 0), pt(-1, 3), pt(2, 5), pt(5, 2), pt(4, -1)]))
-    p = pt(9, -4)
+    p = model.polygon.homogeneous(pt(9, -4))
     _, orbit, _ = pinwheel_theorem_step(model, p)
     tracer = load_tracer().Tracer()
     tracer.install()

@@ -1,7 +1,10 @@
 """The verification harness itself: determinism, sensitivity, generation."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,7 +19,7 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Point, pt
+from outerbilliards.geometry import Point, point_of, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import AdmissiblePath, PathFamily, enumerate_paths
 from outerbilliards.polygon import NicePolygon, parse_polygon, polygon_to_text
@@ -198,14 +201,14 @@ def test_quadratic_kites_pass_suite_and_trip_controls(kite_key):
     assert necklace.attempted == 0  # not quasirational: nothing to corrupt
 
 
-def test_far_field_evaluates_psi_twice_per_sample(monkeypatch):
-    """One classification of p (inside the pinwheel theorem step, which also
-    hands back the start spoke) and one of psi(p): two ψ walks per sample,
-    not three."""
+def _count_psi_walks(monkeypatch, check, samples):
+    """`check` run on a heptagon model with `billiards.psi_walk` counted,
+    the partition (and its own classifications) built first: (report,
+    walks started)."""
     from outerbilliards import billiards
 
     model = BilliardModel(random_nice_polygon(7, 3))
-    model.partition  # built, and its own classifications done, before counting
+    model.partition
     calls = []
     real = billiards.psi_walk
 
@@ -214,9 +217,40 @@ def test_far_field_evaluates_psi_twice_per_sample(monkeypatch):
         return real(polygon, p, chirality)
 
     monkeypatch.setattr(billiards, "psi_walk", counted)
-    rep = check_far_field(model, samples=50, seed=0)
+    return check(model, samples=samples, seed=0), len(calls)
+
+
+def test_far_field_evaluates_psi_once_per_sample(monkeypatch):
+    """p's tile and psi(p)'s are the first two states of one ψ walk, inside
+    the pinwheel theorem step: one walk per sample, not two."""
+    rep, walks = _count_psi_walks(monkeypatch, check_far_field, 50)
     assert rep.attempted == 50 and rep.valid == 50
-    assert len(calls) == 100
+    assert walks == 50
+
+
+def test_structure3_evaluates_psi_once_per_sample(monkeypatch):
+    """Structure 3 reads p's tile and q = psi(p)'s off one ψ walk too."""
+    rep, walks = _count_psi_walks(monkeypatch, check_structure3, 40)
+    assert rep.attempted == rep.valid > 0
+    assert walks == rep.attempted
+
+
+def test_wrong_landing_tile_trips_the_region_assertion(monkeypatch):
+    """Negative control for the region assertion kept on psi(p): a partition
+    whose `by_label` sends psi(p)'s label to p's own tile must raise in the
+    theorem step and in Structure 3, though p still classifies."""
+    model = BilliardModel(random_nice_polygon(7, 3))
+    tile = next(t for t in model.partition.tiles if not t.unbounded)
+    p = tile_samples(model, tile, 1, Rng(0))[0]
+    pinwheel_theorem_step(model, p)
+    (_, first), (_, landing) = islice(model.partition.walk(p), 2)
+    assert first is tile and landing is not tile
+    monkeypatch.setitem(model.partition.by_label, landing.label, tile)
+    assert model.partition.classify(p) is tile
+    with pytest.raises(AssertionError, match="labels tile"):
+        pinwheel_theorem_step(model, p)
+    with pytest.raises(AssertionError, match="labels tile"):
+        check_structure3(model, samples=40, seed=0)
 
 
 @pytest.mark.parametrize("n, seed", [(5, 1), (7, 3), (3, 1)])
@@ -338,10 +372,33 @@ def test_structure2_matches_point_route(monkeypatch, poly_key):
 
     def outcomes():
         return [(verify._structure2_realization(model, tile, p, orbit),
-                 point_route_structure2(model, tile, p, q))
+                 point_route_structure2(model, tile, point_of(p), point_of(q)))
                 for tile, p, (q, orbit, _) in cases]
 
     assert all(got is None and want is None for got, want in outcomes())
     _reorder_prefix_sums(monkeypatch)
     for got, want in outcomes():
         assert got is not None and got == want
+
+
+# sha256 of `run_all(polygon, profile="full", seed=1)`'s reports as compact
+# sorted-key JSON, on three of the benchmark's verify polygons: the seeded
+# random n5 and n12 (`random_nice_polygon(n, 7000 + 10 * n)`) and the kite with
+# apex sqrt 5; recorded before the sampled checks drew their samples as
+# lattice triples and read p's tile and psi(p)'s off one ψ walk
+FULL_PROFILE_GOLDEN = {
+    5: "fa5fbd5f6929801a2f81f571dad81b37aaba2c8a31bbdb1e6b8c2340757edf70",
+    12: "2117074058eac2e7e3fc68db05c81ac2c05a731693a139e5e93ba313251ae299",
+    "sqrt5_kite": "523b46354fb686652d3956d28929d7e34e908b36a33715873716ceaca50bd436",
+}
+
+
+@pytest.mark.parametrize("key", list(FULL_PROFILE_GOLDEN))
+def test_full_profile_reports_golden(key):
+    from test_quasirational import sqrt5_kite
+
+    polygon = (sqrt5_kite() if key == "sqrt5_kite"
+               else random_nice_polygon(key, 7000 + 10 * key))
+    reports = run_all(polygon, profile="full", seed=1)
+    text = json.dumps([r.to_json() for r in reports], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_PROFILE_GOLDEN[key]
