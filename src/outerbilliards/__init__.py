@@ -36,7 +36,6 @@ from .geometry import (
     ConvexRegion,
     HalfPlane,
     Line,
-    Location,
     Point,
     Sense,
     Vec,

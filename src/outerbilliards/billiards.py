@@ -24,7 +24,6 @@ from .geometry import (
     ConvexRegion,
     HalfPlane,
     Line,
-    Location,
     Point,
     Sense,
     Vec,
@@ -193,10 +192,9 @@ class Partition:
         it (or the partition is inconsistent)."""
         for there, label in psi_walk(self.polygon, here, self.chirality):
             tile = self.by_label[label]
-            loc = tile.region.contains(here)
-            if loc is not Location.INTERIOR:
+            if tile.region.contains(here) <= 0:
                 raise AssertionError(
-                    f"point {point_of(here)} labels tile {label} but sits on/off it ({loc})")
+                    f"point {point_of(here)} labels tile {label} but sits on or off it")
             yield here, tile
             here = there
 

@@ -18,7 +18,7 @@ from .geometry import Point
 from .model import BilliardModel
 from .polygon import parse_polygon
 from .quasirational import boundedness_certificate, quasi_analyze
-from .scalars import scalar_from_json, scalar_to_json
+from .scalars import bounded_int, scalar_from_json, scalar_to_json
 from .svg import (
     default_viewport,
     draw_points,
@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
     if args.random:
         try:
             spec = dict(kv.split("=") for kv in args.random.split())
-            count, nsides = int(spec["count"]), int(spec["n"])
+            count, nsides = bounded_int(spec["count"]), bounded_int(spec["n"])
         except (ValueError, KeyError):
             return _fail(f"bad --random spec {args.random!r}; want 'n=K count=M'")
         if count < 1:
@@ -337,8 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argv's int options are read under Python's int-to-str digit limit; a
+    # command bounds every scalar and int it reads (`SCALAR_DIGITS`) before it
+    # parses them, but exact results can outgrow the limit: lift it for the run
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = build_parser().parse_args(argv)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except MapUndefinedError as exc:
         _emit({"schema": f"{args.command}/1", "error": str(exc)})
@@ -346,6 +352,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

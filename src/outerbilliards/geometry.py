@@ -131,6 +131,23 @@ def point_of(p) -> Point:
     return Point(div(X, L), div(Y, L))
 
 
+def least_sign(forms, here) -> int:
+    """The least sign of a*X + b*Y - c*L over the integer forms (a, b, c) at
+    the lattice triple here = (X, Y, L): +1 strictly inside all of them, 0 on
+    a boundary, -1 outside.  The one side-of-forms read; over Q(sqrt d) a
+    form's QuadInt sum has its sign read once."""
+    X, Y, L = here
+    low = 1
+    for a, b, c in forms:
+        t = a * X + b * Y - c * L
+        t = t if type(t) is int else t.sign()
+        if t < 0:
+            return -1
+        if t == 0:
+            low = 0
+    return low
+
+
 def barycentric_triples(den: int, cycle, count: int, seed: int):
     """`count` triples (X, Y, L) strictly inside the convex polygon with the
     vertex cycle `cycle` (numerator pairs over den, from `lattice`): weights the
@@ -224,11 +241,6 @@ class Line:
     def direction(self) -> Vec:
         return Vec(-self.b, self.a)
 
-    def parallel_offset(self, delta: ScalarLike) -> "Line":
-        """The parallel line whose signed offsets are shifted down by delta."""
-        n, q = delta.as_integer_ratio()
-        return self._moved(self.ints[2] * q + n * self.s, q)
-
     def _normal(self) -> tuple:
         A, B, C = primitive(*self.ints)
         return (-A, -B, -C) if (A if A != 0 else B) < 0 else (A, B, C)
@@ -286,12 +298,9 @@ class HalfPlane:
 
     def contains(self, p) -> bool:
         """Whether the point with lattice triple p = (X, Y, L) (`homogeneous`)
-        satisfies the constraint: the sign of a*X + b*Y - c*L on `form`, an
-        int, or over Q(sqrt d) a QuadInt whose sign is read once."""
-        X, Y, L = p
+        satisfies the constraint: `least_sign` on `form`."""
         a, b, c, strict = self.form
-        s = a * X + b * Y - c * L
-        s = s if type(s) is int else s.sign()
+        s = least_sign(((a, b, c),), p)
         return s > 0 or (s == 0 and not strict)
 
 
@@ -479,12 +488,6 @@ def _canonical(hps, forms) -> "ConvexRegion":
 # convex regions
 
 
-class Location(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
 def _in_order(by_form: dict) -> list:
     """The values of `by_form`, keyed by primitive forms, in canonical order: each
     form over its |leading entry|, entry by entry as (rational part, sqrt(d) part)."""
@@ -506,7 +509,7 @@ class ConvexRegion:
     exactly when the region is bounded.
     """
 
-    __slots__ = ("constraints", "is_empty", "_vertices", "_interior", "_rays")
+    __slots__ = ("constraints", "is_empty", "_vertices", "_interior", "_rays", "_forms")
 
     def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool,
                  vertices: tuple = (), interior: bool = True, rays: tuple = ()):
@@ -515,6 +518,7 @@ class ConvexRegion:
         object.__setattr__(self, "_vertices", vertices)
         object.__setattr__(self, "_interior", interior and not is_empty)
         object.__setattr__(self, "_rays", rays)
+        object.__setattr__(self, "_forms", tuple(h.form[:3] for h in constraints))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexRegion is immutable")
@@ -544,23 +548,11 @@ class ConvexRegion:
 
     # -- queries ------------------------------------------------------------
 
-    def contains(self, p) -> Location:
-        """Classify the point with lattice triple p against the region:
-        interior, boundary (of the closure, including boundary lines of
-        strict constraints), or outside."""
-        if self.is_empty:
-            return Location.OUTSIDE
-        X, Y, L = p
-        saw_zero = False
-        for h in self.constraints:
-            a, b, c, _ = h.form
-            s = a * X + b * Y - c * L
-            s = s if type(s) is int else s.sign()
-            if s < 0:
-                return Location.OUTSIDE
-            if s == 0:
-                saw_zero = True
-        return Location.BOUNDARY if saw_zero else Location.INTERIOR
+    def contains(self, p) -> int:
+        """`least_sign` of the point with lattice triple p on the region's
+        constraints: +1 interior, 0 on the boundary of the closure (boundary
+        lines of strict constraints included), -1 outside."""
+        return -1 if self.is_empty else least_sign(self._forms, p)
 
     def has_interior(self) -> bool:
         return self._interior
@@ -686,7 +678,7 @@ class ConvexRegion:
         den = math.lcm(*(L for _, _, L in self._vertices))
         cycle = [(X * (den // L), Y * (den // L)) for X, Y, L in self._vertices]
         triples = list(barycentric_triples(den, cycle, count, seed))
-        assert all(self.contains(t) is Location.INTERIOR for t in triples)
+        assert all(self.contains(t) > 0 for t in triples)
         return tuple(triples)
 
     # -- identity ------------------------------------------------------------

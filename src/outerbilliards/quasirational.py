@@ -34,7 +34,8 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import Point, Vec, barycentric_triples, homogeneous, integer_form, point_of
+from .geometry import (Point, Vec, barycentric_triples, homogeneous, integer_form, least_sign,
+                       point_of)
 from .polygon import NicePolygon
 from .scalars import Scalar, int_parts, ratio
 from .strips import PinwheelPair, PinwheelSystem
@@ -81,8 +82,9 @@ class NecklaceSpec:
     Q being P turned 180 degrees about the strip's centre vertex, stored as
     rigid motions of P together with the strip's frame.  A point's axis
     coordinate is shift.p; the ring spans the axis range [lo, hi] + m*dd.
-    Membership reads `forms`, which do not depend on m: `necklace` builds
-    them once per strip, and `at` carries them to another exponent."""
+    `base` does not depend on m: `necklace` builds it once per strip, and
+    `at` carries it to another exponent.  Membership reads `forms`, `base`
+    resolved at m when the ring is made, and `mirror`, with `least_sign`."""
 
     j: int
     m: int
@@ -94,10 +96,17 @@ class NecklaceSpec:
     dd: Scalar                     # shift.shift
     # integer forms (A, B, C, D) of P's edges, of Q's, of the trapped
     # extent's two ends, and of each annulus window's two ends
-    forms: Tuple = field(repr=False, compare=False)
+    base: Tuple = field(repr=False, compare=False)
     # ((SX, SY, sq), (A, B, C, k), (u, v)): the shift on its lattice, the edge
     # line's integer form A*x + B*y = C with its scale k, 1/(A*SY - SX*B) = u/v
     frame: Tuple = field(repr=False, compare=False)
+    # `base` at m, and P's and Q's edges at -m (`_resolved`)
+    forms: Tuple = field(init=False, repr=False, compare=False)
+    mirror: Tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "forms", _resolved(self.base, self.m))
+        object.__setattr__(self, "mirror", _resolved(self.base[:2], -self.m))
 
     def at(self, m: int) -> "NecklaceSpec":
         """The same strip's ring at exponent m."""
@@ -131,15 +140,15 @@ class NecklaceSpec:
 
     def in_p(self, p) -> bool:
         """The point with lattice triple p is interior to P + m*shift."""
-        return _least_sign(self.forms[0], self.m, p) > 0
+        return least_sign(self.forms[0], p) > 0
 
     def in_q(self, p) -> bool:
         """The point with lattice triple p is interior to Q + m*shift."""
-        return _least_sign(self.forms[1], self.m, p) > 0
+        return least_sign(self.forms[1], p) > 0
 
     def contains(self, p) -> bool:
         """The point with lattice triple p is interior to either copy."""
-        return any(_least_sign(forms, self.m, p) > 0 for forms in self.forms[:2])
+        return self.in_p(p) or self.in_q(p)
 
     def windows(self):
         """The two axis windows strictly between the base ring and the
@@ -151,7 +160,7 @@ class NecklaceSpec:
         """Conservative membership of the lattice triple p: inside the strip and
         strictly within one of the windows (a subset of the pictorial 'between')."""
         return self.pair.location(p) == 1 and any(
-            _least_sign(ends, self.m, p) > 0 for ends in self.forms[3:])
+            least_sign(window, p) > 0 for window in self.forms[3:])
 
     def frame_triple(self, s: Scalar, off: Scalar):
         """The point with axis coordinate s and strip offset off (0 on the edge
@@ -173,19 +182,10 @@ def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
     return d * t
 
 
-def _least_sign(forms, m: int, here) -> int:
-    """The least sign of A*X + B*Y - (C + m*D)*L over the forms on the
-    triple (X, Y, L): +1 inside all of them, 0 on a boundary, -1 outside."""
-    X, Y, L = here
-    low = 1
-    for A, B, C, D in forms:
-        t = A * X + B * Y - (C + m * D) * L
-        t = t if type(t) is int else t.sign()
-        if t < 0:
-            return -1
-        if t == 0:
-            low = 0
-    return low
+def _resolved(groups, m: int) -> tuple:
+    """Each group of integer forms (A, B, C, D) at exponent m: the forms
+    (A, B, C + m*D) of A*X + B*Y - (C + m*D)*L, as `least_sign` reads them."""
+    return tuple(tuple((A, B, C + m * D) for A, B, C, D in forms) for forms in groups)
 
 
 def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
@@ -234,10 +234,9 @@ def in_trapped_extent(ring: NecklaceSpec, p) -> bool:
     extent of the rings at +-ring.m, and not interior to either of them.  The
     image of any between-point lands here; points here can never escape.
     p is a lattice triple."""
-    if ring.pair.location(p) != 1 or _least_sign(ring.forms[2], ring.m, p) < 0:
+    if ring.pair.location(p) != 1 or least_sign(ring.forms[2], p) < 0:
         return False
-    return not any(_least_sign(forms, m, p) > 0
-                   for m in (ring.m, -ring.m) for forms in ring.forms[:2])
+    return not any(least_sign(f, p) > 0 for f in ring.forms[:2] + ring.mirror)
 
 
 def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,

@@ -410,6 +410,14 @@ def scalar_from_json(value, quad_d: int | None = None) -> Scalar:
     raise ValueError(f"not a scalar: {value!r}")
 
 
+def bounded_int(text: str) -> int:
+    """int(text); text past SCALAR_DIGITS characters is a ValueError before
+    int reads it (Python's int-to-str limit is lifted while the CLI runs)."""
+    if len(text) > SCALAR_DIGITS:
+        raise ValueError(f"integer past {SCALAR_DIGITS} characters: {text[:24]!r}")
+    return int(text)
+
+
 def _fraction(value) -> Fraction:
     """Fraction(str(value)); a zero denominator, or text past the
     SCALAR_DIGITS bound (checked before Fraction parses it), is a ValueError."""

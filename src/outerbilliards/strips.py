@@ -15,18 +15,7 @@ from functools import cmp_to_key
 from typing import Tuple
 
 from .errors import OnStripBoundaryError
-from .geometry import (
-    ConvexRegion,
-    HalfPlane,
-    Line,
-    Point,
-    Sense,
-    Vec,
-    homogeneous,
-    point_of,
-    region,
-    slope_angle_cmp,
-)
+from .geometry import Line, Point, Vec, homogeneous, point_of, slope_angle_cmp
 from .polygon import NicePolygon
 from .scalars import Scalar, floor_div, primitive, ratio, sign
 
@@ -73,16 +62,10 @@ class PinwheelPair:
         # w > 0, so the signs of t and t - w are (-,-), (0,-), (+,-), (+,0) or (+,+)
         return -sign(t) * sign(t - w)
 
-    def strip_region(self) -> ConvexRegion:
-        return region([
-            HalfPlane(self.line, Sense.GE),
-            HalfPlane(self.line.parallel_offset(self.width), Sense.LE),
-        ])
-
 
 class PinwheelSystem:
     """All pinwheel pairs of a nice polygon, slope ordered; pair j carries
-    spoke j.  Strip regions are built when asked for."""
+    spoke j."""
 
     __slots__ = ("polygon", "pairs")
 

@@ -16,10 +16,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
 
-from .billiards import Chirality, inverse_square_map, psi_walk, square_map
+from .billiards import Chirality, psi_walk
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import ConvexRegion, HalfPlane, Line, Point, homogeneous, lifted, point_of
+from .geometry import Point, homogeneous, lifted, point_of
 from .model import BilliardModel
 from .paths import PathFamily, apex_sequence
 from .polygon import NicePolygon
@@ -345,12 +345,13 @@ def check_exit_reversal_conjugate(model: BilliardModel, samples: int = 20,
             return f"tile {tile.label}", "psi(T+) == T-(w,v) as regions", "region mismatch"
         return None
 
-    # sampled labels: the backward label of psi(p) reverses the forward label
+    # sampled labels: the backward label of psi(p) reverses the forward label,
+    # each the first state of a walk on the lattice triple
     def relabels(p):
-        q, lab = square_map(model.polygon, p)
-        _, back_lab = inverse_square_map(model.polygon, q)
+        q, lab = next(psi_walk(model.polygon, p))
+        _, back_lab = next(psi_walk(model.polygon, q, Chirality.LEFT))
         if back_lab != (lab[1], lab[0]):
-            return repr(p), f"backward label {(lab[1], lab[0])}", f"{back_lab}"
+            return repr(point_of(p)), f"backward label {(lab[1], lab[0])}", f"{back_lab}"
         return None
 
     for check in (exits, reverses):
@@ -359,27 +360,23 @@ def check_exit_reversal_conjugate(model: BilliardModel, samples: int = 20,
     rng = Rng(seed).split(0xEE)
     for i, tile in enumerate(tiles):
         for p in tile_samples(model, tile, max(1, samples // len(tiles)), rng.split(i)):
-            rep.judge(i, relabels, point_of(p))
+            rep.judge(i, relabels, p)
     _conjugate_laws(model, rep)
     return rep
-
-
-def _reflect_region(r: ConvexRegion) -> ConvexRegion:
-    return ConvexRegion.from_halfplanes(
-        HalfPlane(Line.of_ints(A, -B, C, h.line.s), h.sense)
-        for h in r.constraints for A, B, C in [h.line.ints])
 
 
 def _conjugate_laws(model: BilliardModel, rep: CheckReport):
     """Reflection in the x-axis: strips map by j -> c - j, spokes by
     j -> c + 1 - j (one extra shift), special flags preserved, vectors
-    matching up to the orientation of the endpoint correspondence."""
+    matching up to the orientation of the endpoint correspondence.  Strips
+    compare by `PinwheelPair.form`; the reflection of (a, b, c, wn, wq) is
+    (a, -b, c, wn, wq)."""
     n = model.n
     reflected = NicePolygon.from_points(
         [Point(v.x, -v.y) for v in model.polygon.vertices])
     other = BilliardModel(reflected)
-    theirs = [other.system.pair(k).strip_region() for k in range(n)]
-    mine = [_reflect_region(model.system.pair(j).strip_region()) for j in range(n)]
+    theirs = [pair.form for pair in other.system.pairs]
+    mine = [(a, -b, c, wn, wq) for a, b, c, wn, wq in (pair.form for pair in model.system.pairs)]
     hits = [k for k in range(n) if theirs[k] == mine[0]]
     if not rep.judge(-1, lambda: None if len(hits) == 1 else
                      ("strip reflection", "unique matching strip", f"{hits}")):

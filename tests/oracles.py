@@ -17,8 +17,8 @@ from outerbilliards.errors import (
     OnStripBoundaryError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Location, Point, point_of,
-                                     signed_area2)
+from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, point_of,
+                                     region, signed_area2)
 from outerbilliards.quasirational import necklace_shift
 from outerbilliards.strips import strip_map
 from outerbilliards.scalars import QuadExt, primitive, sign
@@ -97,15 +97,29 @@ def compose_strip_maps(system, a: int, b: int, p: Point) -> Point:
     return point_of(q)
 
 
+def parallel_offset(line: Line, delta) -> Line:
+    """The parallel line whose signed offsets are shifted down by delta (what
+    `Line.parallel_offset` once computed, on the line's integer form)."""
+    n, q = delta.as_integer_ratio()
+    return line._moved(line.ints[2] * q + n * line.s, q)
+
+
+def strip_region(pair) -> ConvexRegion:
+    """The closed strip of a pinwheel pair as a region: between its line and
+    the parallel line one width on (what `PinwheelPair.strip_region` once built)."""
+    return region([HalfPlane(pair.line, Sense.GE),
+                   HalfPlane(parallel_offset(pair.line, pair.width), Sense.LE)])
+
+
 def sigma_range(system, a: int, b: int) -> ConvexRegion:
     """Intersection of the strips a, ..., b'-1; the whole plane when a == b."""
     n = system.n
     span = (b - a) % n
     if span == 0:
         return ConvexRegion.whole_plane()
-    out = system.pair(a).strip_region()
+    out = strip_region(system.pair(a))
     for i in range(a + 1, a + span):
-        out = out.intersect(system.pair(i).strip_region())
+        out = out.intersect(strip_region(system.pair(i)))
     return out
 
 
@@ -170,7 +184,7 @@ def fresh_offsets_step(polygon, here, chirality):
 def overlap_area_region(system, j: int):
     """Overlap area of strips j and j+1 read off the region kernel: the two
     strips intersected, and the area of that parallelogram."""
-    strip, nxt = system.pair(j).strip_region(), system.pair(j + 1).strip_region()
+    strip, nxt = strip_region(system.pair(j)), strip_region(system.pair(j + 1))
     return region_area(strip.intersect(nxt))
 
 
@@ -207,7 +221,7 @@ def side(line: Line, p) -> int:
 def _scalar_sides(pair, p: Point) -> Tuple[int, int]:
     """The signs of p's scalar `signed_offset`s from the strip's two lines,
     the far one built afresh from the width."""
-    far = pair.line.parallel_offset(pair.width)
+    far = parallel_offset(pair.line, pair.width)
     return sign(signed_offset(pair.line, p)), sign(signed_offset(far, p))
 
 
@@ -310,14 +324,14 @@ def pulled_back_in_p(ring, p: Point) -> bool:
     """`NecklaceSpec.in_p` by pulling p back to P: p - m*shift asked of the
     polygon."""
     back = p - ring.shift * ring.m
-    return ring.polygon.point_location(back) is Location.INTERIOR
+    return ring.polygon.point_location(back) > 0
 
 
 def pulled_back_in_q(ring, p: Point) -> bool:
     """`NecklaceSpec.in_q` by pulling p back to P: p - m*shift reflected
     through the strip's centre vertex, asked of the polygon."""
     back = reflected(p - ring.shift * ring.m, ring.pair.w)
-    return ring.polygon.point_location(back) is Location.INTERIOR
+    return ring.polygon.point_location(back) > 0
 
 
 def pulled_back_trapped_extent(ring, p: Point) -> bool:

@@ -26,7 +26,7 @@ from outerbilliards.errors import (
     OnPrimaryWallError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import Location, Point, point_of, pt, vec
+from outerbilliards.geometry import Point, point_of, pt, vec
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
@@ -67,7 +67,7 @@ def _tangent_vertex_oracle(polygon, p, chirality):
     strictly on the chirality side of the ray p -> v.  O(n^2) per point; kept
     here only as the reference for `tangent_vertex`.  Returns the vertex
     index, "wall" or "inside"."""
-    if polygon.point_location(p) is not Location.OUTSIDE:
+    if polygon.point_location(p) != -1:
         return "inside"
     wall = False
     for i, v in enumerate(polygon.vertices):
@@ -180,9 +180,9 @@ def test_primary_cone_round_trip():
         for vi in range(poly.n):
             cone = primary_cone(poly, vi)
             for p in map(point_of, cone.intersect(_far_box(poly)).sample_points(6, seed=3)):
-                if poly.point_location(p) is Location.OUTSIDE:
+                if poly.point_location(p) == -1:
                     assert tangent_vertex(poly, _offsets(poly, p)) == vi
-            assert cone.contains(poly.homogeneous(poly.vertices[vi])) is Location.BOUNDARY
+            assert cone.contains(poly.homogeneous(poly.vertices[vi])) == 0
 
 
 def _far_box(poly):
@@ -205,14 +205,14 @@ def test_cones_disjoint_cover():
     for k in range(60):
         p = pt(Fraction(rng.int_range(2 * k, -400, 400), 7),
                Fraction(rng.int_range(2 * k + 1, -400, 400), 7))
-        if poly.point_location(p) is not Location.OUTSIDE:
+        if poly.point_location(p) != -1:
             continue
         inside = [i for i, c in enumerate(cones)
-                  if c.contains(poly.homogeneous(p)) is Location.INTERIOR]
+                  if c.contains(poly.homogeneous(p)) == 1]
         if len(inside) == 1:
             hits += 1
         else:
-            assert any(c.contains(poly.homogeneous(p)) is Location.BOUNDARY for c in cones)
+            assert any(c.contains(poly.homogeneous(p)) == 0 for c in cones)
     assert hits >= 50
 
 

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import re
+import sys
+from fractions import Fraction
 
 import pytest
 
 from outerbilliards import cli
 from outerbilliards.cli import main
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.polygon import polygon_to_text
+from outerbilliards.geometry import Point
+from outerbilliards.polygon import NicePolygon, polygon_to_text
 from outerbilliards.report import CheckReport
 
 TRIANGLE_DOC = '{"field": "rational", "vertices": [["0","0"],["1","3"],["4","0"]]}'
@@ -503,6 +507,45 @@ def test_inputs_past_their_bound_are_json_input_errors(argv, code, tri_file, tmp
     assert got == code
     if code == 2:
         assert "2**64" in json.loads(out)["error"] or "past 1000" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "BIG"),
+    ("partition", "BIG"),
+    ("quasi", "TRI", "--m", "9" * 10 ** 6),
+    ("verify", "--random", "n=5 count=" + "9" * 10 ** 6),
+])
+def test_megadigit_integers_are_refused_before_they_are_read(argv, tri_file, tmp_path,
+                                                             capsys, within_seconds):
+    """A million-digit int (reading it, then printing it, takes seconds at
+    any digit limit) exits 2 at once: a polygon file's JSON ints and the
+    --random spec's are bounded to 1000 characters, and argv's int options
+    are read before `main` lifts the int-to-str limit."""
+    big = tmp_path / "big.json"
+    big.write_text(TRIANGLE_DOC.replace('"rational"', '"rational", "pad": ' + "9" * 10 ** 6))
+    got, out = run(capsys, *[{"TRI": tri_file, "BIG": str(big)}.get(a, a) for a in argv])
+    assert got == 2
+    assert json.loads(out)["error"]
+
+
+def test_results_past_the_int_str_limit_are_printed(tmp_path, capsys, within_seconds):
+    """random_nice_polygon(5, 1) with 1/(10**490 + k) added to its k-th
+    coordinate: every scalar is within the text bound, yet the partition
+    prints numbers past Python's 4,300-digit int-to-str limit.  `main` lifts
+    the limit while it runs and restores it on return."""
+    poly = random_nice_polygon(5, 1)
+    coords = [c + Fraction(1, 10 ** 490 + k)
+              for k, c in enumerate(c for v in poly.vertices for c in (v.x, v.y))]
+    text = polygon_to_text(NicePolygon.from_points(
+        [Point(x, y) for x, y in zip(coords[::2], coords[1::2])]))
+    assert max(map(len, text.split('"'))) <= 1000
+    f = tmp_path / "long.json"
+    f.write_text(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, "partition", str(f))
+    assert code == 0
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_help_is_not_a_usage_error(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import point_route_theorem_step
+from oracles import parallel_offset, point_route_theorem_step, strip_region
 from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
 from outerbilliards import dynamics, strips
 from outerbilliards.billiards import psi_walk, square_map
@@ -269,7 +269,7 @@ def test_strip_system_return_advances_one_strip():
     m = BilliardModel(PENTAGON)
     rng = Rng(8).split(4)
     for j in range(m.n):
-        pts = m.system.pair(j).strip_region().intersect(_bigbox()).sample_points(
+        pts = strip_region(m.system.pair(j)).intersect(_bigbox()).sample_points(
             4, seed=rng.u64(j) & 0xFFFF)
         for p in map(point_of, pts):
             try:
@@ -728,7 +728,7 @@ def _boundary_starts(model):
     into the strip and is applied again there, so p on that line -+ V is a
     hit.  With the true strip the line is a wall and the tiles miss it."""
     pair = model.system.pair(0)
-    line = pair.line.parallel_offset(pair.width)
+    line = parallel_offset(pair.line, pair.width)
     far_line = region([HalfPlane(line, Sense.GE), HalfPlane(line, Sense.LE)])
     out = []
     for tile in model.partition.tiles:

@@ -17,8 +17,8 @@ from fm_oracle import (
     fm_sample_points,
     fm_vertices,
 )
-from oracles import (hp_key, line_intersection, line_key, per_call_key, per_call_region_key,
-                     region_area, side, signed_offset)
+from oracles import (hp_key, line_intersection, line_key, parallel_offset, per_call_key,
+                     per_call_region_key, region_area, side, signed_offset, strip_region)
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry, scalars
 from outerbilliards.errors import EmptyRegionError
@@ -26,7 +26,6 @@ from outerbilliards.geometry import (
     ConvexRegion,
     HalfPlane,
     Line,
-    Location,
     Point,
     Sense,
     Vec,
@@ -173,16 +172,16 @@ def test_point_of_divides_out_in_lowest_terms(triple, want):
 
 
 def test_side_oracle_catches_dropped_radical_part(monkeypatch):
-    """Negative control: a `HalfPlane.contains` that keeps only the rational
-    part of its Q(sqrt d) integer sum must fail the oracle property.  The sum
-    is a QuadInt whose sign `contains` reads once; the oracle's QuadExt signs
-    go through `QuadInt.sign` too, so `contains` itself is mutated, not the
-    type."""
-    source = textwrap.dedent(inspect.getsource(HalfPlane.contains))
-    assert source.count("s.sign()") == 1
+    """Negative control: a `least_sign` (behind `HalfPlane.contains`) that
+    keeps only the rational part of its Q(sqrt d) integer sum must fail the
+    oracle property.  The sum is a QuadInt whose sign `least_sign` reads
+    once; the oracle's QuadExt signs go through `QuadInt.sign` too, so
+    `least_sign` itself is mutated, not the type."""
+    source = textwrap.dedent(inspect.getsource(geometry.least_sign))
+    assert source.count("t.sign()") == 1
     namespace = dict(vars(geometry))
-    exec(source.replace("s.sign()", "(s.r > 0) - (s.r < 0)"), namespace)
-    monkeypatch.setattr(HalfPlane, "contains", namespace["contains"])
+    exec(source.replace("t.sign()", "(t.r > 0) - (t.r < 0)"), namespace)
+    monkeypatch.setattr(geometry, "least_sign", namespace["least_sign"])
     with pytest.raises(AssertionError):
         test_side_matches_offset_sign()
 
@@ -253,18 +252,18 @@ def test_region_area_unbounded_raises():
 
 def test_region_contains_classification():
     sq = box_region(0, 0, 1, 1)
-    assert sq.contains(homogeneous(pt(Fraction(1, 2), Fraction(1, 2)))) is Location.INTERIOR
-    assert sq.contains(homogeneous(pt(0, Fraction(1, 2)))) is Location.BOUNDARY
-    assert sq.contains(homogeneous(pt(2, 0))) is Location.OUTSIDE
+    assert sq.contains(homogeneous(pt(Fraction(1, 2), Fraction(1, 2)))) == 1
+    assert sq.contains(homogeneous(pt(0, Fraction(1, 2)))) == 0
+    assert sq.contains(homogeneous(pt(2, 0))) == -1
     open_sq = region([HalfPlane(h.line, STRICT[h.sense]) for h in sq.constraints])
-    assert open_sq.contains(homogeneous(pt(0, Fraction(1, 2)))) is Location.BOUNDARY
-    assert open_sq.contains(homogeneous(pt(-1, 5))) is Location.OUTSIDE
+    assert open_sq.contains(homogeneous(pt(0, Fraction(1, 2)))) == 0
+    assert open_sq.contains(homogeneous(pt(-1, 5))) == -1
 
 
 def test_whole_plane_and_boundedness():
     plane = ConvexRegion.whole_plane()
     assert not plane.is_bounded()
-    assert plane.contains(homogeneous(pt(100, -3))) is Location.INTERIOR
+    assert plane.contains(homogeneous(pt(100, -3))) == 1
     assert box_region(-1, -1, 1, 1).is_bounded()
     assert not slab(0, 1, 0, 1).is_bounded()
     assert not region([half_plane(1, 0, 0, Sense.GE),
@@ -312,7 +311,7 @@ def test_sample_points_interior_and_deterministic():
     pts = sq.sample_points(3, seed=7)
     assert len(pts) == 3
     for p in pts:
-        assert sq.contains(p) is Location.INTERIOR
+        assert sq.contains(p) == 1
     assert pts == sq.sample_points(3, seed=7)
     assert pts != sq.sample_points(3, seed=8)
 
@@ -336,9 +335,9 @@ def test_polygon_region_open_vs_closed():
     tri = [pt(0, 0), pt(1, 3), pt(4, 0)]
     closed = polygon_region(tri)
     opened = polygon_region(tri, open_region=True)
-    assert closed.contains(homogeneous(pt(2, 0))) is Location.BOUNDARY
-    assert opened.contains(homogeneous(pt(2, 0))) is Location.BOUNDARY
-    assert closed.contains(homogeneous(pt(1, 1))) is Location.INTERIOR
+    assert closed.contains(homogeneous(pt(2, 0))) == 0
+    assert opened.contains(homogeneous(pt(2, 0))) == 0
+    assert closed.contains(homogeneous(pt(1, 1))) == 1
     assert region_area(closed) == region_area(opened) == 6
 
 
@@ -450,7 +449,7 @@ def test_kernel_matches_fm_oracle(hps):
         assert [id(h) for h in r.constraints] == [id(h) for h in fm_kept]
     else:  # no interior: the same point set, however it is written
         for p in _probe_points(r.vertices()):
-            assert r.contains(homogeneous(p)) is ConvexRegion(fm_kept, False).contains(
+            assert r.contains(homogeneous(p)) == ConvexRegion(fm_kept, False).contains(
                 homogeneous(p))
             assert _in_set(r.constraints, p) == _in_set(fm_kept, p)
     assert r.vertices() == fm_vertices(fm_kept)
@@ -580,7 +579,7 @@ def test_moved_lines_equal_fresh_lines(poly_key):
                       tile.region.point_reflect(v)):
                 corners = [homogeneous(p) for p in r.vertices() + poly.vertices]
                 for h in r.constraints:
-                    for line in (h.line, h.line.parallel_offset(v.x)):
+                    for line in (h.line, parallel_offset(h.line, v.x)):
                         fresh = Line(line.a, line.b, line.c)
                         assert line == fresh and hash(line) == hash(fresh)
                         assert line.ints == fresh.ints
@@ -633,12 +632,12 @@ def test_tiles_and_strips_match_fraction_keys(poly_key):
             regions += [tile.region, tile.region.translate(tile.translation),
                         tile.region.point_reflect(v)]
     system = build_pinwheel_system(poly)
-    regions += [system.pair(j).strip_region() for j in range(system.n)]
+    regions += [strip_region(system.pair(j)) for j in range(system.n)]
     for r in regions:
         _assert_oracle_order(r)
     lines = [h.line for r in regions for h in r.constraints]
     lines += [line for pair in system.pairs
-              for line in (pair.line, pair.line.parallel_offset(pair.width))]
+              for line in (pair.line, parallel_offset(pair.line, pair.width))]
     _assert_same_classes(lines, line_key)
     _assert_same_classes(regions, _region_key)
 

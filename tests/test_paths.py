@@ -4,7 +4,7 @@ import pytest
 
 from oracles import region_area, signed_offset
 from outerbilliards.errors import IndexOutOfRangeError, NotAdmissiblePairError
-from outerbilliards.geometry import Location, pt
+from outerbilliards.geometry import pt
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import apex_sequence

@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     line_intersection,
     overlap_area_region,
+    parallel_offset,
     p_vertices,
     placed_samples,
     point_strip_jump,
@@ -31,7 +32,7 @@ from outerbilliards.errors import (
     OnStripBoundaryError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Line, Location, Point, point_of, polygon_region, pt
+from outerbilliards.geometry import Line, Point, point_of, polygon_region, pt
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
@@ -329,7 +330,7 @@ def test_strip_system_maps_polygon_copy_to_itself():
     """The zero-shift copy: interior polygon points simply advance the index."""
     m = BilliardModel(random_nice_polygon(4, seed=4))
     inner = m.polygon.vertices[0] + (m.polygon.vertices[2] - m.polygon.vertices[0]) * Fraction(1, 3)
-    assert m.polygon.point_location(inner) is Location.INTERIOR
+    assert m.polygon.point_location(inner) == 1
     for j in range(m.n):
         (land, index), steps = strip_system_return(m.system, m.polygon.homogeneous(inner), j)
         assert point_of(land) == inner
@@ -360,8 +361,8 @@ def test_necklace_membership_matches_region_route(poly_key):
             pts += [p + spec.shift * Fraction(1, 3) for p in pts]
             for p in pts:
                 here = poly.homogeneous(p)
-                in_p = p_ref.contains(here) is Location.INTERIOR
-                in_q = q_ref.contains(here) is Location.INTERIOR
+                in_p = p_ref.contains(here) == 1
+                in_q = q_ref.contains(here) == 1
                 assert (spec.in_p(here), spec.in_q(here)) == (in_p, in_q), (j, mm, p)
                 assert spec.contains(here) == (in_p or in_q)
                 checked += 1
@@ -399,7 +400,7 @@ def test_frame_point_closed_form_matches_line_route(poly_key):
         for s in (ring.lo, ring.hi + 2 * ring.dd, (ring.lo + ring.hi) / 3,
                   quadext(Fraction(-7, 2), 3, 5)):
             for off in (Fraction(0), width, width * Fraction(2, 7), Fraction(-5, 3)):
-                want = line_intersection(ring.pair.line.parallel_offset(off), Line(d.x, d.y, s))
+                want = line_intersection(parallel_offset(ring.pair.line, off), Line(d.x, d.y, s))
                 got = point_of(ring.frame_triple(s, off))
                 assert repr(got) == repr(want), (j, s, off)
                 assert d.dot(got) == s and signed_offset(ring.pair.line, got) == off
@@ -572,14 +573,14 @@ def test_lattice_necklace_matches_point_route(poly_key):
 
 
 @pytest.mark.parametrize("module, name, old, new", [
-    (quasirational, "_least_sign", "(C + m * D)", "C"),
+    (quasirational, "_resolved", "C + m * D", "C"),
     (quasirational, "necklace", "(-A * sq * den, -B * sq * den,", "(A * sq * den, B * sq * den,"),
     (strips.PinwheelPair, "offsets", "wn * (L // wq)", "wn"),
     (quasirational, "necklace", "integer_form(d.x, d.y, hi, -dd)", "integer_form(d.x, d.y, hi, 0)"),
 ], ids=["dropped-shift", "unnegated-q", "dropped-rescale", "unshifted-window"])
 def test_lattice_necklace_parity_catches_broken_forms(monkeypatch, module, name, old, new):
-    """Negative controls: copy forms that drop the m*D term or leave Q's
-    edge form unnegated, a strip width (`PinwheelPair.offsets`) left on its
+    """Negative controls: ring forms resolved at m with the m*D term dropped, Q's
+    edge form left unnegated, a strip width (`PinwheelPair.offsets`) left on its
     denominator instead of rescaled to the point's L, and an annulus window
     end left at the base ring instead of the -m ring, must each fail the
     parity test."""

@@ -306,6 +306,22 @@ def test_negated_translations_trip_pin2(n):
                for v in rep.violations)
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_halved_strip_trips_the_strip_reflection_law(n):
+    """Pair 0's width halved: no strip of the reflected polygon is the
+    reflection of strip 0, so the conjugate laws report it; the true model
+    passes."""
+    polygon = random_nice_polygon(n, n)
+    model = BilliardModel(polygon)
+    assert check_exit_reversal_conjugate(model, samples=8, seed=0).passed
+    pair, *rest = model.system.pairs
+    broken = BilliardModel(polygon)
+    broken.system = PinwheelSystem(polygon, (dataclasses.replace(pair, width=pair.width / 2),
+                                             *rest))
+    rep = check_exit_reversal_conjugate(broken, samples=8, seed=0)
+    assert [v.input for v in rep.violations] == ["strip reflection"]
+
+
 def test_moving_strip_map_trips_the_index_shift(monkeypatch):
     """A strip map that translates every point, inside its strip too, must
     show up as Structure 3's index shift moving psi(p)."""
