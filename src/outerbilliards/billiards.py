@@ -146,14 +146,14 @@ def _label_run(rv, rw, a, p):
 
 def primary_cone(polygon: NicePolygon, v_index: int,
                  chirality: Chirality = Chirality.RIGHT) -> ConvexRegion:
-    """Open cone of points whose tangent vertex is v; its boundary rays are
-    the outward extensions of the two edges incident to v, i.e. the lines
-    from v to its neighbours (every other vertex line is redundant)."""
-    v = polygon.vertices[v_index]
+    """Open cone of points whose tangent vertex is v, bounded by the lines of
+    the two edges at v: edge v-1's turned (the polygon on its negative side)
+    and edge v's (every other vertex line is redundant)."""
     sense = Sense.GT if chirality is Chirality.RIGHT else Sense.LT
-    ds = (polygon.vertex(v_index - 1) - v, polygon.vertex(v_index + 1) - v)
-    return region(HalfPlane(Line(d.y, -d.x, d.y * v.x - d.x * v.y), sense)
-                  for d in ds)
+    before, after = polygon.edges[v_index - 1], polygon.edges[v_index]
+    A, B, C = before.ints
+    return region((HalfPlane(Line.of_ints(-A, -B, -C, before.s), sense),
+                   HalfPlane(after, sense)))
 
 
 @dataclass(frozen=True)

@@ -112,20 +112,20 @@ def first_return_psi(model: BilliardModel, here, budget: int) -> Tuple[Tuple, in
 
 
 def strip_system_return(system: PinwheelSystem, here, index: int,
-                        budget: Optional[int] = None) -> Tuple[Tuple, int]:
+                        budget: int) -> Tuple[Tuple, int]:
     """One step of the accelerated strip system: from the state (here, index),
     `here` a lattice triple inside strip `index`, iterate the pinwheel map
     until the index advances to j; geometrically, apply strip map j until the
     point settles inside strip j.  Returns ((there, j), steps), over one L.
 
     Uses the exact closed-form jump (`strip_jump`); the reported step count
-    equals the number of pinwheel-map applications the stepwise route takes.
-    A budget, when given, bounds that count.
+    equals the number of pinwheel-map applications the stepwise route takes,
+    which the budget bounds.
     """
     j = (index + 1) % system.n
     q, translations = strip_jump(system.pair(j), here)
     steps = translations + 1  # the final application fixes q and shifts the index
-    if budget is not None and steps > budget:
+    if steps > budget:
         raise BudgetExceededError(budget, "no strip-system return within budget")
     return (q, j), steps
 

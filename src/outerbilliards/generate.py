@@ -3,8 +3,9 @@
 Construction: draw n integer edge vectors, recenter them to close the cycle,
 sort by full-circle angle (exact comparator) and chain the prefix sums; the
 result is convex by construction.  Parallel or degenerate draws are rejected
-and resampled.  No floating point and no platform-dependent library calls,
-so a (n, seed) pair gives the identical polygon everywhere.
+by `NicePolygon`'s validation and resampled.  No floating point and no
+platform-dependent library calls, so a (n, seed) pair gives the identical
+polygon everywhere.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ def random_nice_polygon(n: int, seed: int, bound: int = 20) -> NicePolygon:
         mx = sum((v.x for v in raws), start=Fraction(0)) / n
         my = sum((v.y for v in raws), start=Fraction(0)) / n
         edges = [Vec(v.x - mx, v.y - my) for v in raws]
-        if Vec(0, 0) in edges:
-            continue
-        if any(edges[i].cross(edges[j]) == 0
-               for i in range(n) for j in range(i + 1, n)):
-            continue
         edges.sort(key=cmp_to_key(direction_ccw_cmp))
         verts = []
         acc = Point(Fraction(0), Fraction(0))

@@ -89,15 +89,6 @@ def vec(x: ScalarLike, y: ScalarLike) -> Vec:
     return Vec(as_scalar(x), as_scalar(y))
 
 
-def lattice(points) -> Tuple[int, Tuple[tuple, ...]]:
-    """(D, numerators): D the least common denominator of the points' (or
-    vectors') coordinates, and each one's numerator pair over D (ints, or
-    QuadInts from `as_integer_ratio()`)."""
-    fracs = [(p.x.as_integer_ratio(), p.y.as_integer_ratio()) for p in points]
-    den = math.lcm(*(q for pair in fracs for _, q in pair))
-    return den, tuple((xn * (den // xq), yn * (den // yq)) for (xn, xq), (yn, yq) in fracs)
-
-
 def integer_form(*coefs) -> tuple:
     """Scalars times the positive lcm of their denominators: ints, or
     QuadInts where a scalar has a sqrt(d) part."""
@@ -114,6 +105,15 @@ def homogeneous(p: Point, den: int = 1) -> tuple:
     yn, yq = p.y.as_integer_ratio()
     L = math.lcm(xq, yq, den)
     return xn * (L // xq), yn * (L // yq), L
+
+
+def moved(here, v, k: int = 1) -> tuple:
+    """The lattice triple here = (X, Y, L) moved by k*v, v = (VX, VY, q) a
+    vector's triple with q dividing L, over the same L.  The one move of a
+    triple by a vector."""
+    (X, Y, L), (VX, VY, q) = here, v
+    s = k * (L // q)
+    return X + s * VX, Y + s * VY, L
 
 
 def lifted(p, den: int) -> tuple:
@@ -150,7 +150,7 @@ def least_sign(forms, here) -> int:
 
 def barycentric_triples(den: int, cycle, count: int, seed: int):
     """`count` triples (X, Y, L) strictly inside the convex polygon with the
-    vertex cycle `cycle` (numerator pairs over den, from `lattice`): weights the
+    vertex cycle `cycle` (`NicePolygon.lattice` pairs over den): weights the
     odd numerators 2z+1 of `rng.unit`, in the cycle's order; L = den * their sum."""
     rng = Rng(seed).split(0x5A17)
     k = len(cycle)
@@ -234,12 +234,6 @@ class Line:
     a = property(lambda self: ratio(self.ints[0], self.s))
     b = property(lambda self: ratio(self.ints[1], self.s))
     c = property(lambda self: ratio(self.ints[2], self.s))
-
-    def normal(self) -> Vec:
-        return Vec(self.a, self.b)
-
-    def direction(self) -> Vec:
-        return Vec(-self.b, self.a)
 
     def _normal(self) -> tuple:
         A, B, C = primitive(*self.ints)

@@ -15,7 +15,7 @@ from .errors import (
     ParallelEdgesError,
     ParseError,
 )
-from .geometry import Line, Point, homogeneous, lattice, least_sign, signed_area2
+from .geometry import Line, Point, homogeneous, integer_form, least_sign, signed_area2
 from .scalars import (
     bounded_int,
     is_radicand,
@@ -62,12 +62,12 @@ class NicePolygon:
             Line(d.y, -d.x, d.y * t.x - d.x * t.y)
             for t, h in zip(verts, verts[1:] + verts[:1]) for d in [h - t]))
         object.__setattr__(self, "quad_d", quad_d)
-        den, nums = lattice(verts)
+        *xys, den = integer_form(*(x for v in verts for x in (v.x, v.y)), 1)  # den: the form of 1
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "lattice", nums)
+        object.__setattr__(self, "lattice", tuple(zip(xys[::2], xys[1::2])))
         object.__setattr__(self, "_forms", tuple(e.ints for e in self.edges))
         object.__setattr__(self, "vertex_offsets",
-                           tuple(self.edge_offsets(v + (den,)) for v in nums))
+                           tuple(self.edge_offsets(v + (den,)) for v in self.lattice))
 
     def __setattr__(self, name, value):
         raise AttributeError("NicePolygon is immutable")

@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
 from .geometry import (Point, Vec, barycentric_triples, homogeneous, integer_form, least_sign,
-                       point_of)
+                       moved, point_of)
 from .polygon import NicePolygon
 from .scalars import Scalar, int_parts, ratio
 from .strips import PinwheelPair, PinwheelSystem
@@ -116,12 +116,12 @@ class NecklaceSpec:
         """P's point `here`, a lattice triple with the polygon's den dividing
         L, moved onto the copy P + m*shift or Q + m*shift: a triple over L*sq."""
         X, Y, L = here
-        SX, SY, sq = self.frame[0]
+        _, _, sq = self.frame[0]
         if kind == "Q":  # 2*center - p, the centre (WX, WY)/den
             WX, WY = self.polygon.lattice[self.pair.w_index]
             k = 2 * (L // self.polygon.den)
             X, Y = WX * k - X, WY * k - Y
-        return X * sq + SX * self.m * L, Y * sq + SY * self.m * L, L * sq
+        return moved((X * sq, Y * sq, L * sq), self.frame[0], self.m)
 
     def samples(self, kind: str, count: int, seed: int) -> list:
         """The copy's region's `sample_points(count, seed)` as triples, drawn on

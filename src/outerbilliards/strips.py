@@ -15,7 +15,7 @@ from functools import cmp_to_key
 from typing import Tuple
 
 from .errors import OnStripBoundaryError
-from .geometry import Line, Point, Vec, homogeneous, point_of, slope_angle_cmp
+from .geometry import Line, Point, Vec, homogeneous, moved, point_of, slope_angle_cmp
 from .polygon import NicePolygon
 from .scalars import Scalar, floor_div, primitive, ratio, sign
 
@@ -137,7 +137,7 @@ def strip_map(pair: PinwheelPair, p):
     """One application of the strip map to the lattice triple p = (X, Y, L)
     (`NicePolygon.homogeneous`): identity strictly inside the slab (p itself
     is returned), otherwise the translate by +-V that is strictly closer to
-    the slab, over the same L (V_ints' q divides L).  V moves the offset by
+    the slab (`moved` by V_ints, whose q divides L).  V moves the offset by
     exactly one width, so that translate is +V below the slab and -V above
     it; the result may still be outside.  Undefined on the slab boundary
     (the error carries the Point)."""
@@ -147,10 +147,7 @@ def strip_map(pair: PinwheelPair, p):
         raise OnStripBoundaryError(point_of(p), stage=pair.index)
     if near > 0 > far:
         return p
-    X, Y, L = p
-    VX, VY, q = pair.V_ints
-    s = L // q if near < 0 else -(L // q)
-    return X + s * VX, Y + s * VY, L
+    return moved(p, pair.V_ints, -near)
 
 
 def strip_jump(pair: PinwheelPair, p):
@@ -168,10 +165,7 @@ def strip_jump(pair: PinwheelPair, p):
         if t == 0:
             raise OnStripBoundaryError(point_of(p), stage=pair.index)
         return p, 0
-    X, Y, L = p
-    VX, VY, q = pair.V_ints
-    s = k * (L // q)
-    here = X + s * VX, Y + s * VY, L
+    here = moved(p, pair.V_ints, k)
     if t + k * w == 0:  # the landing offset, in [0, w), is 0
         raise OnStripBoundaryError(point_of(here), stage=pair.index)
     return here, abs(k)

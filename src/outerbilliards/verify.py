@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from .billiards import Chirality, psi_walk
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import Point, homogeneous, lifted, point_of
+from .geometry import Point, homogeneous, lifted, moved, point_of
 from .model import BilliardModel
 from .paths import PathFamily, apex_sequence
 from .polygon import NicePolygon
@@ -49,12 +49,6 @@ def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
         t = scale * (2 ** (i % 3)) * (1 + rng.unit(1000 + i))
         out.append(polygon.homogeneous(base + direction * t))
     return out
-
-
-def _moved(here, vec):
-    """The lattice triple `here` moved by vec, whose denominators divide its L."""
-    (X, Y, L), (VX, VY, q) = here, homogeneous(vec)
-    return X + VX * (L // q), Y + VY * (L // q), L
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +118,7 @@ def _structure2_realization(model: BilliardModel, tile, here, orbit):
         return (f"(psi(p), b-1) within {2 * n} pinwheel steps", "not reached")
     expected = [here]
     for shift in path.prefix_sums:
-        nxt = _moved(here, shift)
+        nxt = moved(here, homogeneous(shift))
         if nxt != expected[-1]:
             expected.append(nxt)
     trace = expected[:1]
@@ -239,10 +233,10 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         corners = [model.polygon.homogeneous(v) for v in verts]
         # pin1: translated closed tile inside each closed strip, on vertices
         for k in range(path.start, path.end_lifted):
-            shift = path.prefix_sum(k)
+            shift = homogeneous(path.prefix_sum(k))
             pair = model.system.pair(k)
             for v, here in zip(verts, corners):
-                if pair.location(_moved(here, shift)) < 0:
+                if pair.location(moved(here, shift)) < 0:
                     return (path.display(), "closed containments",
                             f"vertex {v} + prefix({k}) outside strip {k % n}")
         # bounded depth: the tile sits within half a width of its start strip
@@ -254,9 +248,9 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         return None
 
     def acts(s, path, shift, want):
-        here = _moved(lifted(s, model.polygon.den), shift)
+        here = moved(lifted(s, model.polygon.den), shift)
         got = strip_map(model.system.pair(path.end_lifted), here)
-        if got != _moved(here, want):
+        if got != moved(here, homogeneous(want)):
             return (repr(point_of(s)), f"mu_{path.end_lifted % n} adds {want}",
                     f"{point_of(got) - point_of(here)}")
         return None
@@ -276,7 +270,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
             continue
         # pin2: the b-th strip map acts by the doubled terminal step
         if path.span >= 1:
-            shift = path.prefix_sum(path.end_lifted - 1)
+            shift = homogeneous(path.prefix_sum(path.end_lifted - 1))
             want = path.steps[path.end_lifted] * 2
             pts = tile.region.sample_points(samples_per_tile, seed=rng.u64(idx) & 0xFFFF)
             if any(rep.judge(idx, acts, s, path, shift, want) is False for s in pts):
@@ -440,10 +434,10 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
     # (X1 - X0, Y1 - Y0)/L0, onto the target copy, vertex by vertex
     def rigid(ring, kind, landing):
         (X0, Y0, L0), (X1, Y1, _), tgt = landing
-        moved = ((X * L0 + (X1 - X0) * L, Y * L0 + (Y1 - Y0) * L, L * L0)
-                 for X, Y, L in (ring.carry(v, kind) for v in corners))
+        carried = (moved((X * L0, Y * L0, L * L0), (X1 - X0, Y1 - Y0, L0))
+                   for X, Y, L in (ring.carry(v, kind) for v in corners))
         if all(X * M == U * L and Y * M == V * L for (X, Y, L), (U, V, M)
-               in zip(moved, (tgt.carry(v, kind) for v in corners))):
+               in zip(carried, (tgt.carry(v, kind) for v in corners))):
             return None
         return (f"copy {kind}^{ring.m} of strip {ring.pair.index}",
                 "maps rigidly onto the target copy", "vertex sets differ")

@@ -17,7 +17,7 @@ from outerbilliards.errors import (
     OnStripBoundaryError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, point_of,
+from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, Vec, point_of,
                                      region, signed_area2)
 from outerbilliards.quasirational import necklace_shift
 from outerbilliards.strips import strip_map
@@ -95,6 +95,18 @@ def compose_strip_maps(system, a: int, b: int, p: Point) -> Point:
         except OnStripBoundaryError as exc:
             raise OnStripBoundaryError(exc.point, stage=i % n) from None
     return point_of(q)
+
+
+def normal(line: Line) -> Vec:
+    """The line's normal (a, b), on its scalar coefficients (what
+    `Line.normal` once returned)."""
+    return Vec(line.a, line.b)
+
+
+def direction(line: Line) -> Vec:
+    """The line's direction (-b, a), the normal turned a quarter
+    counterclockwise (what `Line.direction` once returned)."""
+    return Vec(-line.b, line.a)
 
 
 def parallel_offset(line: Line, delta) -> Line:

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import parallel_offset, point_route_theorem_step, strip_region
+from oracles import direction, normal, parallel_offset, point_route_theorem_step, strip_region
 from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
-from outerbilliards import dynamics, strips
+from outerbilliards import dynamics, geometry, strips
 from outerbilliards.billiards import psi_walk, square_map
 from outerbilliards.dynamics import (
     IndexedPoint,
@@ -154,10 +154,10 @@ def test_exit_map_far_field_counts_match_strip_jump():
     checked = 0
     for j in range(m.n):
         pair = m.system.pair(j)
-        d = pair.line.direction()
+        d = direction(pair.line)
         for sgn in (1, -1):
             off = pair.width * rng.unit(2 * j + (sgn > 0))
-            nrm = pair.line.normal()
+            nrm = normal(pair.line)
             n2 = nrm.dot(nrm)
             base = Point(pair.line.a * pair.line.c / n2,
                          pair.line.b * pair.line.c / n2)
@@ -179,9 +179,9 @@ def test_first_return_postconditions():
     m = BilliardModel(PENTAGON)
     pair = m.system.pair(0)
     R = far_radius(m)
-    d = pair.line.direction()
+    d = direction(pair.line)
     base = pt(0, 0) + d * (3 * R / (abs(d.x) + abs(d.y)))
-    nrm = pair.line.normal()
+    nrm = normal(pair.line)
     n2 = nrm.dot(nrm)
     p = base + nrm * ((pair.width * Fraction(3, 7) + pair.line.c) / n2)
     here = m.polygon.homogeneous(p)
@@ -199,8 +199,8 @@ def test_far_field_first_return_equals_strip_system_return_cycle():
     m = BilliardModel(PENTAGON)
     pair = m.system.pair(0)
     R = far_radius(m)
-    d = pair.line.direction()
-    nrm = pair.line.normal()
+    d = direction(pair.line)
+    nrm = normal(pair.line)
     n2 = nrm.dot(nrm)
     rng = Rng(3).split(1)
     checked = 0
@@ -219,7 +219,7 @@ def test_far_field_first_return_equals_strip_system_return_cycle():
         state = here, 0
         try:
             for _ in range(m.n):
-                state, _ = strip_system_return(m.system, *state)
+                state, _ = strip_system_return(m.system, *state, 10 ** 6)
         except MapUndefinedError:
             continue
         assert state[1] == 0
@@ -234,8 +234,8 @@ def test_strip_return_point_lies_on_exit_map_orbit():
     m = BilliardModel(PENTAGON)
     pair = m.system.pair(0)
     R = far_radius(m)
-    d = pair.line.direction()
-    nrm = pair.line.normal()
+    d = direction(pair.line)
+    nrm = normal(pair.line)
     n2 = nrm.dot(nrm)
     rng = Rng(21).split(9)
     checked = 0
@@ -273,7 +273,8 @@ def test_strip_system_return_advances_one_strip():
             4, seed=rng.u64(j) & 0xFFFF)
         for p in map(point_of, pts):
             try:
-                (q, index), steps = strip_system_return(m.system, m.polygon.homogeneous(p), j)
+                (q, index), steps = strip_system_return(m.system, m.polygon.homogeneous(p), j,
+                                                        10 ** 6)
             except MapUndefinedError:
                 continue
             assert index == (j + 1) % m.n
@@ -293,7 +294,7 @@ def test_strip_system_return_matches_stepwise_pinwheel():
     for j in range(m.n):
         if m.system.pair(j).location(m.polygon.homogeneous(p)) != 1:
             continue
-        (q, k), fast_steps = strip_system_return(m.system, m.polygon.homogeneous(p), j)
+        (q, k), fast_steps = strip_system_return(m.system, m.polygon.homogeneous(p), j, 10 ** 6)
         fast = IndexedPoint(point_of(q), k)
         state = IndexedPoint(p, j)
         slow_steps = 0
@@ -763,14 +764,14 @@ def test_theorem_step_lattice_matches_point_route(poly_key):
 
 
 def test_theorem_parity_catches_dropped_rescale(monkeypatch):
-    """Negative control: a strip map that moves a triple by V's numerators
-    without rescaling them from V's denominator q to L must fail the parity
-    test."""
-    source = textwrap.dedent(inspect.getsource(strips.strip_map))
+    """Negative control: strip maps whose triple move (`geometry.moved`)
+    adds V's numerators without rescaling them from V's denominator q to L
+    must fail the parity test."""
+    source = textwrap.dedent(inspect.getsource(geometry.moved))
     rescale = "L // q"
-    assert source.count(rescale) == 2
-    namespace = dict(vars(strips))
+    assert source.count(rescale) == 1
+    namespace = dict(vars(geometry))
     exec(source.replace(rescale, "1"), namespace)
-    monkeypatch.setattr(dynamics, "strip_map", namespace["strip_map"])
+    monkeypatch.setattr(strips, "moved", namespace["moved"])
     with pytest.raises(AssertionError):
         test_theorem_step_lattice_matches_point_route("n7")

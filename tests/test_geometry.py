@@ -33,6 +33,7 @@ from outerbilliards.geometry import (
     half_plane,
     homogeneous,
     lifted,
+    moved,
     point_of,
     polygon_region,
     pt,
@@ -138,6 +139,19 @@ def test_homogeneous_is_the_least_lattice_triple(p, den):
         while rest % q == 0:
             rest //= q
     assert point_of((X, Y, L)) == p
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.builds(Point, COORDS, COORDS), st.builds(Vec, COORDS, COORDS), st.integers(-3, 3))
+@example(Point(Fraction(1, 6), Fraction(0)), Vec(Fraction(1, 2), Fraction(1)), 1)  # L // q = 3
+@example(Point(R5 / 3, Fraction(2, 9)), Vec(R5 / 2, Fraction(-1, 3)), -2)
+def test_moved_adds_k_times_the_vector(p, v, k):
+    """`moved` takes p's triple on a lattice v's denominator divides to the
+    triple of p + k*v over the same L."""
+    here, shift = homogeneous(p, homogeneous(v)[2]), homogeneous(v)
+    there = moved(here, shift, k)
+    assert there[2] == here[2]
+    assert point_of(there) == p + v * k
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

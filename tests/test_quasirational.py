@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    direction,
     line_intersection,
     overlap_area_region,
     parallel_offset,
@@ -332,7 +333,8 @@ def test_strip_system_maps_polygon_copy_to_itself():
     inner = m.polygon.vertices[0] + (m.polygon.vertices[2] - m.polygon.vertices[0]) * Fraction(1, 3)
     assert m.polygon.point_location(inner) == 1
     for j in range(m.n):
-        (land, index), steps = strip_system_return(m.system, m.polygon.homogeneous(inner), j)
+        (land, index), steps = strip_system_return(m.system, m.polygon.homogeneous(inner), j,
+                                                   10 ** 6)
         assert point_of(land) == inner
         assert steps == 1
         assert index == (j + 1) % m.n
@@ -514,7 +516,7 @@ def _jump_outcome(jump, pair, p):
 def _jump_points(pair):
     """Offsets at exact multiples of the width (on the edge line, and moved
     along it), on the centreline, and generic ones, near and far."""
-    along = pair.line.direction()
+    along = direction(pair.line)
     pts = []
     for k in range(-3, 4):
         pts += [pair.v + pair.V * k, pair.v + pair.V * k + along * Fraction(2, 3),

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (compose_strip_maps, point_strip_jump, point_strip_map, region_area,
+from oracles import (compose_strip_maps, direction, point_strip_jump, point_strip_map, region_area,
                      scalar_location, sigma_range, signed_offset, slab_distance, strip_region)
 from test_billiards import CORPUS, ROOT5, corpus_polygon
 from outerbilliards import strips
@@ -275,7 +275,7 @@ def _strip_form_points(pair):
     width."""
     line = pair.line
     step = pair.V * (pair.width / (line.a * pair.V.x + line.b * pair.V.y))
-    along = line.direction()
+    along = direction(line)
     pts = [pair.v + step * (k + f) + along * t
            for k in (*range(-3, 4), -10 ** 4, 10 ** 4)
            for f in (0, Fraction(1, 3), Fraction(1, 2))
