@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .dynamics import orbit, section
+from .dynamics import ORBIT_MAPS, SECTION_SELECTORS, orbit, section
 from .errors import AnnulusNotFoundError, MapUndefinedError, ParseError, PolygonError
 from .generate import random_nice_polygon
 from .geometry import Point
@@ -169,8 +169,7 @@ def cmd_orbit(args) -> int:
     poly = _load_polygon(args.polygon)
     model = BilliardModel(poly)
     p = _parse_point(args.point)
-    selector = {"psi": "psi", "psistar": "psi_star", "exit": "exit",
-                "return": "first_return", "stripreturn": "strip_return"}[args.map]
+    selector = ORBIT_MAPS[args.map]
     if args.steps < 0:
         return _fail(f"--steps must be >= 0, got {args.steps}")
     try:
@@ -179,7 +178,7 @@ def cmd_orbit(args) -> int:
         return _fail(f"bad --escape {args.escape!r}: {exc}")
     if escape is not None and escape < 0:
         return _fail(f"--escape must be >= 0, got {args.escape}")
-    start = section(model, p) if selector in ("psi_star", "strip_return") else p
+    start = section(model, p) if selector in SECTION_SELECTORS else p
     rec = orbit(model, start, selector, args.steps, escape)
     events = []
     for e in rec.events:
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polygon")
     p.add_argument("--point", required=True)
     p.add_argument("--map", default="psi",
-                   choices=["psi", "psistar", "exit", "return", "stripreturn"])
+                   choices=list(ORBIT_MAPS))
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--escape")
     p.add_argument("--svg")

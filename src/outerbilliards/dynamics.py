@@ -88,7 +88,7 @@ def pinwheel_theorem_step(model: BilliardModel, here) -> Tuple[Tuple, List[Tuple
                 budget, f"pinwheel budget {budget} exceeded at {point_of(here)}")
 
 
-def exit_map(model: BilliardModel, here, budget: int = 1000) -> Tuple[Tuple, int]:
+def exit_map(model: BilliardModel, here, budget: int) -> Tuple[Tuple, int]:
     """Iterate the square map from the lattice triple `here` until the tile
     label changes; returns the landing triple and the steps taken."""
     walk = psi_walk(model.polygon, here)
@@ -165,7 +165,10 @@ class OrbitRecord:
         return [e.point for e in self.events]
 
 
-ORBIT_SELECTORS = ("psi", "psi_star", "exit", "strip_return", "first_return")
+# each orbit map's selector by command-line name; the maps started on the section
+ORBIT_MAPS = {"psi": "psi", "psistar": "psi_star", "exit": "exit",
+              "return": "first_return", "stripreturn": "strip_return"}
+SECTION_SELECTORS = ("psi_star", "strip_return")
 
 
 def _beyond(here, p, q) -> bool:
@@ -194,13 +197,13 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     selector loops on the start's lattice triple, over one L: a state or a
     return costs its step, one `point_of` and one appended event.
     """
-    if selector not in ORBIT_SELECTORS:
+    if selector not in ORBIT_MAPS.values():
         raise ValueError(f"unknown selector {selector!r}")
     rec = OrbitRecord(selector=selector)
     log = rec.events.append
     # the escape radius squared, p/q
     esc = None if escape_radius is None else (escape_radius * escape_radius).as_integer_ratio()
-    indexed = selector in ("psi_star", "strip_return")
+    indexed = selector in SECTION_SELECTORS
     point, index = (start.point, start.index % model.n) if indexed else (start, None)
     log(OrbitEvent(0, point, index, None, "start" if budget else "budget-exhausted"))
     if not budget:

@@ -167,27 +167,29 @@ def signed_area2(points: Tuple[Point, ...]) -> Scalar:
                start=Fraction(0))
 
 
+def _upper(u: Vec) -> bool:
+    """Whether u is in the half-open upper half-plane: y > 0, or y = 0 and x > 0."""
+    return sign(u.y) > 0 or (u.y == 0 and sign(u.x) > 0)
+
+
 def direction_ccw_cmp(u: Vec, v: Vec) -> int:
     """Compare directions by counterclockwise angle from the positive x-axis.
 
     Total order on nonzero directions in [0, 2*pi); exact.
     """
-    hu = 0 if (sign(u.y) > 0 or (u.y == 0 and sign(u.x) > 0)) else 1
-    hv = 0 if (sign(v.y) > 0 or (v.y == 0 and sign(v.x) > 0)) else 1
+    hu, hv = _upper(u), _upper(v)
     if hu != hv:
-        return -1 if hu < hv else 1
+        return -1 if hu else 1
     return -sign(u.cross(v))
 
 
 def slope_angle_cmp(u: Vec, v: Vec) -> int:
     """Compare directions as projective slopes, angle in [0, pi).
 
-    Directions are folded into the closed upper half plane first, so u and -u
+    Directions are folded into the half-open upper half plane first, so u and -u
     compare equal.
     """
-    u = -u if (sign(u.y) < 0 or (u.y == 0 and sign(u.x) < 0)) else u
-    v = -v if (sign(v.y) < 0 or (v.y == 0 and sign(v.x) < 0)) else v
-    return -sign(u.cross(v))
+    return direction_ccw_cmp(u if _upper(u) else -u, v if _upper(v) else -v)
 
 
 # ---------------------------------------------------------------------------
@@ -623,34 +625,27 @@ class ConvexRegion:
     # vertices and rays are built directly, and the kernel does not run again.
 
     def translate(self, v: Vec) -> "ConvexRegion":
-        if self.is_empty:
-            return self
-        X, Y, L = homogeneous(v)
-        shifted = []
-        for h in self.constraints:
-            A, B, C = h.line.ints
-            shifted.append(HalfPlane(h.line._moved(C * L + A * X + B * Y, L), h.sense))
-        verts = tuple(_lowest(PX * L + X * M, PY * L + Y * M, M * L)
-                      for PX, PY, M in self._vertices)
-        return ConvexRegion(tuple(shifted), False, verts, self._interior, self._rays)
+        return self._motion(1, homogeneous(v))
 
     def point_reflect(self, center: Point) -> "ConvexRegion":
+        return self._motion(-1, homogeneous(Vec(2 * center.x, 2 * center.y)))
+
+    def _motion(self, k: int, t) -> "ConvexRegion":
+        """The image under p -> k*p + t, k = +-1, t = (X, Y, L) a lattice triple."""
         if self.is_empty:
             return self
-        # a half turn negates every constraint's direction (a, b), and the
-        # constraints' directions are distinct and decide their order: it
-        # reverses
-        X, Y, L = homogeneous(center)
-        out = []
-        for h in reversed(self.constraints):
-            A, B, C = h.line.ints
-            out.append(HalfPlane(h.line._moved(2 * (A * X + B * Y) - C * L, L),
-                                 h.sense.flipped()))
-        # a half turn keeps the clockwise order; only the start moves
-        verts = _from_min([_lowest(2 * X * M - PX * L, 2 * Y * M - PY * L, M * L)
+        X, Y, L = t
+        # a constraint's direction (a, b) goes to k*(a, b); the directions
+        # are distinct and decide the constraints' order, so a half turn
+        # reverses it and flips each sense
+        hps = [HalfPlane(h.line._moved(k * C * L + A * X + B * Y, L),
+                         h.sense if k > 0 else h.sense.flipped())
+               for h in self.constraints[::k] for A, B, C in [h.line.ints]]
+        # a rigid motion keeps the clockwise order; only the start moves
+        verts = _from_min([_lowest(k * PX * L + X * M, k * PY * L + Y * M, M * L)
                            for PX, PY, M in self._vertices])
-        return ConvexRegion(tuple(out), False, verts, self._interior,
-                            tuple((-gx, -gy) for gx, gy in self._rays))
+        return ConvexRegion(tuple(hps), False, verts, self._interior,
+                            tuple((k * gx, k * gy) for gx, gy in self._rays))
 
     # -- sampling -----------------------------------------------------------
 

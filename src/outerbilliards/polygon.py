@@ -15,7 +15,8 @@ from .errors import (
     ParallelEdgesError,
     ParseError,
 )
-from .geometry import Line, Point, homogeneous, integer_form, least_sign, signed_area2
+from .geometry import (Line, Point, direction_ccw_cmp, homogeneous, integer_form, least_sign,
+                       signed_area2)
 from .scalars import (
     bounded_int,
     is_radicand,
@@ -132,33 +133,26 @@ class NicePolygon:
 
 
 def _validate(verts: Tuple[Point, ...]):
+    """Strictly convex, clockwise, no parallel sides: every corner turns
+    strictly clockwise and the sides' direction wraps once around (a {n/k}
+    star wraps k times)."""
     n = len(verts)
     if n < 3:
         raise DegenerateVerticesError(f"need at least 3 vertices, got {n}",
                                       range(n))
-    seen = {}
-    for i, v in enumerate(verts):
-        key = (v.x, v.y)
-        if key in seen:
-            raise DegenerateVerticesError(
-                f"repeated vertex at indices {seen[key]} and {i}", (seen[key], i))
-        seen[key] = i
-    area2 = signed_area2(verts)
-    if area2 == 0:
-        raise DegenerateVerticesError("zero-area vertex cycle", range(n))
-    if area2 > 0:
-        raise NotConvexError("vertices must be clockwise (call from_points "
-                             "to auto-reorient)", range(n))
+    dirs = [verts[(i + 1) % n] - verts[i] for i in range(n)]
+    wraps = 0
     for i in range(n):
-        a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-        turn = sign((b - a).cross(c - b))
+        turn = sign(dirs[i - 1].cross(dirs[i]))
         if turn == 0:
             raise DegenerateVerticesError(
-                f"collinear vertices at indices {(i - 1) % n}, {i}, {(i + 1) % n}",
+                f"collinear or repeated vertices at indices {(i - 1) % n}, {i}, {(i + 1) % n}",
                 ((i - 1) % n, i, (i + 1) % n))
         if turn > 0:
             raise NotConvexError(f"reflex corner at vertex {i}", (i,))
-    dirs = [verts[(i + 1) % n] - verts[i] for i in range(n)]
+        wraps += direction_ccw_cmp(dirs[i - 1], dirs[i]) < 0
+    if wraps != 1:
+        raise NotConvexError(f"the sides wind {wraps} times around", range(n))
     for i in range(n):
         for j in range(i + 1, n):
             if dirs[i].cross(dirs[j]) == 0:

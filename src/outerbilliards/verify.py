@@ -93,8 +93,8 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
     def reaches(tile, p):
         try:
             _, orbit, _ = pinwheel_theorem_step(model, p)
-        except BudgetExceededError:
-            return repr(point_of(p)), f"k <= {3 * n}", "budget exceeded"
+        except BudgetExceededError as exc:
+            return repr(point_of(p)), f"k <= {exc.budget}", "budget exceeded"
         if tile is not None and not tile.unbounded:
             err = _structure2_realization(model, tile, p, orbit)
             if err is not None:
@@ -143,8 +143,8 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
     def dichotomy(p):
         try:
             _, orbit, a = pinwheel_theorem_step(model, p)
-        except BudgetExceededError:
-            return repr(point_of(p)), f"k <= {3 * n}", "budget exceeded"
+        except BudgetExceededError as exc:
+            return repr(point_of(p)), f"k <= {exc.budget}", "budget exceeded"
         k, here = len(orbit), orbit[-1][0]
         strips_in = [j for j in range(n) if model.system.pair(j).location(here) == 1]
         if k not in (1, 2):

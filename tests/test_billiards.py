@@ -644,7 +644,7 @@ def test_psi_orbits_evaluate_the_edge_offsets_once(monkeypatch):
     assert len(orbit(model, p, "psi", 200).events) == 202
     assert len(calls) == 1
     here = model.polygon.homogeneous(p)
-    for run in (lambda: exit_map(model, here), lambda: first_return_psi(model, here, 500)):
+    for run in (lambda: exit_map(model, here, 1000), lambda: first_return_psi(model, here, 500)):
         calls.clear()
         try:
             run()

@@ -431,6 +431,8 @@ BAD_POLYGON_DOCS = {
     "QUAD_PRIME_SQ": ('{"field": {"quad": 1000000014000000049}, '
                       '"vertices": [["0","0"],["1","3"],["4","0"]]}'),
     "DEEP": "[" * 5000 + "]" * 5000,
+    "STAR": ('{"field": "rational", "vertices": [["100","10"],["-86","50"],["40","-92"],'
+             '["21","98"],["-75","-67"]]}'),  # a pentagram: clockwise corners, two wraps
 }
 
 
@@ -467,6 +469,12 @@ BAD_POLYGON_DOCS = {
     ("partition", "DEEP"),
     ("quasi", "DEEP"),
     ("verify",),
+    ("validate", "STAR"),
+    ("partition", "STAR"),
+    ("classify", "STAR", "--point", "500,1"),
+    ("orbit", "STAR", "--point", "500,1"),
+    ("verify", "STAR"),
+    ("quasi", "STAR"),
 ])
 def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
     files = {"TRI": tri_file}

@@ -140,7 +140,7 @@ def test_exit_map_bounded_tile_is_one_step():
     tile = next(t for t in m.partition.tiles if not t.unbounded)
     for p in map(point_of, tile.region.sample_points(5, seed=1)):
         try:
-            q, steps = exit_map(m, m.polygon.homogeneous(p))
+            q, steps = exit_map(m, m.polygon.homogeneous(p), 1000)
         except MapUndefinedError:
             continue
         assert steps == 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from outerbilliards.errors import (
     NotConvexError,
     ParallelEdgesError,
     ParseError,
+    PolygonError,
 )
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.geometry import pt
@@ -58,6 +60,48 @@ def test_repeated_vertex_rejected():
 def test_nonconvex_rejected():
     with pytest.raises((NotConvexError, DegenerateVerticesError)):
         NicePolygon.from_points([pt(0, 0), pt(2, 1), pt(4, 0), pt(2, 6), pt(3, 1)])
+
+
+def _star(n, k):
+    """The regular star {n/k}, radius 1000, its vertices rounded to integers:
+    the vertex cycle turns clockwise at every corner and winds k times."""
+    return [(round(1000 * math.cos(-2 * math.pi * k * i / n + 0.1)),
+             round(1000 * math.sin(-2 * math.pi * k * i / n + 0.1))) for i in range(n)]
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (7, 3), (9, 4)])
+@pytest.mark.parametrize("orient", [1, -1])
+def test_star_polygon_rejected(n, k, orient):
+    """A star's corners all turn one way and pass a shoelace-sign test; its
+    sides wind k times around, so it is not convex."""
+    xys = _star(n, k)[::orient]
+    with pytest.raises(NotConvexError, match=f"wind {k} times"):
+        NicePolygon.from_points([pt(x, y) for x, y in xys])
+    with pytest.raises(NotConvexError, match=f"wind {k} times"):
+        parse_polygon(doc([[str(x), str(y)] for x, y in xys]))
+
+
+_TRI = [(0, 0), (1, 3), (4, 0)]
+
+
+@pytest.mark.parametrize("build, xys, error", [
+    ("from_points", [(0, 0), (1, 3), (1, 3), (4, 0)], DegenerateVerticesError),  # consecutive repeat
+    ("from_points", [(0, 0), (1, 3), (0, 0), (4, 0)], DegenerateVerticesError),  # non-consecutive
+    ("from_points", _TRI + _TRI, NotConvexError),  # a repeat cycle winding twice
+    ("from_points", [(0, 0), (1, 0), (2, 0), (0, 1)], DegenerateVerticesError),  # collinear
+    ("from_points", [(0, 0), (2, 1), (4, 0), (2, 6), (3, 1)], NotConvexError),  # reflex
+    ("from_points", [(0, 0), (0, 1), (1, 1), (1, 0)], ParallelEdgesError),
+    ("direct", _TRI[::-1], NotConvexError),  # counterclockwise
+    ("from_points", [(0, 0), (1, 1), (1, 0), (0, 1)], NotConvexError),  # zero-area bow-tie
+])
+def test_rejection_classes(build, xys, error):
+    """The class each rejected cycle raises, every one a PolygonError."""
+    make = NicePolygon if build == "direct" else NicePolygon.from_points
+    with pytest.raises(error) as err:
+        make([pt(x, y) for x, y in xys])
+    assert isinstance(err.value, PolygonError)
+    if error is ParallelEdgesError:
+        assert err.value.indices == (0, 2)
 
 
 def test_clockwise_normalization_flag():
