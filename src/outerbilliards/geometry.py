@@ -26,6 +26,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EmptyRegionError
@@ -154,10 +155,10 @@ def barycentric_triples(den: int, cycle, count: int, seed: int):
     odd numerators 2z+1 of `rng.unit`, in the cycle's order; L = den * their sum."""
     rng = Rng(seed).split(0x5A17)
     k = len(cycle)
+    xs, ys = [X for X, _ in cycle], [Y for _, Y in cycle]
     for i in range(count):
         ws = [rng.odd(i * k + j) for j in range(k)]
-        yield (sum(w * X for w, (X, _) in zip(ws, cycle)),
-               sum(w * Y for w, (_, Y) in zip(ws, cycle)), den * sum(ws))
+        yield sum(map(mul, ws, xs)), sum(map(mul, ws, ys)), den * sum(ws)
 
 
 def signed_area2(points: Tuple[Point, ...]) -> Scalar:

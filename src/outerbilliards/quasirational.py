@@ -19,11 +19,11 @@ on a point's lattice triple (X, Y, L), with D the edge's rate along the shift.
 "Is p inside this copy" is a sign per edge on integers, and no copy's region
 is built: samples drawn on P's lattice are carried there by its rigid motion.
 
-A strip's ring is one `NecklaceSpec` value: `necklace` computes the strip's
-frame once (the shift, the axis range of P and Q along it, shift.shift), and
-the ring answers every query from it: copy membership, the annulus windows,
-annulus membership, the point at given frame coordinates, and a copy's
-samples.  A caller builds each strip's ring once and asks it.
+A strip's ring is one `NecklaceSpec` value, built once per strip: `necklace`
+reads its frame off P's lattice in ints (the shift, the axis range of P and Q
+along it, shift.shift), and the ring answers every query from it: copy and
+annulus membership, the annulus windows, a copy's samples, and the point at
+frame coordinates given as (num, den) int pairs, as the annulus draws are.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import (Point, Vec, barycentric_triples, homogeneous, integer_form, least_sign,
-                       moved, point_of)
+from .geometry import Point, Vec, barycentric_triples, homogeneous, least_sign, moved
 from .polygon import NicePolygon
 from .scalars import Scalar, int_parts, ratio
 from .strips import PinwheelPair, PinwheelSystem
@@ -162,12 +161,12 @@ class NecklaceSpec:
         return self.pair.location(p) == 1 and any(
             least_sign(window, p) > 0 for window in self.forms[3:])
 
-    def frame_triple(self, s: Scalar, off: Scalar):
+    def frame_triple(self, s, off):
         """The point with axis coordinate s and strip offset off (0 on the edge
-        line) as a triple over a multiple of den: where A*x + B*y = C + k*off
-        meets SX*x + SY*y = sq*s, by Cramer's rule over s's and off's denominators."""
+        line), (num, den) pairs with den > 0, as a triple over a multiple of den:
+        where A*x + B*y = C + k*off meets SX*x + SY*y = sq*s, by Cramer's rule."""
         (SX, SY, sq), (A, B, C, k), (u, v) = self.frame
-        (sn, sd), (on, od) = s.as_integer_ratio(), off.as_integer_ratio()
+        (sn, sd), (on, od) = s, off
         c, t, g = (C * od + k * on) * sd, sq * sn * od, self.polygon.den * u
         return (c * SY - B * t) * g, (A * t - SX * c) * g, v * sd * od * self.polygon.den
 
@@ -189,38 +188,33 @@ def _resolved(groups, m: int) -> tuple:
 
 
 def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
-    """Strip j's ring at exponent m, its frame computed once: Q's axis range
-    is P's reflected through twice the centre's axis coordinate.  An edge
-    a*x + b*y > c of P has D = a*sx + b*sy, and its turned copy on Q is
-    -a*x - b*y > c - 2(a*cx + b*cy) with -D, (cx, cy) the centre vertex;
-    both are read on the edge's integer form over the shift's and the
-    polygon's lattices."""
-    pair = system.pair(j)
-    polygon = system.polygon
+    """Strip j's ring at exponent m, its frame read once off P's lattice and
+    the shift's triple (SX, SY, sq): a vertex's axis value is SX*VX + SY*VY
+    over sq*den.  An edge a*x + b*y > c of P has D = a*sx + b*sy, and its
+    turned copy on Q is -a*x - b*y > c - 2(a*cx + b*cy) with -D, (cx, cy) the
+    centre vertex; the extent and window ends are axis bounds over sq^2*den."""
+    pair, polygon = system.pair(j), system.polygon
     d = necklace_shift(system, j)
-    vals = [d.dot(v) for v in polygon.vertices]
-    lo, hi = min(vals), max(vals)
-    twice_center = 2 * d.dot(pair.w)
-    lo, hi = min(lo, twice_center - hi), max(hi, twice_center - lo)
     SX, SY, sq = homogeneous(d)
     den, (WX, WY) = polygon.den, polygon.lattice[pair.w_index]
-    p_forms, q_forms = [], []
-    for A, B, C in (e.ints for e in polygon.edges):
-        D = A * SX + B * SY
-        p_forms.append((A * sq, B * sq, C * sq, D))
-        q_forms.append((-A * sq * den, -B * sq * den, (C * den - 2 * (A * WX + B * WY)) * sq,
-                        -D * den))
-    dd = d.dot(d)
+    vals = [SX * VX + SY * VY for VX, VY in polygon.lattice]
+    vals += [2 * (SX * WX + SY * WY) - x for x in vals]  # Q's: P's reflected in the centre
+    lo, hi = min(vals), max(vals)
+    p_forms = tuple((A * sq, B * sq, C * sq, A * SX + B * SY)
+                    for A, B, C in (e.ints for e in polygon.edges))
+    q_forms = tuple((-a * den, -b * den, c * den - 2 * (a * WX + b * WY), -D * den)
+                    for a, b, c, D in p_forms)
+    ax, ay, rate = SX * sq * den, SY * sq * den, (SX * SX + SY * SY) * den
     # lo - m*dd <= shift.p <= hi + m*dd
-    extent = (integer_form(d.x, d.y, lo, -dd), integer_form(-d.x, -d.y, -hi, -dd))
+    extent = ((ax, ay, lo * sq, -rate), (-ax, -ay, -hi * sq, -rate))
     # hi < shift.p < lo + m*dd, and hi - m*dd < shift.p < lo
-    windows = ((integer_form(d.x, d.y, hi, 0), integer_form(-d.x, -d.y, -lo, -dd)),
-               (integer_form(d.x, d.y, hi, -dd), integer_form(-d.x, -d.y, -lo, 0)))
-    # the edge line's integer form and its scale
-    (A, B, C), k = pair.line.ints, pair.line.s
+    windows = (((ax, ay, hi * sq, 0), (-ax, -ay, -lo * sq, -rate)),
+               ((ax, ay, hi * sq, -rate), (-ax, -ay, -lo * sq, 0)))
+    (A, B, C), k = pair.line.ints, pair.line.s  # the edge line's integer form and scale
     frame = ((SX, SY, sq), (A, B, C, k), ratio(1, A * SY - SX * B).as_integer_ratio())
-    return NecklaceSpec(j % system.n, m, d, pair, polygon, lo, hi, dd,
-                        (tuple(p_forms), tuple(q_forms), extent) + windows, frame)
+    return NecklaceSpec(j % system.n, m, d, pair, polygon, ratio(lo, sq * den),
+                        ratio(hi, sq * den), ratio(SX * SX + SY * SY, sq * sq),
+                        (p_forms, q_forms, extent) + windows, frame)
 
 
 def annulus_windows(system: PinwheelSystem, j: int, m_exponent: int):
@@ -257,7 +251,11 @@ def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
     if not any(ring.in_annulus(here) for ring in rings):
         raise AnnulusNotFoundError(
             f"point {p} is not inside any strip's m={m} annulus")
-    corners = (point_of(ring.frame_triple(s_val, off)) for ring in rings
+    corners = (ring.frame_triple(s_val.as_integer_ratio(), off) for ring in rings
                for s_val in (ring.lo - ring.m * ring.dd, ring.hi + ring.m * ring.dd)
-               for off in (Fraction(0), ring.pair.width))
-    return True, max(abs(c.x) + abs(c.y) for c in corners)
+               for off in ((0, 1), ring.pair.width.as_integer_ratio()))
+    num, den = 0, 1  # the largest (|X| + |Y|) / L over the corners, L > 0
+    for r, L in ((max(X, -X) + max(Y, -Y), L) for X, Y, L in corners):
+        if r * den > num * L:  # cross-multiplied
+            num, den = r, L
+    return True, ratio(num, den)

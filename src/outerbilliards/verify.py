@@ -459,16 +459,17 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                 rep.judge(j, lands, here, kind, targets, landings)
             if landings and exponent_offset == 0:
                 rep.judge(j, rigid, ring, kind, landings[0])
-        # annulus membership transfer: each frame point drawn strictly inside
-        # a window and strictly inside the strip lies in the annulus
+        # annulus membership transfer: each frame point drawn strictly inside a window
+        # and the strip lies in the annulus; a draw is `Rng.unit`'s odd/2^33 on int pairs
         if exponent_offset == 0:
-            windows = ring.windows()
-            draws = [t_i for t_i in range(6 * per_piece)
-                     if windows[t_i % 2][0] < windows[t_i % 2][1]]
-            for t_i in draws[:per_piece]:
-                lo, hi = windows[t_i % 2]
-                s_val = rng.split(7, j).between(t_i, lo, hi)
-                off = ring.pair.width * rng.split(8, j).unit(t_i)
+            one, (wn, wd) = 2 << 32, ring.pair.width.as_integer_ratio()
+            ends = [(lo.as_integer_ratio(), hi.as_integer_ratio()) if lo < hi else None
+                    for lo, hi in ring.windows()]
+            along, across = rng.split(7, j), rng.split(8, j)
+            for t_i in [t_i for t_i in range(6 * per_piece) if ends[t_i % 2]][:per_piece]:
+                (ln, ld), (hn, hd) = ends[t_i % 2]
+                s_val = (ln * hd * one + along.odd(t_i) * (hn * ld - ln * hd), ld * hd * one)
+                off = (wn * across.odd(t_i), wd * one)
                 rep.judge(j, trapped, ring.frame_triple(s_val, off), target)
     return rep
 

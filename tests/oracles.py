@@ -17,9 +17,10 @@ from outerbilliards.errors import (
     OnStripBoundaryError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, Vec, point_of,
-                                     region, signed_area2)
-from outerbilliards.quasirational import necklace_shift
+from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, Vec,
+                                     integer_form, point_of, region, signed_area2)
+from outerbilliards.quasirational import necklace, necklace_shift, quasi_analyze
+from outerbilliards.rng import Rng
 from outerbilliards.strips import strip_map
 from outerbilliards.scalars import QuadExt, primitive, sign
 
@@ -385,3 +386,53 @@ def q_vertices(ring) -> Tuple[Point, ...]:
     centre vertex) + m*shift, on `Point`s."""
     offset = ring.shift * ring.m
     return tuple(reflected(v, ring.pair.w) + offset for v in ring.polygon.vertices)
+
+
+def fraction_frame(system, j: int):
+    """`quasirational.necklace`'s frame for strip j on `Fraction`s (or
+    QuadExts) and `integer_form`, the way it was built before it was read
+    off P's lattice: (lo, hi, dd, groups), groups the integer forms
+    (A, B, C, D) of P's edges, of Q's, of the trapped extent's two ends and
+    of each annulus window's two ends, in the ring's order.  An edge
+    a*x + b*y > c of P has D = a*sx + b*sy; its turned copy on Q is
+    -a*x - b*y > c - 2(a*cx + b*cy) with -D, (cx, cy) the centre vertex."""
+    pair, polygon = system.pair(j), system.polygon
+    d = necklace_shift(system, j)
+    vals = [d.dot(v) for v in polygon.vertices]
+    lo, hi = min(vals), max(vals)
+    twice_center = 2 * d.dot(pair.w)
+    lo, hi = min(lo, twice_center - hi), max(hi, twice_center - lo)
+    dd = d.dot(d)
+    rates = [(e, e.a * d.x + e.b * d.y) for e in polygon.edges]
+    p_forms = tuple(integer_form(e.a, e.b, e.c, D) for e, D in rates)
+    q_forms = tuple(integer_form(-e.a, -e.b, e.c - 2 * (e.a * pair.w.x + e.b * pair.w.y), -D)
+                    for e, D in rates)
+    extent = (integer_form(d.x, d.y, lo, -dd), integer_form(-d.x, -d.y, -hi, -dd))
+    windows = ((integer_form(d.x, d.y, hi, 0), integer_form(-d.x, -d.y, -lo, -dd)),
+               (integer_form(d.x, d.y, hi, -dd), integer_form(-d.x, -d.y, -lo, 0)))
+    return lo, hi, dd, (p_forms, q_forms, extent) + windows
+
+
+def fraction_annulus_draws(model, m: int, samples: int, seed: int) -> list:
+    """The annulus draws of `verify.check_necklace_invariance(model, m,
+    samples, seed)` as Points, by the route they took on `Fraction`s: per
+    strip, each window's openness compared per draw, the axis value
+    `Rng.between` the window's ends and the offset the width times
+    `Rng.unit`, both converted to (num, den) pairs at the frame point."""
+    system = model.system
+    quasi = quasi_analyze(system)
+    rng = Rng(seed).split(0x9E, m)
+    per_piece = max(2, samples // (2 * model.n))
+    out = []
+    for j in range(model.n):
+        ring = necklace(system, j, m * quasi.D_int[j])
+        windows = ring.windows()
+        draws = [t_i for t_i in range(6 * per_piece)
+                 if windows[t_i % 2][0] < windows[t_i % 2][1]]
+        for t_i in draws[:per_piece]:
+            lo, hi = windows[t_i % 2]
+            s_val = rng.split(7, j).between(t_i, lo, hi)
+            off = ring.pair.width * rng.split(8, j).unit(t_i)
+            out.append(point_of(ring.frame_triple(s_val.as_integer_ratio(),
+                                                  off.as_integer_ratio())))
+    return out

@@ -6,7 +6,6 @@ arithmetic; sampled criteria require zero violations at the stated counts.
 """
 
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -167,7 +166,7 @@ def test_criterion_07_quasirational_boundedness():
     quasi = quasi_analyze(model.system)
     ring = necklace(model.system, 0, quasi.D_int[0])
     (a1, b1), _ = ring.windows()
-    start = point_of(ring.frame_triple((a1 + b1) / 2, Fraction(7, 3)))
+    start = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(), (7, 3)))
     assert ring.in_annulus(TRIANGLE.homogeneous(start))
     bounded, radius = boundedness_certificate(model.system, quasi, start, m=1)
     assert bounded

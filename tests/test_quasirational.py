@@ -10,6 +10,8 @@ import pytest
 
 from oracles import (
     direction,
+    fraction_annulus_draws,
+    fraction_frame,
     line_intersection,
     overlap_area_region,
     parallel_offset,
@@ -44,8 +46,9 @@ from outerbilliards.quasirational import (
     necklace_shift,
     quasi_analyze,
 )
-from outerbilliards.scalars import QuadExt, quadext
+from outerbilliards.scalars import QuadExt, primitive, quadext
 from outerbilliards.verify import check_necklace_invariance
+from test_billiards import CORPUS, corpus_polygon
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 
@@ -290,7 +293,7 @@ def test_boundedness_certificate_triangle():
     # hunt a certified point inside strip 0's m=1 annulus
     ring = necklace(m.system, 0, q.D_int[0])
     (a1, b1), _ = ring.windows()
-    p = point_of(ring.frame_triple((a1 + b1) / 2, Fraction(7, 3)))
+    p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(), (7, 3)))
     assert ring.in_annulus(TRIANGLE.homogeneous(p))
     bounded, radius = boundedness_certificate(m.system, q, p, m=1)
     assert bounded
@@ -307,7 +310,7 @@ def test_certificate_radius_monotone_in_m():
     q = quasi_analyze(m.system)
     ring = necklace(m.system, 0, q.D_int[0])
     (a1, b1), _ = ring.windows()
-    p = point_of(ring.frame_triple((a1 + b1) / 2, Fraction(7, 3)))
+    p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(), (7, 3)))
     _, r1 = boundedness_certificate(m.system, q, p, m=1)
     _, r2 = boundedness_certificate(m.system, q, p, m=2)
     _, r3 = boundedness_certificate(m.system, q, p, m=3)
@@ -403,7 +406,7 @@ def test_frame_point_closed_form_matches_line_route(poly_key):
                   quadext(Fraction(-7, 2), 3, 5)):
             for off in (Fraction(0), width, width * Fraction(2, 7), Fraction(-5, 3)):
                 want = line_intersection(parallel_offset(ring.pair.line, off), Line(d.x, d.y, s))
-                got = point_of(ring.frame_triple(s, off))
+                got = point_of(ring.frame_triple(s.as_integer_ratio(), off.as_integer_ratio()))
                 assert repr(got) == repr(want), (j, s, off)
                 assert d.dot(got) == s and signed_offset(ring.pair.line, got) == off
 
@@ -437,8 +440,11 @@ ANNULUS_KEYS = ([f"bench{i}" for i in range(8)] + [f"n{n}" for n in range(3, 9)]
 def test_necklace_check_draws_annulus_samples_inside_the_annulus(monkeypatch, key):
     """Each annulus sample of the check, a frame point strictly inside a
     nonempty window and strictly inside the strip, is in its ring's
-    annulus, so the check needs no membership filter.  Polygons: the bench
-    necklace pentagons, random_nice_polygon(n, n), the Q(sqrt 5) pentagon."""
+    annulus, so the check needs no membership filter; drawn on (num, den)
+    pairs, the samples are, in order, the frame points the `Fraction` route
+    draws (`oracles.fraction_annulus_draws`: `Rng.between` the window's ends
+    and the width times `Rng.unit`).  Polygons: the bench necklace
+    pentagons, random_nice_polygon(n, n), the Q(sqrt 5) pentagon."""
     if key == "sqrt5_pentagon":
         poly = sqrt5_pentagon()
     elif key.startswith("bench"):
@@ -454,12 +460,14 @@ def test_necklace_check_draws_annulus_samples_inside_the_annulus(monkeypatch, ke
         drawn.append((ring, here))
         return here
 
+    wants = {mm: fraction_annulus_draws(model, mm, samples=100, seed=mm) for mm in (1, 2, 3)}
     monkeypatch.setattr(quasirational.NecklaceSpec, "frame_triple", recorded)
-    for mm in (1, 2, 3):
+    for mm, want in wants.items():
         drawn.clear()
         assert check_necklace_invariance(model, m=mm, samples=100, seed=mm).passed
         assert drawn
         assert all(ring.in_annulus(here) for ring, here in drawn), mm
+        assert repr([point_of(here) for _, here in drawn]) == repr(want), mm
 
 
 # the lattice necklace against the Point routes kept in `oracles`: copy
@@ -490,7 +498,7 @@ def _extent_points(ring):
     shift = ring.m * ring.dd
     ends = (ring.lo - shift, ring.hi + shift)
     width = ring.pair.width
-    return [point_of(ring.frame_triple(s, off))
+    return [point_of(ring.frame_triple(s.as_integer_ratio(), off.as_integer_ratio()))
             for s in ends + (ends[0] - Fraction(1, 7), ends[1] + Fraction(1, 7),
                              (ends[0] + ends[1]) / 2)
             for off in (Fraction(0), width / 3, width / 2, width)]
@@ -501,7 +509,7 @@ def _annulus_points(ring):
     strip's lines and inside the strip."""
     width = ring.pair.width
     ends = [s for window in ring.windows() for s in window]
-    return [point_of(ring.frame_triple(s, off))
+    return [point_of(ring.frame_triple(s.as_integer_ratio(), off.as_integer_ratio()))
             for s in ends + [(a + b) / 2 for a, b in ring.windows()]
             for off in (Fraction(0), width / 3, width)]
 
@@ -576,16 +584,18 @@ def test_lattice_necklace_matches_point_route(poly_key):
 
 @pytest.mark.parametrize("module, name, old, new", [
     (quasirational, "_resolved", "C + m * D", "C"),
-    (quasirational, "necklace", "(-A * sq * den, -B * sq * den,", "(A * sq * den, B * sq * den,"),
+    (quasirational, "necklace", "(-a * den, -b * den,", "(a * den, b * den,"),
     (strips.PinwheelPair, "offsets", "wn * (L // wq)", "wn"),
-    (quasirational, "necklace", "integer_form(d.x, d.y, hi, -dd)", "integer_form(d.x, d.y, hi, 0)"),
-], ids=["dropped-shift", "unnegated-q", "dropped-rescale", "unshifted-window"])
+    (quasirational, "necklace", "(ax, ay, hi * sq, -rate)", "(ax, ay, hi * sq, 0)"),
+    (quasirational, "necklace", "(ax, ay, lo * sq, -rate)", "(ax, ay, lo * sq, 0)"),
+], ids=["dropped-shift", "unnegated-q", "dropped-rescale", "unshifted-window",
+        "unshifted-extent"])
 def test_lattice_necklace_parity_catches_broken_forms(monkeypatch, module, name, old, new):
     """Negative controls: ring forms resolved at m with the m*D term dropped, Q's
     edge form left unnegated, a strip width (`PinwheelPair.offsets`) left on its
-    denominator instead of rescaled to the point's L, and an annulus window
-    end left at the base ring instead of the -m ring, must each fail the
-    parity test."""
+    denominator instead of rescaled to the point's L, an annulus window end
+    left at the base ring instead of the -m ring, and the trapped extent's
+    lower end left at the base ring, must each fail the parity test."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1
     namespace = dict(vars(module))
@@ -657,6 +667,47 @@ def test_ring_samples_parity_catches_unrotated_p_cycle(monkeypatch):
         test_ring_samples_match_placed_region_route(keys[0])
 
 
+FRAME_KEYS = CORPUS + SAMPLE_KEYS
+
+
+@pytest.mark.parametrize("poly_key", FRAME_KEYS)
+def test_ring_frame_matches_fraction_frame(poly_key):
+    """The ring's frame, read off P's lattice in ints, equals the `Fraction`
+    frame (`oracles.fraction_frame`) on every strip at m = -3..3: lo, hi and
+    dd in value and scalar type, and each P, Q, extent and window form at m
+    a positive multiple of the oracle's (the same `primitive`).  Polygons:
+    the `test_billiards` corpus, the bench necklace pentagons and the
+    Q(sqrt 5) pentagon."""
+    poly = _sample_polygon(poly_key) if poly_key in SAMPLE_KEYS else corpus_polygon(poly_key)
+    system = BilliardModel(poly).system
+    for j in range(system.n):
+        lo, hi, dd, groups = fraction_frame(system, j)
+        for mm in range(-3, 4):
+            ring = quasirational.necklace(system, j, mm)
+            got = [(type(x), x) for x in (ring.lo, ring.hi, ring.dd)]
+            assert got == [(type(x), x) for x in (lo, hi, dd)], (j, mm)
+            want = [[primitive(A, B, C + mm * D) for A, B, C, D in forms] for forms in groups]
+            assert [[primitive(*f) for f in forms] for forms in ring.forms] == want, (j, mm)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("(ax, ay, hi * sq, -rate)", "(ax, ay, hi * sq, 0)"),
+    ("(ax, ay, lo * sq, -rate)", "(ax, ay, lo * sq, 0)"),
+    ("- x for x in vals", "+ x for x in vals"),
+], ids=["unshifted-window", "unshifted-extent", "unreflected-q-range"])
+def test_ring_frame_parity_catches_broken_frame(monkeypatch, old, new):
+    """Negative controls: an annulus window end or the trapped extent's lower
+    end left at the base ring, and Q's axis range not reflected through the
+    centre, must each fail the frame parity test."""
+    source = textwrap.dedent(inspect.getsource(quasirational.necklace))
+    assert source.count(old) == 1
+    namespace = dict(vars(quasirational))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(quasirational, "necklace", namespace["necklace"])
+    with pytest.raises(AssertionError):
+        test_ring_frame_matches_fraction_frame("pentagon-0")
+
+
 def necklace_golden_text(n):
     """Every necklace report (m = 1..3, exponent offsets 0 and 1) and a
     certificate from the middle of the first open annulus window, on
@@ -674,7 +725,8 @@ def necklace_golden_text(n):
             rings = (necklace(system, j, mm * quasi.D_int[j]) for j in range(n))
             ring = next(r for r in rings if r.windows()[0][0] < r.windows()[0][1])
             (a1, b1), _ = ring.windows()
-            p = point_of(ring.frame_triple((a1 + b1) / 2, ring.pair.width / 3))
+            p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(),
+                                               (ring.pair.width / 3).as_integer_ratio()))
             lines.append(f"{ring.j} {p!r} "
                          f"{boundedness_certificate(system, quasi, p, mm)!r}")
     return "\n".join(lines)
