@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EmptyRegionError
 from .rng import Rng
-from .scalars import Scalar, ScalarLike, as_scalar, int_parts, primitive, ratio, sign
+from .scalars import Scalar, ScalarLike, as_scalar, cleared, int_parts, primitive, ratio, sign
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +348,20 @@ def _open_nonempty(lo, up) -> bool:
     return t < 0 or (t == 0 and not (lo[2] or up[2]))
 
 
-def _pick_in_interval(lo, up, rng: Optional[Rng] = None, counter: int = 0):
-    """A scalar between lo and up (None: the interval runs off that way),
-    strictly inside when the interval has length."""
+def _pick_in_interval(lo, up, rng: Optional[Rng] = None, counter: int = 0) -> tuple:
+    """A (num, den) pair between the solved bounds lo and up (None: the interval
+    runs off that way), strictly inside when it has length: their midpoint, or
+    `rng.draw` between them; one past the finite end (0 for none), or `rng.draw` short of it."""
     if lo is not None and up is not None:
-        if lo == up:
-            return lo
+        (ln, ld), (un, ud) = lo[:2], up[:2]
         if rng is None:
-            return (lo + up) / 2
-        return rng.between(counter, lo, up)
-    if lo is not None:
-        return lo + (1 if rng is None else rng.unit(counter))
-    if up is not None:
-        return up - (1 if rng is None else rng.unit(counter))
-    return Fraction(0) if rng is None else rng.unit(counter)
+            return ln * ud + un * ld, 2 * ld * ud
+        return rng.draw(counter, (ln, ld), (un, ud))
+    if lo is up:
+        return (0, 1) if rng is None else rng.draw(counter, (0, 1), (1, 1))
+    n, d = (lo or up)[:2]
+    end = (n + d, d) if up is None else (n - d, d)
+    return end if rng is None else rng.draw(counter, (n, d), end)
 
 
 # ---------------------------------------------------------------------------
@@ -554,37 +554,36 @@ class ConvexRegion:
     def has_interior(self) -> bool:
         return self._interior
 
-    def interior_point(self, rng: Optional[Rng] = None, counter: int = 0) -> Point:
-        """A point strictly inside: y drawn strictly inside the closure's
-        y-range, then x strictly inside the region's slice at that y."""
+    def interior_point(self, rng: Optional[Rng] = None, counter: int = 0) -> tuple:
+        """A point strictly inside, as its lattice triple in lowest terms: y
+        drawn strictly inside the closure's y-range, then x strictly inside
+        the region's slice at that y (`_pick_in_interval`)."""
         if self.is_empty:
             raise EmptyRegionError("empty region has no interior point")
         if not self._interior:
             raise EmptyRegionError("region has empty interior")
-        y = _pick_in_interval(self._y_bound(1), self._y_bound(-1), rng, 2 * counter)
-        yn, yq = y.as_integer_ratio()
+        yn, yq = _pick_in_interval(self._y_bound(1), self._y_bound(-1), rng, 2 * counter)
         # a*x > c - b*y on every constraint, times the denominator yq > 0
-        xlo, xup = _one_dim_interval((a * yq, c * yq - b * yn, True)
-                                     for a, b, c, _ in (h.form for h in self.constraints))
-        x = _pick_in_interval(xlo and ratio(xlo[0], xlo[1]), xup and ratio(xup[0], xup[1]),
-                              rng, 2 * counter + 1)
-        return Point(as_scalar(x), as_scalar(y))
+        xlo, xup = _one_dim_interval((a * yq, c * yq - b * yn, True) for a, b, c in self._forms)
+        xn, xq = _pick_in_interval(xlo, xup, rng, 2 * counter + 1)
+        return _lowest(xn * yq, yn * xq, xq * yq)
 
     def _y_bound(self, s: int):
-        """The lowest (s = 1) or highest (s = -1) y of the closure; None when
-        a recession ray runs off that way."""
+        """The lowest (s = 1) or highest (s = -1) y of the closure as a solved
+        bound; None when a recession ray runs off that way."""
         if any(s * gy < 0 for _, gy in self._rays):
             return None
-        # else the extreme y is at a vertex, or on a horizontal edge line
-        ys = [ratio(Y, L) for _, Y, L in self._vertices]
-        ys += [ratio(c, b) for h in self.constraints for a, b, c, _ in [h.form]
-               if a == 0 and s * b > 0]
-        return min(ys) if s > 0 else max(ys)
+        # else the extreme y is at a vertex, or on a horizontal edge line: the
+        # tightest of the bounds y <= (s = 1) or y >= (s = -1) each candidate
+        ys = [(-s * L, -s * Y, False) for _, Y, L in self._vertices]
+        ys += [(-b, -c, False) for a, b, c in self._forms if a == 0 and s * b > 0]
+        return _one_dim_interval(ys)[s > 0]
 
-    def recession_direction(self) -> Optional[Vec]:
+    def recession_direction(self) -> Optional[tuple]:
         """A rational direction along which the region recedes to infinity,
-        strictly interior to the recession cone when that cone has interior;
-        None exactly when the region is bounded (or empty).
+        strictly interior to the recession cone when that cone has interior,
+        as a vector's triple (VX, VY, q) (`moved`); None exactly when the
+        region is bounded (or empty).
 
         It is (dx, t) for the first dx of 1, -1 at which the cone has a
         section (t its midpoint, its finite end -+ 1, or 0 when it is a whole
@@ -593,14 +592,17 @@ class ConvexRegion:
         (0, 1) ((0, -1)) satisfies every constraint's a*x + b*y >= 0.
         """
         for dx in (1, -1):
-            ts = [ratio(gy, gx * dx) for gx, gy in self._rays if gx * dx > 0]
+            # each ray's t = gy/(gx*dx) as a lower and an upper bound: the tightest are max, min
+            ts = [b for gx, gy in self._rays if gx * dx > 0
+                  for b in ((gx * dx, gy, False), (-gx * dx, -gy, False))]
             if ts:
-                lo = None if self._recedes(-1) else min(ts)
-                up = None if self._recedes(1) else max(ts)
-                return Vec(Fraction(dx), _pick_in_interval(lo, up))
+                up, lo = _one_dim_interval(ts)
+                tn, q = cleared(*_pick_in_interval(None if self._recedes(-1) else lo,
+                                                   None if self._recedes(1) else up))
+                return dx * q, tn, q
         for dy in (1, -1):
             if any(gy * dy > 0 for _, gy in self._rays):
-                return Vec(Fraction(0), Fraction(dy))
+                return 0, dy, 1
         return None
 
     def _recedes(self, dy: int) -> bool:

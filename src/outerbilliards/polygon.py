@@ -9,22 +9,12 @@ from __future__ import annotations
 import json
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (
-    DegenerateVerticesError,
-    NotConvexError,
-    ParallelEdgesError,
-    ParseError,
-)
+from .errors import (DegenerateVerticesError, NotConvexError, ParallelEdgesError, ParseError,
+                     PolygonError)
 from .geometry import (Line, Point, direction_ccw_cmp, homogeneous, integer_form, least_sign,
                        signed_area2)
-from .scalars import (
-    bounded_int,
-    is_radicand,
-    radicand,
-    scalar_from_json,
-    scalar_to_json,
-    sign,
-)
+from .scalars import (SCALAR_DIGITS, bounded_int, is_radicand, radicand, scalar_from_json,
+                      scalar_to_json, sign)
 
 
 class NicePolygon:
@@ -40,7 +30,7 @@ class NicePolygon:
     of a clockwise polygon.
 
     The polygon's lattice, fixed at construction: `den` is the least common
-    denominator D of the vertex coordinates, and `lattice[i]` is vertex i's
+    denominator D < 10**SCALAR_DIGITS of the vertex coordinates, and `lattice[i]` is vertex i's
     numerator pair over D (ints, or the `QuadInt`s of `as_integer_ratio()`).
     `vertex_offsets[v]` is vertex v's `edge_offsets` over D, which the ψ walk reflects by.
     """
@@ -64,6 +54,8 @@ class NicePolygon:
             for t, h in zip(verts, verts[1:] + verts[:1]) for d in [h - t]))
         object.__setattr__(self, "quad_d", quad_d)
         *xys, den = integer_form(*(x for v in verts for x in (v.x, v.y)), 1)  # den: the form of 1
+        if den >= 10 ** SCALAR_DIGITS:
+            raise PolygonError(f"the lattice's denominator is 10**{SCALAR_DIGITS} or more")
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "lattice", tuple(zip(xys[::2], xys[1::2])))
         object.__setattr__(self, "_forms", tuple(e.ints for e in self.edges))

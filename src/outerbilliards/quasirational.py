@@ -28,7 +28,7 @@ frame coordinates given as (num, den) int pairs, as the annulus draws are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Tuple
@@ -108,8 +108,11 @@ class NecklaceSpec:
         object.__setattr__(self, "mirror", _resolved(self.base[:2], -self.m))
 
     def at(self, m: int) -> "NecklaceSpec":
-        """The same strip's ring at exponent m."""
-        return replace(self, m=m)
+        """The same strip's ring at exponent m: its fields shared, `base` resolved at m."""
+        ring = object.__new__(NecklaceSpec)
+        ring.__dict__.update(vars(self), m=m)
+        ring.__post_init__()
+        return ring
 
     def carry(self, here, kind: str):
         """P's point `here`, a lattice triple with the polygon's den dividing

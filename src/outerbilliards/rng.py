@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import ratio
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4B7C15
 
@@ -54,7 +56,12 @@ class Rng:
         """Rational strictly inside (0, 1): `odd` / 2^(bits+1)."""
         return Fraction(self.odd(counter, bits), 2 << bits)
 
-    def between(self, counter: int, lo, hi) -> Fraction:
-        """Rational strictly between lo and hi (exact endpoints excluded)."""
-        u = self.unit(counter)
-        return lo + u * (hi - lo)
+    def draw(self, counter: int, lo: tuple, hi: tuple) -> tuple:
+        """lo + u*(hi - lo), u = `unit(counter)`, on (num, den) pairs, den > 0 (ints, or
+        QuadInt numerators): a pair strictly between lo and hi when they differ, not reduced."""
+        (ln, ld), (hn, hd), one = lo, hi, 2 << 32
+        return ln * hd * one + self.odd(counter) * (hn * ld - ln * hd), ld * hd * one
+
+    def between(self, counter: int, lo, hi):
+        """Scalar strictly between lo and hi: `draw` on their `as_integer_ratio()`s."""
+        return ratio(*self.draw(counter, lo.as_integer_ratio(), hi.as_integer_ratio()))

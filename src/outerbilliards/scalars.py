@@ -147,14 +147,19 @@ class QuadInt:
         return f"QuadInt({self.r}, {self.s}, {self.d})"
 
 
+def cleared(num, den) -> tuple:
+    """num/den for ints or QuadInts as (num', den'), den' an int > 0 (0 if den is): a QuadInt
+    den r + s*sqrt(d) is cleared by its conjugate, to r^2 - s^2*d != 0 (sqrt(d) is irrational)."""
+    if type(den) is QuadInt:
+        r, s, d = den.r, den.s, den.d
+        num, den = num * QuadInt(r, -s, d), r * r - s * s * d
+    return (-num, -den) if den < 0 else (num, den)
+
+
 def ratio(num, den) -> Scalar:
     """num/den for ints or QuadInts, den != 0: a Fraction, or a QuadExt in
     lowest terms.  Every QuadExt result is built here."""
-    if type(den) is QuadInt:
-        # times the conjugate r - s sqrt(d) over itself: the denominator
-        # becomes r^2 - s^2 d, nonzero as sqrt(d) is irrational
-        r, s, d = den.r, den.s, den.d
-        num, den = num * QuadInt(r, -s, d), r * r - s * s * d
+    num, den = cleared(num, den)
     if type(num) is int:
         return Fraction(num, den)
     r, s = num.r, num.s
@@ -162,8 +167,6 @@ def ratio(num, den) -> Scalar:
         return Fraction(r, den)
     if den == 0:
         raise ZeroDivisionError("division by zero")
-    if den < 0:
-        r, s, den = -r, -s, -den
     g = math.gcd(r, s, den)
     if g > 1:
         r, s, den = r // g, s // g, den // g
@@ -195,13 +198,8 @@ def primitive(*xs) -> tuple:
 
 def floor_div(num, den) -> int:
     """floor(num / den) for ints or QuadInts, den != 0, without building the
-    quotient: a QuadInt den is cleared by its conjugate, as in `ratio`, and
-    floor(x / q) = floor(x) // q for an int q > 0."""
-    if type(den) is QuadInt:
-        r, s, d = den.r, den.s, den.d
-        num, den = num * QuadInt(r, -s, d), r * r - s * s * d
-    if den < 0:
-        num, den = -num, -den
+    quotient: over the int q > 0 of `cleared`, floor(x / q) = floor(x) // q."""
+    num, den = cleared(num, den)
     return math.floor(num) // den
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Tuple
 
@@ -26,6 +25,7 @@ from .polygon import NicePolygon
 from .quasirational import in_trapped_extent, necklace, quasi_analyze
 from .report import CheckReport
 from .rng import Rng
+from .scalars import cleared
 from .strips import PinwheelSystem, strip_jump, strip_map
 
 # ---------------------------------------------------------------------------
@@ -33,21 +33,21 @@ from .strips import PinwheelSystem, strip_jump, strip_map
 
 
 def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
-                 radii_scale=None) -> List[tuple]:
+                 radii_scale=64) -> List[tuple]:
     """Interior samples of a tile as lattice triples on the polygon's lattice
-    (`NicePolygon.homogeneous`): barycentric for bounded tiles, points at
-    exponentially spaced distances along a recession ray for unbounded ones."""
+    (`NicePolygon.homogeneous`): barycentric for bounded tiles; for unbounded ones,
+    interior points moved along a recession ray by exponentially spaced radii_scale."""
     polygon = model.polygon
     if not tile.unbounded:
         seed = rng.u64(hash(tile.label) & 0xFFFF)
         return [lifted(t, polygon.den) for t in tile.region.sample_points(count, seed=seed)]
-    direction = tile.region.recession_direction()
-    scale = radii_scale if radii_scale is not None else Fraction(64)
+    VX, VY, q = tile.region.recession_direction()
+    sn, sd = radii_scale.as_integer_ratio()
     out = []
-    for i in range(count):
-        base = tile.region.interior_point(rng.split(11, i), i)
-        t = scale * (2 ** (i % 3)) * (1 + rng.unit(1000 + i))
-        out.append(polygon.homogeneous(base + direction * t))
+    for i in range(count):  # the base moved by radii_scale * 2^(i % 3) * (1 + unit) = tn/td
+        tn, td = rng.draw(1000 + i, (sn * 2 ** (i % 3), sd), (sn * 2 ** (i % 3 + 1), sd))
+        base = lifted(tile.region.interior_point(rng.split(11, i), i), q * td)
+        out.append(lifted(moved(base, (VX, VY, q * td), tn), polygon.den))
     return out
 
 
@@ -71,20 +71,18 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
         pool += [(tile, p) for p in tile_samples(model, tile, per_tile, rng.split(t_i), scale)]
     # strip-approach samples: preimages of points spread across each strip's
     # width at far radius, so the k = 2 branch is exercised on every strip
-    R = far_radius(model)
+    Rn, Rq = far_radius(model).as_integer_ratio()
     for j in range(n):
-        pair = model.system.pair(j)
-        a, b, c = pair.line.a, pair.line.b, pair.line.c
+        A, B, C, wn, wq = model.system.pair(j).form  # A*x + B*y = C + off, 0 < off < wn/wq
+        N2, L1, draws = A * A + B * B, max(A, -A) + max(B, -B), rng.split(0xA9, j)
         for t_i, sgn in enumerate((1, -1, 1)):
-            # at offsets W/4, 3W/4, 5W/4 (inside the strip twice, beyond it
-            # once) from the line's foot, and sgn*(2 + t_i)*R along it in L1
-            off = (pair.width * Fraction(2 * t_i + 1, 4)
-                   + pair.width * rng.split(0xA9, j).unit(t_i) / 64)
-            along = sgn * (2 + t_i) * R / (abs(a) + abs(b))
-            q0 = Point(a * (c + off) / (a * a + b * b) - b * along,
-                       b * (c + off) / (a * a + b * b) + a * along)
+            # (A, B)*(C + off)/N2 + (-B, A)*along/L1: off W/4, 3W/4 or 5W/4 (inside the strip
+            # twice, beyond it once) plus a draw below W/64, along sgn*(2 + t_i)*R in L1
+            on, od = draws.draw(t_i, (wn * (2 * t_i + 1), 4 * wq), (wn * (32 * t_i + 17), 64 * wq))
+            K, M = (C * od + on) * Rq * L1, sgn * (2 + t_i) * Rn * od * N2
+            (X, L), (Y, _) = (cleared(Z, od * N2 * Rq * L1) for Z in (A * K - B * M, B * K + A * M))
             try:
-                p0, _ = next(psi_walk(model.polygon, model.polygon.homogeneous(q0),
+                p0, _ = next(psi_walk(model.polygon, lifted((X, Y, L), model.polygon.den),
                                       Chirality.LEFT))
             except MapUndefinedError:
                 continue
@@ -459,17 +457,15 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
                 rep.judge(j, lands, here, kind, targets, landings)
             if landings and exponent_offset == 0:
                 rep.judge(j, rigid, ring, kind, landings[0])
-        # annulus membership transfer: each frame point drawn strictly inside a window
-        # and the strip lies in the annulus; a draw is `Rng.unit`'s odd/2^33 on int pairs
+        # annulus membership transfer: each frame point drawn (`Rng.draw`)
+        # strictly inside a window and the strip lies in the annulus
         if exponent_offset == 0:
-            one, (wn, wd) = 2 << 32, ring.pair.width.as_integer_ratio()
+            width = ring.pair.width.as_integer_ratio()
             ends = [(lo.as_integer_ratio(), hi.as_integer_ratio()) if lo < hi else None
                     for lo, hi in ring.windows()]
             along, across = rng.split(7, j), rng.split(8, j)
             for t_i in [t_i for t_i in range(6 * per_piece) if ends[t_i % 2]][:per_piece]:
-                (ln, ld), (hn, hd) = ends[t_i % 2]
-                s_val = (ln * hd * one + along.odd(t_i) * (hn * ld - ln * hd), ld * hd * one)
-                off = (wn * across.odd(t_i), wd * one)
+                s_val, off = along.draw(t_i, *ends[t_i % 2]), across.draw(t_i, (0, 1), width)
                 rep.judge(j, trapped, ring.frame_triple(s_val, off), target)
     return rep
 

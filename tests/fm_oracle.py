@@ -13,15 +13,8 @@ recession direction by one-dimensional scans over all of them.
 from fractions import Fraction
 from functools import cmp_to_key
 
-from outerbilliards.geometry import (
-    HalfPlane,
-    Point,
-    Sense,
-    Vec,
-    _pick_in_interval,
-    direction_ccw_cmp,
-)
-from oracles import line_intersection, normalized
+from outerbilliards.geometry import HalfPlane, Point, Sense, Vec, direction_ccw_cmp
+from oracles import line_intersection, normalized, pick_in_interval
 from outerbilliards.rng import Rng
 from outerbilliards.scalars import QuadExt, as_scalar, sign
 
@@ -78,7 +71,7 @@ def _one_dim_interval(bounds):
 
 def _pick(bounds, rng=None, counter=0):
     lo, up = _one_dim_interval(bounds)
-    return _pick_in_interval(lo and lo[0], up and up[0], rng, counter)
+    return pick_in_interval(lo and lo[0], up and up[0], rng, counter)
 
 
 def _eliminate_x(norms):

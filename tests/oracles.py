@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from outerbilliards.billiards import Chirality, tangent_vertex
-from outerbilliards.dynamics import section
+from outerbilliards.dynamics import far_radius, section
 from outerbilliards.errors import (
     BudgetExceededError,
     InsidePolygonError,
@@ -18,11 +18,12 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, Vec,
-                                     integer_form, point_of, region, signed_area2)
+                                     _one_dim_interval, integer_form, point_of, region,
+                                     signed_area2)
 from outerbilliards.quasirational import necklace, necklace_shift, quasi_analyze
 from outerbilliards.rng import Rng
 from outerbilliards.strips import strip_map
-from outerbilliards.scalars import QuadExt, primitive, sign
+from outerbilliards.scalars import QuadExt, as_scalar, primitive, ratio, sign
 
 
 def normalized(h: HalfPlane) -> tuple:
@@ -435,4 +436,97 @@ def fraction_annulus_draws(model, m: int, samples: int, seed: int) -> list:
             off = ring.pair.width * rng.split(8, j).unit(t_i)
             out.append(point_of(ring.frame_triple(s_val.as_integer_ratio(),
                                                   off.as_integer_ratio())))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the Point route of the samples beyond K: unbounded-tile ray samples and
+# strip-approach points, as they were drawn on scalars before they were born
+# as lattice triples
+
+
+def pick_in_interval(lo, up, rng: Optional[Rng] = None, counter: int = 0):
+    """A scalar between the scalars lo and up (None: the interval runs off
+    that way), strictly inside when the interval has length: the midpoint,
+    or lo + `Rng.unit` * (up - lo); lo + 1 or up - 1 (0 with neither), or
+    one `Rng.unit` past the finite end (a unit with neither)."""
+    if lo is not None and up is not None:
+        if lo == up:
+            return lo
+        if rng is None:
+            return (lo + up) / 2
+        return lo + rng.unit(counter) * (up - lo)
+    if lo is not None:
+        return lo + (1 if rng is None else rng.unit(counter))
+    if up is not None:
+        return up - (1 if rng is None else rng.unit(counter))
+    return Fraction(0) if rng is None else rng.unit(counter)
+
+
+def _point_y_bound(r: ConvexRegion, s: int):
+    """The lowest (s = 1) or highest (s = -1) y of r's closure as a scalar;
+    None when a recession ray runs off that way."""
+    if any(s * gy < 0 for _, gy in r._rays):
+        return None
+    ys = [ratio(Y, L) for _, Y, L in r._vertices]
+    ys += [ratio(c, b) for a, b, c in r._forms if a == 0 and s * b > 0]
+    return min(ys) if s > 0 else max(ys)
+
+
+def point_interior_point(r: ConvexRegion, rng: Optional[Rng] = None, counter: int = 0) -> Point:
+    """`ConvexRegion.interior_point` on scalars: y picked strictly inside the
+    closure's y-range, then x strictly inside the slice at that y."""
+    y = pick_in_interval(_point_y_bound(r, 1), _point_y_bound(r, -1), rng, 2 * counter)
+    yn, yq = y.as_integer_ratio()
+    xlo, xup = _one_dim_interval((a * yq, c * yq - b * yn, True) for a, b, c in r._forms)
+    x = pick_in_interval(xlo and ratio(xlo[0], xlo[1]), xup and ratio(xup[0], xup[1]),
+                         rng, 2 * counter + 1)
+    return Point(as_scalar(x), as_scalar(y))
+
+
+def point_recession_direction(r: ConvexRegion) -> Optional[Vec]:
+    """`ConvexRegion.recession_direction` on scalars: (dx, t), t picked in
+    the section of the cone at x = dx, else (0, +-1); None when bounded."""
+    for dx in (1, -1):
+        ts = [ratio(gy, gx * dx) for gx, gy in r._rays if gx * dx > 0]
+        if ts:
+            lo = None if r._recedes(-1) else min(ts)
+            up = None if r._recedes(1) else max(ts)
+            return Vec(Fraction(dx), pick_in_interval(lo, up))
+    for dy in (1, -1):
+        if any(gy * dy > 0 for _, gy in r._rays):
+            return Vec(Fraction(0), Fraction(dy))
+    return None
+
+
+def point_tile_samples(tile, count: int, rng: Rng, radii_scale=None) -> list:
+    """`verify.tile_samples` on an unbounded tile as Points: the scalar
+    interior point plus the scalar recession direction times
+    t = radii_scale * 2^(i % 3) * (1 + `Rng.unit`)."""
+    direction = point_recession_direction(tile.region)
+    scale = radii_scale if radii_scale is not None else Fraction(64)
+    out = []
+    for i in range(count):
+        base = point_interior_point(tile.region, rng.split(11, i), i)
+        out.append(base + direction * (scale * (2 ** (i % 3)) * (1 + rng.unit(1000 + i))))
+    return out
+
+
+def point_strip_approach(model, seed: int) -> list:
+    """The strip-approach points of `verify.check_pinwheel_theorem(model,
+    seed=seed)`, before ψ⁻¹, as Points on the strips' scalar lines: per
+    strip, offsets W/4, 3W/4, 5W/4 plus W*unit/64 from the line's foot, and
+    sgn*(2 + t_i)*R along it in L1."""
+    rng = Rng(seed).split(0x71, model.n)
+    R = far_radius(model)
+    out = []
+    for j in range(model.n):
+        pair = model.system.pair(j)
+        a, b, c = pair.line.a, pair.line.b, pair.line.c
+        for t_i, sgn in enumerate((1, -1, 1)):
+            off = (pair.width * Fraction(2 * t_i + 1, 4)
+                   + pair.width * rng.split(0xA9, j).unit(t_i) / 64)
+            along = sgn * (2 + t_i) * R / (abs(a) + abs(b))
+            out.append(Point(a * (c + off) / (a * a + b * b) - b * along,
+                             b * (c + off) / (a * a + b * b) + a * along))
     return out

@@ -320,6 +320,7 @@ def test_recession_direction_of_every_tile(poly_key):
             if t.label not in want:
                 assert d is None and t.region.is_bounded() and not t.unbounded
                 continue
+            d = point_of(d)
             assert (str(d.x), str(d.y)) == want[t.label], (side, t.label)
             assert t.unbounded and not t.region.is_bounded()
             for h in t.region.constraints:

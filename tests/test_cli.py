@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -536,24 +537,56 @@ def test_megadigit_integers_are_refused_before_they_are_read(argv, tri_file, tmp
     assert json.loads(out)["error"]
 
 
-def test_results_past_the_int_str_limit_are_printed(tmp_path, capsys, within_seconds):
-    """random_nice_polygon(5, 1) with 1/(10**490 + k) added to its k-th
-    coordinate: every scalar is within the text bound, yet the partition
-    prints numbers past Python's 4,300-digit int-to-str limit.  `main` lifts
-    the limit while it runs and restores it on return."""
-    poly = random_nice_polygon(5, 1)
-    coords = [c + Fraction(1, 10 ** 490 + k)
+def _perturbed_doc(n: int, seed: int, count: int) -> str:
+    """random_nice_polygon(n, seed) with 1/(10**490 + k) added to its k-th
+    coordinate for k < count, as a polygon document written directly (the
+    polygon may be past the lattice bound)."""
+    poly = random_nice_polygon(n, seed)
+    coords = [c + Fraction(1, 10 ** 490 + k) if k < count else c
               for k, c in enumerate(c for v in poly.vertices for c in (v.x, v.y))]
-    text = polygon_to_text(NicePolygon.from_points(
-        [Point(x, y) for x, y in zip(coords[::2], coords[1::2])]))
+    return json.dumps({"field": "rational", "vertices": [
+        [str(x), str(y)] for x, y in zip(coords[::2], coords[1::2])]})
+
+
+def test_results_past_the_int_str_limit_are_printed(tmp_path, capsys, within_seconds):
+    """random_nice_polygon(5, 1) with 1/(10**490 + k) added to its first two
+    coordinates: every scalar is within the text bound and the lattice's
+    denominator (981 digits) within its bound, yet the boundedness
+    certificate from a point in strip 0's annulus prints a radius past
+    Python's 4,300-digit int-to-str limit.  `main` lifts the limit while it
+    runs and restores it on return."""
+    text = _perturbed_doc(5, 1, 2)
     assert max(map(len, text.split('"'))) <= 1000
     f = tmp_path / "long.json"
     f.write_text(text)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    code, out = run(capsys, "partition", str(f))
+    code, out = run(capsys, "quasi", str(f), "--certify=-1841/740,22879/791")
     assert code == 0
     assert max(map(len, re.findall(r"\d+", out))) > 4300
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("partition",),
+    ("classify", "--point", "500,1"),
+    ("orbit", "--point", "500,1"),
+    ("verify",),
+    ("quasi",),
+])
+def test_lattice_past_its_bound_is_a_json_input_error(argv, tmp_path, capsys):
+    """random_nice_polygon(8, 1) with 1/(10**490 + k) added to its k-th
+    coordinate: every scalar is within the text bound, but the lattice's
+    denominator, their lcm, has 7,832 digits (`verify` took 47 s on it).
+    `NicePolygon` refuses a denominator of 10**SCALAR_DIGITS or more, so
+    every command exits 2 within 1 s with a JSON error naming the bound."""
+    f = tmp_path / "wide.json"
+    f.write_text(_perturbed_doc(8, 1, 16))
+    t0 = time.monotonic()
+    code, out = run(capsys, argv[0], str(f), *argv[1:])
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    assert "10**1000" in json.loads(out)["error"]
 
 
 def test_help_is_not_a_usage_error(capsys):

@@ -31,7 +31,8 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import HalfPlane, Point, Sense, homogeneous, point_of, pt, region
+from outerbilliards.geometry import (HalfPlane, Point, Sense, homogeneous, moved, point_of, pt,
+                                     region)
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
@@ -741,7 +742,8 @@ def _boundary_starts(model):
             if len(ends) == 2:
                 out.append(ends[0] + (ends[1] - ends[0]) * Fraction(1, 3))
             elif len(ends) == 1:
-                out.append(ends[0] + segment.recession_direction())
+                d = segment.recession_direction()
+                out.append(point_of(moved(homogeneous(ends[0], d[2]), d)))
     return out
 
 

@@ -113,11 +113,11 @@ def kernel_coordinates(polygon):
     for chirality in Chirality:
         for tile in build_partition(polygon, chirality).tiles:
             r = tile.region
-            points = list(r.vertices()) + [r.interior_point(), r.interior_point(Rng(3), 1)]
-            points += map(geometry.point_of, (r if r.is_bounded() else r.intersect(clip))
-                          .sample_points(2, seed=5))
+            triples = [r.interior_point(), r.interior_point(Rng(3), 1)]
+            triples += (r if r.is_bounded() else r.intersect(clip)).sample_points(2, seed=5)
             if r.recession_direction() is not None:
-                points.append(r.recession_direction())
+                triples.append(r.recession_direction())
+            points = list(r.vertices()) + list(map(geometry.point_of, triples))
             for p in points:
                 yield p.x
                 yield p.y

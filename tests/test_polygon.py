@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from oracles import signed_offset
+from test_billiards import CORPUS, corpus_polygon
 from outerbilliards.errors import (
     DegenerateVerticesError,
     NotConvexError,
@@ -21,7 +23,7 @@ from outerbilliards.polygon import (
     parse_polygon,
     polygon_to_text,
 )
-from outerbilliards.scalars import quadext
+from outerbilliards.scalars import SCALAR_DIGITS, quadext
 
 TRIANGLE = [pt(0, 0), pt(1, 3), pt(4, 0)]
 
@@ -196,3 +198,18 @@ def test_random_nice_polygon_golden():
     cases += [(5, s) for s in range(9000, 9004)]
     text = "".join(polygon_to_text(random_nice_polygon(n, s)) for n, s in cases)
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_GOLDEN
+
+
+def test_lattice_bound_refuses_a_denominator_past_it():
+    """`NicePolygon` refuses a lattice denominator `den` (the lcm of the
+    coordinates' denominators) of 10**SCALAR_DIGITS or more: 2**1000 * 5**999
+    is admitted, 2**1000 * 5**1000 = 10**1000 is not.  Every CORPUS polygon
+    is admitted."""
+    def triangle(q):
+        return NicePolygon.from_points([pt(0, 0), pt(1 + Fraction(1, 2 ** 1000), 3),
+                                        pt(4, Fraction(1, q))])
+
+    assert triangle(5 ** 999).den == 2 * 10 ** 999
+    with pytest.raises(PolygonError, match=r"10\*\*1000"):
+        triangle(5 ** 1000)
+    assert all(corpus_polygon(key).den < 10 ** SCALAR_DIGITS for key in CORPUS)

@@ -2,13 +2,15 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
+import textwrap
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
-from oracles import point_route_structure2
+from oracles import point_route_structure2, point_strip_approach, point_tile_samples
 from outerbilliards import dynamics, strips, verify
 from outerbilliards.dynamics import pinwheel_theorem_step
 from outerbilliards.errors import (
@@ -397,23 +399,77 @@ def test_structure2_matches_point_route(monkeypatch, poly_key):
         assert got is not None and got == want
 
 
+@pytest.mark.parametrize("poly_key", CORPUS)
+def test_samples_beyond_k_match_point_route(poly_key, monkeypatch):
+    """The samples beyond K, born as lattice triples, equal in value and
+    scalar type those of the Point route (`oracles.point_tile_samples`,
+    `oracles.point_strip_approach`): every unbounded tile's `tile_samples`
+    for counts 1-6 and three seeds, at the default radii scale and the far
+    radius, and every strip-approach point `check_pinwheel_theorem` hands to
+    ψ⁻¹, over Q and Q(sqrt 5)."""
+    model = BilliardModel(corpus_polygon(poly_key))
+    far = dynamics.far_radius(model, factor=1)
+    unbounded = [t for t in model.partition.tiles if t.unbounded]
+    assert len(unbounded) == 2 * model.n
+    for seed in (0, 1, 5):
+        for t_i, tile in enumerate(unbounded):
+            for count in range(1, 7):
+                r = Rng(seed).split(t_i, count)
+                for scale in ((), (far,)):
+                    got = tuple(map(point_of, verify.tile_samples(model, tile, count, r, *scale)))
+                    want = tuple(point_tile_samples(tile, count, r, *scale))
+                    assert repr(got) == repr(want), (seed, tile.label, count, scale)
+        starts = []
+        walk = verify.psi_walk
+
+        def recording(polygon, here, *chirality):
+            starts.append(point_of(here))
+            return walk(polygon, here, *chirality)
+
+        monkeypatch.setattr(verify, "psi_walk", recording)
+        check_pinwheel_theorem(model, samples=1, seed=seed)
+        monkeypatch.setattr(verify, "psi_walk", walk)
+        assert repr(starts) == repr(point_strip_approach(model, seed))
+
+
+@pytest.mark.parametrize("owner, name, edits", [
+    (Rng, "draw", [("one = lo, hi, 2 << 32", "one = lo, hi, 1 << 32")]),
+    (verify, "tile_samples", [("rng.split(11, i), i)", "rng, i)"),
+                              ("rng.draw(1000 + i,", "rng.split(11, i).draw(1000 + i,")]),
+], ids=["halved-denominator", "swapped-streams"])
+def test_sample_parity_catches_broken_draws(monkeypatch, owner, name, edits):
+    """Negative controls: draws over 2^32 in place of 2^33, and the ray
+    samples' base point and distance drawn from each other's streams, must
+    each fail the parity test."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    namespace = dict(vars(inspect.getmodule(getattr(owner, name))))
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    exec(source, namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    with pytest.raises(AssertionError):
+        test_samples_beyond_k_match_point_route("n5", monkeypatch)
+
+
 # sha256 of `run_all(polygon, profile="full", seed=1)`'s reports as compact
-# sorted-key JSON, on three of the benchmark's verify polygons: the seeded
+# sorted-key JSON, on four of the benchmark's verify polygons: the seeded
 # random n5 and n12 (`random_nice_polygon(n, 7000 + 10 * n)`) and the kite with
-# apex sqrt 5; recorded before the sampled checks drew their samples as
-# lattice triples and read p's tile and psi(p)'s off one ψ walk
+# apex sqrt 5, recorded before the sampled checks drew their samples as
+# lattice triples and read p's tile and psi(p)'s off one ψ walk; and the
+# Penrose kite, whose unbounded tiles draw their ray samples over Q(sqrt 5),
+# recorded while those samples and the strip-approach points were Points
 FULL_PROFILE_GOLDEN = {
     5: "fa5fbd5f6929801a2f81f571dad81b37aaba2c8a31bbdb1e6b8c2340757edf70",
     12: "2117074058eac2e7e3fc68db05c81ac2c05a731693a139e5e93ba313251ae299",
     "sqrt5_kite": "523b46354fb686652d3956d28929d7e34e908b36a33715873716ceaca50bd436",
+    "penrose_kite": "5bb301e3c1580b79c2aaff383d907530480cb987e3a3a51f2ce025048230ea74",
 }
 
 
 @pytest.mark.parametrize("key", list(FULL_PROFILE_GOLDEN))
 def test_full_profile_reports_golden(key):
-    from test_quasirational import sqrt5_kite
-
-    polygon = (sqrt5_kite() if key == "sqrt5_kite"
+    polygon = (corpus_polygon(key) if isinstance(key, str)
                else random_nice_polygon(key, 7000 + 10 * key))
     reports = run_all(polygon, profile="full", seed=1)
     text = json.dumps([r.to_json() for r in reports], sort_keys=True, separators=(",", ":"))
