@@ -9,7 +9,7 @@ integer lattice: the entry points take a Point to its lattice triple once
 (`NicePolygon.homogeneous`) and divide out only the result.
 The regions of constancy are convex tiles, computed here exactly as cone(v)
 intersected with the point reflection of cone(w) through v; each tile is
-open and carries its translation vector.
+open and carries its translation vector as a lattice triple.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .geometry import (
     Line,
     Point,
     Sense,
-    Vec,
     point_of,
     region,
 )
@@ -162,7 +161,7 @@ class Tile:
 
     v_index: int
     w_index: int
-    translation: Vec            # the square map moves interior points by this
+    translation: tuple          # (TX, TY, den): 2*(w - v) on P's lattice, the map's move
     region: ConvexRegion
 
     @property
@@ -207,22 +206,20 @@ class Partition:
 def build_partition(polygon: NicePolygon,
                     chirality: Chirality = Chirality.RIGHT) -> Partition:
     """Construct every nonempty tile cone(v) * (2v - cone(w)) exactly."""
-    n = polygon.n
+    n, den = polygon.n, polygon.den
     cones = [primary_cone(polygon, i, chirality) for i in range(n)]
     tiles = []
-    for vi in range(n):
-        v = polygon.vertices[vi]
-        for wi in range(n):
+    for vi, (vx, vy) in enumerate(polygon.lattice):
+        for wi, (wx, wy) in enumerate(polygon.lattice):
             if wi == vi:
                 continue
-            r = cones[vi].intersect(cones[wi].point_reflect(v))
+            r = cones[vi].intersect(cones[wi].point_reflect((vx, vy, den)))
             if r.is_empty:
                 continue
-            w = polygon.vertices[wi]
             tiles.append(Tile(
                 v_index=vi,
                 w_index=wi,
-                translation=(w - v) * 2,
+                translation=(2 * (wx - vx), 2 * (wy - vy), den),
                 region=r,
             ))
     return Partition(polygon, chirality, tuple(tiles))

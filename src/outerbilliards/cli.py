@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .dynamics import ORBIT_MAPS, SECTION_SELECTORS, orbit, section
 from .errors import AnnulusNotFoundError, MapUndefinedError, ParseError, PolygonError
 from .generate import random_nice_polygon
-from .geometry import Point
+from .geometry import Point, point_of
 from .model import BilliardModel
 from .polygon import parse_polygon
 from .quasirational import boundedness_certificate, quasi_analyze
@@ -74,7 +75,7 @@ def _emit(doc, path=None):
         sys.stdout.write(text)
 
 
-def _pt_json(p):  # a Point or a Vec
+def _pt_json(p):  # a Point
     return [scalar_to_json(p.x), scalar_to_json(p.y)]
 
 
@@ -91,9 +92,9 @@ def cmd_validate(args) -> int:
             "index": p.index + 1,
             "edge": p.edge_index + 1,
             "width": scalar_to_json(p.width),
-            "v": _pt_json(p.v),
-            "w": _pt_json(p.w),
-            "V": _pt_json(p.V),
+            "v": _pt_json(poly.vertices[p.v_index]),
+            "w": _pt_json(poly.vertices[p.w_index]),
+            "V": _pt_json(point_of(p.V)),
             "special": p.special,
         })
     _emit({
@@ -118,7 +119,7 @@ def cmd_partition(args) -> int:
             entry = {
                 "side": side,
                 "label": [t.v_index + 1, t.w_index + 1],
-                "translation": _pt_json(t.translation),
+                "translation": _pt_json(point_of(t.translation)),
                 "bounded": not t.unbounded,
                 "constraints": [
                     {"a": scalar_to_json(h.line.a), "b": scalar_to_json(h.line.b),
@@ -136,9 +137,9 @@ def cmd_partition(args) -> int:
             "path": p.display(),
             "involved": [i % poly.n + 1 for i in p.involved],
             "special": [model.system.pair(i).special for i in p.involved],
-            "W": {str(i % poly.n + 1): _pt_json(w)
+            "W": {str(i % poly.n + 1): _pt_json(point_of(w))
                   for i, w in sorted(p.steps.items())},
-            "endpoints": [_pt_json(p.first_vertex), _pt_json(p.last_vertex)],
+            "endpoints": [_pt_json(point_of(p.first_vertex)), _pt_json(point_of(p.last_vertex))],
         })
     doc = {"schema": "partition/1", "n": poly.n, "tiles": tiles, "paths": paths}
     if args.json or not args.svg:
@@ -159,7 +160,7 @@ def cmd_classify(args) -> int:
         "schema": "classify/1",
         "label": [tile.v_index + 1, tile.w_index + 1],
         "path": path.display(),
-        "translation": _pt_json(tile.translation),
+        "translation": _pt_json(point_of(tile.translation)),
         "bounded": not tile.unbounded,
     })
     return EXIT_OK
@@ -277,7 +278,12 @@ def cmd_quasi(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is an input error: a JSON error on stdout, exit code 2."""
+    """A usage error is an input error: a JSON error on stdout, exit code 2.
+    An argument that starts with '-' and a digit is a value (`--point -5,3`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
         raise SystemExit(_fail(f"{self.prog}: {message}"))

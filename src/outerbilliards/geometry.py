@@ -132,6 +132,13 @@ def point_of(p) -> Point:
     return Point(div(X, L), div(Y, L))
 
 
+def vec_of(v) -> Vec:
+    """The vector with triple v = (VX, VY, q) divided out to a `Vec`, as
+    `point_of` divides out a point: for output only."""
+    p = point_of(v)
+    return Vec(p.x, p.y)
+
+
 def least_sign(forms, here) -> int:
     """The least sign of a*X + b*Y - c*L over the integer forms (a, b, c) at
     the lattice triple here = (X, Y, L): +1 strictly inside all of them, 0 on
@@ -627,11 +634,14 @@ class ConvexRegion:
     # A rigid motion of a canonical region is canonical: the moved constraints,
     # vertices and rays are built directly, and the kernel does not run again.
 
-    def translate(self, v: Vec) -> "ConvexRegion":
-        return self._motion(1, homogeneous(v))
+    def translate(self, v) -> "ConvexRegion":
+        """The region moved by the vector with triple v = (VX, VY, q) (`moved`)."""
+        return self._motion(1, v)
 
-    def point_reflect(self, center: Point) -> "ConvexRegion":
-        return self._motion(-1, homogeneous(Vec(2 * center.x, 2 * center.y)))
+    def point_reflect(self, center) -> "ConvexRegion":
+        """The region turned half a turn about the point with lattice triple center."""
+        X, Y, L = center
+        return self._motion(-1, (2 * X, 2 * Y, L))
 
     def _motion(self, k: int, t) -> "ConvexRegion":
         """The image under p -> k*p + t, k = +-1, t = (X, Y, L) a lattice triple."""

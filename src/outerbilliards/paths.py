@@ -18,15 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .billiards import Partition
 from .errors import IndexOutOfRangeError, NotAdmissiblePairError
-from .geometry import Point, Vec
+from .geometry import moved
 from .strips import PinwheelSystem
-
-ZERO_VEC = Vec(Fraction(0), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -36,18 +33,19 @@ class AdmissiblePath:
     steps maps each lifted index in [start, end_lifted] to the vector from the
     traversal's entry endpoint of that spoke to its exit endpoint; skipped
     (special interior) spokes map to the zero vector.  Twice each step is the
-    translation the square map contributes at that spoke.
+    translation the square map contributes at that spoke.  Steps, endpoint
+    vertices and prefix sums are triples over den on P's lattice (`moved`).
     """
 
     start: int                         # a, reduced index
     end_lifted: int                    # b', start <= b' < start + n
     n: int
     involved: Tuple[int, ...]          # lifted indices actually traversed
-    steps: Dict[int, Vec]
+    steps: Dict[int, tuple]
     first_vertex_index: int
     last_vertex_index: int
-    first_vertex: Point
-    last_vertex: Point
+    first_vertex: tuple
+    last_vertex: tuple
 
     @property
     def end(self) -> int:
@@ -67,21 +65,22 @@ class AdmissiblePath:
     def endpoint_pair(self) -> Tuple[int, int]:
         return (self.first_vertex_index, self.last_vertex_index)
 
-    def displacement(self) -> Vec:
+    def displacement(self) -> tuple:
         """Sum of twice the step vectors; telescopes to 2*(w - v)."""
         return self.prefix_sum(self.end_lifted)
 
     @cached_property
-    def prefix_sums(self) -> Tuple[Vec, ...]:
+    def prefix_sums(self) -> Tuple[tuple, ...]:
         """Entry i is twice the step-vector sum over lifted indices
         start..start+i, from one telescoping pass."""
-        sums: List[Vec] = []
+        total = (0, 0, self.first_vertex[2])
+        sums = []
         for i in range(self.start, self.end_lifted + 1):
-            term = self.steps[i] * 2
-            sums.append(sums[-1] + term if sums else term)
+            total = moved(total, self.steps[i], 2)
+            sums.append(total)
         return tuple(sums)
 
-    def prefix_sum(self, k: int) -> Vec:
+    def prefix_sum(self, k: int) -> tuple:
         """Sum of twice the step vectors for indices start..k."""
         if not (self.start <= k <= self.end_lifted):
             raise IndexOutOfRangeError(
@@ -118,36 +117,37 @@ class PathFamily:
 
 def enumerate_paths(system: PinwheelSystem) -> PathFamily:
     """Walk every start spoke, emitting odd non-wrapping prefixes."""
-    n = system.n
-    out: List[AdmissiblePath] = []
-    for a in range(n):
-        out.extend(_walk_from(system, a))
-    family = PathFamily(system, tuple(out))
+    family = PathFamily(system, tuple(p for a in range(system.n) for p in _walk_from(system, a)))
     for p in family.paths:
-        expect = (p.last_vertex - p.first_vertex) * 2
-        if p.displacement() != expect:
+        (fx, fy, den), (lx, ly, _) = p.first_vertex, p.last_vertex
+        if p.displacement() != (2 * (lx - fx), 2 * (ly - fy), den):
             raise AssertionError(f"displacement identity fails for {p.display()}")
     return family
 
 
 def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
-    n = system.n
+    n, den = system.n, system.polygon.den
+    vertex = [(X, Y, den) for X, Y in system.polygon.lattice]
+
+    def step(i, j):  # vertex j - vertex i
+        return moved(vertex[j], vertex[i], -1)
+
     first = system.pair(a)
     v0_index = first.v_index
     paths: List[AdmissiblePath] = []
 
-    def emit(end_lifted, involved, steps, last_index, last_point):
+    def emit(end_lifted, involved, steps, last_index):
         paths.append(AdmissiblePath(
             start=a, end_lifted=end_lifted, n=n,
             involved=tuple(involved), steps=dict(steps),
             first_vertex_index=v0_index, last_vertex_index=last_index,
-            first_vertex=first.v, last_vertex=last_point,
+            first_vertex=vertex[v0_index], last_vertex=vertex[last_index],
         ))
 
     involved = [a]
-    steps: Dict[int, Vec] = {a: first.w - first.v}
-    current_index, current_point = first.w_index, first.w
-    emit(a, involved, steps, current_index, current_point)
+    steps = {a: step(first.v_index, first.w_index)}
+    current_index = first.w_index
+    emit(a, involved, steps, current_index)
 
     for j in range(a + 1, a + n):
         s = system.pair(j)
@@ -157,12 +157,12 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
                 raise AssertionError(
                     f"special spoke {j % n} met at its tail in walk from {a}")
             involved.append(j)
-            steps[j] = s.w - s.v
-            current_index, current_point = s.w_index, s.w
+            steps[j] = step(s.v_index, s.w_index)
+            current_index = s.w_index
             if len(involved) % 2 == 1:
                 if current_index == v0_index:
                     break  # wrapped all the way around the polygon
-                emit(j, involved, steps, current_index, current_point)
+                emit(j, involved, steps, current_index)
         elif s.w_index == current_index:
             # special spoke: may terminate the path backward, else is skipped
             if not s.special:
@@ -172,9 +172,9 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
                 if s.v_index == v0_index:
                     break
                 end_steps = dict(steps)
-                end_steps[j] = s.v - s.w
-                emit(j, involved + [j], end_steps, s.v_index, s.v)
-            steps[j] = ZERO_VEC  # skipped: the current vertex stays put
+                end_steps[j] = step(s.w_index, s.v_index)
+                emit(j, involved + [j], end_steps, s.v_index)
+            steps[j] = (0, 0, den)  # skipped: the current vertex stays put
         else:
             raise AssertionError(
                 f"spoke {j % n} not incident to the walk vertex from start {a}")
@@ -195,8 +195,8 @@ def link_partition(partition: Partition, family: PathFamily) -> Partition:
     return partition
 
 
-def apex_sequence(path: AdmissiblePath) -> Tuple[Point, ...]:
-    """Points v, v + 2*W_a, v + 2*(W_a + W_{a+1}), ...; entry i >= 1 is the
-    prefix through lifted index start + i - 1."""
+def apex_sequence(path: AdmissiblePath) -> Tuple[tuple, ...]:
+    """Points v, v + 2*W_a, v + 2*(W_a + W_{a+1}), ... as triples over den;
+    entry i >= 1 is the prefix through lifted index start + i - 1."""
     v = path.first_vertex
-    return (v,) + tuple(v + shift for shift in path.prefix_sums)
+    return (v,) + tuple(moved(v, shift) for shift in path.prefix_sums)

@@ -88,7 +88,7 @@ class NecklaceSpec:
     j: int
     m: int
     shift: Vec                     # vector parallel to edge j spanning strip j+1
-    pair: PinwheelPair             # strip j; its centre vertex is pair.w
+    pair: PinwheelPair             # strip j; its centre vertex is pair.w_index
     polygon: NicePolygon           # P
     lo: Scalar                     # axis range of P and Q together
     hi: Scalar
@@ -179,7 +179,7 @@ def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
     strip-(j+1) offset increases by one width."""
     pj = system.pair(j)
     nxt = system.pair(j + 1)
-    d = pj.v - system.polygon.vertex(pj.edge_index)  # v is the edge's head
+    d = system.polygon.vertex(pj.edge_index + 1) - system.polygon.vertex(pj.edge_index)
     t = nxt.width / (nxt.line.a * d.x + nxt.line.b * d.y)
     return d * t
 

@@ -15,7 +15,7 @@ from functools import cmp_to_key
 from typing import Tuple
 
 from .errors import OnStripBoundaryError
-from .geometry import Line, Point, Vec, homogeneous, moved, point_of, slope_angle_cmp
+from .geometry import Line, moved, point_of, slope_angle_cmp
 from .polygon import NicePolygon
 from .scalars import Scalar, floor_div, primitive, ratio, sign
 
@@ -33,17 +33,12 @@ class PinwheelPair:
     width: Scalar           # offset a*x + b*y - c of the far line L'; always > 0
     v_index: int            # head vertex of the edge
     w_index: int            # vertex farthest from L, on the centerline
-    v: Point
-    w: Point
-    V: Vec                  # 2*(w - v); translation spanning the strip
+    V: Tuple                # 2*(w - v) as (VX, VY, den) on P's lattice; spans the strip
     special: bool           # spoke v -> w shares a vertex with both neighbours
-    # (VX, VY, q): V = (VX/q, VY/q), q | the polygon's den
-    V_ints: Tuple = field(init=False, repr=False, compare=False)
     # (a, b, c, wn, wq): L's integer form, and s*width = wn/wq, wq | den
     form: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "V_ints", homogeneous(self.V))
         object.__setattr__(self, "form", self.line.ints
                            + (self.width * self.line.s).as_integer_ratio())
 
@@ -104,8 +99,7 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
     ends = [{(i + 1) % n, far} for _, i, _, far, _ in entries]
     pairs = []
     for j, (_, i, line, far, width) in enumerate(entries):
-        v = polygon.vertex(i + 1)
-        w = polygon.vertices[far]
+        (vx, vy), (wx, wy) = polygon.lattice[(i + 1) % n], polygon.lattice[far]
         pairs.append(PinwheelPair(
             index=j,
             edge_index=i,
@@ -113,9 +107,7 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
             width=width,
             v_index=(i + 1) % n,
             w_index=far,
-            v=v,
-            w=w,
-            V=(w - v) * 2,
+            V=(2 * (wx - vx), 2 * (wy - vy), polygon.den),
             special=bool(ends[j - 1] & ends[j] & ends[(j + 1) % n]),
         ))
 
@@ -137,7 +129,7 @@ def strip_map(pair: PinwheelPair, p):
     """One application of the strip map to the lattice triple p = (X, Y, L)
     (`NicePolygon.homogeneous`): identity strictly inside the slab (p itself
     is returned), otherwise the translate by +-V that is strictly closer to
-    the slab (`moved` by V_ints, whose q divides L).  V moves the offset by
+    the slab (`moved` by V, whose den divides L).  V moves the offset by
     exactly one width, so that translate is +V below the slab and -V above
     it; the result may still be outside.  Undefined on the slab boundary
     (the error carries the Point)."""
@@ -147,7 +139,7 @@ def strip_map(pair: PinwheelPair, p):
         raise OnStripBoundaryError(point_of(p), stage=pair.index)
     if near > 0 > far:
         return p
-    return moved(p, pair.V_ints, -near)
+    return moved(p, pair.V, -near)
 
 
 def strip_jump(pair: PinwheelPair, p):
@@ -165,7 +157,7 @@ def strip_jump(pair: PinwheelPair, p):
         if t == 0:
             raise OnStripBoundaryError(point_of(p), stage=pair.index)
         return p, 0
-    here = moved(p, pair.V_ints, k)
+    here = moved(p, pair.V, k)
     if t + k * w == 0:  # the landing offset, in [0, w), is 0
         raise OnStripBoundaryError(point_of(here), stage=pair.index)
     return here, abs(k)

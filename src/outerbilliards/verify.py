@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from itertools import islice
+from itertools import groupby, islice
 from typing import List, Optional, Tuple
 
 from .billiards import Chirality, psi_walk
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import Point, homogeneous, lifted, moved, point_of
+from .geometry import Point, lifted, moved, point_of, vec_of
 from .model import BilliardModel
 from .paths import PathFamily, apex_sequence
 from .polygon import NicePolygon
@@ -114,15 +114,9 @@ def _structure2_realization(model: BilliardModel, tile, here, orbit):
         used = orbit.index((orbit[-1][0], (path.end_lifted - 1) % n), 0, 2 * n) + 1
     except ValueError:
         return (f"(psi(p), b-1) within {2 * n} pinwheel steps", "not reached")
-    expected = [here]
-    for shift in path.prefix_sums:
-        nxt = moved(here, homogeneous(shift))
-        if nxt != expected[-1]:
-            expected.append(nxt)
-    trace = expected[:1]
-    for here, _ in orbit[:used]:
-        if here != trace[-1]:
-            trace.append(here)
+    # each with its consecutive repeats collapsed
+    expected = [q for q, _ in groupby([here] + [moved(here, s) for s in path.prefix_sums])]
+    trace = [q for q, _ in groupby([here] + [state for state, _ in orbit[:used]])]
     if trace != expected:
         planar = [[point_of(t) for t in pts] for pts in (expected, trace)]
         return (f"planar trace {planar[0]}", f"{planar[1]}")
@@ -226,15 +220,14 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
     def moves(tile, path):
         # move: exact displacement identity per tile
         if path.displacement() != tile.translation:
-            return path.display(), f"displacement {tile.translation}", f"{path.displacement()}"
+            return (path.display(), f"displacement {vec_of(tile.translation)}",
+                    f"{vec_of(path.displacement())}")
         verts = tile.region.vertices()
         corners = [model.polygon.homogeneous(v) for v in verts]
         # pin1: translated closed tile inside each closed strip, on vertices
-        for k in range(path.start, path.end_lifted):
-            shift = homogeneous(path.prefix_sum(k))
-            pair = model.system.pair(k)
+        for k, shift in zip(range(path.start, path.end_lifted), path.prefix_sums):
             for v, here in zip(verts, corners):
-                if pair.location(moved(here, shift)) < 0:
+                if model.system.pair(k).location(moved(here, shift)) < 0:
                     return (path.display(), "closed containments",
                             f"vertex {v} + prefix({k}) outside strip {k % n}")
         # bounded depth: the tile sits within half a width of its start strip
@@ -245,12 +238,12 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
                         f"vertex {v} deeper than half the width of strip {path.start}")
         return None
 
-    def acts(s, path, shift, want):
+    def acts(s, path, shift, step):
         here = moved(lifted(s, model.polygon.den), shift)
-        got = strip_map(model.system.pair(path.end_lifted), here)
-        if got != moved(here, homogeneous(want)):
-            return (repr(point_of(s)), f"mu_{path.end_lifted % n} adds {want}",
-                    f"{point_of(got) - point_of(here)}")
+        got, want = strip_map(model.system.pair(path.end_lifted), here), moved(here, step, 2)
+        if got != want:
+            return (repr(point_of(s)), f"mu_{path.end_lifted % n} adds "
+                    f"{point_of(want) - point_of(here)}", f"{point_of(got) - point_of(here)}")
         return None
 
     idx = 0
@@ -268,10 +261,9 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
             continue
         # pin2: the b-th strip map acts by the doubled terminal step
         if path.span >= 1:
-            shift = homogeneous(path.prefix_sum(path.end_lifted - 1))
-            want = path.steps[path.end_lifted] * 2
+            shift, step = path.prefix_sum(path.end_lifted - 1), path.steps[path.end_lifted]
             pts = tile.region.sample_points(samples_per_tile, seed=rng.u64(idx) & 0xFFFF)
-            if any(rep.judge(idx, acts, s, path, shift, want) is False for s in pts):
+            if any(rep.judge(idx, acts, s, path, shift, step) is False for s in pts):
                 continue
         rep.valid += 1
     return rep
@@ -285,7 +277,7 @@ def check_apex(model: BilliardModel) -> CheckReport:
 
     def contained(path):
         for i, q in enumerate(apex_sequence(path)[1:]):
-            if model.system.pair(path.start + i).location(model.polygon.homogeneous(q)) < 0:
+            if model.system.pair(path.start + i).location(q) < 0:
                 return (path.display(), "closed strip containment",
                         f"apex point {i} of {path.display()} outside "
                         f"closed strip {(path.start + i) % n}")
@@ -362,7 +354,7 @@ def _conjugate_laws(model: BilliardModel, rep: CheckReport):
     j -> c + 1 - j (one extra shift), special flags preserved, vectors
     matching up to the orientation of the endpoint correspondence.  Strips
     compare by `PinwheelPair.form`; the reflection of (a, b, c, wn, wq) is
-    (a, -b, c, wn, wq)."""
+    (a, -b, c, wn, wq).  Spokes compare on the two lattices, of one den."""
     n = model.n
     reflected = NicePolygon.from_points(
         [Point(v.x, -v.y) for v in model.polygon.vertices])
@@ -375,22 +367,21 @@ def _conjugate_laws(model: BilliardModel, rep: CheckReport):
         return
     c = hits[0]
     rep.notes.append(f"conjugate index origin c = {c}")
+    mine_at, theirs_at = model.polygon.lattice, other.polygon.lattice
 
     def reflects(j):
         if theirs[(c - j) % n] != mine[j]:
             return f"strip {j}", f"reflects onto strip {(c - j) % n}", "mismatch"
         k = (c + 1 - j) % n
         s, s2 = model.system.pair(j), other.system.pair(k)
-        rt = Point(s.v.x, -s.v.y)
-        rh = Point(s.w.x, -s.w.y)
-        if {s2.v, s2.w} != {rt, rh}:
+        rt, rh = ((x, -y) for x, y in (mine_at[s.v_index], mine_at[s.w_index]))
+        if {theirs_at[s2.v_index], theirs_at[s2.w_index]} != {rt, rh}:
             return f"spoke {j}", f"reflects onto spoke {k}", "endpoint mismatch"
         if s.special != s2.special:
             return f"spoke {j}", "special flag preserved", f"{s2.special}"
-        refl_v = (s.V.x, -s.V.y)
-        plus = refl_v == (s2.V.x, s2.V.y)
-        minus = refl_v == (-s2.V.x, -s2.V.y)
-        if not (plus or minus) or plus != (rt == s2.v):
+        (VX, VY, _), (UX, UY, _) = s.V, s2.V
+        plus, minus = ((VX, -VY) == (k * UX, k * UY) for k in (1, -1))
+        if not (plus or minus) or plus != (rt == theirs_at[s2.v_index]):
             return (f"spoke {j}", "V reflects onto +-V with matching tails",
                     f"plus={plus} minus={minus}")
         return None
@@ -534,10 +525,12 @@ def negative_controls(polygon: NicePolygon, seed: int = 0) -> List[CheckReport]:
 
     # 2. flip the terminal step sign of every path: the displacement
     # identity must break (it runs before pin2, so pin2 is never reached)
+    def flip(p):
+        X, Y, q = p.steps[p.end_lifted]
+        return dataclasses.replace(p, steps={**p.steps, p.end_lifted: (-X, -Y, q)})
+
     flipped = BilliardModel(polygon)
-    flipped.paths = PathFamily(model.system, tuple(
-        dataclasses.replace(p, steps={**p.steps, p.end_lifted: -p.steps[p.end_lifted]})
-        for p in model.paths.paths))
+    flipped.paths = PathFamily(model.system, tuple(map(flip, model.paths.paths)))
     rep = check_pin1_pin2_move(flipped, samples_per_tile=6, seed=seed)
     rep.check = "negative-control-flipped-terminal"
     out.append(rep)

@@ -18,8 +18,8 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, Vec,
-                                     _one_dim_interval, integer_form, point_of, region,
-                                     signed_area2)
+                                     _one_dim_interval, homogeneous, integer_form, point_of,
+                                     region, signed_area2, vec_of)
 from outerbilliards.quasirational import necklace, necklace_shift, quasi_analyze
 from outerbilliards.rng import Rng
 from outerbilliards.strips import strip_map
@@ -208,7 +208,7 @@ def transfer_ratio(system, j: int):
     |lambda| always equals A_j / A_{j+1}; the sign says on which side of the
     polygon the carried ring lands.  The cycle product of the signs is -1.
     """
-    lhs = necklace_shift(system, j) - system.pair(j + 1).V
+    lhs = necklace_shift(system, j) - vec_of(system.pair(j + 1).V)
     rhs = necklace_shift(system, (j + 1) % system.n)
     lam = lhs.x / rhs.x if rhs.x != 0 else lhs.y / rhs.y
     assert lhs.x == lam * rhs.x and lhs.y == lam * rhs.y
@@ -255,7 +255,7 @@ def point_strip_map(pair, p: Point) -> Point:
         raise OnStripBoundaryError(p, stage=pair.index)
     if near > 0 > far:
         return p
-    return p + pair.V if near < 0 else p - pair.V
+    return p + vec_of(pair.V) if near < 0 else p - vec_of(pair.V)
 
 
 def _point_step(system, point: Point, index: int) -> Tuple[Point, int]:
@@ -272,7 +272,7 @@ def point_route_theorem_step(model, p: Point) -> Tuple[Point, int, int]:
     psi(p); returns (psi(p), steps used, a)."""
     n = model.n
     tile = model.partition.classify(model.polygon.homogeneous(p))
-    q = p + tile.translation
+    q = p + vec_of(tile.translation)
     a = model.path_of_tile(tile).start
     point, index = p, (a - 1) % n
     target = section(model, q)
@@ -295,7 +295,7 @@ def point_route_structure2(model, tile, p: Point, q: Point):
     target_index = (path.end_lifted - 1) % n
     expected = [p]
     for shift in path.prefix_sums:
-        nxt = p + shift
+        nxt = p + vec_of(shift)
         if nxt != expected[-1]:
             expected.append(nxt)
     trace = [p]
@@ -325,13 +325,18 @@ def point_strip_jump(pair, p: Point) -> Tuple[Point, int]:
             raise OnStripBoundaryError(p, stage=pair.index)
         return p, 0
     if steps > 0:
-        q = p + pair.V * steps
+        q = p + vec_of(pair.V) * steps
     else:
         steps = -steps
-        q = p - pair.V * steps
+        q = p - vec_of(pair.V) * steps
     if scalar_location(pair, q) != 1:
         raise OnStripBoundaryError(q, stage=pair.index)
     return q, steps
+
+
+def centre(ring) -> Point:
+    """The ring's strip's centre vertex w, as a `Point`."""
+    return ring.polygon.vertices[ring.pair.w_index]
 
 
 def pulled_back_in_p(ring, p: Point) -> bool:
@@ -344,7 +349,7 @@ def pulled_back_in_p(ring, p: Point) -> bool:
 def pulled_back_in_q(ring, p: Point) -> bool:
     """`NecklaceSpec.in_q` by pulling p back to P: p - m*shift reflected
     through the strip's centre vertex, asked of the polygon."""
-    back = reflected(p - ring.shift * ring.m, ring.pair.w)
+    back = reflected(p - ring.shift * ring.m, centre(ring))
     return ring.polygon.point_location(back) > 0
 
 
@@ -371,8 +376,8 @@ def placed_samples(ring, base, kind: str, count: int, seed: int):
     """A ring copy's samples by the region route: P's region `base` moved
     onto the copy (turned about the strip's centre vertex for kind "Q", then
     translated by m*shift) and sampled there."""
-    region = base.point_reflect(ring.pair.w) if kind == "Q" else base
-    moved = region.translate(ring.shift * ring.m)
+    region = base.point_reflect(homogeneous(centre(ring))) if kind == "Q" else base
+    moved = region.translate(homogeneous(ring.shift * ring.m))
     return tuple(map(point_of, moved.sample_points(count, seed=seed)))
 
 
@@ -386,7 +391,7 @@ def q_vertices(ring) -> Tuple[Point, ...]:
     """The vertices of the ring's copy (P turned 180 degrees about its
     centre vertex) + m*shift, on `Point`s."""
     offset = ring.shift * ring.m
-    return tuple(reflected(v, ring.pair.w) + offset for v in ring.polygon.vertices)
+    return tuple(reflected(v, centre(ring)) + offset for v in ring.polygon.vertices)
 
 
 def fraction_frame(system, j: int):
@@ -398,15 +403,15 @@ def fraction_frame(system, j: int):
     a*x + b*y > c of P has D = a*sx + b*sy; its turned copy on Q is
     -a*x - b*y > c - 2(a*cx + b*cy) with -D, (cx, cy) the centre vertex."""
     pair, polygon = system.pair(j), system.polygon
-    d = necklace_shift(system, j)
+    d, w = necklace_shift(system, j), polygon.vertices[pair.w_index]
     vals = [d.dot(v) for v in polygon.vertices]
     lo, hi = min(vals), max(vals)
-    twice_center = 2 * d.dot(pair.w)
+    twice_center = 2 * d.dot(w)
     lo, hi = min(lo, twice_center - hi), max(hi, twice_center - lo)
     dd = d.dot(d)
     rates = [(e, e.a * d.x + e.b * d.y) for e in polygon.edges]
     p_forms = tuple(integer_form(e.a, e.b, e.c, D) for e, D in rates)
-    q_forms = tuple(integer_form(-e.a, -e.b, e.c - 2 * (e.a * pair.w.x + e.b * pair.w.y), -D)
+    q_forms = tuple(integer_form(-e.a, -e.b, e.c - 2 * (e.a * w.x + e.b * w.y), -D)
                     for e, D in rates)
     extent = (integer_form(d.x, d.y, lo, -dd), integer_form(-d.x, -d.y, -hi, -dd))
     windows = ((integer_form(d.x, d.y, hi, 0), integer_form(-d.x, -d.y, -lo, -dd)),
@@ -530,3 +535,58 @@ def point_strip_approach(model, seed: int) -> list:
             out.append(Point(a * (c + off) / (a * a + b * b) - b * along,
                              b * (c + off) / (a * a + b * b) + a * along))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Vec route of the pinwheel model's vectors: V, path steps, prefix sums,
+# displacements, apex points and tile translations read off P's vertices as
+# `Vec`s and `Point`s, as pairs, paths and tiles carried them before they
+# carried lattice triples
+
+ZERO_VEC = Vec(Fraction(0), Fraction(0))
+
+
+def pair_V(polygon, pair) -> Vec:
+    """The strip's V = 2*(w - v) on the vertices' scalars."""
+    return (polygon.vertices[pair.w_index] - polygon.vertices[pair.v_index]) * 2
+
+
+def tile_translation(polygon, tile) -> Vec:
+    """The tile's translation 2*(w - v) on the vertices' scalars."""
+    return (polygon.vertices[tile.w_index] - polygon.vertices[tile.v_index]) * 2
+
+
+def path_steps(system, path) -> dict:
+    """The path's steps by lifted index, walked on the vertices' Points: a
+    traversed spoke's step runs from the endpoint the walk stands on to its
+    other endpoint, and a skipped spoke's is the zero vector."""
+    vs = system.polygon.vertices
+    here, steps = system.pair(path.start).v_index, {}
+    for i in range(path.start, path.end_lifted + 1):
+        s = system.pair(i)
+        if i not in path.involved:
+            steps[i] = ZERO_VEC
+            continue
+        there = s.w_index if here == s.v_index else s.v_index
+        steps[i], here = vs[there] - vs[here], there
+    return steps
+
+
+def path_prefix_sums(system, path) -> Tuple[Vec, ...]:
+    """Twice the step sums over start..start+i, one telescoping pass of `Vec`
+    additions."""
+    sums = []
+    for _, step in sorted(path_steps(system, path).items()):
+        sums.append(sums[-1] + step * 2 if sums else step * 2)
+    return tuple(sums)
+
+
+def path_displacement(system, path) -> Vec:
+    """The last prefix sum: 2*(last vertex - first vertex) by telescoping."""
+    return path_prefix_sums(system, path)[-1]
+
+
+def path_apex_points(system, path) -> Tuple[Point, ...]:
+    """The first vertex, then the first vertex plus each prefix sum."""
+    v = system.polygon.vertices[path.first_vertex_index]
+    return (v,) + tuple(v + shift for shift in path_prefix_sums(system, path))

@@ -26,7 +26,7 @@ from outerbilliards.errors import (
     OnPrimaryWallError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import Point, point_of, pt, vec
+from outerbilliards.geometry import Point, point_of, pt, vec, vec_of
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
@@ -239,7 +239,7 @@ def test_piecewise_translation_on_tiles():
         for p in map(point_of, tile.region.sample_points(20, seed=2)):
             q, label = square_map(PENTAGON, p)
             assert label == tile.label
-            assert q - p == tile.translation
+            assert q - p == vec_of(tile.translation)
 
 
 def test_classify_matches_dynamics():
@@ -373,7 +373,7 @@ def test_sqrt5_shear_keeps_tiles_and_orbits(n, seed, starts):
         assert sorted(images) == sorted(tiles)
         for label, t in tiles.items():
             u = images[label]
-            assert u.translation == shear(t.translation)
+            assert vec_of(u.translation) == shear(vec_of(t.translation))
             assert u.unbounded == t.unbounded
             assert set(u.region.vertices()) == {shear(v) for v in t.region.vertices()}
     for p in starts:
@@ -702,7 +702,7 @@ def test_every_tile_has_an_exit_along_its_translation(poly_key):
     for part in (m.partition, m.backward_partition):
         first = -1 if part.chirality is Chirality.RIGHT else 0
         for tile in part.tiles:
-            d = tile.translation
+            d = vec_of(tile.translation)
             assert any(sign(a * d.x + b * d.y) < 0
                        for a, b, _, _ in (normalized(h) for h in tile.region.constraints))
             v, w = tile.label

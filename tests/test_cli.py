@@ -594,3 +594,32 @@ def test_help_is_not_a_usage_error(capsys):
         code, out = run(capsys, *argv)
         assert code == 0
         assert out.startswith("usage: outerbilliards")
+
+
+# a value that starts with '-' and a digit is read as the option's argument,
+# as the '=' form always was; the certified point is the quasirational
+# pentagon's from the CI step
+@pytest.mark.parametrize("argv", [
+    ("classify", "TRI", "--point", "-5,3"),
+    ("orbit", "TRI", "--point", "-1/2,-7"),
+    ("quasi", "PENT", "--certify", "-1690189227/5,12000343371/5"),
+])
+def test_negative_values_read_as_their_equals_form(argv, tri_file, tmp_path, capsys):
+    pent = tmp_path / "pent.json"
+    pent.write_text(polygon_to_text(random_nice_polygon(5, 9000)))
+    *head, option, value = [{"TRI": tri_file, "PENT": str(pent)}.get(a, a) for a in argv]
+    spaced = run(capsys, *head, option, value)
+    assert spaced == run(capsys, *head, f"{option}={value}")
+    assert spaced[0] == 0 and json.loads(spaced[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "TRI", "--pont", "1,2"),
+    ("orbit", "TRI", "--point", "1,2", "--pont", "-1,2"),
+    ("orbit", "TRI", "-5,3"),
+    ("classify", "TRI", "--point"),
+])
+def test_unknown_options_and_stray_values_stay_json_input_errors(argv, tri_file, capsys):
+    code, out = run(capsys, *[tri_file if a == "TRI" else a for a in argv])
+    assert code == 2
+    assert json.loads(out)["error"]

@@ -736,7 +736,8 @@ def _boundary_starts(model):
     for tile in model.partition.tiles:
         if model.path_of_tile(tile).start != 0:
             continue
-        for segment in (far_line.translate(pair.V), far_line.translate(-pair.V)):
+        VX, VY, q = pair.V
+        for segment in (far_line.translate((VX, VY, q)), far_line.translate((-VX, -VY, q))):
             segment = tile.region.intersect(segment)
             ends = segment.vertices()
             if len(ends) == 2:

@@ -313,11 +313,11 @@ def test_split_additivity_of_area():
 
 def test_translate_and_point_reflect():
     sq = box_region(0, 0, 1, 1)
-    moved = sq.translate(vec(3, -2))
+    moved = sq.translate(homogeneous(vec(3, -2)))
     assert moved == box_region(3, -2, 4, -1)
-    refl = sq.point_reflect(pt(0, 0))
+    refl = sq.point_reflect(homogeneous(pt(0, 0)))
     assert refl == box_region(-1, -1, 0, 0)
-    assert region_area(sq.translate(vec(1, 1))) == region_area(sq)
+    assert region_area(sq.translate(homogeneous(vec(1, 1)))) == region_area(sq)
 
 
 def test_sample_points_interior_and_deterministic():
@@ -514,10 +514,12 @@ def test_kernel_oracle_catches_kept_zero_length_edges(monkeypatch):
 
 MOTIONS = {
     "as built": lambda r: r,
-    "translated": lambda r: r.translate(vec(Fraction(5, 3), -2)),
-    "translated by sqrt 5": lambda r: r.translate(Vec(QuadExt(1, 1, 5), Fraction(1, 2))),
-    "reflected": lambda r: r.point_reflect(pt(Fraction(1, 2), 3)),
-    "reflected in sqrt 5": lambda r: r.point_reflect(Point(Fraction(-1), QuadExt(0, 1, 5))),
+    "translated": lambda r: r.translate(homogeneous(vec(Fraction(5, 3), -2))),
+    "translated by sqrt 5": lambda r: r.translate(
+        homogeneous(Vec(QuadExt(1, 1, 5), Fraction(1, 2)))),
+    "reflected": lambda r: r.point_reflect(homogeneous(pt(Fraction(1, 2), 3))),
+    "reflected in sqrt 5": lambda r: r.point_reflect(
+        homogeneous(Point(Fraction(-1), QuadExt(0, 1, 5)))),
 }
 
 
@@ -591,7 +593,7 @@ def test_moved_lines_equal_fresh_lines(poly_key):
         for tile in build_partition(poly, chirality).tiles:
             v = poly.vertices[tile.v_index]
             for r in (tile.region.translate(tile.translation),
-                      tile.region.point_reflect(v)):
+                      tile.region.point_reflect(poly.homogeneous(v))):
                 corners = [homogeneous(p) for p in r.vertices() + poly.vertices]
                 for h in r.constraints:
                     for line in (h.line, parallel_offset(h.line, v.x)):
@@ -645,7 +647,7 @@ def test_tiles_and_strips_match_fraction_keys(poly_key):
         for tile in build_partition(poly, chirality).tiles:
             v = poly.vertices[tile.v_index]
             regions += [tile.region, tile.region.translate(tile.translation),
-                        tile.region.point_reflect(v)]
+                        tile.region.point_reflect(poly.homogeneous(v))]
     system = build_pinwheel_system(poly)
     regions += [strip_region(system.pair(j)) for j in range(system.n)]
     for r in regions:
@@ -758,8 +760,9 @@ def _corpus_tiles(poly_key):
 def _moved(poly, tiles):
     """Each tile's translate and point reflection, built from the tile's
     constraints without running the kernel."""
-    return [r for t in tiles for r in (t.region.translate(t.translation),
-                                       t.region.point_reflect(poly.vertices[t.v_index]))]
+    return [r for t in tiles for r in (
+        t.region.translate(t.translation),
+        t.region.point_reflect(poly.homogeneous(poly.vertices[t.v_index])))]
 
 
 def _assert_per_call_key_parity(regions):

@@ -35,7 +35,8 @@ from outerbilliards.errors import (
     OnStripBoundaryError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Line, Point, point_of, polygon_region, pt
+from outerbilliards.geometry import (Line, Point, homogeneous, point_of, polygon_region, pt,
+                                     vec_of)
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
@@ -166,9 +167,10 @@ def test_necklace_zero_shift_is_polygon():
     m = BilliardModel(TRIANGLE)
     spec = necklace(m.system, 0, 0)
     assert p_vertices(spec) == m.polygon.vertices
+    w = m.polygon.vertices[spec.pair.w_index]
     assert q_vertices(spec) == tuple(
-        reflected(v, spec.pair.w) for v in m.polygon.vertices)
-    assert spec.pair.w == m.system.pair(0).w
+        reflected(v, w) for v in m.polygon.vertices)
+    assert w == m.polygon.vertices[m.system.pair(0).w_index]
 
 
 def test_necklace_copies_preserve_area():
@@ -236,10 +238,11 @@ def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
     for j in range(system.n):
         for mm in (-2, 1, 3):
             spec = necklace(system, j, mm)
-            offset = spec.shift * spec.m
+            offset = homogeneous(spec.shift * spec.m)
+            centre = poly.homogeneous(poly.vertices[spec.pair.w_index])
             for kind, moved, verts in (
                     ("P", base.translate(offset), p_vertices(spec)),
-                    ("Q", base.point_reflect(spec.pair.w).translate(offset), q_vertices(spec))):
+                    ("Q", base.point_reflect(centre).translate(offset), q_vertices(spec))):
                 ref = polygon_region(verts, open_region=True)
                 assert moved == ref
                 assert moved.vertices() == ref.vertices()
@@ -521,15 +524,16 @@ def _jump_outcome(jump, pair, p):
         return ("OnStripBoundaryError", exc.point, exc.stage)
 
 
-def _jump_points(pair):
+def _jump_points(polygon, pair):
     """Offsets at exact multiples of the width (on the edge line, and moved
     along it), on the centreline, and generic ones, near and far."""
     along = direction(pair.line)
+    v, w, V = polygon.vertices[pair.v_index], polygon.vertices[pair.w_index], vec_of(pair.V)
     pts = []
     for k in range(-3, 4):
-        pts += [pair.v + pair.V * k, pair.v + pair.V * k + along * Fraction(2, 3),
-                pair.w + pair.V * k, pair.w + pair.V * Fraction(k, 3) + along * Fraction(1, 5),
-                pair.v + pair.V * (10 ** 4 * k + Fraction(2, 7))]
+        pts += [v + V * k, v + V * k + along * Fraction(2, 3),
+                w + V * k, w + V * Fraction(k, 3) + along * Fraction(1, 5),
+                v + V * (10 ** 4 * k + Fraction(2, 7))]
     # a Q(sqrt 5) point beside every one, on rational polygons too
     return pts + [Point(p.x + QuadExt(0, 1, 5) / 7, p.y) for p in pts]
 
@@ -570,7 +574,7 @@ def test_lattice_necklace_matches_point_route(poly_key):
     assert inside and trapped and annulus
     raise_points = set()
     for pair in system.pairs:
-        for p in _jump_points(pair):
+        for p in _jump_points(poly, pair):
             want = _jump_outcome(point_strip_jump, pair, p)
             try:
                 landed, k = strips.strip_jump(pair, poly.homogeneous(p))

@@ -12,7 +12,7 @@ from oracles import (compose_strip_maps, direction, point_strip_jump, point_stri
 from test_billiards import CORPUS, ROOT5, corpus_polygon
 from outerbilliards import strips
 from outerbilliards.errors import OnStripBoundaryError
-from outerbilliards.geometry import Point, point_of, pt, slope_angle_cmp, vec
+from outerbilliards.geometry import Point, point_of, pt, slope_angle_cmp, vec, vec_of
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.scalars import sign
 from outerbilliards.strips import (
@@ -34,9 +34,9 @@ def triangle_system():
 def test_triangle_bottom_edge_pair():
     sys = triangle_system()
     p0 = sys.pair(0)  # smallest direction angle: the horizontal bottom edge
-    assert p0.v == pt(0, 0)      # head of the clockwise edge (4,0) -> (0,0)
-    assert p0.w == pt(1, 3)      # farthest vertex from y = 0
-    assert p0.V == vec(2, 6)
+    assert TRIANGLE.vertices[p0.v_index] == pt(0, 0)  # head of the clockwise edge (4,0) -> (0,0)
+    assert TRIANGLE.vertices[p0.w_index] == pt(1, 3)  # farthest vertex from y = 0
+    assert vec_of(p0.V) == vec(2, 6)
     assert signed_offset(p0.line, pt(7, 0)) == 0
     assert signed_offset(p0.line, pt(0, 6)) == 6
     assert p0.width == 6         # strip {0 <= y <= 6}
@@ -58,10 +58,11 @@ def test_head_on_centerline_and_slab_spanning():
     for poly in (TRIANGLE, PENTAGON):
         sys = build_pinwheel_system(poly)
         for p in sys.pairs:
-            assert signed_offset(p.line, p.w) == p.width / 2  # w equidistant from L and L'
-            assert signed_offset(p.line, p.v) == 0            # tail on the edge line
+            v, w = poly.vertices[p.v_index], poly.vertices[p.w_index]
+            assert signed_offset(p.line, w) == p.width / 2  # w equidistant from L and L'
+            assert signed_offset(p.line, v) == 0            # tail on the edge line
             # translation by V carries L onto L'
-            assert signed_offset(p.line, p.v + p.V) == p.width
+            assert signed_offset(p.line, v + vec_of(p.V)) == p.width
 
 
 def test_consecutive_spokes_share_vertex():
@@ -124,7 +125,9 @@ def test_any_two_spokes_intersect():
         for i in range(sys.n):
             for j in range(i + 1, sys.n):
                 a, b = sys.pair(i), sys.pair(j)
-                assert segments_intersect(a.v, a.w, b.v, b.w)
+                vs = poly.vertices
+                assert segments_intersect(vs[a.v_index], vs[a.w_index],
+                                          vs[b.v_index], vs[b.w_index])
 
 
 def test_spoke_slope_order_compatible_with_strip_order():
@@ -133,9 +136,9 @@ def test_spoke_slope_order_compatible_with_strip_order():
         n = sys.n
         # sort spokes by slope angle; the result must be a rotation of 0..n-1
         import functools
+        spoke = [poly.vertices[p.w_index] - poly.vertices[p.v_index] for p in sys.pairs]
         order = sorted(range(n), key=functools.cmp_to_key(
-            lambda i, j: slope_angle_cmp(sys.pair(i).w - sys.pair(i).v,
-                                         sys.pair(j).w - sys.pair(j).v)))
+            lambda i, j: slope_angle_cmp(spoke[i], spoke[j])))
         shift = order.index(0)
         rotated = order[shift:] + order[:shift]
         assert rotated == list(range(n))
@@ -244,7 +247,8 @@ def test_next_vector_spans_previous_strip_exactly():
         sys = build_pinwheel_system(poly)
         for j in range(sys.n):
             pj, nxt = sys.pair(j), sys.pair(j + 1)
-            delta = pj.line.a * nxt.V.x + pj.line.b * nxt.V.y
+            V = vec_of(nxt.V)
+            delta = pj.line.a * V.x + pj.line.b * V.y
             assert abs(delta) == pj.width
 
 
@@ -268,15 +272,15 @@ def test_strip_widths_double_minimal_strip():
 # the strip's one (t, w) form against the two-line oracles
 
 
-def _strip_form_points(pair):
+def _strip_form_points(polygon, pair):
     """Points on both lines, strictly inside, outside on either side and at
     exact multiples of the width, near and far, at three places along the
     edge, each beside a Q(sqrt 5) twin: `step` moves the offset by one
     width."""
-    line = pair.line
-    step = pair.V * (pair.width / (line.a * pair.V.x + line.b * pair.V.y))
+    line, V = pair.line, vec_of(pair.V)
+    step = V * (pair.width / (line.a * V.x + line.b * V.y))
     along = direction(line)
-    pts = [pair.v + step * (k + f) + along * t
+    pts = [polygon.vertices[pair.v_index] + step * (k + f) + along * t
            for k in (*range(-3, 4), -10 ** 4, 10 ** 4)
            for f in (0, Fraction(1, 3), Fraction(1, 2))
            for t in (0, Fraction(2, 3), 10 ** 4 + Fraction(1, 7))]
@@ -309,7 +313,7 @@ def test_strip_form_matches_two_line_oracles(poly_key):
     halved = dataclasses.replace(system.pair(0), width=system.pair(0).width / 2)
     seen = set()
     for pair in system.pairs + (halved,):
-        for p in _strip_form_points(pair):
+        for p in _strip_form_points(poly, pair):
             here = poly.homogeneous(p)
             seen.add(pair.location(here))
             assert pair.location(here) == scalar_location(pair, p), (pair.index, p)

@@ -21,7 +21,7 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Point, point_of, pt
+from outerbilliards.geometry import Point, point_of, pt, vec_of
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import AdmissiblePath, PathFamily, enumerate_paths
 from outerbilliards.polygon import NicePolygon, parse_polygon, polygon_to_text
@@ -132,10 +132,16 @@ def test_individual_checks_pass_on_hexagon_with_special_spoke():
     assert check_exit_reversal_conjugate(m, samples=12, seed=1).passed
 
 
+def _negated(v):
+    """-v for the vector with triple v = (VX, VY, q)."""
+    VX, VY, q = v
+    return -VX, -VY, q
+
+
 def test_violations_carry_replay_information():
     m = BilliardModel(random_nice_polygon(5, 77))
     m.paths = PathFamily(m.system, tuple(
-        dataclasses.replace(p, steps={**p.steps, p.end_lifted: -p.steps[p.end_lifted]})
+        dataclasses.replace(p, steps={**p.steps, p.end_lifted: _negated(p.steps[p.end_lifted])})
         for p in enumerate_paths(m.system).paths))
     rep = check_pin1_pin2_move(m, samples_per_tile=4, seed=5)
     assert not rep.passed
@@ -265,7 +271,7 @@ def test_far_field_records_an_exceeded_budget(n, seed):
     assert check_far_field(model, samples=20, seed=0).passed
     pair, *rest = model.system.pairs
     broken = BilliardModel(polygon)
-    broken.system = PinwheelSystem(polygon, (dataclasses.replace(pair, V=-pair.V), *rest))
+    broken.system = PinwheelSystem(polygon, (dataclasses.replace(pair, V=_negated(pair.V)), *rest))
     rep = check_far_field(broken, samples=20, seed=0)
     assert rep.attempted == 20
     assert any((v.expected, v.actual) == (f"k <= {3 * n}", "budget exceeded")
@@ -299,7 +305,7 @@ def test_negated_translations_trip_pin2(n):
     model = BilliardModel(polygon)
     assert check_pin1_pin2_move(model, samples_per_tile=6, seed=0).passed
     system = model.system
-    negated = PinwheelSystem(polygon, tuple(dataclasses.replace(p, V=-p.V)
+    negated = PinwheelSystem(polygon, tuple(dataclasses.replace(p, V=_negated(p.V))
                                             for p in system.pairs))
     broken = BilliardModel(polygon)
     broken.system = negated
@@ -332,9 +338,9 @@ def test_moving_strip_map_trips_the_index_shift(monkeypatch):
 
     def moving(pair, p):
         if type(p) is tuple:
-            (X, Y, L), (VX, VY, q) = p, pair.V_ints
+            (X, Y, L), (VX, VY, q) = p, pair.V
             return X + VX * (L // q), Y + VY * (L // q), L
-        return p + pair.V
+        return p + vec_of(pair.V)
 
     monkeypatch.setattr(dynamics, "strip_map", moving)
     rep = check_structure3(model, samples=40, seed=0)
