@@ -508,18 +508,18 @@ class ConvexRegion:
     the canonical empty region, redundant constraints removed (see
     `_canonical`), constraints in a fixed order.  Equality of
     full-dimensional (or empty) regions is then structural.  The same pass
-    finds, once, the vertices of the closure (lattice triples) and the rays
-    (pairs of kernel integers) that generate its recession cone: none
-    exactly when the region is bounded.
+    finds, once, the vertices of the closure (`vertex_triples`, lattice
+    triples in lowest terms) and the rays (pairs of kernel integers) that
+    generate its recession cone: none exactly when the region is bounded.
     """
 
-    __slots__ = ("constraints", "is_empty", "_vertices", "_interior", "_rays", "_forms")
+    __slots__ = ("constraints", "is_empty", "vertex_triples", "_interior", "_rays", "_forms")
 
     def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool,
                  vertices: tuple = (), interior: bool = True, rays: tuple = ()):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "is_empty", is_empty)
-        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "vertex_triples", vertices)
         object.__setattr__(self, "_interior", interior and not is_empty)
         object.__setattr__(self, "_rays", rays)
         object.__setattr__(self, "_forms", tuple(h.form[:3] for h in constraints))
@@ -582,7 +582,7 @@ class ConvexRegion:
             return None
         # else the extreme y is at a vertex, or on a horizontal edge line: the
         # tightest of the bounds y <= (s = 1) or y >= (s = -1) each candidate
-        ys = [(-s * L, -s * Y, False) for _, Y, L in self._vertices]
+        ys = [(-s * L, -s * Y, False) for _, Y, L in self.vertex_triples]
         ys += [(-b, -c, False) for a, b, c in self._forms if a == 0 and s * b > 0]
         return _one_dim_interval(ys)[s > 0]
 
@@ -621,8 +621,9 @@ class ConvexRegion:
     def vertices(self) -> Tuple[Point, ...]:
         """Vertices of the closure, in clockwise order starting from the
         lexicographically smallest (sorted when the closure has no
-        interior); empty tuple when there are none."""
-        return tuple(map(point_of, self._vertices))
+        interior); empty tuple when there are none: `vertex_triples`, each
+        divided out by `point_of`."""
+        return tuple(map(point_of, self.vertex_triples))
 
     # -- constructors of derived regions ------------------------------------
 
@@ -656,7 +657,7 @@ class ConvexRegion:
                for h in self.constraints[::k] for A, B, C in [h.line.ints]]
         # a rigid motion keeps the clockwise order; only the start moves
         verts = _from_min([_lowest(k * PX * L + X * M, k * PY * L + Y * M, M * L)
-                           for PX, PY, M in self._vertices])
+                           for PX, PY, M in self.vertex_triples])
         return ConvexRegion(tuple(hps), False, verts, self._interior,
                             tuple((k * gx, k * gy) for gx, gy in self._rays))
 
@@ -677,8 +678,8 @@ class ConvexRegion:
         if not self.has_interior():
             raise EmptyRegionError("region has no interior to sample")
         # a bounded region with interior is a polygon
-        den = math.lcm(*(L for _, _, L in self._vertices))
-        cycle = [(X * (den // L), Y * (den // L)) for X, Y, L in self._vertices]
+        den = math.lcm(*(L for _, _, L in self.vertex_triples))
+        cycle = [(X * (den // L), Y * (den // L)) for X, Y, L in self.vertex_triples]
         triples = list(barycentric_triples(den, cycle, count, seed))
         assert all(self.contains(t) > 0 for t in triples)
         return tuple(triples)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .billiards import Chirality, Partition, build_partition
-from .paths import PathFamily, enumerate_paths, link_partition
+from .paths import PathFamily, enumerate_paths
 from .polygon import NicePolygon
 from .strips import PinwheelSystem, build_pinwheel_system
 
@@ -13,10 +13,11 @@ from .strips import PinwheelSystem, build_pinwheel_system
 class BilliardModel:
     """Polygon plus lazily built pinwheel system, partitions, and paths.
 
-    The forward partition is always cross-validated against the admissible
-    path enumeration (exact label bijection) on construction.  A negative
-    control corrupts a model by assigning its `system` or `paths` before
-    anything reads them; what is built from them then reads the corrupted one.
+    The forward partition's labels are matched against the admissible path
+    enumeration by `verify.check_structure1`, which reports a mismatch.  A
+    negative control corrupts a model by assigning its `system` or `paths`
+    before anything reads them; what is built from them then reads the
+    corrupted one.
     """
 
     def __init__(self, polygon: NicePolygon):
@@ -32,8 +33,7 @@ class BilliardModel:
 
     @cached_property
     def partition(self) -> Partition:
-        return link_partition(build_partition(self.polygon, Chirality.RIGHT),
-                              self.paths)
+        return build_partition(self.polygon, Chirality.RIGHT)
 
     @cached_property
     def backward_partition(self) -> Partition:

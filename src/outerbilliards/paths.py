@@ -10,15 +10,15 @@ traversing it backward).
 
 Each emitted path is validated against the telescoping displacement identity.
 A path's endpoint pair is the label of its forward tile, so a tile finds its
-path by label (`PathFamily.path_for_label`); `link_partition` checks that the
-labels match the paths one-to-one.
+path by label (`PathFamily.path_for_label`); `link_partition` returns where the
+labels fail to match the paths one-to-one, which `verify` reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .billiards import Partition
 from .errors import IndexOutOfRangeError, NotAdmissiblePairError
@@ -181,18 +181,12 @@ def _walk_from(system: PinwheelSystem, a: int) -> List[AdmissiblePath]:
     return paths
 
 
-def link_partition(partition: Partition, family: PathFamily) -> Partition:
-    """Check that the tile labels are exactly the paths' endpoint pairs (a
-    one-to-one match), and return the partition unchanged."""
-    tile_labels = set(partition.by_label)
-    path_labels = set(family.by_endpoints)
-    if tile_labels != path_labels:
-        missing = sorted(path_labels - tile_labels)
-        extra = sorted(tile_labels - path_labels)
-        raise AssertionError(
-            f"path/tile label mismatch: paths-without-tiles={missing}, "
-            f"tiles-without-paths={extra}")
-    return partition
+def link_partition(partition: Partition, family: PathFamily) -> Optional[tuple]:
+    """None when the tile labels are exactly the paths' endpoint pairs (a
+    one-to-one match), else the mismatch: both label sets, sorted, paths'
+    first."""
+    path_labels, tile_labels = sorted(family.by_endpoints), sorted(partition.by_label)
+    return None if path_labels == tile_labels else (path_labels, tile_labels)
 
 
 def apex_sequence(path: AdmissiblePath) -> Tuple[tuple, ...]:

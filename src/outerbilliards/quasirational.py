@@ -20,10 +20,10 @@ on a point's lattice triple (X, Y, L), with D the edge's rate along the shift.
 is built: samples drawn on P's lattice are carried there by its rigid motion.
 
 A strip's ring is one `NecklaceSpec` value, built once per strip: `necklace`
-reads its frame off P's lattice in ints (the shift, the axis range of P and Q
-along it, shift.shift), and the ring answers every query from it: copy and
-annulus membership, the annulus windows, a copy's samples, and the point at
-frame coordinates given as (num, den) int pairs, as the annulus draws are.
+reads its frame in ints off the strips' forms and P's lattice (the shift, the
+axis range of P and Q along it, shift.shift), and the ring answers every query
+from it: copy and annulus membership, a copy's samples, and the points at frame
+coordinates given as (num, den) pairs, as the window and extent ends are.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .errors import AnnulusNotFoundError, NotQuasirationalError
-from .geometry import Point, Vec, barycentric_triples, homogeneous, least_sign, moved
+from .geometry import Point, Vec, barycentric_triples, least_sign, moved, vec_of
 from .polygon import NicePolygon
-from .scalars import Scalar, int_parts, ratio
+from .scalars import Scalar, cleared, int_parts, primitive, ratio
 from .strips import PinwheelPair, PinwheelSystem
 
 
@@ -51,10 +51,10 @@ class QuasiData:
 
 
 def overlap_area(system: PinwheelSystem, j: int) -> Scalar:
-    """The area where strips j and j+1 overlap: W_j * W_{j+1} / |a_j*b_{j+1} -
-    a_{j+1}*b_j|, (a, b) each strip's line normal and W its width on that scale."""
-    p, q = system.pair(j), system.pair(j + 1)
-    return abs(p.width * q.width / (p.line.a * q.line.b - q.line.a * p.line.b))
+    """The area where strips j and j+1 overlap, W_j*W_{j+1} / |a_j*b_{j+1} - a_{j+1}*b_j|,
+    on the strips' forms (A, B, C, wn, wq), where a = A/s and s*W = wn/wq (the s cancel)."""
+    (A, B, _, wn, wq), (A1, B1, _, wn1, wq1) = system.pair(j).form, system.pair(j + 1).form
+    return abs(ratio(wn * wn1, wq * wq1 * (A * B1 - A1 * B)))
 
 
 def quasi_analyze(system: PinwheelSystem) -> QuasiData:
@@ -80,24 +80,25 @@ class NecklaceSpec:
     """Strip j's ring at exponent m: the copies P + m*shift and Q + m*shift,
     Q being P turned 180 degrees about the strip's centre vertex, stored as
     rigid motions of P together with the strip's frame.  A point's axis
-    coordinate is shift.p; the ring spans the axis range [lo, hi] + m*dd.
-    `base` does not depend on m: `necklace` builds it once per strip, and
-    `at` carries it to another exponent.  Membership reads `forms`, `base`
-    resolved at m when the ring is made, and `mirror`, with `least_sign`."""
+    coordinate is shift.p; the ring spans the axis range [lo, hi] + m*dd,
+    dd = shift.shift.  `base` does not depend on m: `necklace` builds it once
+    per strip, and `at` carries it to another exponent.  Membership reads
+    `forms`, `base` resolved at m when the ring is made, and `mirror`, with
+    `least_sign`."""
 
     j: int
     m: int
-    shift: Vec                     # vector parallel to edge j spanning strip j+1
     pair: PinwheelPair             # strip j; its centre vertex is pair.w_index
     polygon: NicePolygon           # P
-    lo: Scalar                     # axis range of P and Q together
-    hi: Scalar
-    dd: Scalar                     # shift.shift
+    # (lo, hi, dd, e): the axis range of P and Q together and shift.shift,
+    # each over e = sq^2*den (ints, or QuadInts)
+    axis: Tuple
     # integer forms (A, B, C, D) of P's edges, of Q's, of the trapped
     # extent's two ends, and of each annulus window's two ends
     base: Tuple = field(repr=False, compare=False)
-    # ((SX, SY, sq), (A, B, C, k), (u, v)): the shift on its lattice, the edge
-    # line's integer form A*x + B*y = C with its scale k, 1/(A*SY - SX*B) = u/v
+    # ((SX, SY, sq), (A, B, C, wn, wq), (u, v)): the shift on its lattice, the
+    # strip's form (edge line A*x + B*y = C, width wn/wq on its scale) and
+    # 1/(A*SY - SX*B) = u/v
     frame: Tuple = field(repr=False, compare=False)
     # `base` at m, and P's and Q's edges at -m (`_resolved`)
     forms: Tuple = field(init=False, repr=False, compare=False)
@@ -152,11 +153,11 @@ class NecklaceSpec:
         """The point with lattice triple p is interior to either copy."""
         return self.in_p(p) or self.in_q(p)
 
-    def windows(self):
-        """The two axis windows strictly between the base ring and the
-        +-m rings."""
-        shift = self.m * self.dd
-        return ((self.hi, self.lo + shift), (self.hi - shift, self.lo))
+    def window_ends(self):
+        """The axis windows hi < s < lo + m*dd and hi - m*dd < s < lo, strictly
+        between the base ring and the +-m rings, as (num, den) pairs over e."""
+        lo, hi, dd, e = self.axis
+        return ((hi, e), (lo + self.m * dd, e)), ((hi - self.m * dd, e), (lo, e))
 
     def in_annulus(self, p) -> bool:
         """Conservative membership of the lattice triple p: inside the strip and
@@ -165,23 +166,32 @@ class NecklaceSpec:
             least_sign(window, p) > 0 for window in self.forms[3:])
 
     def frame_triple(self, s, off):
-        """The point with axis coordinate s and strip offset off (0 on the edge
-        line), (num, den) pairs with den > 0, as a triple over a multiple of den:
-        where A*x + B*y = C + k*off meets SX*x + SY*y = sq*s, by Cramer's rule."""
-        (SX, SY, sq), (A, B, C, k), (u, v) = self.frame
+        """The point with axis coordinate s and strip offset off in widths (0
+        on the edge line, 1 on the far one), (num, den) pairs with den > 0, as a
+        triple over a multiple of den: where A*x + B*y = C + off*wn/wq meets
+        SX*x + SY*y = sq*s, by Cramer's rule."""
+        (SX, SY, sq), (A, B, C, wn, wq), (u, v) = self.frame
         (sn, sd), (on, od) = s, off
-        c, t, g = (C * od + k * on) * sd, sq * sn * od, self.polygon.den * u
-        return (c * SY - B * t) * g, (A * t - SX * c) * g, v * sd * od * self.polygon.den
+        c, t, g = (C * wq * od + wn * on) * sd, sq * sn * wq * od, self.polygon.den * u
+        return (c * SY - B * t) * g, (A * t - SX * c) * g, v * sd * od * wq * self.polygon.den
+
+
+def _shift(system: PinwheelSystem, j: int) -> tuple:
+    """The shift's triple (SX, SY, sq) in lowest terms: edge j's lattice
+    direction (DX, DY) times W/(a*dx + b*dy), read off strip j+1's form
+    (A, B, C, wn, wq) as wn/(wq*(A*DX + B*DY)) (the scales s and den cancel)."""
+    pair, lattice = system.pair(j), system.polygon.lattice
+    DX, DY = (v - u for u, v in zip(lattice[pair.edge_index], lattice[pair.v_index]))
+    A, B, _, wn, wq = system.pair(j + 1).form
+    t, q = cleared(wn, wq * (A * DX + B * DY))
+    sq, SX, SY = primitive(q, DX * t, DY * t)
+    return SX, SY, sq
 
 
 def necklace_shift(system: PinwheelSystem, j: int) -> Vec:
     """The vector parallel to edge j that spans strip j+1, oriented so the
     strip-(j+1) offset increases by one width."""
-    pj = system.pair(j)
-    nxt = system.pair(j + 1)
-    d = system.polygon.vertex(pj.edge_index + 1) - system.polygon.vertex(pj.edge_index)
-    t = nxt.width / (nxt.line.a * d.x + nxt.line.b * d.y)
-    return d * t
+    return vec_of(_shift(system, j))
 
 
 def _resolved(groups, m: int) -> tuple:
@@ -197,8 +207,7 @@ def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     turned copy on Q is -a*x - b*y > c - 2(a*cx + b*cy) with -D, (cx, cy) the
     centre vertex; the extent and window ends are axis bounds over sq^2*den."""
     pair, polygon = system.pair(j), system.polygon
-    d = necklace_shift(system, j)
-    SX, SY, sq = homogeneous(d)
+    SX, SY, sq = shift = _shift(system, j)
     den, (WX, WY) = polygon.den, polygon.lattice[pair.w_index]
     vals = [SX * VX + SY * VY for VX, VY in polygon.lattice]
     vals += [2 * (SX * WX + SY * WY) - x for x in vals]  # Q's: P's reflected in the centre
@@ -213,17 +222,16 @@ def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     # hi < shift.p < lo + m*dd, and hi - m*dd < shift.p < lo
     windows = (((ax, ay, hi * sq, 0), (-ax, -ay, -lo * sq, -rate)),
                ((ax, ay, hi * sq, -rate), (-ax, -ay, -lo * sq, 0)))
-    (A, B, C), k = pair.line.ints, pair.line.s  # the edge line's integer form and scale
-    frame = ((SX, SY, sq), (A, B, C, k), ratio(1, A * SY - SX * B).as_integer_ratio())
-    return NecklaceSpec(j % system.n, m, d, pair, polygon, ratio(lo, sq * den),
-                        ratio(hi, sq * den), ratio(SX * SX + SY * SY, sq * sq),
+    frame = (shift, pair.form, cleared(1, pair.form[0] * SY - SX * pair.form[1]))
+    return NecklaceSpec(j % system.n, m, pair, polygon, (lo * sq, hi * sq, rate, sq * sq * den),
                         (p_forms, q_forms, extent) + windows, frame)
 
 
 def annulus_windows(system: PinwheelSystem, j: int, m_exponent: int):
     """The two axis-coordinate windows of strip j strictly between the base
-    ring and the +-m_exponent rings."""
-    return necklace(system, j, m_exponent).windows()
+    ring and the +-m_exponent rings, as scalars."""
+    return tuple((ratio(*lo), ratio(*hi))
+                 for lo, hi in necklace(system, j, m_exponent).window_ends())
 
 
 def in_trapped_extent(ring: NecklaceSpec, p) -> bool:
@@ -254,9 +262,9 @@ def boundedness_certificate(system: PinwheelSystem, quasi: QuasiData,
     if not any(ring.in_annulus(here) for ring in rings):
         raise AnnulusNotFoundError(
             f"point {p} is not inside any strip's m={m} annulus")
-    corners = (ring.frame_triple(s_val.as_integer_ratio(), off) for ring in rings
-               for s_val in (ring.lo - ring.m * ring.dd, ring.hi + ring.m * ring.dd)
-               for off in ((0, 1), ring.pair.width.as_integer_ratio()))
+    corners = (ring.frame_triple((s, e), off) for ring in rings
+               for lo, hi, dd, e in [ring.axis] for s in (lo - ring.m * dd, hi + ring.m * dd)
+               for off in ((0, 1), (1, 1)))
     num, den = 0, 1  # the largest (|X| + |Y|) / L over the corners, L > 0
     for r, L in ((max(X, -X) + max(Y, -Y), L) for X, Y, L in corners):
         if r * den > num * L:  # cross-multiplied

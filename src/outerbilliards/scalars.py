@@ -375,10 +375,10 @@ def radicand(x: ScalarLike) -> Optional[int]:
 
 
 def scalar_to_json(x: ScalarLike):
-    # str of a Fraction is "p/q", or "p" where q == 1
+    # str of a Fraction is "p/q", or "p" where q == 1, as str of an int is
     if isinstance(x, QuadExt):
         return {"a": str(x.a), "b": str(x.b), "d": x.d}
-    return str(Fraction(x))
+    return str(x)
 
 
 def scalar_from_json(value, quad_d: int | None = None) -> Scalar:

@@ -20,7 +20,7 @@ from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
 from .geometry import Point, lifted, moved, point_of, vec_of
 from .model import BilliardModel
-from .paths import PathFamily, apex_sequence
+from .paths import PathFamily, apex_sequence, link_partition
 from .polygon import NicePolygon
 from .quasirational import in_trapped_extent, necklace, quasi_analyze
 from .report import CheckReport
@@ -222,20 +222,19 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
         if path.displacement() != tile.translation:
             return (path.display(), f"displacement {vec_of(tile.translation)}",
                     f"{vec_of(path.displacement())}")
-        verts = tile.region.vertices()
-        corners = [model.polygon.homogeneous(v) for v in verts]
+        corners = [lifted(v, model.polygon.den) for v in tile.region.vertex_triples]
         # pin1: translated closed tile inside each closed strip, on vertices
         for k, shift in zip(range(path.start, path.end_lifted), path.prefix_sums):
-            for v, here in zip(verts, corners):
+            for here in corners:
                 if model.system.pair(k).location(moved(here, shift)) < 0:
                     return (path.display(), "closed containments",
-                            f"vertex {v} + prefix({k}) outside strip {k % n}")
+                            f"vertex {point_of(here)} + prefix({k}) outside strip {k % n}")
         # bounded depth: the tile sits within half a width of its start strip
         pair_a = model.system.pair(path.start)
-        for v, (t, w) in zip(verts, map(pair_a.offsets, corners)):
+        for here, (t, w) in zip(corners, map(pair_a.offsets, corners)):
             if 2 * t < -w or 2 * t > 3 * w:
                 return (path.display(), "closed containments",
-                        f"vertex {v} deeper than half the width of strip {path.start}")
+                        f"vertex {point_of(here)} deeper than half the width of strip {path.start}")
         return None
 
     def acts(s, path, shift, step):
@@ -291,10 +290,8 @@ def check_apex(model: BilliardModel) -> CheckReport:
 def check_structure1(model: BilliardModel) -> CheckReport:
     """Exact bijection between admissible paths and nonempty tiles."""
     rep = CheckReport("structure1", model.polygon.to_document(), 0)
-    tile_labels = set(model.partition.by_label)
-    path_labels = set(model.paths.by_endpoints)
-    rep.judge(-1, lambda: None if tile_labels == path_labels else
-              ("label sets", f"{sorted(path_labels)}", f"{sorted(tile_labels)}"))
+    mismatch = link_partition(model.partition, model.paths)
+    rep.judge(-1, lambda: mismatch and ("label sets", *map(str, mismatch)))
     unbounded = sum(t.unbounded for t in model.partition.tiles)
     bounded = len(model.partition.tiles) - unbounded
     rep.notes.append(f"paths={len(model.paths.paths)} unbounded_tiles={unbounded} "
@@ -451,12 +448,11 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
         # annulus membership transfer: each frame point drawn (`Rng.draw`)
         # strictly inside a window and the strip lies in the annulus
         if exponent_offset == 0:
-            width = ring.pair.width.as_integer_ratio()
-            ends = [(lo.as_integer_ratio(), hi.as_integer_ratio()) if lo < hi else None
-                    for lo, hi in ring.windows()]
+            ends = [(lo, hi) if lo[0] < hi[0] else None  # both over the ring's one den
+                    for lo, hi in ring.window_ends()]
             along, across = rng.split(7, j), rng.split(8, j)
             for t_i in [t_i for t_i in range(6 * per_piece) if ends[t_i % 2]][:per_piece]:
-                s_val, off = along.draw(t_i, *ends[t_i % 2]), across.draw(t_i, (0, 1), width)
+                s_val, off = along.draw(t_i, *ends[t_i % 2]), across.draw(t_i, (0, 1), (1, 1))
                 rep.judge(j, trapped, ring.frame_triple(s_val, off), target)
     return rep
 

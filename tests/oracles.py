@@ -20,7 +20,7 @@ from outerbilliards.errors import (
 from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, Vec,
                                      _one_dim_interval, homogeneous, integer_form, point_of,
                                      region, signed_area2, vec_of)
-from outerbilliards.quasirational import necklace, necklace_shift, quasi_analyze
+from outerbilliards.quasirational import necklace, quasi_analyze
 from outerbilliards.rng import Rng
 from outerbilliards.strips import strip_map
 from outerbilliards.scalars import QuadExt, as_scalar, primitive, ratio, sign
@@ -202,14 +202,42 @@ def overlap_area_region(system, j: int):
     return region_area(strip.intersect(nxt))
 
 
+def vec_necklace_shift(system, j: int) -> Vec:
+    """`quasirational.necklace_shift` on `Vec`s, the way it was computed
+    before the shift's triple was read off the strips' forms: edge j's
+    direction d times W_{j+1} / (a*d.x + b*d.y), on strip j+1's line."""
+    pj = system.pair(j)
+    nxt = system.pair(j + 1)
+    d = system.polygon.vertex(pj.edge_index + 1) - system.polygon.vertex(pj.edge_index)
+    t = nxt.width / (nxt.line.a * d.x + nxt.line.b * d.y)
+    return d * t
+
+
+def ring_shift(ring) -> Vec:
+    """The ring's shift, its triple divided out (`vec_of`)."""
+    return vec_of(ring.frame[0])
+
+
+def ring_axis(ring) -> tuple:
+    """The ring's lo, hi and dd (`NecklaceSpec.axis`) as scalars."""
+    lo, hi, dd, e = ring.axis
+    return ratio(lo, e), ratio(hi, e), ratio(dd, e)
+
+
+def ring_windows(ring) -> tuple:
+    """The ring's two annulus windows (`NecklaceSpec.window_ends`) as
+    pairs of scalars."""
+    return tuple((ratio(*lo), ratio(*hi)) for lo, hi in ring.window_ends())
+
+
 def transfer_ratio(system, j: int):
     """Signed ratio lambda with shift_j - V_{j+1} = lambda * shift_{j+1}.
 
     |lambda| always equals A_j / A_{j+1}; the sign says on which side of the
     polygon the carried ring lands.  The cycle product of the signs is -1.
     """
-    lhs = necklace_shift(system, j) - vec_of(system.pair(j + 1).V)
-    rhs = necklace_shift(system, (j + 1) % system.n)
+    lhs = vec_necklace_shift(system, j) - vec_of(system.pair(j + 1).V)
+    rhs = vec_necklace_shift(system, (j + 1) % system.n)
     lam = lhs.x / rhs.x if rhs.x != 0 else lhs.y / rhs.y
     assert lhs.x == lam * rhs.x and lhs.y == lam * rhs.y
     return lam
@@ -342,14 +370,14 @@ def centre(ring) -> Point:
 def pulled_back_in_p(ring, p: Point) -> bool:
     """`NecklaceSpec.in_p` by pulling p back to P: p - m*shift asked of the
     polygon."""
-    back = p - ring.shift * ring.m
+    back = p - ring_shift(ring) * ring.m
     return ring.polygon.point_location(back) > 0
 
 
 def pulled_back_in_q(ring, p: Point) -> bool:
     """`NecklaceSpec.in_q` by pulling p back to P: p - m*shift reflected
     through the strip's centre vertex, asked of the polygon."""
-    back = reflected(p - ring.shift * ring.m, centre(ring))
+    back = reflected(p - ring_shift(ring) * ring.m, centre(ring))
     return ring.polygon.point_location(back) > 0
 
 
@@ -357,9 +385,10 @@ def pulled_back_trapped_extent(ring, p: Point) -> bool:
     """`quasirational.in_trapped_extent` on scalars: the strip, the axis
     coordinate shift.p against the extent, and the pulled-back copies at
     +-m."""
-    shift = ring.m * ring.dd
+    lo, hi, dd = ring_axis(ring)
+    shift = ring.m * dd
     if scalar_location(ring.pair, p) != 1 or not (
-            ring.lo - shift <= ring.shift.dot(p) <= ring.hi + shift):
+            lo - shift <= ring_shift(ring).dot(p) <= hi + shift):
         return False
     return not any(test(r, p) for r in (ring, ring.at(-ring.m))
                    for test in (pulled_back_in_p, pulled_back_in_q))
@@ -368,8 +397,8 @@ def pulled_back_trapped_extent(ring, p: Point) -> bool:
 def scalar_in_annulus(ring, p: Point) -> bool:
     """`NecklaceSpec.in_annulus` on scalars: inside the strip, and the axis
     coordinate shift.p strictly within one of the ring's windows."""
-    s = ring.shift.dot(p)
-    return scalar_location(ring.pair, p) == 1 and any(a < s < b for a, b in ring.windows())
+    s = ring_shift(ring).dot(p)
+    return scalar_location(ring.pair, p) == 1 and any(a < s < b for a, b in ring_windows(ring))
 
 
 def placed_samples(ring, base, kind: str, count: int, seed: int):
@@ -377,20 +406,20 @@ def placed_samples(ring, base, kind: str, count: int, seed: int):
     onto the copy (turned about the strip's centre vertex for kind "Q", then
     translated by m*shift) and sampled there."""
     region = base.point_reflect(homogeneous(centre(ring))) if kind == "Q" else base
-    moved = region.translate(homogeneous(ring.shift * ring.m))
+    moved = region.translate(homogeneous(ring_shift(ring) * ring.m))
     return tuple(map(point_of, moved.sample_points(count, seed=seed)))
 
 
 def p_vertices(ring) -> Tuple[Point, ...]:
     """The vertices of the ring's copy P + m*shift, on `Point`s."""
-    offset = ring.shift * ring.m
+    offset = ring_shift(ring) * ring.m
     return tuple(v + offset for v in ring.polygon.vertices)
 
 
 def q_vertices(ring) -> Tuple[Point, ...]:
     """The vertices of the ring's copy (P turned 180 degrees about its
     centre vertex) + m*shift, on `Point`s."""
-    offset = ring.shift * ring.m
+    offset = ring_shift(ring) * ring.m
     return tuple(reflected(v, centre(ring)) + offset for v in ring.polygon.vertices)
 
 
@@ -403,7 +432,7 @@ def fraction_frame(system, j: int):
     a*x + b*y > c of P has D = a*sx + b*sy; its turned copy on Q is
     -a*x - b*y > c - 2(a*cx + b*cy) with -D, (cx, cy) the centre vertex."""
     pair, polygon = system.pair(j), system.polygon
-    d, w = necklace_shift(system, j), polygon.vertices[pair.w_index]
+    d, w = vec_necklace_shift(system, j), polygon.vertices[pair.w_index]
     vals = [d.dot(v) for v in polygon.vertices]
     lo, hi = min(vals), max(vals)
     twice_center = 2 * d.dot(w)
@@ -432,7 +461,7 @@ def fraction_annulus_draws(model, m: int, samples: int, seed: int) -> list:
     out = []
     for j in range(model.n):
         ring = necklace(system, j, m * quasi.D_int[j])
-        windows = ring.windows()
+        windows = ring_windows(ring)
         draws = [t_i for t_i in range(6 * per_piece)
                  if windows[t_i % 2][0] < windows[t_i % 2][1]]
         for t_i in draws[:per_piece]:
@@ -440,7 +469,7 @@ def fraction_annulus_draws(model, m: int, samples: int, seed: int) -> list:
             s_val = rng.split(7, j).between(t_i, lo, hi)
             off = ring.pair.width * rng.split(8, j).unit(t_i)
             out.append(point_of(ring.frame_triple(s_val.as_integer_ratio(),
-                                                  off.as_integer_ratio())))
+                                                  (off / ring.pair.width).as_integer_ratio())))
     return out
 
 
@@ -473,7 +502,7 @@ def _point_y_bound(r: ConvexRegion, s: int):
     None when a recession ray runs off that way."""
     if any(s * gy < 0 for _, gy in r._rays):
         return None
-    ys = [ratio(Y, L) for _, Y, L in r._vertices]
+    ys = [ratio(Y, L) for _, Y, L in r.vertex_triples]
     ys += [ratio(c, b) for a, b, c in r._forms if a == 0 and s * b > 0]
     return min(ys) if s > 0 else max(ys)
 

@@ -6,10 +6,11 @@ arithmetic; sampled criteria require zero violations at the stated counts.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
-from oracles import region_area, sigma_range
+from oracles import region_area, ring_windows, sigma_range
 from outerbilliards.billiards import square_map
 from outerbilliards.dynamics import orbit
 from outerbilliards.errors import EmptyRegionError
@@ -165,8 +166,9 @@ def test_criterion_07_quasirational_boundedness():
     model = BilliardModel(TRIANGLE)
     quasi = quasi_analyze(model.system)
     ring = necklace(model.system, 0, quasi.D_int[0])
-    (a1, b1), _ = ring.windows()
-    start = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(), (7, 3)))
+    (a1, b1), _ = ring_windows(ring)
+    start = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(),
+                                       (Fraction(7, 3) / ring.pair.width).as_integer_ratio()))
     assert ring.in_annulus(TRIANGLE.homogeneous(start))
     bounded, radius = boundedness_certificate(model.system, quasi, start, m=1)
     assert bounded

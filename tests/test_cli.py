@@ -1,15 +1,18 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
 import hashlib
+import inspect
 import json
 import re
 import sys
+import textwrap
 import time
 from fractions import Fraction
 
 import pytest
 
 from outerbilliards import cli
+from outerbilliards import polygon as polygon_module
 from outerbilliards.cli import main
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.geometry import Point
@@ -587,6 +590,21 @@ def test_lattice_past_its_bound_is_a_json_input_error(argv, tmp_path, capsys):
     assert time.monotonic() - t0 < 1
     assert code == 2
     assert "10**1000" in json.loads(out)["error"]
+
+
+def test_lattice_bound_removed_lets_the_wide_polygon_through(tmp_path, capsys, monkeypatch):
+    """Negative control: with `NicePolygon.__init__`'s bound on `den`
+    recompiled out, the wide polygon must fail
+    `test_lattice_past_its_bound_is_a_json_input_error` on `validate`, its
+    cheapest command: the polygon is read, and validate exits 0."""
+    source = textwrap.dedent(inspect.getsource(polygon_module.NicePolygon.__init__))
+    old = "if den >= 10 ** SCALAR_DIGITS:"
+    assert source.count(old) == 1
+    namespace = dict(vars(polygon_module))
+    exec(source.replace(old, "if False:"), namespace)
+    monkeypatch.setattr(polygon_module.NicePolygon, "__init__", namespace["__init__"])
+    with pytest.raises(AssertionError):
+        test_lattice_past_its_bound_is_a_json_input_error(("validate",), tmp_path, capsys)
 
 
 def test_help_is_not_a_usage_error(capsys):

@@ -23,9 +23,13 @@ from oracles import (
     pulled_back_trapped_extent,
     q_vertices,
     reflected,
+    ring_axis,
+    ring_shift,
+    ring_windows,
     scalar_in_annulus,
     signed_offset,
     transfer_ratio,
+    vec_necklace_shift,
 )
 from outerbilliards import quasirational, strips
 from outerbilliards.dynamics import orbit, strip_system_return
@@ -238,7 +242,7 @@ def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
     for j in range(system.n):
         for mm in (-2, 1, 3):
             spec = necklace(system, j, mm)
-            offset = homogeneous(spec.shift * spec.m)
+            offset = homogeneous(ring_shift(spec) * spec.m)
             centre = poly.homogeneous(poly.vertices[spec.pair.w_index])
             for kind, moved, verts in (
                     ("P", base.translate(offset), p_vertices(spec)),
@@ -295,8 +299,9 @@ def test_boundedness_certificate_triangle():
     q = quasi_analyze(m.system)
     # hunt a certified point inside strip 0's m=1 annulus
     ring = necklace(m.system, 0, q.D_int[0])
-    (a1, b1), _ = ring.windows()
-    p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(), (7, 3)))
+    (a1, b1), _ = ring_windows(ring)
+    p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(),
+                                   (Fraction(7, 3) / ring.pair.width).as_integer_ratio()))
     assert ring.in_annulus(TRIANGLE.homogeneous(p))
     bounded, radius = boundedness_certificate(m.system, q, p, m=1)
     assert bounded
@@ -312,8 +317,9 @@ def test_certificate_radius_monotone_in_m():
     m = BilliardModel(TRIANGLE)
     q = quasi_analyze(m.system)
     ring = necklace(m.system, 0, q.D_int[0])
-    (a1, b1), _ = ring.windows()
-    p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(), (7, 3)))
+    (a1, b1), _ = ring_windows(ring)
+    p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(),
+                                   (Fraction(7, 3) / ring.pair.width).as_integer_ratio()))
     _, r1 = boundedness_certificate(m.system, q, p, m=1)
     _, r2 = boundedness_certificate(m.system, q, p, m=2)
     _, r3 = boundedness_certificate(m.system, q, p, m=3)
@@ -366,7 +372,7 @@ def test_necklace_membership_matches_region_route(poly_key):
                                  (verts[i].y + verts[(i + 1) % k].y) / 2)
                            for i in range(k))
                 pts.extend(map(point_of, ref.sample_points(4, seed=100 + 7 * j + mm)))
-            pts += [p + spec.shift * Fraction(1, 3) for p in pts]
+            pts += [p + ring_shift(spec) * Fraction(1, 3) for p in pts]
             for p in pts:
                 here = poly.homogeneous(p)
                 in_p = p_ref.contains(here) == 1
@@ -388,7 +394,7 @@ def test_ring_axis_range_closed_form_matches_ring_construction(poly_key):
     system = BilliardModel(poly).system
     for j in range(system.n):
         base = necklace(system, j, 0)
-        d, lo, hi, dd = base.shift, base.lo, base.hi, base.dd
+        d, (lo, hi, dd) = ring_shift(base), ring_axis(base)
         for mm in range(-3, 4):
             spec = necklace(system, j, mm)
             vals = [d.x * v.x + d.y * v.y for v in p_vertices(spec) + q_vertices(spec)]
@@ -404,12 +410,13 @@ def test_frame_point_closed_form_matches_line_route(poly_key):
     system = BilliardModel(poly).system
     for j in range(system.n):
         ring = necklace(system, j, 2)
-        d, width = ring.shift, ring.pair.width
-        for s in (ring.lo, ring.hi + 2 * ring.dd, (ring.lo + ring.hi) / 3,
+        (d, width), (lo, hi, dd) = (ring_shift(ring), ring.pair.width), ring_axis(ring)
+        for s in (lo, hi + 2 * dd, (lo + hi) / 3,
                   quadext(Fraction(-7, 2), 3, 5)):
             for off in (Fraction(0), width, width * Fraction(2, 7), Fraction(-5, 3)):
                 want = line_intersection(parallel_offset(ring.pair.line, off), Line(d.x, d.y, s))
-                got = point_of(ring.frame_triple(s.as_integer_ratio(), off.as_integer_ratio()))
+                got = point_of(ring.frame_triple(s.as_integer_ratio(),
+                                                 (off / width).as_integer_ratio()))
                 assert repr(got) == repr(want), (j, s, off)
                 assert d.dot(got) == s and signed_offset(ring.pair.line, got) == off
 
@@ -420,13 +427,13 @@ def test_necklace_check_computes_shift_per_strip_not_per_sample(monkeypatch):
     model = BilliardModel(random_nice_polygon(5, seed=5))
     model.system  # built outside the count
     calls = []
-    original = quasirational.necklace_shift
+    original = quasirational._shift
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(quasirational, "necklace_shift", counted)
+    monkeypatch.setattr(quasirational, "_shift", counted)
     counts = []
     for samples in (12, 60):
         calls.clear()
@@ -498,10 +505,11 @@ def _copy_points(verts):
 def _extent_points(ring):
     """Frame points on and around the ends of the trapped extent, on the
     strip's lines and inside the strip."""
-    shift = ring.m * ring.dd
-    ends = (ring.lo - shift, ring.hi + shift)
+    lo, hi, dd = ring_axis(ring)
+    shift = ring.m * dd
+    ends = (lo - shift, hi + shift)
     width = ring.pair.width
-    return [point_of(ring.frame_triple(s.as_integer_ratio(), off.as_integer_ratio()))
+    return [point_of(ring.frame_triple(s.as_integer_ratio(), (off / width).as_integer_ratio()))
             for s in ends + (ends[0] - Fraction(1, 7), ends[1] + Fraction(1, 7),
                              (ends[0] + ends[1]) / 2)
             for off in (Fraction(0), width / 3, width / 2, width)]
@@ -511,9 +519,9 @@ def _annulus_points(ring):
     """Frame points on and between the ends of both annulus windows, on the
     strip's lines and inside the strip."""
     width = ring.pair.width
-    ends = [s for window in ring.windows() for s in window]
-    return [point_of(ring.frame_triple(s.as_integer_ratio(), off.as_integer_ratio()))
-            for s in ends + [(a + b) / 2 for a, b in ring.windows()]
+    ends = [s for window in ring_windows(ring) for s in window]
+    return [point_of(ring.frame_triple(s.as_integer_ratio(), (off / width).as_integer_ratio()))
+            for s in ends + [(a + b) / 2 for a, b in ring_windows(ring)]
             for off in (Fraction(0), width / 3, width)]
 
 
@@ -555,7 +563,7 @@ def test_lattice_necklace_matches_point_route(poly_key):
                 boundary, inner = _copy_points(verts)
                 for p in boundary:
                     assert not ring.contains(poly.homogeneous(p)), (j, mm, p)
-                for p in boundary + inner + [p + ring.shift * Fraction(1, 3) for p in inner]:
+                for p in boundary + inner + [p + ring_shift(ring) * Fraction(1, 3) for p in inner]:
                     want = (pulled_back_in_p(ring, p), pulled_back_in_q(ring, p))
                     here = poly.homogeneous(p)
                     assert (ring.in_p(here), ring.in_q(here)) == want, (j, mm, p)
@@ -688,7 +696,7 @@ def test_ring_frame_matches_fraction_frame(poly_key):
         lo, hi, dd, groups = fraction_frame(system, j)
         for mm in range(-3, 4):
             ring = quasirational.necklace(system, j, mm)
-            got = [(type(x), x) for x in (ring.lo, ring.hi, ring.dd)]
+            got = [(type(x), x) for x in ring_axis(ring)]
             assert got == [(type(x), x) for x in (lo, hi, dd)], (j, mm)
             want = [[primitive(A, B, C + mm * D) for A, B, C, D in forms] for forms in groups]
             assert [[primitive(*f) for f in forms] for forms in ring.forms] == want, (j, mm)
@@ -712,6 +720,41 @@ def test_ring_frame_parity_catches_broken_frame(monkeypatch, old, new):
         test_ring_frame_matches_fraction_frame("pentagon-0")
 
 
+@pytest.mark.parametrize("poly_key", FRAME_KEYS)
+def test_shift_triple_matches_vec_route(poly_key):
+    """The shift's triple, read off edge j's lattice direction and strip
+    j+1's form, is the `Vec` route's shift (`oracles.vec_necklace_shift`) in
+    lowest terms; it and the `necklace_shift` view equal that route in value
+    and scalar type, and the ring's frame carries the same triple.  Polygons:
+    the `test_billiards` corpus (both Q(sqrt 5) kites included), the bench
+    necklace pentagons and the Q(sqrt 5) pentagon."""
+    poly = _sample_polygon(poly_key) if poly_key in SAMPLE_KEYS else corpus_polygon(poly_key)
+    system = BilliardModel(poly).system
+    for j in range(system.n):
+        want = vec_necklace_shift(system, j)
+        triple = quasirational._shift(system, j)
+        assert triple == homogeneous(want), j
+        assert necklace(system, j, 1).frame[0] == triple, j
+        for got in (vec_of(triple), necklace_shift(system, j)):
+            assert ([(type(x), x) for x in (got.x, got.y)]
+                    == [(type(x), x) for x in (want.x, want.y)]), j
+
+
+def test_shift_parity_catches_dropped_width_denominator(monkeypatch):
+    """Negative control: the shift's denominator with strip j+1's width
+    denominator wq dropped must fail the shift parity test, on a polygon
+    where some wq is not 1 (n8: 11)."""
+    assert any(pair.form[4] != 1 for pair in BilliardModel(corpus_polygon("n8")).system.pairs)
+    source = textwrap.dedent(inspect.getsource(quasirational._shift))
+    old = "cleared(wn, wq * (A * DX + B * DY))"
+    assert source.count(old) == 1
+    namespace = dict(vars(quasirational))
+    exec(source.replace(old, "cleared(wn, A * DX + B * DY)"), namespace)
+    monkeypatch.setattr(quasirational, "_shift", namespace["_shift"])
+    with pytest.raises(AssertionError):
+        test_shift_triple_matches_vec_route("n8")
+
+
 def necklace_golden_text(n):
     """Every necklace report (m = 1..3, exponent offsets 0 and 1) and a
     certificate from the middle of the first open annulus window, on
@@ -727,10 +770,9 @@ def necklace_golden_text(n):
                                                 exponent_offset=off)
                 lines.append(json.dumps(rep.to_json(), sort_keys=True))
             rings = (necklace(system, j, mm * quasi.D_int[j]) for j in range(n))
-            ring = next(r for r in rings if r.windows()[0][0] < r.windows()[0][1])
-            (a1, b1), _ = ring.windows()
-            p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(),
-                                               (ring.pair.width / 3).as_integer_ratio()))
+            ring = next(r for r in rings if ring_windows(r)[0][0] < ring_windows(r)[0][1])
+            (a1, b1), _ = ring_windows(ring)
+            p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(), (1, 3)))
             lines.append(f"{ring.j} {p!r} "
                          f"{boundedness_certificate(system, quasi, p, mm)!r}")
     return "\n".join(lines)

@@ -86,6 +86,19 @@ def test_structure1_reports_triangle_counts():
                and "bounded_tiles=0" in note for note in rep.notes)
 
 
+def test_structure1_reports_a_dropped_path():
+    """Negative control: a path family with one path dropped, assigned to
+    `model.paths`, is reported as a label-set violation, not raised."""
+    model = BilliardModel(random_nice_polygon(5, 77))
+    full = model.paths
+    model.paths = PathFamily(model.system, full.paths[1:])
+    rep = check_structure1(model)
+    assert not rep.passed
+    assert [(v.expected, v.actual) for v in rep.violations] == [
+        (f"{sorted(model.paths.by_endpoints)}", f"{sorted(full.by_endpoints)}")]
+    assert rep.violations[0].input == "label sets"
+
+
 def test_quick_suite_passes_on_mixed_polygons():
     for poly in (TRIANGLE, random_nice_polygon(4, 7), random_nice_polygon(6, 19)):
         for rep in run_all(poly, "quick", seed=3):
