@@ -20,7 +20,7 @@ from .billiards import psi_walk
 from .errors import BudgetExceededError, MapUndefinedError
 from .geometry import Point, point_of
 from .model import BilliardModel
-from .scalars import Scalar
+from .scalars import Scalar, ratio
 from .strips import PinwheelSystem, strip_jump, strip_map
 
 
@@ -134,9 +134,8 @@ def far_radius(model: BilliardModel, factor: int = 8) -> Scalar:
     """Radius beyond which the far-field statements are exercised: a crude
     c * n * (diameter + max strip width) bound, exact in the polygon's field."""
     poly = model.polygon
-    xs = [v.x for v in poly.vertices]
-    ys = [v.y for v in poly.vertices]
-    extent = (max(xs) - min(xs)) + (max(ys) - min(ys))
+    xs, ys = zip(*poly.lattice)
+    extent = ratio((max(xs) - min(xs)) + (max(ys) - min(ys)), poly.den)
     return Fraction(factor * poly.n) * (extent + model.system.max_width())
 
 

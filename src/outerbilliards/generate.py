@@ -1,29 +1,35 @@
 """Seeded random nice polygons with exact rational coordinates.
 
-Construction: draw n integer edge vectors, recenter them to close the cycle,
-sort by full-circle angle (exact comparator) and chain the prefix sums; the
-result is convex by construction.  Parallel or degenerate draws are rejected
-by `NicePolygon`'s validation and resampled.  No floating point and no
-platform-dependent library calls, so a (n, seed) pair gives the identical
-polygon everywhere.
+Construction, on int pairs: draw n integer edge vectors, recenter them to close
+the cycle (n times each less their sum), sort by full-circle angle and chain
+the prefix sums, recentred; the result is convex, and becomes `Point`s over
+n**2 last.  Parallel or degenerate draws are rejected by `NicePolygon`'s
+validation and resampled.  No floating point and no platform-dependent library
+calls, so a (n, seed) pair gives the identical polygon everywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import accumulate
 
 from .errors import GenerationFailedError, PolygonError
-from .geometry import Point, Vec, direction_ccw_cmp
+from .geometry import Point, direction_ccw_cmp
 from .polygon import NicePolygon
+from .rng import Rng
 
 _MAX_ATTEMPTS = 200
 
 
+def _recentred(pairs: list) -> list:
+    """n*p - (the sum of the n pairs) for each int pair p: n times p less their mean."""
+    n, sx, sy = len(pairs), sum(x for x, _ in pairs), sum(y for _, y in pairs)
+    return [(n * x - sx, n * y - sy) for x, y in pairs]
+
+
 def random_nice_polygon(n: int, seed: int, bound: int = 20) -> NicePolygon:
     """A random nice n-gon with all |coordinates| <= bound."""
-    from .rng import Rng
-
     if not 3 <= n <= 12:
         raise ValueError(f"n must be in 3..12, got {n}")
     if bound < 1:
@@ -32,27 +38,17 @@ def random_nice_polygon(n: int, seed: int, bound: int = 20) -> NicePolygon:
     for attempt in range(_MAX_ATTEMPTS):
         rng = base.split(attempt)
         k = 6 + 2 * n
-        raws = [Vec(Fraction(rng.int_range(2 * i, -k, k)),
-                    Fraction(rng.int_range(2 * i + 1, -k, k)))
-                for i in range(n)]
-        mx = sum((v.x for v in raws), start=Fraction(0)) / n
-        my = sum((v.y for v in raws), start=Fraction(0)) / n
-        edges = [Vec(v.x - mx, v.y - my) for v in raws]
-        edges.sort(key=cmp_to_key(direction_ccw_cmp))
-        verts = []
-        acc = Point(Fraction(0), Fraction(0))
-        for e in edges:
-            verts.append(acc)
-            acc = acc + e
-        cx = sum((v.x for v in verts), start=Fraction(0)) / n
-        cy = sum((v.y for v in verts), start=Fraction(0)) / n
-        verts = [Point(v.x - cx, v.y - cy) for v in verts]
-        top = max(max(abs(v.x), abs(v.y)) for v in verts)
-        if top > bound:
-            scale = Fraction(bound) / (top.numerator // top.denominator + 1)
-            verts = [Point(v.x * scale, v.y * scale) for v in verts]
+        raws = [(rng.int_range(2 * i, -k, k), rng.int_range(2 * i + 1, -k, k)) for i in range(n)]
+        edges = sorted(_recentred(raws), key=cmp_to_key(direction_ccw_cmp))
+        # the prefix sums, over n, less their centroid: each vertex over n**2
+        sums = accumulate(edges, lambda p, e: (p[0] + e[0], p[1] + e[1]), initial=(0, 0))
+        cycle = _recentred(list(sums)[:-1])
+        q, top = n * n, max(abs(c) for xy in cycle for c in xy)
+        # scaled by bound / (floor(top / q) + 1) where top / q > bound
+        m, q = (bound, q * (top // q + 1)) if top > bound * q else (1, q)
         try:
-            return NicePolygon.from_points(verts)
+            return NicePolygon.from_points([Point(Fraction(x * m, q), Fraction(y * m, q))
+                                            for x, y in cycle])
         except PolygonError:
             continue
     raise GenerationFailedError(

@@ -1,8 +1,8 @@
 """Exact planar geometry: points, lines, half-planes and convex regions.
 
-Everything here works over an ordered field (Fraction or QuadExt coordinates)
-with exact sign tests.  A line is one integer form (A, B, C) (ints, or
-`QuadInt`s over Q(sqrt d)) over one positive int scale s; identity and order
+Everything here is exact: `Point`s have Fraction or QuadExt coordinates, and a
+polygon is read off its lattice pairs.  A line is one integer form (A, B, C) (ints,
+or `QuadInt`s over Q(sqrt d)) over one positive int scale s; identity and order
 read its primitive normal form (`scalars.primitive`), with no division.
 Convex regions are stored as canonicalized half-plane intersections.  One
 kernel pass, run once per region, clips each constraint's line by all the
@@ -98,6 +98,12 @@ def integer_form(*coefs) -> tuple:
     return tuple(n * (scale // q) for n, q in fracs)
 
 
+def lattice_of(points: Sequence[Point]) -> tuple:
+    """(pairs, den): each point's numerator pair over den, the lcm of their denominators."""
+    *xys, den = integer_form(*(x for p in points for x in (p.x, p.y)), 1)  # den: the form of 1
+    return tuple(zip(xys[::2], xys[1::2])), den
+
+
 def homogeneous(p: Point, den: int = 1) -> tuple:
     """p as the lattice triple (X, Y, L) with p = (X/L, Y/L): L is the lcm of
     p's two denominators and den, X and Y are ints, or QuadInts where a
@@ -168,36 +174,33 @@ def barycentric_triples(den: int, cycle, count: int, seed: int):
         yield sum(map(mul, ws, xs)), sum(map(mul, ws, ys)), den * sum(ws)
 
 
-def signed_area2(points: Tuple[Point, ...]) -> Scalar:
-    """Twice the signed area of a closed vertex cycle (the shoelace sum):
-    negative when clockwise, zero for fewer than three points."""
-    return sum((v.x * w.y - w.x * v.y for v, w in zip(points, points[1:] + points[:1])),
-               start=Fraction(0))
+def cross(u, v):
+    """The cross product of the (x, y) pairs u and v."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
-def _upper(u: Vec) -> bool:
-    """Whether u is in the half-open upper half-plane: y > 0, or y = 0 and x > 0."""
-    return sign(u.y) > 0 or (u.y == 0 and sign(u.x) > 0)
+def signed_area2(cycle) -> Scalar:
+    """Twice the signed area of a cycle of pairs (the shoelace sum): negative when clockwise."""
+    return sum(map(cross, cycle, cycle[1:] + cycle[:1]))
 
 
-def direction_ccw_cmp(u: Vec, v: Vec) -> int:
-    """Compare directions by counterclockwise angle from the positive x-axis.
+def _upper(u) -> bool:
+    """Whether the pair u is in the half-open upper half-plane: y > 0, or y = 0 and x > 0."""
+    return sign(u[1]) > 0 or (u[1] == 0 and sign(u[0]) > 0)
 
-    Total order on nonzero directions in [0, 2*pi); exact.
-    """
+
+def direction_ccw_cmp(u, v) -> int:
+    """Order nonzero pairs' directions by counterclockwise angle from the positive x-axis."""
     hu, hv = _upper(u), _upper(v)
     if hu != hv:
         return -1 if hu else 1
-    return -sign(u.cross(v))
+    return -sign(cross(u, v))
 
 
-def slope_angle_cmp(u: Vec, v: Vec) -> int:
-    """Compare directions as projective slopes, angle in [0, pi).
-
-    Directions are folded into the half-open upper half plane first, so u and -u
-    compare equal.
-    """
-    return direction_ccw_cmp(u if _upper(u) else -u, v if _upper(v) else -v)
+def slope_angle_cmp(u, v) -> int:
+    """Compare pairs' directions as projective slopes, angle in [0, pi): each is
+    folded into the half-open upper half plane first, so u and -u compare equal."""
+    return direction_ccw_cmp(*(w if _upper(w) else (-w[0], -w[1]) for w in (u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +260,15 @@ class Line:
 
     def __repr__(self):
         return f"Line({self.a}, {self.b}, {self.c})"
+
+
+def edge_lines(cycle, den: int) -> tuple:
+    """The edge lines of a clockwise cycle of lattice pairs over den, the
+    polygon on their positive side: edge (X, Y) -> (X + DX, Y + DY) is
+    DY*x - DX*y = (DY*X - DX*Y)/den, over the scale den**2, by `primitive`."""
+    forms = [primitive(den * den, (HY - Y) * den, (X - HX) * den, (HY - Y) * X - (HX - X) * Y)
+             for (X, Y), (HX, HY) in zip(cycle, cycle[1:] + cycle[:1])]
+    return tuple(Line.of_ints(A, B, C, s) for s, A, B, C in forms)
 
 
 class Sense(enum.Enum):
@@ -723,13 +735,9 @@ def box_region(xmin: ScalarLike, ymin: ScalarLike, xmax: ScalarLike, ymax: Scala
 
 
 def polygon_region(vertices: Sequence[Point], open_region: bool = False) -> ConvexRegion:
-    """Region of a convex polygon given by clockwise vertices."""
-    n = len(vertices)
-    sense = Sense.LT if open_region else Sense.LE
-    hps = []
-    for i in range(n):
-        t, h = vertices[i], vertices[(i + 1) % n]
-        d = h - t
-        # interior of a clockwise polygon is the cross(d, p - t) < 0 side
-        hps.append(HalfPlane(Line(-d.y, d.x, d.x * t.y - d.y * t.x), sense))
-    return region(hps)
+    """Region of a convex polygon given by clockwise vertices: the positive
+    side of each of its `edge_lines`."""
+    sense, lines = Sense.GT if open_region else Sense.GE, edge_lines(*lattice_of(vertices))
+    if any(line.ints[:2] == (0, 0) for line in lines):
+        raise ValueError("a repeated vertex: an edge of length 0 has no line")
+    return region(HalfPlane(line, sense) for line in lines)

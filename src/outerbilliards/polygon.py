@@ -11,8 +11,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (DegenerateVerticesError, NotConvexError, ParallelEdgesError, ParseError,
                      PolygonError)
-from .geometry import (Line, Point, direction_ccw_cmp, homogeneous, integer_form, least_sign,
-                       signed_area2)
+from .geometry import (Point, cross, direction_ccw_cmp, edge_lines, homogeneous, lattice_of,
+                       least_sign, signed_area2)
 from .scalars import (SCALAR_DIGITS, bounded_int, is_radicand, radicand, scalar_from_json,
                       scalar_to_json, sign)
 
@@ -25,9 +25,8 @@ class NicePolygon:
     ValueError.
 
     `edges[i]` is the line of edge i, from vertex i to vertex i+1, oriented so
-    that the polygon lies on its positive side: with d = v[i+1] - v[i] it is
-    d.y*x - d.x*y = d.y*v[i].x - d.x*v[i].y, positive right of d, the inside
-    of a clockwise polygon.
+    that the polygon lies on its positive side: `edge_lines` of the lattice,
+    positive right of the edge, inside a clockwise polygon; `_validate` reads the pairs too.
 
     The polygon's lattice, fixed at construction: `den` is the least common
     denominator D < 10**SCALAR_DIGITS of the vertex coordinates, and `lattice[i]` is vertex i's
@@ -46,21 +45,19 @@ class NicePolygon:
         if len(fields) > 1:
             raise ValueError("cannot mix " + " with ".join(f"sqrt({d})" for d in sorted(fields)))
         quad_d = fields.pop() if fields else None
-        _validate(verts)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "reoriented", reoriented)
-        object.__setattr__(self, "edges", tuple(
-            Line(d.y, -d.x, d.y * t.x - d.x * t.y)
-            for t, h in zip(verts, verts[1:] + verts[:1]) for d in [h - t]))
-        object.__setattr__(self, "quad_d", quad_d)
-        *xys, den = integer_form(*(x for v in verts for x in (v.x, v.y)), 1)  # den: the form of 1
+        lattice, den = lattice_of(verts)
+        _validate(lattice)
         if den >= 10 ** SCALAR_DIGITS:
             raise PolygonError(f"the lattice's denominator is 10**{SCALAR_DIGITS} or more")
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "reoriented", reoriented)
+        object.__setattr__(self, "edges", edge_lines(lattice, den))
+        object.__setattr__(self, "quad_d", quad_d)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "lattice", tuple(zip(xys[::2], xys[1::2])))
+        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "_forms", tuple(e.ints for e in self.edges))
         object.__setattr__(self, "vertex_offsets",
-                           tuple(self.edge_offsets(v + (den,)) for v in self.lattice))
+                           tuple(self.edge_offsets(v + (den,)) for v in lattice))
 
     def __setattr__(self, name, value):
         raise AttributeError("NicePolygon is immutable")
@@ -68,7 +65,7 @@ class NicePolygon:
     @staticmethod
     def from_points(points: Sequence[Point], quad_d: Optional[int] = None) -> "NicePolygon":
         verts = tuple(points)
-        if len(verts) >= 3 and signed_area2(verts) > 0:
+        if signed_area2(lattice_of(verts)[0]) > 0:
             return NicePolygon(tuple(reversed(verts)), reoriented=True, quad_d=quad_d)
         return NicePolygon(verts, reoriented=False, quad_d=quad_d)
 
@@ -124,18 +121,18 @@ class NicePolygon:
         return f"NicePolygon(n={self.n})"
 
 
-def _validate(verts: Tuple[Point, ...]):
-    """Strictly convex, clockwise, no parallel sides: every corner turns
-    strictly clockwise and the sides' direction wraps once around (a {n/k}
-    star wraps k times)."""
-    n = len(verts)
+def _validate(cycle):
+    """Strictly convex, clockwise, no parallel sides, on lattice pairs: every
+    corner turns strictly clockwise and the sides' direction wraps once
+    around (a {n/k} star wraps k times)."""
+    n = len(cycle)
     if n < 3:
         raise DegenerateVerticesError(f"need at least 3 vertices, got {n}",
                                       range(n))
-    dirs = [verts[(i + 1) % n] - verts[i] for i in range(n)]
+    dirs = [(HX - X, HY - Y) for (X, Y), (HX, HY) in zip(cycle, cycle[1:] + cycle[:1])]
     wraps = 0
     for i in range(n):
-        turn = sign(dirs[i - 1].cross(dirs[i]))
+        turn = sign(cross(dirs[i - 1], dirs[i]))
         if turn == 0:
             raise DegenerateVerticesError(
                 f"collinear or repeated vertices at indices {(i - 1) % n}, {i}, {(i + 1) % n}",
@@ -147,7 +144,7 @@ def _validate(verts: Tuple[Point, ...]):
         raise NotConvexError(f"the sides wind {wraps} times around", range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            if dirs[i].cross(dirs[j]) == 0:
+            if cross(dirs[i], dirs[j]) == 0:
                 raise ParallelEdgesError(
                     f"edges {i} and {j} are parallel", (i, j))
 

@@ -92,7 +92,7 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
         offsets = [A * X + B * Y - C * polygon.den for X, Y in polygon.lattice]
         far = max(range(n), key=lambda i: offsets[i])
         width = ratio(2 * offsets[far], line.s * polygon.den)
-        entries.append((polygon.vertex(i + 1) - polygon.vertex(i), i, line, far, width))
+        entries.append(((-B, A), i, line, far, width))  # (-B, A): the edge's direction
 
     entries.sort(key=cmp_to_key(lambda x, y: slope_angle_cmp(x[0], y[0])))
 

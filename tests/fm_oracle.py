@@ -169,7 +169,8 @@ def fm_vertices(constraints):
     center = Point(sum((q.x for q in cands), start=Fraction(0)) / len(cands),
                    sum((q.y for q in cands), start=Fraction(0)) / len(cands))
     ordered = sorted(cands, key=cmp_to_key(
-        lambda u, v: direction_ccw_cmp(u - center, v - center)))
+        lambda u, v: direction_ccw_cmp((u.x - center.x, u.y - center.y),
+                                       (v.x - center.x, v.y - center.y))))
     ordered.reverse()
     start = min(range(len(ordered)), key=lambda i: _point_key(ordered[i]))
     return tuple(ordered[start:] + ordered[:start])

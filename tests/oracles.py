@@ -5,16 +5,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional, Tuple
 
 from outerbilliards.billiards import Chirality, tangent_vertex
 from outerbilliards.dynamics import far_radius, section
 from outerbilliards.errors import (
     BudgetExceededError,
+    DegenerateVerticesError,
     InsidePolygonError,
     MapUndefinedError,
+    NotConvexError,
     OnPrimaryWallError,
     OnStripBoundaryError,
+    ParallelEdgesError,
+    PolygonError,
     UndefinedOnWallError,
 )
 from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, Vec,
@@ -22,7 +27,7 @@ from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense
                                      region, signed_area2, vec_of)
 from outerbilliards.quasirational import necklace, quasi_analyze
 from outerbilliards.rng import Rng
-from outerbilliards.strips import strip_map
+from outerbilliards.strips import PinwheelPair, strip_map
 from outerbilliards.scalars import QuadExt, as_scalar, primitive, ratio, sign
 
 
@@ -144,7 +149,7 @@ def region_area(r):
         return Fraction(0)
     if not r.is_bounded():
         raise ValueError("area of an unbounded region")
-    return abs(signed_area2(r.vertices())) / 2
+    return abs(signed_area2([(p.x, p.y) for p in r.vertices()])) / 2
 
 
 def line_intersection(first: Line, second: Line) -> Optional[Point]:
@@ -619,3 +624,161 @@ def path_apex_points(system, path) -> Tuple[Point, ...]:
     """The first vertex, then the first vertex plus each prefix sum."""
     v = system.polygon.vertices[path.first_vertex_index]
     return (v,) + tuple(v + shift for shift in path_prefix_sums(system, path))
+
+
+# ---------------------------------------------------------------------------
+# the Point route of the polygon's construction: validation, orientation,
+# edge lines, direction orders, strip order, the generator and
+# `polygon_region` on `Point`s and `Vec`s of `Fraction`/`QuadExt` scalars, as
+# they were computed before they read the polygon's lattice pairs
+
+
+def vec_upper(u: Vec) -> bool:
+    """Whether u is in the half-open upper half-plane: y > 0, or y = 0 and x > 0."""
+    return sign(u.y) > 0 or (u.y == 0 and sign(u.x) > 0)
+
+
+def vec_direction_ccw_cmp(u: Vec, v: Vec) -> int:
+    """Compare directions by counterclockwise angle from the positive x-axis."""
+    hu, hv = vec_upper(u), vec_upper(v)
+    if hu != hv:
+        return -1 if hu else 1
+    return -sign(u.cross(v))
+
+
+def vec_slope_angle_cmp(u: Vec, v: Vec) -> int:
+    """Compare directions as projective slopes, each folded into the upper half-plane."""
+    return vec_direction_ccw_cmp(u if vec_upper(u) else -u, v if vec_upper(v) else -v)
+
+
+def point_signed_area2(points) -> Fraction:
+    """The shoelace sum of a closed vertex cycle of `Point`s."""
+    return sum((v.x * w.y - w.x * v.y for v, w in zip(points, points[1:] + points[:1])),
+               start=Fraction(0))
+
+
+def point_reoriented(points) -> bool:
+    """Whether `NicePolygon.from_points` reverses the cycle: the shoelace sign."""
+    return len(points) >= 3 and point_signed_area2(tuple(points)) > 0
+
+
+def point_validate(verts):
+    """`NicePolygon`'s validation on `Vec` differences of the vertices, with
+    its messages and indices."""
+    n = len(verts)
+    if n < 3:
+        raise DegenerateVerticesError(f"need at least 3 vertices, got {n}", range(n))
+    dirs = [verts[(i + 1) % n] - verts[i] for i in range(n)]
+    wraps = 0
+    for i in range(n):
+        turn = sign(dirs[i - 1].cross(dirs[i]))
+        if turn == 0:
+            raise DegenerateVerticesError(
+                f"collinear or repeated vertices at indices {(i - 1) % n}, {i}, {(i + 1) % n}",
+                ((i - 1) % n, i, (i + 1) % n))
+        if turn > 0:
+            raise NotConvexError(f"reflex corner at vertex {i}", (i,))
+        wraps += vec_direction_ccw_cmp(dirs[i - 1], dirs[i]) < 0
+    if wraps != 1:
+        raise NotConvexError(f"the sides wind {wraps} times around", range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dirs[i].cross(dirs[j]) == 0:
+                raise ParallelEdgesError(f"edges {i} and {j} are parallel", (i, j))
+
+
+def point_from_points(points, direct: bool = False):
+    """The clockwise vertex tuple `NicePolygon.from_points(points)` keeps (or
+    `NicePolygon(points)` where direct), raising what its validation raises."""
+    verts = tuple(points)
+    if not direct and point_reoriented(verts):
+        verts = verts[::-1]
+    point_validate(verts)
+    return verts
+
+
+def point_edges(verts) -> Tuple[Line, ...]:
+    """Each edge's line d.y*x - d.x*y = d.y*t.x - d.x*t.y, d = h - t, on
+    the vertices' scalars."""
+    return tuple(Line(d.y, -d.x, d.y * t.x - d.x * t.y)
+                 for t, h in zip(verts, verts[1:] + verts[:1]) for d in [h - t])
+
+
+def point_pinwheel_pairs(polygon) -> Tuple[PinwheelPair, ...]:
+    """`build_pinwheel_system`'s pairs, on `point_edges` and sorted by
+    `vec_slope_angle_cmp` on the edges' `Vec` directions."""
+    n, entries = polygon.n, []
+    for i, edge in enumerate(point_edges(polygon.vertices)):
+        A, B, C = primitive(*edge.ints)
+        line = Line.of_ints(A, B, C, abs(A if A != 0 else B))
+        offsets = [A * X + B * Y - C * polygon.den for X, Y in polygon.lattice]
+        far = max(range(n), key=lambda i: offsets[i])
+        width = ratio(2 * offsets[far], line.s * polygon.den)
+        entries.append((polygon.vertex(i + 1) - polygon.vertex(i), i, line, far, width))
+    entries.sort(key=cmp_to_key(lambda x, y: vec_slope_angle_cmp(x[0], y[0])))
+    ends = [{(i + 1) % n, far} for _, i, _, far, _ in entries]
+    pairs = []
+    for j, (_, i, line, far, width) in enumerate(entries):
+        (vx, vy), (wx, wy) = polygon.lattice[(i + 1) % n], polygon.lattice[far]
+        pairs.append(PinwheelPair(
+            index=j, edge_index=i, line=line, width=width, v_index=(i + 1) % n, w_index=far,
+            V=(2 * (wx - vx), 2 * (wy - vy), polygon.den),
+            special=bool(ends[j - 1] & ends[j] & ends[(j + 1) % n])))
+    return tuple(pairs)
+
+
+def point_far_radius(model, factor: int = 8):
+    """`far_radius` on the vertices' scalars."""
+    xs = [v.x for v in model.polygon.vertices]
+    ys = [v.y for v in model.polygon.vertices]
+    extent = (max(xs) - min(xs)) + (max(ys) - min(ys))
+    return Fraction(factor * model.polygon.n) * (extent + model.system.max_width())
+
+
+def vec_random_nice_polygon(n: int, seed: int, bound: int = 20) -> Tuple[Point, ...]:
+    """The clockwise vertices of `random_nice_polygon(n, seed, bound)`, drawn
+    as `Vec`s of `Fraction`s: recentred on their mean, sorted by
+    `vec_direction_ccw_cmp`, chained, recentred and scaled on `Point`s; an
+    attempt that `point_from_points` refuses is resampled."""
+    base = Rng(seed).split(0x9071, n)
+    for attempt in range(200):
+        rng = base.split(attempt)
+        k = 6 + 2 * n
+        raws = [Vec(Fraction(rng.int_range(2 * i, -k, k)),
+                    Fraction(rng.int_range(2 * i + 1, -k, k)))
+                for i in range(n)]
+        mx = sum((v.x for v in raws), start=Fraction(0)) / n
+        my = sum((v.y for v in raws), start=Fraction(0)) / n
+        edges = [Vec(v.x - mx, v.y - my) for v in raws]
+        edges.sort(key=cmp_to_key(vec_direction_ccw_cmp))
+        verts = []
+        acc = Point(Fraction(0), Fraction(0))
+        for e in edges:
+            verts.append(acc)
+            acc = acc + e
+        cx = sum((v.x for v in verts), start=Fraction(0)) / n
+        cy = sum((v.y for v in verts), start=Fraction(0)) / n
+        verts = [Point(v.x - cx, v.y - cy) for v in verts]
+        top = max(max(abs(v.x), abs(v.y)) for v in verts)
+        if top > bound:
+            scale = Fraction(bound) / (top.numerator // top.denominator + 1)
+            verts = [Point(v.x * scale, v.y * scale) for v in verts]
+        try:
+            return point_from_points(verts)
+        except PolygonError:
+            continue
+    raise AssertionError(f"no nice polygon after 200 attempts (n={n}, seed={seed})")
+
+
+def point_polygon_region(vertices, open_region: bool = False) -> ConvexRegion:
+    """Region of a convex polygon given by clockwise vertices: each edge's
+    line built on the vertices' scalars, the inside on its upper side."""
+    n = len(vertices)
+    sense = Sense.LT if open_region else Sense.LE
+    hps = []
+    for i in range(n):
+        t, h = vertices[i], vertices[(i + 1) % n]
+        d = h - t
+        # interior of a clockwise polygon is the cross(d, p - t) < 0 side
+        hps.append(HalfPlane(Line(-d.y, d.x, d.x * t.y - d.y * t.x), sense))
+    return region(hps)

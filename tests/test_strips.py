@@ -49,7 +49,8 @@ def test_strips_sorted_by_slope_angle():
         sys = build_pinwheel_system(poly)
         dirs = []
         for p in sys.pairs:
-            dirs.append(poly.vertex(p.edge_index + 1) - poly.vertex(p.edge_index))
+            d = poly.vertex(p.edge_index + 1) - poly.vertex(p.edge_index)
+            dirs.append((d.x, d.y))
         for i in range(len(dirs) - 1):
             assert slope_angle_cmp(dirs[i], dirs[i + 1]) < 0
 
@@ -136,7 +137,8 @@ def test_spoke_slope_order_compatible_with_strip_order():
         n = sys.n
         # sort spokes by slope angle; the result must be a rotation of 0..n-1
         import functools
-        spoke = [poly.vertices[p.w_index] - poly.vertices[p.v_index] for p in sys.pairs]
+        spoke = [(w.x - v.x, w.y - v.y) for p in sys.pairs
+                 for v, w in [(poly.vertices[p.v_index], poly.vertices[p.w_index])]]
         order = sorted(range(n), key=functools.cmp_to_key(
             lambda i, j: slope_angle_cmp(spoke[i], spoke[j])))
         shift = order.index(0)
