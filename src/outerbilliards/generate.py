@@ -10,7 +10,6 @@ calls, so a (n, seed) pair gives the identical polygon everywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
 
@@ -18,6 +17,7 @@ from .errors import GenerationFailedError, PolygonError
 from .geometry import Point, direction_ccw_cmp
 from .polygon import NicePolygon
 from .rng import Rng
+from .scalars import ratio
 
 _MAX_ATTEMPTS = 200
 
@@ -47,7 +47,7 @@ def random_nice_polygon(n: int, seed: int, bound: int = 20) -> NicePolygon:
         # scaled by bound / (floor(top / q) + 1) where top / q > bound
         m, q = (bound, q * (top // q + 1)) if top > bound * q else (1, q)
         try:
-            return NicePolygon.from_points([Point(Fraction(x * m, q), Fraction(y * m, q))
+            return NicePolygon.from_points([Point(ratio(x * m, q), ratio(y * m, q))
                                             for x, y in cycle])
         except PolygonError:
             continue

@@ -25,13 +25,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EmptyRegionError
 from .rng import Rng
-from .scalars import Scalar, ScalarLike, as_scalar, cleared, int_parts, primitive, ratio, sign
+from .scalars import (Scalar, ScalarLike, as_scalar, cleared, coprime_fraction, int_parts,
+                      primitive, ratio, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +132,13 @@ def lifted(p, den: int) -> tuple:
 
 def point_of(p) -> Point:
     """The lattice triple p = (X, Y, L), L a positive int, divided out to
-    (X/L, Y/L): by `Fraction` where X and Y are ints, else by `ratio`."""
+    (X/L, Y/L): by one gcd each and `coprime_fraction` where X and Y are ints
+    (inline, not through `ratio`: every logged orbit event pays for it), else by `ratio`."""
     X, Y, L = p
-    div = Fraction if type(X) is type(Y) is int else ratio
-    return Point(div(X, L), div(Y, L))
+    if type(X) is type(Y) is int:
+        g, h = math.gcd(X, L), math.gcd(Y, L)
+        return Point(coprime_fraction(X // g, L // g), coprime_fraction(Y // h, L // h))
+    return Point(ratio(X, L), ratio(Y, L))
 
 
 def vec_of(v) -> Vec:

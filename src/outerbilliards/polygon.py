@@ -32,20 +32,21 @@ class NicePolygon:
     denominator D < 10**SCALAR_DIGITS of the vertex coordinates, and `lattice[i]` is vertex i's
     numerator pair over D (ints, or the `QuadInt`s of `as_integer_ratio()`).
     `vertex_offsets[v]` is vertex v's `edge_offsets` over D, which the ψ walk reflects by.
+    `_lattice` is `lattice_of(vertices)` where the caller has read it already.
     """
 
     __slots__ = ("vertices", "reoriented", "edges", "quad_d", "den", "lattice",
                  "_forms", "vertex_offsets")
 
     def __init__(self, vertices: Sequence[Point], reoriented: bool = False,
-                 quad_d: Optional[int] = None):
+                 quad_d: Optional[int] = None, _lattice: Optional[tuple] = None):
         verts = tuple(vertices)
         fields = {radicand(x) for v in verts for x in (v.x, v.y)} | {quad_d}
         fields.discard(None)
         if len(fields) > 1:
             raise ValueError("cannot mix " + " with ".join(f"sqrt({d})" for d in sorted(fields)))
         quad_d = fields.pop() if fields else None
-        lattice, den = lattice_of(verts)
+        lattice, den = _lattice or lattice_of(verts)
         _validate(lattice)
         if den >= 10 ** SCALAR_DIGITS:
             raise PolygonError(f"the lattice's denominator is 10**{SCALAR_DIGITS} or more")
@@ -65,9 +66,10 @@ class NicePolygon:
     @staticmethod
     def from_points(points: Sequence[Point], quad_d: Optional[int] = None) -> "NicePolygon":
         verts = tuple(points)
-        if signed_area2(lattice_of(verts)[0]) > 0:
-            return NicePolygon(tuple(reversed(verts)), reoriented=True, quad_d=quad_d)
-        return NicePolygon(verts, reoriented=False, quad_d=quad_d)
+        pairs, den = lattice_of(verts)
+        if signed_area2(pairs) > 0:
+            return NicePolygon(verts[::-1], True, quad_d, (pairs[::-1], den))
+        return NicePolygon(verts, False, quad_d, (pairs, den))
 
     @property
     def n(self) -> int:

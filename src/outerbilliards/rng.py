@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ratio
+from .scalars import coprime_fraction, ratio
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4B7C15
@@ -53,8 +53,8 @@ class Rng:
         return 2 * (self.u64(counter) >> (64 - bits)) + 1
 
     def unit(self, counter: int, bits: int = 32) -> Fraction:
-        """Rational strictly inside (0, 1): `odd` / 2^(bits+1)."""
-        return Fraction(self.odd(counter, bits), 2 << bits)
+        """Rational strictly inside (0, 1): `odd` / 2^(bits+1), coprime as drawn."""
+        return coprime_fraction(self.odd(counter, bits), 2 << bits)
 
     def draw(self, counter: int, lo: tuple, hi: tuple) -> tuple:
         """lo + u*(hi - lo), u = `unit(counter)`, on (num, den) pairs, den > 0 (ints, or

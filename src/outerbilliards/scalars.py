@@ -12,6 +12,14 @@ in ``QuadInt`` arithmetic on the two operands' pairs, followed by one
 division, `ratio`; each comparison is one test of the sign of the
 difference.  All operations are exact field operations; nothing in this
 module (or anything built on it) ever rounds.
+
+This is also where a ``Fraction`` is built from an int pair: `coprime_fraction`
+fills a new ``Fraction``'s two slots from a pair already in lowest terms, as
+``QuadExt._make`` fills a ``QuadExt``'s, without a second pass through
+``Fraction.__new__``'s type dispatch and gcd.  That is what Python 3.12's own
+``Fraction._from_coprime_ints`` does; the slot names it relies on,
+``('_numerator', '_denominator')`` on every supported Python, are pinned by a
+test, so a release that changes them fails loudly.
 """
 
 from __future__ import annotations
@@ -156,17 +164,26 @@ def cleared(num, den) -> tuple:
     return (-num, -den) if den < 0 else (num, den)
 
 
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime ints n and d > 0, taken on trust: the
+    canonical reduced value, equal in type, hash, str and pickle to
+    ``Fraction(n, d)``.  Every Fraction built from an int pair is built here."""
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = n, d
+    return x
+
+
 def ratio(num, den) -> Scalar:
-    """num/den for ints or QuadInts, den != 0: a Fraction, or a QuadExt in
-    lowest terms.  Every QuadExt result is built here."""
+    """num/den for ints or QuadInts, den != 0 (else a ZeroDivisionError): a
+    Fraction, reduced by one gcd and built by `coprime_fraction`, or a QuadExt
+    in lowest terms.  Every QuadExt result is built here."""
     num, den = cleared(num, den)
-    if type(num) is int:
-        return Fraction(num, den)
-    r, s = num.r, num.s
-    if s == 0:
-        return Fraction(r, den)
     if den == 0:
         raise ZeroDivisionError("division by zero")
+    r, s = (num, 0) if type(num) is int else (num.r, num.s)
+    if s == 0:
+        g = math.gcd(r, den)
+        return coprime_fraction(r // g, den // g)
     g = math.gcd(r, s, den)
     if g > 1:
         r, s, den = r // g, s // g, den // g
@@ -236,11 +253,11 @@ class QuadExt:
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self._num.r, self._den)
+        return ratio(self._num.r, self._den)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self._num.s, self._den)
+        return ratio(self._num.s, self._den)
 
     @property
     def d(self) -> int:

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import signed_offset
 from test_billiards import CORPUS, corpus_polygon
+from outerbilliards import polygon
 from outerbilliards.errors import (
     DegenerateVerticesError,
     NotConvexError,
@@ -17,7 +18,7 @@ from outerbilliards.errors import (
     PolygonError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import pt
+from outerbilliards.geometry import lattice_of, pt
 from outerbilliards.polygon import (
     NicePolygon,
     parse_polygon,
@@ -112,6 +113,26 @@ def test_clockwise_normalization_flag():
     ccw = NicePolygon.from_points(list(reversed(TRIANGLE)))
     assert ccw.reoriented
     assert ccw.vertices == cw.vertices
+
+
+@pytest.mark.parametrize("order", ["clockwise", "counterclockwise"])
+def test_from_points_reads_the_lattice_once(order, monkeypatch):
+    """`from_points` reads the lattice for the shoelace sign and hands it,
+    reversed with the cycle where it reverses, to the constructor; the
+    polygon equals the one built from its vertices directly."""
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return lattice_of(points)
+
+    monkeypatch.setattr(polygon, "lattice_of", counted)
+    verts = TRIANGLE if order == "clockwise" else TRIANGLE[::-1]
+    got = NicePolygon.from_points(verts)
+    assert len(calls) == 1
+    want = NicePolygon(TRIANGLE)
+    assert (got.reoriented, got.lattice, got.den, got.edges) == (
+        order == "counterclockwise", want.lattice, want.den, want.edges)
 
 
 def test_point_location():

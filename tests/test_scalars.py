@@ -1,13 +1,17 @@
 """Exact scalar arithmetic: field axioms, ordering, serialization."""
 
 import decimal
+import inspect
 import math
 import operator
+import pickle
+import textwrap
 import time
 from fractions import Fraction
 
 import pytest
 
+from outerbilliards import dynamics, geometry, scalars
 from outerbilliards.rng import Rng
 from outerbilliards.scalars import (
     QuadExt,
@@ -341,3 +345,105 @@ def test_serialization_rejects_field_mismatch():
         scalar_from_json({"a": "1"}, quad_d=5)
     with pytest.raises(ValueError):
         scalar_from_json(True)
+
+
+def test_fraction_slots_are_pinned():
+    """`coprime_fraction` fills these two slots; a Python release that
+    renames or adds one must fail here, not build a broken Fraction."""
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def big_int(rng, i, words):
+    """A seeded int of up to 64*words bits, either sign."""
+    x = 0
+    for w in range(words):
+        x = x << 64 | rng.u64(words * i + w)
+    return -x if rng.u64(~i) & 1 else x
+
+
+def same_fraction(got, want) -> bool:
+    """Whether got is want in every way a caller can see."""
+    return (type(got) is Fraction and got == want and hash(got) == hash(want)
+            and str(got) == str(want) and repr(got) == repr(want)
+            and pickle.dumps(got) == pickle.dumps(want)
+            and pickle.loads(pickle.dumps(got)) == want)
+
+
+def fraction_parity_mismatches():
+    """Every int-pair Fraction route against `Fraction(n, d)` on seeded
+    random ints, zero numerators, d == 1 and values of several hundred
+    digits, pairs with and without a common factor: the (route, n, d) cases
+    whose value, type, hash, str, repr, pickle or + - * / results with a
+    second Fraction differ.  The routes are looked up on their modules, so a
+    patched route is the one tested."""
+    rng = Rng(35).split(1)
+    bad = []
+    for i in range(300):
+        words = 1 + i % 5 if i % 3 else 1 + i % 17  # up to 1,088 bits, 328 digits
+        n, d = big_int(rng.split(0), i, words), abs(big_int(rng.split(1), i, words)) + 1
+        k = abs(big_int(rng.split(2), i, 1 + i % 4)) + 1 if i % 2 else 1
+        n = 0 if i % 7 == 0 else n * k
+        d = 1 if i % 5 == 0 else d * k
+        want = Fraction(n, d)
+        other = Fraction(big_int(rng.split(3), i, 2), abs(big_int(rng.split(4), i, 1)) + 1)
+        g = math.gcd(n, d)
+        routes = {
+            "coprime_fraction": scalars.coprime_fraction(n // g, d // g),
+            "ratio": scalars.ratio(n, d),
+            "ratio, negated pair": scalars.ratio(-n, -d),
+            "ratio, QuadInt": scalars.ratio(QuadInt(n, 0, 5), d),
+            "point_of x": geometry.point_of((n, 1, d)).x,
+            "point_of y": geometry.point_of((-1, n, d)).y,
+        }
+        if n:
+            routes["QuadExt.a"] = QuadExt(want, 1, 5).a
+            routes["QuadExt.b"] = QuadExt(1, want, 5).b
+        for route, got in routes.items():
+            ok = same_fraction(got, want)
+            for apply in ARITHMETIC.values():
+                ok = ok and same_fraction(apply(got, other), apply(want, other))
+                ok = ok and (not want or same_fraction(apply(other, got), apply(other, want)))
+            if not ok:
+                bad.append((route, n, d))
+    for i in range(64):
+        bits = 1 + i % 40
+        if not same_fraction(rng.unit(i, bits), Fraction(rng.odd(i, bits), 2 << bits)):
+            bad.append(("Rng.unit", i, bits))
+    return bad
+
+
+def test_int_pair_fractions_match_fraction():
+    assert fraction_parity_mismatches() == []
+
+
+@pytest.mark.parametrize("num", [5, -5, 0, QuadInt(5, 0, 5), QuadInt(1, 2, 5)])
+@pytest.mark.parametrize("den", [0, QuadInt(0, 0, 5)])
+def test_ratio_by_zero_raises(num, den):
+    with pytest.raises(ZeroDivisionError):
+        ratio(num, den)
+
+
+def test_parity_catches_dropped_gcd(monkeypatch):
+    """Negative control: `ratio` and `point_of` feeding `coprime_fraction`
+    the unreduced pair (the gcd dropped) fail the parity test above and at
+    least one orbit event-log golden."""
+    from test_dynamics import ORBIT_GOLDEN, test_orbit_golden_event_log
+
+    for module, name, reduced, unreduced in [
+            (scalars, "ratio", "coprime_fraction(r // g, den // g)", "coprime_fraction(r, den)"),
+            (geometry, "point_of", "coprime_fraction(X // g, L // g), coprime_fraction(Y // h, L // h)",
+             "coprime_fraction(X, L), coprime_fraction(Y, L)")]:
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        assert source.count(reduced) == 1
+        namespace = dict(vars(module))
+        exec(source.replace(reduced, unreduced), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+    monkeypatch.setattr(dynamics, "point_of", geometry.point_of)
+    assert {route for route, *_ in fraction_parity_mismatches()} >= {"ratio", "point_of x"}
+    failed = 0
+    for case in ORBIT_GOLDEN:
+        try:
+            test_orbit_golden_event_log(case)
+        except AssertionError:
+            failed += 1
+    assert failed >= 1
