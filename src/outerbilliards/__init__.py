@@ -41,9 +41,7 @@ from .geometry import (
     Vec,
     box_region,
     polygon_region,
-    pt,
     region,
-    vec,
 )
 from .model import BilliardModel
 from .paths import (

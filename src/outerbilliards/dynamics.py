@@ -11,8 +11,8 @@ exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
@@ -20,7 +20,7 @@ from .billiards import psi_walk
 from .errors import BudgetExceededError, MapUndefinedError
 from .geometry import Point, point_of
 from .model import BilliardModel
-from .scalars import Scalar, ratio
+from .scalars import primitive
 from .strips import PinwheelSystem, strip_jump, strip_map
 
 
@@ -130,13 +130,17 @@ def strip_system_return(system: PinwheelSystem, here, index: int,
     return (q, j), steps
 
 
-def far_radius(model: BilliardModel, factor: int = 8) -> Scalar:
+def far_radius(model: BilliardModel, factor: int = 8) -> tuple:
     """Radius beyond which the far-field statements are exercised: a crude
-    c * n * (diameter + max strip width) bound, exact in the polygon's field."""
+    c * n * (diameter + max strip width) bound, as a (num, den) pair in
+    lowest terms on the polygon's lattice and the strips' forms."""
     poly = model.polygon
     xs, ys = zip(*poly.lattice)
-    extent = ratio((max(xs) - min(xs)) + (max(ys) - min(ys)), poly.den)
-    return Fraction(factor * poly.n) * (extent + model.system.max_width())
+    wn, wq = model.system.max_width()
+    den = math.lcm(poly.den, wq)
+    extent = (max(xs) - min(xs)) + (max(ys) - min(ys))
+    den, num = primitive(den, factor * poly.n * (extent * (den // poly.den) + wn * (den // wq)))
+    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact planar geometry: points, lines, half-planes and convex regions.
 
-Everything here is exact: `Point`s have Fraction or QuadExt coordinates, and a
-polygon is read off its lattice pairs.  A line is one integer form (A, B, C) (ints,
-or `QuadInt`s over Q(sqrt d)) over one positive int scale s; identity and order
-read its primitive normal form (`scalars.primitive`), with no division.
+Everything here computes on integers.  A point is its lattice triple, a polygon
+is read off its lattice pairs, and a line is one integer form (A, B, C) (ints, or
+`QuadInt`s over Q(sqrt d)) over one positive int scale s, built by `Line.of_ints`;
+identity and order read its primitive normal form (`scalars.primitive`), with no
+division.  `Point`s and `Vec`s, of Fraction or QuadExt coordinates, only carry
+values in (`lattice_of`, `homogeneous`) and out (`point_of`, `vec_of`).
 Convex regions are stored as canonicalized half-plane intersections.  One
 kernel pass, run once per region, clips each constraint's line by all the
 other constraints (a one-dimensional interval, exact); from these edge
@@ -30,8 +32,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import EmptyRegionError
 from .rng import Rng
-from .scalars import (Scalar, ScalarLike, as_scalar, cleared, coprime_fraction, int_parts,
-                      primitive, ratio, sign)
+from .scalars import (Scalar, ScalarLike, cleared, coprime_fraction, int_parts, primitive,
+                      ratio, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +82,6 @@ class Point:
         if isinstance(other, Vec):
             return Point(self.x - other.x, self.y - other.y)
         return NotImplemented
-
-
-def pt(x: ScalarLike, y: ScalarLike) -> Point:
-    return Point(as_scalar(x), as_scalar(y))
-
-
-def vec(x: ScalarLike, y: ScalarLike) -> Vec:
-    return Vec(as_scalar(x), as_scalar(y))
 
 
 def integer_form(*coefs) -> tuple:
@@ -216,19 +210,13 @@ class Line:
     One representation: the integer form `ints` = (A, B, C) (ints, or
     QuadInts) over a positive int scale `s` prime to their content, with
     a = A/s, b = B/s, c = C/s as given (signed offsets keep that scale).
-    Every point-versus-line predicate reads it at a point's lattice triple.
-    Equality and hashing use the primitive form of (A, B, C), sign fixed by
-    the leading entry, so wall-coincidence tests are structural.
+    `of_ints` is its one constructor, and every point-versus-line predicate
+    reads the form at a point's lattice triple.  Equality and hashing use
+    the primitive form of (A, B, C), sign fixed by the leading entry, so
+    wall-coincidence tests are structural.
     """
 
     __slots__ = ("ints", "s")
-
-    def __init__(self, a: ScalarLike, b: ScalarLike, c: ScalarLike):
-        A, B, C, s = integer_form(a, b, c, 1)  # s is the form of the constant 1
-        if (A == 0 and B == 0) or len({x.d for x in (A, B, C) if type(x) is not int}) > 1:
-            raise ValueError("a line requires (a, b) != (0, 0) and one radicand")
-        object.__setattr__(self, "ints", (A, B, C))
-        object.__setattr__(self, "s", s)
 
     @staticmethod
     def of_ints(A, B, C, s: int = 1) -> "Line":
@@ -321,10 +309,6 @@ class HalfPlane:
         a, b, c, strict = self.form
         s = least_sign(((a, b, c),), p)
         return s > 0 or (s == 0 and not strict)
-
-
-def half_plane(a: ScalarLike, b: ScalarLike, c: ScalarLike, sense: Sense) -> HalfPlane:
-    return HalfPlane(Line(a, b, c), sense)
 
 
 # ---------------------------------------------------------------------------
@@ -729,12 +713,12 @@ def region(halfplanes: Iterable[HalfPlane]) -> ConvexRegion:
 
 
 def box_region(xmin: ScalarLike, ymin: ScalarLike, xmax: ScalarLike, ymax: ScalarLike) -> ConvexRegion:
-    return region([
-        half_plane(1, 0, xmin, Sense.GE),
-        half_plane(1, 0, xmax, Sense.LE),
-        half_plane(0, 1, ymin, Sense.GE),
-        half_plane(0, 1, ymax, Sense.LE),
-    ])
+    """xmin <= x <= xmax and ymin <= y <= ymax: a bound n/q (`as_integer_ratio()`)
+    is the line q*x = n (q*y = n) over the scale q."""
+    return region(HalfPlane(Line.of_ints(q * ax, q * (1 - ax), n, q), sense)
+                  for ax, bound, sense in ((1, xmin, Sense.GE), (1, xmax, Sense.LE),
+                                           (0, ymin, Sense.GE), (0, ymax, Sense.LE))
+                  for n, q in [bound.as_integer_ratio()])
 
 
 def polygon_region(vertices: Sequence[Point], open_region: bool = False) -> ConvexRegion:

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 from .errors import AnnulusNotFoundError, NotQuasirationalError
 from .geometry import Point, Vec, barycentric_triples, least_sign, moved, vec_of
 from .polygon import NicePolygon
-from .scalars import Scalar, cleared, int_parts, primitive, ratio
+from .scalars import Scalar, cleared, int_parts, primitive, ratio, sign
 from .strips import PinwheelPair, PinwheelSystem
 
 
@@ -50,25 +50,24 @@ class QuasiData:
     D_int: Optional[Tuple[int, ...]]   # the integers D/A_j
 
 
-def overlap_area(system: PinwheelSystem, j: int) -> Scalar:
-    """The area where strips j and j+1 overlap, W_j*W_{j+1} / |a_j*b_{j+1} - a_{j+1}*b_j|,
-    on the strips' forms (A, B, C, wn, wq), where a = A/s and s*W = wn/wq (the s cancel)."""
-    (A, B, _, wn, wq), (A1, B1, _, wn1, wq1) = system.pair(j).form, system.pair(j + 1).form
-    return abs(ratio(wn * wn1, wq * wq1 * (A * B1 - A1 * B)))
-
-
 def quasi_analyze(system: PinwheelSystem) -> QuasiData:
-    areas = tuple(overlap_area(system, j) for j in range(system.n))
-    ratios = [a / areas[0] for a in areas]
-    if not all(isinstance(r, Fraction) for r in ratios):
+    """The overlap areas A_j = W_j*W_{j+1} / |a_j*b_{j+1} - a_{j+1}*b_j| as
+    (num, den) pairs on the strips' forms (A, B, C, wn, wq), a = A/s and
+    s*W = wn/wq (the s cancel), and D and the D/A_j read off their ratios
+    to a base (1 over Q, else A_0) by `ratio` and `lcm`."""
+    parts = []
+    for j in range(system.n):
+        (A, B, _, wn, wq), (A1, B1, _, wn1, wq1) = system.pair(j).form, system.pair(j + 1).form
+        num, den = cleared(wn * wn1, wq * wq1 * (A * B1 - A1 * B))
+        parts.append((num if sign(num) > 0 else -num, den))
+    areas = tuple(ratio(*a) for a in parts)
+    bn, bd = (1, 1) if type(areas[0]) is Fraction else parts[0]
+    ratios = [ratio(n * bd, q * bn) for n, q in parts]  # A_j over the base
+    if not all(type(r) is Fraction for r in ratios):
         return QuasiData(areas, False, None, None)
-    if isinstance(areas[0], Fraction):  # the lcm of the areas' numerators
-        d = Fraction(lcm(*(a.numerator for a in areas)))
-    else:  # irrational areas with rational ratios: lcm(ratio numerators) * A_0
-        d = areas[0] * lcm(*(r.numerator for r in ratios))
-    ints = [d / a for a in areas]
-    assert all(q.denominator == 1 for q in ints)
-    return QuasiData(areas, True, d, tuple(map(int, ints)))
+    k = lcm(*(r.numerator for r in ratios))
+    return QuasiData(areas, True, ratio(k * bn, bd),
+                     tuple(k // r.numerator * r.denominator for r in ratios))
 
 
 # ---------------------------------------------------------------------------

@@ -374,12 +374,6 @@ def sign(x: ScalarLike) -> int:
     return (x > 0) - (x < 0)
 
 
-def as_scalar(x: ScalarLike) -> Scalar:
-    if isinstance(x, QuadExt):
-        return x
-    return Fraction(x)
-
-
 def radicand(x: ScalarLike) -> Optional[int]:
     """The d of a QuadExt; None for a rational."""
     return x.d if isinstance(x, QuadExt) else None

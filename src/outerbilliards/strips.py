@@ -10,37 +10,36 @@ are reproducible even though only the cyclic order is geometrically forced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Tuple
 
 from .errors import OnStripBoundaryError
 from .geometry import Line, moved, point_of, slope_angle_cmp
 from .polygon import NicePolygon
-from .scalars import Scalar, floor_div, primitive, ratio, sign
+from .scalars import floor_div, primitive, ratio, sign
 
 
 @dataclass(frozen=True)
 class PinwheelPair:
     """Strip, translation vector and spoke attached to one polygon edge.
 
-    The spoke is the oriented segment v -> w; it is special when it shares a
-    vertex with both neighbouring spokes."""
+    The strip's width lives only in `form`, as wn/(wq*s) with s = `line.s`;
+    `width` reads it as a scalar, for output.  The spoke is the oriented
+    segment v -> w; it is special when it shares a vertex with both
+    neighbouring spokes."""
 
     index: int              # position in the slope-cyclic order, 0-based
     edge_index: int         # index into polygon.edges: edge from vertex i to i+1
     line: Line              # L, contains the edge; polygon on the positive side
-    width: Scalar           # offset a*x + b*y - c of the far line L'; always > 0
+    form: Tuple             # (a, b, c, wn, wq): L's ints, and s*width = wn/wq > 0, wq | den
     v_index: int            # head vertex of the edge
     w_index: int            # vertex farthest from L, on the centerline
     V: Tuple                # 2*(w - v) as (VX, VY, den) on P's lattice; spans the strip
     special: bool           # spoke v -> w shares a vertex with both neighbours
-    # (a, b, c, wn, wq): L's integer form, and s*width = wn/wq, wq | den
-    form: Tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "form", self.line.ints
-                           + (self.width * self.line.s).as_integer_ratio())
+    width = property(lambda self: ratio(self.form[3], self.form[4] * self.line.s))
 
     def offsets(self, p) -> tuple:
         """(t, w) at the lattice triple p = (X, Y, L): L's offset
@@ -75,8 +74,12 @@ class PinwheelSystem:
     def pair(self, j: int) -> PinwheelPair:
         return self.pairs[j % self.n]
 
-    def max_width(self) -> Scalar:
-        return max(p.width for p in self.pairs)
+    def max_width(self) -> tuple:
+        """The largest strip width wn/(wq*s) as a (num, den) pair in lowest terms."""
+        dens = [p.form[4] * p.line.s for p in self.pairs]
+        den = math.lcm(*dens)
+        den, num = primitive(den, max(p.form[3] * (den // q) for p, q in zip(self.pairs, dens)))
+        return num, den
 
 
 def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
@@ -91,20 +94,20 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
         # two sides of a nice polygon are parallel
         offsets = [A * X + B * Y - C * polygon.den for X, Y in polygon.lattice]
         far = max(range(n), key=lambda i: offsets[i])
-        width = ratio(2 * offsets[far], line.s * polygon.den)
-        entries.append(((-B, A), i, line, far, width))  # (-B, A): the edge's direction
+        wq, wn = primitive(polygon.den, 2 * offsets[far])  # s*width = wn/wq
+        entries.append(((-B, A), i, line, far, (A, B, C, wn, wq)))  # (-B, A): the edge's direction
 
     entries.sort(key=cmp_to_key(lambda x, y: slope_angle_cmp(x[0], y[0])))
 
     ends = [{(i + 1) % n, far} for _, i, _, far, _ in entries]
     pairs = []
-    for j, (_, i, line, far, width) in enumerate(entries):
+    for j, (_, i, line, far, form) in enumerate(entries):
         (vx, vy), (wx, wy) = polygon.lattice[(i + 1) % n], polygon.lattice[far]
         pairs.append(PinwheelPair(
             index=j,
             edge_index=i,
             line=line,
-            width=width,
+            form=form,
             v_index=(i + 1) % n,
             w_index=far,
             V=(2 * (wx - vx), 2 * (wy - vy), polygon.den),

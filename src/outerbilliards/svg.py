@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import ConvexRegion, Point, box_region
+from .scalars import ratio
 
 
 class EmptySceneError(ValueError):
@@ -151,5 +152,5 @@ def default_viewport(model):
     for v in model.polygon.vertices:
         xs.append(v.x)
         ys.append(v.y)
-    pad = 2 * model.system.max_width()
+    pad = 2 * ratio(*model.system.max_width())
     return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)

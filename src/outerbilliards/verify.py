@@ -18,14 +18,14 @@ from typing import List, Optional, Tuple
 from .billiards import Chirality, psi_walk
 from .dynamics import far_radius, pinwheel_theorem_step, pinwheel_walk
 from .errors import BudgetExceededError, MapUndefinedError
-from .geometry import Point, lifted, moved, point_of, vec_of
+from .geometry import lifted, moved, point_of, vec_of
 from .model import BilliardModel
 from .paths import PathFamily, apex_sequence, link_partition
 from .polygon import NicePolygon
 from .quasirational import in_trapped_extent, necklace, quasi_analyze
 from .report import CheckReport
 from .rng import Rng
-from .scalars import cleared
+from .scalars import cleared, primitive, ratio
 from .strips import PinwheelSystem, strip_jump, strip_map
 
 # ---------------------------------------------------------------------------
@@ -33,16 +33,17 @@ from .strips import PinwheelSystem, strip_jump, strip_map
 
 
 def tile_samples(model: BilliardModel, tile, count: int, rng: Rng,
-                 radii_scale=64) -> List[tuple]:
+                 radii_scale=(64, 1)) -> List[tuple]:
     """Interior samples of a tile as lattice triples on the polygon's lattice
     (`NicePolygon.homogeneous`): barycentric for bounded tiles; for unbounded ones,
-    interior points moved along a recession ray by exponentially spaced radii_scale."""
+    interior points moved along a recession ray by exponentially spaced
+    radii_scale, a (num, den) pair."""
     polygon = model.polygon
     if not tile.unbounded:
         seed = rng.u64(hash(tile.label) & 0xFFFF)
         return [lifted(t, polygon.den) for t in tile.region.sample_points(count, seed=seed)]
     VX, VY, q = tile.region.recession_direction()
-    sn, sd = radii_scale.as_integer_ratio()
+    sn, sd = radii_scale
     out = []
     for i in range(count):  # the base moved by radii_scale * 2^(i % 3) * (1 + unit) = tn/td
         tn, td = rng.draw(1000 + i, (sn * 2 ** (i % 3), sd), (sn * 2 ** (i % 3 + 1), sd))
@@ -71,7 +72,7 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
         pool += [(tile, p) for p in tile_samples(model, tile, per_tile, rng.split(t_i), scale)]
     # strip-approach samples: preimages of points spread across each strip's
     # width at far radius, so the k = 2 branch is exercised on every strip
-    Rn, Rq = far_radius(model).as_integer_ratio()
+    Rn, Rq = far_radius(model)
     for j in range(n):
         A, B, C, wn, wq = model.system.pair(j).form  # A*x + B*y = C + off, 0 < off < wn/wq
         N2, L1, draws = A * A + B * B, max(A, -A) + max(B, -B), rng.split(0xA9, j)
@@ -128,8 +129,8 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
     lands inside a pinwheel strip (which is then the index-shifting strip)."""
     rep = CheckReport("far-field-dichotomy", model.polygon.to_document(), seed)
     n = model.n
-    R = far_radius(model)
-    rep.notes.append(f"far radius = {R}")
+    Rn, Rq = far_radius(model)  # the sample 2R*(ux, uy)/s as a triple, R = Rn/Rq
+    rep.notes.append(f"far radius = {ratio(Rn, Rq)}")
     rng = Rng(seed).split(0xFA7)
 
     def dichotomy(p):
@@ -148,7 +149,6 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
             return repr(point_of(p)), f"landing strip = {a % n}", f"strips = {strips_in}"
         return None
 
-    Rn, Rq = R.as_integer_ratio()  # the sample 2R*(ux, uy)/s as a triple, R = Rn/Rq
     i = 0
     while rep.valid + len(rep.violations) < samples and i < 20 * samples:
         i += 1
@@ -240,9 +240,10 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
     def acts(s, path, shift, step):
         here = moved(lifted(s, model.polygon.den), shift)
         got, want = strip_map(model.system.pair(path.end_lifted), here), moved(here, step, 2)
-        if got != want:
-            return (repr(point_of(s)), f"mu_{path.end_lifted % n} adds "
-                    f"{point_of(want) - point_of(here)}", f"{point_of(got) - point_of(here)}")
+        if got != want:  # all three over here's L
+            X, Y, L = here
+            adds = [vec_of((U - X, V - Y, L)) for U, V, _ in (want, got)]
+            return repr(point_of(s)), f"mu_{path.end_lifted % n} adds {adds[0]}", f"{adds[1]}"
         return None
 
     idx = 0
@@ -354,7 +355,7 @@ def _conjugate_laws(model: BilliardModel, rep: CheckReport):
     (a, -b, c, wn, wq).  Spokes compare on the two lattices, of one den."""
     n = model.n
     reflected = NicePolygon.from_points(
-        [Point(v.x, -v.y) for v in model.polygon.vertices])
+        [point_of((X, -Y, model.polygon.den)) for X, Y in model.polygon.lattice])
     other = BilliardModel(reflected)
     theirs = [pair.form for pair in other.system.pairs]
     mine = [(a, -b, c, wn, wq) for a, b, c, wn, wq in (pair.form for pair in model.system.pairs)]
@@ -511,7 +512,8 @@ def negative_controls(polygon: NicePolygon, seed: int = 0) -> List[CheckReport]:
     # 1. halve one strip's width: strip containment / the pinwheel budget break
     model = BilliardModel(polygon)
     pair, *rest = model.system.pairs
-    hacked = dataclasses.replace(pair, width=pair.width / 2)
+    wq, wn = primitive(2 * pair.form[4], pair.form[3])  # wq doubled, in lowest terms
+    hacked = dataclasses.replace(pair, form=pair.form[:3] + (wn, wq))
     broken = BilliardModel(polygon)
     broken.system = PinwheelSystem(polygon, (hacked, *rest))
     rep = check_structure3(broken, samples=40, seed=seed)

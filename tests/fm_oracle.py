@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from outerbilliards.geometry import HalfPlane, Point, Sense, Vec, direction_ccw_cmp
-from oracles import line_intersection, normalized, pick_in_interval
+from oracles import as_scalar, line_intersection, normalized, pick_in_interval
 from outerbilliards.rng import Rng
-from outerbilliards.scalars import QuadExt, as_scalar, sign
+from outerbilliards.scalars import QuadExt, sign
 
 
 COMPLEMENT = {Sense.GE: Sense.LT, Sense.GT: Sense.LE, Sense.LE: Sense.GT, Sense.LT: Sense.GE}

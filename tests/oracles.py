@@ -3,6 +3,7 @@ package computes (or once computed) another way, on `Point`s and scalars."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import cmp_to_key
@@ -28,7 +29,46 @@ from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense
 from outerbilliards.quasirational import necklace, quasi_analyze
 from outerbilliards.rng import Rng
 from outerbilliards.strips import PinwheelPair, strip_map
-from outerbilliards.scalars import QuadExt, as_scalar, primitive, ratio, sign
+from outerbilliards.scalars import QuadExt, Scalar, primitive, ratio, sign
+
+
+# ---------------------------------------------------------------------------
+# scalar constructors: the package builds points, vectors and lines on its
+# lattice; these build them from ints, Fractions and QuadExts
+
+
+def as_scalar(x) -> Scalar:
+    """x as a Fraction, or x itself where it is a QuadExt."""
+    return x if isinstance(x, QuadExt) else Fraction(x)
+
+
+def pt(x, y) -> Point:
+    return Point(as_scalar(x), as_scalar(y))
+
+
+def vec(x, y) -> Vec:
+    return Vec(as_scalar(x), as_scalar(y))
+
+
+def line(a, b, c) -> Line:
+    """The line a*x + b*y = c on scalars: `integer_form(a, b, c, 1)`, the
+    last entry its scale, by `Line.of_ints`; (a, b) = (0, 0) or two
+    radicands is a ValueError."""
+    A, B, C, s = integer_form(a, b, c, 1)
+    if (A == 0 and B == 0) or len({x.d for x in (A, B, C) if type(x) is not int}) > 1:
+        raise ValueError("a line requires (a, b) != (0, 0) and one radicand")
+    return Line.of_ints(A, B, C, s)
+
+
+def half_plane(a, b, c, sense: Sense) -> HalfPlane:
+    return HalfPlane(line(a, b, c), sense)
+
+
+def halved(pair: PinwheelPair) -> PinwheelPair:
+    """The pair with its width halved: wq doubled, in lowest terms, as the
+    halved-strip negative control builds it."""
+    wq, wn = primitive(2 * pair.form[4], pair.form[3])
+    return dataclasses.replace(pair, form=pair.form[:3] + (wn, wq))
 
 
 def normalized(h: HalfPlane) -> tuple:
@@ -557,7 +597,7 @@ def point_strip_approach(model, seed: int) -> list:
     strip, offsets W/4, 3W/4, 5W/4 plus W*unit/64 from the line's foot, and
     sgn*(2 + t_i)*R along it in L1."""
     rng = Rng(seed).split(0x71, model.n)
-    R = far_radius(model)
+    R = ratio(*far_radius(model))
     out = []
     for j in range(model.n):
         pair = model.system.pair(j)
@@ -700,7 +740,7 @@ def point_from_points(points, direct: bool = False):
 def point_edges(verts) -> Tuple[Line, ...]:
     """Each edge's line d.y*x - d.x*y = d.y*t.x - d.x*t.y, d = h - t, on
     the vertices' scalars."""
-    return tuple(Line(d.y, -d.x, d.y * t.x - d.x * t.y)
+    return tuple(line(d.y, -d.x, d.y * t.x - d.x * t.y)
                  for t, h in zip(verts, verts[1:] + verts[:1]) for d in [h - t])
 
 
@@ -713,26 +753,29 @@ def point_pinwheel_pairs(polygon) -> Tuple[PinwheelPair, ...]:
         line = Line.of_ints(A, B, C, abs(A if A != 0 else B))
         offsets = [A * X + B * Y - C * polygon.den for X, Y in polygon.lattice]
         far = max(range(n), key=lambda i: offsets[i])
+        # s*width on the scalars, as `PinwheelPair` once read its form off a stored width
         width = ratio(2 * offsets[far], line.s * polygon.den)
-        entries.append((polygon.vertex(i + 1) - polygon.vertex(i), i, line, far, width))
+        form = line.ints + (width * line.s).as_integer_ratio()
+        entries.append((polygon.vertex(i + 1) - polygon.vertex(i), i, line, far, form))
     entries.sort(key=cmp_to_key(lambda x, y: vec_slope_angle_cmp(x[0], y[0])))
     ends = [{(i + 1) % n, far} for _, i, _, far, _ in entries]
     pairs = []
-    for j, (_, i, line, far, width) in enumerate(entries):
+    for j, (_, i, line, far, form) in enumerate(entries):
         (vx, vy), (wx, wy) = polygon.lattice[(i + 1) % n], polygon.lattice[far]
         pairs.append(PinwheelPair(
-            index=j, edge_index=i, line=line, width=width, v_index=(i + 1) % n, w_index=far,
+            index=j, edge_index=i, line=line, form=form, v_index=(i + 1) % n, w_index=far,
             V=(2 * (wx - vx), 2 * (wy - vy), polygon.den),
             special=bool(ends[j - 1] & ends[j] & ends[(j + 1) % n])))
     return tuple(pairs)
 
 
 def point_far_radius(model, factor: int = 8):
-    """`far_radius` on the vertices' scalars."""
+    """`far_radius` on the vertices' scalars and the pairs' `width`s."""
     xs = [v.x for v in model.polygon.vertices]
     ys = [v.y for v in model.polygon.vertices]
     extent = (max(xs) - min(xs)) + (max(ys) - min(ys))
-    return Fraction(factor * model.polygon.n) * (extent + model.system.max_width())
+    width = max(p.width for p in model.system.pairs)
+    return Fraction(factor * model.polygon.n) * (extent + width)
 
 
 def vec_random_nice_polygon(n: int, seed: int, bound: int = 20) -> Tuple[Point, ...]:
@@ -780,5 +823,5 @@ def point_polygon_region(vertices, open_region: bool = False) -> ConvexRegion:
         t, h = vertices[i], vertices[(i + 1) % n]
         d = h - t
         # interior of a clockwise polygon is the cross(d, p - t) < 0 side
-        hps.append(HalfPlane(Line(-d.y, d.x, d.x * t.y - d.y * t.x), sense))
+        hps.append(half_plane(-d.y, d.x, d.x * t.y - d.y * t.x, sense))
     return region(hps)

@@ -10,19 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import region_area, ring_windows, sigma_range
+from oracles import pt, region_area, ring_windows, sigma_range
 from outerbilliards.billiards import square_map
 from outerbilliards.dynamics import orbit
 from outerbilliards.errors import EmptyRegionError
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import point_of, pt
+from outerbilliards.geometry import point_of
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import apex_sequence
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
     boundedness_certificate,
     necklace,
-    overlap_area,
     quasi_analyze,
 )
 from outerbilliards.strips import build_pinwheel_system, strip_map
@@ -193,7 +192,7 @@ def test_criterion_08_worked_example_regressions():
     system = build_pinwheel_system(TRIANGLE)
     r = sigma_range(system, 0, 2)
     assert region_area(r) == 48
-    assert overlap_area(system, 0) == 48
+    assert quasi_analyze(system).areas[0] == 48
     # one-step-closer strip map example
     assert point_of(strip_map(system.pair(0), TRIANGLE.homogeneous(pt(0, 13)))) == pt(-2, 7)
     _announce(8, "psi(8,-2) = (10,4) with label ((0,0),(1,3)); "

@@ -26,12 +26,12 @@ from outerbilliards.errors import (
     OnPrimaryWallError,
     UndefinedOnWallError,
 )
-from outerbilliards.geometry import Point, point_of, pt, vec, vec_of
+from outerbilliards.geometry import Point, point_of, vec_of
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.scalars import QuadExt, sign
-from oracles import fresh_offsets_step, normalized, outer_step, reflected, signed_offset
+from oracles import fresh_offsets_step, normalized, outer_step, pt, reflected, signed_offset, vec
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(

@@ -1,6 +1,5 @@
 """Pinwheel dynamics: steps, section, returns, orbits."""
 
-import dataclasses
 import hashlib
 import inspect
 import textwrap
@@ -8,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import direction, normal, parallel_offset, point_route_theorem_step, strip_region
+from oracles import (direction, halved, normal, parallel_offset, point_route_theorem_step, pt,
+                     strip_region)
 from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
 from outerbilliards import dynamics, geometry, strips
 from outerbilliards.billiards import psi_walk, square_map
@@ -31,11 +31,11 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import (HalfPlane, Point, Sense, homogeneous, moved, point_of, pt,
-                                     region)
+from outerbilliards.geometry import HalfPlane, Point, Sense, homogeneous, moved, point_of, region
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
+from outerbilliards.scalars import ratio
 from outerbilliards.strips import PinwheelSystem, strip_jump, strip_map
 from outerbilliards.verify import tile_samples
 
@@ -98,7 +98,7 @@ def test_section_wall_error():
 
 def test_theorem_step_worked_far_field_cases():
     m = BilliardModel(TRIANGLE)
-    R = far_radius(m)
+    R = ratio(*far_radius(m))
     found = {1: 0, 2: 0}
     rng = Rng(4).split(2)
     i = 0
@@ -150,7 +150,7 @@ def test_exit_map_bounded_tile_is_one_step():
 
 def test_exit_map_far_field_counts_match_strip_jump():
     m = BilliardModel(PENTAGON)
-    R = far_radius(m)
+    R = ratio(*far_radius(m))
     rng = Rng(12).split(7)
     checked = 0
     for j in range(m.n):
@@ -179,7 +179,7 @@ def test_exit_map_far_field_counts_match_strip_jump():
 def test_first_return_postconditions():
     m = BilliardModel(PENTAGON)
     pair = m.system.pair(0)
-    R = far_radius(m)
+    R = ratio(*far_radius(m))
     d = direction(pair.line)
     base = pt(0, 0) + d * (3 * R / (abs(d.x) + abs(d.y)))
     nrm = normal(pair.line)
@@ -199,7 +199,7 @@ def test_far_field_first_return_equals_strip_system_return_cycle():
     full cycle of the accelerated strip system."""
     m = BilliardModel(PENTAGON)
     pair = m.system.pair(0)
-    R = far_radius(m)
+    R = ratio(*far_radius(m))
     d = direction(pair.line)
     nrm = normal(pair.line)
     n2 = nrm.dot(nrm)
@@ -234,7 +234,7 @@ def test_strip_return_point_lies_on_exit_map_orbit():
     strip appear on the accelerated (tile-exit) orbit."""
     m = BilliardModel(PENTAGON)
     pair = m.system.pair(0)
-    R = far_radius(m)
+    R = ratio(*far_radius(m))
     d = direction(pair.line)
     nrm = normal(pair.line)
     n2 = nrm.dot(nrm)
@@ -314,7 +314,7 @@ def test_psi_orbit_matches_pinwheel_projection_far_out():
     of the billiards orbit appear, in order, in the pinwheel orbit's
     projection."""
     m = BilliardModel(PENTAGON)
-    R = far_radius(m)
+    R = ratio(*far_radius(m))
     p = pt(2 * R + Fraction(1, 3), Fraction(5, 7))
     k_steps = 12
     psi_points = [p]
@@ -497,7 +497,7 @@ def test_orbit_event_contract():
 def test_far_radius_scales_with_polygon():
     small = BilliardModel(TRIANGLE)
     big = BilliardModel(random_nice_polygon(7, 3, bound=40))
-    assert far_radius(big) > far_radius(small)
+    assert ratio(*far_radius(big)) > ratio(*far_radius(small))
 
 
 # Event logs of `orbit` recorded as literals, one case per selector and end
@@ -706,7 +706,7 @@ def _theorem_starts(model):
     starts = []
     for t_i, tile in enumerate(model.partition.tiles):
         starts += map(point_of, tile_samples(model, tile, 2, rng.split(t_i)))
-    R = far_radius(model)
+    R = ratio(*far_radius(model))
     for ux, uy in DIRECTIONS:
         p = Point(2 * R * ux / (abs(ux) + abs(uy)), 2 * R * uy / (abs(ux) + abs(uy)))
         starts += [p, Point(p.x + ROOT5 / 7, p.y)]
@@ -717,8 +717,7 @@ def _halved_strip_model(model):
     """The model with strip 0 at half its width, as the halved-strip
     negative control builds it."""
     pair, *rest = model.system.pairs
-    half = pair.width / 2
-    hacked = dataclasses.replace(pair, width=half)
+    hacked = halved(pair)
     broken = BilliardModel(model.polygon)
     broken.system = PinwheelSystem(model.polygon, (hacked, *rest))
     return broken

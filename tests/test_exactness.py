@@ -12,12 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from outerbilliards import geometry
+from outerbilliards import geometry, verify
 from outerbilliards.billiards import Chirality, build_partition
+from outerbilliards.dynamics import far_radius
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import box_region
+from outerbilliards.geometry import Point, Vec, box_region
+from outerbilliards.model import BilliardModel
+from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
-from outerbilliards.scalars import QuadExt
+from outerbilliards.scalars import QuadExt, ratio
+from outerbilliards.strips import PinwheelSystem
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "outerbilliards"
 KERNEL = ("geometry", "polygon", "billiards", "strips", "dynamics", "paths",
@@ -143,3 +147,81 @@ def test_exact_scalar_walk_trips_on_int_true_division(monkeypatch):
     monkeypatch.setattr(geometry, "ratio", true_division)
     with pytest.raises(AssertionError, match="float"):
         test_region_kernel_hands_out_only_exact_scalars()
+
+
+# ---------------------------------------------------------------------------
+# at run time: a model build and a check compute on integer forms and lattice
+# triples; a scalar operator below the entry points is field arithmetic
+
+SCALAR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+                    "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+                    "__pos__", "__abs__", "__lt__", "__le__", "__gt__", "__ge__")
+GUARDED = ((Fraction, SCALAR_OPERATORS), (QuadExt, SCALAR_OPERATORS + ("_inverse",)),
+           (Point, ("__add__", "__sub__")),
+           (Vec, ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "cross", "dot")))
+
+
+def guard_corpus():
+    """CORPUS, both Q(sqrt 5) pentagons and the orientation-keeping image of
+    n5 over Q(sqrt d) for d = 2, 3 and 13, parsed before any guard."""
+    from test_billiards import CORPUS, corpus_polygon
+    from test_construction import _image
+    from test_quasirational import regular_pentagon, sqrt5_pentagon
+
+    return ([corpus_polygon(k) for k in CORPUS] + [sqrt5_pentagon(), regular_pentagon()]
+            + [NicePolygon.from_points(_image(corpus_polygon("n5").vertices, d, False))
+               for d in (2, 3, 13)])
+
+
+def guarded_run(monkeypatch, polygons) -> list:
+    """With every arithmetic and ordering operator of Fraction, QuadExt,
+    Point and Vec raising: each polygon's model builds its system, paths and
+    both partitions, then `run_all(p, "full")` and `negative_controls(p)`
+    run.  The reports are read as JSON after the guard is lifted."""
+    def refuse(*args):
+        raise AssertionError("field arithmetic below the entry points")
+
+    with monkeypatch.context() as guard:
+        for cls, names in GUARDED:
+            for name in names:
+                if name in vars(cls):
+                    guard.setattr(cls, name, refuse)
+        reports = []
+        for polygon in polygons:
+            model = BilliardModel(polygon)
+            model.system, model.paths, model.partition, model.backward_partition
+            reports.append(verify.run_all(polygon, "full") + verify.negative_controls(polygon))
+    return [[rep.to_json() for rep in reps] for reps in reports]
+
+
+def test_models_and_checks_do_no_field_arithmetic(monkeypatch):
+    runs = guarded_run(monkeypatch, guard_corpus())
+    assert [len(reps) for reps in runs] == [len(verify.CHECKS) + 3] * len(runs)
+
+
+def test_field_arithmetic_guard_trips_on_scalar_widths(monkeypatch):
+    """Negative control: `max_width` and `far_radius` on scalars, as they
+    read before the widths lived only in the strips' forms, trip the guard."""
+    def max_width(system):
+        return max(p.width for p in system.pairs).as_integer_ratio()
+
+    def scalar_far_radius(model, factor: int = 8):
+        poly = model.polygon
+        xs, ys = zip(*poly.lattice)
+        extent = ratio((max(xs) - min(xs)) + (max(ys) - min(ys)), poly.den)
+        width = ratio(*model.system.max_width())
+        return (Fraction(factor * poly.n) * (extent + width)).as_integer_ratio()
+
+    from test_quasirational import TRIANGLE, regular_pentagon
+
+    polygons = [TRIANGLE, regular_pentagon()]
+    for polygon in polygons:
+        model = BilliardModel(polygon)
+        assert (max_width(model.system), scalar_far_radius(model)) == (
+            model.system.max_width(), far_radius(model))
+    monkeypatch.setattr(PinwheelSystem, "max_width", max_width)
+    monkeypatch.setattr(verify, "far_radius", scalar_far_radius)
+    for polygon in polygons:
+        with pytest.raises(AssertionError, match="field arithmetic"):
+            guarded_run(monkeypatch, [polygon])

@@ -17,8 +17,9 @@ from fm_oracle import (
     fm_sample_points,
     fm_vertices,
 )
-from oracles import (hp_key, line_intersection, line_key, parallel_offset, per_call_key,
-                     per_call_region_key, region_area, side, signed_offset, strip_region)
+from oracles import (half_plane, hp_key, line, line_intersection, line_key, parallel_offset,
+                     per_call_key, per_call_region_key, pt, region_area, side, signed_offset,
+                     strip_region, vec)
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry, scalars
 from outerbilliards.errors import EmptyRegionError
@@ -30,15 +31,12 @@ from outerbilliards.geometry import (
     Sense,
     Vec,
     box_region,
-    half_plane,
     homogeneous,
     lifted,
     moved,
     point_of,
     polygon_region,
-    pt,
     region,
-    vec,
 )
 from outerbilliards.model import BilliardModel
 from outerbilliards.rng import Rng
@@ -53,21 +51,28 @@ def slab(a, b, lo, hi):
 
 
 def test_signed_offset_axis_aligned():
-    l = Line(0, 1, 0)  # y = 0
+    l = line(0, 1, 0)  # y = 0
     assert signed_offset(l, pt(3, 5)) == 5
     assert signed_offset(l, pt(3, 0)) == 0
 
 
 def test_signed_offset_uses_stored_coefficients():
     # offsets are evaluated on the coefficients as given (3x - y = 0)
-    l = Line(3, -1, 0)
+    l = line(3, -1, 0)
     assert signed_offset(l, pt(4, 0)) == 12
 
 
 def test_line_equality_is_canonical():
-    assert Line(3, -1, 0) == Line(1, Fraction(-1, 3), 0) == Line(-6, 2, 0)
-    assert Line(3, -1, 0) != Line(3, -1, 1)
-    assert hash(Line(2, 4, 6)) == hash(Line(1, 2, 3))
+    assert line(3, -1, 0) == line(1, Fraction(-1, 3), 0) == line(-6, 2, 0)
+    assert line(3, -1, 0) != line(3, -1, 1)
+    assert hash(line(2, 4, 6)) == hash(line(1, 2, 3))
+
+
+def test_line_has_no_scalar_constructor():
+    """`Line.of_ints` is the one constructor: a scalar call is a TypeError."""
+    with pytest.raises(TypeError):
+        Line(3, -1, 0)
+    assert Line.of_ints(3, -1, 0) == line(3, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +94,7 @@ def lines_and_points(draw):
         a = Fraction(1)
     p = Point(draw(COORDS), draw(COORDS))
     offset = draw(st.one_of(st.just(0), COEFFS))
-    return Line(a, b, a * p.x + b * p.y - offset), p
+    return line(a, b, a * p.x + b * p.y - offset), p
 
 
 R5 = QuadExt(0, 1, 5)
@@ -97,11 +102,11 @@ R5 = QuadExt(0, 1, 5)
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(lines_and_points())
-@example((Line(1, 0, 0), Point(2 - R5, Fraction(0))))  # -0.236: rational part +2
-@example((Line(R5, 1, 0), Point(Fraction(-1), Fraction(2))))  # -sqrt5 + 2 < 0
-@example((Line(R5, -2, 1), Point(3, -4)))  # int coordinates, quad line
-@example((Line(1, 1, 3 + R5), Point(1 + R5, Fraction(2))))  # exactly on the line
-@example((Line(Fraction(2, 3), Fraction(-5, 7), Fraction(1, 11)),
+@example((line(1, 0, 0), Point(2 - R5, Fraction(0))))  # -0.236: rational part +2
+@example((line(R5, 1, 0), Point(Fraction(-1), Fraction(2))))  # -sqrt5 + 2 < 0
+@example((line(R5, -2, 1), Point(3, -4)))  # int coordinates, quad line
+@example((line(1, 1, 3 + R5), Point(1 + R5, Fraction(2))))  # exactly on the line
+@example((line(Fraction(2, 3), Fraction(-5, 7), Fraction(1, 11)),
           Point(Fraction(3, 4), Fraction(-1, 6))))
 def test_side_matches_offset_sign(line_and_point):
     """A half-plane of each sense on the line contains p exactly as the sign
@@ -201,16 +206,16 @@ def test_side_oracle_catches_dropped_radical_part(monkeypatch):
 
 
 def test_side_rejects_mixed_radicals_like_signed_offset():
-    line = Line(QuadExt(0, 1, 5), 1, 0)
+    ln = line(QuadExt(0, 1, 5), 1, 0)
     p = Point(QuadExt(1, 1, 2), Fraction(0))
     with pytest.raises(ValueError):
-        signed_offset(line, p)
+        signed_offset(ln, p)
     with pytest.raises(ValueError):
-        HalfPlane(line, Sense.GE).contains(homogeneous(p))
+        HalfPlane(ln, Sense.GE).contains(homogeneous(p))
     with pytest.raises(ValueError):
-        side(line, homogeneous(p))
+        side(ln, homogeneous(p))
     with pytest.raises(ValueError):
-        Line(QuadExt(0, 1, 5), QuadExt(0, 1, 2), 0)
+        line(QuadExt(0, 1, 5), QuadExt(0, 1, 2), 0)
 
 
 def test_region_intersect_idempotent():
@@ -396,11 +401,11 @@ def halfplane_sets(draw):
         base = draw(st.sampled_from(hps)) if hps else None
         if kind == "duplicate":
             k = draw(st.sampled_from([1, 2, Fraction(1, 3), -1, -2]))
-            line = Line(base.line.a * k, base.line.b * k, base.line.c * k)
+            ln = line(base.line.a * k, base.line.b * k, base.line.c * k)
             sense = base.sense if k > 0 else base.sense.flipped()
             if draw(st.booleans()):
                 sense = TOGGLE_STRICT[sense]
-            hps.append(HalfPlane(line, sense))
+            hps.append(HalfPlane(ln, sense))
             continue
         if kind == "opposite":
             sense = base.sense.flipped()
@@ -411,17 +416,17 @@ def halfplane_sets(draw):
         a, b = draw(KERNEL_COEFFS), draw(KERNEL_COEFFS)
         a = a if a != 0 or b != 0 else Fraction(1)
         if kind == "fresh":
-            line = Line(a, b, draw(KERNEL_COEFFS))
+            ln = line(a, b, draw(KERNEL_COEFFS))
         elif kind == "parallel":
-            line = Line(base.line.a, base.line.b, base.line.c + draw(SMALL))
+            ln = line(base.line.a, base.line.b, base.line.c + draw(SMALL))
         else:
             p = line_intersection(base.line, draw(st.sampled_from(hps)).line) or origin
-            line = Line(a, b, a * p.x + b * p.y)
-        keep_origin = side(line, homogeneous(origin)) >= 0
+            ln = line(a, b, a * p.x + b * p.y)
+        keep_origin = side(ln, homogeneous(origin)) >= 0
         if draw(st.sampled_from([False] * 5 + [True])):
             keep_origin = not keep_origin
         sense = Sense.GE if keep_origin else Sense.LE
-        hps.append(HalfPlane(line, STRICT[sense] if draw(st.booleans()) else sense))
+        hps.append(HalfPlane(ln, STRICT[sense] if draw(st.booleans()) else sense))
     return hps
 
 
@@ -596,11 +601,11 @@ def test_moved_lines_equal_fresh_lines(poly_key):
                       tile.region.point_reflect(poly.homogeneous(v))):
                 corners = [homogeneous(p) for p in r.vertices() + poly.vertices]
                 for h in r.constraints:
-                    for line in (h.line, parallel_offset(h.line, v.x)):
-                        fresh = Line(line.a, line.b, line.c)
-                        assert line == fresh and hash(line) == hash(fresh)
-                        assert line.ints == fresh.ints
-                        assert [side(line, p) for p in corners] == [
+                    for ln in (h.line, parallel_offset(h.line, v.x)):
+                        fresh = line(ln.a, ln.b, ln.c)
+                        assert ln == fresh and hash(ln) == hash(fresh)
+                        assert ln.ints == fresh.ints
+                        assert [side(ln, p) for p in corners] == [
                             side(fresh, p) for p in corners]
                         moved += 1
     assert moved > 0
@@ -660,7 +665,7 @@ def test_tiles_and_strips_match_fraction_keys(poly_key):
 
 
 NONZERO = st.one_of(RATIONALS, SQRT5).filter(lambda k: k != 0)
-R5_LINES = [Line(R5, 1, 0), Line(5, R5, 0), Line(1 + R5, -2, R5), Line(3, 3 - R5, 1)]
+R5_LINES = [line(R5, 1, 0), line(5, R5, 0), line(1 + R5, -2, R5), line(3, 3 - R5, 1)]
 
 
 @st.composite
@@ -671,18 +676,18 @@ def rescaled_lines(draw):
     for _ in range(draw(st.integers(1, 4))):
         a, b, c = draw(COEFFS), draw(COEFFS), draw(COEFFS)
         a = a if a != 0 or b != 0 else draw(NONZERO)
-        lines.append(Line(a, b, c))
+        lines.append(line(a, b, c))
         for k in draw(st.lists(NONZERO, min_size=1, max_size=3)):
-            lines.append(Line(a * k, b * k, c * k))
-        lines.append(Line(a, b, c + 1))
+            lines.append(line(a * k, b * k, c * k))
+        lines.append(line(a, b, c + 1))
     return lines
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True,
           report_multiple_bugs=False)
 @given(rescaled_lines(), st.lists(st.booleans(), min_size=20, max_size=20))
-@example(R5_LINES + [Line(2, 4, 6), Line(1, 2, 3)], [False] * 20)
-@example([Line(1, R5, 2), Line(-R5, -5, -2 * R5), Line(3 + R5, 3 * R5 + 5, 6 + 2 * R5)],
+@example(R5_LINES + [line(2, 4, 6), line(1, 2, 3)], [False] * 20)
+@example([line(1, R5, 2), line(-R5, -5, -2 * R5), line(3 + R5, 3 * R5 + 5, 6 + 2 * R5)],
          [True, False] * 10)
 def test_rescaled_lines_match_fraction_keys(lines, flips):
     """Rescaled copies of a line are equal to it, with one hash, and other
@@ -745,7 +750,7 @@ def test_form_is_the_oriented_primitive_form(hps, k):
             want = tuple(-x for x in want)
         assert h.form == want + (h.sense in (Sense.GT, Sense.LT),)
         a, b, c = h.line.a, h.line.b, h.line.c
-        assert HalfPlane(Line(a * k, b * k, c * k), h.sense).form == h.form
+        assert HalfPlane(line(a * k, b * k, c * k), h.sense).form == h.form
         (a, b, c, strict), flipped = h.form, HalfPlane(h.line, h.sense.flipped())
         assert flipped.form == (-a, -b, -c, strict)
 

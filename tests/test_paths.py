@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from oracles import (path_apex_points, path_displacement, path_prefix_sums, path_steps, pair_V,
-                     region_area, signed_offset, tile_translation)
+                     pt, region_area, signed_offset, tile_translation, vec)
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import paths
 from outerbilliards.errors import IndexOutOfRangeError, NotAdmissiblePairError
-from outerbilliards.geometry import homogeneous, point_of, pt, vec_of
+from outerbilliards.geometry import homogeneous, point_of, vec_of
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import AdmissiblePath, PathFamily, apex_sequence
@@ -83,8 +83,6 @@ def test_triangle_bottom_spoke_displacement():
     m = BilliardModel(TRIANGLE)
     p = m.paths.path_for_label((0, 1))  # (0,0) -> (1,3)
     assert vec_of(p.displacement()) == vec_of(m.system.pair(p.start).V)
-    from outerbilliards.geometry import vec
-
     assert vec_of(p.displacement()) == vec(2, 6)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import signed_offset
+from oracles import pt, signed_offset
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import polygon
 from outerbilliards.errors import (
@@ -18,7 +18,7 @@ from outerbilliards.errors import (
     PolygonError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import lattice_of, pt
+from outerbilliards.geometry import lattice_of
 from outerbilliards.polygon import (
     NicePolygon,
     parse_polygon,

@@ -12,11 +12,13 @@ from oracles import (
     direction,
     fraction_annulus_draws,
     fraction_frame,
+    line,
     line_intersection,
     overlap_area_region,
     parallel_offset,
     p_vertices,
     placed_samples,
+    pt,
     point_strip_jump,
     pulled_back_in_p,
     pulled_back_in_q,
@@ -39,8 +41,7 @@ from outerbilliards.errors import (
     OnStripBoundaryError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import (Line, Point, homogeneous, point_of, polygon_region, pt,
-                                     vec_of)
+from outerbilliards.geometry import Point, homogeneous, point_of, polygon_region, vec_of
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.quasirational import (
@@ -74,6 +75,16 @@ def sqrt5_pentagon():
         [Point(v.x * k, v.y * k) for v in random_nice_polygon(5, 9000).vertices], quad_d=5)
 
 
+def regular_pentagon():
+    """The affinely regular pentagon (1, 0), (0, 1), (-1, c), (-c, -c),
+    (c, -1), c = (sqrt 5 - 1)/2: quasirational with irrational overlap
+    areas, and (area 5/2, but (2 - c)/2 on its first three vertices) no
+    affine image of a rational polygon."""
+    c = quadext(Fraction(-1, 2), Fraction(1, 2), 5)
+    return NicePolygon.from_points([pt(1, 0), pt(0, 1), pt(-1, c), pt(-c, -c), pt(c, -1)],
+                                   quad_d=5)
+
+
 # a rational point inside strip 0's m=2 annulus of `sqrt5_pentagon()`
 SQRT5_PENTAGON_ANNULUS = Point(Fraction(339113161581, 155), Fraction(-1320353506152, 85))
 
@@ -100,6 +111,20 @@ def test_sqrt5_pentagon_quasirational_necklace_and_certificate():
     assert bounded
     assert radius == QuadExt(Fraction(404316041011637, 25405),
                              Fraction(404316041011637, 25405), 5)
+
+
+def test_regular_pentagon_quasi_golden():
+    """The irrational branch of `quasi_analyze` on `regular_pentagon()`,
+    recorded while the areas were `QuadExt` quotients: five areas and D of
+    10 + 6*sqrt 5, each D/A_j 1, and the certificate from (7/2, 1/3) at
+    m = 1 with L1 radius (391 + 141*sqrt 5)/58."""
+    system = BilliardModel(regular_pentagon()).system
+    q = quasi_analyze(system)
+    area = quadext(10, 6, 5)
+    assert q.quasirational
+    assert repr((q.areas, q.D, q.D_int)) == repr(((area,) * 5, area, (1,) * 5))
+    certificate = boundedness_certificate(system, q, pt(Fraction(7, 2), Fraction(1, 3)), m=1)
+    assert repr(certificate) == repr((True, quadext(Fraction(391, 58), Fraction(141, 58), 5)))
 
 
 def test_triangle_overlap_areas_all_48():
@@ -414,7 +439,7 @@ def test_frame_point_closed_form_matches_line_route(poly_key):
         for s in (lo, hi + 2 * dd, (lo + hi) / 3,
                   quadext(Fraction(-7, 2), 3, 5)):
             for off in (Fraction(0), width, width * Fraction(2, 7), Fraction(-5, 3)):
-                want = line_intersection(parallel_offset(ring.pair.line, off), Line(d.x, d.y, s))
+                want = line_intersection(parallel_offset(ring.pair.line, off), line(d.x, d.y, s))
                 got = point_of(ring.frame_triple(s.as_integer_ratio(),
                                                  (off / width).as_integer_ratio()))
                 assert repr(got) == repr(want), (j, s, off)

@@ -1,18 +1,18 @@
 """Pinwheel pairs, spokes and strip maps."""
 
-import dataclasses
 import inspect
 import textwrap
 from fractions import Fraction
 
 import pytest
 
-from oracles import (compose_strip_maps, direction, point_strip_jump, point_strip_map, region_area,
-                     scalar_location, sigma_range, signed_offset, slab_distance, strip_region)
+from oracles import (compose_strip_maps, direction, halved, point_strip_jump, point_strip_map, pt,
+                     region_area, scalar_location, sigma_range, signed_offset, slab_distance,
+                     strip_region, vec)
 from test_billiards import CORPUS, ROOT5, corpus_polygon
 from outerbilliards import strips
 from outerbilliards.errors import OnStripBoundaryError
-from outerbilliards.geometry import Point, point_of, pt, slope_angle_cmp, vec, vec_of
+from outerbilliards.geometry import Point, point_of, slope_angle_cmp, vec_of
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.scalars import sign
 from outerbilliards.strips import (
@@ -312,16 +312,16 @@ def test_strip_form_matches_two_line_oracles(poly_key):
     not settle, so its jump has no oracle)."""
     poly = corpus_polygon(poly_key)
     system = build_pinwheel_system(poly)
-    halved = dataclasses.replace(system.pair(0), width=system.pair(0).width / 2)
+    halved_pair = halved(system.pair(0))
     seen = set()
-    for pair in system.pairs + (halved,):
+    for pair in system.pairs + (halved_pair,):
         for p in _strip_form_points(poly, pair):
             here = poly.homogeneous(p)
             seen.add(pair.location(here))
             assert pair.location(here) == scalar_location(pair, p), (pair.index, p)
             assert _outcome(lambda: point_of(strips.strip_map(pair, here))) == _outcome(
                 lambda: point_strip_map(pair, p)), (pair.index, p)
-            if pair is not halved:
+            if pair is not halved_pair:
                 assert _outcome(lambda: _landed(strips.strip_jump(pair, here))) == _outcome(
                     lambda: point_strip_jump(pair, p)), (pair.index, p)
     assert seen == {-1, 0, 1}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from outerbilliards.geometry import box_region, pt, region, half_plane, Sense
+from oracles import half_plane, pt
+from outerbilliards.geometry import box_region, region, Sense
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.svg import (

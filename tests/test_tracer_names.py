@@ -7,11 +7,12 @@ import importlib.util
 from pathlib import Path
 
 import outerbilliards
+from oracles import pt
 from outerbilliards import verify
 from outerbilliards.dynamics import pinwheel_theorem_step
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
-from outerbilliards.geometry import pt
+from outerbilliards.scalars import QuadExt
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -32,6 +33,14 @@ def test_every_span_resolves():
         for part in cls_path:
             owner = getattr(owner, part)
         assert attr in vars(owner), name
+
+
+def test_every_quad_op_is_defined_on_quadext():
+    """`Tracer.install` wraps each `QUAD_OPS` name as `vars(QuadExt)[name]`:
+    each must be defined on `QuadExt` itself, so deleting one (`_inverse`
+    has no caller in the package) fails here and not only in a traced run."""
+    for name in load_tracer().QUAD_OPS:
+        assert name in vars(QuadExt), name
 
 
 def test_verify_checks_resolve():

@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from oracles import point_route_structure2, point_strip_approach, point_tile_samples
+from oracles import halved, point_route_structure2, point_strip_approach, point_tile_samples, pt
 from outerbilliards import dynamics, strips, verify
 from outerbilliards.dynamics import pinwheel_theorem_step
 from outerbilliards.errors import (
@@ -21,13 +21,13 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Point, point_of, pt, vec_of
+from outerbilliards.geometry import Point, point_of, vec_of
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import AdmissiblePath, PathFamily, enumerate_paths
 from outerbilliards.polygon import NicePolygon, parse_polygon, polygon_to_text
 from outerbilliards.report import CheckReport, Violation
 from outerbilliards.rng import Rng
-from outerbilliards.scalars import quadext
+from outerbilliards.scalars import quadext, ratio
 from outerbilliards.strips import PinwheelSystem
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards.verify import (
@@ -312,6 +312,30 @@ def test_reordered_prefix_sums_trip_the_planar_trace(monkeypatch, n):
     assert any(v.expected.startswith("planar trace ") for v in rep.violations)
 
 
+# n -> the first violation's (expected, actual) texts, recorded while pin2
+# subtracted the Points of its triples
+PIN2_FIRST = {
+    4: ("mu_0 adds Vec(x=Fraction(-9, 1), y=Fraction(26, 1))",
+        "Vec(x=Fraction(9, 1), y=Fraction(-26, 1))"),
+    5: ("mu_0 adds Vec(x=Fraction(14, 5), y=Fraction(174, 5))",
+        "Vec(x=Fraction(-14, 5), y=Fraction(-174, 5))"),
+    6: ("mu_2 adds Vec(x=Fraction(-22, 1), y=Fraction(74, 3))",
+        "Vec(x=Fraction(22, 1), y=Fraction(-74, 3))"),
+    7: ("mu_2 adds Vec(x=Fraction(-372, 7), y=Fraction(36, 7))",
+        "Vec(x=Fraction(372, 7), y=Fraction(-36, 7))"),
+    8: ("mu_5 adds Vec(x=Fraction(-1300, 27), y=Fraction(-620, 27))",
+        "Vec(x=Fraction(1300, 27), y=Fraction(620, 27))"),
+    9: ("mu_3 adds Vec(x=Fraction(-40, 1), y=Fraction(4820, 153))",
+        "Vec(x=Fraction(40, 1), y=Fraction(-4820, 153))"),
+    10: ("mu_6 adds Vec(x=Fraction(-48, 1), y=Fraction(-32, 1))",
+         "Vec(x=Fraction(48, 1), y=Fraction(32, 1))"),
+    11: ("mu_8 adds Vec(x=Fraction(-13140, 253), y=Fraction(-11200, 253))",
+         "Vec(x=Fraction(13140, 253), y=Fraction(11200, 253))"),
+    12: ("mu_9 adds Vec(x=Fraction(-515, 11), y=Fraction(-570, 11))",
+         "Vec(x=Fraction(515, 11), y=Fraction(570, 11))"),
+}
+
+
 @pytest.mark.parametrize("n", range(4, 13))
 def test_negated_translations_trip_pin2(n):
     polygon = random_nice_polygon(n, n)
@@ -325,6 +349,7 @@ def test_negated_translations_trip_pin2(n):
     rep = check_pin1_pin2_move(broken, samples_per_tile=6, seed=0)
     assert any(v.expected.startswith("mu_") and " adds " in v.expected
                for v in rep.violations)
+    assert (rep.violations[0].expected, rep.violations[0].actual) == PIN2_FIRST[n]
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -337,8 +362,7 @@ def test_halved_strip_trips_the_strip_reflection_law(n):
     assert check_exit_reversal_conjugate(model, samples=8, seed=0).passed
     pair, *rest = model.system.pairs
     broken = BilliardModel(polygon)
-    broken.system = PinwheelSystem(polygon, (dataclasses.replace(pair, width=pair.width / 2),
-                                             *rest))
+    broken.system = PinwheelSystem(polygon, (halved(pair), *rest))
     rep = check_exit_reversal_conjugate(broken, samples=8, seed=0)
     assert [v.input for v in rep.violations] == ["strip reflection"]
 
@@ -434,9 +458,9 @@ def test_samples_beyond_k_match_point_route(poly_key, monkeypatch):
         for t_i, tile in enumerate(unbounded):
             for count in range(1, 7):
                 r = Rng(seed).split(t_i, count)
-                for scale in ((), (far,)):
+                for scale, radius in (((), ()), ((far,), (ratio(*far),))):
                     got = tuple(map(point_of, verify.tile_samples(model, tile, count, r, *scale)))
-                    want = tuple(point_tile_samples(tile, count, r, *scale))
+                    want = tuple(point_tile_samples(tile, count, r, *radius))
                     assert repr(got) == repr(want), (seed, tile.label, count, scale)
         starts = []
         walk = verify.psi_walk
