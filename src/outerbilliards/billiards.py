@@ -3,10 +3,11 @@
 The square map is a piecewise translation: away from a measure-zero wall set,
 p moves by 2*(w - v) where v and w are the tangent vertices of the two
 reflection steps.  An outside point sees one contiguous chain of edges, and
-its tangent vertex, the end of that chain on the map's side, is read off the
-signs of its n edge-line offsets.  Both reflections run on the polygon's
-integer lattice: the entry points take a Point to its lattice triple once
-(`NicePolygon.homogeneous`) and divide out only the result.
+its tangent vertex, the end of that chain on the map's side, is searched
+from the last one on the signs of its int edge-line offsets.  Both
+reflections run on the polygon's integer lattice: the entry points take a
+Point to its lattice triple once (`NicePolygon.homogeneous`) and divide out
+only the result.
 The regions of constancy are convex tiles, computed here exactly as cone(v)
 intersected with the point reflection of cone(w) through v; each tile is
 open and carries its translation vector as a lattice triple.
@@ -30,7 +31,7 @@ from .geometry import (
     region,
 )
 from .polygon import NicePolygon
-from .scalars import floor_div
+from .scalars import floor_div, quad_floor_div, quad_sign
 
 
 class Chirality(enum.Enum):
@@ -40,20 +41,39 @@ class Chirality(enum.Enum):
     LEFT = 1     # inverse map
 
 
-def tangent_vertex(polygon: NicePolygon, ts,
-                   chirality: Chirality = Chirality.RIGHT) -> int:
+def tangent_vertex(polygon: NicePolygon, ts, chirality: Chirality = Chirality.RIGHT,
+                   start: int = 0) -> int:
     """The vertex v with every other vertex strictly on the chirality side of
-    the ray p -> v, read off p's `edge_offsets` ts: for RIGHT the vertex i
-    with p seeing edge i-1 (negative offset) and not edge i (positive
-    offset), the reverse for LEFT.  OnPrimaryWallError when p is on the line
-    of the edge at that end; InsidePolygonError when p is not strictly
-    outside.  The error carries ts; the entry points re-raise with p."""
-    signs = polygon.edge_signs(ts)
-    before, after = chirality._value_, -chirality._value_
-    for i, s in enumerate(signs):
-        if s == after and signs[i - 1] == before:
-            return i
-    raise (InsidePolygonError if min(signs) >= 0 else OnPrimaryWallError)(ts)
+    the ray p -> v, read off p's `edge_offsets` ts: the first i whose edges
+    i-1 and i have the signs (before, after) = (chirality, -chirality), p
+    seeing edge i-1 and not edge i for RIGHT.  The search starts at `start`
+    and steps forward while edge i is before, backward while edge i-1 is
+    after, one sign read a step.  A 0 or n steps raise, carrying ts (the
+    entry points re-raise with p): OnPrimaryWallError where p sees an edge,
+    and so is outside on an edge's line, else InsidePolygonError.
+
+    A scan of every i finds the same vertex: the search returns only at a
+    pair and never turns.  A pair exists only outside, at the after end i*
+    of the one block of seen edges, and a 0 only next to that block; so the
+    search walks forward along the block, or backward over after signs, to
+    i*: the only 0 it could meet sits at the block's far end."""
+    n, d, b = polygon.n, polygon.quad_d, chirality._value_
+    i, j = start, (start - 1) % n
+    s = (ts[i] if d is None else quad_sign(ts[i], ts[i + n], d)) * b
+    r = 1 if s > 0 else (ts[j] if d is None else quad_sign(ts[j], ts[j + n], d)) * b
+    for _ in range(n):  # r, s: edges i-1 and i, offset (or sign) times b; > 0: before
+        if s > 0:
+            i = (i + 1) % n
+            r, s = s, (ts[i] if d is None else quad_sign(ts[i], ts[i + n], d)) * b
+        elif r < 0:
+            i, j = j, (j - 1) % n
+            r, s = (ts[j] if d is None else quad_sign(ts[j], ts[j + n], d)) * b, r
+        else:
+            break
+    if r > 0 > s:
+        return i
+    seen = min(ts) < 0 if d is None else any(quad_sign(ts[k], ts[k + n], d) < 0 for k in range(n))
+    raise (OnPrimaryWallError if seen else InsidePolygonError)(ts)
 
 
 def square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int, int]]:
@@ -74,31 +94,34 @@ def psi_walk(polygon, here, chirality=Chirality.RIGHT):
     each next state (there, (v, w)) over the same L, without end.  Through
     vertex v, at its `lattice` numerators times s = L // den, X -> 2*s*VX - X
     and each edge offset t -> 2*s*E - t, E its `vertex_offsets` row doubled
-    onto L; only `here`'s offsets are evaluated.  Errors carry a step's start.
+    onto L; only `here`'s offsets are evaluated, as 2n ints over Q(sqrt d)
+    (`edge_offsets`), so one int update serves both fields.  A step searches
+    v (and w) from the last one.  Errors carry a step's start.
 
     A step with label (v, w) adds D = rw - rv to every offset (rv, rw the
     rows of v and w), and the next step keeps the label exactly while four
     offsets bounding its tile keep their signs.  Two of them only move away
     from 0 along D, so after a step through `tangent_vertex` the walk checks
     the other two (`_label_run`).  Where both hold, the run's remaining
-    length k is one `floor_div` per exit bound: its k states are yielded by
+    length k is one floor per exit bound: its k states are yielded by
     translation alone, the offsets move by k*D at once, and the walk steps
     on, so a wall at a run's end is raised by an ordinary step.  Nothing past
     the first state is computed before it is asked for."""
     X, Y, L = here
     s2 = 2 * (L // polygon.den)
-    first = -1 if chirality is Chirality.RIGHT else 0  # checked: edges v-1, w-1 (or v, w)
-    rows = [None] * polygon.n
+    n, d = polygon.n, polygon.quad_d
+    first = n - 1 if chirality is Chirality.RIGHT else 0  # checked: edges v-1, w-1 (or v, w)
+    rows = [None] * n
     runs = {}  # label -> `_label_run`, built the first time a run takes it
-    ts = polygon.edge_offsets(here)
+    ts, vi, wi = polygon.edge_offsets(here), 0, 0  # the offsets; where the searches start
     while True:
         stage = 1
         try:
-            vi = tangent_vertex(polygon, ts, chirality)
+            vi = tangent_vertex(polygon, ts, chirality, vi)
             rows[vi] = rows[vi] or [s2 * e for e in polygon.vertex_offsets[vi]]
             ts = list(map(sub, rows[vi], ts))
             stage = 2
-            wi = tangent_vertex(polygon, ts, chirality)
+            wi = tangent_vertex(polygon, ts, chirality, wi)
         except OnPrimaryWallError:
             raise UndefinedOnWallError(point_of((X, Y, L)), stage=stage) from None
         except InsidePolygonError:
@@ -111,23 +134,24 @@ def psi_walk(polygon, here, chirality=Chirality.RIGHT):
         label = vi, wi
         yield (X, Y, L), label
         rv = rows[vi]
-        a, p = vi + first, wi + first
-        if ts[a] < 0 and rv[p] < ts[p]:
-            run = runs[label] = runs.get(label) or _label_run(rv, rows[wi], a, p)
-            D, exits = run
-            k = min(-floor_div(ts[e] - c, D[e]) for e, c in exits)
+        a, p = (vi + first) % n, (wi + first) % n
+        if (ts[a] < 0 and rv[p] < ts[p] if d is None else quad_sign(ts[a], ts[a + n], d) < 0
+                < quad_sign(ts[p] - rv[p], ts[p + n] - rv[p + n], d)):
+            D, exits = runs[label] = runs.get(label) or _label_run(rv, rows[wi], a, p, n)
+            k = min(-(floor_div(ts[e] - c, D[e]) if d is None else quad_floor_div(
+                ts[e] - c, ts[e + n] - cs, D[e], D[e + n], d)) for e, c, cs in exits)
             for _ in range(k):
                 X, Y = X + dx, Y + dy
                 yield (X, Y, L), label
-            ts = list(map(add, ts, D if k == 1 else [k * d for d in D]))
+            ts = list(map(add, ts, D if k == 1 else [k * x for x in D]))
 
 
-def _label_run(rv, rw, a, p):
-    """(D, exits) of label (v, w) in a ψ walk with rows rv and rw
-    (`vertex_offsets` doubled onto L, 2s*E): D = rw - rv, what a step adds
-    to every offset t, and the exit bounds (e, c): those of the two the walk
-    checks, t_a < 0 and rv_p < t_p, that D moves toward 0.  Exit e fails
-    after -floor((t_e - c) / D_e) more steps.
+def _label_run(rv, rw, a, p, n):
+    """(D, exits) of label (v, w) in a ψ walk over an n-gon with rows rv and
+    rw (2s*E, `vertex_offsets` doubled onto L; 2n ints over Q(sqrt d)):
+    D = rw - rv, what a step adds to every offset t, and the exit bounds
+    (e, c, c') of the two the walk checks, t_a < 0 and rv_p < t_p, that D moves
+    toward 0: e fails after -floor((t_e - c) / D_e) steps, c + c'*sqrt(d) over Q(sqrt d).
 
     For RIGHT, a = v-1 and p = w-1: the next step's tangent vertex is v
     while t_{v-1} < 0 < t_v, and the next is w while, at rv - t,
@@ -140,7 +164,8 @@ def _label_run(rv, rw, a, p):
     v = w+1 does not end edge w-1, so E[v][w-1] > 0.  LEFT (a = v, p = w)
     mirrors all of this."""
     D = list(map(sub, rw, rv))
-    return D, [(e, c) for e, c in ((a, 0), (p, rv[p])) if D[e] != 0]
+    h = len(D) - n  # entry e's sqrt(d) part sits at e + h: h = n over Q(sqrt d), 0 over Q
+    return D, [(e, c, cs) for e, c, cs in ((a, 0, 0), (p, rv[p], rv[p + h])) if D[e] or D[e + h]]
 
 
 def primary_cone(polygon: NicePolygon, v_index: int,

@@ -7,14 +7,14 @@ Input in either orientation is accepted and reoriented with a flag.
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (DegenerateVerticesError, NotConvexError, ParallelEdgesError, ParseError,
                      PolygonError)
 from .geometry import (Point, cross, direction_ccw_cmp, edge_lines, homogeneous, lattice_of,
                        least_sign, signed_area2)
-from .scalars import (SCALAR_DIGITS, bounded_int, is_radicand, radicand, scalar_from_json,
-                      scalar_to_json, sign)
+from .scalars import (SCALAR_DIGITS, bounded_int, int_parts, is_radicand, radicand,
+                      scalar_from_json, scalar_to_json, sign)
 
 
 class NicePolygon:
@@ -31,11 +31,12 @@ class NicePolygon:
     The polygon's lattice, fixed at construction: `den` is the least common
     denominator D < 10**SCALAR_DIGITS of the vertex coordinates, and `lattice[i]` is vertex i's
     numerator pair over D (ints, or the `QuadInt`s of `as_integer_ratio()`).
-    `vertex_offsets[v]` is vertex v's `edge_offsets` over D, which the ψ walk reflects by.
+    `vertex_offsets[v]` is vertex v's `edge_offsets` over D (2n ints over Q(sqrt d)), which
+    the ψ walk reflects by.
     `_lattice` is `lattice_of(vertices)` where the caller has read it already.
     """
 
-    __slots__ = ("vertices", "reoriented", "edges", "quad_d", "den", "lattice",
+    __slots__ = ("vertices", "n", "reoriented", "edges", "quad_d", "den", "lattice",
                  "_forms", "vertex_offsets")
 
     def __init__(self, vertices: Sequence[Point], reoriented: bool = False,
@@ -51,6 +52,7 @@ class NicePolygon:
         if den >= 10 ** SCALAR_DIGITS:
             raise PolygonError(f"the lattice's denominator is 10**{SCALAR_DIGITS} or more")
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "n", len(verts))
         object.__setattr__(self, "reoriented", reoriented)
         object.__setattr__(self, "edges", edge_lines(lattice, den))
         object.__setattr__(self, "quad_d", quad_d)
@@ -71,10 +73,6 @@ class NicePolygon:
             return NicePolygon(verts[::-1], True, quad_d, (pairs[::-1], den))
         return NicePolygon(verts, False, quad_d, (pairs, den))
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
     def vertex(self, i: int) -> Point:
         return self.vertices[i % self.n]
 
@@ -85,19 +83,12 @@ class NicePolygon:
 
     def edge_offsets(self, p) -> list:
         """The offsets a*X + b*Y - c*L of the lattice triple p = (X, Y, L)
-        from the edges' integer forms, in edge order."""
+        from the edges' integer forms, in edge order: n ints over Q; over
+        Q(sqrt d) 2n ints, the offsets' rational parts, then their sqrt(d)
+        parts (`int_parts`), so that one int update serves both fields."""
         X, Y, L = p
-        return [a * X + b * Y - c * L for a, b, c in self._forms]
-
-    def edge_signs(self, ts) -> List[int]:
-        """The signs of a point's `edge_offsets` ts, as the ψ walk carries
-        them, in edge order: +1 on the polygon's side, -1
-        where the point sees the edge, 0 on the edge's line; a QuadInt
-        offset's sign is read once."""
-        if self.quad_d is None:
-            return [(t > 0) - (t < 0) for t in ts]
-        # inline, not map(sign): 1.04 against 1.70 µs on the Penrose kite (x86_64), ~9% a ψ step
-        return [(t > 0) - (t < 0) if type(t) is int else t.sign() for t in ts]
+        ts = [a * X + b * Y - c * L for a, b, c in self._forms]
+        return ts if self.quad_d is None else [x for xs in zip(*map(int_parts, ts)) for x in xs]
 
     def point_location(self, p: Point) -> int:
         """`least_sign` of p on the edges' forms: +1 inside, 0 on the

@@ -147,9 +147,7 @@ class QuadInt:
         return hash(self.r) if self.s == 0 else hash((self.r, self.s, self.d))
 
     def __floor__(self) -> int:
-        # s sqrt(d) = +-sqrt(s^2 d); s^2 d is a perfect square only for s = 0
-        root = math.isqrt(self.s * self.s * self.d)
-        return self.r + (root if self.s >= 0 else -root - 1)
+        return quad_floor_div(self.r, self.s, 1, 0, self.d)
 
     def __repr__(self):
         return f"QuadInt({self.r}, {self.s}, {self.d})"
@@ -218,6 +216,16 @@ def floor_div(num, den) -> int:
     quotient: over the int q > 0 of `cleared`, floor(x / q) = floor(x) // q."""
     num, den = cleared(num, den)
     return math.floor(num) // den
+
+
+def quad_floor_div(r, s, q, t, d: int) -> int:
+    """floor((r + s*sqrt(d)) / (q + t*sqrt(d))) for ints, q + t*sqrt(d) != 0: times the
+    conjugate, over the int q^2 - t^2*d != 0 made positive; y^2*d is a square only for y = 0."""
+    x, y, q = r * q - s * t * d, s * q - r * t, q * q - t * t * d
+    if q < 0:
+        x, y, q = -x, -y, -q
+    root = math.isqrt(y * y * d)
+    return (x + (root if y >= 0 else -root - 1)) // q
 
 
 class QuadExt:

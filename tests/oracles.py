@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional, Tuple
 
-from outerbilliards.billiards import Chirality, tangent_vertex
+from outerbilliards.billiards import Chirality
 from outerbilliards.dynamics import far_radius, section
 from outerbilliards.errors import (
     BudgetExceededError,
@@ -29,7 +29,7 @@ from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense
 from outerbilliards.quasirational import necklace, quasi_analyze
 from outerbilliards.rng import Rng
 from outerbilliards.strips import PinwheelPair, strip_map
-from outerbilliards.scalars import QuadExt, Scalar, primitive, ratio, sign
+from outerbilliards.scalars import QuadExt, Scalar, int_parts, primitive, quad_sign, ratio, sign
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +207,33 @@ def reflected(p: Point, center: Point) -> Point:
     return Point(2 * center.x - p.x, 2 * center.y - p.y)
 
 
+def scan_tangent_vertex(polygon, ts, chirality: Chirality = Chirality.RIGHT) -> int:
+    """`billiards.tangent_vertex` by a scan of all n edge signs, read off
+    `edge_offsets` ts (over Q(sqrt d), `quad_sign` of parts i and i + n):
+    the first i whose edges i-1 and i have the signs (chirality,
+    -chirality), else InsidePolygonError where no sign is negative and
+    OnPrimaryWallError where one is, carrying ts."""
+    n, d = polygon.n, polygon.quad_d
+    signs = [sign(t) if d is None else quad_sign(t, ts[i + n], d) for i, t in enumerate(ts[:n])]
+    before, after = chirality.value, -chirality.value
+    for i, s in enumerate(signs):
+        if s == after and signs[i - 1] == before:
+            return i
+    raise (InsidePolygonError if min(signs) >= 0 else OnPrimaryWallError)(ts)
+
+
+def offset_parts(polygon, ts) -> list:
+    """Offsets ts (ints or QuadInts) in the form `edge_offsets` returns them:
+    over Q(sqrt d), the rational parts, then the sqrt(d) parts."""
+    if polygon.quad_d is None:
+        return list(ts)
+    return [int_parts(t)[0] for t in ts] + [int_parts(t)[1] for t in ts]
+
+
 def outer_step(polygon, p: Point, chirality: Chirality = Chirality.RIGHT) -> Point:
     """One outer billiards reflection: 2v - p through the tangent vertex."""
     try:
-        vi = tangent_vertex(polygon, polygon.edge_offsets(polygon.homogeneous(p)), chirality)
+        vi = scan_tangent_vertex(polygon, polygon.edge_offsets(polygon.homogeneous(p)), chirality)
     except (InsidePolygonError, OnPrimaryWallError) as exc:
         raise type(exc)(p) from None
     return reflected(p, polygon.vertices[vi])
@@ -218,13 +241,13 @@ def outer_step(polygon, p: Point, chirality: Chirality = Chirality.RIGHT) -> Poi
 
 def fresh_offsets_step(polygon, here, chirality):
     """One state of `billiards.psi_walk` with every edge offset evaluated
-    afresh: the tangent vertex is read off the signs of a*X + b*Y - c*L at
-    the lattice triple `here` and again at its reflection, and both
-    reflections are X -> 2*(L // den)*VX - X.  Returns (there, (v, w)) over
-    the same L; errors carry `here` as a Point."""
+    afresh: the tangent vertex is scanned (`scan_tangent_vertex`) off the
+    signs of a*X + b*Y - c*L at the lattice triple `here` and again at its
+    reflection, and both reflections are X -> 2*(L // den)*VX - X.  Returns
+    (there, (v, w)) over the same L; errors carry `here` as a Point."""
     X, Y, L = here
     try:
-        vi = tangent_vertex(polygon, polygon.edge_offsets(here), chirality)
+        vi = scan_tangent_vertex(polygon, polygon.edge_offsets(here), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(point_of(here), stage=1) from None
     except InsidePolygonError:
@@ -233,7 +256,7 @@ def fresh_offsets_step(polygon, here, chirality):
     vx, vy = polygon.lattice[vi]
     X, Y = s2 * vx - X, s2 * vy - Y
     try:
-        wi = tangent_vertex(polygon, polygon.edge_offsets((X, Y, L)), chirality)
+        wi = scan_tangent_vertex(polygon, polygon.edge_offsets((X, Y, L)), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(point_of(here), stage=2) from None
     wx, wy = polygon.lattice[wi]

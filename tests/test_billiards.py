@@ -31,7 +31,8 @@ from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.scalars import QuadExt, sign
-from oracles import fresh_offsets_step, normalized, outer_step, pt, reflected, signed_offset, vec
+from oracles import (fresh_offsets_step, normalized, outer_step, pt, reflected,
+                     scan_tangent_vertex, signed_offset, vec)
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -107,14 +108,17 @@ CORPUS = ["triangle"] + [f"n{n}" for n in range(3, 13)] + ["sqrt5_kite", "penros
 
 
 def corpus_polygon(poly_key):
-    from test_quasirational import sqrt5_kite
+    """A `CORPUS` polygon, or (key "regular_pentagon") the affinely regular
+    pentagon over Q(sqrt 5), which is no affine image of a rational one."""
+    from test_quasirational import regular_pentagon, sqrt5_kite
     from test_verify import penrose_kite
 
     if poly_key == "triangle":
         return TRIANGLE
     if poly_key.startswith("n"):
         return random_nice_polygon(int(poly_key[1:]), seed=7)
-    return {"sqrt5_kite": sqrt5_kite, "penrose_kite": penrose_kite}[poly_key]()
+    return {"sqrt5_kite": sqrt5_kite, "penrose_kite": penrose_kite,
+            "regular_pentagon": regular_pentagon}[poly_key]()
 
 
 @pytest.mark.parametrize("poly_key", CORPUS)
@@ -398,25 +402,28 @@ def test_sqrt5_shear_parity_catches_conjugate_sign_slip(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the lattice kernel against the Point route: `tangent_vertex` on the signs
-# of a Point's scalar `signed_offset`s, then `reflected` through each tangent
-# vertex, kept here only as the oracle for `billiards.psi_walk`
+# the lattice kernel against the Point route: `scan_tangent_vertex` on the
+# signs of a Point's scalar `signed_offset`s, then `reflected` through each
+# tangent vertex, kept here only as the oracle for `billiards.psi_walk`
 
 
 def _scalar_signs(polygon, p):
-    return [sign(signed_offset(e, p)) for e in polygon.edges]
+    """The signs in the form of `edge_offsets`: over Q(sqrt d) with n zero
+    sqrt(d) parts after them."""
+    signs = [sign(signed_offset(e, p)) for e in polygon.edges]
+    return signs if polygon.quad_d is None else signs + [0] * polygon.n
 
 
 def _point_route(polygon, p, chirality):
     try:
-        vi = tangent_vertex(polygon, _scalar_signs(polygon, p), chirality)
+        vi = scan_tangent_vertex(polygon, _scalar_signs(polygon, p), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(p, stage=1) from None
     except InsidePolygonError:
         raise InsidePolygonError(p) from None
     mid = reflected(p, polygon.vertices[vi])
     try:
-        wi = tangent_vertex(polygon, _scalar_signs(polygon, mid), chirality)
+        wi = scan_tangent_vertex(polygon, _scalar_signs(polygon, mid), chirality)
     except OnPrimaryWallError:
         raise UndefinedOnWallError(p, stage=2) from None
     return reflected(mid, polygon.vertices[wi]), (vi, wi)
@@ -488,6 +495,65 @@ def test_lattice_parity_catches_dropped_rescale(monkeypatch):
     monkeypatch.setattr(billiards, "psi_walk", namespace["psi_walk"])
     with pytest.raises(AssertionError):
         test_lattice_kernel_matches_point_route("n7")
+
+
+# `tangent_vertex`'s search from every start against `oracles.scan_tangent_vertex`,
+# the scan of all n signs it replaced, on the offsets of near, far, wall
+# (of either stage), inside and boundary points
+
+
+def _search_outcome(search, polygon, ts, *args):
+    """The vertex, or the error's class and whether it carries ts; any
+    other exception (an index past the offsets) by its class."""
+    try:
+        return search(polygon, ts, *args)
+    except (InsidePolygonError, OnPrimaryWallError) as exc:
+        return type(exc).__name__, exc.point is ts
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _assert_search_matches_scan(poly):
+    """Returns the outcomes seen: "tangent" or an error's."""
+    seen = set()
+    for p in _parity_starts(poly) + _oracle_points(poly):
+        ts = _offsets(poly, p)
+        for chirality in Chirality:
+            want = _search_outcome(scan_tangent_vertex, poly, ts, chirality)
+            for start in range(poly.n):
+                got = _search_outcome(billiards.tangent_vertex, poly, ts, chirality, start)
+                assert got == want, ("search differs from the scan", p, chirality, start)
+            seen.add(want if isinstance(want, tuple) else "tangent")
+    return seen
+
+
+@pytest.mark.parametrize("poly_key", CORPUS + ["regular_pentagon"])
+def test_tangent_vertex_search_matches_scan_from_every_start(poly_key):
+    """From every start vertex, in both chiralities, the search returns the
+    scan's vertex or raises its error, which carries the offsets."""
+    assert _assert_search_matches_scan(corpus_polygon(poly_key)) == {
+        "tangent", ("OnPrimaryWallError", True), ("InsidePolygonError", True)}
+
+
+@pytest.mark.parametrize("mutant", [
+    [("i = (i + 1) % n", "i = i + 1"), ("i, j = j, (j - 1) % n", "i, j = j, j - 1")],
+    [("i, j = j, (j - 1) % n", "i, j = (i + 1) % n, i")]],
+    ids=["steps-without-wrapping", "forward-for-backward"])
+def test_search_and_walk_parity_catch_wrong_steps(monkeypatch, mutant):
+    """Negative controls: a search that steps past the last edge without
+    wrapping mod n, or forward where it should step backward, must fail the
+    search's test against the scan and the walk's parity test."""
+    source = textwrap.dedent(inspect.getsource(billiards.tangent_vertex))
+    for old, new in mutant:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = dict(vars(billiards))
+    exec(source, namespace)
+    monkeypatch.setattr(billiards, "tangent_vertex", namespace["tangent_vertex"])
+    with pytest.raises(AssertionError, match="search differs from the scan"):
+        _assert_search_matches_scan(corpus_polygon("n7"))
+    with pytest.raises(AssertionError, match="walk differs from the oracle"):
+        _assert_walk_matches_oracle(corpus_polygon("n7"))
 
 
 # the ψ walk against `oracles.fresh_offsets_step`, which evaluates every edge
@@ -585,7 +651,7 @@ def _assert_walk_matches_oracle(poly):
     return seen
 
 
-@pytest.mark.parametrize("poly_key", CORPUS)
+@pytest.mark.parametrize("poly_key", CORPUS + ["regular_pentagon"])
 def test_psi_walk_matches_fresh_offsets_oracle(poly_key):
     """Every state of the walk, label and triple, and the error class, Point
     and stage of a wall hit equal those of the oracle, on near and far
@@ -706,34 +772,73 @@ def test_every_tile_has_an_exit_along_its_translation(poly_key):
             assert any(sign(a * d.x + b * d.y) < 0
                        for a, b, _, _ in (normalized(h) for h in tile.region.constraints))
             v, w = tile.label
-            _, exits = billiards._label_run(rows[v], rows[w], v + first, w + first)
+            _, exits = billiards._label_run(rows[v], rows[w], (v + first) % m.n,
+                                            (w + first) % m.n, m.n)
             assert 1 <= len(exits) <= 2, (part.chirality, tile.label)
 
 
+def _count_sign_reads(monkeypatch):
+    """Patch `tangent_vertex` to log, per call, the (rational, sqrt(d)) parts
+    of every offset whose sign it reads with `quad_sign`; returns the log."""
+    searches, inside = [], []
+    real_search, real_sign = billiards.tangent_vertex, billiards.quad_sign
+
+    def search(*args):
+        searches.append([])
+        inside.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            inside.pop()
+
+    def read(a, b, d):
+        if inside:
+            searches[-1].append((a, b))
+        return real_sign(a, b, d)
+
+    monkeypatch.setattr(billiards, "tangent_vertex", search)
+    monkeypatch.setattr(billiards, "quad_sign", read)
+    return searches
+
+
 def test_psi_step_reads_each_irrational_offset_sign_once(monkeypatch):
-    """On the Penrose kite a ψ step runs `quad_sign` once per QuadInt edge
-    offset, at p and at its reflection through the tangent vertex, and never
-    for an int offset: a QuadInt offset's sign is read with `.sign()`, not
-    by two comparisons.  The offsets are recomputed here on the lattice as
-    the kernel forms them (a QuadInt offset can still be rational)."""
+    """On the Penrose kite each reflection of a ψ step reads the sign of each
+    offset at most once: its `tangent_vertex` search makes at most n
+    `quad_sign` calls, on n different (rational, sqrt(5)) part pairs.  (The
+    full scan it replaced read all n, once each, at p and at its
+    reflection.)"""
     kite = corpus_polygon("penrose_kite")
-    calls = []
-    real = scalars.quad_sign
-    monkeypatch.setattr(scalars, "quad_sign", lambda a, b, d: calls.append(b) or real(a, b, d))
-    seen = set()
+    searches = _count_sign_reads(monkeypatch)
     for p in (pt(3, Fraction(1, 3)), pt(Fraction(-5, 2), Fraction(7, 3)),
               Point(ROOT5 / 7 + 3, Fraction(1, 3)), Point(Fraction(1, 9), ROOT5 * 3)):
         for _ in range(6):
-            calls.clear()
-            q, (vi, _) = square_map(kite, p)
-            got = len(calls)
-            X, Y, L = kite.homogeneous(p)
-            s2 = 2 * (L // kite.den)
-            vx, vy = kite.lattice[vi]
-            want = sum(type(a * x + b * y - c * L) is not int
-                       for x, y in ((X, Y), (s2 * vx - X, s2 * vy - Y))
-                       for a, b, c in (e.ints for e in kite.edges))
-            assert got == want, (p, got, want)
-            seen.add(want)
-            p = q
-    assert seen == {4, 2 * kite.n}  # two sqrt(5) edges at a rational point; all four
+            searches.clear()
+            p, _ = square_map(kite, p)
+            assert len(searches) == 2
+            for reads in searches:
+                assert 1 <= len(reads) <= kite.n and len(set(reads)) == len(reads), (p, reads)
+
+
+def test_kite_near_orbit_reads_few_signs_and_builds_few_quadints(monkeypatch):
+    """A 200-step near ψ orbit on the Penrose kite, started 3 units out:
+    its `tangent_vertex` searches read at most 4 signs a call on average
+    (a scan reads all n = 4), and the whole orbit, its logged points
+    included, builds at most 2 `QuadInt`s per state plus 4 per label run
+    (the offsets are ints; what is left is the yielded triple and
+    `point_of`).  The walk before the int offsets built about 9 per state."""
+    from outerbilliards.dynamics import orbit
+
+    model = BilliardModel(corpus_polygon("penrose_kite"))
+    model.system  # built before counting
+    searches = _count_sign_reads(monkeypatch)
+    built = []
+    real_init = scalars.QuadInt.__init__
+    monkeypatch.setattr(scalars.QuadInt, "__init__",
+                        lambda self, *args: built.append(1) or real_init(self, *args))
+    rec = orbit(model, pt(3, Fraction(1, 3)), "psi", 200)
+    labels = [e.label for e in rec.events if e.tag == "translated"]
+    runs = 1 + sum(a != b for a, b in zip(labels, labels[1:]))
+    assert len(labels) == 200 and runs < 150
+    assert any(not isinstance(e.point.x, Fraction) for e in rec.events)
+    assert sum(map(len, searches)) <= 4 * len(searches)
+    assert len(built) <= 2 * len(labels) + 4 * runs

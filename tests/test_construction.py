@@ -72,7 +72,8 @@ def check_construction(points):
     assert repr(poly.vertices) == repr(oracles.point_from_points(points))
     edges = oracles.point_edges(poly.vertices)
     assert repr([(e.ints, e.s, e) for e in poly.edges]) == repr([(e.ints, e.s, e) for e in edges])
-    offsets = tuple([a * X + b * Y - c * poly.den for a, b, c in (e.ints for e in edges)]
+    offsets = tuple(oracles.offset_parts(poly, [a * X + b * Y - c * poly.den
+                                                for a, b, c in (e.ints for e in edges)])
                     for X, Y in poly.lattice)
     assert repr(poly.vertex_offsets) == repr(offsets)
     model = BilliardModel(poly)

@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "outerbilliards"
-QUADRATIC_INTERNALS = {"QuadExt", "QuadInt", "quad_sign"}
+QUADRATIC_INTERNALS = {"QuadExt", "QuadInt"}
 
 
 def package_trees():
@@ -28,7 +28,8 @@ def test_no_private_name_imported_across_modules():
 
 def test_only_scalars_names_the_quadratic_types():
     """Other modules reach Q(sqrt d) through `as_integer_ratio`, `ratio`,
-    `sign`, `int_parts` and `primitive`; `__init__` only re-exports."""
+    `sign`, `int_parts` and `primitive`, and read the int parts the ψ walk
+    carries with `quad_sign` and `quad_floor_div`; `__init__` only re-exports."""
     offenders = []
     for name, tree in package_trees():
         if name in ("scalars.py", "__init__.py"):
