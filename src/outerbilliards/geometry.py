@@ -4,8 +4,9 @@ Everything here computes on integers.  A point is its lattice triple, a polygon
 is read off its lattice pairs, and a line is one integer form (A, B, C) (ints, or
 `QuadInt`s over Q(sqrt d)) over one positive int scale s, built by `Line.of_ints`;
 identity and order read its primitive normal form (`scalars.primitive`), with no
-division.  `Point`s and `Vec`s, of Fraction or QuadExt coordinates, only carry
-values in (`lattice_of`, `homogeneous`) and out (`point_of`, `vec_of`).
+division.  `Point`s and `Vec`s, of Fraction or QuadExt coordinates, are frozen
+values with no arithmetic: they only carry values in (`lattice_of`,
+`homogeneous`) and out (`point_of`, `vec_of`).
 Convex regions are stored as canonicalized half-plane intersections.  One
 kernel pass, run once per region, clips each constraint's line by all the
 other constraints (a one-dimensional interval, exact); from these edge
@@ -45,43 +46,11 @@ class Vec:
     x: Scalar
     y: Scalar
 
-    def __add__(self, other: "Vec") -> "Vec":
-        return Vec(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        return Vec(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Vec":
-        return Vec(-self.x, -self.y)
-
-    def __mul__(self, k: ScalarLike) -> "Vec":
-        return Vec(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def cross(self, other: "Vec") -> Scalar:
-        return self.x * other.y - self.y * other.x
-
-    def dot(self, other: "Vec") -> Scalar:
-        return self.x * other.x + self.y * other.y
-
 
 @dataclass(frozen=True, slots=True)
 class Point:
     x: Scalar
     y: Scalar
-
-    def __add__(self, v: Vec) -> "Point":
-        if not isinstance(v, Vec):
-            return NotImplemented
-        return Point(self.x + v.x, self.y + v.y)
-
-    def __sub__(self, other):
-        if isinstance(other, Point):
-            return Vec(self.x - other.x, self.y - other.y)
-        if isinstance(other, Vec):
-            return Point(self.x - other.x, self.y - other.y)
-        return NotImplemented
 
 
 def integer_form(*coefs) -> tuple:
@@ -159,13 +128,18 @@ def least_sign(forms, here) -> int:
     return low
 
 
-def barycentric_triples(den: int, cycle, count: int, seed: int):
+def barycentric_triples(cycle, count: int, seed: int):
     """`count` triples (X, Y, L) strictly inside the convex polygon with the
-    vertex cycle `cycle` (`NicePolygon.lattice` pairs over den): weights the
-    odd numerators 2z+1 of `rng.unit`, in the cycle's order; L = den * their sum."""
+    vertex cycle `cycle` of lattice triples, put on one den (the lcm of their
+    L) and started at its lexicographically least vertex (`_from_min`), so
+    that the draws depend only on the polygon and its orientation: weights
+    the odd numerators 2z+1 of `rng.unit`, in the cycle's order; L = den *
+    their sum."""
+    cycle = _from_min(cycle)
+    den = math.lcm(*(L for _, _, L in cycle))
     rng = Rng(seed).split(0x5A17)
     k = len(cycle)
-    xs, ys = [X for X, _ in cycle], [Y for _, Y in cycle]
+    xs, ys = [X * (den // L) for X, _, L in cycle], [Y * (den // L) for _, Y, L in cycle]
     for i in range(count):
         ws = [rng.odd(i * k + j) for j in range(k)]
         yield sum(map(mul, ws, xs)), sum(map(mul, ws, ys)), den * sum(ws)
@@ -677,9 +651,7 @@ class ConvexRegion:
         if not self.has_interior():
             raise EmptyRegionError("region has no interior to sample")
         # a bounded region with interior is a polygon
-        den = math.lcm(*(L for _, _, L in self.vertex_triples))
-        cycle = [(X * (den // L), Y * (den // L)) for X, Y, L in self.vertex_triples]
-        triples = list(barycentric_triples(den, cycle, count, seed))
+        triples = list(barycentric_triples(self.vertex_triples, count, seed))
         assert all(self.contains(t) > 0 for t in triples)
         return tuple(triples)
 

@@ -39,6 +39,11 @@ class BilliardModel:
     def backward_partition(self) -> Partition:
         return build_partition(self.polygon, Chirality.LEFT)
 
+    @cached_property
+    def document(self) -> dict:
+        """The polygon's `to_document()`, built once and shared by every check's report."""
+        return self.polygon.to_document()
+
     @property
     def n(self) -> int:
         return self.polygon.n

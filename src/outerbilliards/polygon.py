@@ -73,9 +73,6 @@ class NicePolygon:
             return NicePolygon(verts[::-1], True, quad_d, (pairs[::-1], den))
         return NicePolygon(verts, False, quad_d, (pairs, den))
 
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i % self.n]
-
     def homogeneous(self, p: Point) -> Tuple:
         """p's lattice triple (X, Y, L) on the polygon's lattice (`den`
         divides L), so vertex i sits at `lattice[i]` times L // den over L."""

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 from .errors import AnnulusNotFoundError, NotQuasirationalError
 from .geometry import Point, Vec, barycentric_triples, least_sign, moved, vec_of
 from .polygon import NicePolygon
-from .scalars import Scalar, cleared, int_parts, primitive, ratio, sign
+from .scalars import Scalar, cleared, primitive, ratio, sign
 from .strips import PinwheelPair, PinwheelSystem
 
 
@@ -126,17 +126,12 @@ class NecklaceSpec:
         return moved((X * sq, Y * sq, L * sq), self.frame[0], self.m)
 
     def samples(self, kind: str, count: int, seed: int) -> list:
-        """The copy's region's `sample_points(count, seed)` as triples, drawn on
-        P's lattice from P's vertex cycle started, as P's region's cycle is, at
-        its lexicographically least vertex, carried onto the copy and asserted
-        interior to it.  A half turn reverses the lexicographic order: Q's
-        weights go on P's cycle started at its largest vertex."""
-        cycle = self.polygon.lattice
-        first = (max if kind == "Q" else min)(
-            range(len(cycle)), key=lambda i: [int_parts(X) for X in cycle[i]])
-        cycle = cycle[first:] + cycle[:first]
-        out = [self.carry(t, kind)
-               for t in barycentric_triples(self.polygon.den, cycle, count, seed)]
+        """The copy's region's `sample_points(count, seed)` as triples:
+        `barycentric_triples` over P's vertices carried onto the copy, each
+        asserted interior to it."""
+        den = self.polygon.den
+        cycle = [self.carry((X, Y, den), kind) for X, Y in self.polygon.lattice]
+        out = list(barycentric_triples(cycle, count, seed))
         assert all(map(self.in_p if kind == "P" else self.in_q, out))
         return out
 

@@ -61,7 +61,7 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
     """Every sampled tile point must reach its landing state within 3n
     pinwheel steps; bounded-tile samples additionally realize the 2n-step
     bound and visit exactly the telescoped prefix points on the way."""
-    rep = CheckReport("pinwheel-theorem", model.polygon.to_document(), seed)
+    rep = CheckReport("pinwheel-theorem", model.document, seed)
     n = model.n
     rng = Rng(seed).split(0x71, n)
     tiles = model.partition.tiles
@@ -127,7 +127,7 @@ def _structure2_realization(model: BilliardModel, tile, here, orbit):
 def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> CheckReport:
     """Beyond the far radius: k is 1 or 2, and k = 2 exactly when the image
     lands inside a pinwheel strip (which is then the index-shifting strip)."""
-    rep = CheckReport("far-field-dichotomy", model.polygon.to_document(), seed)
+    rep = CheckReport("far-field-dichotomy", model.document, seed)
     n = model.n
     Rn, Rq = far_radius(model)  # the sample 2R*(ux, uy)/s as a triple, R = Rn/Rq
     rep.notes.append(f"far radius = {ratio(Rn, Rq)}")
@@ -165,7 +165,7 @@ def check_structure3(model: BilliardModel, samples: int = 40,
                      seed: int = 0) -> CheckReport:
     """For q = psi(p): q lies in the closed strips b..c-1 and the pinwheel
     map shifts (q, b-1) to (q, c-1) within n steps without moving q."""
-    rep = CheckReport("structure3", model.polygon.to_document(), seed)
+    rep = CheckReport("structure3", model.document, seed)
     n = model.n
     rng = Rng(seed).split(0x53)
     tiles = model.partition.tiles
@@ -213,7 +213,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
     """Bounded tiles: the translated-tile containments (exact on vertices),
     the final strip-map action, the displacement identity, and the bounded
     depth bound."""
-    rep = CheckReport("pin1-pin2-move", model.polygon.to_document(), seed)
+    rep = CheckReport("pin1-pin2-move", model.document, seed)
     n = model.n
     rng = Rng(seed).split(0x91)
 
@@ -272,7 +272,7 @@ def check_pin1_pin2_move(model: BilliardModel, samples_per_tile: int = 20,
 def check_apex(model: BilliardModel) -> CheckReport:
     """Each start spoke's maximal path: every telescoped apex point lies in
     the corresponding closed strip."""
-    rep = CheckReport("apex", model.polygon.to_document(), 0)
+    rep = CheckReport("apex", model.document, 0)
     n = model.n
 
     def contained(path):
@@ -290,7 +290,7 @@ def check_apex(model: BilliardModel) -> CheckReport:
 
 def check_structure1(model: BilliardModel) -> CheckReport:
     """Exact bijection between admissible paths and nonempty tiles."""
-    rep = CheckReport("structure1", model.polygon.to_document(), 0)
+    rep = CheckReport("structure1", model.document, 0)
     mismatch = link_partition(model.partition, model.paths)
     rep.judge(-1, lambda: mismatch and ("label sets", *map(str, mismatch)))
     unbounded = sum(t.unbounded for t in model.partition.tiles)
@@ -307,7 +307,7 @@ def check_exit_reversal_conjugate(model: BilliardModel, samples: int = 20,
     """Exit characterization (exact region arithmetic, both directions),
     reversal onto the backward partition (exact + sampled labels), and the
     reflected-polygon index laws."""
-    rep = CheckReport("exit-reversal-conjugate", model.polygon.to_document(), seed)
+    rep = CheckReport("exit-reversal-conjugate", model.document, seed)
     tiles = model.partition.tiles
 
     # exit: a tile is unbounded exactly when its translate meets it
@@ -395,7 +395,7 @@ def check_necklace_invariance(model: BilliardModel, m: int = 1,
     carried rigidly onto the copy at exponent +-m*D_{j+1} (exact vertex-set
     identity plus sampled membership), and annulus points stay between the
     rings.  exponent_offset != 0 is the harness negative-control hook."""
-    rep = CheckReport("necklace-invariance", model.polygon.to_document(), seed)
+    rep = CheckReport("necklace-invariance", model.document, seed)
     system = model.system
     quasi = quasi_analyze(system)
     if not quasi.quasirational:

@@ -50,6 +50,31 @@ def vec(x, y) -> Vec:
     return Vec(as_scalar(x), as_scalar(y))
 
 
+# field arithmetic: the package's `Point`s and `Vec`s carry values only
+
+
+def add(p, v):
+    """p + v: the Point p moved by the Vec v, or the sum of two Vecs."""
+    return type(p)(p.x + v.x, p.y + v.y)
+
+
+def sub(p, q):
+    """p - q: the Vec from q to p (both Points or both Vecs), or the Point p moved by -q."""
+    return (Vec if type(p) is type(q) else Point)(p.x - q.x, p.y - q.y)
+
+
+def scale(v: Vec, k) -> Vec:
+    return Vec(v.x * k, v.y * k)
+
+
+def cross(u: Vec, v: Vec):
+    return u.x * v.y - u.y * v.x
+
+
+def dot(u: Vec, v: Vec):
+    return u.x * v.x + u.y * v.y
+
+
 def line(a, b, c) -> Line:
     """The line a*x + b*y = c on scalars: `integer_form(a, b, c, 1)`, the
     last entry its scale, by `Line.of_ints`; (a, b) = (0, 0) or two
@@ -276,9 +301,10 @@ def vec_necklace_shift(system, j: int) -> Vec:
     direction d times W_{j+1} / (a*d.x + b*d.y), on strip j+1's line."""
     pj = system.pair(j)
     nxt = system.pair(j + 1)
-    d = system.polygon.vertex(pj.edge_index + 1) - system.polygon.vertex(pj.edge_index)
+    vs = system.polygon.vertices
+    d = sub(vs[(pj.edge_index + 1) % system.n], vs[pj.edge_index])
     t = nxt.width / (nxt.line.a * d.x + nxt.line.b * d.y)
-    return d * t
+    return scale(d, t)
 
 
 def ring_shift(ring) -> Vec:
@@ -304,7 +330,7 @@ def transfer_ratio(system, j: int):
     |lambda| always equals A_j / A_{j+1}; the sign says on which side of the
     polygon the carried ring lands.  The cycle product of the signs is -1.
     """
-    lhs = vec_necklace_shift(system, j) - vec_of(system.pair(j + 1).V)
+    lhs = sub(vec_necklace_shift(system, j), vec_of(system.pair(j + 1).V))
     rhs = vec_necklace_shift(system, (j + 1) % system.n)
     lam = lhs.x / rhs.x if rhs.x != 0 else lhs.y / rhs.y
     assert lhs.x == lam * rhs.x and lhs.y == lam * rhs.y
@@ -351,7 +377,7 @@ def point_strip_map(pair, p: Point) -> Point:
         raise OnStripBoundaryError(p, stage=pair.index)
     if near > 0 > far:
         return p
-    return p + vec_of(pair.V) if near < 0 else p - vec_of(pair.V)
+    return add(p, vec_of(pair.V)) if near < 0 else sub(p, vec_of(pair.V))
 
 
 def _point_step(system, point: Point, index: int) -> Tuple[Point, int]:
@@ -368,7 +394,7 @@ def point_route_theorem_step(model, p: Point) -> Tuple[Point, int, int]:
     psi(p); returns (psi(p), steps used, a)."""
     n = model.n
     tile = model.partition.classify(model.polygon.homogeneous(p))
-    q = p + vec_of(tile.translation)
+    q = add(p, vec_of(tile.translation))
     a = model.path_of_tile(tile).start
     point, index = p, (a - 1) % n
     target = section(model, q)
@@ -391,7 +417,7 @@ def point_route_structure2(model, tile, p: Point, q: Point):
     target_index = (path.end_lifted - 1) % n
     expected = [p]
     for shift in path.prefix_sums:
-        nxt = p + vec_of(shift)
+        nxt = add(p, vec_of(shift))
         if nxt != expected[-1]:
             expected.append(nxt)
     trace = [p]
@@ -421,10 +447,10 @@ def point_strip_jump(pair, p: Point) -> Tuple[Point, int]:
             raise OnStripBoundaryError(p, stage=pair.index)
         return p, 0
     if steps > 0:
-        q = p + vec_of(pair.V) * steps
+        q = add(p, scale(vec_of(pair.V), steps))
     else:
         steps = -steps
-        q = p - vec_of(pair.V) * steps
+        q = sub(p, scale(vec_of(pair.V), steps))
     if scalar_location(pair, q) != 1:
         raise OnStripBoundaryError(q, stage=pair.index)
     return q, steps
@@ -438,14 +464,14 @@ def centre(ring) -> Point:
 def pulled_back_in_p(ring, p: Point) -> bool:
     """`NecklaceSpec.in_p` by pulling p back to P: p - m*shift asked of the
     polygon."""
-    back = p - ring_shift(ring) * ring.m
+    back = sub(p, scale(ring_shift(ring), ring.m))
     return ring.polygon.point_location(back) > 0
 
 
 def pulled_back_in_q(ring, p: Point) -> bool:
     """`NecklaceSpec.in_q` by pulling p back to P: p - m*shift reflected
     through the strip's centre vertex, asked of the polygon."""
-    back = reflected(p - ring_shift(ring) * ring.m, centre(ring))
+    back = reflected(sub(p, scale(ring_shift(ring), ring.m)), centre(ring))
     return ring.polygon.point_location(back) > 0
 
 
@@ -456,7 +482,7 @@ def pulled_back_trapped_extent(ring, p: Point) -> bool:
     lo, hi, dd = ring_axis(ring)
     shift = ring.m * dd
     if scalar_location(ring.pair, p) != 1 or not (
-            lo - shift <= ring_shift(ring).dot(p) <= hi + shift):
+            lo - shift <= dot(ring_shift(ring), p) <= hi + shift):
         return False
     return not any(test(r, p) for r in (ring, ring.at(-ring.m))
                    for test in (pulled_back_in_p, pulled_back_in_q))
@@ -465,7 +491,7 @@ def pulled_back_trapped_extent(ring, p: Point) -> bool:
 def scalar_in_annulus(ring, p: Point) -> bool:
     """`NecklaceSpec.in_annulus` on scalars: inside the strip, and the axis
     coordinate shift.p strictly within one of the ring's windows."""
-    s = ring_shift(ring).dot(p)
+    s = dot(ring_shift(ring), p)
     return scalar_location(ring.pair, p) == 1 and any(a < s < b for a, b in ring_windows(ring))
 
 
@@ -474,21 +500,21 @@ def placed_samples(ring, base, kind: str, count: int, seed: int):
     onto the copy (turned about the strip's centre vertex for kind "Q", then
     translated by m*shift) and sampled there."""
     region = base.point_reflect(homogeneous(centre(ring))) if kind == "Q" else base
-    moved = region.translate(homogeneous(ring_shift(ring) * ring.m))
+    moved = region.translate(homogeneous(scale(ring_shift(ring), ring.m)))
     return tuple(map(point_of, moved.sample_points(count, seed=seed)))
 
 
 def p_vertices(ring) -> Tuple[Point, ...]:
     """The vertices of the ring's copy P + m*shift, on `Point`s."""
-    offset = ring_shift(ring) * ring.m
-    return tuple(v + offset for v in ring.polygon.vertices)
+    offset = scale(ring_shift(ring), ring.m)
+    return tuple(add(v, offset) for v in ring.polygon.vertices)
 
 
 def q_vertices(ring) -> Tuple[Point, ...]:
     """The vertices of the ring's copy (P turned 180 degrees about its
     centre vertex) + m*shift, on `Point`s."""
-    offset = ring_shift(ring) * ring.m
-    return tuple(reflected(v, centre(ring)) + offset for v in ring.polygon.vertices)
+    offset = scale(ring_shift(ring), ring.m)
+    return tuple(add(reflected(v, centre(ring)), offset) for v in ring.polygon.vertices)
 
 
 def fraction_frame(system, j: int):
@@ -501,11 +527,11 @@ def fraction_frame(system, j: int):
     -a*x - b*y > c - 2(a*cx + b*cy) with -D, (cx, cy) the centre vertex."""
     pair, polygon = system.pair(j), system.polygon
     d, w = vec_necklace_shift(system, j), polygon.vertices[pair.w_index]
-    vals = [d.dot(v) for v in polygon.vertices]
+    vals = [dot(d, v) for v in polygon.vertices]
     lo, hi = min(vals), max(vals)
-    twice_center = 2 * d.dot(w)
+    twice_center = 2 * dot(d, w)
     lo, hi = min(lo, twice_center - hi), max(hi, twice_center - lo)
-    dd = d.dot(d)
+    dd = dot(d, d)
     rates = [(e, e.a * d.x + e.b * d.y) for e in polygon.edges]
     p_forms = tuple(integer_form(e.a, e.b, e.c, D) for e, D in rates)
     q_forms = tuple(integer_form(-e.a, -e.b, e.c - 2 * (e.a * w.x + e.b * w.y), -D)
@@ -606,11 +632,11 @@ def point_tile_samples(tile, count: int, rng: Rng, radii_scale=None) -> list:
     interior point plus the scalar recession direction times
     t = radii_scale * 2^(i % 3) * (1 + `Rng.unit`)."""
     direction = point_recession_direction(tile.region)
-    scale = radii_scale if radii_scale is not None else Fraction(64)
+    radii = radii_scale if radii_scale is not None else Fraction(64)
     out = []
     for i in range(count):
         base = point_interior_point(tile.region, rng.split(11, i), i)
-        out.append(base + direction * (scale * (2 ** (i % 3)) * (1 + rng.unit(1000 + i))))
+        out.append(add(base, scale(direction, radii * (2 ** (i % 3)) * (1 + rng.unit(1000 + i)))))
     return out
 
 
@@ -645,12 +671,12 @@ ZERO_VEC = Vec(Fraction(0), Fraction(0))
 
 def pair_V(polygon, pair) -> Vec:
     """The strip's V = 2*(w - v) on the vertices' scalars."""
-    return (polygon.vertices[pair.w_index] - polygon.vertices[pair.v_index]) * 2
+    return scale(sub(polygon.vertices[pair.w_index], polygon.vertices[pair.v_index]), 2)
 
 
 def tile_translation(polygon, tile) -> Vec:
     """The tile's translation 2*(w - v) on the vertices' scalars."""
-    return (polygon.vertices[tile.w_index] - polygon.vertices[tile.v_index]) * 2
+    return scale(sub(polygon.vertices[tile.w_index], polygon.vertices[tile.v_index]), 2)
 
 
 def path_steps(system, path) -> dict:
@@ -665,7 +691,7 @@ def path_steps(system, path) -> dict:
             steps[i] = ZERO_VEC
             continue
         there = s.w_index if here == s.v_index else s.v_index
-        steps[i], here = vs[there] - vs[here], there
+        steps[i], here = sub(vs[there], vs[here]), there
     return steps
 
 
@@ -674,7 +700,7 @@ def path_prefix_sums(system, path) -> Tuple[Vec, ...]:
     additions."""
     sums = []
     for _, step in sorted(path_steps(system, path).items()):
-        sums.append(sums[-1] + step * 2 if sums else step * 2)
+        sums.append(add(sums[-1], scale(step, 2)) if sums else scale(step, 2))
     return tuple(sums)
 
 
@@ -686,7 +712,7 @@ def path_displacement(system, path) -> Vec:
 def path_apex_points(system, path) -> Tuple[Point, ...]:
     """The first vertex, then the first vertex plus each prefix sum."""
     v = system.polygon.vertices[path.first_vertex_index]
-    return (v,) + tuple(v + shift for shift in path_prefix_sums(system, path))
+    return (v,) + tuple(add(v, shift) for shift in path_prefix_sums(system, path))
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +732,13 @@ def vec_direction_ccw_cmp(u: Vec, v: Vec) -> int:
     hu, hv = vec_upper(u), vec_upper(v)
     if hu != hv:
         return -1 if hu else 1
-    return -sign(u.cross(v))
+    return -sign(cross(u, v))
 
 
 def vec_slope_angle_cmp(u: Vec, v: Vec) -> int:
     """Compare directions as projective slopes, each folded into the upper half-plane."""
-    return vec_direction_ccw_cmp(u if vec_upper(u) else -u, v if vec_upper(v) else -v)
+    return vec_direction_ccw_cmp(u if vec_upper(u) else scale(u, -1),
+                                 v if vec_upper(v) else scale(v, -1))
 
 
 def point_signed_area2(points) -> Fraction:
@@ -731,10 +758,10 @@ def point_validate(verts):
     n = len(verts)
     if n < 3:
         raise DegenerateVerticesError(f"need at least 3 vertices, got {n}", range(n))
-    dirs = [verts[(i + 1) % n] - verts[i] for i in range(n)]
+    dirs = [sub(verts[(i + 1) % n], verts[i]) for i in range(n)]
     wraps = 0
     for i in range(n):
-        turn = sign(dirs[i - 1].cross(dirs[i]))
+        turn = sign(cross(dirs[i - 1], dirs[i]))
         if turn == 0:
             raise DegenerateVerticesError(
                 f"collinear or repeated vertices at indices {(i - 1) % n}, {i}, {(i + 1) % n}",
@@ -746,7 +773,7 @@ def point_validate(verts):
         raise NotConvexError(f"the sides wind {wraps} times around", range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            if dirs[i].cross(dirs[j]) == 0:
+            if cross(dirs[i], dirs[j]) == 0:
                 raise ParallelEdgesError(f"edges {i} and {j} are parallel", (i, j))
 
 
@@ -764,7 +791,7 @@ def point_edges(verts) -> Tuple[Line, ...]:
     """Each edge's line d.y*x - d.x*y = d.y*t.x - d.x*t.y, d = h - t, on
     the vertices' scalars."""
     return tuple(line(d.y, -d.x, d.y * t.x - d.x * t.y)
-                 for t, h in zip(verts, verts[1:] + verts[:1]) for d in [h - t])
+                 for t, h in zip(verts, verts[1:] + verts[:1]) for d in [sub(h, t)])
 
 
 def point_pinwheel_pairs(polygon) -> Tuple[PinwheelPair, ...]:
@@ -779,7 +806,8 @@ def point_pinwheel_pairs(polygon) -> Tuple[PinwheelPair, ...]:
         # s*width on the scalars, as `PinwheelPair` once read its form off a stored width
         width = ratio(2 * offsets[far], line.s * polygon.den)
         form = line.ints + (width * line.s).as_integer_ratio()
-        entries.append((polygon.vertex(i + 1) - polygon.vertex(i), i, line, far, form))
+        d = sub(polygon.vertices[(i + 1) % n], polygon.vertices[i])
+        entries.append((d, i, line, far, form))
     entries.sort(key=cmp_to_key(lambda x, y: vec_slope_angle_cmp(x[0], y[0])))
     ends = [{(i + 1) % n, far} for _, i, _, far, _ in entries]
     pairs = []
@@ -821,7 +849,7 @@ def vec_random_nice_polygon(n: int, seed: int, bound: int = 20) -> Tuple[Point, 
         acc = Point(Fraction(0), Fraction(0))
         for e in edges:
             verts.append(acc)
-            acc = acc + e
+            acc = add(acc, e)
         cx = sum((v.x for v in verts), start=Fraction(0)) / n
         cy = sum((v.y for v in verts), start=Fraction(0)) / n
         verts = [Point(v.x - cx, v.y - cy) for v in verts]
@@ -844,7 +872,7 @@ def point_polygon_region(vertices, open_region: bool = False) -> ConvexRegion:
     hps = []
     for i in range(n):
         t, h = vertices[i], vertices[(i + 1) % n]
-        d = h - t
+        d = sub(h, t)
         # interior of a clockwise polygon is the cross(d, p - t) < 0 side
         hps.append(half_plane(-d.y, d.x, d.x * t.y - d.y * t.x, sense))
     return region(hps)

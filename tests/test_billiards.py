@@ -31,8 +31,8 @@ from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.scalars import QuadExt, sign
-from oracles import (fresh_offsets_step, normalized, outer_step, pt, reflected,
-                     scan_tangent_vertex, signed_offset, vec)
+from oracles import (add, cross, fresh_offsets_step, normalized, outer_step, pt, reflected,
+                     scale, scan_tangent_vertex, signed_offset, sub, vec)
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -72,7 +72,7 @@ def _tangent_vertex_oracle(polygon, p, chirality):
         return "inside"
     wall = False
     for i, v in enumerate(polygon.vertices):
-        signs = {sign((v - p).cross(u - v))
+        signs = {sign(cross(sub(v, p), sub(u, v)))
                  for j, u in enumerate(polygon.vertices) if j != i}
         if signs == {chirality.value}:
             return i
@@ -98,7 +98,7 @@ def _oracle_points(poly):
     grid = [pt(x, y) for x in range(-r, r + 1, step) for y in range(-r, r + 1, step)]
     ts = [Fraction(t) for t in (-3, Fraction(-1, 2), 0, Fraction(1, 3), 1,
                                 Fraction(3, 2), 4, 40)]
-    on_edge_lines = [v + (poly.vertex(i + 1) - v) * t
+    on_edge_lines = [add(v, scale(sub(poly.vertices[(i + 1) % poly.n], v), t))
                      for i, v in enumerate(poly.vertices) for t in ts]
     return grid + on_edge_lines
 
@@ -152,13 +152,13 @@ def test_square_map_worked_example():
     assert label == (0, 1)
     assert (TRIANGLE.vertices[0], TRIANGLE.vertices[1]) == (pt(0, 0), pt(1, 3))
     # consistency: q = p + 2 (w - v)
-    assert q - pt(8, -2) == (pt(1, 3) - pt(0, 0)) * 2
+    assert sub(q, pt(8, -2)) == scale(sub(pt(1, 3), pt(0, 0)), 2)
 
 
 def test_square_map_near_vertex_defined():
-    p = TRIANGLE.vertices[1] + vec(Fraction(1, 7), Fraction(5, 3))
+    p = add(TRIANGLE.vertices[1], vec(Fraction(1, 7), Fraction(5, 3)))
     q, label = square_map(TRIANGLE, p)
-    assert q - p == (TRIANGLE.vertices[label[1]] - TRIANGLE.vertices[label[0]]) * 2
+    assert sub(q, p) == scale(sub(TRIANGLE.vertices[label[1]], TRIANGLE.vertices[label[0]]), 2)
 
 
 def test_inverse_square_map_round_trip():
@@ -243,7 +243,7 @@ def test_piecewise_translation_on_tiles():
         for p in map(point_of, tile.region.sample_points(20, seed=2)):
             q, label = square_map(PENTAGON, p)
             assert label == tile.label
-            assert q - p == vec_of(tile.translation)
+            assert sub(q, p) == vec_of(tile.translation)
 
 
 def test_classify_matches_dynamics():
@@ -450,14 +450,15 @@ def _parity_starts(poly):
     far = [pt(r * extent * ux, r * extent * uy) for r in RADII for ux, uy in DIRECTIONS]
     # a Q(sqrt 5) start for every rational one, on rational polygons too
     far += [Point(p.x + ROOT5 / 7, p.y) for p in far]
-    walls = [v + (poly.vertex(i + 1) - v) * t for i, v in enumerate(poly.vertices)
-             for t in (-3, Fraction(-1, 2), Fraction(3, 2), 4)]
+    walls = [add(v, scale(sub(poly.vertices[(i + 1) % poly.n], v), t))
+             for i, v in enumerate(poly.vertices) for t in (-3, Fraction(-1, 2), Fraction(3, 2), 4)]
     # reflected through a vertex, a wall point is the midpoint of a start
     second = [reflected(q, v) for q in walls for v in poly.vertices]
     inside = [pt(sum(v.x for v in poly.vertices) / poly.n,
                  sum(v.y for v in poly.vertices) / poly.n)]
     boundary = list(poly.vertices) + [
-        v + (poly.vertex(i + 1) - v) * Fraction(1, 3) for i, v in enumerate(poly.vertices)]
+        add(v, scale(sub(poly.vertices[(i + 1) % poly.n], v), Fraction(1, 3)))
+        for i, v in enumerate(poly.vertices)]
     return far + walls + second + inside + boundary
 
 
@@ -596,9 +597,10 @@ def _wall_starts(poly, back, ts, both_sides):
     line, t in ts (or t = ts[i % 2] on edge i, where not both_sides), a
     stage-1 wall, or one reflected through a vertex (stage 2), walked up to
     `back` steps backwards by the oracle's mirrored rule."""
-    walls = [v + (poly.vertex(i + 1) - v) * t for i, v in enumerate(poly.vertices)
+    walls = [add(v, scale(sub(poly.vertices[(i + 1) % poly.n], v), t))
+             for i, v in enumerate(poly.vertices)
              for t in (ts if both_sides else ts[i % 2:i % 2 + 1])]
-    walls += [reflected(q, poly.vertex(i + 2)) for i, q in enumerate(walls)]
+    walls += [reflected(q, poly.vertices[(i + 2) % poly.n]) for i, q in enumerate(walls)]
     for q in walls:
         for chirality, mirror in ((Chirality.RIGHT, Chirality.LEFT),
                                   (Chirality.LEFT, Chirality.RIGHT)):
@@ -631,7 +633,7 @@ def _assert_walk_matches_oracle(poly):
     inside = pt(sum(v.x for v in poly.vertices) / poly.n,
                 sum(v.y for v in poly.vertices) / poly.n)
     runs += [(poly.homogeneous(p), chirality, 10)
-             for p, chirality in ((inside, Chirality.RIGHT), (poly.vertex(0), Chirality.LEFT))]
+             for p, chirality in ((inside, Chirality.RIGHT), (poly.vertices[0], Chirality.LEFT))]
     runs += [(here, chirality, 10)
              for here, chirality in _wall_starts(poly, 5, NEAR_WALLS, True)]
     runs += [(here, chirality, 102)

@@ -152,7 +152,8 @@ def test_construction_does_no_point_or_vec_arithmetic(monkeypatch):
     for cls, names in ((Vec, ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "cross",
                               "dot")), (Point, ("__add__", "__sub__"))):
         for name in names:
-            monkeypatch.setattr(cls, name, refuse)
+            if name in vars(cls):  # the operators are gone; a returning one is refused
+                monkeypatch.setattr(cls, name, refuse)
     for cycle in cycles:
         poly = NicePolygon.from_points(cycle[::-1])
         build_pinwheel_system(poly)

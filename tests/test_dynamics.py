@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (direction, halved, normal, parallel_offset, point_route_theorem_step, pt,
-                     strip_region)
+from oracles import (add, direction, dot, halved, normal, parallel_offset,
+                     point_route_theorem_step, pt, scale, strip_region)
 from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
 from outerbilliards import dynamics, geometry, strips
 from outerbilliards.billiards import psi_walk, square_map
@@ -159,10 +159,10 @@ def test_exit_map_far_field_counts_match_strip_jump():
         for sgn in (1, -1):
             off = pair.width * rng.unit(2 * j + (sgn > 0))
             nrm = normal(pair.line)
-            n2 = nrm.dot(nrm)
+            n2 = dot(nrm, nrm)
             base = Point(pair.line.a * pair.line.c / n2,
                          pair.line.b * pair.line.c / n2)
-            p = base + d * (sgn * 3 * R / (abs(d.x) + abs(d.y))) + nrm * (off / n2)
+            p = add(add(base, scale(d, sgn * 3 * R / (abs(d.x) + abs(d.y)))), scale(nrm, off / n2))
             here = m.polygon.homogeneous(p)
             assert pair.location(here) == 1
             try:
@@ -181,10 +181,10 @@ def test_first_return_postconditions():
     pair = m.system.pair(0)
     R = ratio(*far_radius(m))
     d = direction(pair.line)
-    base = pt(0, 0) + d * (3 * R / (abs(d.x) + abs(d.y)))
+    base = add(pt(0, 0), scale(d, 3 * R / (abs(d.x) + abs(d.y))))
     nrm = normal(pair.line)
-    n2 = nrm.dot(nrm)
-    p = base + nrm * ((pair.width * Fraction(3, 7) + pair.line.c) / n2)
+    n2 = dot(nrm, nrm)
+    p = add(base, scale(nrm, (pair.width * Fraction(3, 7) + pair.line.c) / n2))
     here = m.polygon.homogeneous(p)
     assert pair.location(here) == 1
     q, steps = first_return_psi(m, here, budget=10_000)
@@ -202,14 +202,14 @@ def test_far_field_first_return_equals_strip_system_return_cycle():
     R = ratio(*far_radius(m))
     d = direction(pair.line)
     nrm = normal(pair.line)
-    n2 = nrm.dot(nrm)
+    n2 = dot(nrm, nrm)
     rng = Rng(3).split(1)
     checked = 0
     for i in range(8):
         t = 2 * R * (1 + rng.unit(2 * i))
         off = pair.width * rng.unit(2 * i + 1)
-        p = (pt(0, 0) + d * (t / (abs(d.x) + abs(d.y)))
-             + nrm * ((off + pair.line.c) / n2))
+        p = add(add(pt(0, 0), scale(d, t / (abs(d.x) + abs(d.y)))),
+                scale(nrm, (off + pair.line.c) / n2))
         here = m.polygon.homogeneous(p)
         if pair.location(here) != 1:
             continue
@@ -237,14 +237,14 @@ def test_strip_return_point_lies_on_exit_map_orbit():
     R = ratio(*far_radius(m))
     d = direction(pair.line)
     nrm = normal(pair.line)
-    n2 = nrm.dot(nrm)
+    n2 = dot(nrm, nrm)
     rng = Rng(21).split(9)
     checked = 0
     for i in range(6):
         off = pair.width * rng.unit(2 * i)
         t = 2 * R * (1 + rng.unit(2 * i + 1))
-        p = (pt(0, 0) + d * (t / (abs(d.x) + abs(d.y)))
-             + nrm * ((off + pair.line.c) / n2))
+        p = add(add(pt(0, 0), scale(d, t / (abs(d.x) + abs(d.y)))),
+                scale(nrm, (off + pair.line.c) / n2))
         x = m.polygon.homogeneous(p)
         if pair.location(x) != 1:
             continue

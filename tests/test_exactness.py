@@ -200,6 +200,24 @@ def test_models_and_checks_do_no_field_arithmetic(monkeypatch):
     assert [len(reps) for reps in runs] == [len(verify.CHECKS) + 3] * len(runs)
 
 
+def test_points_and_vectors_carry_values_only():
+    """`Point` and `Vec` are frozen values with no field arithmetic, and a
+    polygon's vertices are read by index: `NicePolygon.vertex` is gone."""
+    p, v = Point(Fraction(1, 2), Fraction(3)), Vec(Fraction(-1), Fraction(2, 3))
+    for cls, names in GUARDED[2:]:  # Point's and Vec's operators
+        assert [name for name in names if hasattr(cls, name)] == []
+    for operation in (lambda: p + v, lambda: p - p, lambda: p - v, lambda: v + v,
+                      lambda: v - v, lambda: -v, lambda: v * 2, lambda: 2 * v):
+        with pytest.raises(TypeError):
+            operation()
+    assert not hasattr(NicePolygon, "vertex")
+    assert p == Point(Fraction(1, 2), Fraction(3))
+    assert hash(v) == hash(Vec(Fraction(-1), Fraction(2, 3)))
+    assert repr(v) == "Vec(x=Fraction(-1, 1), y=Fraction(2, 3))"
+    with pytest.raises(AttributeError):
+        p.x = Fraction(0)
+
+
 def test_field_arithmetic_guard_trips_on_scalar_widths(monkeypatch):
     """Negative control: `max_width` and `far_radius` on scalars, as they
     read before the widths lived only in the strips' forms, trip the guard."""

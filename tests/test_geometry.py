@@ -17,9 +17,9 @@ from fm_oracle import (
     fm_sample_points,
     fm_vertices,
 )
-from oracles import (half_plane, hp_key, line, line_intersection, line_key, parallel_offset,
-                     per_call_key, per_call_region_key, pt, region_area, side, signed_offset,
-                     strip_region, vec)
+from oracles import (add, half_plane, hp_key, line, line_intersection, line_key,
+                     parallel_offset, per_call_key, per_call_region_key, pt, region_area, scale,
+                     side, signed_offset, strip_region, vec)
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry, scalars
 from outerbilliards.errors import EmptyRegionError
@@ -156,7 +156,7 @@ def test_moved_adds_k_times_the_vector(p, v, k):
     here, shift = homogeneous(p, homogeneous(v)[2]), homogeneous(v)
     there = moved(here, shift, k)
     assert there[2] == here[2]
-    assert point_of(there) == p + v * k
+    assert point_of(there) == add(p, scale(v, k))
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

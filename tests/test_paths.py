@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (path_apex_points, path_displacement, path_prefix_sums, path_steps, pair_V,
-                     pt, region_area, signed_offset, tile_translation, vec)
+from oracles import (pair_V, path_apex_points, path_displacement, path_prefix_sums, path_steps,
+                     pt, region_area, scale, signed_offset, sub, tile_translation, vec)
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import paths
 from outerbilliards.errors import IndexOutOfRangeError, NotAdmissiblePairError
@@ -64,19 +64,20 @@ def test_terminal_orientation_flips_exactly_on_special_spokes():
             last = m.system.pair(p.end_lifted)
             w = vec_of(p.steps[p.end_lifted])
             if last.special:
-                assert w == vs[last.v_index] - vs[last.w_index]
+                assert w == sub(vs[last.v_index], vs[last.w_index])
             else:
-                assert w == vs[last.w_index] - vs[last.v_index]
+                assert w == sub(vs[last.w_index], vs[last.v_index])
             for i in p.involved[:-1]:
                 s = m.system.pair(i)
-                assert vec_of(p.steps[i]) == vs[s.w_index] - vs[s.v_index]  # pinwheel orientation
+                # pinwheel orientation
+                assert vec_of(p.steps[i]) == sub(vs[s.w_index], vs[s.v_index])
 
 
 def test_displacement_telescopes_to_endpoints():
     for m in models():
         for p in m.paths.paths:
-            assert vec_of(p.displacement()) == (
-                point_of(p.last_vertex) - point_of(p.first_vertex)) * 2
+            assert vec_of(p.displacement()) == scale(
+                sub(point_of(p.last_vertex), point_of(p.first_vertex)), 2)
 
 
 def test_triangle_bottom_spoke_displacement():
@@ -168,7 +169,7 @@ def test_tile_translate_single_spoke_path():
     p = m.paths.path_for_label((0, 1))
     tile = m.partition.by_label[p.endpoint_pair()]
     moved = tile.region.translate(p.prefix_sum(p.start))
-    assert moved == tile.region.translate(homogeneous(vec_of(p.steps[p.start]) * 2))
+    assert moved == tile.region.translate(homogeneous(scale(vec_of(p.steps[p.start]), 2)))
 
 
 def test_apex_sequence_endpoints():
@@ -176,7 +177,7 @@ def test_apex_sequence_endpoints():
         for p in m.paths.paths:
             seq = apex_sequence(p)
             assert point_of(seq[0]) == point_of(p.first_vertex)
-            assert point_of(seq[-1]) - point_of(seq[0]) == vec_of(p.displacement())
+            assert sub(point_of(seq[-1]), point_of(seq[0])) == vec_of(p.displacement())
             assert len(seq) == p.span + 2
 
 

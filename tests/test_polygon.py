@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import pt, signed_offset
+from oracles import pt, signed_offset, sub
 from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import polygon
 from outerbilliards.errors import (
@@ -45,7 +45,7 @@ def test_triangle_is_nice_with_distinct_slopes():
     # edge slopes {3, -1, 0} pairwise distinct
     slopes = set()
     for i in range(p.n):
-        d = p.vertex(i + 1) - p.vertex(i)
+        d = sub(p.vertices[(i + 1) % p.n], p.vertices[i])
         slopes.add(None if d.x == 0 else d.y / d.x)
     assert slopes == {3, -1, 0}
 
@@ -148,8 +148,8 @@ def test_edges_positive_toward_interior():
     inner = pt(1, 1)
     for i, e in enumerate(p.edges):
         assert signed_offset(e, inner) > 0
-        assert signed_offset(e, p.vertex(i)) == 0
-        assert signed_offset(e, p.vertex(i + 1)) == 0
+        assert signed_offset(e, p.vertices[i]) == 0
+        assert signed_offset(e, p.vertices[(i + 1) % p.n]) == 0
 
 
 def test_serialization_round_trip_bit_exact():

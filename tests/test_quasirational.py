@@ -4,12 +4,17 @@ import hashlib
 import inspect
 import json
 import textwrap
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from oracles import (
+    add,
+    cross,
     direction,
+    dot,
     fraction_annulus_draws,
     fraction_frame,
     line,
@@ -29,11 +34,14 @@ from oracles import (
     ring_shift,
     ring_windows,
     scalar_in_annulus,
+    scale,
     signed_offset,
+    sub,
     transfer_ratio,
     vec_necklace_shift,
 )
-from outerbilliards import quasirational, strips
+from outerbilliards import geometry, quasirational, strips
+from outerbilliards.billiards import psi_walk
 from outerbilliards.dynamics import orbit, strip_system_return
 from outerbilliards.errors import (
     AnnulusNotFoundError,
@@ -52,7 +60,8 @@ from outerbilliards.quasirational import (
     necklace_shift,
     quasi_analyze,
 )
-from outerbilliards.scalars import QuadExt, primitive, quadext
+from outerbilliards.rng import Rng
+from outerbilliards.scalars import QuadExt, QuadInt, primitive, quadext, ratio, sign
 from outerbilliards.verify import check_necklace_invariance
 from test_billiards import CORPUS, corpus_polygon
 
@@ -125,6 +134,91 @@ def test_regular_pentagon_quasi_golden():
     assert repr((q.areas, q.D, q.D_int)) == repr(((area,) * 5, area, (1,) * 5))
     certificate = boundedness_certificate(system, q, pt(Fraction(7, 2), Fraction(1, 3)), m=1)
     assert repr(certificate) == repr((True, quadext(Fraction(391, 58), Fraction(141, 58), 5)))
+
+
+def assert_pentagon_symmetry(poly):
+    """The map (x, y) -> (-y, x + c*y), c = (sqrt 5 - 1)/2, carries each
+    strip's primitive form (A, B, C, width) onto another strip's, as one
+    5-cycle: 0 < A*x + B*y - C < width goes to the strip of normal
+    (c*A - B, A), the inverse transpose's image, with the same C and width.
+    The overlap areas, the D_j, and each strip's path count and bounded and
+    unbounded forward tile counts (a tile counts for its path's start) agree."""
+    model = BilliardModel(poly)
+    forms = [p.form for p in model.system.pairs]
+    strip_forms = [primitive(A * wq, B * wq, C * wq, wn) for A, B, C, wn, wq in forms]
+    images = [primitive(wq * (QuadInt(-1, 1, 5) * A - 2 * B), 2 * wq * A, 2 * wq * C, 2 * wn)
+              for A, B, C, wn, wq in forms]
+    assert all(image in strip_forms for image in images)
+    sigma = [strip_forms.index(image) for image in images]
+    cycle = [0]
+    for _ in range(5):
+        cycle.append(sigma[cycle[-1]])
+    assert sorted(cycle[:5]) == list(range(5)) and cycle[5] == 0, sigma
+    q = quasi_analyze(model.system)
+    assert q.quasirational and len(set(q.areas)) == 1 and set(q.D_int) == {1}
+    paths = Counter(p.start for p in model.paths.paths)
+    tiles = Counter((model.path_of_tile(t).start, t.unbounded) for t in model.partition.tiles)
+    assert len({paths[j] for j in range(5)}) == 1
+    assert len({(tiles[j, False], tiles[j, True]) for j in range(5)}) == 1
+
+
+def test_regular_pentagon_symmetry():
+    """The map (x, y) -> (-y, x + c*y) has determinant 1 and takes each
+    vertex of `regular_pentagon()` to the next, so every strip-indexed
+    quantity agrees across the five strips."""
+    poly = regular_pentagon()
+    c = quadext(Fraction(-1, 2), Fraction(1, 2), 5)
+    vs = poly.vertices
+    assert [Point(-v.y, v.x + c * v.y) for v in vs] == [vs[-1], *vs[:-1]]  # clockwise order
+    assert_pentagon_symmetry(poly)
+
+
+def test_pentagon_symmetry_fails_off_the_regular_pentagon():
+    """Negative control: (1, 0) moved to (1 + 1/1000, 0) breaks the symmetry."""
+    c = quadext(Fraction(-1, 2), Fraction(1, 2), 5)
+    poly = NicePolygon.from_points([pt(Fraction(1001, 1000), 0), pt(0, 1), pt(-1, c),
+                                    pt(-c, -c), pt(c, -1)], quad_d=5)
+    with pytest.raises(AssertionError):
+        assert_pentagon_symmetry(poly)
+
+
+def psi_l1_max(polygon, p, radius, steps: int):
+    """The largest L1 norm |x| + |y| over p and its next `steps` ψ states,
+    asserting that each is at most `radius`."""
+    rn, rd = radius.as_integer_ratio()
+    here = polygon.homogeneous(p)
+    top, L = 0, here[2]
+    for X, Y, _ in [here] + [state for state, _ in islice(psi_walk(polygon, here), steps)]:
+        r = max(X, -X) + max(Y, -Y)
+        assert sign(rn * L - r * rd) >= 0, (point_of((X, Y, L)), radius)
+        top = r if sign(r - top) > 0 else top
+    return ratio(top, L)
+
+
+def test_regular_pentagon_certified_orbits_stay_within_the_radius():
+    """On each strip of `regular_pentagon()`, a start drawn strictly inside
+    its m = 1 annulus by `frame_triple` is certified, and its next 10**4 ψ
+    states stay within the certified L1 radius (their max is 0.46 to 0.61
+    of it).  Negative control: a radius just below the largest max trips."""
+    poly = regular_pentagon()
+    system = BilliardModel(poly).system
+    q = quasi_analyze(system)
+    highest = None
+    for j in range(system.n):
+        ring = necklace(system, j, q.D_int[j])
+        rng = Rng(22).split(j)
+        p = point_of(ring.frame_triple(rng.draw(0, *ring.window_ends()[0]),
+                                       rng.draw(1, (0, 1), (1, 1))))
+        assert ring.in_annulus(poly.homogeneous(p))
+        bounded, radius = boundedness_certificate(system, q, p, m=1)
+        assert bounded
+        top = psi_l1_max(poly, p, radius, 10 ** 4)
+        assert Fraction(45, 100) < top / radius < Fraction(62, 100)
+        if highest is None or top > highest[1]:
+            highest = p, top
+    p, top = highest
+    with pytest.raises(AssertionError):
+        psi_l1_max(poly, p, top * Fraction(10 ** 6 - 1, 10 ** 6), 10 ** 4)
 
 
 def test_triangle_overlap_areas_all_48():
@@ -228,8 +322,8 @@ def test_necklace_shift_spans_next_strip():
         assert nxt.line.a * d.x + nxt.line.b * d.y == nxt.width
         # parallel to edge j
         i = m.system.pair(j).edge_index
-        ed = m.polygon.vertex(i + 1) - m.polygon.vertex(i)
-        assert d.cross(ed) == 0
+        ed = sub(m.polygon.vertices[(i + 1) % m.n], m.polygon.vertices[i])
+        assert cross(d, ed) == 0
 
 
 def test_transfer_ratio_magnitude_and_cycle_sign():
@@ -267,7 +361,7 @@ def test_ring_copies_are_rigid_motions_of_one_region(poly_key):
     for j in range(system.n):
         for mm in (-2, 1, 3):
             spec = necklace(system, j, mm)
-            offset = homogeneous(ring_shift(spec) * spec.m)
+            offset = homogeneous(scale(ring_shift(spec), spec.m))
             centre = poly.homogeneous(poly.vertices[spec.pair.w_index])
             for kind, moved, verts in (
                     ("P", base.translate(offset), p_vertices(spec)),
@@ -367,7 +461,8 @@ def test_certificate_errors():
 def test_strip_system_maps_polygon_copy_to_itself():
     """The zero-shift copy: interior polygon points simply advance the index."""
     m = BilliardModel(random_nice_polygon(4, seed=4))
-    inner = m.polygon.vertices[0] + (m.polygon.vertices[2] - m.polygon.vertices[0]) * Fraction(1, 3)
+    vs = m.polygon.vertices
+    inner = add(vs[0], scale(sub(vs[2], vs[0]), Fraction(1, 3)))
     assert m.polygon.point_location(inner) == 1
     for j in range(m.n):
         (land, index), steps = strip_system_return(m.system, m.polygon.homogeneous(inner), j,
@@ -397,7 +492,7 @@ def test_necklace_membership_matches_region_route(poly_key):
                                  (verts[i].y + verts[(i + 1) % k].y) / 2)
                            for i in range(k))
                 pts.extend(map(point_of, ref.sample_points(4, seed=100 + 7 * j + mm)))
-            pts += [p + ring_shift(spec) * Fraction(1, 3) for p in pts]
+            pts += [add(p, scale(ring_shift(spec), Fraction(1, 3))) for p in pts]
             for p in pts:
                 here = poly.homogeneous(p)
                 in_p = p_ref.contains(here) == 1
@@ -443,7 +538,7 @@ def test_frame_point_closed_form_matches_line_route(poly_key):
                 got = point_of(ring.frame_triple(s.as_integer_ratio(),
                                                  (off / width).as_integer_ratio()))
                 assert repr(got) == repr(want), (j, s, off)
-                assert d.dot(got) == s and signed_offset(ring.pair.line, got) == off
+                assert dot(d, got) == s and signed_offset(ring.pair.line, got) == off
 
 
 def test_necklace_check_computes_shift_per_strip_not_per_sample(monkeypatch):
@@ -522,9 +617,9 @@ def _copy_points(verts):
     way along its edges, and points a fifth of the way to its centroid."""
     k = len(verts)
     mid = Point(sum(v.x for v in verts) / k, sum(v.y for v in verts) / k)
-    boundary = list(verts) + [v + (verts[(i + 1) % k] - v) * Fraction(1, 3)
+    boundary = list(verts) + [add(v, scale(sub(verts[(i + 1) % k], v), Fraction(1, 3)))
                               for i, v in enumerate(verts)]
-    return boundary, [v + (mid - v) * Fraction(1, 5) for v in verts]
+    return boundary, [add(v, scale(sub(mid, v), Fraction(1, 5))) for v in verts]
 
 
 def _extent_points(ring):
@@ -564,9 +659,10 @@ def _jump_points(polygon, pair):
     v, w, V = polygon.vertices[pair.v_index], polygon.vertices[pair.w_index], vec_of(pair.V)
     pts = []
     for k in range(-3, 4):
-        pts += [v + V * k, v + V * k + along * Fraction(2, 3),
-                w + V * k, w + V * Fraction(k, 3) + along * Fraction(1, 5),
-                v + V * (10 ** 4 * k + Fraction(2, 7))]
+        pts += [add(v, scale(V, k)), add(add(v, scale(V, k)), scale(along, Fraction(2, 3))),
+                add(w, scale(V, k)),
+                add(add(w, scale(V, Fraction(k, 3))), scale(along, Fraction(1, 5))),
+                add(v, scale(V, 10 ** 4 * k + Fraction(2, 7)))]
     # a Q(sqrt 5) point beside every one, on rational polygons too
     return pts + [Point(p.x + QuadExt(0, 1, 5) / 7, p.y) for p in pts]
 
@@ -588,7 +684,8 @@ def test_lattice_necklace_matches_point_route(poly_key):
                 boundary, inner = _copy_points(verts)
                 for p in boundary:
                     assert not ring.contains(poly.homogeneous(p)), (j, mm, p)
-                for p in boundary + inner + [p + ring_shift(ring) * Fraction(1, 3) for p in inner]:
+                shifted = [add(p, scale(ring_shift(ring), Fraction(1, 3))) for p in inner]
+                for p in boundary + inner + shifted:
                     want = (pulled_back_in_p(ring, p), pulled_back_in_q(ring, p))
                     here = poly.homogeneous(p)
                     assert (ring.in_p(here), ring.in_q(here)) == want, (j, mm, p)
@@ -670,36 +767,45 @@ def test_ring_samples_match_placed_region_route(poly_key):
                 assert repr(got) == repr(want), (j, mm, kind)
 
 
-def _patch_first_vertex(monkeypatch, choice):
-    """`NecklaceSpec.samples` with `choice` picking where each cycle starts."""
-    source = textwrap.dedent(inspect.getsource(quasirational.NecklaceSpec.samples))
-    old = '(max if kind == "Q" else min)'
+def _patch_first_vertex(monkeypatch, start):
+    """The ring's sampler (`barycentric_triples` as `NecklaceSpec.samples`
+    calls it; the region route keeps its own) with `start(cycle)` in place
+    of `_from_min(cycle)`, picking where each carried cycle starts."""
+    source = textwrap.dedent(inspect.getsource(geometry.barycentric_triples))
+    old = "_from_min(cycle)"
     assert source.count(old) == 1
-    namespace = dict(vars(quasirational))
-    exec(source.replace(old, choice), namespace)
-    monkeypatch.setattr(quasirational.NecklaceSpec, "samples", namespace["samples"])
+    namespace = {**vars(geometry), "start": start}
+    exec(source.replace(old, "start(cycle)"), namespace)
+    monkeypatch.setattr(quasirational, "barycentric_triples", namespace["barycentric_triples"])
 
 
 def test_ring_samples_parity_catches_q_cycle_from_least_vertex(monkeypatch):
-    """Negative control: Q's weights put on P's cycle started at its least
-    vertex, as P's are, not at its largest as Q's own cycle is, must fail
-    the sample parity test."""
-    _patch_first_vertex(monkeypatch, "min")
+    """Negative control: each carried cycle started at its largest vertex,
+    where a half turn carries P's least one (so Q's weights sit as they do
+    on P's cycle started at its least vertex), not at its least as the
+    copy's own region's cycle is, must fail the sample parity test."""
+    def from_largest(cycle):
+        keys = geometry._point_keys(cycle)
+        k = max(range(len(cycle)), key=keys.__getitem__)
+        return cycle[k:] + cycle[:k]
+
+    _patch_first_vertex(monkeypatch, from_largest)
     with pytest.raises(AssertionError):
         test_ring_samples_match_placed_region_route("pentagon-0")
 
 
 def test_ring_samples_parity_catches_unrotated_p_cycle(monkeypatch):
-    """Negative control: P's weights put on P's cycle from vertex 0, not from
-    its least vertex where P's region's cycle starts, must fail the sample
-    parity test on a polygon whose least vertex is not vertex 0."""
+    """Negative control: each carried cycle left unrotated, P's weights on
+    its copy's cycle from vertex 0, not from its least vertex where P's
+    region's cycle starts, must fail the sample parity test on a polygon
+    whose least vertex is not vertex 0."""
     def least_is_not_first(key):
         poly = _sample_polygon(key)
         return polygon_region(poly.vertices, open_region=True).vertices()[0] != poly.vertices[0]
 
     keys = [k for k in SAMPLE_KEYS if least_is_not_first(k)]
     assert keys
-    _patch_first_vertex(monkeypatch, '(max if kind == "Q" else (lambda _, key: 0))')
+    _patch_first_vertex(monkeypatch, lambda cycle: cycle)
     with pytest.raises(AssertionError):
         test_ring_samples_match_placed_region_route(keys[0])
 

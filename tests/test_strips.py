@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (compose_strip_maps, direction, halved, point_strip_jump, point_strip_map, pt,
-                     region_area, scalar_location, sigma_range, signed_offset, slab_distance,
-                     strip_region, vec)
+from oracles import (add, compose_strip_maps, cross, direction, halved, point_strip_jump,
+                     point_strip_map, pt, region_area, scalar_location, scale, sigma_range,
+                     signed_offset, slab_distance, strip_region, sub, vec)
 from test_billiards import CORPUS, ROOT5, corpus_polygon
 from outerbilliards import strips
 from outerbilliards.errors import OnStripBoundaryError
@@ -49,7 +49,7 @@ def test_strips_sorted_by_slope_angle():
         sys = build_pinwheel_system(poly)
         dirs = []
         for p in sys.pairs:
-            d = poly.vertex(p.edge_index + 1) - poly.vertex(p.edge_index)
+            d = sub(poly.vertices[(p.edge_index + 1) % poly.n], poly.vertices[p.edge_index])
             dirs.append((d.x, d.y))
         for i in range(len(dirs) - 1):
             assert slope_angle_cmp(dirs[i], dirs[i + 1]) < 0
@@ -63,7 +63,7 @@ def test_head_on_centerline_and_slab_spanning():
             assert signed_offset(p.line, w) == p.width / 2  # w equidistant from L and L'
             assert signed_offset(p.line, v) == 0            # tail on the edge line
             # translation by V carries L onto L'
-            assert signed_offset(p.line, v + vec_of(p.V)) == p.width
+            assert signed_offset(p.line, add(v, vec_of(p.V))) == p.width
 
 
 def test_consecutive_spokes_share_vertex():
@@ -96,7 +96,7 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     """Exact closed-segment intersection test."""
 
     def orient(a: Point, b: Point, c: Point) -> int:
-        return sign((b - a).cross(c - a))
+        return sign(cross(sub(b, a), sub(c, a)))
 
     def on_seg(a: Point, b: Point, c: Point) -> bool:
         if orient(a, b, c) != 0:
@@ -280,9 +280,9 @@ def _strip_form_points(polygon, pair):
     edge, each beside a Q(sqrt 5) twin: `step` moves the offset by one
     width."""
     line, V = pair.line, vec_of(pair.V)
-    step = V * (pair.width / (line.a * V.x + line.b * V.y))
+    step = scale(V, pair.width / (line.a * V.x + line.b * V.y))
     along = direction(line)
-    pts = [polygon.vertices[pair.v_index] + step * (k + f) + along * t
+    pts = [add(add(polygon.vertices[pair.v_index], scale(step, k + f)), scale(along, t))
            for k in (*range(-3, 4), -10 ** 4, 10 ** 4)
            for f in (0, Fraction(1, 3), Fraction(1, 2))
            for t in (0, Fraction(2, 3), 10 ** 4 + Fraction(1, 7))]

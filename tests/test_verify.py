@@ -105,6 +105,19 @@ def test_quick_suite_passes_on_mixed_polygons():
             assert rep.passed, (rep.check, rep.violations[:2])
 
 
+def test_run_all_serializes_the_polygon_once(monkeypatch):
+    """`run_all` builds one model, and its eight reports share the model's
+    one polygon document, equal to `to_document()`."""
+    calls = []
+    to_document = NicePolygon.to_document
+    monkeypatch.setattr(NicePolygon, "to_document",
+                        lambda self: calls.append(self) or to_document(self))
+    reports = run_all(TRIANGLE, "full")
+    assert calls == [TRIANGLE]
+    assert all(rep.polygon is reports[0].polygon for rep in reports)
+    assert reports[0].polygon == to_document(TRIANGLE)
+
+
 def test_checks_are_deterministic():
     m = BilliardModel(random_nice_polygon(5, 31))
     a = check_pinwheel_theorem(m, samples=30, seed=9)
