@@ -7,7 +7,9 @@ its tangent vertex, the end of that chain on the map's side, is searched
 from the last one on the signs of its int edge-line offsets.  Both
 reflections run on the polygon's integer lattice: the entry points take a
 Point to its lattice triple once (`NicePolygon.homogeneous`) and divide out
-only the result.
+only the result.  The ψ walk yields label runs: a run's first state, its
+label, how many further states the same translation reaches, and that
+translation.
 The regions of constancy are convex tiles, computed here exactly as cone(v)
 intersected with the point reflection of cone(w) through v; each tile is
 open and carries its translation vector as a lattice triple.
@@ -78,35 +80,39 @@ def tangent_vertex(polygon: NicePolygon, ts, chirality: Chirality = Chirality.RI
 
 def square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int, int]]:
     """Two reflections: returns (p + 2*(w - v), (v_index, w_index))."""
-    q, label = next(psi_walk(polygon, polygon.homogeneous(p), Chirality.RIGHT))
+    q, label, _, _ = next(psi_walk(polygon, polygon.homogeneous(p), Chirality.RIGHT))
     return point_of(q), label
 
 
 def inverse_square_map(polygon: NicePolygon, p: Point) -> Tuple[Point, Tuple[int, int]]:
     """The inverse square map, via the mirrored tangency rule.  The label is
     the backward-partition label of p."""
-    q, label = next(psi_walk(polygon, polygon.homogeneous(p), Chirality.LEFT))
+    q, label, _, _ = next(psi_walk(polygon, polygon.homogeneous(p), Chirality.LEFT))
     return point_of(q), label
 
 
 def psi_walk(polygon, here, chirality=Chirality.RIGHT):
-    """The ψ walk (ψ⁻¹ for LEFT) of the lattice triple `here` (X, Y, L):
-    each next state (there, (v, w)) over the same L, without end.  Through
-    vertex v, at its `lattice` numerators times s = L // den, X -> 2*s*VX - X
-    and each edge offset t -> 2*s*E - t, E its `vertex_offsets` row doubled
-    onto L; only `here`'s offsets are evaluated, as 2n ints over Q(sqrt d)
-    (`edge_offsets`), so one int update serves both fields.  A step searches
-    v (and w) from the last one.  Errors carry a step's start.
+    """The ψ walk (ψ⁻¹ for LEFT) of the lattice triple `here` (X, Y, L), by
+    label runs, without end: each item ((X, Y, L), (v, w), k, (dx, dy)) is a
+    run's first state, its label, the count k of the further states, each
+    reached from the last by the step (dx, dy) alone, and that step, all over
+    the same L.  Every run after the first is a maximal block of equal labels.
+    Through vertex v, at its `lattice` numerators times s = L // den,
+    X -> 2*s*VX - X and each edge offset t -> 2*s*E - t, E its
+    `vertex_offsets` row doubled onto L; only `here`'s offsets are evaluated,
+    as 2n ints over Q(sqrt d) (`edge_offsets`), so one int update serves both
+    fields.  A step searches v (and w) from the last one.  Errors carry a
+    step's start.
 
     A step with label (v, w) adds D = rw - rv to every offset (rv, rw the
     rows of v and w), and the next step keeps the label exactly while four
     offsets bounding its tile keep their signs.  Two of them only move away
     from 0 along D, so after a step through `tangent_vertex` the walk checks
-    the other two (`_label_run`).  Where both hold, the run's remaining
-    length k is one floor per exit bound: its k states are yielded by
-    translation alone, the offsets move by k*D at once, and the walk steps
-    on, so a wall at a run's end is raised by an ordinary step.  Nothing past
-    the first state is computed before it is asked for."""
+    the other two (`_label_run`).  Where both hold, the run's k is one floor
+    per exit bound, and the offsets move by k*D at once when the walk
+    resumes; the next run starts with a step through `tangent_vertex`, so a
+    wall at a run's end is raised by an ordinary step, when that run is
+    asked for."""
     X, Y, L = here
     s2 = 2 * (L // polygon.den)
     n, d = polygon.n, polygon.quad_d
@@ -131,18 +137,16 @@ def psi_walk(polygon, here, chirality=Chirality.RIGHT):
         (vx, vy), (wx, wy) = polygon.lattice[vi], polygon.lattice[wi]
         dx, dy = s2 * (wx - vx), s2 * (wy - vy)
         X, Y = X + dx, Y + dy
-        label = vi, wi
-        yield (X, Y, L), label
-        rv = rows[vi]
+        label, rv, k = (vi, wi), rows[vi], 0
         a, p = (vi + first) % n, (wi + first) % n
         if (ts[a] < 0 and rv[p] < ts[p] if d is None else quad_sign(ts[a], ts[a + n], d) < 0
                 < quad_sign(ts[p] - rv[p], ts[p + n] - rv[p + n], d)):
             D, exits = runs[label] = runs.get(label) or _label_run(rv, rows[wi], a, p, n)
             k = min(-(floor_div(ts[e] - c, D[e]) if d is None else quad_floor_div(
                 ts[e] - c, ts[e + n] - cs, D[e], D[e + n], d)) for e, c, cs in exits)
-            for _ in range(k):
-                X, Y = X + dx, Y + dy
-                yield (X, Y, L), label
+        yield (X, Y, L), label, k, (dx, dy)
+        if k:
+            X, Y = X + k * dx, Y + k * dy
             ts = list(map(add, ts, D if k == 1 else [k * x for x in D]))
 
 
@@ -211,16 +215,18 @@ class Partition:
         self.by_label: Dict[Tuple[int, int], Tile] = {t.label: t for t in tiles}
 
     def walk(self, here):
-        """The ψ walk (ψ⁻¹ for LEFT) from the lattice triple `here`, `here`
-        first, each state with the tile of its step's label, asserted to hold
-        it (or the partition is inconsistent)."""
-        for there, label in psi_walk(self.polygon, here, self.chirality):
+        """The ψ walk (ψ⁻¹ for LEFT) from the lattice triple `here` state by
+        state, `here` first, each state with the tile of its step's label,
+        asserted to hold it (or the partition is inconsistent): a run of
+        `psi_walk` labels the state before it and its own first k states."""
+        for (X, Y, L), label, k, (dx, dy) in psi_walk(self.polygon, here, self.chirality):
             tile = self.by_label[label]
-            if tile.region.contains(here) <= 0:
-                raise AssertionError(
-                    f"point {point_of(here)} labels tile {label} but sits on or off it")
-            yield here, tile
-            here = there
+            for j in range(k + 1):
+                if tile.region.contains(here) <= 0:
+                    raise AssertionError(
+                        f"point {point_of(here)} labels tile {label} but sits on or off it")
+                yield here, tile
+                here = X + j * dx, Y + j * dy, L
 
     def classify(self, p) -> Tile:
         """Tile containing the point with lattice triple p

@@ -20,7 +20,7 @@ from .billiards import psi_walk
 from .errors import BudgetExceededError, MapUndefinedError
 from .geometry import Point, point_of
 from .model import BilliardModel
-from .scalars import primitive
+from .scalars import floor_div, primitive
 from .strips import PinwheelSystem, strip_jump, strip_map
 
 
@@ -90,23 +90,35 @@ def pinwheel_theorem_step(model: BilliardModel, here) -> Tuple[Tuple, List[Tuple
 
 def exit_map(model: BilliardModel, here, budget: int) -> Tuple[Tuple, int]:
     """Iterate the square map from the lattice triple `here` until the tile
-    label changes; returns the landing triple and the steps taken."""
+    label changes; returns the landing triple and the steps taken: the last
+    state of the walk's first run, and 1 + its k.  The next run is still
+    asked for, so a landing on a wall raises as the stepwise map does."""
     walk = psi_walk(model.polygon, here)
-    q, start_label = next(walk)
-    for k, (nxt, label) in zip(range(1, budget + 1), walk):
-        if label != start_label:
-            return q, k
-        q = nxt
-    raise BudgetExceededError(budget, f"no tile exit within {budget} steps of {point_of(here)}")
+    (X, Y, L), _, k, (dx, dy) = next(walk)
+    if k >= budget:
+        raise BudgetExceededError(budget, f"no tile exit within {budget} steps of {point_of(here)}")
+    next(walk)
+    return (X + k * dx, Y + k * dy, L), k + 1
 
 
 def first_return_psi(model: BilliardModel, here, budget: int) -> Tuple[Tuple, int]:
     """psi^k of the lattice triple `here`, k >= 1 least with it strictly
-    inside strip 0, and k."""
-    pair = model.system.pair(0)
-    for k, (q, _) in zip(range(1, budget + 1), psi_walk(model.polygon, here)):
-        if pair.location(q) == 1:
-            return q, k
+    inside strip 0, and k.  Along a run of the walk strip 0's offset t moves
+    by the same T a step, so the run's only candidate is its first state j
+    past the bound of 0 < t < w that T moves toward: one floor per run, as in
+    `strip_jump`."""
+    pair, steps = model.system.pair(0), 0
+    a, b = pair.form[:2]
+    walk = psi_walk(model.polygon, here)
+    while steps < budget:
+        q, _, k, (dx, dy) = next(walk)
+        t, w = pair.offsets(q)
+        T = a * dx + b * dy
+        j = 0 if T == 0 else max(0, floor_div(-t if T > 0 else w - t, T) + 1)
+        if j <= k and 0 < t + j * T < w and steps + j < budget:
+            X, Y, L = q
+            return (X + j * dx, Y + j * dy, L), steps + j + 1
+        steps += k + 1
     raise BudgetExceededError(
         budget, f"no return to strip 0 within {budget} steps of {point_of(here)}")
 
@@ -159,6 +171,7 @@ class OrbitEvent(NamedTuple):
 class OrbitRecord:
     selector: str
     events: List[OrbitEvent] = field(default_factory=list)
+    period: Optional[int] = None  # a psi orbit's least period, where it returned
 
     @property
     def final(self) -> OrbitEvent:
@@ -181,14 +194,6 @@ def _beyond(here, p, q) -> bool:
     return q * (X * X + Y * Y) - p * L * L > 0
 
 
-def _until_beyond(walk, p, q):
-    """The walk's states up to its first one beyond radius sqrt(p/q), included."""
-    for state in walk:
-        yield state
-        if _beyond(state[0], p, q):
-            return
-
-
 def orbit(model: BilliardModel, start, selector: str, budget: int,
           escape_radius=None) -> OrbitRecord:
     """Iterate the selected map with a full event log.
@@ -198,12 +203,26 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     on an undefined point (recorded, not raised), or beyond escape_radius;
     the closing event repeats the last state's point and index.  Every
     selector loops on the start's lattice triple, over one L: a state or a
-    return costs its step, one `point_of` and one appended event.
+    return costs its step, one `point_of` and one appended event, and a
+    replayed psi event its append alone.
+
+    The psi selector expands the walk's label runs into events and notes its
+    period P in `period`: once the second run's first state, at step s,
+    starts a run again, at step s + P, every later event j is event j - P
+    again.  That is exact:
+    - every run after the first is a maximal block of equal labels, so its
+      first state is a label change of the state sequence;
+    - ψ is injective, so a state that recurs after P steps has ψ^P(p) = p
+      for the start p, and each later state recurs P steps on;
+    - hence the first recurrence of the second run's first state falls on a
+      run start, and P is the start's least period;
+    - with an escape radius each expanded state is checked by `_beyond`; a
+      periodic orbit that did not escape within its period never escapes.
     """
     if selector not in ORBIT_MAPS.values():
         raise ValueError(f"unknown selector {selector!r}")
     rec = OrbitRecord(selector=selector)
-    log = rec.events.append
+    ev, log = rec.events, rec.events.append
     # the escape radius squared, p/q
     esc = None if escape_radius is None else (escape_radius * escape_radius).as_integer_ratio()
     indexed = selector in SECTION_SELECTORS
@@ -212,20 +231,34 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     if not budget:
         return rec
     here = model.polygon.homogeneous(point)
-    if selector in ("psi", "psi_star"):
-        walk = (psi_walk(model.polygon, here) if selector == "psi"
-                else pinwheel_walk(model.system, here, index))
-        states = zip(range(1, budget + 1),
-                     walk if esc is None else _until_beyond(walk, *esc))
     try:
         if selector == "psi":
-            for step, (here, label) in states:
-                log(OrbitEvent(step, point_of(here), None, label, "translated"))
+            step, mark, s = 0, (), 0  # the second run's first state, and its step s
+            for (X, Y, L), label, k, (dx, dy) in psi_walk(model.polygon, here):
+                if (X, Y) == mark:
+                    rec.period = P = step + 1 - s
+                    for j in range(step + 1, budget + 1):
+                        e = ev[j - P]
+                        log(OrbitEvent(j, e.point, None, e.label, "translated"))
+                    break
+                if step and not mark:
+                    mark, s = (X, Y), step + 1
+                for step in range(step + 1, min(step + k + 1, budget) + 1):
+                    here = X, Y, L
+                    log(OrbitEvent(step, point_of(here), None, label, "translated"))
+                    if esc is not None and _beyond(here, *esc):
+                        break
+                    X, Y = X + dx, Y + dy
+                if step == budget or esc is not None and _beyond(here, *esc):
+                    break
         elif selector == "psi_star":
-            for step, (here, i) in states:
+            walk = pinwheel_walk(model.system, here, index)
+            for step, (here, i) in zip(range(1, budget + 1), walk):
                 log(OrbitEvent(step, point_of(here), i, None,
                                "translated" if i == index else "index-shifted"))
                 index = i
+                if esc is not None and _beyond(here, *esc):
+                    break
         else:
             steps = 0
             while steps < budget:

@@ -83,8 +83,8 @@ def check_pinwheel_theorem(model: BilliardModel, samples: int = 60,
             K, M = (C * od + on) * Rq * L1, sgn * (2 + t_i) * Rn * od * N2
             (X, L), (Y, _) = (cleared(Z, od * N2 * Rq * L1) for Z in (A * K - B * M, B * K + A * M))
             try:
-                p0, _ = next(psi_walk(model.polygon, lifted((X, Y, L), model.polygon.den),
-                                      Chirality.LEFT))
+                p0 = next(psi_walk(model.polygon, lifted((X, Y, L), model.polygon.den),
+                                   Chirality.LEFT))[0]
             except MapUndefinedError:
                 continue
             pool.append((None, p0))
@@ -328,10 +328,10 @@ def check_exit_reversal_conjugate(model: BilliardModel, samples: int = 20,
         return None
 
     # sampled labels: the backward label of psi(p) reverses the forward label,
-    # each the first state of a walk on the lattice triple
+    # each the first run's state of a walk on the lattice triple
     def relabels(p):
-        q, lab = next(psi_walk(model.polygon, p))
-        _, back_lab = next(psi_walk(model.polygon, q, Chirality.LEFT))
+        q, lab, _, _ = next(psi_walk(model.polygon, p))
+        back_lab = next(psi_walk(model.polygon, q, Chirality.LEFT))[1]
         if back_lab != (lab[1], lab[0]):
             return repr(point_of(p)), f"backward label {(lab[1], lab[0])}", f"{back_lab}"
         return None

@@ -10,7 +10,7 @@ from functools import cmp_to_key
 from typing import Optional, Tuple
 
 from outerbilliards.billiards import Chirality
-from outerbilliards.dynamics import far_radius, section
+from outerbilliards.dynamics import OrbitEvent, OrbitRecord, far_radius, section
 from outerbilliards.errors import (
     BudgetExceededError,
     DegenerateVerticesError,
@@ -286,6 +286,58 @@ def fresh_offsets_step(polygon, here, chirality):
         raise UndefinedOnWallError(point_of(here), stage=2) from None
     wx, wy = polygon.lattice[wi]
     return (s2 * wx - X, s2 * wy - Y, L), (vi, wi)
+
+
+def oracle_psi_walk(polygon, here, chirality=Chirality.RIGHT):
+    """The ψ walk state by state, each next state (there, (v, w)) by
+    `fresh_offsets_step`, without end."""
+    while True:
+        here, label = fresh_offsets_step(polygon, here, chirality)
+        yield here, label
+
+
+def run_states(runs):
+    """The states (there, (v, w)) of `billiards.psi_walk`'s label runs,
+    expanded: each run's first state, then its k translates."""
+    for (X, Y, L), label, k, (dx, dy) in runs:
+        for j in range(k + 1):
+            yield (X + j * dx, Y + j * dy, L), label
+
+
+def stepwise_psi_orbit(model, start: Point, budget: int, escape_radius=None):
+    """`dynamics.orbit(model, start, "psi", budget, escape_radius)` as it was
+    logged state by state, over `oracle_psi_walk` and on `Point`s: each state
+    one "translated" event, up to the budget, a wall ("undefined", one step
+    on) or the first state beyond the radius ("escaped"); the closing event
+    repeats the last state.  Its `period` is left unset."""
+    rec = OrbitRecord(selector="psi")
+    log = rec.events.append
+    log(OrbitEvent(0, start, None, None, "start" if budget else "budget-exhausted"))
+    if not budget:
+        return rec
+    walk = oracle_psi_walk(model.polygon, model.polygon.homogeneous(start))
+    try:
+        for step, (here, label) in zip(range(1, budget + 1), walk):
+            p = point_of(here)
+            log(OrbitEvent(step, p, None, label, "translated"))
+            if escape_radius is not None and p.x * p.x + p.y * p.y > escape_radius ** 2:
+                log(rec.final._replace(label=None, tag="escaped"))
+                return rec
+    except MapUndefinedError:
+        log(rec.final._replace(step=rec.final.step + 1, label=None, tag="undefined"))
+        return rec
+    log(rec.final._replace(label=None, tag="budget-exhausted"))
+    return rec
+
+
+def stepwise_first_return(polygon, p: Point, cap: int) -> Optional[int]:
+    """The least P >= 1 with ψ^P(p) = p, walked by `oracle_psi_walk`, or
+    None if there is none up to `cap`."""
+    here = polygon.homogeneous(p)
+    for P, (there, _) in zip(range(1, cap + 1), oracle_psi_walk(polygon, here)):
+        if there == here:
+            return P
+    return None
 
 
 def overlap_area_region(system, j: int):

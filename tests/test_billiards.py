@@ -31,8 +31,9 @@ from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.scalars import QuadExt, sign
-from oracles import (add, cross, fresh_offsets_step, normalized, outer_step, pt, reflected,
-                     scale, scan_tangent_vertex, signed_offset, sub, vec)
+from oracles import (add, cross, fresh_offsets_step, normalized, oracle_psi_walk, outer_step,
+                     pt, reflected, run_states, scale, scan_tangent_vertex, signed_offset, sub,
+                     vec)
 
 TRIANGLE = NicePolygon.from_points([pt(0, 0), pt(1, 3), pt(4, 0)])
 PENTAGON = NicePolygon.from_points(
@@ -558,9 +559,10 @@ def test_search_and_walk_parity_catch_wrong_steps(monkeypatch, mutant):
 
 
 # the ψ walk against `oracles.fresh_offsets_step`, which evaluates every edge
-# offset afresh at each reflection: 10^3-step prefixes, and 10^4-step ones
-# from far starts, where nearly every step is inside a long label run that
-# the walk takes in closed form
+# offset afresh at each reflection: the walk's label runs expanded into
+# states (`oracles.run_states`), 10^3-step prefixes, and 10^4-step ones from
+# far starts, where nearly every step is inside a long label run that the
+# walk takes in closed form
 
 
 def _walk_prefix(states, steps):
@@ -578,10 +580,15 @@ def _walk_prefix(states, steps):
     return out, run
 
 
-def _oracle_states(poly, here, chirality):
-    while True:
-        here, label = fresh_offsets_step(poly, here, chirality)
-        yield here, label
+def _maximal(runs):
+    """The walk's label runs, asserting that each has a label other than the
+    last one's: every run after the first is a maximal block of equal labels,
+    which `dynamics.orbit`'s period rests on."""
+    last = None
+    for run in runs:
+        assert run[1] != last, ("walk differs from the oracle", "run not maximal", run)
+        last = run[1]
+        yield run
 
 
 # where the wall points sit on the edge lines, in edge lengths from each
@@ -640,8 +647,9 @@ def _assert_walk_matches_oracle(poly):
              for here, chirality in _wall_starts(poly, 100, FAR_WALLS, False)]
     seen = set()
     for here, chirality, steps in runs:
-        got, run = _walk_prefix(billiards.psi_walk(poly, here, chirality), steps)
-        want, _ = _walk_prefix(_oracle_states(poly, here, chirality), steps)
+        got, run = _walk_prefix(run_states(_maximal(billiards.psi_walk(poly, here, chirality))),
+                                steps)
+        want, _ = _walk_prefix(oracle_psi_walk(poly, here, chirality), steps)
         assert got == want, ("walk differs from the oracle", here, chirality)
         end = got[-1]
         if not isinstance(end, tuple):
@@ -667,15 +675,18 @@ def test_psi_walk_matches_fresh_offsets_oracle(poly_key):
     assert seen & {("long run", 1), ("long run", 2)}
 
 
-@pytest.mark.parametrize("mutant", [("range(k)", "range(k + 1)"),
-                                    ("range(k)", "range(k - 1)"),
-                                    ("ts = list(map(add, ts, D", "_ = list(map(add, ts, D")],
-                         ids=["run-too-long", "run-too-short", "offsets-not-moved"])
+@pytest.mark.parametrize("mutant", [("label, k, (dx, dy)", "label, k + 1, (dx, dy)"),
+                                    ("label, k, (dx, dy)", "label, k - 1, (dx, dy)"),
+                                    ("ts = list(map(add, ts, D", "_ = list(map(add, ts, D"),
+                                    ("k = min(", "k = -1 + min(")],
+                         ids=["run-too-long", "run-too-short", "offsets-not-moved",
+                              "run-cut-short"])
 def test_walk_parity_catches_wrong_label_runs(monkeypatch, mutant):
-    """Negative controls: a walk whose label runs yield one state too many
+    """Negative controls: a walk whose label runs count one state too many
     or too few, or that leaves the offsets where the run began, must fail
-    the parity test.  (A run cut short with its offsets moved to match would
-    be right, only slower: the walk would take the rest stepwise.)"""
+    the parity test; so must one that cuts each run one state short with its
+    offsets moved to match, whose states are right but whose runs are not
+    maximal."""
     source = textwrap.dedent(inspect.getsource(billiards.psi_walk))
     old, new = mutant
     assert source.count(old) == 1

@@ -2,13 +2,16 @@
 
 import hashlib
 import inspect
+import math
 import textwrap
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from oracles import (add, direction, dot, halved, normal, parallel_offset,
-                     point_route_theorem_step, pt, scale, strip_region)
+                     oracle_psi_walk, point_route_theorem_step, pt, scale, stepwise_first_return,
+                     stepwise_psi_orbit, strip_region)
 from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
 from outerbilliards import dynamics, geometry, strips
 from outerbilliards.billiards import psi_walk, square_map
@@ -35,7 +38,7 @@ from outerbilliards.geometry import HalfPlane, Point, Sense, homogeneous, moved,
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
-from outerbilliards.scalars import ratio
+from outerbilliards.scalars import quadext, ratio
 from outerbilliards.strips import PinwheelSystem, strip_jump, strip_map
 from outerbilliards.verify import tile_samples
 
@@ -174,6 +177,99 @@ def test_exit_map_far_field_counts_match_strip_jump():
             assert exit_steps == jump_steps
             checked += 1
     assert checked >= 6
+
+
+# Starts whose first label run ends on a wall, with the wall's stage, as the
+# exit map raised it when it walked state by state.
+EXIT_WALL_STARTS = [
+    ("triangle", pt(Fraction(-24200, 7), Fraction(-55800, 7)), 1),
+    ("triangle", pt(Fraction(24256, 7), Fraction(55800, 7)), 2),
+    ("penrose_kite", Point(quadext(Fraction(38600, 7), Fraction(-20007, 7), 5),
+                           Fraction(-18600, 7)), 2),
+]
+
+
+def _assert_exit_walls_raise():
+    for poly_key, start, stage in EXIT_WALL_STARTS:
+        m = BilliardModel(corpus_polygon(poly_key))
+        here = m.polygon.homogeneous(start)
+        labels = []
+        with pytest.raises(UndefinedOnWallError) as want:
+            for _, label in oracle_psi_walk(m.polygon, here):
+                labels.append(label)
+        assert len(labels) > 1 and len(set(labels)) == 1  # one run, up to the wall
+        with pytest.raises(UndefinedOnWallError) as hit:
+            dynamics.exit_map(m, here, 10 ** 6)
+        assert (hit.value.point, hit.value.stage) == (want.value.point, stage)
+
+
+def test_exit_map_landing_on_a_wall_raises():
+    """Where the first label run ends on a wall, the exit map raises the
+    stepwise walk's UndefinedOnWallError, at its stage, over Q and Q(sqrt 5)."""
+    _assert_exit_walls_raise()
+
+
+def test_exit_wall_test_catches_an_exit_map_that_stops_at_its_run(monkeypatch):
+    """Negative control: an exit map that returns the first run's last state
+    without asking for the next run must fail the wall test."""
+    source = textwrap.dedent(inspect.getsource(dynamics.exit_map))
+    assert source.count("    next(walk)\n") == 1
+    namespace = dict(vars(dynamics))
+    exec(source.replace("    next(walk)\n", ""), namespace)
+    monkeypatch.setattr(dynamics, "exit_map", namespace["exit_map"])
+    with pytest.raises(pytest.fail.Exception):
+        _assert_exit_walls_raise()
+
+
+def _return_outcome(returns, m, here, budget):
+    """(point, steps) of a first return to strip 0, or the error's class,
+    point and stage."""
+    try:
+        q, k = returns(m, here, budget)
+        return point_of(q), k
+    except (MapUndefinedError, BudgetExceededError) as exc:
+        return type(exc).__name__, getattr(exc, "point", None), getattr(exc, "stage", None)
+
+
+def _stepwise_first_return_psi(m, here, budget):
+    """first_return_psi state by state over `oracle_psi_walk`."""
+    pair = m.system.pair(0)
+    for k, (q, _) in zip(range(1, budget + 1), oracle_psi_walk(m.polygon, here)):
+        if pair.location(q) == 1:
+            return q, k
+    raise BudgetExceededError(budget, "no return")
+
+
+@pytest.mark.parametrize("poly_key", ["triangle", "n5", "n7", "sqrt5_kite", "penrose_kite"])
+def test_first_return_psi_matches_stepwise(poly_key):
+    """The closed form per run equals the state-by-state first return to
+    strip 0 on near, far and Q(sqrt 5) starts and on the returns, which
+    start inside strip 0; a budget one short of the return exhausts it, and
+    a wall is raised as the stepwise walk raises it."""
+    m = BilliardModel(corpus_polygon(poly_key))
+    extent = max(math.floor(abs(c)) for v in m.polygon.vertices for c in (v.x, v.y)) + 1
+    starts = [pt(r * extent * ux, r * extent * uy)
+              for r in (2, 5, 40) for ux, uy in DIRECTIONS]
+    starts += [Point(p.x + ROOT5 / 7, p.y) for p in starts[::4]]
+    seen = set()
+
+    def check(p):
+        here = m.polygon.homogeneous(p)
+        want = _return_outcome(_stepwise_first_return_psi, m, here, 3000)
+        assert _return_outcome(first_return_psi, m, here, 3000) == want, p
+        if len(want) == 2:
+            k = want[1]
+            assert _return_outcome(first_return_psi, m, here, k) == want, p
+            assert _return_outcome(first_return_psi, m, here, k - 1)[0] == "BudgetExceededError"
+            seen.add("returned" if k > 1 else "first")
+        else:
+            seen.add(want[0])
+        return want
+
+    for want in list(map(check, starts)):
+        if len(want) == 2:
+            check(want[0])  # a start inside strip 0
+    assert "returned" in seen, seen
 
 
 def test_first_return_postconditions():
@@ -460,6 +556,123 @@ def test_psi_orbit_ends_undefined_at_a_mid_orbit_wall(poly_key, start, last):
     assert [(e.step, e.point, e.label) for e in rec.events[:-1]] == expect
     assert expect[-1][1] == last
     assert rec.final == OrbitEvent(121, last, None, None, "undefined")
+
+
+# The psi orbit's period and replay against `oracles.stepwise_psi_orbit`, the
+# state-by-state loop over the oracle walk.  A periodic start near each
+# polygon, with its least period P; s is the step of its second label run.
+PERIODIC_STARTS = {
+    "triangle": (pt(-10, Fraction(-50, 11)), 15),
+    "n3": (pt(20, 20), 21),
+    "n4": (pt(55, 55), 19),
+    "n5": (pt(50, Fraction(50, 3)), 11),
+    "n6": (pt(32, 32), 9),
+    "n7": (pt(90, 90), 192),
+    "n8": (pt(Fraction(-80, 7), 40), 33),
+    "n9": (pt(60, 20), 35),
+    "n10": (pt(100, Fraction(100, 3)), 11),
+    "n11": (pt(60, -100), 33),
+    "n12": (pt(-40, Fraction(40, 9)), 13),
+    "sqrt5_kite": (pt(15, 15), 171),
+    "penrose_kite": (pt(10, Fraction(10, 3)), 247),
+    "regular_pentagon": (pt(10, Fraction(10, 3)), 305),
+}
+
+
+def _second_run_step(rec) -> int:
+    """The step of the first event whose label differs from the last one's."""
+    labels = [e.label for e in rec.events]
+    return next(i for i in range(2, len(labels)) if labels[i] != labels[i - 1])
+
+
+def _assert_replay_matches_stepwise(poly_key):
+    """`dynamics.orbit`'s psi events equal the stepwise orbit's, every one,
+    at budgets s + P - 1, s + P, s + P + 1 and 3(s + P), with no escape
+    radius, with one no state passes (the orbit's largest L1 norm, rounded
+    up to an int over Q(sqrt 5)) and with half of it, which the orbit passes
+    within its period; `period` is P exactly where the orbit reached step
+    s + P."""
+    p, P = PERIODIC_STARTS[poly_key]
+    m = BilliardModel(corpus_polygon(poly_key))
+    assert stepwise_first_return(m.polygon, p, 10 * P) == P
+    probe = stepwise_psi_orbit(m, p, 2 * P)
+    s = _second_run_step(probe)
+    top = max(abs(e.point.x) + abs(e.point.y) for e in probe.events)
+    top = top if isinstance(top, Fraction) else Fraction(math.floor(top) + 1)  # rational radii
+    for budget in (s + P - 1, s + P, s + P + 1, 3 * (s + P)):
+        for radius in (None, top, top / 2):
+            rec = dynamics.orbit(m, p, "psi", budget, radius)
+            want = stepwise_psi_orbit(m, p, budget, radius)
+            assert rec.events == want.events, (poly_key, budget, radius)
+            returned = budget >= s + P and rec.final.tag == "budget-exhausted"
+            assert rec.period == (P if returned else None), (poly_key, budget, radius)
+
+
+@pytest.mark.parametrize("poly_key", sorted(PERIODIC_STARTS))
+def test_psi_orbit_replay_matches_stepwise_orbit(poly_key):
+    _assert_replay_matches_stepwise(poly_key)
+
+
+@pytest.mark.parametrize("poly_key, start, period", [
+    ("triangle", pt(8, -2), 9),
+    ("n7", pt(-540, Fraction(-2700, 11)), 2418),
+])
+def test_psi_orbit_period_is_the_stepwise_first_return(poly_key, start, period):
+    """`period` is the start's first return, walked state by state, on the
+    triangle and on an n = 7 start of period 2,418, and the replayed orbit
+    equals the stepwise one past it."""
+    m = BilliardModel(corpus_polygon(poly_key))
+    assert stepwise_first_return(m.polygon, start, 10 ** 5) == period
+    rec = orbit(m, start, "psi", period + 30)
+    assert rec.period == period
+    assert rec.events == stepwise_psi_orbit(m, start, period + 30).events
+
+
+@pytest.mark.parametrize("mutant", [
+    ("P = step + 1 - s", "P = step + 2 - s"),
+    ("if (X, Y) == mark:", "if (X, Y)[:1] == mark[:1]:"),
+    ("e = ev[j - P]", "e = ev[j - P + 1]")],
+    ids=["period-off-by-one", "mark-compares-x-only", "replay-one-ahead"])
+def test_replay_parity_catches_wrong_periods(monkeypatch, mutant):
+    """Negative controls: an orbit that replays with a period one too long,
+    that takes a run start with the mark's X alone for the mark, or that
+    copies event j - P + 1 to step j must fail the replay test."""
+    source = textwrap.dedent(inspect.getsource(dynamics.orbit))
+    old, new = mutant
+    assert source.count(old) == 1
+    namespace = dict(vars(dynamics))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(dynamics, "orbit", namespace["orbit"])
+    with pytest.raises(AssertionError):
+        for poly_key in sorted(PERIODIC_STARTS):
+            _assert_replay_matches_stepwise(poly_key)
+
+
+def test_penrose_kite_orbit_passes_a_fixed_radius():
+    """The Penrose kite's ψ orbit of ((1 + sqrt 5)/2, 1), where Schwartz's
+    unbounded orbits live, passes L1 radius 1,000 within 10**4 label runs:
+    read at run ends, it passes 100 at run 270 (step 2,850) and 1,000 at
+    run 4,482 (step 430,607).  Cross-check: over the first 100 runs the
+    largest L1 norm at run ends is that of every state walked stepwise."""
+    from test_verify import penrose_kite
+
+    poly = penrose_kite()
+    here = poly.homogeneous(Point(quadext(Fraction(1, 2), Fraction(1, 2), 5), Fraction(1)))
+    L, steps, passed = here[2], 0, []
+    for runs, ((X, Y, _), _, k, (dx, dy)) in enumerate(psi_walk(poly, here), 1):
+        steps += k + 1
+        r = max(max(x, -x) + max(y, -y) for x, y in ((X, Y), (X + k * dx, Y + k * dy)))
+        top = r if runs == 1 else max(top, r)
+        if runs == 100:
+            prefix = ratio(top, L), steps
+        while len(passed) < 2 and r > (100, 1000)[len(passed)] * L:
+            passed.append((runs, steps))
+        if len(passed) == 2 or runs == 10 ** 4:
+            break
+    assert passed == [(270, 2850), (4482, 430607)]
+    top, steps = prefix
+    points = [point_of(q) for q, _ in islice(oracle_psi_walk(poly, here), steps)]
+    assert top == max(abs(q.x) + abs(q.y) for q in points)
 
 
 def test_orbit_event_contract():

@@ -19,6 +19,7 @@ from oracles import (
     fraction_frame,
     line,
     line_intersection,
+    oracle_psi_walk,
     overlap_area_region,
     parallel_offset,
     p_vertices,
@@ -184,11 +185,25 @@ def test_pentagon_symmetry_fails_off_the_regular_pentagon():
 
 def psi_l1_max(polygon, p, radius, steps: int):
     """The largest L1 norm |x| + |y| over p and its next `steps` ψ states,
-    asserting that each is at most `radius`."""
+    asserting that each is at most `radius`.  Read at the two ends of each
+    label run of the walk, as a run's states lie on a segment and the L1 ball
+    is convex, and up to the return of the second run's first state, past
+    which a periodic orbit repeats states already read (`dynamics.orbit`)."""
     rn, rd = radius.as_integer_ratio()
     here = polygon.homogeneous(p)
     top, L = 0, here[2]
-    for X, Y, _ in [here] + [state for state, _ in islice(psi_walk(polygon, here), steps)]:
+    ends = [here[:2]]
+    for i, ((X, Y, _), _, k, (dx, dy)) in enumerate(psi_walk(polygon, here)):
+        if i == 1:
+            mark = X, Y
+        elif i and (X, Y) == mark:
+            break
+        k = min(k, steps - 1)
+        ends += [(X, Y), (X + k * dx, Y + k * dy)]
+        steps -= k + 1
+        if not steps:
+            break
+    for X, Y in ends:
         r = max(X, -X) + max(Y, -Y)
         assert sign(rn * L - r * rd) >= 0, (point_of((X, Y, L)), radius)
         top = r if sign(r - top) > 0 else top
@@ -197,9 +212,11 @@ def psi_l1_max(polygon, p, radius, steps: int):
 
 def test_regular_pentagon_certified_orbits_stay_within_the_radius():
     """On each strip of `regular_pentagon()`, a start drawn strictly inside
-    its m = 1 annulus by `frame_triple` is certified, and its next 10**4 ψ
+    its m = 1 annulus by `frame_triple` is certified, and its next 10**5 ψ
     states stay within the certified L1 radius (their max is 0.46 to 0.61
-    of it).  Negative control: a radius just below the largest max trips."""
+    of it).  Each of these orbits has period 5, so its 10**5 states are 5
+    points.  Negative control: a radius just below the largest max trips.
+    Cross-check: that max is the one of 10**3 states walked stepwise."""
     poly = regular_pentagon()
     system = BilliardModel(poly).system
     q = quasi_analyze(system)
@@ -212,13 +229,16 @@ def test_regular_pentagon_certified_orbits_stay_within_the_radius():
         assert ring.in_annulus(poly.homogeneous(p))
         bounded, radius = boundedness_certificate(system, q, p, m=1)
         assert bounded
-        top = psi_l1_max(poly, p, radius, 10 ** 4)
+        top = psi_l1_max(poly, p, radius, 10 ** 5)
         assert Fraction(45, 100) < top / radius < Fraction(62, 100)
         if highest is None or top > highest[1]:
             highest = p, top
     p, top = highest
     with pytest.raises(AssertionError):
-        psi_l1_max(poly, p, top * Fraction(10 ** 6 - 1, 10 ** 6), 10 ** 4)
+        psi_l1_max(poly, p, top * Fraction(10 ** 6 - 1, 10 ** 6), 10 ** 5)
+    walk = oracle_psi_walk(poly, poly.homogeneous(p))
+    points = [p] + [point_of(q) for q, _ in islice(walk, 1000)]
+    assert top == max(abs(q.x) + abs(q.y) for q in points)
 
 
 def test_triangle_overlap_areas_all_48():
