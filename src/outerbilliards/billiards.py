@@ -180,7 +180,7 @@ def primary_cone(polygon: NicePolygon, v_index: int,
     sense = Sense.GT if chirality is Chirality.RIGHT else Sense.LT
     before, after = polygon.edges[v_index - 1], polygon.edges[v_index]
     A, B, C = before.ints
-    return region((HalfPlane(Line.of_ints(-A, -B, -C, before.s), sense),
+    return region((HalfPlane(Line((-A, -B, -C), before.s), sense),
                    HalfPlane(after, sense)))
 
 

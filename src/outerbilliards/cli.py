@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", help="'n=K count=M' generated polygons")
     p.add_argument("--profile", default="quick", choices=["quick", "full"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, help="override per-check sample counts")
+    p.add_argument("--samples", type=int, help="override per-check sample counts "
+                   "(pin1-pin2-move keeps its 6 quick / 20 full samples per tile)")
     p.add_argument("--json")
     p.add_argument("--negative-controls", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -1,12 +1,12 @@
 """Exact planar geometry: points, lines, half-planes and convex regions.
 
 Everything here computes on integers.  A point is its lattice triple, a polygon
-is read off its lattice pairs, and a line is one integer form (A, B, C) (ints, or
-`QuadInt`s over Q(sqrt d)) over one positive int scale s, built by `Line.of_ints`;
-identity and order read its primitive normal form (`scalars.primitive`), with no
-division.  `Point`s and `Vec`s, of Fraction or QuadExt coordinates, are frozen
-values with no arithmetic: they only carry values in (`lattice_of`,
-`homogeneous`) and out (`point_of`, `vec_of`).
+is read off its lattice pairs, and a line is a record of one integer form (A, B,
+C) (ints, or `QuadInt`s over Q(sqrt d)) over a positive int scale s; a
+half-plane's identity and order read its oriented primitive form (`HalfPlane.form`,
+by `scalars.primitive`), with no division.  `Point`s and `Vec`s, of Fraction or
+QuadExt coordinates, are frozen values with no arithmetic: they only carry
+values in (`lattice_of`, `homogeneous`) and out (`point_of`, `vec_of`).
 Convex regions are stored as canonicalized half-plane intersections.  One
 kernel pass, run once per region, clips each constraint's line by all the
 other constraints (a one-dimensional interval, exact); from these edge
@@ -178,50 +178,31 @@ def slope_angle_cmp(u, v) -> int:
 # lines and half-planes
 
 
+@dataclass(frozen=True, slots=True)
 class Line:
     """The line a*x + b*y = c, with (a, b) != (0, 0).
 
-    One representation: the integer form `ints` = (A, B, C) (ints, or
-    QuadInts) over a positive int scale `s` prime to their content, with
-    a = A/s, b = B/s, c = C/s as given (signed offsets keep that scale).
-    `of_ints` is its one constructor, and every point-versus-line predicate
-    reads the form at a point's lattice triple.  Equality and hashing use
-    the primitive form of (A, B, C), sign fixed by the leading entry, so
-    wall-coincidence tests are structural.
+    A record of the integer form `ints` = (A, B, C) (ints, or QuadInts) over
+    a positive int scale `s` prime to their content, with a = A/s, b = B/s,
+    c = C/s as given (signed offsets keep that scale): built as
+    `Line((A, B, C), s)`, and equal to another line exactly when it prints
+    the same coefficients.  Every point-versus-line predicate reads the
+    form at a point's lattice triple; which half-planes coincide is read
+    off their kernel forms (`HalfPlane.form`).
     """
 
-    __slots__ = ("ints", "s")
-
-    @staticmethod
-    def of_ints(A, B, C, s: int = 1) -> "Line":
-        """The line (A/s)*x + (B/s)*y = C/s; s is prime to the form's content."""
-        line = object.__new__(Line)
-        object.__setattr__(line, "ints", (A, B, C))
-        object.__setattr__(line, "s", s)
-        return line
+    ints: tuple
+    s: int
 
     def _moved(self, C, L: int) -> "Line":
         """The line (A*L)*x + (B*L)*y = C over the scale s*L, reduced."""
         A, B, _ = self.ints
         s, A, B, C = primitive(self.s * L, A * L, B * L, C)
-        return Line.of_ints(A, B, C, s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Line is immutable")
+        return Line((A, B, C), s)
 
     a = property(lambda self: ratio(self.ints[0], self.s))
     b = property(lambda self: ratio(self.ints[1], self.s))
     c = property(lambda self: ratio(self.ints[2], self.s))
-
-    def _normal(self) -> tuple:
-        A, B, C = primitive(*self.ints)
-        return (-A, -B, -C) if (A if A != 0 else B) < 0 else (A, B, C)
-
-    def __eq__(self, other):
-        return isinstance(other, Line) and self._normal() == other._normal()
-
-    def __hash__(self):
-        return hash(self._normal())
 
     def __repr__(self):
         return f"Line({self.a}, {self.b}, {self.c})"
@@ -233,7 +214,7 @@ def edge_lines(cycle, den: int) -> tuple:
     DY*x - DX*y = (DY*X - DX*Y)/den, over the scale den**2, by `primitive`."""
     forms = [primitive(den * den, (HY - Y) * den, (X - HX) * den, (HY - Y) * X - (HX - X) * Y)
              for (X, Y), (HX, HY) in zip(cycle, cycle[1:] + cycle[:1])]
-    return tuple(Line.of_ints(A, B, C, s) for s, A, B, C in forms)
+    return tuple(Line((A, B, C), s) for s, A, B, C in forms)
 
 
 class Sense(enum.Enum):
@@ -266,11 +247,12 @@ class HalfPlane:
     `form` is its kernel form (a, b, c, strict), fixed at construction, meaning
     a*x + b*y >= c (> c when strict): the primitive form of the line's `ints`,
     negated for an upper sense.  Every value the kernel reads off it is
-    invariant under a positive scale."""
+    invariant under a positive scale, and two half-planes are equal, with one
+    hash, exactly when their forms are; `line` and `sense` are how it prints."""
 
-    line: Line
-    sense: Sense
-    form: tuple = field(init=False, repr=False, compare=False)
+    line: Line = field(compare=False)
+    sense: Sense = field(compare=False)
+    form: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b, c = primitive(*self.line.ints)
@@ -687,7 +669,7 @@ def region(halfplanes: Iterable[HalfPlane]) -> ConvexRegion:
 def box_region(xmin: ScalarLike, ymin: ScalarLike, xmax: ScalarLike, ymax: ScalarLike) -> ConvexRegion:
     """xmin <= x <= xmax and ymin <= y <= ymax: a bound n/q (`as_integer_ratio()`)
     is the line q*x = n (q*y = n) over the scale q."""
-    return region(HalfPlane(Line.of_ints(q * ax, q * (1 - ax), n, q), sense)
+    return region(HalfPlane(Line((q * ax, q * (1 - ax), n), q), sense)
                   for ax, bound, sense in ((1, xmin, Sense.GE), (1, xmax, Sense.LE),
                                            (0, ymin, Sense.GE), (0, ymax, Sense.LE))
                   for n, q in [bound.as_integer_ratio()])

@@ -85,9 +85,8 @@ class NecklaceSpec:
     `forms`, `base` resolved at m when the ring is made, and `mirror`, with
     `least_sign`."""
 
-    j: int
     m: int
-    pair: PinwheelPair             # strip j; its centre vertex is pair.w_index
+    pair: PinwheelPair             # strip j = pair.index; its centre vertex is pair.w_index
     polygon: NicePolygon           # P
     # (lo, hi, dd, e): the axis range of P and Q together and shift.shift,
     # each over e = sq^2*den (ints, or QuadInts)
@@ -95,9 +94,7 @@ class NecklaceSpec:
     # integer forms (A, B, C, D) of P's edges, of Q's, of the trapped
     # extent's two ends, and of each annulus window's two ends
     base: Tuple = field(repr=False, compare=False)
-    # ((SX, SY, sq), (A, B, C, wn, wq), (u, v)): the shift on its lattice, the
-    # strip's form (edge line A*x + B*y = C, width wn/wq on its scale) and
-    # 1/(A*SY - SX*B) = u/v
+    # ((SX, SY, sq), (u, v)): the shift on its lattice, and u/v = 1/(A*SY - SX*B) on `pair.form`
     frame: Tuple = field(repr=False, compare=False)
     # `base` at m, and P's and Q's edges at -m (`_resolved`)
     forms: Tuple = field(init=False, repr=False, compare=False)
@@ -162,9 +159,9 @@ class NecklaceSpec:
     def frame_triple(self, s, off):
         """The point with axis coordinate s and strip offset off in widths (0
         on the edge line, 1 on the far one), (num, den) pairs with den > 0, as a
-        triple over a multiple of den: where A*x + B*y = C + off*wn/wq meets
-        SX*x + SY*y = sq*s, by Cramer's rule."""
-        (SX, SY, sq), (A, B, C, wn, wq), (u, v) = self.frame
+        triple over a multiple of den: where A*x + B*y = C + off*wn/wq (the
+        strip's form (A, B, C, wn, wq)) meets SX*x + SY*y = sq*s, by Cramer's rule."""
+        ((SX, SY, sq), (u, v)), (A, B, C, wn, wq) = self.frame, self.pair.form
         (sn, sd), (on, od) = s, off
         c, t, g = (C * wq * od + wn * on) * sd, sq * sn * wq * od, self.polygon.den * u
         return (c * SY - B * t) * g, (A * t - SX * c) * g, v * sd * od * wq * self.polygon.den
@@ -216,8 +213,8 @@ def necklace(system: PinwheelSystem, j: int, m: int) -> NecklaceSpec:
     # hi < shift.p < lo + m*dd, and hi - m*dd < shift.p < lo
     windows = (((ax, ay, hi * sq, 0), (-ax, -ay, -lo * sq, -rate)),
                ((ax, ay, hi * sq, -rate), (-ax, -ay, -lo * sq, 0)))
-    frame = (shift, pair.form, cleared(1, pair.form[0] * SY - SX * pair.form[1]))
-    return NecklaceSpec(j % system.n, m, pair, polygon, (lo * sq, hi * sq, rate, sq * sq * den),
+    frame = (shift, cleared(1, pair.form[0] * SY - SX * pair.form[1]))
+    return NecklaceSpec(m, pair, polygon, (lo * sq, hi * sq, rate, sq * sq * den),
                         (p_forms, q_forms, extent) + windows, frame)
 
 

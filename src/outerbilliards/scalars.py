@@ -354,9 +354,6 @@ class QuadExt:
         # share their lowest-terms form
         return hash((self._num.r, self._num.s, self._den, self._num.d))
 
-    def __bool__(self):
-        return True  # b != 0 means the value is irrational, hence nonzero
-
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 

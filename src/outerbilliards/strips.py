@@ -25,19 +25,24 @@ from .scalars import floor_div, primitive, ratio, sign
 class PinwheelPair:
     """Strip, translation vector and spoke attached to one polygon edge.
 
-    The strip's width lives only in `form`, as wn/(wq*s) with s = `line.s`;
-    `width` reads it as a scalar, for output.  The spoke is the oriented
+    The strip lives only in `form`: its edge line L is the view `line`, the
+    form's (a, b, c) over s = |a| (|b| when a = 0), and its width wn/(wq*s)
+    the view `width`, both scalars for output.  The spoke is the oriented
     segment v -> w; it is special when it shares a vertex with both
     neighbouring spokes."""
 
     index: int              # position in the slope-cyclic order, 0-based
     edge_index: int         # index into polygon.edges: edge from vertex i to i+1
-    line: Line              # L, contains the edge; polygon on the positive side
-    form: Tuple             # (a, b, c, wn, wq): L's ints, and s*width = wn/wq > 0, wq | den
+    form: Tuple             # (a, b, c, wn, wq): L's primitive form, s*width = wn/wq > 0, wq | den
     v_index: int            # head vertex of the edge
     w_index: int            # vertex farthest from L, on the centerline
     V: Tuple                # 2*(w - v) as (VX, VY, den) on P's lattice; spans the strip
     special: bool           # spoke v -> w shares a vertex with both neighbours
+
+    @property
+    def line(self) -> Line:  # L, containing the edge; polygon on its positive side
+        A, B, _ = form = self.form[:3]
+        return Line(form, abs(A if A != 0 else B))
 
     width = property(lambda self: ratio(self.form[3], self.form[4] * self.line.s))
 
@@ -87,26 +92,24 @@ def build_pinwheel_system(polygon: NicePolygon) -> PinwheelSystem:
     n = polygon.n
     entries = []
     for i, edge in enumerate(polygon.edges):
-        # the edge line, polygon on its positive side, over its leading |coefficient|
+        # the edge line's primitive form, polygon on its positive side
         A, B, C = primitive(*edge.ints)
-        line = Line.of_ints(A, B, C, abs(A if A != 0 else B))
         # the vertices' offsets from it over s*den; the farthest is unique: no
         # two sides of a nice polygon are parallel
         offsets = [A * X + B * Y - C * polygon.den for X, Y in polygon.lattice]
         far = max(range(n), key=lambda i: offsets[i])
         wq, wn = primitive(polygon.den, 2 * offsets[far])  # s*width = wn/wq
-        entries.append(((-B, A), i, line, far, (A, B, C, wn, wq)))  # (-B, A): the edge's direction
+        entries.append(((-B, A), i, far, (A, B, C, wn, wq)))  # (-B, A): the edge's direction
 
     entries.sort(key=cmp_to_key(lambda x, y: slope_angle_cmp(x[0], y[0])))
 
-    ends = [{(i + 1) % n, far} for _, i, _, far, _ in entries]
+    ends = [{(i + 1) % n, far} for _, i, far, _ in entries]
     pairs = []
-    for j, (_, i, line, far, form) in enumerate(entries):
+    for j, (_, i, far, form) in enumerate(entries):
         (vx, vy), (wx, wy) = polygon.lattice[(i + 1) % n], polygon.lattice[far]
         pairs.append(PinwheelPair(
             index=j,
             edge_index=i,
-            line=line,
             form=form,
             v_index=(i + 1) % n,
             w_index=far,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from outerbilliards.geometry import HalfPlane, Point, Sense, Vec, direction_ccw_cmp
-from oracles import as_scalar, line_intersection, normalized, pick_in_interval
+from oracles import as_scalar, line_intersection, line_key, normalized, pick_in_interval
 from outerbilliards.rng import Rng
 from outerbilliards.scalars import QuadExt, sign
 
@@ -151,10 +151,10 @@ def _point_key(p):
 def fm_vertices(constraints):
     """Pairwise line intersections inside the closure, clockwise from the
     lexicographically smallest (sorted when there are at most two)."""
-    uniq = []
-    for h in constraints:
-        if h.line not in uniq:
-            uniq.append(h.line)
+    by_key = {}
+    for h in constraints:  # one line per `line_key`: rescaled writings of it are one line
+        by_key.setdefault(line_key(h.line), h.line)
+    uniq = list(by_key.values())
     cands = []
     for i in range(len(uniq)):
         for j in range(i + 1, len(uniq)):

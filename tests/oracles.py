@@ -77,12 +77,12 @@ def dot(u: Vec, v: Vec):
 
 def line(a, b, c) -> Line:
     """The line a*x + b*y = c on scalars: `integer_form(a, b, c, 1)`, the
-    last entry its scale, by `Line.of_ints`; (a, b) = (0, 0) or two
+    last entry its scale, as `Line((A, B, C), s)`; (a, b) = (0, 0) or two
     radicands is a ValueError."""
     A, B, C, s = integer_form(a, b, c, 1)
     if (A == 0 and B == 0) or len({x.d for x in (A, B, C) if type(x) is not int}) > 1:
         raise ValueError("a line requires (a, b) != (0, 0) and one radicand")
-    return Line.of_ints(A, B, C, s)
+    return Line((A, B, C), s)
 
 
 def half_plane(a, b, c, sense: Sense) -> HalfPlane:
@@ -852,21 +852,21 @@ def point_pinwheel_pairs(polygon) -> Tuple[PinwheelPair, ...]:
     n, entries = polygon.n, []
     for i, edge in enumerate(point_edges(polygon.vertices)):
         A, B, C = primitive(*edge.ints)
-        line = Line.of_ints(A, B, C, abs(A if A != 0 else B))
+        line = Line((A, B, C), abs(A if A != 0 else B))
         offsets = [A * X + B * Y - C * polygon.den for X, Y in polygon.lattice]
         far = max(range(n), key=lambda i: offsets[i])
         # s*width on the scalars, as `PinwheelPair` once read its form off a stored width
         width = ratio(2 * offsets[far], line.s * polygon.den)
         form = line.ints + (width * line.s).as_integer_ratio()
         d = sub(polygon.vertices[(i + 1) % n], polygon.vertices[i])
-        entries.append((d, i, line, far, form))
+        entries.append((d, i, far, form))
     entries.sort(key=cmp_to_key(lambda x, y: vec_slope_angle_cmp(x[0], y[0])))
-    ends = [{(i + 1) % n, far} for _, i, _, far, _ in entries]
+    ends = [{(i + 1) % n, far} for _, i, far, _ in entries]
     pairs = []
-    for j, (_, i, line, far, form) in enumerate(entries):
+    for j, (_, i, far, form) in enumerate(entries):
         (vx, vy), (wx, wy) = polygon.lattice[(i + 1) % n], polygon.lattice[far]
         pairs.append(PinwheelPair(
-            index=j, edge_index=i, line=line, form=form, v_index=(i + 1) % n, w_index=far,
+            index=j, edge_index=i, form=form, v_index=(i + 1) % n, w_index=far,
             V=(2 * (wx - vx), 2 * (wy - vy), polygon.den),
             special=bool(ends[j - 1] & ends[j] & ends[(j + 1) % n])))
     return tuple(pairs)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import pt, region_area, ring_windows, sigma_range
+from test_quasirational import certified_start, oracle_l1_max, psi_l1_max
 from outerbilliards.billiards import square_map
 from outerbilliards.dynamics import orbit
 from outerbilliards.errors import EmptyRegionError
@@ -24,6 +25,7 @@ from outerbilliards.quasirational import (
     necklace,
     quasi_analyze,
 )
+from outerbilliards.rng import Rng
 from outerbilliards.strips import build_pinwheel_system, strip_map
 from outerbilliards.svg import default_viewport, partition_scene, render_scene
 from outerbilliards.verify import (
@@ -175,10 +177,28 @@ def test_criterion_07_quasirational_boundedness():
     assert rec.final.tag == "budget-exhausted", rec.final
     for e in rec.events:
         assert abs(e.point.x) + abs(e.point.y) <= radius
+    # that orbit has period 3; certified starts on the pentagons above have
+    # long ones, walked by label runs (`psi_l1_max`) with both ends of each
+    # run within the radius: on 9000 + 0 the orbit returns after 56,231 runs,
+    # on 9000 + 1 it does not within 10**5 runs (about 3.5e13 ψ steps).  The
+    # runs agree with the stepwise oracle over their first 10**5 states
+    for seed, runs in ((0, 56_231), (1, 10 ** 5)):
+        poly = random_nice_polygon(5, 9000 + seed)
+        system = BilliardModel(poly).system
+        quasi = quasi_analyze(system)
+        start = certified_start(system, quasi, 0, Rng(3).split(0))
+        bounded, radius = boundedness_certificate(system, quasi, start, m=1)
+        assert bounded
+        top, read = psi_l1_max(poly, start, radius)
+        assert read == runs
+        assert oracle_l1_max(poly, start, 10 ** 5) <= top
+    with pytest.raises(AssertionError):  # control: a radius just below the max trips
+        psi_l1_max(poly, start, top * Fraction(10 ** 6 - 1, 10 ** 6))
     elapsed = time.monotonic() - t0
     assert elapsed < 600, f"runtime {elapsed:.0f}s exceeds 10 minutes"
     _announce(7, f"10 rational polygons, m in {{1,2,3}}, >=100 samples each, "
-                 f"zero violations; 100000-step orbit within radius, "
+                 f"zero violations; 100000-step orbit within radius; "
+                 f"certified orbits of 56231 and 100000 label runs within radius, "
                  f"{elapsed:.0f}s")
 
 

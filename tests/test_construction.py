@@ -79,6 +79,10 @@ def check_construction(points):
     model = BilliardModel(poly)
     pairs, ref = model.system.pairs, oracles.point_pinwheel_pairs(poly)
     assert repr([(p, p.form) for p in pairs]) == repr([(p, p.form) for p in ref])
+    for p in pairs:  # a strip's line, a view of its form, is its edge's over |leading coefficient|
+        e = edges[p.edge_index]
+        lead = abs(e.a if e.a != 0 else e.b)
+        assert (p.line.a, p.line.b, p.line.c) == (e.a / lead, e.b / lead, e.c / lead)
     assert repr(ratio(*far_radius(model))) == repr(oracles.point_far_radius(model))
     for open_region in (False, True):
         got = polygon_region(poly.vertices, open_region)

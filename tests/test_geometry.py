@@ -17,7 +17,7 @@ from fm_oracle import (
     fm_sample_points,
     fm_vertices,
 )
-from oracles import (add, half_plane, hp_key, line, line_intersection, line_key,
+from oracles import (add, half_plane, hp_key, line, line_intersection,
                      parallel_offset, per_call_key, per_call_region_key, pt, region_area, scale,
                      side, signed_offset, strip_region, vec)
 from test_billiards import CORPUS, corpus_polygon
@@ -62,17 +62,36 @@ def test_signed_offset_uses_stored_coefficients():
     assert signed_offset(l, pt(4, 0)) == 12
 
 
-def test_line_equality_is_canonical():
-    assert line(3, -1, 0) == line(1, Fraction(-1, 3), 0) == line(-6, 2, 0)
-    assert line(3, -1, 0) != line(3, -1, 1)
-    assert hash(line(2, 4, 6)) == hash(line(1, 2, 3))
+def test_half_plane_equality_is_canonical():
+    """Half-planes on rescaled writings of one line, the sense flipped where
+    the factor is negative, are equal with one hash; a parallel line's are
+    not.  The lines themselves are records: equal when they print alike."""
+    same = [half_plane(3, -1, 0, Sense.GE), half_plane(1, Fraction(-1, 3), 0, Sense.GE),
+            half_plane(-6, 2, 0, Sense.LE)]
+    _assert_same_classes(same + [half_plane(3, -1, 1, Sense.GE)], hp_key)
+    assert hash(half_plane(2, 4, 6, Sense.GT)) == hash(half_plane(1, 2, 3, Sense.GT))
+    assert line(3, -1, 0) != line(-6, 2, 0) and line(1, Fraction(1, 2), 0) == Line((2, 1, 0), 2)
+
+
+def test_opposite_half_planes_are_unequal():
+    """x > 2 and x < 2 on the same line, written with opposite signs, are
+    different half-planes with different forms; three writings of x > 2
+    (doubled, negated with the sense flipped, over the scale 3) are one
+    half-plane, with one hash."""
+    above = HalfPlane(Line((1, 0, 2), 1), Sense.GT)
+    below = HalfPlane(Line((-1, 0, -2), 1), Sense.GT)
+    assert above != below and above.form != below.form
+    writings = [HalfPlane(Line((2, 0, 4), 1), Sense.GT), HalfPlane(Line((-1, 0, -2), 1), Sense.LT),
+                HalfPlane(Line((1, 0, 2), 3), Sense.GT)]
+    assert all(h == above and hash(h) == hash(above) for h in writings)
+    assert len({above, below, *writings}) == 2
 
 
 def test_line_has_no_scalar_constructor():
-    """`Line.of_ints` is the one constructor: a scalar call is a TypeError."""
+    """`Line((A, B, C), s)` is the one way to build a line: a scalar call is a TypeError."""
     with pytest.raises(TypeError):
         Line(3, -1, 0)
-    assert Line.of_ints(3, -1, 0) == line(3, -1, 0)
+    assert Line((3, -1, 0), 1) == line(3, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +660,9 @@ def _region_key(r):
 def test_tiles_and_strips_match_fraction_keys(poly_key):
     """Every tile of both partitions, with its translate and its point
     reflection, and every strip lists its constraints in the order of the
-    Fraction key, and lines and regions are equal exactly when their
-    Fraction keys are."""
+    Fraction key, and half-planes (each constraint, and each strip's two
+    lines under both closed senses) and regions are equal exactly when
+    their Fraction keys are."""
     from outerbilliards.billiards import Chirality, build_partition
     from outerbilliards.strips import build_pinwheel_system
 
@@ -657,10 +677,11 @@ def test_tiles_and_strips_match_fraction_keys(poly_key):
     regions += [strip_region(system.pair(j)) for j in range(system.n)]
     for r in regions:
         _assert_oracle_order(r)
-    lines = [h.line for r in regions for h in r.constraints]
-    lines += [line for pair in system.pairs
-              for line in (pair.line, parallel_offset(pair.line, pair.width))]
-    _assert_same_classes(lines, line_key)
+    half_planes = [h for r in regions for h in r.constraints]
+    half_planes += [HalfPlane(line, sense) for pair in system.pairs
+                    for line in (pair.line, parallel_offset(pair.line, pair.width))
+                    for sense in (Sense.GE, Sense.LE)]
+    _assert_same_classes(half_planes, hp_key)
     _assert_same_classes(regions, _region_key)
 
 
@@ -690,12 +711,13 @@ def rescaled_lines(draw):
 @example([line(1, R5, 2), line(-R5, -5, -2 * R5), line(3 + R5, 3 * R5 + 5, 6 + 2 * R5)],
          [True, False] * 10)
 def test_rescaled_lines_match_fraction_keys(lines, flips):
-    """Rescaled copies of a line are equal to it, with one hash, and other
-    lines are not, as for the Fraction key; the region of their half-planes
-    (the origin kept on each closed side, or the other side where flipped)
-    orders its constraints by the Fraction key, over Q and Q(sqrt 5) and
-    for irrational leading coefficients."""
-    _assert_same_classes(lines, line_key)
+    """Half-planes on rescaled copies of a line are equal to its own, with
+    one hash, under each sense (flipped for a negative factor), and those on
+    other lines are not, as for the Fraction key; the region of one closed
+    half-plane per line (the origin kept on each closed side, or the other
+    side where flipped) orders its constraints by the Fraction key, over Q
+    and Q(sqrt 5) and for irrational leading coefficients."""
+    _assert_same_classes([HalfPlane(line, sense) for line in lines for sense in Sense], hp_key)
     origin = homogeneous(pt(0, 0))
     hps = [HalfPlane(line, Sense.GE if (side(line, origin) >= 0) != flip else Sense.LE)
            for line, flip in zip(lines, flips)]

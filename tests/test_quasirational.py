@@ -31,6 +31,7 @@ from oracles import (
     pulled_back_trapped_extent,
     q_vertices,
     reflected,
+    run_states,
     ring_axis,
     ring_shift,
     ring_windows,
@@ -183,62 +184,93 @@ def test_pentagon_symmetry_fails_off_the_regular_pentagon():
         assert_pentagon_symmetry(poly)
 
 
-def psi_l1_max(polygon, p, radius, steps: int):
-    """The largest L1 norm |x| + |y| over p and its next `steps` ψ states,
-    asserting that each is at most `radius`.  Read at the two ends of each
-    label run of the walk, as a run's states lie on a segment and the L1 ball
-    is convex, and up to the return of the second run's first state, past
-    which a periodic orbit repeats states already read (`dynamics.orbit`)."""
+def psi_l1_max(polygon, p, radius):
+    """(top, read): the largest L1 norm |x| + |y| over p and its ψ states,
+    asserting that each is at most `radius`, and the count of label runs
+    read.  Read at the two ends of each run of the walk, as a run's states
+    lie on a segment and the L1 ball is convex, up to 10**5 runs or the
+    return of the second run's first state, past which a periodic orbit
+    repeats states already read (`dynamics.orbit`)."""
     rn, rd = radius.as_integer_ratio()
     here = polygon.homogeneous(p)
     top, L = 0, here[2]
-    ends = [here[:2]]
-    for i, ((X, Y, _), _, k, (dx, dy)) in enumerate(psi_walk(polygon, here)):
-        if i == 1:
-            mark = X, Y
-        elif i and (X, Y) == mark:
-            break
-        k = min(k, steps - 1)
-        ends += [(X, Y), (X + k * dx, Y + k * dy)]
-        steps -= k + 1
-        if not steps:
-            break
-    for X, Y in ends:
+
+    def bound(X, Y):
+        nonlocal top
         r = max(X, -X) + max(Y, -Y)
         assert sign(rn * L - r * rd) >= 0, (point_of((X, Y, L)), radius)
         top = r if sign(r - top) > 0 else top
+
+    bound(*here[:2])
+    read = 0
+    for (X, Y, _), _, k, (dx, dy) in islice(psi_walk(polygon, here), 10 ** 5):
+        if read == 1:
+            mark = X, Y
+        elif read and (X, Y) == mark:
+            break
+        read += 1
+        bound(X, Y)
+        bound(X + k * dx, Y + k * dy)
+    return ratio(top, L), read
+
+
+def certified_start(system, quasi, j: int, rng: Rng, w: int = 0) -> Point:
+    """A start strictly inside window w of strip j's m = 1 annulus (`necklace`
+    at D_j): `frame_triple` at `rng.draw(0, lo, hi)` along the axis and
+    `rng.draw(1, (0, 1), (1, 1))` across the strip, asserted to be there."""
+    ring = necklace(system, j, quasi.D_int[j])
+    here = ring.frame_triple(rng.draw(0, *ring.window_ends()[w]), rng.draw(1, (0, 1), (1, 1)))
+    assert ring.in_annulus(here)
+    return point_of(here)
+
+
+def oracle_l1_max(polygon, p, steps: int):
+    """The largest L1 norm |x| + |y| over p and its next `steps` ψ states, or
+    those up to its return to p, walked by `oracles.oracle_psi_walk`;
+    asserting on the way that the states of p's ψ walk, its label runs
+    expanded, are the same.  Every state is over p's L."""
+    here = polygon.homogeneous(p)
+    X, Y, L = here
+    top = max(X, -X) + max(Y, -Y)
+    runs = islice(run_states(psi_walk(polygon, here)), steps)
+    for got, (there, label) in zip(runs, oracle_psi_walk(polygon, here)):
+        assert got == (there, label)
+        X, Y, _ = there
+        r = max(X, -X) + max(Y, -Y)
+        top = r if sign(r - top) > 0 else top
+        if there == here:
+            break
     return ratio(top, L)
 
 
 def test_regular_pentagon_certified_orbits_stay_within_the_radius():
-    """On each strip of `regular_pentagon()`, a start drawn strictly inside
-    its m = 1 annulus by `frame_triple` is certified, and its next 10**5 ψ
-    states stay within the certified L1 radius (their max is 0.46 to 0.61
-    of it).  Each of these orbits has period 5, so its 10**5 states are 5
-    points.  Negative control: a radius just below the largest max trips.
-    Cross-check: that max is the one of 10**3 states walked stepwise."""
+    """On each strip of `regular_pentagon()` and each of its two m = 1
+    annulus windows, a start drawn by `Rng(4).split(j, w)` (`certified_start`)
+    is certified, and all its ψ states stay within the certified L1 radius
+    (their max is 0.35 to 0.85 of it).  Each orbit is periodic; walked by
+    label runs up to its return, the one of strip 1, window 0 reads 5,556
+    runs, the others 6 to 111.  Negative control: a radius just below the
+    largest max trips.  Cross-check: each walk equals `oracle_psi_walk` up to
+    its return to the start, and the max over those states is the one read
+    at run ends."""
     poly = regular_pentagon()
     system = BilliardModel(poly).system
     q = quasi_analyze(system)
-    highest = None
+    highest, reads = None, {}
     for j in range(system.n):
-        ring = necklace(system, j, q.D_int[j])
-        rng = Rng(22).split(j)
-        p = point_of(ring.frame_triple(rng.draw(0, *ring.window_ends()[0]),
-                                       rng.draw(1, (0, 1), (1, 1))))
-        assert ring.in_annulus(poly.homogeneous(p))
-        bounded, radius = boundedness_certificate(system, q, p, m=1)
-        assert bounded
-        top = psi_l1_max(poly, p, radius, 10 ** 5)
-        assert Fraction(45, 100) < top / radius < Fraction(62, 100)
-        if highest is None or top > highest[1]:
-            highest = p, top
+        for w in (0, 1):
+            p = certified_start(system, q, j, Rng(4).split(j, w), w)
+            bounded, radius = boundedness_certificate(system, q, p, m=1)
+            assert bounded
+            top, reads[j, w] = psi_l1_max(poly, p, radius)
+            assert Fraction(1, 3) < top / radius < Fraction(9, 10)
+            assert oracle_l1_max(poly, p, 10 ** 5) == top
+            if highest is None or top > highest[1]:
+                highest = p, top
+    assert reads[1, 0] == 5556 and max(r for k, r in reads.items() if k != (1, 0)) == 111
     p, top = highest
     with pytest.raises(AssertionError):
-        psi_l1_max(poly, p, top * Fraction(10 ** 6 - 1, 10 ** 6), 10 ** 5)
-    walk = oracle_psi_walk(poly, poly.homogeneous(p))
-    points = [p] + [point_of(q) for q, _ in islice(walk, 1000)]
-    assert top == max(abs(q.x) + abs(q.y) for q in points)
+        psi_l1_max(poly, p, top * Fraction(10 ** 6 - 1, 10 ** 6))
 
 
 def test_triangle_overlap_areas_all_48():
@@ -924,7 +956,7 @@ def necklace_golden_text(n):
             ring = next(r for r in rings if ring_windows(r)[0][0] < ring_windows(r)[0][1])
             (a1, b1), _ = ring_windows(ring)
             p = point_of(ring.frame_triple(((a1 + b1) / 2).as_integer_ratio(), (1, 3)))
-            lines.append(f"{ring.j} {p!r} "
+            lines.append(f"{ring.pair.index} {p!r} "
                          f"{boundedness_certificate(system, quasi, p, mm)!r}")
     return "\n".join(lines)
 

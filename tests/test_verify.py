@@ -6,13 +6,14 @@ import inspect
 import json
 import textwrap
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 import pytest
 
 from oracles import halved, point_route_structure2, point_strip_approach, point_tile_samples, pt
 from outerbilliards import dynamics, strips, verify
 from outerbilliards.dynamics import pinwheel_theorem_step
+from outerbilliards.billiards import Chirality, Partition
 from outerbilliards.errors import (
     BudgetExceededError,
     GenerationFailedError,
@@ -21,7 +22,7 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import Point, point_of, vec_of
+from outerbilliards.geometry import Point, moved, point_of, vec_of
 from outerbilliards.model import BilliardModel
 from outerbilliards.paths import AdmissiblePath, PathFamily, enumerate_paths
 from outerbilliards.polygon import NicePolygon, parse_polygon, polygon_to_text
@@ -530,3 +531,166 @@ def test_full_profile_reports_golden(key):
     reports = run_all(polygon, profile="full", seed=1)
     text = json.dumps([r.to_json() for r in reports], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == FULL_PROFILE_GOLDEN[key]
+
+
+# ---------------------------------------------------------------------------
+# every verdict a check can return trips: one corruption per verdict, made as
+# `negative_controls` makes its own (a model's system, paths or partitions
+# assigned) or by patching a name `verify` imports; the true model passes
+
+
+def _pairs(model, change, j=None):
+    """The model's system with `change` applied to pair j (every pair for
+    None), assigned after its paths are built on the true one."""
+    model.paths
+    model.system = PinwheelSystem(model.polygon, tuple(
+        change(p) if j is None or p.index == j else p for p in model.system.pairs))
+
+
+def _far_line_first(pair):
+    """The same closed strip written from its far line: offset wq*t - wn*L
+    over the width -wn*L, so every point of it is 'deeper than half'."""
+    a, b, c, wn, wq = pair.form
+    return dataclasses.replace(pair, form=(a * wq, b * wq, c * wq + wn, -wn * wq, wq))
+
+
+def _patched(monkeypatch, name, wrap):
+    """verify's `name` replaced by wrap(its real value)."""
+    monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+
+
+def _backward_as_forward(real):
+    """A ψ walk that walks ψ for either chirality."""
+    def walk(polygon, here, chirality=None):
+        return real(polygon, here)
+    return walk
+
+
+def _orbit_changed(change):
+    """A theorem step whose (psi(p), orbit, a) goes through `change`."""
+    return lambda real: lambda model, p: change(*real(model, p))
+
+
+def _on_boundary(system, here, index):
+    raise OnStripBoundaryError(point_of(here), stage=index)
+    yield
+
+
+def _jump_landing(move):
+    """A strip jump whose landing goes through move(pair, landing)."""
+    def wrap(real):
+        def jump(pair, p):
+            land, k = real(pair, p)
+            return move(pair, land), k
+        return jump
+    return wrap
+
+
+def _raise_wall(model, p):
+    raise OnStripBoundaryError(point_of(p), stage=0)
+
+
+# id -> (corruption, check, expected, a part of the actual text), on
+# random_nice_polygon(5, 5); the expected texts that name an index or a label
+# were read off the corrupted runs.  Far-field samples land inside a strip
+# (k = 2) rarely: the first of the 400 is sample 287
+VERDICTS = {
+    "structure2-not-reached": (
+        lambda m, mp: setattr(m, "paths", PathFamily(m.system, tuple(
+            dataclasses.replace(p, end_lifted=p.end_lifted - 1) if p.span else p
+            for p in m.paths.paths))),
+        lambda m: check_pinwheel_theorem(m, samples=20, seed=0),
+        "(psi(p), b-1) within 10 pinwheel steps", "not reached"),
+    "far-field-k": (
+        lambda m, mp: _patched(mp, "pinwheel_theorem_step", _orbit_changed(
+            lambda q, orbit, a: (q, orbit + orbit[-1:] * 2, a))),
+        lambda m: check_far_field(m, samples=10, seed=0), "k in {1, 2}", "k = "),
+    "far-field-strip-iff": (
+        lambda m, mp: _patched(mp, "pinwheel_theorem_step", _orbit_changed(
+            lambda q, orbit, a: (q, orbit[-1:], a))),
+        lambda m: check_far_field(m, samples=400, seed=0),
+        "k = 2 iff psi(p) inside a strip", "k = 1, strips = ["),
+    "far-field-landing-strip": (
+        lambda m, mp: _patched(mp, "pinwheel_theorem_step", _orbit_changed(
+            lambda q, orbit, a: (q, orbit, a + 1))),
+        lambda m: check_far_field(m, samples=400, seed=0), "landing strip = 0", "strips = ["),
+    "structure3-boundary": (
+        lambda m, mp: mp.setattr(verify, "pinwheel_walk", _on_boundary),
+        lambda m: check_structure3(m, samples=10, seed=0),
+        "containment and index shift", "strip boundary during index shift"),
+    "structure3-not-shifted": (
+        lambda m, mp: mp.setattr(verify, "pinwheel_walk",
+                                 lambda system, here, index: repeat((here, index))),
+        lambda m: check_structure3(m, samples=10, seed=0),
+        "containment and index shift", "index not shifted to "),
+    "pin1-containment": (
+        lambda m, mp: _pairs(m, halved),
+        lambda m: check_pin1_pin2_move(m, samples_per_tile=2, seed=0),
+        "closed containments", ") outside strip "),
+    "pin1-depth": (
+        lambda m, mp: _pairs(m, _far_line_first),
+        lambda m: check_pin1_pin2_move(m, samples_per_tile=2, seed=0),
+        "closed containments", " deeper than half the width of strip "),
+    "apex": (
+        lambda m, mp: _pairs(m, halved), check_apex,
+        "closed strip containment", "apex point 0 of "),
+    "exit": (
+        lambda m, mp: setattr(m, "partition", Partition(m.polygon, Chirality.RIGHT, tuple(
+            dataclasses.replace(t, translation=(0, 0, 1)) for t in m.partition.tiles))),
+        lambda m: check_exit_reversal_conjugate(m, samples=4, seed=0),
+        "psi(T) meets T iff unbounded (False)", "meets = True"),
+    "reversal-missing": (
+        lambda m, mp: setattr(m, "backward_partition", Partition(
+            m.polygon, Chirality.LEFT, m.backward_partition.tiles[1:])),
+        lambda m: check_exit_reversal_conjugate(m, samples=4, seed=0),
+        "backward tile (w,v) exists", "missing"),
+    "reversal-region": (
+        lambda m, mp: setattr(m, "backward_partition", m.partition),
+        lambda m: check_exit_reversal_conjugate(m, samples=4, seed=0),
+        "psi(T+) == T-(w,v) as regions", "region mismatch"),
+    "relabel": (
+        lambda m, mp: _patched(mp, "psi_walk", _backward_as_forward),
+        lambda m: check_exit_reversal_conjugate(m, samples=4, seed=0),
+        "backward label (1, 0)", "("),
+    "conjugate-strip": (
+        lambda m, mp: _pairs(m, halved, 1),
+        lambda m: check_exit_reversal_conjugate(m, samples=4, seed=0),
+        "reflects onto strip 3", "mismatch"),
+    "conjugate-spoke": (
+        lambda m, mp: _pairs(m, lambda p: dataclasses.replace(p, w_index=(p.w_index + 1) % 5), 1),
+        lambda m: check_exit_reversal_conjugate(m, samples=4, seed=0),
+        "reflects onto spoke 4", "endpoint mismatch"),
+    "conjugate-special": (
+        lambda m, mp: _pairs(m, lambda p: dataclasses.replace(p, special=not p.special), 1),
+        lambda m: check_exit_reversal_conjugate(m, samples=4, seed=0),
+        "special flag preserved", ""),
+    "conjugate-V": (
+        lambda m, mp: _pairs(m, lambda p: dataclasses.replace(p, V=moved(p.V, p.V)), 1),
+        lambda m: check_exit_reversal_conjugate(m, samples=4, seed=0),
+        "V reflects onto +-V with matching tails", "plus=False minus=False"),
+    "necklace-rigid": (
+        lambda m, mp: _patched(mp, "strip_jump", _jump_landing(  # 1/L further along x
+            lambda pair, q: (q[0] + 1, q[1], q[2]))),
+        lambda m: verify.check_necklace_invariance(m, samples=10, seed=0),
+        "maps rigidly onto the target copy", "vertex sets differ"),
+    "necklace-trapped": (
+        lambda m, mp: _patched(mp, "strip_jump", _jump_landing(  # one translation too many
+            lambda pair, q: moved(q, pair.V))),
+        lambda m: verify.check_necklace_invariance(m, samples=10, seed=0),
+        "between the rings of strip 1", "Point("),
+    "wall-skip-gate": (
+        lambda m, mp: mp.setattr(verify, "pinwheel_theorem_step", _raise_wall),
+        lambda m: run_all(m.polygon, "quick", seed=0)[1], "<= 1%", "100.000%"),
+}
+
+
+@pytest.mark.parametrize("verdict", list(VERDICTS))
+def test_every_verdict_trips(monkeypatch, verdict):
+    corrupt, check, expected, actual = VERDICTS[verdict]
+    polygon = random_nice_polygon(5, 5)
+    assert check(BilliardModel(polygon)).passed
+    model = BilliardModel(polygon)
+    corrupt(model, monkeypatch)
+    rep = check(model)
+    hits = [v for v in rep.violations if v.expected == expected]
+    assert hits and all(actual in v.actual for v in hits), rep.violations[:3]
