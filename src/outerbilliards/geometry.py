@@ -7,15 +7,18 @@ half-plane's identity and order read its oriented primitive form (`HalfPlane.for
 by `scalars.primitive`), with no division.  `Point`s and `Vec`s, of Fraction or
 QuadExt coordinates, are frozen values with no arithmetic: they only carry
 values in (`lattice_of`, `homogeneous`) and out (`point_of`, `vec_of`).
-Convex regions are stored as canonicalized half-plane intersections.  One
-kernel pass, run once per region, clips each constraint's line by all the
-other constraints (a one-dimensional interval, exact); from these edge
-intervals it reads emptiness, the non-redundant constraints, the clockwise
-vertex cycle and the rays that generate the recession cone.  The pass
-computes on the integer forms: an interval end is a (num, den) pair compared
-by cross-multiplication, and a vertex is a lattice triple in lowest terms.
-A region is bounded exactly when it has no rays (with interior: when its
-vertex cycle closes), and `recession_direction` reads the rays.
+Convex regions are stored as canonicalized half-plane intersections.  A
+region is a convex set with interior, or `EMPTY_REGION`: a set of measure
+zero (a point, a segment, a ray or a line) is a wall, not a tile, and the
+package decides walls with sign predicates, not with regions.  One kernel
+pass, run once per region, clips each constraint's line by all the other
+constraints (a one-dimensional interval, exact); from these edge intervals
+it reads whether the closure has interior, the non-redundant constraints,
+the clockwise vertex cycle and the rays that generate the recession cone.
+The pass computes on the integer forms: an interval end is a (num, den) pair
+compared by cross-multiplication, and a vertex is a lattice triple in lowest
+terms.  A region is bounded exactly when it has no rays, that is when its
+vertex cycle closes, and `recession_direction` reads the rays.
 Translations and point reflections move a canonical region, rays included,
 without running the pass again, on integers.
 
@@ -302,14 +305,6 @@ def _has_length(lo, up) -> bool:
     return lo is None or up is None or lo[0] * up[1] < up[0] * lo[1]
 
 
-def _open_nonempty(lo, up) -> bool:
-    """The interval between two solved bounds has a point."""
-    if lo is None or up is None:
-        return True
-    t = lo[0] * up[1] - up[0] * lo[1]
-    return t < 0 or (t == 0 and not (lo[2] or up[2]))
-
-
 def _pick_in_interval(lo, up, rng: Optional[Rng] = None, counter: int = 0) -> tuple:
     """A (num, den) pair between the solved bounds lo and up (None: the interval
     runs off that way), strictly inside when it has length: their midpoint, or
@@ -335,12 +330,11 @@ def _line_clip(forms, i):
     constraints hold: constraint j reads (a*b_j - b*a_j)*t >= c_j*(a^2 + b^2)
     - c*(a*a_j + b*b_j), with no division.  None when that closed interval is
     empty, else (lo, up, opposite): its solved bounds (strict flags kept) and
-    the strict flag of the oppositely oriented constraint on the same line,
-    None when there is none."""
+    whether an oppositely oriented constraint lies on the same line."""
     a, b, c, _ = forms[i]
     nn = a * a + b * b
     bounds = []
-    opposite = None
+    opposite = False
     for j, (aj, bj, cj, sj) in enumerate(forms):
         if j == i:
             continue
@@ -351,7 +345,7 @@ def _line_clip(forms, i):
         elif const > 0:
             return None
         elif const == 0:  # merged duplicates leave only the opposite orientation
-            opposite = sj
+            opposite = True
     lo, up = _one_dim_interval(bounds)
     if lo is not None and up is not None and lo[0] * up[1] > up[0] * lo[1]:
         return None
@@ -389,33 +383,21 @@ def _canonical(hps, forms) -> "ConvexRegion":
     """Canonical region of merged half-planes in canonical order
     (`_in_order`), given with their `HalfPlane.form`s.
 
-    A closure with interior keeps the constraints whose line clip has
-    positive length (its edges; increasing t walks them clockwise) and, at a
-    vertex no edge constraint excludes, the last strict constraint touching
-    only that vertex.  A closure inside a line keeps every constraint tight
-    somewhere on it.  The rays generating the closure's recession cone are
-    read off the same clips: an edge whose clip runs off to t = -inf (+inf)
-    gives the ray (b, -a) ((-b, a)).  Vertices are lattice triples (`_on_line`).
+    A system whose closure has no interior is `EMPTY_REGION`: its closure
+    has no edge (it is empty or a point), or it lies in the line of an
+    opposite pair.  Otherwise the region keeps the constraints whose line
+    clip has positive length (its edges; increasing t walks them clockwise)
+    and, at a vertex no edge constraint excludes, the last strict constraint
+    touching only that vertex.  The rays generating the closure's recession
+    cone are read off the same clips: an edge whose clip runs off to t = -inf
+    (+inf) gives the ray (b, -a) ((-b, a)).  Vertices are lattice triples
+    (`_on_line`).
     """
     spans = [_line_clip(forms, i) for i in range(len(forms))]
     tight = [i for i, s in enumerate(spans) if s is not None]
     edges = [i for i in tight if _has_length(*spans[i][:2])]
-    if not edges or any(spans[i][2] is not None for i in tight):
-        # the closure is empty, a point, or in the line of an opposite pair;
-        # nonempty when on some non-strict tight line the others hold strictly
-        if not any(not hps[i].sense.strict and spans[i][2] is not True
-                   and _open_nonempty(*spans[i][:2]) for i in tight):
-            return EMPTY_REGION
-        ends = list({_on_line(forms[i], t) for i in tight for t in spans[i][:2] if t})
-        rays = []
-        for i in tight:
-            if spans[i][2] is not None:  # the closure is this line's clip
-                (a, b, _, _), (lo, up, _) = forms[i], spans[i]
-                rays = [(b, -a)] * (lo is None) + [(-b, a)] * (up is None)
-                break
-        return ConvexRegion(tuple(hps[i] for i in tight), False,
-                            tuple(t for _, t in sorted(zip(_point_keys(ends), ends))), False,
-                            tuple(rays))
+    if not edges or any(spans[i][2] for i in tight):
+        return EMPTY_REGION
     first, starts = edges[0], {}  # walk from the edge that comes in from infinity, if any
     for i in edges:
         if spans[i][0] is None:
@@ -439,8 +421,8 @@ def _canonical(hps, forms) -> "ConvexRegion":
     touching = {_on_line(forms[i], spans[i][0]): i for i in tight
                 if i not in edges and hps[i].sense.strict}
     kept = edges + [i for t, i in touching.items() if all(hps[e].contains(t) for e in edges)]
-    return ConvexRegion(tuple(hps[i] for i in sorted(kept)), False, _from_min(cycle), True,
-                        tuple(rays))
+    return ConvexRegion(tuple(hps[i] for i in sorted(kept)), False, _from_min(cycle),
+                        rays=tuple(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -457,25 +439,26 @@ def _in_order(by_form: dict) -> list:
 
 
 class ConvexRegion:
-    """Intersection of finitely many half-planes, kept in canonical form.
+    """Intersection of finitely many half-planes, kept in canonical form: a
+    convex set with interior, or `EMPTY_REGION`.
 
-    Canonical form: exact duplicates merged, infeasible systems collapsed to
-    the canonical empty region, redundant constraints removed (see
-    `_canonical`), constraints in a fixed order.  Equality of
-    full-dimensional (or empty) regions is then structural.  The same pass
-    finds, once, the vertices of the closure (`vertex_triples`, lattice
-    triples in lowest terms) and the rays (pairs of kernel integers) that
-    generate its recession cone: none exactly when the region is bounded.
+    Canonical form: exact duplicates merged, every system whose solution
+    set has no interior (infeasible, or of measure zero: a wall, not a
+    tile) collapsed to `EMPTY_REGION`, redundant constraints removed (see
+    `_canonical`), constraints in a fixed order.  Equality is then
+    structural.  The same pass finds, once, the vertices of the closure
+    (`vertex_triples`, lattice triples in lowest terms) and the rays (pairs
+    of kernel integers) that generate its recession cone: none exactly when
+    the region is bounded.
     """
 
-    __slots__ = ("constraints", "is_empty", "vertex_triples", "_interior", "_rays", "_forms")
+    __slots__ = ("constraints", "is_empty", "vertex_triples", "_rays", "_forms")
 
     def __init__(self, constraints: Tuple[HalfPlane, ...], is_empty: bool,
-                 vertices: tuple = (), interior: bool = True, rays: tuple = ()):
+                 vertices: tuple = (), *, rays: tuple = ()):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "is_empty", is_empty)
         object.__setattr__(self, "vertex_triples", vertices)
-        object.__setattr__(self, "_interior", interior and not is_empty)
         object.__setattr__(self, "_rays", rays)
         object.__setattr__(self, "_forms", tuple(h.form[:3] for h in constraints))
 
@@ -501,10 +484,6 @@ class ConvexRegion:
     def whole_plane() -> "ConvexRegion":
         return ConvexRegion((), False, rays=((1, 0), (0, 1), (-1, 0), (0, -1)))
 
-    @staticmethod
-    def empty() -> "ConvexRegion":
-        return EMPTY_REGION
-
     # -- queries ------------------------------------------------------------
 
     def contains(self, p) -> int:
@@ -513,17 +492,12 @@ class ConvexRegion:
         lines of strict constraints included), -1 outside."""
         return -1 if self.is_empty else least_sign(self._forms, p)
 
-    def has_interior(self) -> bool:
-        return self._interior
-
     def interior_point(self, rng: Optional[Rng] = None, counter: int = 0) -> tuple:
         """A point strictly inside, as its lattice triple in lowest terms: y
         drawn strictly inside the closure's y-range, then x strictly inside
         the region's slice at that y (`_pick_in_interval`)."""
         if self.is_empty:
             raise EmptyRegionError("empty region has no interior point")
-        if not self._interior:
-            raise EmptyRegionError("region has empty interior")
         yn, yq = _pick_in_interval(self._y_bound(1), self._y_bound(-1), rng, 2 * counter)
         # a*x > c - b*y on every constraint, times the denominator yq > 0
         xlo, xup = _one_dim_interval((a * yq, c * yq - b * yn, True) for a, b, c in self._forms)
@@ -545,7 +519,7 @@ class ConvexRegion:
         """A rational direction along which the region recedes to infinity,
         strictly interior to the recession cone when that cone has interior,
         as a vector's triple (VX, VY, q) (`moved`); None exactly when the
-        region is bounded (or empty).
+        region is bounded, `EMPTY_REGION` included.
 
         It is (dx, t) for the first dx of 1, -1 at which the cone has a
         section (t its midpoint, its finite end -+ 1, or 0 when it is a whole
@@ -575,9 +549,8 @@ class ConvexRegion:
 
     def vertices(self) -> Tuple[Point, ...]:
         """Vertices of the closure, in clockwise order starting from the
-        lexicographically smallest (sorted when the closure has no
-        interior); empty tuple when there are none: `vertex_triples`, each
-        divided out by `point_of`."""
+        lexicographically smallest; empty tuple when there are none:
+        `vertex_triples`, each divided out by `point_of`."""
         return tuple(map(point_of, self.vertex_triples))
 
     # -- constructors of derived regions ------------------------------------
@@ -613,8 +586,8 @@ class ConvexRegion:
         # a rigid motion keeps the clockwise order; only the start moves
         verts = _from_min([_lowest(k * PX * L + X * M, k * PY * L + Y * M, M * L)
                            for PX, PY, M in self.vertex_triples])
-        return ConvexRegion(tuple(hps), False, verts, self._interior,
-                            tuple((k * gx, k * gy) for gx, gy in self._rays))
+        return ConvexRegion(tuple(hps), False, verts,
+                            rays=tuple((k * gx, k * gy) for gx, gy in self._rays))
 
     # -- sampling -----------------------------------------------------------
 
@@ -630,9 +603,7 @@ class ConvexRegion:
             raise EmptyRegionError("cannot sample an empty region")
         if not self.is_bounded():
             raise ValueError("sampling an unbounded region: intersect it with a box first")
-        if not self.has_interior():
-            raise EmptyRegionError("region has no interior to sample")
-        # a bounded region with interior is a polygon
+        # a bounded region is a polygon
         triples = list(barycentric_triples(self.vertex_triples, count, seed))
         assert all(self.contains(t) > 0 for t in triples)
         return tuple(triples)
@@ -655,7 +626,7 @@ class ConvexRegion:
 
     def __repr__(self):
         if self.is_empty:
-            return "ConvexRegion.empty()"
+            return "EMPTY_REGION"
         return f"ConvexRegion({len(self.constraints)} constraints)"
 
 
@@ -668,7 +639,8 @@ def region(halfplanes: Iterable[HalfPlane]) -> ConvexRegion:
 
 def box_region(xmin: ScalarLike, ymin: ScalarLike, xmax: ScalarLike, ymax: ScalarLike) -> ConvexRegion:
     """xmin <= x <= xmax and ymin <= y <= ymax: a bound n/q (`as_integer_ratio()`)
-    is the line q*x = n (q*y = n) over the scale q."""
+    is the line q*x = n (q*y = n) over the scale q.  A box with xmin >= xmax
+    or ymin >= ymax has no interior: it is `EMPTY_REGION`."""
     return region(HalfPlane(Line((q * ax, q * (1 - ax), n), q), sense)
                   for ax, bound, sense in ((1, xmin, Sense.GE), (1, xmax, Sense.LE),
                                            (0, ymin, Sense.GE), (0, ymax, Sense.LE))

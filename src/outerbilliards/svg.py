@@ -76,7 +76,7 @@ def render_scene(items: Sequence[SceneItem],
             for p in it.points:
                 xs.append(p.x)
                 ys.append(p.y)
-            if it.region is not None and not it.region.is_empty:
+            if it.region is not None:
                 for p in it.region.vertices():
                     xs.append(p.x)
                     ys.append(p.y)
@@ -104,12 +104,10 @@ def render_scene(items: Sequence[SceneItem],
         attrs = " ".join(f'{k}="{v}"' for k, v in sorted(style.items()))
         ident = f'id="item{i}"'
         if it.kind == "region":
-            reg = it.region
-            if reg is None or reg.is_empty:
-                continue
-            clipped = reg.intersect(clip)
-            verts = clipped.vertices()
-            if len(verts) < 3:
+            # a region has interior or is EMPTY_REGION, so the clip is a
+            # polygon, or has no vertex when nothing of it is in view
+            verts = () if it.region is None else it.region.intersect(clip).vertices()
+            if not verts:
                 continue
             pts = " ".join(map_pt(p) for p in verts)
             out.append(f'  <polygon {ident} points="{pts}" {attrs}/>')

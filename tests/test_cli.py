@@ -339,6 +339,47 @@ def test_orbit_svg_trace_over_sqrt5(tmp_path, capsys):
     assert "<polyline" in text and text.count("<circle") == 2
 
 
+# the hexagon the CI's installed-command steps write to hex.json
+HEXAGON_DOC = ('{"schema": "polygon/1", "field": "rational", "vertices": [["0", "0"], '
+               '["-2", "3"], ["1", "6"], ["5", "5"], ["8", "1"], ["4", "-2"]]}')
+SVG_ORBIT_STARTS = ("8,-2", "1000,1/3")
+
+
+def svg_output_digests(poly_key, tmp_path, capsys):
+    """Truncated sha256 of the exit code and the SVG file of 30 ψ steps of
+    `orbit --svg` from each of `SVG_ORBIT_STARTS`, and of `partition --svg`
+    on the regular pentagon."""
+    from test_billiards import corpus_polygon
+
+    f, svg = tmp_path / f"{poly_key}.json", tmp_path / "out.svg"
+    f.write_text(HEXAGON_DOC if poly_key == "hexagon" else polygon_to_text(corpus_polygon(poly_key)))
+    runs = {f"orbit {p}": ("orbit", str(f), "--point", p, "--map", "psi", "--steps", "30")
+            for p in SVG_ORBIT_STARTS}
+    if poly_key == "regular_pentagon":
+        runs["partition"] = ("partition", str(f))
+    digests = {}
+    for name, argv in runs.items():
+        code, _ = run(capsys, *argv, "--svg", str(svg))
+        digests[name] = hashlib.sha256(f"{code}\n{svg.read_text()}".encode()).hexdigest()[:16]
+    return digests
+
+
+# Recorded while the region kernel still built regions without interior
+# (points, segments, rays and lines) next to the open and closed tiles.
+SVG_OUTPUT_SHA256 = {
+    "hexagon": {"orbit 8,-2": "120fcbf3d7c0c629", "orbit 1000,1/3": "859e56a34926343e"},
+    "triangle": {"orbit 8,-2": "325e53f97a315a51", "orbit 1000,1/3": "7852765ac3335962"},
+    "penrose_kite": {"orbit 8,-2": "59a80a52370df44b", "orbit 1000,1/3": "ae2bff6d9722bf0e"},
+    "regular_pentagon": {"orbit 8,-2": "7d791d1a2a9ffa21", "orbit 1000,1/3": "92c791a53c2c3603",
+                         "partition": "e26047847ee50d33"},
+}
+
+
+@pytest.mark.parametrize("poly_key", sorted(SVG_OUTPUT_SHA256))
+def test_svg_outputs_golden(poly_key, tmp_path, capsys):
+    assert svg_output_digests(poly_key, tmp_path, capsys) == SVG_OUTPUT_SHA256[poly_key]
+
+
 def test_verify_random_reproducible(capsys):
     code1, out1 = run(capsys, "verify", "--random", "n=4 count=1",
                       "--profile", "quick", "--seed", "11")

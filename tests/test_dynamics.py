@@ -9,9 +9,10 @@ from itertools import islice
 
 import pytest
 
-from oracles import (add, direction, dot, halved, normal, parallel_offset,
+from fm_oracle import fm_canonical, fm_recession_direction, fm_vertices
+from oracles import (add, direction, dot, halved, line, normal, parallel_offset,
                      oracle_psi_walk, point_route_theorem_step, pt, scale, stepwise_first_return,
-                     stepwise_psi_orbit, strip_region)
+                     stepwise_psi_orbit, strip_region, sub)
 from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
 from outerbilliards import dynamics, geometry, strips
 from outerbilliards.billiards import psi_walk, square_map
@@ -34,7 +35,7 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.generate import random_nice_polygon
-from outerbilliards.geometry import HalfPlane, Point, Sense, homogeneous, moved, point_of, region
+from outerbilliards.geometry import HalfPlane, Point, Sense, Vec, homogeneous, point_of, vec_of
 from outerbilliards.model import BilliardModel
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.rng import Rng
@@ -940,23 +941,25 @@ def _boundary_starts(model):
     """Starts whose pinwheel orbit hits the far line of strip 0 at stage 0:
     in a tile whose path starts at spoke 0, strip 0 first moves p by +-V
     into the strip and is applied again there, so p on that line -+ V is a
-    hit.  With the true strip the line is a wall and the tiles miss it."""
+    hit.  With the true strip the line is a wall and the tiles miss it.
+    Each tile meets a translated line in a set without interior, which is
+    no region: the Fourier-Motzkin oracle finds its ends and its ray."""
     pair = model.system.pair(0)
-    line = parallel_offset(pair.line, pair.width)
-    far_line = region([HalfPlane(line, Sense.GE), HalfPlane(line, Sense.LE)])
+    a, b, c = (getattr(parallel_offset(pair.line, pair.width), k) for k in "abc")
+    V = vec_of(pair.V)
     out = []
     for tile in model.partition.tiles:
         if model.path_of_tile(tile).start != 0:
             continue
-        VX, VY, q = pair.V
-        for segment in (far_line.translate((VX, VY, q)), far_line.translate((-VX, -VY, q))):
-            segment = tile.region.intersect(segment)
-            ends = segment.vertices()
+        for v in (V, scale(V, -1)):
+            shifted = line(a, b, c + dot(Vec(a, b), v))  # the far line moved by v
+            empty, kept = fm_canonical(tile.region.constraints + (
+                HalfPlane(shifted, Sense.GE), HalfPlane(shifted, Sense.LE)))
+            ends = () if empty else fm_vertices(kept)
             if len(ends) == 2:
-                out.append(ends[0] + (ends[1] - ends[0]) * Fraction(1, 3))
+                out.append(add(ends[0], scale(sub(ends[1], ends[0]), Fraction(1, 3))))
             elif len(ends) == 1:
-                d = segment.recession_direction()
-                out.append(point_of(moved(homogeneous(ends[0], d[2]), d)))
+                out.append(add(ends[0], fm_recession_direction(kept)))
     return out
 
 

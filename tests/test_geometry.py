@@ -24,6 +24,7 @@ from test_billiards import CORPUS, corpus_polygon
 from outerbilliards import geometry, scalars
 from outerbilliards.errors import EmptyRegionError
 from outerbilliards.geometry import (
+    EMPTY_REGION,
     ConvexRegion,
     HalfPlane,
     Line,
@@ -248,7 +249,7 @@ def test_region_intersect_disjoint_is_empty():
     r2 = region([half_plane(0, 1, 0, Sense.LT)])
     r = r1.intersect(r2)
     assert r.is_empty
-    assert r == ConvexRegion.empty()
+    assert r == EMPTY_REGION
 
 
 def test_region_intersect_parallelogram_vertices():
@@ -265,7 +266,7 @@ def test_region_intersect_parallelogram_vertices():
 def test_region_area_unit_square_and_empty():
     sq = box_region(0, 0, 1, 1)
     assert region_area(sq) == 1
-    assert region_area(ConvexRegion.empty()) == 0
+    assert region_area(EMPTY_REGION) == 0
 
 
 def test_region_area_parallelogram_48():
@@ -356,7 +357,7 @@ def test_sample_points_interior_and_deterministic():
 
 def test_sample_points_empty_region_errors():
     with pytest.raises(EmptyRegionError):
-        ConvexRegion.empty().sample_points(1, seed=0)
+        EMPTY_REGION.sample_points(1, seed=0)
 
 
 def test_sample_points_unbounded_needs_clip():
@@ -449,16 +450,6 @@ def halfplane_sets(draw):
     return hps
 
 
-def _in_set(constraints, p):
-    return all(h.contains(homogeneous(p)) for h in constraints)
-
-
-def _probe_points(verts):
-    """A grid plus the vertices and the midpoints of vertex pairs."""
-    pts = [pt(Fraction(i, 2), Fraction(j, 2)) for i in range(-8, 9) for j in range(-8, 9)]
-    return pts + [Point((u.x + v.x) / 2, (u.y + v.y) / 2) for u in verts for v in verts]
-
-
 B = half_plane  # short name for the examples below
 BOX = [B(1, 0, 0, Sense.GE), B(1, 0, 2, Sense.LE), B(0, 1, 0, Sense.GE), B(0, 1, 2, Sense.LE)]
 
@@ -471,31 +462,27 @@ BOX = [B(1, 0, 0, Sense.GE), B(1, 0, 2, Sense.LE), B(0, 1, 0, Sense.GE), B(0, 1,
 @example(BOX + [B(1, 2, 0, Sense.GT), B(1, 1, 0, Sense.GT)])  # two at one vertex
 @example(BOX[1:] + [B(1, 0, 0, Sense.GT), B(1, 1, 0, Sense.GT)])  # edge already strict
 @example([B(0, 1, 0, Sense.GE), B(0, 1, 0, Sense.LE), B(1, 0, 0, Sense.GE),
-          B(1, 0, 1, Sense.LT)])  # a half-open segment
+          B(1, 0, 1, Sense.LT)])  # a half-open segment: no interior, EMPTY_REGION
 @example([B(1, 0, 0, Sense.GE), B(0, 1, 0, Sense.GE), B(1, 1, 0, Sense.LE),
-          B(1, 0, 0, Sense.LE)])  # a point, one constraint redundant
+          B(1, 0, 0, Sense.LE)])  # a point, one constraint redundant: EMPTY_REGION
 @example([B(1, 0, 0, Sense.GT), B(0, 1, 0, Sense.GT), B(1, 1, 0, Sense.LT)])  # empty
 @example([B(0, 1, 0, Sense.GE), B(0, 1, 0, Sense.LT)])  # opposite strict: empty
-@example([B(0, 1, 0, Sense.GE), B(0, -2, 0, Sense.GE)])  # a whole line
+@example([B(0, 1, 0, Sense.GE), B(0, -2, 0, Sense.GE)])  # a whole line: EMPTY_REGION
 @example([B(1, 0, 0, Sense.GE), B(1, 0, 3, Sense.LE), B(1, -1, 0, Sense.LE)])  # unbounded
 def test_kernel_matches_fm_oracle(hps):
+    """The kernel keeps the oracle's constraints, vertices, interior points
+    and samples on every system with interior, and builds `EMPTY_REGION`
+    for every other one: infeasible, or a point, segment, ray or line."""
     r = region(hps)
     fm_empty, fm_kept = fm_canonical(hps)
-    assert r.is_empty == fm_empty
-    assert r.has_interior() == (not fm_empty and fm_has_interior(fm_kept))
-    if fm_empty or r.has_interior():
-        assert [id(h) for h in r.constraints] == [id(h) for h in fm_kept]
-    else:  # no interior: the same point set, however it is written
-        for p in _probe_points(r.vertices()):
-            assert r.contains(homogeneous(p)) == ConvexRegion(fm_kept, False).contains(
-                homogeneous(p))
-            assert _in_set(r.constraints, p) == _in_set(fm_kept, p)
-    assert r.vertices() == fm_vertices(fm_kept)
-    if not r.has_interior():
-        if not r.is_empty:
-            with pytest.raises(EmptyRegionError):
-                r.interior_point()
+    assert r.is_empty == (fm_empty or not fm_has_interior(fm_kept))
+    if r.is_empty:
+        assert r == EMPTY_REGION and r.constraints == () and r.vertices() == ()
+        with pytest.raises(EmptyRegionError):
+            r.interior_point()
         return
+    assert [id(h) for h in r.constraints] == [id(h) for h in fm_kept]
+    assert r.vertices() == fm_vertices(fm_kept)
     rng = Rng(5).split(1)
     for i in range(3):
         assert point_of(r.interior_point(rng, i)) == fm_interior_point(fm_kept, rng, i)
@@ -526,6 +513,48 @@ def test_tile_samples_match_fm_oracle(poly_key):
     for i, tile in enumerate(tiles):
         got = tuple(map(point_of, tile.region.sample_points(4, seed=i)))
         assert repr(got) == repr(fm_sample_points(tile.region.constraints, 4, seed=i))
+
+
+def _measure_zero_systems(u):
+    """A point, a segment, a ray and a whole line, each written with closed
+    constraints only: over Q for a rational u, over Q(sqrt 5) for u = sqrt 5."""
+    on_line = [B(u, 1, 0, Sense.GE), B(u, 1, 0, Sense.LE)]  # u*x + y = 0
+    return {
+        "point": [B(1, 0, u, Sense.GE), B(0, 1, 0, Sense.GE), B(1, 1, u, Sense.LE)],
+        "segment": on_line + [B(1, 0, 0, Sense.GE), B(1, 0, 1, Sense.LE)],
+        "ray": on_line + [B(1, 0, u, Sense.GE)],
+        "line": [B(u, 1, 1, Sense.GE), B(-u, -1, -1, Sense.GE)],
+    }
+
+
+@pytest.mark.parametrize("u", [Fraction(3, 2), R5], ids=["Q", "Q(sqrt 5)"])
+@pytest.mark.parametrize("name", ["point", "segment", "ray", "line"])
+def test_measure_zero_systems_are_the_empty_region(name, u):
+    """A region is a convex set with interior or `EMPTY_REGION`: a closed
+    system whose solutions are a point, a segment, a ray or a line builds
+    `EMPTY_REGION`, and so do its translate, its point reflection and its
+    intersection with a box, as region methods and as systems written out:
+    p -> k*p + t takes a*x + b*y >= c to k*a*x + k*b*y >= c + k*(a, b).t."""
+    hps, box = _measure_zero_systems(u)[name], box_region(-9, -9, 9, 9)
+    r = region(hps)
+    assert r is EMPTY_REGION
+    assert r.translate(homogeneous(Vec(u, Fraction(-2)))) is EMPTY_REGION
+    assert r.point_reflect(homogeneous(Point(Fraction(1, 2), 2 * u))) is EMPTY_REGION
+    assert r.intersect(box) is EMPTY_REGION and box.intersect(r) is EMPTY_REGION
+    assert region(hps + list(box.constraints)) is EMPTY_REGION
+    for k, (tx, ty) in ((1, (u, Fraction(-2))), (-1, (Fraction(1), 4 * u))):
+        moved = [B(k * ln.a, k * ln.b, ln.c + k * (ln.a * tx + ln.b * ty), h.sense)
+                 for h in hps for ln in [h.line]]
+        assert region(moved) is EMPTY_REGION
+
+
+def test_region_has_no_interior_argument():
+    """The regions' one shape has no interior flag: passing one, by name or
+    in the place it once had, is a TypeError rather than a stored value."""
+    with pytest.raises(TypeError):
+        ConvexRegion((), False, (), interior=True)
+    with pytest.raises(TypeError):
+        ConvexRegion((), False, (), True, ())
 
 
 def test_kernel_oracle_catches_kept_zero_length_edges(monkeypatch):
@@ -563,7 +592,7 @@ def test_stored_recession_matches_scan_oracle(hps, motion):
     got = r.recession_direction()
     assert repr(got and point_of(got)) == repr(want and Point(want.x, want.y))
     assert r.is_bounded() == (want is None)
-    if motion != "as built" and r.has_interior():
+    if motion != "as built" and not r.is_empty:
         assert region(r.constraints).constraints == r.constraints
 
 
@@ -576,7 +605,7 @@ def test_stored_recession_oracle_catches_open_walk(monkeypatch):
         r = canonical(hps, forms)
         if not r.vertices():
             return r
-        return ConvexRegion(r.constraints, r.is_empty, r.vertices(), r.has_interior())
+        return ConvexRegion(r.constraints, r.is_empty, r.vertices())
 
     monkeypatch.setattr(geometry, "_canonical", bounded_once_a_vertex)
     with pytest.raises(AssertionError):

@@ -87,3 +87,31 @@ def test_coordinates_have_12_significant_digits():
     doc = render_scene([draw_points([pt(Fraction(1, 3), Fraction(2, 7))])],
                        viewport=(0, 0, 1, 1))
     assert "0.333333333333" in doc
+
+
+# A scene whose viewport box has no interior, and one whose closed box region
+# meets the viewport only along the line x = 1: every clip that has no
+# interior is skipped, the polygon, polyline and points are drawn.
+DEGENERATE_SCENES = {
+    "zero-width viewport": (0, 0, 0, 1),
+    "box on the viewport's edge": (0, 0, 1, 1),
+}
+# sha256 of each document, recorded while the region kernel still built the
+# clips without interior as segments
+DEGENERATE_SCENE_SHA256 = {
+    "zero-width viewport": "f22a999899c4b8dc296d1a351d734721aa00dda860279290f7e29772b47b8463",
+    "box on the viewport's edge":
+        "5c12692d444522e76f5c1d7db35d77e26cdfbecd3c0fce21fb4ef9d0394ec01f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_SCENE_SHA256))
+def test_degenerate_clip_scenes_golden(name):
+    import hashlib
+
+    doc = render_scene([draw_polygon(TRIANGLE.vertices),
+                        draw_region(box_region(1, 0, 2, 1)),
+                        draw_region(region([half_plane(0, 1, 0, Sense.GE)])),
+                        draw_polyline([pt(0, 0), pt(1, 1)]),
+                        draw_points([pt(0, 1)])], viewport=DEGENERATE_SCENES[name])
+    assert hashlib.sha256(doc.encode()).hexdigest() == DEGENERATE_SCENE_SHA256[name]
