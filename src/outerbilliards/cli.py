@@ -177,7 +177,7 @@ def cmd_orbit(args) -> int:
         escape = scalar_from_json(args.escape) if args.escape else None
     except ValueError as exc:
         return _fail(f"bad --escape {args.escape!r}: {exc}")
-    if escape is not None and escape < 0:
+    if escape is not None and escape.as_integer_ratio()[0] < 0:  # the numerator's sign
         return _fail(f"--escape must be >= 0, got {args.escape}")
     start = section(model, p) if selector in SECTION_SELECTORS else p
     rec = orbit(model, start, selector, args.steps, escape)

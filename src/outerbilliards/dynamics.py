@@ -203,8 +203,8 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     on an undefined point (recorded, not raised), or beyond escape_radius;
     the closing event repeats the last state's point and index.  Every
     selector loops on the start's lattice triple, over one L: a state or a
-    return costs its step, one `point_of` and one appended event, and a
-    replayed psi event its append alone.
+    return costs its step, `point_of` (two Fractions, a Point) and an event by
+    `tuple.__new__`, with no Python-level constructor; a replay, the event alone.
 
     The psi selector expands the walk's label runs into events and notes its
     period P in `period`: once the second run's first state, at step s,
@@ -222,12 +222,12 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
     if selector not in ORBIT_MAPS.values():
         raise ValueError(f"unknown selector {selector!r}")
     rec = OrbitRecord(selector=selector)
-    ev, log = rec.events, rec.events.append
-    # the escape radius squared, p/q
-    esc = None if escape_radius is None else (escape_radius * escape_radius).as_integer_ratio()
+    ev, log, event = rec.events, rec.events.append, tuple.__new__
+    # the escape radius squared, p/q, from its integer ratio: no field arithmetic
+    esc = None if escape_radius is None else tuple(x * x for x in escape_radius.as_integer_ratio())
     indexed = selector in SECTION_SELECTORS
     point, index = (start.point, start.index % model.n) if indexed else (start, None)
-    log(OrbitEvent(0, point, index, None, "start" if budget else "budget-exhausted"))
+    log(event(OrbitEvent, (0, point, index, None, "start" if budget else "budget-exhausted")))
     if not budget:
         return rec
     here = model.polygon.homogeneous(point)
@@ -239,13 +239,13 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
                     rec.period = P = step + 1 - s
                     for j in range(step + 1, budget + 1):
                         e = ev[j - P]
-                        log(OrbitEvent(j, e.point, None, e.label, "translated"))
+                        log(event(OrbitEvent, (j, e.point, None, e.label, "translated")))
                     break
                 if step and not mark:
                     mark, s = (X, Y), step + 1
                 for step in range(step + 1, min(step + k + 1, budget) + 1):
                     here = X, Y, L
-                    log(OrbitEvent(step, point_of(here), None, label, "translated"))
+                    log(event(OrbitEvent, (step, point_of(here), None, label, "translated")))
                     if esc is not None and _beyond(here, *esc):
                         break
                     X, Y = X + dx, Y + dy
@@ -254,8 +254,8 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
         elif selector == "psi_star":
             walk = pinwheel_walk(model.system, here, index)
             for step, (here, i) in zip(range(1, budget + 1), walk):
-                log(OrbitEvent(step, point_of(here), i, None,
-                               "translated" if i == index else "index-shifted"))
+                log(event(OrbitEvent, (step, point_of(here), i, None,
+                                       "translated" if i == index else "index-shifted")))
                 index = i
                 if esc is not None and _beyond(here, *esc):
                     break
@@ -269,7 +269,7 @@ def orbit(model: BilliardModel, start, selector: str, budget: int,
                     returns = exit_map if selector == "exit" else first_return_psi
                     here, used = returns(model, here, budget - steps)
                 steps += used
-                log(OrbitEvent(steps, point_of(here), index, None, "returned"))
+                log(event(OrbitEvent, (steps, point_of(here), index, None, "returned")))
                 if esc is not None and _beyond(here, *esc):
                     break
     except (BudgetExceededError, MapUndefinedError) as exc:

@@ -5,8 +5,8 @@ is read off its lattice pairs, and a line is a record of one integer form (A, B,
 C) (ints, or `QuadInt`s over Q(sqrt d)) over a positive int scale s; a
 half-plane's identity and order read its oriented primitive form (`HalfPlane.form`,
 by `scalars.primitive`), with no division.  `Point`s and `Vec`s, of Fraction or
-QuadExt coordinates, are frozen values with no arithmetic: they only carry
-values in (`lattice_of`, `homogeneous`) and out (`point_of`, `vec_of`).
+QuadExt coordinates, are frozen values with no arithmetic: they carry values in
+(`lattice_of`, `homogeneous`) and out (`point_of`, `vec_of` fill their slots).
 Convex regions are stored as canonicalized half-plane intersections.  A
 region is a convex set with interior, or `EMPTY_REGION`: a set of measure
 zero (a point, a segment, a ray or a line) is a wall, not a tile, and the
@@ -96,22 +96,32 @@ def lifted(p, den: int) -> tuple:
     return X * k, Y * k, L * k
 
 
+_new, _point_x, _point_y = object.__new__, Point.x.__set__, Point.y.__set__
+
+
 def point_of(p) -> Point:
-    """The lattice triple p = (X, Y, L), L a positive int, divided out to
-    (X/L, Y/L): by one gcd each and `coprime_fraction` where X and Y are ints
-    (inline, not through `ratio`: every logged orbit event pays for it), else by `ratio`."""
+    """The lattice triple p = (X, Y, L), L a positive int, divided out to (X/L,
+    Y/L): one gcd each and `coprime_fraction` for ints, else `ratio`, filled into
+    a new Point's slots without `__init__`, as every logged orbit event pays for it."""
     X, Y, L = p
     if type(X) is type(Y) is int:
         g, h = math.gcd(X, L), math.gcd(Y, L)
-        return Point(coprime_fraction(X // g, L // g), coprime_fraction(Y // h, L // h))
-    return Point(ratio(X, L), ratio(Y, L))
+        x, y = coprime_fraction(X // g, L // g), coprime_fraction(Y // h, L // h)
+    else:
+        x, y = ratio(X, L), ratio(Y, L)
+    point = _new(Point)
+    _point_x(point, x)
+    _point_y(point, y)
+    return point
 
 
 def vec_of(v) -> Vec:
-    """The vector with triple v = (VX, VY, q) divided out to a `Vec`, as
-    `point_of` divides out a point: for output only."""
-    p = point_of(v)
-    return Vec(p.x, p.y)
+    """The vector with triple v = (VX, VY, q) divided out by `ratio` into a
+    new Vec's slots, as `point_of` divides out a point: for output only."""
+    vec = _new(Vec)
+    Vec.x.__set__(vec, ratio(v[0], v[2]))
+    Vec.y.__set__(vec, ratio(v[1], v[2]))
+    return vec
 
 
 def least_sign(forms, here) -> int:

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import math
+import pickle
 import textwrap
 from fractions import Fraction
 from itertools import islice
@@ -17,6 +18,8 @@ from test_billiards import CORPUS, DIRECTIONS, ROOT5, corpus_polygon
 from outerbilliards import dynamics, geometry, strips
 from outerbilliards.billiards import psi_walk, square_map
 from outerbilliards.dynamics import (
+    ORBIT_MAPS,
+    SECTION_SELECTORS,
     IndexedPoint,
     OrbitEvent,
     exit_map,
@@ -892,6 +895,100 @@ def test_orbit_golden_covers_every_selector_and_end_tag():
     assert selectors == {"psi", "psi_star", "exit", "first_return", "strip_return"}
     assert tags == {"start", "translated", "index-shifted", "returned",
                     "undefined", "budget-exhausted", "escaped"}
+
+
+# Events are built by `tuple.__new__` and their Points by `point_of`'s slot
+# filling: no constructor runs on the event path.
+
+
+def event_path_cases():
+    """(model, start, selector, budget, escape) on the triangle and the
+    Penrose kite, models and section starts built first: every selector from
+    a near and a far start, with and without an escape radius, a psi start
+    replayed past its period and a psi start on a wall."""
+    from test_verify import penrose_kite
+
+    cases = []
+    for poly, near, periodic in (
+            (TRIANGLE, pt(*_A), pt(8, -2)),
+            (penrose_kite(), pt(3, Fraction(1, 3)), pt(Fraction(3, 2), Fraction(1, 3)))):
+        m = BilliardModel(poly)
+        m.system, m.paths, m.partition
+        for p in (near, pt(1000, Fraction(1, 3))):
+            for selector in ORBIT_MAPS.values():
+                start = section(m, p) if selector in SECTION_SELECTORS else p
+                cases += [(m, start, selector, 300, escape) for escape in (None, Fraction(20))]
+        cases.append((m, periodic, "psi", 100, None))
+    cases.append((cases[0][0], pt(6, 0), "psi", 5, None))
+    return cases
+
+
+def test_orbit_events_are_constructed_events():
+    """Every selector's events, replayed and closing ones included, are
+    `OrbitEvent`s equal to the same events built by `OrbitEvent(...)`, in
+    hash, repr and pickle too, and `_replace` and `_asdict` work on them."""
+    tags, periods = set(), set()
+    for case in event_path_cases():
+        rec = orbit(*case)
+        periods.add(rec.period)
+        for e in rec.events:
+            built = OrbitEvent(*e)
+            assert type(e) is OrbitEvent and e == built and hash(e) == hash(built)
+            assert repr(e) == repr(built) and pickle.dumps(e) == pickle.dumps(built)
+            assert e._asdict() == built._asdict() == dict(zip(OrbitEvent._fields, built))
+            moved_on = e._replace(step=e.step + 1, tag="moved")
+            assert type(moved_on) is OrbitEvent
+            assert moved_on == OrbitEvent(e.step + 1, e.point, e.index, e.label, "moved")
+            tags.add(e.tag)
+    assert tags == {"start", "translated", "index-shifted", "returned",
+                    "undefined", "budget-exhausted", "escaped"}
+    assert {9, 3} <= periods
+
+
+def guarded_event_logs(monkeypatch, cases) -> list:
+    """Each case's event log with `Point.__init__` and `OrbitEvent.__new__`
+    raising, so that a constructor on the event path fails the run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constructor on the orbit event path")
+
+    with monkeypatch.context() as guard:
+        guard.setattr(Point, "__init__", refuse)
+        guard.setattr(OrbitEvent, "__new__", refuse)
+        return [dynamics.orbit(*case).events for case in cases]
+
+
+def test_orbit_event_path_runs_no_constructor(monkeypatch):
+    cases = event_path_cases()
+    want = [orbit(*case).events for case in cases]
+    assert guarded_event_logs(monkeypatch, cases) == want
+
+
+def test_constructor_guard_trips_on_each_constructor(monkeypatch):
+    """Negative control: a `point_of` that builds its Point by `Point(...)`
+    fails the guard above, and so does an `orbit` that builds its events by
+    `OrbitEvent(...)` at any one of its five sites (the start, the psi run
+    loop, the psi replay, psi_star and the returns)."""
+    cases = event_path_cases()
+
+    def constructed_point_of(p):
+        q = geometry.point_of(p)
+        return Point(q.x, q.y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "point_of", constructed_point_of)
+        with pytest.raises(AssertionError, match="constructor"):
+            guarded_event_logs(monkeypatch, cases)
+    site = "event(OrbitEvent, ("
+    source = textwrap.dedent(inspect.getsource(dynamics.orbit))
+    parts = source.split(site)
+    assert len(parts) == 6
+    for i in range(1, 6):
+        namespace = dict(vars(dynamics))
+        exec(site.join(parts[:i]) + "OrbitEvent(*(" + site.join(parts[i:]), namespace)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "orbit", namespace["orbit"])
+            with pytest.raises(AssertionError, match="constructor"):
+                guarded_event_logs(monkeypatch, cases)
 
 
 # pinwheel_theorem_step on the lattice against the Point route

@@ -7,14 +7,16 @@ the package free of branches on a point's form (Point or lattice triple).
 """
 
 import ast
+import inspect
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from outerbilliards import geometry, verify
+from outerbilliards import dynamics, geometry, verify
 from outerbilliards.billiards import Chirality, build_partition
-from outerbilliards.dynamics import far_radius
+from outerbilliards.dynamics import ORBIT_MAPS, SECTION_SELECTORS, far_radius, section
 from outerbilliards.generate import random_nice_polygon
 from outerbilliards.geometry import Point, Vec, box_region
 from outerbilliards.model import BilliardModel
@@ -178,7 +180,9 @@ def guarded_run(monkeypatch, polygons) -> list:
     """With every arithmetic and ordering operator of Fraction, QuadExt,
     Point and Vec raising: each polygon's model builds its system, paths and
     both partitions, then `run_all(p, "full")` and `negative_controls(p)`
-    run.  The reports are read as JSON after the guard is lifted."""
+    run, and `orbit` runs every selector for 40 steps from the far radius
+    (x = R, y = 1/3) with escape radius 3R/2.  The reports are read as JSON
+    after the guard is lifted, each followed by the orbits' closing tags."""
     def refuse(*args):
         raise AssertionError("field arithmetic below the entry points")
 
@@ -192,12 +196,20 @@ def guarded_run(monkeypatch, polygons) -> list:
             model = BilliardModel(polygon)
             model.system, model.paths, model.partition, model.backward_partition
             reports.append(verify.run_all(polygon, "full") + verify.negative_controls(polygon))
-    return [[rep.to_json() for rep in reps] for reps in reports]
+            num, den = far_radius(model)
+            p, escape = Point(ratio(num, den), Fraction(1, 3)), ratio(3 * num, 2 * den)
+            reports[-1].append([
+                dynamics.orbit(model, section(model, p) if selector in SECTION_SELECTORS else p,
+                               selector, 40, escape).final.tag
+                for selector in ORBIT_MAPS.values()])
+    return [[rep.to_json() for rep in reps[:-1]] + reps[-1:] for reps in reports]
 
 
 def test_models_and_checks_do_no_field_arithmetic(monkeypatch):
     runs = guarded_run(monkeypatch, guard_corpus())
-    assert [len(reps) for reps in runs] == [len(verify.CHECKS) + 3] * len(runs)
+    assert [len(reps) for reps in runs] == [len(verify.CHECKS) + 4] * len(runs)
+    tags = {tag for reps in runs for tag in reps[-1]}
+    assert tags == {"escaped", "budget-exhausted"}
 
 
 def test_points_and_vectors_carry_values_only():
@@ -241,5 +253,22 @@ def test_field_arithmetic_guard_trips_on_scalar_widths(monkeypatch):
     monkeypatch.setattr(PinwheelSystem, "max_width", max_width)
     monkeypatch.setattr(verify, "far_radius", scalar_far_radius)
     for polygon in polygons:
+        with pytest.raises(AssertionError, match="field arithmetic"):
+            guarded_run(monkeypatch, [polygon])
+
+
+def test_field_arithmetic_guard_trips_on_a_scalar_escape_square(monkeypatch):
+    """Negative control: an `orbit` that squares its escape radius as a
+    scalar, as it did before it squared the radius's integer ratio, trips
+    the guard on a rational and a Q(sqrt 5) polygon."""
+    from test_quasirational import TRIANGLE, regular_pentagon
+
+    squared = "tuple(x * x for x in escape_radius.as_integer_ratio())"
+    source = textwrap.dedent(inspect.getsource(dynamics.orbit))
+    assert source.count(squared) == 1
+    namespace = dict(vars(dynamics))
+    exec(source.replace(squared, "(escape_radius * escape_radius).as_integer_ratio()"), namespace)
+    monkeypatch.setattr(dynamics, "orbit", namespace["orbit"])
+    for polygon in (TRIANGLE, regular_pentagon()):
         with pytest.raises(AssertionError, match="field arithmetic"):
             guarded_run(monkeypatch, [polygon])

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import pickle
 import textwrap
 from fractions import Fraction
 
@@ -208,6 +209,78 @@ def test_point_of_divides_out_in_lowest_terms(triple, want):
         num, den = value.as_integer_ratio()
         parts = (num.r, num.s) if type(num) is QuadInt else (num,)
         assert den > 0 and math.gcd(*parts, den) == 1
+
+
+# `point_of` and `vec_of` fill a new value's slots on trust: each triple's
+# value built by the dataclass constructor, on Q with L = 1, negative and
+# zero coordinates, ints of several hundred digits and Q(sqrt 5) with one
+# rational and one irrational coordinate
+SLOT_FILLED_CASES = [
+    ((5, -7, 1), (Fraction(5), Fraction(-7))),
+    ((0, -12, 8), (Fraction(0), Fraction(-3, 2))),
+    ((-14, 0, 21), (Fraction(-2, 3), Fraction(0))),
+    ((3 ** 400 * 10, -(2 ** 900) * 3, 3 ** 150 * 4),
+     (Fraction(3 ** 250 * 5, 2), Fraction(-(2 ** 898), 3 ** 149))),
+    ((QuadInt(3, -4, 5), 9, 6), (QuadExt(Fraction(1, 2), Fraction(-2, 3), 5), Fraction(3, 2))),
+]
+
+
+def same_value(got, want) -> bool:
+    """Whether got is want in every way a caller can see: type, equality,
+    hash, repr, pickle both ways, refused assignment and no `__dict__`."""
+    def refuses(value, name):
+        try:
+            setattr(value, name, Fraction(0))
+        except AttributeError:  # dataclasses.FrozenInstanceError
+            return True
+        return False
+
+    return (type(got) is type(want) and got == want and hash(got) == hash(want)
+            and repr(got) == repr(want) and pickle.dumps(got) == pickle.dumps(want)
+            and pickle.loads(pickle.dumps(got)) == want
+            and refuses(got, "x") and refuses(got, "y") and not hasattr(got, "__dict__"))
+
+
+def slot_filled_mismatches() -> list:
+    """The cases whose `point_of` Point or `vec_of` Vec is not the value
+    built by `Point(...)` or `Vec(...)`; the routes are looked up on
+    `geometry`, so a patched route is the one tested."""
+    return [(route.__name__, triple) for triple, (x, y) in SLOT_FILLED_CASES
+            for route, cls in ((geometry.point_of, Point), (geometry.vec_of, Vec))
+            if not same_value(route(triple), cls(x, y))]
+
+
+def test_slot_filled_points_and_vectors_are_constructed_values():
+    assert slot_filled_mismatches() == []
+
+
+def test_point_and_vec_slot_names_are_pinned():
+    """`point_of` and `vec_of` fill these slots through their member
+    descriptors; a dataclass that renames, adds or drops one must fail here."""
+    assert Point.__slots__ == ("x", "y")
+    assert Vec.__slots__ == ("x", "y")
+
+
+def test_slot_filled_check_catches_x_in_both_slots(monkeypatch):
+    """Negative control: a `point_of` that fills x into both slots fails the
+    check above and at least one orbit event-log golden."""
+    from outerbilliards import dynamics
+    from test_dynamics import ORBIT_GOLDEN, test_orbit_golden_event_log
+
+    source = textwrap.dedent(inspect.getsource(geometry.point_of))
+    assert source.count("_point_y(point, y)") == 1
+    namespace = dict(vars(geometry))
+    exec(source.replace("_point_y(point, y)", "_point_y(point, x)"), namespace)
+    monkeypatch.setattr(geometry, "point_of", namespace["point_of"])
+    monkeypatch.setattr(dynamics, "point_of", namespace["point_of"])
+    assert {route for route, _ in slot_filled_mismatches()} == {"point_of"}
+    failed = 0
+    for case in ORBIT_GOLDEN:
+        try:
+            test_orbit_golden_event_log(case)
+        except AssertionError:
+            failed += 1
+    assert failed >= 1
 
 
 def test_side_oracle_catches_dropped_radical_part(monkeypatch):
