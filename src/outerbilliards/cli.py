@@ -277,6 +277,13 @@ def cmd_quasi(args) -> int:
     return status
 
 
+def _value(text: str) -> str:
+    """An option's value: an empty one is a bad value, not an absent option."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty value")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is an input error: a JSON error on stdout, exit code 2.
     An argument that starts with '-' and a digit is a value (`--point -5,3`)."""
@@ -301,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="emit the forward partition")
     p.add_argument("polygon")
-    p.add_argument("--svg")
-    p.add_argument("--json")
+    p.add_argument("--svg", type=_value)
+    p.add_argument("--json", type=_value)
     p.add_argument("--backward", action="store_true")
     p.set_defaults(func=cmd_partition)
 
@@ -317,19 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", default="psi",
                    choices=list(ORBIT_MAPS))
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--escape")
-    p.add_argument("--svg")
-    p.add_argument("--json")
+    p.add_argument("--escape", type=_value)
+    p.add_argument("--svg", type=_value)
+    p.add_argument("--json", type=_value)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("polygon", nargs="?")
-    p.add_argument("--random", help="'n=K count=M' generated polygons")
+    p.add_argument("--random", type=_value, help="'n=K count=M' generated polygons")
     p.add_argument("--profile", default="quick", choices=["quick", "full"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, help="override per-check sample counts "
                    "(pin1-pin2-move keeps its 6 quick / 20 full samples per tile)")
-    p.add_argument("--json")
+    p.add_argument("--json", type=_value)
     p.add_argument("--negative-controls", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -337,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polygon")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--certify", help="point x,y to certify bounded")
+    p.add_argument("--certify", type=_value, help="point x,y to certify bounded")
     p.set_defaults(func=cmd_quasi)
     return ap
 

@@ -6,6 +6,15 @@ together with the vector V = 2(w - v) from the edge's head vertex v to twice
 the far vertex w.  The strips are indexed by the cyclic order of edge slopes;
 index 0 goes to the edge whose direction angle in [0, pi) is smallest, so runs
 are reproducible even though only the cyclic order is geometrically forced.
+
+A strip is read at a lattice triple p = (X, Y, L) by evaluating its integer
+form once: the edge line's offset t = a*X + b*Y - c*L and t - w, w the width
+on L's scale.  The open strip is where t and t - w have opposite signs.  Over
+Q both are ints and are compared with 0 directly.  Over Q(sqrt d) either may be
+a QuadInt, and then t - w is one: each sign, read once (`QuadInt.sign`,
+`quad_sign` on the int parts), stands in for its value.  `PinwheelPair.offsets`
+hands (t, w) to the readers that need the values, as `strip_jump` does for its
+step count.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import Tuple
 from .errors import OnStripBoundaryError
 from .geometry import Line, moved, point_of, slope_angle_cmp
 from .polygon import NicePolygon
-from .scalars import floor_div, primitive, ratio, sign
+from .scalars import floor_div, primitive, ratio
 
 
 @dataclass(frozen=True)
@@ -56,10 +65,16 @@ class PinwheelPair:
 
     def location(self, p) -> int:
         """-1 outside, 0 on the boundary, +1 strictly inside the strip, for
-        the point with lattice triple p."""
-        t, w = self.offsets(p)
-        # w > 0, so the signs of t and t - w are (-,-), (0,-), (+,-), (+,0) or (+,+)
-        return -sign(t) * sign(t - w)
+        the point with lattice triple p: -sign(t * (t - w)), for either sign
+        of w (a strip written from its far line has w < 0)."""
+        X, Y, L = p
+        a, b, c, wn, wq = self.form
+        t = a * X + b * Y - c * L
+        u = t - wn * (L // wq)
+        if type(u) is not int:  # t or w is a QuadInt, so t - w is one
+            t, u = t if type(t) is int else t.sign(), u.sign()
+        m = t * u
+        return (m < 0) - (m > 0)
 
 
 class PinwheelSystem:
@@ -78,6 +93,22 @@ class PinwheelSystem:
 
     def pair(self, j: int) -> PinwheelPair:
         return self.pairs[j % self.n]
+
+    def inside(self, p) -> list:
+        """The indices j, ascending, of the strips holding the lattice triple
+        p strictly inside: exactly those with `pair(j).location(p) == 1`,
+        read in one pass over the pairs' forms with p unpacked once."""
+        X, Y, L = p
+        out = []
+        for j, pair in enumerate(self.pairs):
+            a, b, c, wn, wq = pair.form
+            t = a * X + b * Y - c * L
+            u = t - wn * (L // wq)
+            if type(u) is not int:
+                t, u = t if type(t) is int else t.sign(), u.sign()
+            if t * u < 0:
+                out.append(j)
+        return out
 
     def max_width(self) -> tuple:
         """The largest strip width wn/(wq*s) as a (num, den) pair in lowest terms."""
@@ -135,17 +166,26 @@ def strip_map(pair: PinwheelPair, p):
     """One application of the strip map to the lattice triple p = (X, Y, L)
     (`NicePolygon.homogeneous`): identity strictly inside the slab (p itself
     is returned), otherwise the translate by +-V that is strictly closer to
-    the slab (`moved` by V, whose den divides L).  V moves the offset by
-    exactly one width, so that translate is +V below the slab and -V above
-    it; the result may still be outside.  Undefined on the slab boundary
-    (the error carries the Point)."""
-    t, w = pair.offsets(p)
-    near, far = sign(t), sign(t - w)
-    if near == 0 or far == 0:
+    the slab, over the same L (V's den divides L).  V moves the offset by
+    exactly one width, so that translate is +V below the slab (t < 0) and -V
+    above it; the result may still be outside.  Undefined on the slab
+    boundary, t = 0 or t = w (the error carries the Point).  The form is
+    read once, as in `PinwheelPair.location`."""
+    X, Y, L = p
+    a, b, c, wn, wq = pair.form
+    t = a * X + b * Y - c * L
+    u = t - wn * (L // wq)
+    if type(u) is not int:
+        t, u = t if type(t) is int else t.sign(), u.sign()
+    if t == 0 or u == 0:
         raise OnStripBoundaryError(point_of(p), stage=pair.index)
-    if near > 0 > far:
+    if t > 0 > u:
         return p
-    return moved(p, pair.V, -near)
+    VX, VY, q = pair.V
+    k = L // q
+    if t > 0:
+        k = -k
+    return X + k * VX, Y + k * VY, L
 
 
 def strip_jump(pair: PinwheelPair, p):

@@ -139,7 +139,7 @@ def check_far_field(model: BilliardModel, samples: int = 200, seed: int = 0) -> 
         except BudgetExceededError as exc:
             return repr(point_of(p)), f"k <= {exc.budget}", "budget exceeded"
         k, here = len(orbit), orbit[-1][0]
-        strips_in = [j for j in range(n) if model.system.pair(j).location(here) == 1]
+        strips_in = model.system.inside(here)
         if k not in (1, 2):
             return repr(point_of(p)), "k in {1, 2}", f"k = {k}"
         if (k == 2) != bool(strips_in):

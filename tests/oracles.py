@@ -24,8 +24,8 @@ from outerbilliards.errors import (
     UndefinedOnWallError,
 )
 from outerbilliards.geometry import (ConvexRegion, HalfPlane, Line, Point, Sense, Vec,
-                                     _one_dim_interval, homogeneous, integer_form, point_of,
-                                     region, signed_area2, vec_of)
+                                     _one_dim_interval, homogeneous, integer_form, moved,
+                                     point_of, region, signed_area2, vec_of)
 from outerbilliards.quasirational import necklace, quasi_analyze
 from outerbilliards.rng import Rng
 from outerbilliards.strips import PinwheelPair, strip_map
@@ -430,6 +430,27 @@ def point_strip_map(pair, p: Point) -> Point:
     if near > 0 > far:
         return p
     return add(p, vec_of(pair.V)) if near < 0 else sub(p, vec_of(pair.V))
+
+
+def offsets_location(pair, p) -> int:
+    """`PinwheelPair.location` at the lattice triple p as it read the strip
+    before comparing t and t - w with 0 directly: -sign(t) * sign(t - w) on
+    `PinwheelPair.offsets`."""
+    t, w = pair.offsets(p)
+    return -sign(t) * sign(t - w)
+
+
+def offsets_strip_map(pair, p):
+    """`strips.strip_map` at the lattice triple p as it read the strip before
+    comparing t and t - w with 0 directly: the signs of `offsets` through
+    `sign`, then p itself strictly inside, else p `moved` by -sign(t)*V."""
+    t, w = pair.offsets(p)
+    near, far = sign(t), sign(t - w)
+    if near == 0 or far == 0:
+        raise OnStripBoundaryError(point_of(p), stage=pair.index)
+    if near > 0 > far:
+        return p
+    return moved(p, pair.V, -near)
 
 
 def _point_step(system, point: Point, index: int) -> Tuple[Point, int]:

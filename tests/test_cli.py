@@ -531,6 +531,25 @@ def test_bad_argument_is_json_input_error(argv, tri_file, tmp_path, capsys):
     assert json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("orbit", "TRI", "--point", "8,-2", "--escape", ""), "--escape"),
+    (("orbit", "TRI", "--point", "8,-2", "--steps", "3", "--svg", ""), "--svg"),
+    (("orbit", "TRI", "--point", "8,-2", "--steps", "3", "--json", ""), "--json"),
+    (("partition", "TRI", "--svg", ""), "--svg"),
+    (("partition", "TRI", "--json", ""), "--json"),
+    (("verify", "TRI", "--json", ""), "--json"),
+    (("verify", "--random", ""), "--random"),
+    (("quasi", "TRI", "--certify", ""), "--certify"),
+    (("orbit", "TRI", "--point", "8,-2", "--escape="), "--escape"),
+])
+def test_empty_option_value_is_a_bad_value(argv, option, tri_file, capsys):
+    """An option given an empty value is not read as absent: exit 2, and a
+    JSON error that names the option."""
+    code, out = run(capsys, *[tri_file if a == "TRI" else a for a in argv])
+    assert code == 2
+    assert f"argument {option}: empty value" in json.loads(out)["error"]
+
+
 def _field_doc(tmp_path, d):
     f = tmp_path / "field.json"
     f.write_text(TRIANGLE_DOC.replace('"rational"', f'{{"quad": {d}}}'))

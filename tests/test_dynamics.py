@@ -1,5 +1,6 @@
 """Pinwheel dynamics: steps, section, returns, orbits."""
 
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -66,22 +67,32 @@ def test_pinwheel_step_cases():
         pinwheel_step(m.system, IndexedPoint(pt(5, 0), m.n - 1))
 
 
-def test_pinwheel_step_locates_the_point_once(monkeypatch):
-    """A step is one strip map: one strip-form evaluation (t, w) locates the
+class _CountedForm(tuple):
+    """A strip form that notes each time it is unpacked, as a strip read
+    unpacks it to evaluate it at a triple."""
+
+    reads = []
+
+    def __iter__(self):
+        self.reads.append(self)
+        return super().__iter__()
+
+
+def test_pinwheel_step_locates_the_point_once():
+    """A step is one strip map: one strip-form read (t and t - w) locates the
     point in the strip, and the sign of t also picks the translate when it
     moves."""
     system = BilliardModel(random_nice_polygon(7, 3)).system
-    calls = []
-    offsets = strips.PinwheelPair.offsets
-    monkeypatch.setattr(strips.PinwheelPair, "offsets",
-                        lambda pair, p: calls.append(p) or offsets(pair, p))
+    system = PinwheelSystem(system.polygon, tuple(
+        dataclasses.replace(pair, form=_CountedForm(pair.form)) for pair in system.pairs))
+    reads = _CountedForm.reads
     x = IndexedPoint(pt(1000, Fraction(1, 3)), 0)
     seen = set()
     for _ in range(40):
-        calls.clear()
+        reads.clear()
         nxt = pinwheel_step(system, x)
         moved = nxt.index == x.index
-        assert len(calls) == 1
+        assert len(reads) == 1
         seen.add(moved)
         x = nxt
     assert seen == {True, False}
@@ -1079,14 +1090,17 @@ def test_theorem_step_lattice_matches_point_route(poly_key):
 
 
 def test_theorem_parity_catches_dropped_rescale(monkeypatch):
-    """Negative control: strip maps whose triple move (`geometry.moved`)
-    adds V's numerators without rescaling them from V's denominator q to L
-    must fail the parity test."""
-    source = textwrap.dedent(inspect.getsource(geometry.moved))
-    rescale = "L // q"
+    """Negative control: strip maps whose translate adds V's numerators
+    without rescaling them from V's denominator q to L must fail the parity
+    test."""
+    real = strips.strip_map
+    source = textwrap.dedent(inspect.getsource(real))
+    rescale = "k = L // q"
     assert source.count(rescale) == 1
-    namespace = dict(vars(geometry))
-    exec(source.replace(rescale, "1"), namespace)
-    monkeypatch.setattr(strips, "moved", namespace["moved"])
+    namespace = dict(vars(strips))
+    exec(source.replace(rescale, "k = 1"), namespace)
+    for module in (strips, dynamics):
+        assert vars(module)["strip_map"] is real
+        monkeypatch.setattr(module, "strip_map", namespace["strip_map"])
     with pytest.raises(AssertionError):
         test_theorem_step_lattice_matches_point_route("n7")

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (add, compose_strip_maps, cross, direction, halved, point_strip_jump,
-                     point_strip_map, pt, region_area, scalar_location, scale, sigma_range,
-                     signed_offset, slab_distance, strip_region, sub, vec)
+from oracles import (add, compose_strip_maps, cross, direction, halved, offsets_location,
+                     offsets_strip_map, point_strip_jump, point_strip_map, pt, region_area,
+                     scalar_location, scale, sigma_range, signed_offset, slab_distance,
+                     strip_region, sub, vec)
 from test_billiards import CORPUS, ROOT5, corpus_polygon
 from outerbilliards import strips
-from outerbilliards.errors import OnStripBoundaryError
-from outerbilliards.geometry import Point, point_of, slope_angle_cmp, vec_of
+from outerbilliards.errors import MapUndefinedError, OnStripBoundaryError
+from outerbilliards.geometry import (Point, barycentric_triples, moved, point_of,
+                                     slope_angle_cmp, vec_of)
 from outerbilliards.polygon import NicePolygon
 from outerbilliards.scalars import sign
 from outerbilliards.strips import (
@@ -328,7 +330,7 @@ def test_strip_form_matches_two_line_oracles(poly_key):
 
 
 @pytest.mark.parametrize("owner, name, old, new", [
-    (strips, "strip_map", "if near == 0 or far == 0:", "if near == 0:"),
+    (strips, "strip_map", "if t == 0 or u == 0:", "if t == 0:"),
     (strips.PinwheelPair, "offsets", "wn * (L // wq)", "wn * L"),
 ], ids=["dropped-far-boundary", "dropped-width-denominator"])
 def test_strip_form_parity_catches_broken_forms(monkeypatch, owner, name, old, new):
@@ -342,3 +344,83 @@ def test_strip_form_parity_catches_broken_forms(monkeypatch, owner, name, old, n
     monkeypatch.setattr(owner, name, namespace[name])
     with pytest.raises(AssertionError):
         test_strip_form_matches_two_line_oracles("n12")
+
+
+def _read_points(polygon, system):
+    """Lattice triples to read every strip at: barycentric samples of the
+    polygon scaled 1, 3 and 9 times about its vertex 0, then for each pair
+    points on its two lines, t = 0 and t = w (the edge's head v, a third of
+    the way along the edge and five edges beyond its tail, each moved by 0
+    and by V), and those points moved by -V and 2V."""
+    X0, Y0 = polygon.lattice[0]
+    den = polygon.den
+    out = []
+    for k in (1, 3, 9):
+        cycle = [(X0 + k * (X - X0), Y0 + k * (Y - Y0), den) for X, Y in polygon.lattice]
+        out += barycentric_triples(cycle, 20, seed=k)
+    for pair in system.pairs:
+        (vx, vy), (ux, uy) = polygon.lattice[pair.v_index], polygon.lattice[pair.edge_index]
+        for f in (0, 1, 18):  # thirds of the edge from v toward its tail
+            here = (3 * vx + f * (ux - vx), 3 * vy + f * (uy - vy), 3 * den)
+            out += [moved(here, pair.V, k) for k in (-1, 0, 1, 2)]
+    return out
+
+
+def _map_outcome(strip_map, pair, p):
+    """strip_map(pair, p) as its repr and whether it is p itself, or its
+    error's type, point and stage."""
+    try:
+        q = strip_map(pair, p)
+    except MapUndefinedError as exc:
+        return type(exc), exc.point, getattr(exc, "stage", None)
+    return repr(q), q is p
+
+
+@pytest.mark.parametrize("poly_key", CORPUS + ["regular_pentagon"])
+def test_strip_reads_match_offsets_oracles(poly_key):
+    """`location`, `strip_map` and `PinwheelSystem.inside`, which compare t
+    and t - w with 0 directly, agree with the `sign` reads of `offsets` they
+    replaced: the same results, the same triple returned as is, and the
+    same error type, point and stage.  Read at barycentric samples and on
+    each strip's two lines, with every strip as built and as written from
+    its far line, over a negative width."""
+    from test_verify import _far_line_first
+    poly = corpus_polygon(poly_key)
+    built = build_pinwheel_system(poly)
+    far_first = PinwheelSystem(poly, tuple(map(_far_line_first, built.pairs)))
+    locations, maps, inside = set(), set(), set()
+    for system in (built, far_first):
+        for p in _read_points(poly, built):
+            for pair in system.pairs:
+                got = pair.location(p)
+                assert got == offsets_location(pair, p), (pair.index, p)
+                locations.add(got)
+                got = _map_outcome(strips.strip_map, pair, p)
+                assert got == _map_outcome(offsets_strip_map, pair, p), (pair.index, p)
+                maps.add(got[0] if got[0] is OnStripBoundaryError else got[1])
+            got = system.inside(p)
+            assert got == [j for j, pair in enumerate(system.pairs)
+                           if offsets_location(pair, p) == 1], p
+            inside.add(len(got))
+    assert locations == {-1, 0, 1}
+    assert maps == {OnStripBoundaryError, True, False}
+    assert 0 in inside and len(inside) > 1
+
+
+@pytest.mark.parametrize("poly_key", ["n12", "penrose_kite"])
+@pytest.mark.parametrize("owner, name, old, new", [
+    (strips.PinwheelPair, "location", "(m < 0)", "(m <= 0)"),
+    (strips.PinwheelSystem, "inside", "t * u < 0", "t * u <= 0"),
+    (strips, "strip_map", "if t == 0 or u == 0:", "if u == 0:"),
+], ids=["location-le", "inside-le", "map-dropped-edge-line"])
+def test_strip_read_parity_catches_mutants(monkeypatch, owner, name, old, new, poly_key):
+    """Negative controls: a location or an `inside` that reads a point on a
+    strip's line as inside, and a strip map that misses the edge line
+    t == 0, must each fail the parity test over Q and Q(sqrt 5)."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(strips))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+    with pytest.raises(AssertionError):
+        test_strip_reads_match_offsets_oracles(poly_key)
